@@ -333,10 +333,9 @@ void run_world(std::uint64_t sessions, const Options& opt,
                std::vector<Row>& rows) {
   namespace fs = std::filesystem;
   char name[64];
-  std::snprintf(name, sizeof name, "btpub_analysis_%llu.ds",
+  std::snprintf(name, sizeof name, "btpub_analysis_%llu.mmap",
                 static_cast<unsigned long long>(sessions));
-  const std::string mmap_path =
-      mmap_sibling_path((fs::path(opt.dir) / name).string());
+  const std::string mmap_path = (fs::path(opt.dir) / name).string();
 
   std::fprintf(stderr, "analysis_perf: building %llu-session snapshot...\n",
                static_cast<unsigned long long>(sessions));

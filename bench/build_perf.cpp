@@ -18,11 +18,11 @@
 // --snapshot switches to the dataset snapshot suite (emits
 // BENCH_snapshot.json by default): synthetic million-session worlds are
 // built deterministically, then each persistence phase — pointer-heavy
-// Dataset build, CompactDataset conversion, stream save/load, mmap
-// save/load (+ inflate) — runs fork-isolated for wall time and honest
-// peak RSS. The mmap load case opens the snapshot AND scans every
-// downloader entry (distinct-IP count over the view), so its timing
-// includes faulting the data in, not just the mmap() call.
+// Dataset build, CompactDataset conversion, snapshot save, open, query
+// and inflate — runs fork-isolated for wall time and honest peak RSS.
+// The query case opens the snapshot AND scans every downloader entry
+// (distinct-IP count over the view), so its timing includes faulting the
+// data in, not just the mmap() call.
 //
 // Usage: build_perf [--json PATH] [--threads N] [--scenario NAME]
 //                   [--seed N] [--quick]
@@ -45,7 +45,6 @@
 
 #include "core/ecosystem.hpp"
 #include "crawler/compact_dataset.hpp"
-#include "crawler/dataset_io.hpp"
 #include "crawler/dataset_mmap.hpp"
 #include "synth_world.hpp"
 #include "util/rng.hpp"
@@ -271,16 +270,15 @@ struct SnapRow {
   std::uint64_t file_bytes = 0;  // on-disk size, filled by the parent
 };
 
-/// One world's worth of phases. The stream and mmap cache files persist
-/// between phases (written by the save phases, read by the load phases).
+/// One world's worth of phases. The snapshot file persists between phases
+/// (written by the save phase, read by the load phases).
 void run_snapshot_world(std::uint64_t sessions, const Options& opt,
                         std::vector<SnapRow>& rows) {
   namespace fs = std::filesystem;
   char name[64];
-  std::snprintf(name, sizeof name, "btpub_snapshot_%llu.ds",
+  std::snprintf(name, sizeof name, "btpub_snapshot_%llu.mmap",
                 static_cast<unsigned long long>(sessions));
-  const std::string stream_path = (fs::path(opt.dir) / name).string();
-  const std::string mmap_path = mmap_sibling_path(stream_path);
+  const std::string mmap_path = (fs::path(opt.dir) / name).string();
   const std::uint64_t seed = opt.seed;
 
   auto timed = [](auto&& fn) {
@@ -319,13 +317,6 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     finish(r, d);
     return r;
   });
-  push("save_stream", [&] {
-    SnapResult r;
-    const Dataset d = synth_dataset(sessions, seed);
-    r.seconds = timed([&] { save_dataset(d, stream_path); });
-    finish(r, d);
-    return r;
-  });
   push("save_mmap", [&] {
     SnapResult r;
     const Dataset d = synth_dataset(sessions, seed);
@@ -335,19 +326,9 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     finish(r, d);
     return r;
   });
-  // Load = time-to-ready (the stream format must parse every record; the
-  // snapshot is ready after open + O(sections) fixup). Query = time-to-
+  // Load = time-to-ready (open + O(sections) fixup). Query = time-to-
   // answer for the distinct-downloader-IP count, paying the full data
-  // touch on both sides — for the snapshot that includes faulting every
-  // peer-blob page in, not just the mmap() syscall.
-  push("load_stream", [&] {
-    SnapResult r;
-    Dataset d;
-    r.seconds = timed([&] { d = load_dataset(stream_path); });
-    r.distinct_ips = d.distinct_ips_global();
-    finish(r, d);
-    return r;
-  });
+  // touch — faulting every peer-blob page in, not just the mmap() syscall.
   push("load_mmap", [&] {
     SnapResult r;
     MappedDataset mapped = [&]() {
@@ -362,18 +343,6 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     r.sessions = mapped.view().peer_blob.size() / 6;
     r.bytes = mapped.mapped_bytes();
     r.peak_rss_kb = peak_rss_kb_self();
-    return r;
-  });
-  push("query_stream", [&] {
-    SnapResult r;
-    Dataset d;
-    std::uint64_t distinct = 0;
-    r.seconds = timed([&] {
-      d = load_dataset(stream_path);
-      distinct = d.distinct_ips_global();
-    });
-    r.distinct_ips = distinct;
-    finish(r, d);
     return r;
   });
   push("query_mmap", [&] {
@@ -409,12 +378,8 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
   std::uint64_t expected = 0;
   for (SnapRow& row : rows) {
     if (row.sessions_target != sessions) continue;
-    if (row.phase == "save_stream" || row.phase == "load_stream" ||
-        row.phase == "query_stream") {
-      row.file_bytes = fs::file_size(stream_path);
-    } else if (row.phase.rfind("save_mmap", 0) == 0 ||
-               row.phase.rfind("load_mmap", 0) == 0 ||
-               row.phase == "query_mmap") {
+    if (row.phase.rfind("save_mmap", 0) == 0 ||
+        row.phase.rfind("load_mmap", 0) == 0 || row.phase == "query_mmap") {
       row.file_bytes = fs::file_size(mmap_path);
     }
     if (row.r.distinct_ips != 0) {
@@ -430,7 +395,6 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
       }
     }
   }
-  fs::remove(stream_path);
   fs::remove(mmap_path);
 }
 
@@ -454,19 +418,13 @@ void write_snapshot_json(const Options& opt, const std::vector<SnapRow>& rows) {
   out << "  \"headline\": [\n";
   for (std::size_t i = 0; i < opt.sessions.size(); ++i) {
     const std::uint64_t n = opt.sessions[i];
-    const SnapRow* stream = find(n, "load_stream");
-    const SnapRow* mapped = find(n, "load_mmap");
-    const SnapRow* qstream = find(n, "query_stream");
     const SnapRow* qmapped = find(n, "query_mmap");
     const SnapRow* build = find(n, "dataset_build");
     std::snprintf(
         line, sizeof line,
-        "    {\"sessions\": %llu, \"mmap_load_speedup_vs_stream\": %.2f, "
-        "\"mmap_query_speedup_vs_stream\": %.2f, "
-        "\"mmap_query_rss_kb\": %ld, \"dataset_build_rss_kb\": %ld}%s\n",
-        static_cast<unsigned long long>(n),
-        stream->r.seconds / mapped->r.seconds,
-        qstream->r.seconds / qmapped->r.seconds, qmapped->r.peak_rss_kb,
+        "    {\"sessions\": %llu, \"mmap_query_rss_kb\": %ld, "
+        "\"dataset_build_rss_kb\": %ld}%s\n",
+        static_cast<unsigned long long>(n), qmapped->r.peak_rss_kb,
         build->r.peak_rss_kb, i + 1 < opt.sessions.size() ? "," : "");
     out << line;
   }
@@ -497,24 +455,20 @@ int run_snapshot(const Options& opt) {
   }
   write_snapshot_json(opt, rows);
   for (const std::uint64_t n : opt.sessions) {
-    const SnapRow* stream = nullptr;
     const SnapRow* mapped = nullptr;
-    const SnapRow* qstream = nullptr;
+    const SnapRow* inflated = nullptr;
     const SnapRow* qmapped = nullptr;
     for (const SnapRow& row : rows) {
       if (row.sessions_target != n) continue;
-      if (row.phase == "load_stream") stream = &row;
       if (row.phase == "load_mmap") mapped = &row;
-      if (row.phase == "query_stream") qstream = &row;
+      if (row.phase == "load_mmap_inflate") inflated = &row;
       if (row.phase == "query_mmap") qmapped = &row;
     }
     std::printf(
-        "%llu sessions: load %.4fs stream vs %.4fs mmap (%.0fx); "
-        "distinct-IP query %.3fs vs %.3fs (%.1fx), query RSS %ld KB\n",
-        static_cast<unsigned long long>(n), stream->r.seconds,
-        mapped->r.seconds, stream->r.seconds / mapped->r.seconds,
-        qstream->r.seconds, qmapped->r.seconds,
-        qstream->r.seconds / qmapped->r.seconds, qmapped->r.peak_rss_kb);
+        "%llu sessions: open %.6fs, open+inflate %.4fs, distinct-IP query "
+        "%.3fs, query RSS %ld KB\n",
+        static_cast<unsigned long long>(n), mapped->r.seconds,
+        inflated->r.seconds, qmapped->r.seconds, qmapped->r.peak_rss_kb);
   }
   std::printf("wrote %s\n", opt.json_path.c_str());
   return 0;

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "crawler/dataset_io.hpp"
+#include "crawler/dataset_mmap.hpp"
 
 namespace btpub::bench {
 
@@ -22,12 +22,12 @@ std::unique_ptr<Ecosystem> build_ecosystem(const ScenarioConfig& config) {
 namespace {
 
 std::string cache_path(const ScenarioConfig& config) {
-  // The format version is part of the key: bumping the on-disk layout
-  // makes every stale btpub-cache/*.ds regenerate instead of silently
-  // deserializing (or choking on) old bytes.
+  // The format version is part of the key: bumping the snapshot layout
+  // starts fresh btpub-cache/*.mmap files instead of rejecting (and
+  // warning about) the stale ones.
   return cache_dir() + "/" + config.name + "_seed" + std::to_string(config.seed) +
          "_w" + std::to_string(config.window / kDay) + "_v" +
-         std::to_string(dataset_format_version()) + ".ds";
+         std::to_string(mmap_format_version()) + ".mmap";
 }
 
 }  // namespace

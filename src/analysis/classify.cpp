@@ -224,9 +224,12 @@ ClassificationResult classify_impl(const IdentityAnalysis& identity,
     }
 
     // Dominant language over the full torrent list.
+    // A language byte outside the enum (a corrupt snapshot read through a
+    // view) counts as Other instead of indexing past the array.
     std::array<std::size_t, 6> lang_counts{};
     for (const std::size_t index : stats->torrents) {
-      ++lang_counts[static_cast<std::size_t>(language_of(index))];
+      const auto lang = static_cast<std::size_t>(language_of(index));
+      ++lang_counts[std::min(lang, lang_counts.size() - 1)];
     }
     const auto max_it = std::max_element(lang_counts.begin(), lang_counts.end());
     if (*max_it * 2 >= stats->content_count &&

@@ -34,6 +34,14 @@ void check_span(Span32 span, std::size_t limit, const char* what) {
   if (span.begin > span.end || span.end > limit) corrupt(what);
 }
 
+/// Casts an on-disk enum byte after checking it names a value of `Enum`,
+/// whose values run from 0 to `last`.
+template <typename Enum>
+Enum checked_enum(std::uint8_t raw, Enum last, const char* what) {
+  if (raw > static_cast<std::uint8_t>(last)) corrupt(what);
+  return static_cast<Enum>(raw);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- view --
@@ -64,6 +72,7 @@ std::size_t CompactDatasetView::with_publisher_ip() const noexcept {
 std::size_t CompactDatasetView::distinct_ips_global() const {
   std::unordered_set<IpAddress> ips;
   for (const TorrentRecordPod& r : torrents) {
+    check_span(r.downloaders, peer_blob.size() / 6, "downloader span");
     for (std::uint32_t i = 0; i < r.downloaders.size(); ++i) {
       ips.insert(downloader_ip(r, i));
     }
@@ -220,8 +229,8 @@ void CompactDatasetBuilder::add_user_page(const UserPage& page) {
 
 CompactDataset CompactDatasetBuilder::finish() {
   // Sorted pages make find_user a binary search and the layout independent
-  // of insertion order (the determinism requirement the stream serializer
-  // already honours for Dataset::user_pages).
+  // of Dataset::user_pages' hash order, so snapshots are byte-identical
+  // across thread counts (the determinism requirement).
   const std::vector<char>& text = out_.text;
   std::sort(out_.user_pages.begin(), out_.user_pages.end(),
             [&text](const UserPagePod& a, const UserPagePod& b) {
@@ -274,8 +283,8 @@ Dataset inflate(const CompactDatasetView& view) {
     r.portal_id = pod.portal_id;
     r.infohash.bytes = pod.infohash;
     r.title = std::string(checked_str(view, pod.title, "title ref"));
-    r.category = static_cast<ContentCategory>(pod.category);
-    r.language = static_cast<Language>(pod.language);
+    r.category = checked_enum(pod.category, ContentCategory::Other, "category");
+    r.language = checked_enum(pod.language, Language::Other, "language");
     r.size_bytes = pod.size_bytes;
     r.username = std::string(checked_str(view, pod.username, "username ref"));
     if (pod.flags & TorrentRecordPod::kHasPublisherIp) {

@@ -150,6 +150,7 @@ struct CompactDatasetView {
   std::size_t torrent_count() const noexcept { return torrents.size(); }
   std::size_t with_username() const noexcept;
   std::size_t with_publisher_ip() const noexcept;
+  /// Throws std::runtime_error on a downloader span outside peer_blob.
   std::size_t distinct_ips_global() const;
   std::size_t ip_observations_total() const noexcept;
 };
@@ -216,9 +217,9 @@ class CompactDatasetBuilder {
   void rehash_interns(std::size_t capacity);
 };
 
-/// Lossless conversions. inflate() bounds-checks every reference and
-/// throws std::runtime_error on a corrupt view (the mmap loader relies on
-/// this as its deep-validation pass).
+/// Lossless conversions. inflate() bounds-checks every reference and enum
+/// byte and throws std::runtime_error on a corrupt view (the mmap loader
+/// relies on this as its deep-validation pass).
 CompactDataset compact_dataset(const Dataset& dataset);
 Dataset inflate(const CompactDatasetView& view);
 

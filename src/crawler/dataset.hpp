@@ -56,6 +56,8 @@ struct TorrentRecord {
   /// Monitoring aggregates.
   std::uint32_t query_count = 0;
   std::uint32_t max_concurrent = 0;
+
+  bool operator==(const TorrentRecord&) const = default;
 };
 
 /// A full crawl result.
@@ -75,6 +77,10 @@ struct Dataset {
   std::vector<std::vector<SimTime>> publisher_sightings;
   /// User pages snapshotted at the end of the crawl (username -> page).
   std::unordered_map<std::string, UserPage> user_pages;
+
+  /// Full structural equality: the lossless-round-trip and determinism
+  /// tests compare datasets with it.
+  bool operator==(const Dataset&) const = default;
 
   // ---- Table-1 style summary helpers. ----
   std::size_t torrent_count() const noexcept { return torrents.size(); }

@@ -7,7 +7,9 @@
 
 #include <bit>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -89,8 +91,6 @@ void pad_to(std::ostream& out, std::size_t& written, std::size_t target) {
 }  // namespace
 
 int mmap_format_version() noexcept { return kVersion; }
-
-std::string mmap_sibling_path(const std::string& path) { return path + ".mmap"; }
 
 void save_mmap_snapshot(const CompactDataset& dataset, std::ostream& out) {
   // Section payloads in table order.
@@ -258,6 +258,9 @@ void MappedDataset::validate_and_fixup(const std::string& path) {
   view_.name = std::string_view(
       reinterpret_cast<const char*>(meta_ptr + sizeof(MetaFixed)),
       meta->name_length);
+  if (meta->style > static_cast<std::uint32_t>(DatasetStyle::Pb10)) {
+    fail(path + ": unknown dataset style " + std::to_string(meta->style));
+  }
   view_.style = static_cast<DatasetStyle>(meta->style);
   view_.window_start = meta->window_start;
   view_.window_end = meta->window_end;
@@ -309,6 +312,36 @@ MappedDataset& MappedDataset::operator=(MappedDataset&& other) noexcept {
     other.view_ = CompactDatasetView{};
   }
   return *this;
+}
+
+Dataset load_or_generate(const std::string& path,
+                         const std::function<Dataset()>& generate) {
+  if (std::filesystem::exists(path)) {
+    try {
+      return MappedDataset(path).to_dataset();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr,
+                   "[btpub] warning: rejected cached dataset %s: %s; "
+                   "regenerating\n",
+                   path.c_str(), e.what());
+    }
+  }
+  Dataset dataset = generate();
+  // Caching is best effort — the dataset is returned either way — but a
+  // silent failure makes every run a cold cache, so say why it failed.
+  try {
+    const auto parent = std::filesystem::path(path).parent_path();
+    if (!parent.empty()) std::filesystem::create_directories(parent);
+    errno = 0;
+    save_mmap_snapshot(dataset, path);
+  } catch (const std::exception& e) {
+    const int err = errno;
+    std::fprintf(stderr,
+                 "[btpub] warning: could not cache dataset to %s: %s "
+                 "(errno %d: %s)\n",
+                 path.c_str(), e.what(), err, err != 0 ? std::strerror(err) : "-");
+  }
+  return dataset;
 }
 
 }  // namespace btpub

@@ -1,13 +1,12 @@
-// dataset_mmap.hpp — versioned zero-copy snapshot format for datasets.
+// dataset_mmap.hpp — the on-disk dataset format: a versioned zero-copy
+// snapshot.
 //
-// The stream format (dataset_io.hpp) re-parses every record on load:
-// millions of length-prefixed reads and one heap allocation per string /
-// vector. This file defines the mmap-native alternative: the seven flat
-// CompactDataset arrays written verbatim into a sectioned little-endian
-// file, each section 64-byte aligned, fronted by a header (magic + format
-// version + section table). Loading is open + mmap + O(sections) pointer
-// fixup — no per-record work at all; the OS pages data in lazily as the
-// analysis touches it.
+// The seven flat CompactDataset arrays are written verbatim into a
+// sectioned little-endian file, each section 64-byte aligned, fronted by a
+// header (magic + format version + section table). Loading is open + mmap
+// + O(sections) pointer fixup — no per-record work at all; the OS pages
+// data in lazily as the analysis touches it. Every tool that writes or
+// reads a dataset file (the CLI, the bench cache) uses this format.
 //
 // Layout (all integers little-endian):
 //
@@ -29,12 +28,13 @@
 // mapped arrays can be reinterpreted in place on any little-endian host.
 //
 // Validation on load is O(1) in the dataset size: magic/version/section
-// bounds/alignment/divisibility. Per-record references are validated by
-// the consumers that walk them (inflate() bounds-checks everything), so a
-// zero-copy open stays zero-copy.
+// bounds/alignment/divisibility and the Meta style byte. Per-record
+// references and enum bytes are validated by the consumers that walk them
+// (inflate() checks everything), so a zero-copy open stays zero-copy.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -42,13 +42,10 @@
 
 namespace btpub {
 
-/// On-disk format version; bump on any layout change. Distinct from the
-/// stream format's version (the two formats evolve independently).
+/// On-disk format version; bump on any layout change. Cache-key builders
+/// include it so a layout bump starts fresh cache files instead of
+/// rejecting the old ones.
 int mmap_format_version() noexcept;
-
-/// Conventional sibling path for a stream-format cache file: the snapshot
-/// `load_or_generate` prefers ("<path>.mmap").
-std::string mmap_sibling_path(const std::string& path);
 
 /// Writes the snapshot. The ostream overload exists for deterministic
 /// byte-level tests; the file overload is the normal path. Throws
@@ -88,5 +85,12 @@ class MappedDataset {
   std::size_t size_ = 0;
   CompactDatasetView view_;
 };
+
+/// Cache helper for the bench harnesses: returns the snapshot at `path`
+/// inflated when it opens and validates; otherwise says why on stderr,
+/// runs `generate`, saves the result to `path` (best effort, warning on
+/// failure) and returns it.
+Dataset load_or_generate(const std::string& path,
+                         const std::function<Dataset()>& generate);
 
 }  // namespace btpub

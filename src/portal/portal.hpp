@@ -71,6 +71,8 @@ struct UserPage {
   std::string username;
   std::vector<SimTime> publish_times;  // ascending
   bool banned = false;                 // account removed by moderation
+
+  bool operator==(const UserPage&) const = default;
 };
 
 /// Parameters of a publish call.

@@ -159,7 +159,7 @@ class AnalysisParallelTest : public ::testing::Test {
     dataset_ = new Dataset(ecosystem_->crawl());
     compact_ = new CompactDataset(compact_dataset(*dataset_));
     mmap_path_ = (std::filesystem::temp_directory_path() /
-                  "btpub_analysis_parallel_test.ds.mmap")
+                  "btpub_analysis_parallel_test.mmap")
                      .string();
     save_mmap_snapshot(*compact_, mmap_path_);
     mapped_ = new MappedDataset(mmap_path_);

@@ -1,27 +1,18 @@
 // Parallel crawl engine determinism: the headline invariant is that a
-// crawl with N worker threads produces a byte-identical serialized Dataset
-// to the sequential crawl. Two layers:
+// crawl with N worker threads produces a Dataset equal, field for field,
+// to the sequential crawl's. Two layers:
 //   * a hand-built multi-torrent mini ecosystem (fast, exercises staggered
 //     publication times and per-torrent RNG substreams), and
 //   * a generated quick-scenario ecosystem crawled through the same
 //     Crawler the production path uses.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/ecosystem.hpp"
 #include "crawler/crawler.hpp"
-#include "crawler/dataset_io.hpp"
 #include "torrent/metainfo.hpp"
 
 namespace btpub {
 namespace {
-
-std::string serialize(const Dataset& dataset) {
-  std::ostringstream out(std::ios::binary);
-  save_dataset(dataset, out);
-  return out.str();
-}
 
 class CrawlerParallelTest : public ::testing::Test {
  protected:
@@ -30,7 +21,7 @@ class CrawlerParallelTest : public ::testing::Test {
     geo_.add_block(CidrBlock(IpAddress(11, 0, 0, 0), 8), isp, "Paris");
     // A dozen torrents with staggered births, varying swarm sizes and one
     // moderated listing — enough structure that any ordering dependence
-    // in the engine would show up in the serialized bytes.
+    // in the engine would show up in the crawled dataset.
     for (std::uint32_t i = 0; i < 12; ++i) {
       const TorrentId id =
           add_torrent("t" + std::to_string(i), /*publisher_nat=*/i % 5 == 3,
@@ -112,17 +103,17 @@ TEST_F(CrawlerParallelTest, FourThreadsByteIdenticalToOneThread) {
   const Dataset parallel = crawl_with_threads(4);
   ASSERT_GT(sequential.torrent_count(), 0u);
   EXPECT_EQ(sequential.torrent_count(), parallel.torrent_count());
-  EXPECT_EQ(serialize(sequential), serialize(parallel));
+  EXPECT_EQ(sequential, parallel);
 }
 
 TEST_F(CrawlerParallelTest, ManyThreadsAndRepeatedRunsAllIdentical) {
-  const std::string reference = serialize(crawl_with_threads(1));
+  const Dataset reference = crawl_with_threads(1);
   for (const std::size_t threads : {2u, 3u, 8u, 16u}) {
-    EXPECT_EQ(serialize(crawl_with_threads(threads)), reference)
+    EXPECT_EQ(crawl_with_threads(threads), reference)
         << "thread count " << threads << " diverged";
   }
   // Replay at the same thread count is stable too.
-  EXPECT_EQ(serialize(crawl_with_threads(4)), serialize(crawl_with_threads(4)));
+  EXPECT_EQ(crawl_with_threads(4), crawl_with_threads(4));
 }
 
 TEST_F(CrawlerParallelTest, MergeOrderIsPortalIdOrder) {
@@ -155,7 +146,7 @@ TEST(CrawlerParallelEcosystemTest, GeneratedScenarioByteIdentical) {
   const Dataset sequential = crawl(1);
   const Dataset parallel = crawl(4);
   ASSERT_GT(sequential.torrent_count(), 0u);
-  EXPECT_EQ(serialize(sequential), serialize(parallel));
+  EXPECT_EQ(sequential, parallel);
 }
 
 }  // namespace

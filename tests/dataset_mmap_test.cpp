@@ -1,30 +1,25 @@
-// Zero-copy mmap snapshot: round trips, validation, consumer identity.
+// Zero-copy mmap snapshot: round trips, validation, corruption handling,
+// the load_or_generate cache, and consumer identity.
 #include "crawler/dataset_mmap.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/classify.hpp"
 #include "analysis/groups.hpp"
 #include "crawler/compact_dataset.hpp"
-#include "crawler/dataset_io.hpp"
+#include "util/rng.hpp"
 
 namespace btpub {
 namespace {
-
-/// Canonical bytes of a dataset: the stream serializer is deterministic
-/// (sorted user pages), so byte equality here is full structural equality.
-std::string canonical_bytes(const Dataset& d) {
-  std::ostringstream out(std::ios::binary);
-  save_dataset(d, out);
-  return out.str();
-}
 
 Dataset sample_dataset(DatasetStyle style) {
   Dataset d;
@@ -91,13 +86,50 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+// Snapshot layout constants the corruption tests patch by hand: the
+// 64-byte file header, then {u32 id, u32 reserved, u64 offset, u64 size}
+// section entries.
+constexpr std::size_t kHeaderBytes = 64;
+constexpr std::size_t kEntryBytes = 24;
+constexpr std::uint32_t kSectionCount = 8;
+constexpr std::uint32_t kMetaSection = 1;
+constexpr std::uint32_t kTorrentPodsSection = 2;
+constexpr std::uint32_t kFilenameRefsSection = 4;
+constexpr std::uint32_t kUserPodsSection = 7;
+constexpr std::size_t kMetaStyleOffset = 16;  // after the two window times
+
+template <typename T>
+T get(const std::vector<char>& bytes, std::size_t at) {
+  T value{};
+  std::memcpy(&value, bytes.data() + at, sizeof value);
+  return value;
+}
+
+template <typename T>
+void put(std::vector<char>& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+/// {offset, size} of section `id`, read from the section table.
+std::pair<std::size_t, std::size_t> section_of(const std::vector<char>& bytes,
+                                               std::uint32_t id) {
+  for (std::uint32_t k = 0; k < kSectionCount; ++k) {
+    const std::size_t entry = kHeaderBytes + kEntryBytes * k;
+    if (get<std::uint32_t>(bytes, entry) == id) {
+      return {get<std::uint64_t>(bytes, entry + 8),
+              get<std::uint64_t>(bytes, entry + 16)};
+    }
+  }
+  ADD_FAILURE() << "no section " << id;
+  return {0, 0};
+}
+
 TEST(CompactDataset, LosslessRoundTripAllStyles) {
   for (const DatasetStyle style :
        {DatasetStyle::Mn08, DatasetStyle::Pb09, DatasetStyle::Pb10}) {
     const Dataset original = sample_dataset(style);
     const CompactDataset compact = compact_dataset(original);
-    const Dataset back = inflate(compact.view());
-    EXPECT_EQ(canonical_bytes(back), canonical_bytes(original));
+    EXPECT_EQ(inflate(compact.view()), original);
   }
 }
 
@@ -143,7 +175,7 @@ TEST(MappedDataset, RoundTripAllStyles) {
     const std::string path = tmp_path("roundtrip.mmap");
     save_mmap_snapshot(original, path);
     const MappedDataset mapped(path);
-    EXPECT_EQ(canonical_bytes(mapped.to_dataset()), canonical_bytes(original));
+    EXPECT_EQ(mapped.to_dataset(), original);
   }
 }
 
@@ -156,7 +188,7 @@ TEST(MappedDataset, EmptyDataset) {
   const MappedDataset mapped(path);
   EXPECT_EQ(mapped.view().torrent_count(), 0u);
   EXPECT_EQ(mapped.view().name, "empty");
-  EXPECT_EQ(canonical_bytes(mapped.to_dataset()), canonical_bytes(empty));
+  EXPECT_EQ(mapped.to_dataset(), empty);
 }
 
 TEST(MappedDataset, RejectsMissingFile) {
@@ -219,35 +251,137 @@ TEST(MappedDataset, RejectsCorruptRecordPayloadOnInflate) {
   save_mmap_snapshot(original, path);
   std::vector<char> bytes = slurp(path);
 
-  // Find the TorrentPods section (id 2) in the table and blow up the first
-  // record's title length (StrRef sits after the five leading 8-byte
-  // fields). The O(1) open must still succeed — the mapping stays
-  // zero-copy — and the deep validation in to_dataset() must throw.
-  std::uint32_t section_count = 0;
-  std::memcpy(&section_count, bytes.data() + 12, sizeof section_count);
-  std::uint64_t pods_offset = 0;
-  for (std::uint32_t k = 0; k < section_count; ++k) {
-    std::uint32_t id = 0;
-    std::memcpy(&id, bytes.data() + 64 + 24 * k, sizeof id);
-    if (id == 2) {
-      std::memcpy(&pods_offset, bytes.data() + 64 + 24 * k + 8,
-                  sizeof pods_offset);
-    }
-  }
-  ASSERT_NE(pods_offset, 0u);
-  const std::uint32_t huge = 0xffffffffu;
-  std::memcpy(bytes.data() + pods_offset + 40 + 4, &huge, sizeof huge);
+  // Blow up the first record's title length. The O(1) open must still
+  // succeed — the mapping stays zero-copy — and the deep validation in
+  // to_dataset() must throw.
+  const std::size_t pods = section_of(bytes, kTorrentPodsSection).first;
+  ASSERT_NE(pods, 0u);
+  put(bytes, pods + offsetof(TorrentRecordPod, title) + offsetof(StrRef, length),
+      std::uint32_t{0xffffffffu});
   spit(path, bytes);
 
   const MappedDataset mapped(path);
   EXPECT_THROW(mapped.to_dataset(), std::runtime_error);
 }
 
-TEST(MappedDataset, LoadOrGeneratePrefersSnapshot) {
+TEST(MappedDataset, RejectsOutOfRangeEnumBytes) {
+  const std::string path = tmp_path("enum.mmap");
+  save_mmap_snapshot(sample_dataset(DatasetStyle::Pb10), path);
+  const std::vector<char> bytes = slurp(path);
+
+  // The style byte is checked at open (O(1), so open stays O(sections)).
+  std::vector<char> bad = bytes;
+  put(bad, section_of(bytes, kMetaSection).first + kMetaStyleOffset,
+      std::uint32_t{0xff});
+  spit(path, bad);
+  EXPECT_THROW(MappedDataset{path}, std::runtime_error);
+
+  // Per-record category and language bytes are checked by to_dataset().
+  const std::size_t pods = section_of(bytes, kTorrentPodsSection).first;
+  for (const std::size_t field : {offsetof(TorrentRecordPod, category),
+                                  offsetof(TorrentRecordPod, language)}) {
+    bad = bytes;
+    put(bad, pods + field, std::uint8_t{0xff});
+    spit(path, bad);
+    const MappedDataset mapped(path);
+    EXPECT_THROW(mapped.to_dataset(), std::runtime_error) << field;
+  }
+}
+
+/// Writes `bytes` to `path`, opens it, counts distinct IPs on the view (as
+/// `btpub analyze` does) and inflates it. A mutated snapshot must either
+/// load or throw std::runtime_error: any other exception fails the test,
+/// and an out-of-bounds access trips the ASan/UBSan build.
+void open_and_inflate(const std::string& path, const std::vector<char>& bytes) {
+  spit(path, bytes);
+  try {
+    const MappedDataset mapped(path);
+    (void)mapped.view().distinct_ips_global();
+    (void)mapped.to_dataset();
+  } catch (const std::runtime_error&) {
+  }
+}
+
+TEST(MappedDataset, SeededMutationsThrowOrLoad) {
+  const std::string path = tmp_path("mutate.mmap");
+  save_mmap_snapshot(sample_dataset(DatasetStyle::Pb10), path);
+  const std::vector<char> clean = slurp(path);
+  Rng rng(0x5eed);  // fixed: the same mutations on every run, no corpus
+
+  // Bit flips: every bit of the header and section table, then random
+  // bits anywhere in the file.
+  const std::size_t table_end = kHeaderBytes + kSectionCount * kEntryBytes;
+  for (std::size_t bit = 0; bit < table_end * 8; ++bit) {
+    std::vector<char> m = clean;
+    m[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    open_and_inflate(path, m);
+  }
+  for (int k = 0; k < 2000; ++k) {
+    std::vector<char> m = clean;
+    const std::size_t bit = rng.index(clean.size() * 8);
+    m[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    open_and_inflate(path, m);
+  }
+
+  // Truncations at a stride co-prime with the 64-byte section alignment.
+  for (std::size_t len = 0; len < clean.size(); len += 61) {
+    const auto end = clean.begin() + static_cast<std::ptrdiff_t>(len);
+    open_and_inflate(path, std::vector<char>(clean.begin(), end));
+  }
+
+  // Inflated section offsets and sizes.
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  for (std::uint32_t k = 0; k < kSectionCount; ++k) {
+    const std::size_t entry = kHeaderBytes + kEntryBytes * k;
+    for (const std::uint64_t v : {std::uint64_t{clean.size()},
+                                  std::uint64_t{clean.size()} + 64, kMax64,
+                                  kMax64 - 63, std::uint64_t{1} << 40}) {
+      for (const std::size_t field : {std::size_t{8}, std::size_t{16}}) {
+        std::vector<char> m = clean;
+        put(m, entry + field, v);
+        open_and_inflate(path, m);
+      }
+    }
+  }
+
+  // Inflated StrRef offsets/lengths and Span32 bounds in every row.
+  constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  auto inflate_fields = [&](std::uint32_t section, std::size_t row_bytes,
+                            std::initializer_list<std::size_t> fields) {
+    const auto [offset, size] = section_of(clean, section);
+    for (std::size_t row = offset; row + row_bytes <= offset + size;
+         row += row_bytes) {
+      for (const std::size_t field : fields) {
+        for (const std::uint32_t v :
+             {kMax32, get<std::uint32_t>(clean, row + field) + 1}) {
+          std::vector<char> m = clean;
+          put(m, row + field, v);
+          open_and_inflate(path, m);
+        }
+      }
+    }
+  };
+  constexpr std::size_t kLength = offsetof(StrRef, length);
+  constexpr std::size_t kEnd = offsetof(Span32, end);
+  inflate_fields(kTorrentPodsSection, sizeof(TorrentRecordPod),
+                 {offsetof(TorrentRecordPod, title),
+                  offsetof(TorrentRecordPod, title) + kLength,
+                  offsetof(TorrentRecordPod, username) + kLength,
+                  offsetof(TorrentRecordPod, textbox) + kLength,
+                  offsetof(TorrentRecordPod, payload_filenames) + kEnd,
+                  offsetof(TorrentRecordPod, downloaders),
+                  offsetof(TorrentRecordPod, downloaders) + kEnd,
+                  offsetof(TorrentRecordPod, sightings) + kEnd});
+  inflate_fields(kFilenameRefsSection, sizeof(StrRef), {0, kLength});
+  inflate_fields(kUserPodsSection, sizeof(UserPagePod),
+                 {offsetof(UserPagePod, username) + kLength,
+                  offsetof(UserPagePod, publish_times) + kEnd});
+}
+
+TEST(LoadOrGenerate, ColdGeneratesWarmReloads) {
   const Dataset original = sample_dataset(DatasetStyle::Pb10);
-  const std::string path = tmp_path("cache.ds");
+  const std::string path = tmp_path("cache.mmap");
   std::remove(path.c_str());
-  std::remove(mmap_sibling_path(path).c_str());
 
   int calls = 0;
   auto generate = [&] {
@@ -256,14 +390,34 @@ TEST(MappedDataset, LoadOrGeneratePrefersSnapshot) {
   };
   const Dataset first = load_or_generate(path, generate);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(canonical_bytes(first), canonical_bytes(original));
+  EXPECT_EQ(first, original);
 
-  // Second call must hit the snapshot: generate() not called again, and
-  // even a deleted stream file does not force regeneration.
-  std::remove(path.c_str());
+  // The second call is served from the snapshot; generate() is not run.
   const Dataset second = load_or_generate(path, generate);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(canonical_bytes(second), canonical_bytes(original));
+  EXPECT_EQ(second, original);
+}
+
+TEST(LoadOrGenerate, RejectedCacheWarnsAndIsReplaced) {
+  const std::string path = tmp_path("garbage_cache.mmap");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "garbage";
+  }
+  int calls = 0;
+  ::testing::internal::CaptureStderr();
+  const Dataset d = load_or_generate(path, [&] {
+    ++calls;
+    return sample_dataset(DatasetStyle::Pb10);
+  });
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(calls, 1);
+  // One line naming the rejected path and the reason it was rejected.
+  EXPECT_NE(err.find("rejected cached dataset " + path), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
+  // The garbage was replaced by a snapshot that opens and holds the data.
+  EXPECT_EQ(MappedDataset(path).to_dataset(), d);
 }
 
 /// Compares the full identity analysis built from a Dataset vs the one
@@ -320,20 +474,19 @@ TEST(Classify, IdenticalOnReloadedDatasets) {
   geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
   WebsiteDirectory websites;
 
-  const std::string path = tmp_path("classify.ds");
-  save_dataset(original, path);
-  save_mmap_snapshot(original, mmap_sibling_path(path));
-  const Dataset via_stream = load_dataset(path);
-  const Dataset via_mmap = MappedDataset(mmap_sibling_path(path)).to_dataset();
+  const std::string path = tmp_path("classify.mmap");
+  save_mmap_snapshot(original, path);
+  const MappedDataset mapped(path);
+  const Dataset inflated = mapped.to_dataset();
 
-  auto classify = [&](const Dataset& d) {
+  auto classify = [&](const auto& d) {
     const IdentityAnalysis identity(d, geo, 10);
     Rng rng(1234);
     return classify_top_publishers(d, identity, websites, 3, rng);
   };
   const ClassificationResult a = classify(original);
-  const ClassificationResult b = classify(via_stream);
-  const ClassificationResult c = classify(via_mmap);
+  const ClassificationResult b = classify(inflated);
+  const ClassificationResult c = classify(mapped.view());
 
   auto expect_same = [](const ClassificationResult& x,
                         const ClassificationResult& y) {
@@ -348,6 +501,34 @@ TEST(Classify, IdenticalOnReloadedDatasets) {
   };
   expect_same(a, b);
   expect_same(a, c);
+}
+
+TEST(Classify, OutOfRangeLanguageOnViewCountsAsOther) {
+  // The view path reads language bytes raw (only inflate() validates
+  // them), so a corrupt byte must not index past the per-language
+  // counters; it is counted as Other.
+  const std::string path = tmp_path("language.mmap");
+  save_mmap_snapshot(sample_dataset(DatasetStyle::Pb10), path);
+  std::vector<char> bytes = slurp(path);
+  const auto [pods, size] = section_of(bytes, kTorrentPodsSection);
+  for (std::size_t row = pods; row < pods + size; row += sizeof(TorrentRecordPod)) {
+    put(bytes, row + offsetof(TorrentRecordPod, language), std::uint8_t{0xff});
+  }
+  spit(path, bytes);
+
+  GeoDb geo;
+  const IspId host = geo.add_isp("HostCo", IspType::HostingProvider, "FR");
+  geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
+  WebsiteDirectory websites;
+  const MappedDataset mapped(path);
+  const IdentityAnalysis identity(mapped.view(), geo, 10);
+  Rng rng(1234);
+  const ClassificationResult result =
+      classify_top_publishers(mapped.view(), identity, websites, 3, rng);
+  ASSERT_FALSE(result.profiles.empty());
+  for (const PublisherProfile& profile : result.profiles) {
+    EXPECT_EQ(profile.dominant_language, Language::Other) << profile.username;
+  }
 }
 
 }  // namespace

@@ -3,11 +3,8 @@
 // detection the vantage exists for.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/ecosystem.hpp"
 #include "crawler/cross_check.hpp"
-#include "crawler/dataset_io.hpp"
 #include "publisher/profile.hpp"
 
 namespace btpub {
@@ -33,35 +30,26 @@ TEST(DhtCrawlTest, RepeatedCrawlsAreByteIdentical) {
   Ecosystem ecosystem(config);
   ecosystem.build();
   // dht_crawl() rebuilds its overlay per call, so back-to-back runs from
-  // one ecosystem must serialise to the same bytes...
+  // one ecosystem must produce equal datasets...
   const Dataset first = ecosystem.dht_crawl();
-  const Dataset second = ecosystem.dht_crawl();
-  std::ostringstream bytes_first, bytes_second;
-  save_dataset(first, bytes_first);
-  save_dataset(second, bytes_second);
-  EXPECT_EQ(bytes_first.str(), bytes_second.str());
+  EXPECT_EQ(first, ecosystem.dht_crawl());
 
   // ...and so must a crawl of a freshly built identical ecosystem.
   Ecosystem rebuilt(config);
   rebuilt.build();
-  std::ostringstream bytes_rebuilt;
-  save_dataset(rebuilt.dht_crawl(), bytes_rebuilt);
-  EXPECT_EQ(bytes_first.str(), bytes_rebuilt.str());
+  EXPECT_EQ(first, rebuilt.dht_crawl());
 }
 
 TEST(DhtCrawlTest, DhtCrawlDoesNotPerturbTrackerCrawl) {
   const ScenarioConfig config = tiny(92);
   Ecosystem plain(config);
   plain.build();
-  std::ostringstream tracker_only;
-  save_dataset(plain.crawl(), tracker_only);
+  const Dataset tracker_only = plain.crawl();
 
   Ecosystem dual(config);
   dual.build();
   dual.dht_crawl();  // interleave a DHT crawl before the tracker crawl
-  std::ostringstream tracker_after_dht;
-  save_dataset(dual.crawl(), tracker_after_dht);
-  EXPECT_EQ(tracker_only.str(), tracker_after_dht.str());
+  EXPECT_EQ(tracker_only, dual.crawl());
 }
 
 TEST(DhtCrawlTest, DatasetCarriesVantageNameAndTorrents) {

@@ -16,7 +16,6 @@
 
 #include "core/ecosystem.hpp"
 #include "crawler/compact_dataset.hpp"
-#include "crawler/dataset_io.hpp"
 #include "crawler/dataset_mmap.hpp"
 
 namespace btpub {
@@ -38,12 +37,6 @@ ScenarioConfig small_scenario(std::size_t threads) {
   config.population.regular_publishers /= 4;
   config.threads = threads;
   return config;
-}
-
-std::string serialize(const Dataset& dataset) {
-  std::ostringstream out;
-  save_dataset(dataset, out);
-  return out.str();
 }
 
 class EcosystemParallelTest : public ::testing::Test {
@@ -84,11 +77,11 @@ TEST_F(EcosystemParallelTest, GroundTruthMatches) {
 }
 
 TEST_F(EcosystemParallelTest, TrackerCrawlByteIdentical) {
-  EXPECT_EQ(serialize(serial_->crawl()), serialize(parallel_->crawl()));
+  EXPECT_EQ(serial_->crawl(), parallel_->crawl());
 }
 
 TEST_F(EcosystemParallelTest, DhtCrawlByteIdentical) {
-  EXPECT_EQ(serialize(serial_->dht_crawl()), serialize(parallel_->dht_crawl()));
+  EXPECT_EQ(serial_->dht_crawl(), parallel_->dht_crawl());
 }
 
 TEST_F(EcosystemParallelTest, BuildStatsRecorded) {
@@ -130,7 +123,7 @@ TEST_F(EcosystemParallelTest, CompactFormByteIdentical) {
   EXPECT_EQ(std::memcmp(a.torrents.data(), b.torrents.data(),
                         a.torrents.size() * sizeof(TorrentRecordPod)),
             0);
-  EXPECT_EQ(serialize(inflate(a.view())), serialize(inflate(b.view())));
+  EXPECT_EQ(inflate(a.view()), inflate(b.view()));
 }
 
 TEST_F(EcosystemParallelTest, MmapSnapshotByteIdentical) {
@@ -146,8 +139,7 @@ TEST_F(EcosystemParallelTest, MmapSnapshotByteIdentical) {
 TEST_F(EcosystemParallelTest, RepeatedDhtCrawlsIdentical) {
   // dht_crawl rebuilds a fresh overlay per call; two calls on the same
   // ecosystem must agree byte-for-byte (no hidden state carries over).
-  EXPECT_EQ(serialize(parallel_->dht_crawl()),
-            serialize(parallel_->dht_crawl()));
+  EXPECT_EQ(parallel_->dht_crawl(), parallel_->dht_crawl());
 }
 
 }  // namespace

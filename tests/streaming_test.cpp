@@ -207,14 +207,16 @@ TEST_F(StreamingClassifierTest, ModeratedMidCrawlIsProvisionalUntilBanConfirms) 
   stream.on_removal(0, hours(5));
 
   // Mid-crawl round: the removal stands in for the ban -> provisional fake.
-  const PublisherVerdict* rolling = find_verdict(stream.round(hours(6)), "victim");
+  // Each snapshot is held in a local: find_verdict points into it.
+  const StreamingSnapshot mid = stream.round(hours(6));
+  const PublisherVerdict* rolling = find_verdict(mid, "victim");
   ASSERT_NE(rolling, nullptr);
   EXPECT_TRUE(rolling->fake);
   EXPECT_TRUE(rolling->provisional_fake);
 
   // Finalize without a user-page ban: the batch rule sees no banned account.
-  const PublisherVerdict* final_unbanned =
-      find_verdict(stream.finalize(hours(6)), "victim");
+  const StreamingSnapshot unbanned = stream.finalize(hours(6));
+  const PublisherVerdict* final_unbanned = find_verdict(unbanned, "victim");
   ASSERT_NE(final_unbanned, nullptr);
   EXPECT_FALSE(final_unbanned->fake);
 
@@ -223,8 +225,8 @@ TEST_F(StreamingClassifierTest, ModeratedMidCrawlIsProvisionalUntilBanConfirms) 
   page.username = "victim";
   page.banned = true;
   stream.on_user_page("victim", page);
-  const PublisherVerdict* final_banned =
-      find_verdict(stream.finalize(hours(6)), "victim");
+  const StreamingSnapshot banned = stream.finalize(hours(6));
+  const PublisherVerdict* final_banned = find_verdict(banned, "victim");
   ASSERT_NE(final_banned, nullptr);
   EXPECT_TRUE(final_banned->fake);
   EXPECT_FALSE(final_banned->provisional_fake);

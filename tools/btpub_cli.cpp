@@ -1,14 +1,15 @@
 // btpub — command-line front end for the toolkit.
 //
-//   btpub simulate --scenario pb10 --seed 42 --out pb10.ds
+//   btpub simulate --scenario pb10 --seed 42 --out pb10.mmap
 //       build the ecosystem, run the measurement crawl, save the dataset
-//   btpub analyze pb10.ds
+//       as an mmap snapshot (crawler/dataset_mmap.hpp)
+//   btpub analyze pb10.mmap
 //       identity analysis summary: skew, fake/top shares, top publishers
-//   btpub export pb10.ds out_dir/
+//   btpub export pb10.mmap out_dir/
 //       dump torrents/publishers/sightings as CSV
 //   btpub feed --scenario quick --seed 7
 //       print the portal's RSS 2.0 XML after a simulated day
-//   btpub dht-crawl --scenario spoofed --seed 42 --out spoofed_dht.ds
+//   btpub dht-crawl --scenario spoofed --seed 42 --out spoofed_dht.mmap
 //       run the trackerless (DHT) vantage next to the tracker crawl and
 //       print the cross-check report (tracker-vs-DHT disagreement flags)
 //   btpub serve --port 8800 --shards 4
@@ -32,7 +33,7 @@
 #include "analysis/groups.hpp"
 #include "core/ecosystem.hpp"
 #include "crawler/cross_check.hpp"
-#include "crawler/dataset_io.hpp"
+#include "crawler/dataset_mmap.hpp"
 #include "netio/loadgen.hpp"
 #include "netio/serve.hpp"
 #include "portal/rss.hpp"
@@ -185,7 +186,7 @@ int cmd_simulate(const Options& options) {
   ecosystem.build();
   std::fprintf(stderr, "crawling %zu torrents...\n", ecosystem.torrent_count());
   const Dataset dataset = ecosystem.crawl();
-  save_dataset(dataset, options.out);
+  save_mmap_snapshot(dataset, options.out);
   std::printf("wrote %s: %zu torrents, %zu distinct downloader IPs\n",
               options.out.c_str(), dataset.torrent_count(),
               dataset.distinct_ips_global());
@@ -197,17 +198,19 @@ int cmd_analyze(const Options& options) {
     std::fprintf(stderr, "analyze: dataset file required\n");
     return 1;
   }
-  const Dataset dataset = load_dataset(options.positional[0]);
+  // Zero-copy: the analysis reads the mapped arrays in place.
+  const MappedDataset mapped(options.positional[0]);
+  const CompactDatasetView& view = mapped.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const IdentityAnalysis identity(dataset, catalog.db(), options.top_n);
+  const IdentityAnalysis identity(view, catalog.db(), options.top_n);
 
-  AsciiTable summary("Dataset " + dataset.name);
+  AsciiTable summary("Dataset " + std::string(view.name));
   summary.header({"metric", "value"});
-  summary.row({"torrents", std::to_string(dataset.torrent_count())});
-  summary.row({"with username", std::to_string(dataset.with_username())});
-  summary.row({"with publisher IP", std::to_string(dataset.with_publisher_ip())});
+  summary.row({"torrents", std::to_string(view.torrent_count())});
+  summary.row({"with username", std::to_string(view.with_username())});
+  summary.row({"with publisher IP", std::to_string(view.with_publisher_ip())});
   summary.row({"distinct downloader IPs",
-               std::to_string(dataset.distinct_ips_global())});
+               std::to_string(view.distinct_ips_global())});
   summary.row({"publishers (usernames)",
                std::to_string(identity.usernames().size())});
   summary.row({"fake usernames", std::to_string(identity.fake_usernames().size())});
@@ -252,7 +255,8 @@ int cmd_export(const Options& options) {
     std::fprintf(stderr, "export: dataset file and output directory required\n");
     return 1;
   }
-  const Dataset dataset = load_dataset(options.positional[0]);
+  // to_dataset() deep-validates every record before anything is written.
+  const Dataset dataset = MappedDataset(options.positional[0]).to_dataset();
   const std::string out_dir = options.positional[1];
   std::filesystem::create_directories(out_dir);
 
@@ -293,7 +297,7 @@ int cmd_dht_crawl(const Options& options) {
                ecosystem.torrent_count());
   const Dataset tracker_view = ecosystem.crawl();
   const Dataset dht_view = ecosystem.dht_crawl();
-  if (!options.out.empty()) save_dataset(dht_view, options.out);
+  if (!options.out.empty()) save_mmap_snapshot(dht_view, options.out);
 
   const CrossCheckReport report = cross_check(tracker_view, dht_view);
   AsciiTable summary("Tracker vs DHT (" + config.name + ")");
