@@ -20,9 +20,9 @@ struct Quality {
   std::size_t flagged = 0;
 };
 
-Quality score(const Ecosystem& ecosystem, const Dataset& dataset,
+Quality score(const Ecosystem& ecosystem, const CompactDatasetView& view,
               const FakeDetectionConfig& config) {
-  const IdentityAnalysis identity(dataset, ecosystem.geo(), 40, config);
+  const IdentityAnalysis identity(view, ecosystem.geo(), 40, config);
   std::size_t tp = 0, fp = 0, fn = 0;
   for (const UsernameStats& stats : identity.usernames()) {
     const auto owner =
@@ -51,7 +51,7 @@ int main() {
 
   Ecosystem ecosystem(scenario);
   ecosystem.build();
-  const Dataset dataset = ecosystem.crawl();
+  const CompactDataset dataset = compact_dataset(ecosystem.crawl());
 
   AsciiTable grid("Precision / recall over the threshold grid");
   grid.header({"min usernames/IP", "banned fraction", "flagged", "precision",
@@ -61,7 +61,7 @@ int main() {
       FakeDetectionConfig config;
       config.min_usernames_per_ip = min_users;
       config.min_banned_fraction = banned;
-      const Quality q = score(ecosystem, dataset, config);
+      const Quality q = score(ecosystem, dataset.view(), config);
       grid.row({std::to_string(min_users), format_double(banned, 1),
                 std::to_string(q.flagged), percent(q.precision),
                 percent(q.recall)});
@@ -81,7 +81,7 @@ int main() {
   leaky.moderation_miss_probability = 0.5;
   Ecosystem leaky_eco(leaky);
   leaky_eco.build();
-  const Dataset leaky_ds = leaky_eco.crawl();
+  const CompactDataset leaky_ds = compact_dataset(leaky_eco.crawl());
   AsciiTable leaky_grid(
       "Same grid with moderation missing half of the fake listings");
   leaky_grid.header({"min usernames/IP", "banned fraction", "flagged",
@@ -91,7 +91,7 @@ int main() {
       FakeDetectionConfig config;
       config.min_usernames_per_ip = min_users;
       config.min_banned_fraction = banned;
-      const Quality q = score(leaky_eco, leaky_ds, config);
+      const Quality q = score(leaky_eco, leaky_ds.view(), config);
       leaky_grid.row({std::to_string(min_users), format_double(banned, 1),
                       std::to_string(q.flagged), percent(q.precision),
                       percent(q.recall)});
@@ -115,7 +115,7 @@ int main() {
            {"fan-out + all banned", 1.0}}) {
     FakeDetectionConfig config;
     config.min_banned_fraction = banned;
-    const IdentityAnalysis identity(dataset, ecosystem.geo(), 40, config);
+    const IdentityAnalysis identity(dataset.view(), ecosystem.geo(), 40, config);
     signals.row({label, std::to_string(identity.fake_ips().size())});
   }
   signals.print();

@@ -1,23 +1,28 @@
-// analysis_perf — machine-readable perf baseline for the parallel batch
-// analysis engine (emits BENCH_analysis.json). Builds a deterministic
-// synthetic world (bench/synth_world.hpp, shared with build_perf's
-// snapshot suite), persists it once as an mmap snapshot, then runs each
-// analysis pass span-native over the mapped view at 1 vs N threads:
+// analysis_perf — machine-readable perf baseline for the batch analysis
+// passes (emits BENCH_analysis.json). Builds a deterministic synthetic
+// world (bench/synth_world.hpp, shared with build_perf's snapshot suite),
+// persists it once as an mmap snapshot, then runs each analysis pass over
+// the mapped view:
 //
-//   identity       IdentityAnalysis table build (sharded scan + merge)
-//   classify       business classification of every publisher
-//   sessions       Figure-4 seeding panel (per-publisher reconstruction)
+//   identity       IdentityAnalysis table build           (1 thread)
+//   classify       business classification of every publisher (1 thread)
+//   sessions       Figure-4 seeding panel                 (1 thread)
 //   demographics   distinct-IP dedup + geo lookups over all sessions
+//                                                         (1 vs N threads)
 //   consumption    top-publisher IP scan over every downloader entry
+//                                                         (1 thread)
+//
+// Demographics is the only threaded pass: the others measured below ~1.3x
+// on 4 real cores and run serially (DESIGN.md §4.8).
 //
 // Every case runs in a fork()ed child (honest per-case peak RSS; the POD
 // result ships back over a pipe) and digests its full result structure
-// with FNV-1a. The parent REFUSES to write numbers when the 1-thread and
-// N-thread digests differ — the engine's whole contract is byte-identical
-// results at every thread count, so a mismatch exits non-zero instead of
-// publishing fast-but-wrong timings. `cores` is recorded so the regression
-// gate can normalise away machines with fewer cores than threads (a
-// single-core container legitimately measures ~1x).
+// with FNV-1a. The parent REFUSES to write numbers when the demographics
+// 1-thread and N-thread digests differ — the pass's contract is
+// byte-identical results at every thread count, so a mismatch exits
+// non-zero instead of publishing fast-but-wrong timings. `cores` is
+// recorded so the regression gate can normalise away machines with fewer
+// cores than threads (a single-core container legitimately measures ~1x).
 //
 // Usage: analysis_perf [--json PATH] [--threads N] [--seed N]
 //                      [--sessions N[,N...]] [--dir PATH] [--quick]
@@ -58,7 +63,7 @@ using bench::synth_dataset;
 struct Options {
   std::string json_path = "BENCH_analysis.json";
   std::uint64_t seed = 42;
-  /// The parallel case's worker count (the "N" in 1-vs-N).
+  /// The demographics parallel case's worker count (the "N" in 1-vs-N).
   std::size_t threads = 4;
   std::vector<std::uint64_t> sessions = {1'000'000, 10'000'000};
   /// Scratch directory for the mmap snapshot files.
@@ -180,7 +185,7 @@ CaseResult run_case(const std::string& name, std::size_t threads,
 
   if (name == "identity") {
     timed([&](std::uint64_t) {
-      const IdentityAnalysis identity(view, geo, 100, {}, threads);
+      const IdentityAnalysis identity(view, geo, 100);
       Digest d;
       digest_identity(d, identity);
       result.digest = d.h;
@@ -189,13 +194,12 @@ CaseResult run_case(const std::string& name, std::size_t threads,
   } else if (name == "classify") {
     // Promote every username into the top cut so the classifier scans the
     // whole world's promotion channels, not the paper's 100-publisher cut.
-    const IdentityAnalysis identity(view, geo, view.torrent_count(), {},
-                                    threads);
+    const IdentityAnalysis identity(view, geo, view.torrent_count());
     const WebsiteDirectory websites;  // empty: every URL resolves off-site
     timed([&](std::uint64_t rep) {
       Rng rng(derive_seed(seed, 0xc1a5, rep));
-      const ClassificationResult classified = classify_top_publishers(
-          view, identity, websites, 0, rng, threads);
+      const ClassificationResult classified =
+          classify_top_publishers(view, identity, websites, 0, rng);
       Digest d;
       d.u64(classified.profiles.size());
       for (const PublisherProfile& p : classified.profiles) {
@@ -224,11 +228,11 @@ CaseResult run_case(const std::string& name, std::size_t threads,
       result.items = classified.profiles.size();
     });
   } else if (name == "sessions") {
-    const IdentityAnalysis identity(view, geo, 100, {}, threads);
+    const IdentityAnalysis identity(view, geo, 100);
     timed([&](std::uint64_t rep) {
       Rng rng(derive_seed(seed, 0x5e55, rep));
       const std::vector<SeedingBox> panel =
-          seeding_panel(view, identity, 400, rng, hours(4), threads);
+          seeding_panel(view, identity, 400, rng, hours(4));
       Digest d;
       d.u64(panel.size());
       for (const SeedingBox& box : panel) {
@@ -267,10 +271,10 @@ CaseResult run_case(const std::string& name, std::size_t threads,
       result.items = demo.total_distinct_ips;
     });
   } else if (name == "consumption") {
-    const IdentityAnalysis identity(view, geo, 100, {}, threads);
+    const IdentityAnalysis identity(view, geo, 100);
     timed([&](std::uint64_t) {
       const TopConsumptionStats stats =
-          top_publisher_consumption(view, identity, 100, threads);
+          top_publisher_consumption(view, identity, 100);
       Digest d;
       d.u64(stats.considered);
       d.u64(stats.zero_downloads);
@@ -328,6 +332,8 @@ struct Row {
 
 constexpr const char* kCases[] = {"identity", "classify", "sessions",
                                   "demographics", "consumption"};
+/// The one case measured at 1 vs N threads; the others run at 1.
+constexpr std::string_view kThreadedCase = "demographics";
 
 void run_world(std::uint64_t sessions, const Options& opt,
                std::vector<Row>& rows) {
@@ -349,7 +355,10 @@ void run_world(std::uint64_t sessions, const Options& opt,
   });
 
   for (const char* c : kCases) {
-    for (const std::size_t threads : {std::size_t{1}, opt.threads}) {
+    const bool threaded = c == kThreadedCase;
+    std::vector<std::size_t> thread_counts = {1};
+    if (threaded) thread_counts.push_back(opt.threads);
+    for (const std::size_t threads : thread_counts) {
       std::fprintf(stderr, "analysis_perf: %s @%zu thread(s)...\n", c,
                    threads);
       rows.push_back(Row{c, sessions, threads,
@@ -363,6 +372,7 @@ void run_world(std::uint64_t sessions, const Options& opt,
                    static_cast<unsigned long long>(row.r.digest),
                    static_cast<unsigned long long>(row.r.items));
     }
+    if (!threaded) continue;
     // The determinism gate: refuse to publish timings whose results
     // differ between thread counts.
     const Row& serial = rows[rows.size() - 2];
@@ -411,23 +421,14 @@ void write_json(const Options& opt, const std::vector<Row>& rows) {
   out << "  \"headline\": [\n";
   for (std::size_t i = 0; i < opt.sessions.size(); ++i) {
     const std::uint64_t n = opt.sessions[i];
-    double total_serial = 0.0, total_parallel = 0.0;
-    std::string speedups;
-    for (const char* c : kCases) {
-      const Row* serial = find_row(rows, n, c, 1);
-      const Row* parallel = find_row(rows, n, c, opt.threads);
-      total_serial += serial->r.seconds;
-      total_parallel += parallel->r.seconds;
-      std::snprintf(line, sizeof line, "\"%s_speedup\": %.2f, ", c,
-                    serial->r.seconds / parallel->r.seconds);
-      speedups += line;
-    }
-    const Row* demo = find_row(rows, n, "demographics", opt.threads);
+    const Row* serial = find_row(rows, n, kThreadedCase, 1);
+    const Row* parallel = find_row(rows, n, kThreadedCase, opt.threads);
     std::snprintf(line, sizeof line,
-                  "    {\"sessions\": %llu, %s\"analysis_speedup\": %.2f, "
+                  "    {\"sessions\": %llu, \"demographics_speedup\": %.2f, "
                   "\"demographics_rss_kb\": %ld}%s\n",
-                  static_cast<unsigned long long>(n), speedups.c_str(),
-                  total_serial / total_parallel, demo->r.peak_rss_kb,
+                  static_cast<unsigned long long>(n),
+                  serial->r.seconds / parallel->r.seconds,
+                  parallel->r.peak_rss_kb,
                   i + 1 < opt.sessions.size() ? "," : "");
     out << line;
   }
@@ -510,11 +511,18 @@ int run(int argc, char** argv) {
     std::printf("%llu sessions:\n", static_cast<unsigned long long>(n));
     for (const char* c : kCases) {
       const Row* serial = find_row(rows, n, c, 1);
+      if (c != kThreadedCase) {
+        std::printf("  %-13s %.4fs @1 thread, digest %016llx\n", c,
+                    serial->r.seconds,
+                    static_cast<unsigned long long>(serial->r.digest));
+        continue;
+      }
       const Row* parallel = find_row(rows, n, c, opt.threads);
       std::printf("  %-13s %.4fs @1 vs %.4fs @%zu threads (%.2fx), "
-                  "digests match\n",
+                  "digest %016llx matches\n",
                   c, serial->r.seconds, parallel->r.seconds, opt.threads,
-                  serial->r.seconds / parallel->r.seconds);
+                  serial->r.seconds / parallel->r.seconds,
+                  static_cast<unsigned long long>(serial->r.digest));
     }
   }
   std::printf("cores: %u\nwrote %s\n", std::thread::hardware_concurrency(),

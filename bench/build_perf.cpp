@@ -20,6 +20,7 @@
 // built deterministically, then each persistence phase — pointer-heavy
 // Dataset build, CompactDataset conversion, snapshot save, open, query
 // and inflate — runs fork-isolated for wall time and honest peak RSS.
+// Open and open-plus-inflate report the fastest of five runs.
 // The query case opens the snapshot AND scans every downloader entry
 // (distinct-IP count over the view), so its timing includes faulting the
 // data in, not just the mmap() call.
@@ -32,6 +33,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -326,18 +329,28 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     finish(r, d);
     return r;
   });
-  // Load = time-to-ready (open + O(sections) fixup). Query = time-to-
-  // answer for the distinct-downloader-IP count, paying the full data
-  // touch — faulting every peer-blob page in, not just the mmap() syscall.
+  // The CI gate divides load_mmap by load_mmap_inflate, so both report the
+  // fastest of kGatedReps runs: a single ~1 ms open swings by 2x with
+  // scheduling and page-fault noise, the minimum much less. `run` returns
+  // what it built, so tearing that down stays outside the timing.
+  constexpr int kGatedReps = 5;
+  auto fastest = [](auto&& run) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < kGatedReps; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto built = run();
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    }
+    return best;
+  };
+  // Load = time-to-ready (open + O(sections) fixup + the O(n) validate()
+  // pass). Query = time-to-answer for the distinct-downloader-IP count,
+  // paying the full data touch — faulting every peer-blob page in.
   push("load_mmap", [&] {
     SnapResult r;
-    MappedDataset mapped = [&]() {
-      const auto t0 = std::chrono::steady_clock::now();
-      MappedDataset m(mmap_path);
-      const auto t1 = std::chrono::steady_clock::now();
-      r.seconds = std::chrono::duration<double>(t1 - t0).count();
-      return m;
-    }();
+    r.seconds = fastest([&] { return MappedDataset(mmap_path); });
+    const MappedDataset mapped(mmap_path);
     r.distinct_ips = mapped.view().distinct_ips_global();
     r.torrents = mapped.view().torrent_count();
     r.sessions = mapped.view().peer_blob.size() / 6;
@@ -365,8 +378,8 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
   });
   push("load_mmap_inflate", [&] {
     SnapResult r;
-    Dataset d;
-    r.seconds = timed([&] { d = MappedDataset(mmap_path).to_dataset(); });
+    r.seconds = fastest([&] { return MappedDataset(mmap_path).to_dataset(); });
+    const Dataset d = MappedDataset(mmap_path).to_dataset();
     r.distinct_ips = d.distinct_ips_global();
     finish(r, d);
     return r;

@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "crawler/dataset_mmap.hpp"
-
 namespace btpub::bench {
 
 std::string cache_dir() {
@@ -32,7 +30,7 @@ std::string cache_path(const ScenarioConfig& config) {
 
 }  // namespace
 
-Dataset dataset_for(const ScenarioConfig& config) {
+MappedDataset dataset_for(const ScenarioConfig& config) {
   return load_or_generate(cache_path(config), [&config]() {
     std::fprintf(stderr, "[btpub] generating %s (seed %llu) — first run only\n",
                  config.name.c_str(),
@@ -43,7 +41,7 @@ Dataset dataset_for(const ScenarioConfig& config) {
   });
 }
 
-Dataset dataset_for(const ScenarioConfig& config, Ecosystem& ecosystem) {
+MappedDataset dataset_for(const ScenarioConfig& config, Ecosystem& ecosystem) {
   return load_or_generate(cache_path(config),
                           [&ecosystem]() { return ecosystem.crawl(); });
 }

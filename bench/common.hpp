@@ -7,7 +7,7 @@
 #include <string>
 
 #include "core/ecosystem.hpp"
-#include "crawler/dataset.hpp"
+#include "crawler/dataset_mmap.hpp"
 
 namespace btpub::bench {
 
@@ -22,11 +22,12 @@ std::string cache_dir();
 /// needed by benches that consult websites / appraisal services.
 std::unique_ptr<Ecosystem> build_ecosystem(const ScenarioConfig& config);
 
-/// Returns the scenario's dataset, crawling only on cache miss.
-Dataset dataset_for(const ScenarioConfig& config);
+/// Returns the scenario's dataset as a mapped snapshot, crawling only on
+/// cache miss; the analysis passes read its view() directly.
+MappedDataset dataset_for(const ScenarioConfig& config);
 
 /// Like dataset_for, but reuses an already-built ecosystem on cache miss.
-Dataset dataset_for(const ScenarioConfig& config, Ecosystem& ecosystem);
+MappedDataset dataset_for(const ScenarioConfig& config, Ecosystem& ecosystem);
 
 /// Prints the uniform bench banner:
 ///   ### <id>: <title>
@@ -35,11 +36,11 @@ void banner(const std::string& id, const std::string& title,
             const std::string& paper_note, const ScenarioConfig& config);
 
 /// Parses the shared fig/table command line: `--threads N` (0 = hardware
-/// concurrency) sets the worker count the harness passes to ecosystem
-/// builds (ScenarioConfig::threads) and to the analysis passes. Every one
-/// of those is byte-identical at any thread count, so the flag changes
-/// wall time, never output. Returns 1 when the flag is absent; exits with
-/// usage on unknown arguments.
+/// concurrency) sets the worker count for ecosystem builds
+/// (ScenarioConfig::threads) and for downloader_demographics, the only
+/// analysis pass that stays threaded. Both are byte-identical at any
+/// thread count, so the flag changes wall time, never output. Returns 1
+/// when the flag is absent; exits with usage on unknown arguments.
 std::size_t threads_from_args(int argc, char** argv);
 
 }  // namespace btpub::bench

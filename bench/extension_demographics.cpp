@@ -20,9 +20,10 @@ int main(int argc, char** argv) {
                 "centers); demand scatters across eyeball ISPs worldwide",
                 pb10);
 
-  const Dataset dataset = bench::dataset_for(pb10);
+  const MappedDataset mapped = bench::dataset_for(pb10);
+  const CompactDatasetView& view = mapped.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const auto demo = downloader_demographics(dataset, catalog.db(), 10, threads);
+  const auto demo = downloader_demographics(view, catalog.db(), 10, threads);
 
   AsciiTable countries("Top downloader countries");
   countries.header({"country", "distinct IPs", "share"});
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   AsciiTable supply("Publisher countries (per identified published torrent)");
   supply.header({"country", "torrents", "share"});
   for (const DemographicRow& row :
-       publisher_countries(dataset, catalog.db(), 10)) {
+       publisher_countries(view, catalog.db(), 10)) {
     supply.row({row.label, std::to_string(row.downloaders), percent(row.share)});
   }
   supply.note("FR leads through OVH's data centers despite hosting almost no");

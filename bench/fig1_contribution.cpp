@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
        {ScenarioConfig::mn08(bench::kDefaultSeed),
         ScenarioConfig::pb09(bench::kDefaultSeed), pb10}) {
     config.threads = threads;
-    const Dataset dataset = bench::dataset_for(config);
-    const IdentityAnalysis identity(dataset, IspCatalog::standard().db(), 100,
-                                    {}, threads);
+    const MappedDataset mapped = bench::dataset_for(config);
+    const CompactDatasetView& view = mapped.view();
+    const IdentityAnalysis identity(view, IspCatalog::standard().db(), 100);
     const ContributionCurve curve = contribution_curve(identity, xs);
-    std::vector<std::string> row{dataset.name};
+    std::vector<std::string> row{std::string(view.name)};
     for (const LorenzPoint& p : curve.points) {
       row.push_back(format_double(p.content_percent, 1));
     }
@@ -41,9 +41,10 @@ int main(int argc, char** argv) {
   table.print();
 
   // §3.1/§3.3 headline splits on pb10.
-  const Dataset dataset = bench::dataset_for(pb10);
+  const MappedDataset mapped = bench::dataset_for(pb10);
+  const CompactDatasetView& view = mapped.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const IdentityAnalysis identity(dataset, catalog.db(), 100, {}, threads);
+  const IdentityAnalysis identity(view, catalog.db(), 100);
   const auto fake = identity.share_of(TargetGroup::Fake);
   const auto top = identity.share_of(TargetGroup::Top);
 
@@ -60,8 +61,7 @@ int main(int argc, char** argv) {
              std::to_string(identity.compromised_in_top()));
   split.print();
 
-  const auto consumption =
-      top_publisher_consumption(dataset, identity, 100, threads);
+  const auto consumption = top_publisher_consumption(view, identity, 100);
   AsciiTable consume("Top-100 publisher IPs as consumers (paper: 40% download "
                      "nothing, 80% fewer than 5 files)");
   consume.header({"zero downloads", "under 5 downloads", "of"});

@@ -16,9 +16,10 @@ int main(int argc, char** argv) {
                 " fake publishers concentrate on video + software",
                 pb10);
 
-  const Dataset dataset = bench::dataset_for(pb10);
+  const MappedDataset mapped = bench::dataset_for(pb10);
+  const CompactDatasetView& view = mapped.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const IdentityAnalysis identity(dataset, catalog.db(), 100, {}, threads);
+  const IdentityAnalysis identity(view, catalog.db(), 100);
 
   AsciiTable table("Figure 2 — content type fractions per group (pb10)");
   std::vector<std::string> header{"group"};
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   }
   header.push_back("n");
   table.header(std::move(header));
-  for (const ContentTypeMix& mix : content_type_panel(dataset, identity)) {
+  for (const ContentTypeMix& mix : content_type_panel(view, identity)) {
     std::vector<std::string> row{std::string(to_string(mix.group))};
     for (const CoarseCategory c : kAllCoarseCategories) {
       row.push_back(percent(mix.of(c)));

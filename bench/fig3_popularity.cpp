@@ -17,9 +17,10 @@ int main(int argc, char** argv) {
                 "top median ~7x All; Top-HP ~1.5x Top-CI; Fake least popular",
                 pb10);
 
-  const Dataset dataset = bench::dataset_for(pb10);
+  const MappedDataset mapped = bench::dataset_for(pb10);
+  const CompactDatasetView& view = mapped.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const IdentityAnalysis identity(dataset, catalog.db(), 100, {}, threads);
+  const IdentityAnalysis identity(view, catalog.db(), 100);
   Rng rng(pb10.seed);
 
   AsciiTable table("Figure 3 — per-publisher avg downloaders (box plots, pb10)");
@@ -62,8 +63,8 @@ int main(int argc, char** argv) {
   // heavy tail out of the edge bins: overflow reports how many torrents
   // exceed the plotted range instead of silently inflating the last bucket.
   Histogram histogram(0.0, 200.0, 10);
-  for (const auto& downloaders : dataset.downloaders) {
-    histogram.add(static_cast<double>(downloaders.size()));
+  for (const TorrentRecordPod& torrent : view.torrents) {
+    histogram.add(static_cast<double>(view.downloader_count(torrent)));
   }
   AsciiTable dist("Per-torrent distinct downloaders (histogram)");
   dist.header({"range", "torrents", "fraction"});

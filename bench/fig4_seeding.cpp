@@ -20,13 +20,13 @@ int main(int argc, char** argv) {
                 "(c) fake longest sessions, top ~10x standard users",
                 config);
 
-  const Dataset dataset = bench::dataset_for(config);
+  const MappedDataset mapped = bench::dataset_for(config);
+  const CompactDatasetView& view = mapped.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const IdentityAnalysis identity(dataset, catalog.db(), 60, {}, threads);
+  const IdentityAnalysis identity(view, catalog.db(), 60);
   Rng rng(config.seed);
 
-  const auto panel =
-      seeding_panel(dataset, identity, 400, rng, hours(4), threads);
+  const auto panel = seeding_panel(view, identity, 400, rng, hours(4));
 
   AsciiTable a("Figure 4(a) — avg seeding time per torrent (hours)");
   a.header({"group", "p25", "median", "p75", "publishers"});

@@ -22,13 +22,14 @@ int main(int argc, char** argv) {
                 pb10);
 
   auto ecosystem = bench::build_ecosystem(pb10);
-  const Dataset dataset = bench::dataset_for(pb10, *ecosystem);
-  const IdentityAnalysis identity(dataset, ecosystem->geo(), 100, {}, threads);
+  const MappedDataset mapped = bench::dataset_for(pb10, *ecosystem);
+  const CompactDatasetView& view = mapped.view();
+  const IdentityAnalysis identity(view, ecosystem->geo(), 100);
   Rng rng(pb10.seed);
   const auto classification = classify_top_publishers(
-      dataset, identity, ecosystem->websites(), 5, rng, threads);
+      view, identity, ecosystem->websites(), 5, rng);
   const MoneyFlows flows =
-      money_flows(dataset, classification, ecosystem->websites(),
+      money_flows(view, classification, ecosystem->websites(),
                   ecosystem->appraisal_panel(), ecosystem->geo(), "OVH", 300.0);
 
   AsciiTable table("Figure 5 — estimated money flows");

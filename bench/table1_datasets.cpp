@@ -22,17 +22,18 @@ int main(int argc, char** argv) {
                 "IP obs. total"});
   for (ScenarioConfig config : configs) {
     config.threads = threads;
-    const Dataset dataset = bench::dataset_for(config);
+    const MappedDataset mapped = bench::dataset_for(config);
+    const CompactDatasetView& view = mapped.view();
     std::string identified;
-    if (dataset.style == DatasetStyle::Mn08) {
-      identified = "- / " + std::to_string(dataset.with_publisher_ip());
+    if (view.style == DatasetStyle::Mn08) {
+      identified = "- / " + std::to_string(view.with_publisher_ip());
     } else {
-      identified = std::to_string(dataset.with_username()) + " / " +
-                   std::to_string(dataset.with_publisher_ip());
+      identified = std::to_string(view.with_username()) + " / " +
+                   std::to_string(view.with_publisher_ip());
     }
-    table.row({dataset.name, std::to_string(config.window / kDay) + "d",
-               identified, humanize(static_cast<double>(dataset.distinct_ips_global())),
-               humanize(static_cast<double>(dataset.ip_observations_total()))});
+    table.row({std::string(view.name), std::to_string(config.window / kDay) + "d",
+               identified, humanize(static_cast<double>(view.distinct_ips_global())),
+               humanize(static_cast<double>(view.ip_observations_total()))});
   }
   table.note("shape to match: pb10 identifies the publisher IP for a minority");
   table.note("of torrents (paper: 38%); pb09's single-query style sees 2-3");

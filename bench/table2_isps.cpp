@@ -20,9 +20,11 @@ int main(int argc, char** argv) {
        {ScenarioConfig::mn08(bench::kDefaultSeed),
         ScenarioConfig::pb09(bench::kDefaultSeed), pb10}) {
     config.threads = threads;
-    const Dataset dataset = bench::dataset_for(config);
-    const auto rows = top_publisher_isps(dataset, catalog.db(), 10);
-    AsciiTable table("Table 2 — " + dataset.name + " top-10 ISPs by fed content");
+    const MappedDataset mapped = bench::dataset_for(config);
+    const CompactDatasetView& view = mapped.view();
+    const auto rows = top_publisher_isps(view, catalog.db(), 10);
+    AsciiTable table("Table 2 — " + std::string(view.name) +
+                     " top-10 ISPs by fed content");
     table.header({"ISP", "type", "% content", "% publisher IPs", "torrents",
                   "IPs"});
     for (const IspShareRow& row : rows) {
@@ -30,10 +32,9 @@ int main(int argc, char** argv) {
                  percent(row.content_share), percent(row.publisher_share),
                  std::to_string(row.torrents), std::to_string(row.publisher_ips)});
     }
-    if (dataset.style == DatasetStyle::Pb10) {
+    if (view.style == DatasetStyle::Pb10) {
       const auto hosting = top_hosting_share(
-          IdentityAnalysis(dataset, catalog.db(), 100, {}, threads),
-          catalog.db(), "OVH", 100);
+          IdentityAnalysis(view, catalog.db(), 100), catalog.db(), "OVH", 100);
       table.note("top-100 publishers at hosting providers (paper: 42%): " +
                  std::to_string(hosting.at_hosting) + "/" +
                  std::to_string(hosting.considered) + ", of which at OVH: " +

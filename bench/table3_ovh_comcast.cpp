@@ -25,16 +25,16 @@ int main(int argc, char** argv) {
        {ScenarioConfig::mn08(bench::kDefaultSeed),
         ScenarioConfig::pb09(bench::kDefaultSeed), pb10}) {
     config.threads = threads;
-    const Dataset dataset = bench::dataset_for(config);
+    const MappedDataset mapped = bench::dataset_for(config);
+    const CompactDatasetView& view = mapped.view();
     for (const char* isp : {"OVH", "Comcast"}) {
-      const IspFeederProfile profile =
-          isp_feeder_profile(dataset, catalog.db(), isp);
-      table.row({std::string(isp) + " (" + dataset.name + ")",
+      const IspFeederProfile profile = isp_feeder_profile(view, catalog.db(), isp);
+      table.row({std::string(isp) + " (" + std::string(view.name) + ")",
                  std::to_string(profile.fed_torrents),
                  std::to_string(profile.distinct_ips),
                  std::to_string(profile.distinct_prefixes16),
                  std::to_string(profile.distinct_locations),
-                 std::to_string(consumers_from_isp(dataset, catalog.db(), isp))});
+                 std::to_string(consumers_from_isp(view, catalog.db(), isp))});
     }
     table.separator();
   }

@@ -20,16 +20,17 @@ int main(int argc, char** argv) {
                 pb10);
 
   auto ecosystem = bench::build_ecosystem(pb10);
-  const Dataset dataset = bench::dataset_for(pb10, *ecosystem);
-  const IdentityAnalysis identity(dataset, ecosystem->geo(), 100, {}, threads);
+  const MappedDataset mapped = bench::dataset_for(pb10, *ecosystem);
+  const CompactDatasetView& view = mapped.view();
+  const IdentityAnalysis identity(view, ecosystem->geo(), 100);
   Rng rng(pb10.seed);
   const auto classification = classify_top_publishers(
-      dataset, identity, ecosystem->websites(), 5, rng, threads);
+      view, identity, ecosystem->websites(), 5, rng);
 
   AsciiTable table("Table 4 — per-class lifetime and publishing rate");
   table.header({"class", "lifetime days (min/med/avg/max)",
                 "rate per day (min/med/avg/max)", "publishers"});
-  for (const LongitudinalRow& row : longitudinal_table(dataset, classification)) {
+  for (const LongitudinalRow& row : longitudinal_table(view, classification)) {
     auto fmt = [](const SummaryRow& s) {
       return format_double(s.min, 2) + " / " + format_double(s.median, 2) +
              " / " + format_double(s.avg, 2) + " / " + format_double(s.max, 2);

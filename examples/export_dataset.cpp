@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   Ecosystem ecosystem(ScenarioConfig::quick(seed));
   ecosystem.build();
   const Dataset dataset = ecosystem.crawl();
-  const IdentityAnalysis identity(dataset, ecosystem.geo(), 40);
+  const CompactDataset compact = compact_dataset(dataset);
+  const IdentityAnalysis identity(compact.view(), ecosystem.geo(), 40);
 
   std::filesystem::create_directories(out_dir);
 

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
   Ecosystem ecosystem(ScenarioConfig::quick(seed));
   ecosystem.build();
   const Dataset dataset = ecosystem.crawl();
-  const IdentityAnalysis identity(dataset, ecosystem.geo(), 40);
+  const CompactDataset compact = compact_dataset(dataset);
+  const IdentityAnalysis identity(compact.view(), ecosystem.geo(), 40);
 
   // --- The attack, as measured from observations only. ---
   const auto fake = identity.share_of(TargetGroup::Fake);

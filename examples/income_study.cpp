@@ -22,11 +22,12 @@ int main(int argc, char** argv) {
 
   Ecosystem ecosystem(ScenarioConfig::quick(seed));
   ecosystem.build();
-  const Dataset dataset = ecosystem.crawl();
-  const IdentityAnalysis identity(dataset, ecosystem.geo(), 40);
+  const CompactDataset dataset = compact_dataset(ecosystem.crawl());
+  const CompactDatasetView view = dataset.view();
+  const IdentityAnalysis identity(view, ecosystem.geo(), 40);
   Rng rng(seed);
   const auto classification =
-      classify_top_publishers(dataset, identity, ecosystem.websites(), 5, rng);
+      classify_top_publishers(view, identity, ecosystem.websites(), 5, rng);
 
   // --- Per-publisher profiles. ---
   AsciiTable profiles("Top publishers, classified");
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
   incomes.print();
 
   const MoneyFlows flows =
-      money_flows(dataset, classification, ecosystem.websites(),
+      money_flows(view, classification, ecosystem.websites(),
                   ecosystem.appraisal_panel(), ecosystem.geo(), "OVH", 300.0);
   std::printf("ecosystem money flows: publishers earn ~$%s/day from ads; "
               "%zu OVH seedbox(es) cost ~%s EUR/month in hosting.\n",

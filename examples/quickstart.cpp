@@ -28,14 +28,16 @@ int main(int argc, char** argv) {
               ecosystem.population().publishers.size());
 
   // 2. Crawl it exactly as the paper's apparatus would.
-  const Dataset dataset = ecosystem.crawl();
+  //    The analysis reads the compact struct-of-arrays form.
+  const CompactDataset dataset = compact_dataset(ecosystem.crawl());
+  const CompactDatasetView view = dataset.view();
   std::printf("crawl: %zu torrents, %zu with an identified publisher IP, "
               "%zu distinct downloader IPs\n\n",
-              dataset.torrent_count(), dataset.with_publisher_ip(),
-              dataset.distinct_ips_global());
+              view.torrent_count(), view.with_publisher_ip(),
+              view.distinct_ips_global());
 
   // 3. Analyse: who publishes, and how skewed is it?
-  const IdentityAnalysis identity(dataset, ecosystem.geo(), 40);
+  const IdentityAnalysis identity(view, ecosystem.geo(), 40);
   const std::vector<double> xs{3, 10, 50, 100};
   const ContributionCurve curve = contribution_curve(identity, xs);
 

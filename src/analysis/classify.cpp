@@ -4,7 +4,6 @@
 #include <array>
 #include <cctype>
 
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace btpub {
@@ -168,29 +167,20 @@ std::vector<ClassificationResult::ClassShare> ClassificationResult::shares(
   return out;
 }
 
-namespace {
-
-/// The parallel classifier core. Phase 1 (serial): walk top() in order and
-/// draw every torrent sample from the shared rng — the exact serial
-/// consumption sequence. Phase 2 (parallel): build each profile into its
-/// own slot; promotion scans, language counts and site visits only read
-/// frozen state (the dataset, the const WebsiteDirectory). `promo_of` maps
-/// a torrent index to its promotion finding, `language_of` to its content
-/// language.
-template <typename PromoOf, typename LanguageOf>
-ClassificationResult classify_impl(const IdentityAnalysis& identity,
-                                   const WebsiteDirectory& websites,
-                                   std::size_t sample_per_publisher, Rng& rng,
-                                   std::size_t threads, PromoOf&& promo_of,
-                                   LanguageOf&& language_of) {
-  struct Item {
-    const UsernameStats* stats;
-    std::vector<std::size_t> sample;
-  };
-  std::vector<Item> items;
+ClassificationResult classify_top_publishers(const CompactDatasetView& view,
+                                             const IdentityAnalysis& identity,
+                                             const WebsiteDirectory& websites,
+                                             std::size_t sample_per_publisher,
+                                             Rng& rng) {
+  ClassificationResult result;
   for (const std::string& username : identity.top()) {
     const UsernameStats* stats = identity.find_username(username);
     if (stats == nullptr) continue;
+    PublisherProfile profile;
+    profile.username = stats->username;
+    profile.content_count = stats->content_count;
+    profile.download_count = stats->download_count;
+
     // Emulate the downloader experience on a sample of this publisher's
     // torrents.
     std::vector<std::size_t> sample = stats->torrents;
@@ -201,21 +191,8 @@ ClassificationResult classify_impl(const IdentityAnalysis& identity,
       }
       sample.swap(chosen);
     }
-    items.push_back(Item{stats, std::move(sample)});
-  }
-
-  ClassificationResult result;
-  result.profiles.resize(items.size());
-  parallel_for_each_index(items.size(), threads, [&](std::size_t p) {
-    const Item& item = items[p];
-    const UsernameStats* stats = item.stats;
-    PublisherProfile profile;
-    profile.username = stats->username;
-    profile.content_count = stats->content_count;
-    profile.download_count = stats->download_count;
-
-    for (const std::size_t index : item.sample) {
-      const auto finding = promo_of(index);
+    for (const std::size_t index : sample) {
+      const auto finding = find_promotion(view, view.torrents[index]);
       if (!finding) continue;
       if (profile.domain.empty()) profile.domain = finding->domain;
       profile.in_textbox |= finding->in_textbox;
@@ -223,12 +200,12 @@ ClassificationResult classify_impl(const IdentityAnalysis& identity,
       profile.in_payload |= finding->in_payload;
     }
 
-    // Dominant language over the full torrent list.
-    // A language byte outside the enum (a corrupt snapshot read through a
-    // view) counts as Other instead of indexing past the array.
+    // Dominant language over the full torrent list. A language byte
+    // outside the enum (a hand-built view that skipped validate()) counts
+    // as Other instead of indexing past the array.
     std::array<std::size_t, 6> lang_counts{};
     for (const std::size_t index : stats->torrents) {
-      const auto lang = static_cast<std::size_t>(language_of(index));
+      const std::size_t lang = view.torrents[index].language;
       ++lang_counts[std::min(lang, lang_counts.size() - 1)];
     }
     const auto max_it = std::max_element(lang_counts.begin(), lang_counts.end());
@@ -253,39 +230,9 @@ ClassificationResult classify_impl(const IdentityAnalysis& identity,
       // URL resolved nowhere (site gone): best effort, keep it OtherWeb.
       profile.cls = BusinessClass::OtherWeb;
     }
-    result.profiles[p] = std::move(profile);
-  });
+    result.profiles.push_back(std::move(profile));
+  }
   return result;
-}
-
-}  // namespace
-
-ClassificationResult classify_top_publishers(const Dataset& dataset,
-                                             const IdentityAnalysis& identity,
-                                             const WebsiteDirectory& websites,
-                                             std::size_t sample_per_publisher,
-                                             Rng& rng, std::size_t threads) {
-  return classify_impl(
-      identity, websites, sample_per_publisher, rng, threads,
-      [&dataset](std::size_t index) {
-        return find_promotion(dataset.torrents[index]);
-      },
-      [&dataset](std::size_t index) { return dataset.torrents[index].language; });
-}
-
-ClassificationResult classify_top_publishers(const CompactDatasetView& view,
-                                             const IdentityAnalysis& identity,
-                                             const WebsiteDirectory& websites,
-                                             std::size_t sample_per_publisher,
-                                             Rng& rng, std::size_t threads) {
-  return classify_impl(
-      identity, websites, sample_per_publisher, rng, threads,
-      [&view](std::size_t index) {
-        return find_promotion(view, view.torrents[index]);
-      },
-      [&view](std::size_t index) {
-        return static_cast<Language>(view.torrents[index].language);
-      });
 }
 
 }  // namespace btpub

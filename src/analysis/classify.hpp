@@ -37,10 +37,10 @@ std::optional<std::string> domain_from_title(std::string_view title);
 std::optional<std::string> domain_from_payload(
     std::span<const std::string> filenames);
 
-/// Scans one crawled torrent for a promoting URL in any channel.
+/// Scans one crawled torrent for a promoting URL in any channel. The
+/// record overload serves the live classifier during the crawl; the view
+/// overload reads title/textbox/payload filenames from the text arena.
 std::optional<PromoFinding> find_promotion(const TorrentRecord& record);
-/// Span-native overload: reads title/textbox/payload filenames straight
-/// from the view's text arena.
 std::optional<PromoFinding> find_promotion(const CompactDatasetView& view,
                                            const TorrentRecordPod& pod);
 
@@ -84,23 +84,12 @@ struct ClassificationResult {
 };
 
 /// Classifies every member of the Top group, sampling up to
-/// `sample_per_publisher` torrents each (the paper examined "a few").
-/// `threads` fans the per-publisher promotion scans and site visits out
-/// over a worker pool (0 = hardware concurrency). Every torrent sample is
-/// drawn from `rng` serially in top() order before the fan-out, and each
-/// profile is then a pure function of its publisher's torrents written to
-/// its own result slot — byte-identical to serial at any thread count.
-ClassificationResult classify_top_publishers(const Dataset& dataset,
-                                             const IdentityAnalysis& identity,
-                                             const WebsiteDirectory& websites,
-                                             std::size_t sample_per_publisher,
-                                             Rng& rng, std::size_t threads = 1);
-
-/// Span-native overload over the compact view (in-memory or mmap-ed).
+/// `sample_per_publisher` torrents each (the paper examined "a few"; 0 =
+/// every torrent). Samples are drawn from `rng` in top() order.
 ClassificationResult classify_top_publishers(const CompactDatasetView& view,
                                              const IdentityAnalysis& identity,
                                              const WebsiteDirectory& websites,
                                              std::size_t sample_per_publisher,
-                                             Rng& rng, std::size_t threads = 1);
+                                             Rng& rng);
 
 }  // namespace btpub

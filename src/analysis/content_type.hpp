@@ -22,12 +22,12 @@ struct ContentTypeMix {
   }
 };
 
-ContentTypeMix content_type_mix(const Dataset& dataset,
+ContentTypeMix content_type_mix(const CompactDatasetView& view,
                                 const IdentityAnalysis& identity,
                                 TargetGroup group);
 
 /// All five groups at once (the full Figure 2 panel).
-std::vector<ContentTypeMix> content_type_panel(const Dataset& dataset,
+std::vector<ContentTypeMix> content_type_panel(const CompactDatasetView& view,
                                                const IdentityAnalysis& identity);
 
 }  // namespace btpub

@@ -2,51 +2,7 @@
 
 #include <unordered_map>
 
-#include "util/parallel.hpp"
-
 namespace btpub {
-namespace {
-
-/// Sharded scan over every downloader entry; `for_each_ip(t, fn)` invokes
-/// fn for each downloader IP of torrent t. Workers only read the shared
-/// `tracked` set and accumulate shard-local counts; the merge is a
-/// commutative sum, so the totals equal the serial scan's exactly.
-template <typename ForEachIp>
-TopConsumptionStats consumption_impl(std::size_t torrent_count,
-                                     const IdentityAnalysis& identity,
-                                     std::size_t top_n, std::size_t threads,
-                                     ForEachIp&& for_each_ip) {
-  TopConsumptionStats stats;
-  stats.considered = std::min(top_n, identity.ips().size());
-
-  std::unordered_map<IpAddress, std::size_t> downloads;
-  for (std::size_t i = 0; i < stats.considered; ++i) {
-    downloads.emplace(identity.ips()[i].ip, 0);
-  }
-  const auto shards = sharded_scan(
-      torrent_count, threads,
-      [&](std::size_t begin, std::size_t end) {
-        std::unordered_map<IpAddress, std::size_t> local;
-        for (std::size_t t = begin; t < end; ++t) {
-          for_each_ip(t, [&](const IpAddress& ip) {
-            if (downloads.find(ip) != downloads.end()) ++local[ip];
-          });
-        }
-        return local;
-      });
-  for (const auto& shard : shards) {
-    for (const auto& [ip, count] : shard) downloads[ip] += count;
-  }
-
-  for (std::size_t i = 0; i < stats.considered; ++i) {
-    const std::size_t count = downloads[identity.ips()[i].ip];
-    if (count == 0) ++stats.zero_downloads;
-    if (count < 5) ++stats.under_five_downloads;
-  }
-  return stats;
-}
-
-}  // namespace
 
 ContributionCurve contribution_curve(const IdentityAnalysis& identity,
                                      std::span<const double> top_percents) {
@@ -71,30 +27,29 @@ ContributionCurve contribution_curve(const IdentityAnalysis& identity,
   return curve;
 }
 
-TopConsumptionStats top_publisher_consumption(const Dataset& dataset,
-                                              const IdentityAnalysis& identity,
-                                              std::size_t top_n,
-                                              std::size_t threads) {
-  // Count how often each top publisher IP shows up as a downloader of
-  // *other* torrents.
-  return consumption_impl(
-      dataset.downloaders.size(), identity, top_n, threads,
-      [&dataset](std::size_t t, auto&& fn) {
-        for (const IpAddress& ip : dataset.downloaders[t]) fn(ip);
-      });
-}
-
 TopConsumptionStats top_publisher_consumption(const CompactDatasetView& view,
                                               const IdentityAnalysis& identity,
-                                              std::size_t top_n,
-                                              std::size_t threads) {
-  return consumption_impl(
-      view.torrents.size(), identity, top_n, threads,
-      [&view](std::size_t t, auto&& fn) {
-        const TorrentRecordPod& pod = view.torrents[t];
-        const std::uint32_t n = pod.downloaders.size();
-        for (std::uint32_t i = 0; i < n; ++i) fn(view.downloader_ip(pod, i));
-      });
+                                              std::size_t top_n) {
+  // Count how often each top publisher IP shows up as a downloader of
+  // *other* torrents.
+  TopConsumptionStats stats;
+  stats.considered = std::min(top_n, identity.ips().size());
+  std::unordered_map<IpAddress, std::size_t> downloads;
+  for (std::size_t i = 0; i < stats.considered; ++i) {
+    downloads.emplace(identity.ips()[i].ip, 0);
+  }
+  for (const TorrentRecordPod& pod : view.torrents) {
+    for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
+      const auto it = downloads.find(view.downloader_ip(pod, i));
+      if (it != downloads.end()) ++it->second;
+    }
+  }
+  for (std::size_t i = 0; i < stats.considered; ++i) {
+    const std::size_t count = downloads[identity.ips()[i].ip];
+    if (count == 0) ++stats.zero_downloads;
+    if (count < 5) ++stats.under_five_downloads;
+  }
+  return stats;
 }
 
 }  // namespace btpub

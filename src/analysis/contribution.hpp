@@ -29,19 +29,10 @@ struct TopConsumptionStats {
   std::size_t zero_downloads = 0;      // paper: ~40%
   std::size_t under_five_downloads = 0;  // paper: ~80% (includes zeroes)
 };
-/// Scans every downloader entry for top-publisher IPs. `threads` shards
-/// the scan over contiguous torrent spans (0 = hardware concurrency);
-/// per-shard hit counts merge by commutative integer sums, so the result
-/// is byte-identical to serial at any thread count.
-TopConsumptionStats top_publisher_consumption(const Dataset& dataset,
-                                              const IdentityAnalysis& identity,
-                                              std::size_t top_n = 100,
-                                              std::size_t threads = 1);
-/// Span-native overload: decodes downloader IPs straight from the BEP-23
-/// peer blob.
+/// Scans every downloader entry, decoded from the BEP-23 peer blob, for
+/// top-publisher IPs.
 TopConsumptionStats top_publisher_consumption(const CompactDatasetView& view,
                                               const IdentityAnalysis& identity,
-                                              std::size_t top_n = 100,
-                                              std::size_t threads = 1);
+                                              std::size_t top_n = 100);
 
 }  // namespace btpub

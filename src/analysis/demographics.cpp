@@ -40,27 +40,28 @@ struct GeoCounts {
   std::unordered_map<std::string, std::size_t> by_isp;
 };
 
-/// The demographics core over any downloader source. `for_each_ip(t, fn)`
-/// invokes fn per downloader IP of torrent t. Two sharded passes: the
-/// dedup scan emits each shard's locally-new IPs (merged into the global
-/// distinct set in span order), then the geo lookups fan out over the
-/// distinct list and merge by commutative sums — both byte-identical to
-/// the serial single pass.
-template <typename ForEachIp>
-DownloaderDemographics demographics_impl(std::size_t torrent_count,
-                                         const GeoDb& geo, std::size_t top_k,
-                                         std::size_t threads,
-                                         ForEachIp&& for_each_ip) {
+}  // namespace
+
+/// Two sharded passes: the dedup scan emits each shard's locally-new IPs
+/// (merged into the global distinct set in span order), then the geo
+/// lookups fan out over the distinct list and merge by commutative sums —
+/// both byte-identical to the serial single pass.
+DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
+                                               const GeoDb& geo,
+                                               std::size_t top_k,
+                                               std::size_t threads) {
   DownloaderDemographics demo;
 
   auto shards = sharded_scan(
-      torrent_count, threads, [&](std::size_t begin, std::size_t end) {
+      view.torrents.size(), threads, [&](std::size_t begin, std::size_t end) {
         std::unordered_set<IpAddress> local_seen;
         std::vector<IpAddress> local_new;
         for (std::size_t t = begin; t < end; ++t) {
-          for_each_ip(t, [&](const IpAddress& ip) {
+          const TorrentRecordPod& pod = view.torrents[t];
+          for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
+            const IpAddress ip = view.downloader_ip(pod, i);
             if (local_seen.insert(ip).second) local_new.push_back(ip);
-          });
+          }
         }
         return local_new;
       });
@@ -98,43 +99,13 @@ DownloaderDemographics demographics_impl(std::size_t torrent_count,
   return demo;
 }
 
-}  // namespace
-
-DownloaderDemographics downloader_demographics(const Dataset& dataset,
-                                               const GeoDb& geo,
-                                               std::size_t top_k,
-                                               std::size_t threads) {
-  return demographics_impl(
-      dataset.downloaders.size(), geo, top_k, threads,
-      [&dataset](std::size_t t, auto&& fn) {
-        for (const IpAddress& ip : dataset.downloaders[t]) fn(ip);
-      });
-}
-
-DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
-                                               const GeoDb& geo,
-                                               std::size_t top_k,
-                                               std::size_t threads) {
-  return demographics_impl(
-      view.torrents.size(), geo, top_k, threads,
-      [&view](std::size_t t, auto&& fn) {
-        const TorrentRecordPod& pod = view.torrents[t];
-        const std::uint32_t n = pod.downloaders.size();
-        for (std::uint32_t i = 0; i < n; ++i) fn(view.downloader_ip(pod, i));
-      });
-}
-
-namespace {
-
-template <typename RowOf>
-std::vector<DemographicRow> publisher_countries_impl(std::size_t torrent_count,
-                                                     const GeoDb& geo,
-                                                     std::size_t top_k,
-                                                     RowOf&& publisher_ip_of) {
+std::vector<DemographicRow> publisher_countries(const CompactDatasetView& view,
+                                                const GeoDb& geo,
+                                                std::size_t top_k) {
   std::unordered_map<std::string, std::size_t> counts;
   std::size_t total = 0;
-  for (std::size_t t = 0; t < torrent_count; ++t) {
-    const std::optional<IpAddress> ip = publisher_ip_of(t);
+  for (const TorrentRecordPod& pod : view.torrents) {
+    const auto ip = view.publisher_ip(pod);
     if (!ip) continue;
     const auto loc = geo.lookup(*ip);
     if (!loc) continue;
@@ -142,31 +113,6 @@ std::vector<DemographicRow> publisher_countries_impl(std::size_t torrent_count,
     ++total;
   }
   return to_rows(counts, total, top_k);
-}
-
-}  // namespace
-
-std::vector<DemographicRow> publisher_countries(const Dataset& dataset,
-                                                const GeoDb& geo,
-                                                std::size_t top_k) {
-  return publisher_countries_impl(
-      dataset.torrents.size(), geo, top_k, [&dataset](std::size_t t) {
-        return dataset.torrents[t].publisher_ip;
-      });
-}
-
-std::vector<DemographicRow> publisher_countries(const CompactDatasetView& view,
-                                                const GeoDb& geo,
-                                                std::size_t top_k) {
-  return publisher_countries_impl(
-      view.torrents.size(), geo, top_k,
-      [&view](std::size_t t) -> std::optional<IpAddress> {
-        const TorrentRecordPod& pod = view.torrents[t];
-        if ((pod.flags & TorrentRecordPod::kHasPublisherIp) == 0) {
-          return std::nullopt;
-        }
-        return IpAddress(pod.publisher_ip);
-      });
 }
 
 }  // namespace btpub

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "crawler/compact_dataset.hpp"
-#include "crawler/dataset.hpp"
 #include "geo/geo_db.hpp"
 
 namespace btpub {
@@ -33,13 +32,8 @@ struct DownloaderDemographics {
 /// the per-torrent dedup scan and the geo lookups over a worker pool (0 =
 /// hardware concurrency); shard results merge in span order / by
 /// commutative sums, so the breakdown is byte-identical to serial at any
-/// thread count.
-DownloaderDemographics downloader_demographics(const Dataset& dataset,
-                                               const GeoDb& geo,
-                                               std::size_t top_k = 10,
-                                               std::size_t threads = 1);
-
-/// Span-native overload over the compact view (in-memory or mmap-ed).
+/// thread count. This is the one analysis pass whose threads paid on a
+/// 4-core box (DESIGN.md §4.8).
 DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
                                                const GeoDb& geo,
                                                std::size_t top_k = 10,
@@ -47,11 +41,6 @@ DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
 
 /// Country breakdown of *publishers* (identified IPs), weighted by
 /// published content — the supply-side counterpart.
-std::vector<DemographicRow> publisher_countries(const Dataset& dataset,
-                                                const GeoDb& geo,
-                                                std::size_t top_k = 10);
-
-/// Span-native overload.
 std::vector<DemographicRow> publisher_countries(const CompactDatasetView& view,
                                                 const GeoDb& geo,
                                                 std::size_t top_k = 10);

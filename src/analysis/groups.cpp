@@ -1,64 +1,9 @@
 #include "analysis/groups.hpp"
 
 #include <algorithm>
-#include <cassert>
-
-#include "util/parallel.hpp"
+#include <string_view>
 
 namespace btpub {
-namespace {
-
-/// The per-torrent fields the identity scan consumes, independent of the
-/// row source. The username view points into source-owned memory (Dataset
-/// strings or the compact text arena), stable for the scan's lifetime.
-struct RowView {
-  std::string_view username;
-  std::uint32_t ip = 0;
-  bool has_ip = false;
-  std::size_t downloads = 0;
-};
-
-struct DatasetAccess {
-  const Dataset* dataset;
-  std::size_t size() const { return dataset->torrents.size(); }
-  RowView row(std::size_t i) const {
-    const TorrentRecord& record = dataset->torrents[i];
-    RowView out;
-    out.username = record.username;
-    if (record.publisher_ip) {
-      out.has_ip = true;
-      out.ip = record.publisher_ip->value();
-    }
-    out.downloads = dataset->downloaders[i].size();
-    return out;
-  }
-  bool banned(std::string_view name) const {
-    const auto it = dataset->user_pages.find(std::string(name));
-    return it != dataset->user_pages.end() && it->second.banned;
-  }
-};
-
-struct ViewAccess {
-  const CompactDatasetView* view;
-  std::size_t size() const { return view->torrents.size(); }
-  RowView row(std::size_t i) const {
-    const TorrentRecordPod& pod = view->torrents[i];
-    RowView out;
-    out.username = view->username(pod);
-    if ((pod.flags & TorrentRecordPod::kHasPublisherIp) != 0) {
-      out.has_ip = true;
-      out.ip = pod.publisher_ip;
-    }
-    out.downloads = pod.downloaders.size();
-    return out;
-  }
-  bool banned(std::string_view name) const {
-    const UserPagePod* page = view->find_user(name);
-    return page != nullptr && (page->flags & UserPagePod::kBanned) != 0;
-  }
-};
-
-}  // namespace
 
 std::string_view to_string(TargetGroup g) {
   switch (g) {
@@ -76,153 +21,63 @@ std::string_view to_string(TargetGroup g) {
   return "?";
 }
 
-IdentityAnalysis::IdentityAnalysis(const Dataset& dataset, const GeoDb& geo,
-                                   std::size_t top_n,
-                                   FakeDetectionConfig fake_config,
-                                   std::size_t threads)
-    : geo_(&geo), top_n_(top_n) {
-  build_tables(DatasetAccess{&dataset}, threads);
-  detect_fakes(fake_config);
-  build_top(geo, top_n);
-}
-
 IdentityAnalysis::IdentityAnalysis(const CompactDatasetView& view,
                                    const GeoDb& geo, std::size_t top_n,
-                                   FakeDetectionConfig fake_config,
-                                   std::size_t threads)
+                                   FakeDetectionConfig fake_config)
     : geo_(&geo), top_n_(top_n) {
-  build_tables(ViewAccess{&view}, threads);
+  build_tables(view);
   detect_fakes(fake_config);
   build_top(geo, top_n);
 }
 
-struct IdentityAnalysis::ShardTables {
-  std::vector<UsernameStats> usernames;  // shard-local first-occurrence order
-  std::vector<IpStats> ips;
-  std::size_t total_content = 0;
-  std::size_t total_downloads = 0;
-};
+void IdentityAnalysis::build_tables(const CompactDatasetView& view) {
+  // Keys are views into the text arena, which outlives the scan.
+  std::unordered_map<std::string_view, std::size_t> uindex;
+  std::unordered_map<IpAddress, std::size_t> ipindex;
+  std::unordered_map<std::string_view, std::unordered_set<std::uint32_t>> user_ips;
+  std::unordered_map<IpAddress, std::unordered_set<std::string_view>> ip_users;
+  for (std::size_t i = 0; i < view.torrents.size(); ++i) {
+    const TorrentRecordPod& pod = view.torrents[i];
+    const std::string_view username = view.username(pod);
+    const std::optional<IpAddress> ip = view.publisher_ip(pod);
+    const std::size_t downloads = pod.downloaders.size();
+    ++total_content_;
+    total_downloads_ += downloads;
 
-struct IdentityAnalysis::MergeState {
-  std::unordered_map<std::string, std::size_t> username_index;  // -> usernames_
-  std::unordered_map<IpAddress, std::size_t> ip_index;          // -> ips_
-  // Cross-shard (username, ip) / (ip, username) pair dedup, mirroring the
-  // serial scan's global sets.
-  std::unordered_map<std::string, std::unordered_set<std::uint32_t>> user_ips;
-  std::unordered_map<IpAddress, std::unordered_set<std::string>> ip_users;
-};
-
-template <typename Access>
-void IdentityAnalysis::build_tables(const Access& access, std::size_t threads) {
-  // Each shard scans a contiguous torrent span with exactly the serial
-  // algorithm (per-shard first-occurrence dedup), and shards merge back in
-  // span order. A key's global first occurrence lies in the earliest shard
-  // that saw it, and within a shard the local first-occurrence order is the
-  // index order — so the merged tables list usernames, IPs, torrent indices
-  // and deduped cross-references in exactly the serial scan's order, at any
-  // thread count (including shard-count 1, which *is* the serial path).
-  auto shards = sharded_scan(
-      access.size(), threads, [&access](std::size_t begin, std::size_t end) {
-        ShardTables shard;
-        std::unordered_map<std::string_view, std::size_t> uindex;
-        std::unordered_map<IpAddress, std::size_t> ipindex;
-        std::unordered_map<std::string_view, std::unordered_set<std::uint32_t>>
-            user_ips;
-        std::unordered_map<IpAddress, std::unordered_set<std::string_view>>
-            ip_users;
-        for (std::size_t i = begin; i < end; ++i) {
-          const RowView row = access.row(i);
-          ++shard.total_content;
-          shard.total_downloads += row.downloads;
-
-          if (!row.username.empty()) {
-            auto [it, inserted] =
-                uindex.try_emplace(row.username, shard.usernames.size());
-            if (inserted) {
-              UsernameStats stats;
-              stats.username = std::string(row.username);
-              stats.banned = access.banned(row.username);
-              shard.usernames.push_back(std::move(stats));
-            }
-            UsernameStats& stats = shard.usernames[it->second];
-            stats.torrents.push_back(i);
-            ++stats.content_count;
-            stats.download_count += row.downloads;
-            if (row.has_ip && user_ips[row.username].insert(row.ip).second) {
-              stats.ips.emplace_back(row.ip);
-            }
-          }
-
-          if (row.has_ip) {
-            const IpAddress ip(row.ip);
-            auto [it, inserted] = ipindex.try_emplace(ip, shard.ips.size());
-            if (inserted) {
-              IpStats stats;
-              stats.ip = ip;
-              shard.ips.push_back(std::move(stats));
-            }
-            IpStats& stats = shard.ips[it->second];
-            stats.torrents.push_back(i);
-            ++stats.content_count;
-            if (!row.username.empty() &&
-                ip_users[ip].insert(row.username).second) {
-              stats.usernames.emplace_back(row.username);
-            }
-          }
-        }
-        return shard;
-      });
-
-  MergeState state;
-  for (ShardTables& shard : shards) merge_shard(std::move(shard), state);
-  finish_tables();
-}
-
-void IdentityAnalysis::merge_shard(ShardTables&& shard, MergeState& state) {
-  total_content_ += shard.total_content;
-  total_downloads_ += shard.total_downloads;
-
-  for (UsernameStats& s : shard.usernames) {
-    const auto it = state.username_index.find(s.username);
-    if (it == state.username_index.end()) {
-      auto& seen = state.user_ips[s.username];
-      for (const IpAddress& ip : s.ips) seen.insert(ip.value());
-      state.username_index.emplace(s.username, usernames_.size());
-      usernames_.push_back(std::move(s));
-      continue;
+    if (!username.empty()) {
+      auto [it, inserted] = uindex.try_emplace(username, usernames_.size());
+      if (inserted) {
+        UsernameStats stats;
+        stats.username = std::string(username);
+        const UserPagePod* page = view.find_user(username);
+        stats.banned = page != nullptr && (page->flags & UserPagePod::kBanned) != 0;
+        usernames_.push_back(std::move(stats));
+      }
+      UsernameStats& stats = usernames_[it->second];
+      stats.torrents.push_back(i);
+      ++stats.content_count;
+      stats.download_count += downloads;
+      if (ip && user_ips[username].insert(ip->value()).second) {
+        stats.ips.push_back(*ip);
+      }
     }
-    UsernameStats& global = usernames_[it->second];
-    global.torrents.insert(global.torrents.end(), s.torrents.begin(),
-                           s.torrents.end());
-    global.content_count += s.content_count;
-    global.download_count += s.download_count;
-    auto& seen = state.user_ips[global.username];
-    for (const IpAddress& ip : s.ips) {
-      if (seen.insert(ip.value()).second) global.ips.push_back(ip);
+
+    if (ip) {
+      auto [it, inserted] = ipindex.try_emplace(*ip, ips_.size());
+      if (inserted) {
+        IpStats stats;
+        stats.ip = *ip;
+        ips_.push_back(std::move(stats));
+      }
+      IpStats& stats = ips_[it->second];
+      stats.torrents.push_back(i);
+      ++stats.content_count;
+      if (!username.empty() && ip_users[*ip].insert(username).second) {
+        stats.usernames.emplace_back(username);
+      }
     }
   }
 
-  for (IpStats& s : shard.ips) {
-    const auto it = state.ip_index.find(s.ip);
-    if (it == state.ip_index.end()) {
-      auto& seen = state.ip_users[s.ip];
-      for (const std::string& name : s.usernames) seen.insert(name);
-      state.ip_index.emplace(s.ip, ips_.size());
-      ips_.push_back(std::move(s));
-      continue;
-    }
-    IpStats& global = ips_[it->second];
-    global.torrents.insert(global.torrents.end(), s.torrents.begin(),
-                           s.torrents.end());
-    global.content_count += s.content_count;
-    auto& seen = state.ip_users[s.ip];
-    for (std::string& name : s.usernames) {
-      if (seen.insert(name).second) global.usernames.push_back(std::move(name));
-    }
-  }
-}
-
-void IdentityAnalysis::finish_tables() {
   // Moderation bans arrive after a username's torrents; count them per IP.
   std::unordered_map<std::string_view, bool> banned;
   banned.reserve(usernames_.size());
@@ -244,7 +99,6 @@ void IdentityAnalysis::finish_tables() {
   };
   std::sort(usernames_.begin(), usernames_.end(), by_content_desc);
   std::sort(ips_.begin(), ips_.end(), by_content_desc);
-  username_index_.clear();
   for (std::size_t i = 0; i < usernames_.size(); ++i) {
     username_index_.emplace(usernames_[i].username, i);
   }

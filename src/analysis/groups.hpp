@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "crawler/compact_dataset.hpp"
-#include "crawler/dataset.hpp"
 #include "geo/geo_db.hpp"
 
 namespace btpub {
@@ -22,7 +21,7 @@ namespace btpub {
 /// Everything observed about one username.
 struct UsernameStats {
   std::string username;
-  std::vector<std::size_t> torrents;  // indices into Dataset::torrents
+  std::vector<std::size_t> torrents;  // indices into the view's torrents
   std::size_t content_count = 0;
   std::size_t download_count = 0;  // total distinct downloader IPs
   std::vector<IpAddress> ips;      // identified publisher IPs (deduped)
@@ -55,24 +54,12 @@ std::string_view to_string(TargetGroup g);
 class IdentityAnalysis {
  public:
   /// `top_n` is the size of the "top publishers" cut (the paper's 100).
-  /// `threads` shards the table-building scan across a worker pool (0 =
-  /// hardware concurrency); the tables are byte-identical to a serial
-  /// build at every thread count — shards cover contiguous torrent-index
-  /// spans and merge back in span order, which reproduces the serial
-  /// first-occurrence dedup exactly.
-  IdentityAnalysis(const Dataset& dataset, const GeoDb& geo,
-                   std::size_t top_n = 100,
-                   FakeDetectionConfig fake_config = {},
-                   std::size_t threads = 1);
-
-  /// Span-native overload: reads the struct-of-arrays view (in-memory or
-  /// mmap-ed) directly — per-torrent downloader counts and publisher IPs
-  /// come straight from the flat spans, with no Dataset inflation. The
-  /// view only needs to outlive the constructor.
+  /// Per-torrent downloader counts and publisher IPs come straight from
+  /// the view's flat spans; the view only needs to outlive the
+  /// constructor.
   IdentityAnalysis(const CompactDatasetView& view, const GeoDb& geo,
                    std::size_t top_n = 100,
-                   FakeDetectionConfig fake_config = {},
-                   std::size_t threads = 1);
+                   FakeDetectionConfig fake_config = {});
 
   /// Usernames sorted by content count, descending.
   const std::vector<UsernameStats>& usernames() const noexcept { return usernames_; }
@@ -122,21 +109,10 @@ class IdentityAnalysis {
   std::size_t total_downloads() const noexcept { return total_downloads_; }
 
  private:
-  /// One shard's worth of tables, scanned over a contiguous torrent span.
-  struct ShardTables;
-  /// Cross-shard dedup state the in-order merge threads through.
-  struct MergeState;
-
-  /// Sharded scan + in-span-order merge; Access abstracts the row source
-  /// (Dataset vs CompactDatasetView) so both ctors share one code path.
-  template <typename Access>
-  void build_tables(const Access& access, std::size_t threads);
-  /// Folds one shard's tables into the global ones, preserving the serial
-  /// first-occurrence order.
-  void merge_shard(ShardTables&& shard, MergeState& state);
-  /// The post-merge serial tail: per-IP banned counts, the content-count
-  /// sort, and the username re-key.
-  void finish_tables();
+  /// The first-occurrence scan: usernames, IPs, torrent indices and
+  /// deduped cross-references in torrent-index order, then per-IP banned
+  /// counts, the content-count sort and the username re-key.
+  void build_tables(const CompactDatasetView& view);
   void detect_fakes(const FakeDetectionConfig& config);
   void build_top(const GeoDb& geo, std::size_t top_n);
 

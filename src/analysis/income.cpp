@@ -28,7 +28,7 @@ std::vector<IncomeRow> income_table(const ClassificationResult& classification,
   return rows;
 }
 
-MoneyFlows money_flows(const Dataset& dataset,
+MoneyFlows money_flows(const CompactDatasetView& view,
                        const ClassificationResult& classification,
                        const WebsiteDirectory& websites,
                        const AppraisalPanel& panel, const GeoDb& geo,
@@ -50,10 +50,11 @@ MoneyFlows money_flows(const Dataset& dataset,
   // §6: hosting income from publisher servers at one provider, counted
   // over every identified publisher address in the dataset.
   std::unordered_set<IpAddress> servers;
-  for (const TorrentRecord& record : dataset.torrents) {
-    if (!record.publisher_ip) continue;
-    const auto loc = geo.lookup(*record.publisher_ip);
-    if (loc && loc->isp_name == hosting_isp) servers.insert(*record.publisher_ip);
+  for (const TorrentRecordPod& pod : view.torrents) {
+    const auto ip = view.publisher_ip(pod);
+    if (!ip) continue;
+    const auto loc = geo.lookup(*ip);
+    if (loc && loc->isp_name == hosting_isp) servers.insert(*ip);
   }
   flows.hosting_servers = servers.size();
   flows.hosting_income_per_month_eur =

@@ -40,7 +40,7 @@ struct MoneyFlows {
   std::size_t ad_networks = 0;
 };
 
-MoneyFlows money_flows(const Dataset& dataset,
+MoneyFlows money_flows(const CompactDatasetView& view,
                        const ClassificationResult& classification,
                        const WebsiteDirectory& websites,
                        const AppraisalPanel& panel, const GeoDb& geo,

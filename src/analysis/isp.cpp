@@ -7,7 +7,7 @@
 
 namespace btpub {
 
-std::vector<IspShareRow> top_publisher_isps(const Dataset& dataset,
+std::vector<IspShareRow> top_publisher_isps(const CompactDatasetView& view,
                                             const GeoDb& geo, std::size_t k) {
   struct Acc {
     IspType type = IspType::CommercialIsp;
@@ -19,16 +19,17 @@ std::vector<IspShareRow> top_publisher_isps(const Dataset& dataset,
   std::size_t identified_ips = 0;
 
   std::unordered_set<IpAddress> all_ips;
-  for (const TorrentRecord& record : dataset.torrents) {
-    if (!record.publisher_ip) continue;
-    const auto loc = geo.lookup(*record.publisher_ip);
+  for (const TorrentRecordPod& pod : view.torrents) {
+    const auto ip = view.publisher_ip(pod);
+    if (!ip) continue;
+    const auto loc = geo.lookup(*ip);
     if (!loc) continue;
     ++identified_torrents;
     Acc& acc = by_isp[std::string(loc->isp_name)];
     acc.type = loc->isp_type;
     ++acc.torrents;
-    acc.ips.insert(*record.publisher_ip);
-    all_ips.insert(*record.publisher_ip);
+    acc.ips.insert(*ip);
+    all_ips.insert(*ip);
   }
   identified_ips = all_ips.size();
 
@@ -58,20 +59,21 @@ std::vector<IspShareRow> top_publisher_isps(const Dataset& dataset,
   return rows;
 }
 
-IspFeederProfile isp_feeder_profile(const Dataset& dataset, const GeoDb& geo,
-                                    std::string_view isp_name) {
+IspFeederProfile isp_feeder_profile(const CompactDatasetView& view,
+                                    const GeoDb& geo, std::string_view isp_name) {
   IspFeederProfile profile;
   profile.isp = std::string(isp_name);
   std::unordered_set<IpAddress> ips;
   std::unordered_set<std::uint16_t> prefixes;
   std::set<std::pair<std::string, std::string>> locations;
-  for (const TorrentRecord& record : dataset.torrents) {
-    if (!record.publisher_ip) continue;
-    const auto loc = geo.lookup(*record.publisher_ip);
+  for (const TorrentRecordPod& pod : view.torrents) {
+    const auto ip = view.publisher_ip(pod);
+    if (!ip) continue;
+    const auto loc = geo.lookup(*ip);
     if (!loc || loc->isp_name != isp_name) continue;
     ++profile.fed_torrents;
-    ips.insert(*record.publisher_ip);
-    prefixes.insert(Prefix16(*record.publisher_ip).value());
+    ips.insert(*ip);
+    prefixes.insert(Prefix16(*ip).value());
     locations.emplace(std::string(loc->country), std::string(loc->city));
   }
   profile.distinct_ips = ips.size();
@@ -80,18 +82,19 @@ IspFeederProfile isp_feeder_profile(const Dataset& dataset, const GeoDb& geo,
   return profile;
 }
 
-std::size_t consumers_from_isp(const Dataset& dataset, const GeoDb& geo,
+std::size_t consumers_from_isp(const CompactDatasetView& view, const GeoDb& geo,
                                std::string_view isp_name,
                                bool exclude_publishers) {
   std::unordered_set<IpAddress> publisher_ips;
   if (exclude_publishers) {
-    for (const TorrentRecord& record : dataset.torrents) {
-      if (record.publisher_ip) publisher_ips.insert(*record.publisher_ip);
+    for (const TorrentRecordPod& pod : view.torrents) {
+      if (const auto ip = view.publisher_ip(pod)) publisher_ips.insert(*ip);
     }
   }
   std::unordered_set<IpAddress> consumers;
-  for (const auto& torrent_ips : dataset.downloaders) {
-    for (const IpAddress& ip : torrent_ips) {
+  for (const TorrentRecordPod& pod : view.torrents) {
+    for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
+      const IpAddress ip = view.downloader_ip(pod, i);
       if (exclude_publishers && publisher_ips.contains(ip)) continue;
       const auto loc = geo.lookup(ip);
       if (loc && loc->isp_name == isp_name) consumers.insert(ip);

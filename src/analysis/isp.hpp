@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "analysis/groups.hpp"
-#include "crawler/dataset.hpp"
 #include "geo/geo_db.hpp"
 
 namespace btpub {
@@ -24,7 +23,7 @@ struct IspShareRow {
 
 /// Table 2: the top-k ISPs by content fed, over torrents with an
 /// identified publisher IP.
-std::vector<IspShareRow> top_publisher_isps(const Dataset& dataset,
+std::vector<IspShareRow> top_publisher_isps(const CompactDatasetView& view,
                                             const GeoDb& geo, std::size_t k = 10);
 
 /// One row of Table 3 (per-ISP feeder profile).
@@ -36,15 +35,15 @@ struct IspFeederProfile {
   std::size_t distinct_locations = 0;  // (country, city) pairs
 };
 
-IspFeederProfile isp_feeder_profile(const Dataset& dataset, const GeoDb& geo,
-                                    std::string_view isp_name);
+IspFeederProfile isp_feeder_profile(const CompactDatasetView& view,
+                                    const GeoDb& geo, std::string_view isp_name);
 
 /// §3.2's closing check: how many *consumer* (downloader) IPs come from a
 /// given ISP across the whole dataset (the paper found no OVH consumers).
 /// Addresses known to belong to publishers (identified in any torrent) are
 /// excluded when `exclude_publishers` is set — presence of a publisher's
 /// own box in a swarm it seeds is not consumption.
-std::size_t consumers_from_isp(const Dataset& dataset, const GeoDb& geo,
+std::size_t consumers_from_isp(const CompactDatasetView& view, const GeoDb& geo,
                                std::string_view isp_name,
                                bool exclude_publishers = true);
 

@@ -5,14 +5,12 @@
 namespace btpub {
 
 std::vector<PublisherHistory> publisher_histories(
-    const Dataset& dataset, const ClassificationResult& classification) {
+    const CompactDatasetView& view, const ClassificationResult& classification) {
   std::vector<PublisherHistory> histories;
   for (const PublisherProfile& profile : classification.profiles) {
-    const auto it = dataset.user_pages.find(profile.username);
-    if (it == dataset.user_pages.end() || it->second.publish_times.empty()) {
-      continue;
-    }
-    const auto& times = it->second.publish_times;
+    const UserPagePod* page = view.find_user(profile.username);
+    if (page == nullptr || page->publish_times.size() == 0) continue;
+    const auto times = view.publish_times_of(*page);
     PublisherHistory history;
     history.username = profile.username;
     history.cls = profile.cls;
@@ -27,8 +25,8 @@ std::vector<PublisherHistory> publisher_histories(
 }
 
 std::vector<LongitudinalRow> longitudinal_table(
-    const Dataset& dataset, const ClassificationResult& classification) {
-  const auto histories = publisher_histories(dataset, classification);
+    const CompactDatasetView& view, const ClassificationResult& classification) {
+  const auto histories = publisher_histories(view, classification);
   std::vector<LongitudinalRow> rows;
   for (const BusinessClass cls :
        {BusinessClass::BtPortal, BusinessClass::OtherWeb, BusinessClass::Altruistic}) {

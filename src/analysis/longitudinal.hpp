@@ -30,10 +30,10 @@ struct LongitudinalRow {
 /// Per-publisher histories for all classified top publishers. Publishers
 /// whose user page is missing (e.g. already purged) are skipped.
 std::vector<PublisherHistory> publisher_histories(
-    const Dataset& dataset, const ClassificationResult& classification);
+    const CompactDatasetView& view, const ClassificationResult& classification);
 
 /// The Table-4 rows (BT Portals / Other Web Sites / Altruistic).
 std::vector<LongitudinalRow> longitudinal_table(
-    const Dataset& dataset, const ClassificationResult& classification);
+    const CompactDatasetView& view, const ClassificationResult& classification);
 
 }  // namespace btpub

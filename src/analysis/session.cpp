@@ -3,89 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/parallel.hpp"
-
 namespace btpub {
-namespace {
-
-/// Shared metric computation over any sightings source: a callable
-/// mapping a torrent index to its std::span<const SimTime> sightings.
-template <typename SightingsOf>
-SeedingMetrics seeding_metrics_impl(SightingsOf&& sightings_of,
-                                    std::span<const std::size_t> torrent_indices,
-                                    SimDuration offline_gap) {
-  SeedingMetrics metrics;
-  std::vector<Interval> all_sessions;
-  double total_seeded_hours = 0.0;
-  for (const std::size_t index : torrent_indices) {
-    const std::span<const SimTime> sightings = sightings_of(index);
-    if (sightings.empty()) continue;
-    const auto sessions = reconstruct_sessions(sightings, offline_gap);
-    SimDuration torrent_total = 0;
-    for (const Interval& s : sessions) torrent_total += s.length();
-    total_seeded_hours += to_hours(torrent_total);
-    all_sessions.insert(all_sessions.end(), sessions.begin(), sessions.end());
-    ++metrics.torrents_with_data;
-  }
-  if (metrics.torrents_with_data == 0) return metrics;
-  metrics.avg_seeding_hours =
-      total_seeded_hours / static_cast<double>(metrics.torrents_with_data);
-  metrics.aggregated_session_hours = to_hours(union_length(all_sessions));
-  metrics.avg_parallel_torrents =
-      metrics.aggregated_session_hours > 0.0
-          ? total_seeded_hours / metrics.aggregated_session_hours
-          : 0.0;
-  return metrics;
-}
-
-template <typename SightingsOf>
-std::vector<SeedingBox> seeding_panel_impl(SightingsOf&& sightings_of,
-                                           const IdentityAnalysis& identity,
-                                           std::size_t all_sample, Rng& rng,
-                                           SimDuration offline_gap,
-                                           std::size_t threads) {
-  std::vector<SeedingBox> panel;
-  for (const TargetGroup group : {TargetGroup::All, TargetGroup::Fake,
-                                  TargetGroup::Top, TargetGroup::TopHP,
-                                  TargetGroup::TopCI}) {
-    std::vector<const UsernameStats*> members = identity.members(group);
-    // The subsample draw happens before the fan-out, in group order — the
-    // rng consumption sequence is the serial one at any thread count.
-    if (group == TargetGroup::All && all_sample > 0 &&
-        members.size() > all_sample) {
-      std::vector<const UsernameStats*> chosen;
-      chosen.reserve(all_sample);
-      for (std::size_t i : rng.sample_indices(members.size(), all_sample)) {
-        chosen.push_back(members[i]);
-      }
-      members.swap(chosen);
-    }
-    // Each publisher's metrics are a pure function of its own sightings;
-    // workers write disjoint slots, the fold below runs serially in order.
-    std::vector<SeedingMetrics> metrics(members.size());
-    parallel_for_each_index(members.size(), threads, [&](std::size_t i) {
-      metrics[i] =
-          seeding_metrics_impl(sightings_of, members[i]->torrents, offline_gap);
-    });
-    std::vector<double> seeding_hours, parallel, aggregated;
-    for (const SeedingMetrics& m : metrics) {
-      if (m.torrents_with_data == 0) continue;
-      seeding_hours.push_back(m.avg_seeding_hours);
-      parallel.push_back(m.avg_parallel_torrents);
-      aggregated.push_back(m.aggregated_session_hours);
-    }
-    SeedingBox box;
-    box.group = group;
-    box.publishers = seeding_hours.size();
-    box.seeding_time_hours = box_stats(seeding_hours);
-    box.parallel_torrents = box_stats(parallel);
-    box.aggregated_session_hours = box_stats(aggregated);
-    panel.push_back(std::move(box));
-  }
-  return panel;
-}
-
-}  // namespace
 
 double discovery_probability(double w, double n, std::size_t m) {
   if (n <= 0.0 || w <= 0.0) return 0.0;
@@ -168,48 +86,69 @@ SimDuration union_length(std::vector<Interval> intervals) {
   return total;
 }
 
-SeedingMetrics seeding_metrics(const Dataset& dataset,
-                               std::span<const std::size_t> torrent_indices,
-                               SimDuration offline_gap) {
-  return seeding_metrics_impl(
-      [&dataset](std::size_t index) {
-        return std::span<const SimTime>(dataset.publisher_sightings[index]);
-      },
-      torrent_indices, offline_gap);
-}
-
 SeedingMetrics seeding_metrics(const CompactDatasetView& view,
                                std::span<const std::size_t> torrent_indices,
                                SimDuration offline_gap) {
-  return seeding_metrics_impl(
-      [&view](std::size_t index) {
-        return view.sightings_of(view.torrents[index]);
-      },
-      torrent_indices, offline_gap);
-}
-
-std::vector<SeedingBox> seeding_panel(const Dataset& dataset,
-                                      const IdentityAnalysis& identity,
-                                      std::size_t all_sample, Rng& rng,
-                                      SimDuration offline_gap,
-                                      std::size_t threads) {
-  return seeding_panel_impl(
-      [&dataset](std::size_t index) {
-        return std::span<const SimTime>(dataset.publisher_sightings[index]);
-      },
-      identity, all_sample, rng, offline_gap, threads);
+  SeedingMetrics metrics;
+  std::vector<Interval> all_sessions;
+  double total_seeded_hours = 0.0;
+  for (const std::size_t index : torrent_indices) {
+    const std::span<const SimTime> sightings =
+        view.sightings_of(view.torrents[index]);
+    if (sightings.empty()) continue;
+    const auto sessions = reconstruct_sessions(sightings, offline_gap);
+    SimDuration torrent_total = 0;
+    for (const Interval& s : sessions) torrent_total += s.length();
+    total_seeded_hours += to_hours(torrent_total);
+    all_sessions.insert(all_sessions.end(), sessions.begin(), sessions.end());
+    ++metrics.torrents_with_data;
+  }
+  if (metrics.torrents_with_data == 0) return metrics;
+  metrics.avg_seeding_hours =
+      total_seeded_hours / static_cast<double>(metrics.torrents_with_data);
+  metrics.aggregated_session_hours = to_hours(union_length(all_sessions));
+  metrics.avg_parallel_torrents =
+      metrics.aggregated_session_hours > 0.0
+          ? total_seeded_hours / metrics.aggregated_session_hours
+          : 0.0;
+  return metrics;
 }
 
 std::vector<SeedingBox> seeding_panel(const CompactDatasetView& view,
                                       const IdentityAnalysis& identity,
                                       std::size_t all_sample, Rng& rng,
-                                      SimDuration offline_gap,
-                                      std::size_t threads) {
-  return seeding_panel_impl(
-      [&view](std::size_t index) {
-        return view.sightings_of(view.torrents[index]);
-      },
-      identity, all_sample, rng, offline_gap, threads);
+                                      SimDuration offline_gap) {
+  std::vector<SeedingBox> panel;
+  for (const TargetGroup group : {TargetGroup::All, TargetGroup::Fake,
+                                  TargetGroup::Top, TargetGroup::TopHP,
+                                  TargetGroup::TopCI}) {
+    std::vector<const UsernameStats*> members = identity.members(group);
+    if (group == TargetGroup::All && all_sample > 0 &&
+        members.size() > all_sample) {
+      std::vector<const UsernameStats*> chosen;
+      chosen.reserve(all_sample);
+      for (std::size_t i : rng.sample_indices(members.size(), all_sample)) {
+        chosen.push_back(members[i]);
+      }
+      members.swap(chosen);
+    }
+    std::vector<double> seeding_hours, parallel, aggregated;
+    for (const UsernameStats* member : members) {
+      const SeedingMetrics m = seeding_metrics(view, member->torrents, offline_gap);
+      if (m.torrents_with_data == 0) continue;
+      seeding_hours.push_back(m.avg_seeding_hours);
+      parallel.push_back(m.avg_parallel_torrents);
+      aggregated.push_back(m.aggregated_session_hours);
+    }
+    SeedingBox box;
+    box.group = group;
+    box.publishers = seeding_hours.size();
+    box.seeding_time_hours = box_stats(seeding_hours);
+    box.parallel_torrents = box_stats(parallel);
+    box.aggregated_session_hours = box_stats(aggregated);
+    panel.push_back(std::move(box));
+  }
+  return panel;
 }
 
 }  // namespace btpub

@@ -60,14 +60,8 @@ struct SeedingMetrics {
   std::size_t torrents_with_data = 0;
 };
 
-/// Computes the metrics for one publisher given the dataset and the
-/// indices of its torrents.
-SeedingMetrics seeding_metrics(const Dataset& dataset,
-                               std::span<const std::size_t> torrent_indices,
-                               SimDuration offline_gap = hours(4));
-
-/// Span-native overload: sightings come straight from the flat sightings
-/// array via per-torrent [begin, end) spans — no Dataset inflation.
+/// Computes the metrics for one publisher given the indices of its
+/// torrents; sightings come from the view's flat sightings array.
 SeedingMetrics seeding_metrics(const CompactDatasetView& view,
                                std::span<const std::size_t> torrent_indices,
                                SimDuration offline_gap = hours(4));
@@ -83,22 +77,10 @@ struct SeedingBox {
   std::size_t publishers = 0;
 };
 
-/// `threads` fans the per-publisher session reconstruction out over a
-/// worker pool (0 = hardware concurrency). The "All" subsample is drawn
-/// from `rng` before any parallel work, and each publisher's metrics are
-/// a pure function of its sightings written to its own result slot — so
-/// the panel is byte-identical to a serial run at any thread count.
-std::vector<SeedingBox> seeding_panel(const Dataset& dataset,
-                                      const IdentityAnalysis& identity,
-                                      std::size_t all_sample, Rng& rng,
-                                      SimDuration offline_gap = hours(4),
-                                      std::size_t threads = 1);
-
-/// Span-native overload of the Figure-4 panel.
+/// The "All" subsample is drawn from `rng` in group order.
 std::vector<SeedingBox> seeding_panel(const CompactDatasetView& view,
                                       const IdentityAnalysis& identity,
                                       std::size_t all_sample, Rng& rng,
-                                      SimDuration offline_gap = hours(4),
-                                      std::size_t threads = 1);
+                                      SimDuration offline_gap = hours(4));
 
 }  // namespace btpub

@@ -1,7 +1,7 @@
 // streaming_classifier.hpp — the real-time publisher classifier (§4.5).
 //
 // The batch pipeline answers "fake / top / altruistic?" only after a crawl
-// has finished: IdentityAnalysis aggregates a complete Dataset, then
+// has finished: IdentityAnalysis aggregates a complete dataset view, then
 // classify_top_publishers replays the downloader experience. This class is
 // the crawl-time equivalent: it implements CrawlObserver, consumes the
 // observation stream from either vantage (or both) while crawling, and can

@@ -24,22 +24,31 @@ std::uint64_t fnv1a(std::string_view s) noexcept {
   throw std::runtime_error(std::string("compact_dataset: corrupt view: ") + what);
 }
 
-std::string_view checked_str(const CompactDatasetView& view, StrRef ref,
-                             const char* what) {
+void check_str(const CompactDatasetView& view, StrRef ref, const char* what) {
   if (std::uint64_t{ref.offset} + ref.length > view.text.size()) corrupt(what);
-  return view.str(ref);
 }
 
 void check_span(Span32 span, std::size_t limit, const char* what) {
   if (span.begin > span.end || span.end > limit) corrupt(what);
 }
 
-/// Casts an on-disk enum byte after checking it names a value of `Enum`,
-/// whose values run from 0 to `last`.
+/// Sighting and publish times further than this from the epoch (~285
+/// million years of seconds) can only come from corruption. The bound
+/// keeps the differences and sums the session and longitudinal passes
+/// compute far from int64 overflow.
+constexpr SimTime kMaxAbsTime = SimTime{1} << 53;
+
+void check_times(std::span<const SimTime> times, const char* what) {
+  for (const SimTime t : times) {
+    if (t > kMaxAbsTime || t < -kMaxAbsTime) corrupt(what);
+  }
+}
+
+/// Checks an on-disk enum byte names a value of an enum whose values run
+/// from 0 to `last`.
 template <typename Enum>
-Enum checked_enum(std::uint8_t raw, Enum last, const char* what) {
+void check_enum(std::uint8_t raw, Enum last, const char* what) {
   if (raw > static_cast<std::uint8_t>(last)) corrupt(what);
-  return static_cast<Enum>(raw);
 }
 
 }  // namespace
@@ -72,7 +81,6 @@ std::size_t CompactDatasetView::with_publisher_ip() const noexcept {
 std::size_t CompactDatasetView::distinct_ips_global() const {
   std::unordered_set<IpAddress> ips;
   for (const TorrentRecordPod& r : torrents) {
-    check_span(r.downloaders, peer_blob.size() / 6, "downloader span");
     for (std::uint32_t i = 0; i < r.downloaders.size(); ++i) {
       ips.insert(downloader_ip(r, i));
     }
@@ -266,7 +274,36 @@ CompactDataset compact_dataset(const Dataset& dataset) {
   return builder.finish();
 }
 
+void validate(const CompactDatasetView& view) {
+  const std::size_t peer_entries = view.peer_blob.size() / 6;
+  for (const TorrentRecordPod& pod : view.torrents) {
+    check_str(view, pod.title, "title ref");
+    check_str(view, pod.username, "username ref");
+    check_str(view, pod.textbox, "textbox ref");
+    check_enum(pod.category, ContentCategory::Other, "category");
+    check_enum(pod.language, Language::Other, "language");
+    check_span(pod.payload_filenames, view.filename_refs.size(), "filename span");
+    check_span(pod.downloaders, peer_entries, "downloader span");
+    check_span(pod.sightings, view.sightings.size(), "sighting span");
+  }
+  for (const StrRef ref : view.filename_refs) {
+    check_str(view, ref, "filename ref");
+  }
+  for (const UserPagePod& pod : view.user_pages) {
+    check_str(view, pod.username, "user-page name");
+    check_span(pod.publish_times, view.user_publish_times.size(),
+               "publish-times span");
+  }
+  check_times(view.sightings, "sighting time");
+  check_times(view.user_publish_times, "publish time");
+}
+
 Dataset inflate(const CompactDatasetView& view) {
+  validate(view);
+  return inflate_validated(view);
+}
+
+Dataset inflate_validated(const CompactDatasetView& view) {
   Dataset dataset;
   dataset.name = std::string(view.name);
   dataset.style = view.style;
@@ -277,26 +314,22 @@ Dataset inflate(const CompactDatasetView& view) {
   dataset.torrents.reserve(n);
   dataset.downloaders.reserve(n);
   dataset.publisher_sightings.reserve(n);
-  const std::size_t peer_entries = view.peer_blob.size() / 6;
   for (const TorrentRecordPod& pod : view.torrents) {
     TorrentRecord r;
     r.portal_id = pod.portal_id;
     r.infohash.bytes = pod.infohash;
-    r.title = std::string(checked_str(view, pod.title, "title ref"));
-    r.category = checked_enum(pod.category, ContentCategory::Other, "category");
-    r.language = checked_enum(pod.language, Language::Other, "language");
+    r.title = std::string(view.title(pod));
+    r.category = static_cast<ContentCategory>(pod.category);
+    r.language = static_cast<Language>(pod.language);
     r.size_bytes = pod.size_bytes;
-    r.username = std::string(checked_str(view, pod.username, "username ref"));
-    if (pod.flags & TorrentRecordPod::kHasPublisherIp) {
-      r.publisher_ip = IpAddress(pod.publisher_ip);
-    }
+    r.username = std::string(view.username(pod));
+    r.publisher_ip = view.publisher_ip(pod);
     r.published_at = pod.published_at;
     r.first_seen = pod.first_seen;
-    r.textbox = std::string(checked_str(view, pod.textbox, "textbox ref"));
-    check_span(pod.payload_filenames, view.filename_refs.size(), "filename span");
+    r.textbox = std::string(view.textbox(pod));
     r.payload_filenames.reserve(pod.payload_filenames.size());
     for (const StrRef ref : view.filenames_of(pod)) {
-      r.payload_filenames.emplace_back(checked_str(view, ref, "filename ref"));
+      r.payload_filenames.emplace_back(view.str(ref));
     }
     r.piece_count = static_cast<std::size_t>(pod.piece_count);
     r.observed_removed = (pod.flags & TorrentRecordPod::kObservedRemoved) != 0;
@@ -307,7 +340,6 @@ Dataset inflate(const CompactDatasetView& view) {
     r.max_concurrent = pod.max_concurrent;
     dataset.torrents.push_back(std::move(r));
 
-    check_span(pod.downloaders, peer_entries, "downloader span");
     std::vector<IpAddress> ips;
     ips.reserve(pod.downloaders.size());
     for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
@@ -315,7 +347,6 @@ Dataset inflate(const CompactDatasetView& view) {
     }
     dataset.downloaders.push_back(std::move(ips));
 
-    check_span(pod.sightings, view.sightings.size(), "sighting span");
     const auto sightings = view.sightings_of(pod);
     dataset.publisher_sightings.emplace_back(sightings.begin(), sightings.end());
   }
@@ -323,13 +354,9 @@ Dataset inflate(const CompactDatasetView& view) {
   dataset.user_pages.reserve(view.user_pages.size());
   for (const UserPagePod& pod : view.user_pages) {
     UserPage page;
-    page.username = std::string(checked_str(view, pod.username, "user-page name"));
+    page.username = std::string(view.str(pod.username));
     page.banned = (pod.flags & UserPagePod::kBanned) != 0;
-    check_span(pod.publish_times, view.user_publish_times.size(),
-               "publish-times span");
-    const auto times =
-        view.user_publish_times.subspan(pod.publish_times.begin,
-                                        pod.publish_times.size());
+    const auto times = view.publish_times_of(pod);
     page.publish_times.assign(times.begin(), times.end());
     dataset.user_pages.emplace(page.username, std::move(page));
   }

@@ -23,12 +23,14 @@
 // Conversion Dataset ⇄ CompactDataset is lossless, and CompactDatasetView
 // exposes the arrays as spans without owning them — the same view type
 // reads an in-memory CompactDataset or an mmap-ed snapshot
-// (dataset_mmap.hpp) byte-for-byte identically, so analysis consumers
-// (IdentityAnalysis distinct-IP counting) run with zero inflation.
+// (dataset_mmap.hpp) byte-for-byte identically. The view is the batch
+// analysis layer's only input type; every pass reads it with zero
+// inflation.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -124,6 +126,11 @@ struct CompactDatasetView {
   std::string_view textbox(const TorrentRecordPod& r) const noexcept {
     return str(r.textbox);
   }
+  /// The identified publisher IP, when the bitfield probe found one.
+  std::optional<IpAddress> publisher_ip(const TorrentRecordPod& r) const noexcept {
+    if ((r.flags & TorrentRecordPod::kHasPublisherIp) == 0) return std::nullopt;
+    return IpAddress(r.publisher_ip);
+  }
 
   /// Decodes downloader entry `i` of a torrent's span (BEP-23 big-endian).
   IpAddress downloader_ip(const TorrentRecordPod& r, std::uint32_t i) const noexcept {
@@ -142,6 +149,10 @@ struct CompactDatasetView {
     return filename_refs.subspan(r.payload_filenames.begin,
                                  r.payload_filenames.size());
   }
+  std::span<const SimTime> publish_times_of(const UserPagePod& p) const noexcept {
+    return user_publish_times.subspan(p.publish_times.begin,
+                                      p.publish_times.size());
+  }
 
   /// Binary search over the username-sorted user pages.
   const UserPagePod* find_user(std::string_view username) const noexcept;
@@ -150,7 +161,6 @@ struct CompactDatasetView {
   std::size_t torrent_count() const noexcept { return torrents.size(); }
   std::size_t with_username() const noexcept;
   std::size_t with_publisher_ip() const noexcept;
-  /// Throws std::runtime_error on a downloader span outside peer_blob.
   std::size_t distinct_ips_global() const;
   std::size_t ip_observations_total() const noexcept;
 };
@@ -217,10 +227,23 @@ class CompactDatasetBuilder {
   void rehash_interns(std::size_t capacity);
 };
 
-/// Lossless conversions. inflate() bounds-checks every reference and enum
-/// byte and throws std::runtime_error on a corrupt view (the mmap loader
-/// relies on this as its deep-validation pass).
+/// Checks that every StrRef lies inside the text arena, every Span32
+/// (payload filenames, downloaders, sightings, user-page publish times)
+/// inside its flat array, every category/language byte names an enum
+/// value, and every sighting and publish time lies within ±2^53 seconds;
+/// throws std::runtime_error naming the first bad field. One O(n) pass:
+/// once it has passed, the view's unchecked accessors are in bounds and
+/// time arithmetic cannot overflow, so the analysis passes read it without
+/// per-record checks.
+void validate(const CompactDatasetView& view);
+
+/// Lossless conversions. inflate() validates the view first and throws
+/// std::runtime_error on a corrupt one.
 CompactDataset compact_dataset(const Dataset& dataset);
 Dataset inflate(const CompactDatasetView& view);
+
+/// inflate() without the validate() pass, for a view that has already
+/// passed it (a MappedDataset validates once, at open).
+Dataset inflate_validated(const CompactDatasetView& view);
 
 }  // namespace btpub

@@ -1,7 +1,7 @@
 // dataset.hpp — what a crawl produces: per-torrent records, per-torrent
 // distinct downloader IPs, publisher sighting timelines, and user-page
 // snapshots. This is the *observed* world; the analysis pipeline consumes
-// nothing else.
+// nothing else, in its struct-of-arrays form (compact_dataset.hpp).
 #pragma once
 
 #include <cstdint>

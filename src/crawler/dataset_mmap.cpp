@@ -160,8 +160,13 @@ void save_mmap_snapshot(const CompactDataset& dataset, std::ostream& out) {
 }
 
 void save_mmap_snapshot(const CompactDataset& dataset, const std::string& path) {
+  errno = 0;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) fail("cannot open " + path + " for writing");
+  if (!out) {
+    const int err = errno;
+    fail("cannot open " + path + " for writing (errno " + std::to_string(err) +
+         ": " + (err != 0 ? std::strerror(err) : "-") + ")");
+  }
   save_mmap_snapshot(dataset, out);
 }
 
@@ -288,6 +293,13 @@ void MappedDataset::validate_and_fixup(const std::string& path) {
                              alignof(SimTime));
   view_.user_publish_times = {reinterpret_cast<const SimTime*>(times.first),
                               times.second / sizeof(SimTime)};
+
+  // The per-record pass: after it, every accessor of the view is in bounds.
+  try {
+    validate(view_);
+  } catch (const std::runtime_error& e) {
+    fail(path + ": " + e.what());
+  }
 }
 
 MappedDataset::~MappedDataset() {
@@ -314,11 +326,11 @@ MappedDataset& MappedDataset::operator=(MappedDataset&& other) noexcept {
   return *this;
 }
 
-Dataset load_or_generate(const std::string& path,
-                         const std::function<Dataset()>& generate) {
+MappedDataset load_or_generate(const std::string& path,
+                               const std::function<Dataset()>& generate) {
   if (std::filesystem::exists(path)) {
     try {
-      return MappedDataset(path).to_dataset();
+      return MappedDataset(path);
     } catch (const std::exception& e) {
       std::fprintf(stderr,
                    "[btpub] warning: rejected cached dataset %s: %s; "
@@ -326,22 +338,15 @@ Dataset load_or_generate(const std::string& path,
                    path.c_str(), e.what());
     }
   }
-  Dataset dataset = generate();
-  // Caching is best effort — the dataset is returned either way — but a
-  // silent failure makes every run a cold cache, so say why it failed.
-  try {
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent);
-    errno = 0;
-    save_mmap_snapshot(dataset, path);
-  } catch (const std::exception& e) {
-    const int err = errno;
-    std::fprintf(stderr,
-                 "[btpub] warning: could not cache dataset to %s: %s "
-                 "(errno %d: %s)\n",
-                 path.c_str(), e.what(), err, err != 0 ? std::strerror(err) : "-");
+  const auto parent = std::filesystem::path(path).parent_path();
+  std::error_code ec;
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  if (ec) {
+    fail("cannot cache dataset to " + path + ": " + ec.message() +
+         " (errno " + std::to_string(ec.value()) + ")");
   }
-  return dataset;
+  save_mmap_snapshot(compact_dataset(generate()), path);
+  return MappedDataset(path);
 }
 
 }  // namespace btpub

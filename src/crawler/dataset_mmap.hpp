@@ -27,10 +27,11 @@
 // natural alignment (max 8) and keeps rows cacheline-aligned, so the
 // mapped arrays can be reinterpreted in place on any little-endian host.
 //
-// Validation on load is O(1) in the dataset size: magic/version/section
-// bounds/alignment/divisibility and the Meta style byte. Per-record
-// references and enum bytes are validated by the consumers that walk them
-// (inflate() checks everything), so a zero-copy open stays zero-copy.
+// Validation on open has two parts. The O(sections) part checks magic,
+// version, section bounds, alignment, divisibility and the Meta style
+// byte. Then one O(n) pass, validate() in compact_dataset.hpp, checks every
+// per-record string reference, span and enum byte. The mapping is still
+// zero-copy, and an opened snapshot is safe to analyse through its view.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +60,9 @@ void save_mmap_snapshot(const Dataset& dataset, const std::string& path);
 /// view() exposes the arrays in place. Move-only.
 class MappedDataset {
  public:
-  /// Opens, maps and validates. Throws std::runtime_error with a specific
-  /// message on missing/truncated/corrupt/version-mismatched files.
+  /// Opens, maps and validates every record. Throws std::runtime_error
+  /// with a specific message on missing/truncated/corrupt/version-
+  /// mismatched files.
   explicit MappedDataset(const std::string& path);
   ~MappedDataset();
 
@@ -72,9 +74,8 @@ class MappedDataset {
   /// Zero-copy view into the mapping; valid while this object lives.
   const CompactDatasetView& view() const noexcept { return view_; }
 
-  /// Inflates to the pointer-heavy Dataset (compatibility path). Deep-
-  /// validates every record reference; throws on corruption.
-  Dataset to_dataset() const { return inflate(view_); }
+  /// Inflates to the pointer-heavy Dataset (for CSV export and tests).
+  Dataset to_dataset() const { return inflate_validated(view_); }
 
   std::size_t mapped_bytes() const noexcept { return size_; }
 
@@ -87,10 +88,11 @@ class MappedDataset {
 };
 
 /// Cache helper for the bench harnesses: returns the snapshot at `path`
-/// inflated when it opens and validates; otherwise says why on stderr,
-/// runs `generate`, saves the result to `path` (best effort, warning on
-/// failure) and returns it.
-Dataset load_or_generate(const std::string& path,
-                         const std::function<Dataset()>& generate);
+/// when it opens and validates; otherwise says why on stderr, runs
+/// `generate`, saves the result to `path` and returns it reopened from
+/// there. A failed save throws std::runtime_error naming the path and the
+/// errno, since there is no snapshot to return.
+MappedDataset load_or_generate(const std::string& path,
+                               const std::function<Dataset()>& generate);
 
 }  // namespace btpub

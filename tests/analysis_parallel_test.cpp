@@ -1,11 +1,8 @@
-// Determinism proof for the parallel batch-analysis engine: every analysis
-// pass — identity tables, business classification, the seeding panel,
-// downloader demographics, top-publisher consumption — produces results
-// byte-identical to a serial run at any thread count, over all three data
-// sources (pointer-heavy Dataset, in-memory CompactDataset view, and an
-// mmap-ed snapshot reloaded from disk). Shards cover contiguous index
-// spans and merge back in span order; RNG-consuming passes draw serially
-// before fanning out; these tests pin both contracts.
+// Determinism proof for the batch-analysis layer. Downloader demographics,
+// the one threaded pass, is byte-identical to a serial run at any thread
+// count: its shards cover contiguous index spans and merge back in span
+// order. And every pass gives identical results on an in-memory
+// CompactDataset view and on the mmap-ed snapshot reloaded from it.
 //
 // Thread count for the parallel side defaults to 4 and can be overridden
 // with BTPUB_TEST_THREADS (the TSan CI job exercises 4).
@@ -156,8 +153,7 @@ class AnalysisParallelTest : public ::testing::Test {
   static void SetUpTestSuite() {
     ecosystem_ = new Ecosystem(small_scenario());
     ecosystem_->build();
-    dataset_ = new Dataset(ecosystem_->crawl());
-    compact_ = new CompactDataset(compact_dataset(*dataset_));
+    compact_ = new CompactDataset(compact_dataset(ecosystem_->crawl()));
     mmap_path_ = (std::filesystem::temp_directory_path() /
                   "btpub_analysis_parallel_test.mmap")
                      .string();
@@ -167,11 +163,9 @@ class AnalysisParallelTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete mapped_;
     delete compact_;
-    delete dataset_;
     delete ecosystem_;
     mapped_ = nullptr;
     compact_ = nullptr;
-    dataset_ = nullptr;
     ecosystem_ = nullptr;
     std::filesystem::remove(mmap_path_);
   }
@@ -179,134 +173,66 @@ class AnalysisParallelTest : public ::testing::Test {
   static const GeoDb& geo() { return ecosystem_->geo(); }
 
   static Ecosystem* ecosystem_;
-  static Dataset* dataset_;
   static CompactDataset* compact_;
   static MappedDataset* mapped_;
   static std::string mmap_path_;
 };
 
 Ecosystem* AnalysisParallelTest::ecosystem_ = nullptr;
-Dataset* AnalysisParallelTest::dataset_ = nullptr;
 CompactDataset* AnalysisParallelTest::compact_ = nullptr;
 MappedDataset* AnalysisParallelTest::mapped_ = nullptr;
 std::string AnalysisParallelTest::mmap_path_;
 
-TEST_F(AnalysisParallelTest, IdentityByteIdenticalAcrossThreads) {
-  const IdentityAnalysis serial(*dataset_, geo(), 100, {}, 1);
-  // 3 is deliberately coprime with typical torrent counts: shard
-  // boundaries land mid-run everywhere, so any merge-order dependence
-  // would show.
-  for (const std::size_t threads : {std::size_t{3}, parallel_threads()}) {
-    expect_identity_eq(serial, IdentityAnalysis(*dataset_, geo(), 100, {}, threads),
-                       "dataset @" + std::to_string(threads));
-  }
-}
-
-TEST_F(AnalysisParallelTest, IdentityByteIdenticalAcrossSources) {
-  const IdentityAnalysis serial(*dataset_, geo(), 100, {}, 1);
-  const std::size_t threads = parallel_threads();
-  expect_identity_eq(
-      serial, IdentityAnalysis(compact_->view(), geo(), 100, {}, threads),
-      "compact view");
-  expect_identity_eq(
-      serial, IdentityAnalysis(mapped_->view(), geo(), 100, {}, threads),
-      "mmap reload");
-}
-
-TEST_F(AnalysisParallelTest, ClassifyByteIdentical) {
-  const IdentityAnalysis identity(*dataset_, geo(), 100, {}, 1);
-  const WebsiteDirectory& websites = ecosystem_->websites();
-  // The torrent sample is drawn serially in top() order before the
-  // fan-out, so the same-seeded rng must land on the same torrents at
-  // every thread count.
-  auto classify_dataset = [&](std::size_t threads) {
-    Rng rng(123);
-    return classify_top_publishers(*dataset_, identity, websites, 2, rng,
-                                   threads);
-  };
-  const ClassificationResult serial = classify_dataset(1);
-  expect_profiles_eq(serial, classify_dataset(parallel_threads()),
-                     "dataset parallel");
+TEST_F(AnalysisParallelTest, DemographicsByteIdenticalAcrossThreads) {
   for (const CompactDatasetView& view : {compact_->view(), mapped_->view()}) {
-    Rng rng(123);
-    expect_profiles_eq(serial,
-                       classify_top_publishers(view, identity, websites, 2,
-                                               rng, parallel_threads()),
-                       "view parallel");
-  }
-}
-
-TEST_F(AnalysisParallelTest, SeedingPanelByteIdentical) {
-  const IdentityAnalysis identity(*dataset_, geo(), 100, {}, 1);
-  auto panel_dataset = [&](std::size_t threads) {
-    Rng rng(99);
-    return seeding_panel(*dataset_, identity, 50, rng, hours(4), threads);
-  };
-  const auto serial = panel_dataset(1);
-  expect_panel_eq(serial, panel_dataset(parallel_threads()), "dataset parallel");
-  for (const CompactDatasetView& view : {compact_->view(), mapped_->view()}) {
-    Rng rng(99);
-    expect_panel_eq(serial,
-                    seeding_panel(view, identity, 50, rng, hours(4),
-                                  parallel_threads()),
-                    "view parallel");
-  }
-}
-
-TEST_F(AnalysisParallelTest, SeedingMetricsMatchAcrossSources) {
-  const IdentityAnalysis identity(*dataset_, geo(), 100, {}, 1);
-  for (const UsernameStats& stats : identity.usernames()) {
-    const SeedingMetrics a = seeding_metrics(*dataset_, stats.torrents);
-    for (const CompactDatasetView& view : {compact_->view(), mapped_->view()}) {
-      const SeedingMetrics b = seeding_metrics(view, stats.torrents);
-      ASSERT_EQ(a.avg_seeding_hours, b.avg_seeding_hours) << stats.username;
-      ASSERT_EQ(a.avg_parallel_torrents, b.avg_parallel_torrents)
-          << stats.username;
-      ASSERT_EQ(a.aggregated_session_hours, b.aggregated_session_hours)
-          << stats.username;
-      ASSERT_EQ(a.torrents_with_data, b.torrents_with_data) << stats.username;
+    const DownloaderDemographics serial = downloader_demographics(view, geo(), 10, 1);
+    // 3 is deliberately coprime with typical torrent counts: shard
+    // boundaries land mid-run everywhere, so any merge-order dependence
+    // would show. 0 resolves to hardware concurrency.
+    for (const std::size_t threads :
+         {std::size_t{0}, std::size_t{3}, parallel_threads()}) {
+      expect_demographics_eq(serial,
+                             downloader_demographics(view, geo(), 10, threads),
+                             "@" + std::to_string(threads));
     }
   }
 }
 
-TEST_F(AnalysisParallelTest, DemographicsByteIdentical) {
-  const DownloaderDemographics serial =
-      downloader_demographics(*dataset_, geo(), 10, 1);
-  expect_demographics_eq(
-      serial, downloader_demographics(*dataset_, geo(), 10, parallel_threads()),
-      "dataset parallel");
-  for (const CompactDatasetView& view : {compact_->view(), mapped_->view()}) {
-    expect_demographics_eq(
-        serial, downloader_demographics(view, geo(), 10, parallel_threads()),
-        "view parallel");
-  }
-}
+TEST_F(AnalysisParallelTest, EveryPassIdenticalOnMmapReload) {
+  const CompactDatasetView memory = compact_->view();
+  const CompactDatasetView mapped = mapped_->view();
+  const IdentityAnalysis identity(memory, geo(), 100);
+  expect_identity_eq(identity, IdentityAnalysis(mapped, geo(), 100), "identity");
 
-TEST_F(AnalysisParallelTest, ConsumptionByteIdentical) {
-  const IdentityAnalysis identity(*dataset_, geo(), 100, {}, 1);
-  const TopConsumptionStats serial =
-      top_publisher_consumption(*dataset_, identity, 100, 1);
-  auto expect_eq = [&](const TopConsumptionStats& other,
-                       const std::string& what) {
-    EXPECT_EQ(serial.considered, other.considered) << what;
-    EXPECT_EQ(serial.zero_downloads, other.zero_downloads) << what;
-    EXPECT_EQ(serial.under_five_downloads, other.under_five_downloads) << what;
-  };
-  expect_eq(top_publisher_consumption(*dataset_, identity, 100,
-                                      parallel_threads()),
-            "dataset parallel");
-  for (const CompactDatasetView& view : {compact_->view(), mapped_->view()}) {
-    expect_eq(top_publisher_consumption(view, identity, 100, parallel_threads()),
-              "view parallel");
-  }
-}
+  const WebsiteDirectory& websites = ecosystem_->websites();
+  Rng rng_memory(123), rng_mapped(123);
+  expect_profiles_eq(
+      classify_top_publishers(memory, identity, websites, 2, rng_memory),
+      classify_top_publishers(mapped, identity, websites, 2, rng_mapped),
+      "classify");
 
-TEST_F(AnalysisParallelTest, ZeroThreadsMeansHardwareConcurrency) {
-  // threads = 0 resolves to hardware concurrency; the result must still be
-  // the serial bytes.
-  expect_identity_eq(IdentityAnalysis(*dataset_, geo(), 100, {}, 1),
-                     IdentityAnalysis(*dataset_, geo(), 100, {}, 0),
-                     "threads=0");
+  Rng panel_memory(99), panel_mapped(99);
+  expect_panel_eq(seeding_panel(memory, identity, 50, panel_memory),
+                  seeding_panel(mapped, identity, 50, panel_mapped),
+                  "seeding panel");
+  for (const UsernameStats& stats : identity.usernames()) {
+    const SeedingMetrics a = seeding_metrics(memory, stats.torrents);
+    const SeedingMetrics b = seeding_metrics(mapped, stats.torrents);
+    ASSERT_EQ(a.avg_seeding_hours, b.avg_seeding_hours) << stats.username;
+    ASSERT_EQ(a.avg_parallel_torrents, b.avg_parallel_torrents) << stats.username;
+    ASSERT_EQ(a.aggregated_session_hours, b.aggregated_session_hours)
+        << stats.username;
+    ASSERT_EQ(a.torrents_with_data, b.torrents_with_data) << stats.username;
+  }
+
+  expect_demographics_eq(downloader_demographics(memory, geo()),
+                         downloader_demographics(mapped, geo()), "demographics");
+
+  const TopConsumptionStats a = top_publisher_consumption(memory, identity);
+  const TopConsumptionStats b = top_publisher_consumption(mapped, identity);
+  EXPECT_EQ(a.considered, b.considered);
+  EXPECT_EQ(a.zero_downloads, b.zero_downloads);
+  EXPECT_EQ(a.under_five_downloads, b.under_five_downloads);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Business classification: URL extraction channels and class assignment.
 #include "analysis/classify.hpp"
+#include "dataset_fixture.hpp"
 
 #include <gtest/gtest.h>
 
@@ -92,7 +93,7 @@ TEST(FindPromotion, NoneForCleanTorrent) {
   EXPECT_FALSE(find_promotion(record).has_value());
 }
 
-class ClassifyTest : public ::testing::Test {
+class ClassifyTest : public DatasetFixture {
  protected:
   ClassifyTest() {
     const IspId isp = geo_.add_isp("Net", IspType::CommercialIsp, "US");
@@ -138,7 +139,6 @@ class ClassifyTest : public ::testing::Test {
   }
 
   GeoDb geo_;
-  Dataset dataset_;
   WebsiteDirectory websites_;
 };
 
@@ -146,10 +146,10 @@ TEST_F(ClassifyTest, ThreeWayClassification) {
   add_torrents("portaluser", 8, "megaseed.com");
   add_torrents("galleryuser", 7, "pixsor.com");
   add_torrents("goodguy", 6, "");
-  const IdentityAnalysis identity(dataset_, geo_, 3);
+  const IdentityAnalysis identity(view(), geo_, 3);
   Rng rng(1);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(view(), identity, websites_, 5, rng);
   ASSERT_EQ(result.profiles.size(), 3u);
   std::size_t bt = 0, other = 0, altruistic = 0;
   for (const PublisherProfile& p : result.profiles) {
@@ -180,20 +180,20 @@ TEST_F(ClassifyTest, ThreeWayClassification) {
 
 TEST_F(ClassifyTest, UnknownDomainDefaultsToOtherWeb) {
   add_torrents("mystery", 5, "gone.example.com");
-  const IdentityAnalysis identity(dataset_, geo_, 1);
+  const IdentityAnalysis identity(view(), geo_, 1);
   Rng rng(2);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(view(), identity, websites_, 5, rng);
   ASSERT_EQ(result.profiles.size(), 1u);
   EXPECT_EQ(result.profiles[0].cls, BusinessClass::OtherWeb);
 }
 
 TEST_F(ClassifyTest, SamplingStillFindsConsistentPromoter) {
   add_torrents("bigpromo", 40, "megaseed.com");
-  const IdentityAnalysis identity(dataset_, geo_, 1);
+  const IdentityAnalysis identity(view(), geo_, 1);
   Rng rng(3);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 3, rng);
+      classify_top_publishers(view(), identity, websites_, 3, rng);
   ASSERT_EQ(result.profiles.size(), 1u);
   EXPECT_EQ(result.profiles[0].cls, BusinessClass::BtPortal);
   EXPECT_EQ(result.profiles[0].content_count, 40u);
@@ -202,10 +202,10 @@ TEST_F(ClassifyTest, SamplingStillFindsConsistentPromoter) {
 TEST_F(ClassifyTest, DominantLanguageDetected) {
   add_torrents("esuser", 8, "megaseed.com", Language::Spanish);
   add_torrents("enuser", 8, "pixsor.com", Language::English);
-  const IdentityAnalysis identity(dataset_, geo_, 2);
+  const IdentityAnalysis identity(view(), geo_, 2);
   Rng rng(4);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(view(), identity, websites_, 5, rng);
   for (const PublisherProfile& p : result.profiles) {
     if (p.username == "esuser") {
       ASSERT_TRUE(p.dominant_language.has_value());
@@ -219,10 +219,10 @@ TEST_F(ClassifyTest, DominantLanguageDetected) {
 TEST_F(ClassifyTest, SharesAgainstTotals) {
   add_torrents("portaluser", 10, "megaseed.com");
   add_torrents("goodguy", 5, "");
-  const IdentityAnalysis identity(dataset_, geo_, 2);
+  const IdentityAnalysis identity(view(), geo_, 2);
   Rng rng(5);
   const auto result =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(view(), identity, websites_, 5, rng);
   const auto shares = result.shares(identity.total_content(),
                                     identity.total_downloads());
   ASSERT_EQ(shares.size(), 3u);

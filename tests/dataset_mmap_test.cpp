@@ -1,20 +1,31 @@
-// Zero-copy mmap snapshot: round trips, validation, corruption handling,
-// the load_or_generate cache, and consumer identity.
+// Zero-copy mmap snapshot: round trips, validation, corruption handling
+// (including every analysis pass over mutated snapshots), the
+// load_or_generate cache, and consumer identity.
 #include "crawler/dataset_mmap.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/classify.hpp"
+#include "analysis/content_type.hpp"
+#include "analysis/contribution.hpp"
+#include "analysis/demographics.hpp"
 #include "analysis/groups.hpp"
+#include "analysis/income.hpp"
+#include "analysis/isp.hpp"
+#include "analysis/longitudinal.hpp"
+#include "analysis/popularity.hpp"
+#include "analysis/session.hpp"
 #include "crawler/compact_dataset.hpp"
 #include "util/rng.hpp"
 
@@ -69,6 +80,14 @@ Dataset sample_dataset(DatasetStyle style) {
     d.user_pages.emplace(page.username, page);
   }
   return d;
+}
+
+/// A geo database locating the sample's publisher IPs (10/8) at a host.
+GeoDb sample_geo() {
+  GeoDb geo;
+  const IspId host = geo.add_isp("HostCo", IspType::HostingProvider, "FR");
+  geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
+  return geo;
 }
 
 std::string tmp_path(const std::string& name) {
@@ -245,23 +264,40 @@ TEST(MappedDataset, RejectsCorruptSectionTable) {
   EXPECT_THROW(MappedDataset{path}, std::runtime_error);
 }
 
-TEST(MappedDataset, RejectsCorruptRecordPayloadOnInflate) {
+TEST(MappedDataset, RejectsCorruptRecordPayloadOnOpen) {
   const Dataset original = sample_dataset(DatasetStyle::Pb10);
   const std::string path = tmp_path("payload.mmap");
   save_mmap_snapshot(original, path);
   std::vector<char> bytes = slurp(path);
 
-  // Blow up the first record's title length. The O(1) open must still
-  // succeed — the mapping stays zero-copy — and the deep validation in
-  // to_dataset() must throw.
+  // Blow up the first record's title length: the per-record pass at open
+  // rejects it, naming the file and the field.
   const std::size_t pods = section_of(bytes, kTorrentPodsSection).first;
   ASSERT_NE(pods, 0u);
   put(bytes, pods + offsetof(TorrentRecordPod, title) + offsetof(StrRef, length),
       std::uint32_t{0xffffffffu});
   spit(path, bytes);
+  try {
+    const MappedDataset mapped(path);
+    FAIL() << "corrupt title ref accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("title ref"), std::string::npos) << what;
+  }
 
-  const MappedDataset mapped(path);
-  EXPECT_THROW(mapped.to_dataset(), std::runtime_error);
+  // inflate() runs the same validation over an in-memory view.
+  CompactDataset compact = compact_dataset(original);
+  compact.torrents[0].sightings.end = 1000;
+  EXPECT_THROW(validate(compact.view()), std::runtime_error);
+  EXPECT_THROW(inflate(compact.view()), std::runtime_error);
+
+  // A time whose difference with its neighbours overflows int64 is
+  // rejected before the session reconstruction can subtract it.
+  compact = compact_dataset(original);
+  ASSERT_FALSE(compact.sightings.empty());
+  compact.sightings.back() = std::numeric_limits<SimTime>::min();
+  EXPECT_THROW(validate(compact.view()), std::runtime_error);
 }
 
 TEST(MappedDataset, RejectsOutOfRangeEnumBytes) {
@@ -276,30 +312,62 @@ TEST(MappedDataset, RejectsOutOfRangeEnumBytes) {
   spit(path, bad);
   EXPECT_THROW(MappedDataset{path}, std::runtime_error);
 
-  // Per-record category and language bytes are checked by to_dataset().
+  // Per-record category and language bytes are checked by the O(n) pass.
   const std::size_t pods = section_of(bytes, kTorrentPodsSection).first;
   for (const std::size_t field : {offsetof(TorrentRecordPod, category),
                                   offsetof(TorrentRecordPod, language)}) {
     bad = bytes;
     put(bad, pods + field, std::uint8_t{0xff});
     spit(path, bad);
-    const MappedDataset mapped(path);
-    EXPECT_THROW(mapped.to_dataset(), std::runtime_error) << field;
+    EXPECT_THROW(MappedDataset{path}, std::runtime_error) << field;
   }
 }
 
-/// Writes `bytes` to `path`, opens it, counts distinct IPs on the view (as
-/// `btpub analyze` does) and inflates it. A mutated snapshot must either
-/// load or throw std::runtime_error: any other exception fails the test,
-/// and an out-of-bounds access trips the ASan/UBSan build.
-void open_and_inflate(const std::string& path, const std::vector<char>& bytes) {
-  spit(path, bytes);
-  try {
-    const MappedDataset mapped(path);
-    (void)mapped.view().distinct_ips_global();
-    (void)mapped.to_dataset();
-  } catch (const std::runtime_error&) {
+/// Runs every analysis pass over `view`, as the fig/table binaries,
+/// `btpub analyze` and the benchmark do.
+void run_every_pass(const CompactDatasetView& view) {
+  static const GeoDb geo = sample_geo();
+  static const WebsiteDirectory websites;
+  static const AppraisalPanel panel = AppraisalPanel::standard();
+  constexpr double kPercents[] = {10, 50, 100};
+  (void)view.distinct_ips_global();
+  for (const TorrentRecordPod& pod : view.torrents) (void)find_promotion(view, pod);
+  const IdentityAnalysis identity(view, geo, 10);
+  Rng rng(7);
+  const ClassificationResult classification =
+      classify_top_publishers(view, identity, websites, 3, rng);
+  for (const UsernameStats& stats : identity.usernames()) {
+    (void)seeding_metrics(view, stats.torrents);
   }
+  (void)seeding_panel(view, identity, 4, rng);
+  (void)downloader_demographics(view, geo);
+  (void)publisher_countries(view, geo);
+  (void)top_publisher_consumption(view, identity);
+  (void)top_publisher_isps(view, geo);
+  (void)isp_feeder_profile(view, geo, "HostCo");
+  (void)consumers_from_isp(view, geo, "HostCo");
+  (void)top_hosting_share(identity, geo, "HostCo");
+  (void)content_type_panel(view, identity);
+  (void)longitudinal_table(view, classification);
+  (void)money_flows(view, classification, websites, panel, geo);
+  (void)contribution_curve(identity, kPercents);
+  (void)popularity_panel(identity, 4, rng);
+}
+
+/// Writes `bytes` to `path`, opens it, runs every analysis pass on the
+/// view and inflates it. A mutated snapshot must either load or throw
+/// std::runtime_error at open: any other exception fails the test, and an
+/// out-of-bounds access trips the ASan/UBSan build.
+void open_and_analyse(const std::string& path, const std::vector<char>& bytes) {
+  spit(path, bytes);
+  std::optional<MappedDataset> mapped;
+  try {
+    mapped.emplace(path);
+  } catch (const std::runtime_error&) {
+    return;
+  }
+  run_every_pass(mapped->view());
+  (void)mapped->to_dataset();
 }
 
 TEST(MappedDataset, SeededMutationsThrowOrLoad) {
@@ -314,19 +382,19 @@ TEST(MappedDataset, SeededMutationsThrowOrLoad) {
   for (std::size_t bit = 0; bit < table_end * 8; ++bit) {
     std::vector<char> m = clean;
     m[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    open_and_inflate(path, m);
+    open_and_analyse(path, m);
   }
   for (int k = 0; k < 2000; ++k) {
     std::vector<char> m = clean;
     const std::size_t bit = rng.index(clean.size() * 8);
     m[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-    open_and_inflate(path, m);
+    open_and_analyse(path, m);
   }
 
   // Truncations at a stride co-prime with the 64-byte section alignment.
   for (std::size_t len = 0; len < clean.size(); len += 61) {
     const auto end = clean.begin() + static_cast<std::ptrdiff_t>(len);
-    open_and_inflate(path, std::vector<char>(clean.begin(), end));
+    open_and_analyse(path, std::vector<char>(clean.begin(), end));
   }
 
   // Inflated section offsets and sizes.
@@ -339,7 +407,7 @@ TEST(MappedDataset, SeededMutationsThrowOrLoad) {
       for (const std::size_t field : {std::size_t{8}, std::size_t{16}}) {
         std::vector<char> m = clean;
         put(m, entry + field, v);
-        open_and_inflate(path, m);
+        open_and_analyse(path, m);
       }
     }
   }
@@ -356,7 +424,7 @@ TEST(MappedDataset, SeededMutationsThrowOrLoad) {
              {kMax32, get<std::uint32_t>(clean, row + field) + 1}) {
           std::vector<char> m = clean;
           put(m, row + field, v);
-          open_and_inflate(path, m);
+          open_and_analyse(path, m);
         }
       }
     }
@@ -388,14 +456,14 @@ TEST(LoadOrGenerate, ColdGeneratesWarmReloads) {
     ++calls;
     return sample_dataset(DatasetStyle::Pb10);
   };
-  const Dataset first = load_or_generate(path, generate);
+  const MappedDataset first = load_or_generate(path, generate);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(first, original);
+  EXPECT_EQ(inflate(first.view()), original);
 
   // The second call is served from the snapshot; generate() is not run.
-  const Dataset second = load_or_generate(path, generate);
+  const MappedDataset second = load_or_generate(path, generate);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(second, original);
+  EXPECT_EQ(inflate(second.view()), original);
 }
 
 TEST(LoadOrGenerate, RejectedCacheWarnsAndIsReplaced) {
@@ -406,7 +474,7 @@ TEST(LoadOrGenerate, RejectedCacheWarnsAndIsReplaced) {
   }
   int calls = 0;
   ::testing::internal::CaptureStderr();
-  const Dataset d = load_or_generate(path, [&] {
+  const MappedDataset d = load_or_generate(path, [&] {
     ++calls;
     return sample_dataset(DatasetStyle::Pb10);
   });
@@ -417,11 +485,32 @@ TEST(LoadOrGenerate, RejectedCacheWarnsAndIsReplaced) {
       << err;
   EXPECT_NE(err.find("truncated"), std::string::npos) << err;
   // The garbage was replaced by a snapshot that opens and holds the data.
-  EXPECT_EQ(MappedDataset(path).to_dataset(), d);
+  EXPECT_EQ(inflate(d.view()), sample_dataset(DatasetStyle::Pb10));
+  EXPECT_EQ(MappedDataset(path).to_dataset(), sample_dataset(DatasetStyle::Pb10));
 }
 
-/// Compares the full identity analysis built from a Dataset vs the one
-/// built span-natively from a view of the same data.
+TEST(LoadOrGenerate, FailedSaveThrowsNamingPathAndErrno) {
+  // The result is read back from the saved file, so a cache that cannot
+  // be written is an error, not a warning. Here the parent "directory" is
+  // a regular file.
+  const std::string blocker = tmp_path("cache_parent_is_a_file");
+  {
+    std::ofstream out(blocker, std::ios::trunc);
+    out << "not a directory";
+  }
+  const std::string path = blocker + "/cache.mmap";
+  try {
+    (void)load_or_generate(path, [] { return sample_dataset(DatasetStyle::Pb10); });
+    FAIL() << "load_or_generate returned without a saved snapshot";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("errno " + std::to_string(ENOTDIR)), std::string::npos)
+        << what;
+  }
+}
+
+/// Compares two identity analyses field by field.
 void expect_same_analysis(const IdentityAnalysis& a, const IdentityAnalysis& b) {
   ASSERT_EQ(a.usernames().size(), b.usernames().size());
   for (std::size_t i = 0; i < a.usernames().size(); ++i) {
@@ -448,44 +537,35 @@ void expect_same_analysis(const IdentityAnalysis& a, const IdentityAnalysis& b) 
   EXPECT_EQ(a.total_downloads(), b.total_downloads());
 }
 
-TEST(IdentityAnalysis, ViewPathMatchesDatasetPath) {
-  const Dataset dataset = sample_dataset(DatasetStyle::Pb10);
-  GeoDb geo;
-  const IspId host = geo.add_isp("HostCo", IspType::HostingProvider, "FR");
-  geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
-
-  const IdentityAnalysis from_dataset(dataset, geo, 10);
-  const CompactDataset compact = compact_dataset(dataset);
+TEST(IdentityAnalysis, MmapViewMatchesCompactView) {
+  const CompactDataset compact = compact_dataset(sample_dataset(DatasetStyle::Pb10));
+  const GeoDb geo = sample_geo();
   const IdentityAnalysis from_view(compact.view(), geo, 10);
-  expect_same_analysis(from_dataset, from_view);
 
-  // And from the mmap-ed snapshot, with no inflation at all.
   const std::string path = tmp_path("identity.mmap");
-  save_mmap_snapshot(dataset, path);
+  save_mmap_snapshot(compact, path);
   const MappedDataset mapped(path);
   const IdentityAnalysis from_mmap(mapped.view(), geo, 10);
-  expect_same_analysis(from_dataset, from_mmap);
+  expect_same_analysis(from_view, from_mmap);
 }
 
 TEST(Classify, IdenticalOnReloadedDatasets) {
-  const Dataset original = sample_dataset(DatasetStyle::Pb10);
-  GeoDb geo;
-  const IspId host = geo.add_isp("HostCo", IspType::HostingProvider, "FR");
-  geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
+  const CompactDataset original = compact_dataset(sample_dataset(DatasetStyle::Pb10));
+  const GeoDb geo = sample_geo();
   WebsiteDirectory websites;
 
   const std::string path = tmp_path("classify.mmap");
   save_mmap_snapshot(original, path);
   const MappedDataset mapped(path);
-  const Dataset inflated = mapped.to_dataset();
+  const CompactDataset reinflated = compact_dataset(mapped.to_dataset());
 
-  auto classify = [&](const auto& d) {
-    const IdentityAnalysis identity(d, geo, 10);
+  auto classify = [&](const CompactDatasetView& view) {
+    const IdentityAnalysis identity(view, geo, 10);
     Rng rng(1234);
-    return classify_top_publishers(d, identity, websites, 3, rng);
+    return classify_top_publishers(view, identity, websites, 3, rng);
   };
-  const ClassificationResult a = classify(original);
-  const ClassificationResult b = classify(inflated);
+  const ClassificationResult a = classify(original.view());
+  const ClassificationResult b = classify(reinflated.view());
   const ClassificationResult c = classify(mapped.view());
 
   auto expect_same = [](const ClassificationResult& x,
@@ -504,27 +584,18 @@ TEST(Classify, IdenticalOnReloadedDatasets) {
 }
 
 TEST(Classify, OutOfRangeLanguageOnViewCountsAsOther) {
-  // The view path reads language bytes raw (only inflate() validates
-  // them), so a corrupt byte must not index past the per-language
-  // counters; it is counted as Other.
-  const std::string path = tmp_path("language.mmap");
-  save_mmap_snapshot(sample_dataset(DatasetStyle::Pb10), path);
-  std::vector<char> bytes = slurp(path);
-  const auto [pods, size] = section_of(bytes, kTorrentPodsSection);
-  for (std::size_t row = pods; row < pods + size; row += sizeof(TorrentRecordPod)) {
-    put(bytes, row + offsetof(TorrentRecordPod, language), std::uint8_t{0xff});
-  }
-  spit(path, bytes);
+  // A snapshot with bad language bytes never opens, but a hand-built view
+  // skips validate(); a corrupt byte there must not index past the
+  // per-language counters. It is counted as Other.
+  CompactDataset compact = compact_dataset(sample_dataset(DatasetStyle::Pb10));
+  for (TorrentRecordPod& pod : compact.torrents) pod.language = 0xff;
 
-  GeoDb geo;
-  const IspId host = geo.add_isp("HostCo", IspType::HostingProvider, "FR");
-  geo.add_block(CidrBlock(IpAddress(10, 0, 0, 0), 8), host, "Paris");
+  const GeoDb geo = sample_geo();
   WebsiteDirectory websites;
-  const MappedDataset mapped(path);
-  const IdentityAnalysis identity(mapped.view(), geo, 10);
+  const IdentityAnalysis identity(compact.view(), geo, 10);
   Rng rng(1234);
   const ClassificationResult result =
-      classify_top_publishers(mapped.view(), identity, websites, 3, rng);
+      classify_top_publishers(compact.view(), identity, websites, 3, rng);
   ASSERT_FALSE(result.profiles.empty());
   for (const PublisherProfile& profile : result.profiles) {
     EXPECT_EQ(profile.dominant_language, Language::Other) << profile.username;

@@ -1,12 +1,13 @@
 // Downloader/publisher demographics aggregation.
 #include "analysis/demographics.hpp"
+#include "dataset_fixture.hpp"
 
 #include <gtest/gtest.h>
 
 namespace btpub {
 namespace {
 
-class DemographicsTest : public ::testing::Test {
+class DemographicsTest : public DatasetFixture {
  protected:
   DemographicsTest() {
     const IspId fr = geo_.add_isp("HostFR", IspType::HostingProvider, "FR");
@@ -30,7 +31,6 @@ class DemographicsTest : public ::testing::Test {
   }
 
   GeoDb geo_;
-  Dataset dataset_;
 };
 
 TEST_F(DemographicsTest, CountsDistinctDownloadersByCountryAndIsp) {
@@ -40,7 +40,7 @@ TEST_F(DemographicsTest, CountsDistinctDownloadersByCountryAndIsp) {
   // Repeat downloader across torrents counted once.
   add_torrent(IpAddress(10, 0, 0, 1),
               {IpAddress(20, 0, 0, 1), IpAddress(99, 0, 0, 1)});  // 99.* unmapped
-  const auto demo = downloader_demographics(dataset_, geo_, 10);
+  const auto demo = downloader_demographics(view(), geo_, 10);
   EXPECT_EQ(demo.total_distinct_ips, 4u);
   EXPECT_EQ(demo.located_ips, 3u);
   ASSERT_EQ(demo.by_country.size(), 2u);
@@ -54,7 +54,7 @@ TEST_F(DemographicsTest, CountsDistinctDownloadersByCountryAndIsp) {
 
 TEST_F(DemographicsTest, TopKTruncates) {
   add_torrent(std::nullopt, {IpAddress(20, 0, 0, 1), IpAddress(30, 0, 0, 1)});
-  const auto demo = downloader_demographics(dataset_, geo_, 1);
+  const auto demo = downloader_demographics(view(), geo_, 1);
   EXPECT_EQ(demo.by_country.size(), 1u);
   EXPECT_EQ(demo.by_isp.size(), 1u);
 }
@@ -64,7 +64,7 @@ TEST_F(DemographicsTest, PublisherCountriesWeightedByTorrents) {
   add_torrent(IpAddress(10, 0, 0, 2), {});
   add_torrent(IpAddress(20, 0, 0, 9), {});
   add_torrent(std::nullopt, {});
-  const auto rows = publisher_countries(dataset_, geo_, 10);
+  const auto rows = publisher_countries(view(), geo_, 10);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].label, "FR");
   EXPECT_EQ(rows[0].downloaders, 2u);
@@ -72,10 +72,10 @@ TEST_F(DemographicsTest, PublisherCountriesWeightedByTorrents) {
 }
 
 TEST_F(DemographicsTest, EmptyDatasetIsZero) {
-  const auto demo = downloader_demographics(dataset_, geo_, 10);
+  const auto demo = downloader_demographics(view(), geo_, 10);
   EXPECT_EQ(demo.total_distinct_ips, 0u);
   EXPECT_TRUE(demo.by_country.empty());
-  EXPECT_TRUE(publisher_countries(dataset_, geo_, 10).empty());
+  EXPECT_TRUE(publisher_countries(view(), geo_, 10).empty());
 }
 
 }  // namespace

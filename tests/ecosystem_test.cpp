@@ -22,20 +22,26 @@ class EcosystemTest : public ::testing::Test {
     eco_ = new Ecosystem(ScenarioConfig::quick(7));
     eco_->build();
     dataset_ = new Dataset(eco_->crawl());
+    compact_ = new CompactDataset(compact_dataset(*dataset_));
   }
   static void TearDownTestSuite() {
+    delete compact_;
     delete dataset_;
     delete eco_;
+    compact_ = nullptr;
     dataset_ = nullptr;
     eco_ = nullptr;
   }
 
   static Ecosystem* eco_;
   static Dataset* dataset_;
+  /// The analysis layer's input form of dataset_.
+  static CompactDataset* compact_;
 };
 
 Ecosystem* EcosystemTest::eco_ = nullptr;
 Dataset* EcosystemTest::dataset_ = nullptr;
+CompactDataset* EcosystemTest::compact_ = nullptr;
 
 TEST_F(EcosystemTest, GeneratesSubstantialWorld) {
   EXPECT_GT(eco_->torrent_count(), 300u);
@@ -100,7 +106,7 @@ TEST_F(EcosystemTest, FakeTorrentsGetRemovedGenuineDoNot) {
 }
 
 TEST_F(EcosystemTest, FakeDetectionPrecisionAndRecall) {
-  const IdentityAnalysis identity(*dataset_, eco_->geo(), 40);
+  const IdentityAnalysis identity(compact_->view(), eco_->geo(), 40);
   std::size_t true_positive = 0, false_positive = 0, false_negative = 0;
   for (const UsernameStats& stats : identity.usernames()) {
     const auto owner =
@@ -121,7 +127,7 @@ TEST_F(EcosystemTest, FakeDetectionPrecisionAndRecall) {
 }
 
 TEST_F(EcosystemTest, MajorPublishersDominate) {
-  const IdentityAnalysis identity(*dataset_, eco_->geo(), 40);
+  const IdentityAnalysis identity(compact_->view(), eco_->geo(), 40);
   const auto fake = identity.share_of(TargetGroup::Fake);
   const auto top = identity.share_of(TargetGroup::Top);
   // The paper's headline: fake + top publishers own roughly 2/3 of the
@@ -134,7 +140,7 @@ TEST_F(EcosystemTest, MajorPublishersDominate) {
 }
 
 TEST_F(EcosystemTest, ContributionIsHeavilySkewed) {
-  const IdentityAnalysis identity(*dataset_, eco_->geo(), 40);
+  const IdentityAnalysis identity(compact_->view(), eco_->geo(), 40);
   const std::vector<double> xs{3.0};
   const auto curve = contribution_curve(identity, xs);
   EXPECT_GT(curve.points[0].content_percent, 20.0);  // top 3% >> uniform
@@ -197,10 +203,10 @@ TEST_F(EcosystemTest, DifferentSeedDifferentWorld) {
 }
 
 TEST_F(EcosystemTest, ProfitDrivenClassificationRecoversGroundTruth) {
-  const IdentityAnalysis identity(*dataset_, eco_->geo(), 40);
+  const IdentityAnalysis identity(compact_->view(), eco_->geo(), 40);
   Rng rng(5);
   const auto classification =
-      classify_top_publishers(*dataset_, identity, eco_->websites(), 5, rng);
+      classify_top_publishers(compact_->view(), identity, eco_->websites(), 5, rng);
   std::size_t checked = 0, correct = 0;
   for (const PublisherProfile& profile : classification.profiles) {
     const auto owner = eco_->population().owner_of_username.at(profile.username);

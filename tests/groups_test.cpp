@@ -1,12 +1,13 @@
 // Identity analysis: username/IP aggregation, fake detection, groups.
 #include "analysis/groups.hpp"
+#include "dataset_fixture.hpp"
 
 #include <gtest/gtest.h>
 
 namespace btpub {
 namespace {
 
-class GroupsTest : public ::testing::Test {
+class GroupsTest : public DatasetFixture {
  protected:
   GroupsTest() {
     const IspId hosting = geo_.add_isp("HostCo", IspType::HostingProvider, "FR");
@@ -46,14 +47,13 @@ class GroupsTest : public ::testing::Test {
   }
 
   GeoDb geo_;
-  Dataset dataset_;
 };
 
 TEST_F(GroupsTest, AggregatesByUsername) {
   add("alice", IpAddress(20, 0, 0, 1), 10);
   add("alice", IpAddress(20, 0, 0, 1), 20);
   add("bob", std::nullopt, 5);
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   ASSERT_EQ(identity.usernames().size(), 2u);
   const UsernameStats* alice = identity.find_username("alice");
   ASSERT_NE(alice, nullptr);
@@ -71,7 +71,7 @@ TEST_F(GroupsTest, AggregatesByUsername) {
 TEST_F(GroupsTest, UsernamesSortedByContribution) {
   add("small", IpAddress(20, 0, 0, 1), 1);
   for (int i = 0; i < 5; ++i) add("big", IpAddress(20, 0, 0, 2), 1);
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   EXPECT_EQ(identity.usernames()[0].username, "big");
   EXPECT_EQ(identity.ips()[0].ip, IpAddress(20, 0, 0, 2));
 }
@@ -83,7 +83,7 @@ TEST_F(GroupsTest, FakeFarmDetectedFromMultiUsernameBannedIp) {
     ban(name);
   }
   add("legit", IpAddress(20, 0, 0, 1), 50);
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   EXPECT_TRUE(identity.fake_ips().contains(farm));
   for (const char* name : {"x1", "x2", "x3", "x4"}) {
     EXPECT_TRUE(identity.is_fake(name)) << name;
@@ -95,7 +95,7 @@ TEST_F(GroupsTest, FewUsernamesPerIpIsNotAFarm) {
   const IpAddress shared(20, 0, 0, 9);
   add("roomie1", shared, 2);
   add("roomie2", shared, 2);  // two usernames, nobody banned
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   EXPECT_FALSE(identity.fake_ips().contains(shared));
   EXPECT_FALSE(identity.is_fake("roomie1"));
 }
@@ -103,14 +103,14 @@ TEST_F(GroupsTest, FewUsernamesPerIpIsNotAFarm) {
 TEST_F(GroupsTest, UnbannedMultiUserIpNotAFarm) {
   const IpAddress uni(10, 0, 0, 3);  // e.g. a university NAT
   for (const char* name : {"s1", "s2", "s3", "s4", "s5"}) add(name, uni, 1);
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   EXPECT_FALSE(identity.fake_ips().contains(uni));
 }
 
 TEST_F(GroupsTest, BannedUsernameIsFakeEvenWithoutIp) {
   add("ghostfake", std::nullopt, 3);
   ban("ghostfake");
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   EXPECT_TRUE(identity.is_fake("ghostfake"));
 }
 
@@ -122,11 +122,11 @@ TEST_F(GroupsTest, FakeDetectionThresholdsConfigurable) {
   ban("y2");
   FakeDetectionConfig loose;
   loose.min_usernames_per_ip = 2;
-  const IdentityAnalysis detects(dataset_, geo_, 10, loose);
+  const IdentityAnalysis detects(view(), geo_, 10, loose);
   EXPECT_TRUE(detects.fake_ips().contains(farm));
   FakeDetectionConfig strict;
   strict.min_usernames_per_ip = 3;
-  const IdentityAnalysis misses(dataset_, geo_, 10, strict);
+  const IdentityAnalysis misses(view(), geo_, 10, strict);
   EXPECT_FALSE(misses.fake_ips().contains(farm));
 }
 
@@ -137,7 +137,7 @@ TEST_F(GroupsTest, TopExcludesFakesAndCountsCompromised) {
   for (int i = 0; i < 7; ++i) add("hacked", IpAddress(10, 0, 0, 9), 1);
   ban("hacked");
   add("tiny", IpAddress(20, 0, 0, 3), 1);
-  const IdentityAnalysis identity(dataset_, geo_, 3);
+  const IdentityAnalysis identity(view(), geo_, 3);
   EXPECT_EQ(identity.top().size(), 2u);
   EXPECT_EQ(identity.compromised_in_top(), 1u);
   EXPECT_TRUE(identity.in_group("heavy1", TargetGroup::Top));
@@ -148,7 +148,7 @@ TEST_F(GroupsTest, TopExcludesFakesAndCountsCompromised) {
 TEST_F(GroupsTest, TopSplitsIntoHostingAndCommercial) {
   for (int i = 0; i < 5; ++i) add("hosted", IpAddress(10, 0, 0, 1), 5);
   for (int i = 0; i < 5; ++i) add("homey", IpAddress(20, 0, 0, 1), 5);
-  const IdentityAnalysis identity(dataset_, geo_, 5);
+  const IdentityAnalysis identity(view(), geo_, 5);
   EXPECT_TRUE(identity.in_group("hosted", TargetGroup::TopHP));
   EXPECT_FALSE(identity.in_group("hosted", TargetGroup::TopCI));
   EXPECT_TRUE(identity.in_group("homey", TargetGroup::TopCI));
@@ -163,7 +163,7 @@ TEST_F(GroupsTest, SharesSumCorrectly) {
   }
   for (int i = 0; i < 6; ++i) add("star", IpAddress(10, 0, 0, 1), 20);
   add("nobody", IpAddress(20, 0, 0, 5), 1);
-  const IdentityAnalysis identity(dataset_, geo_, 1);
+  const IdentityAnalysis identity(view(), geo_, 1);
   const auto fake = identity.share_of(TargetGroup::Fake);
   const auto top = identity.share_of(TargetGroup::Top);
   const auto all = identity.share_of(TargetGroup::All);
@@ -181,7 +181,7 @@ TEST_F(GroupsTest, TopIpBreakdownSeparatesFarms) {
     ban(name);
   }
   for (int i = 0; i < 4; ++i) add("solo", IpAddress(20, 0, 0, 2), 1);
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   const auto breakdown = identity.top_ip_breakdown();
   EXPECT_EQ(breakdown.considered, 2u);
   EXPECT_EQ(breakdown.multi_username, 1u);
@@ -195,7 +195,7 @@ TEST_F(GroupsTest, Mn08FallsBackToIps) {
   dataset_.torrents.push_back(r);
   dataset_.downloaders.emplace_back();
   dataset_.publisher_sightings.emplace_back();
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   EXPECT_TRUE(identity.usernames().empty());
   ASSERT_EQ(identity.ips().size(), 1u);
   EXPECT_EQ(identity.ips()[0].content_count, 1u);

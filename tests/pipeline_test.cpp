@@ -9,11 +9,12 @@
 #include "analysis/isp.hpp"
 #include "analysis/longitudinal.hpp"
 #include "analysis/popularity.hpp"
+#include "dataset_fixture.hpp"
 
 namespace btpub {
 namespace {
 
-class PipelineTest : public ::testing::Test {
+class PipelineTest : public DatasetFixture {
  protected:
   PipelineTest() {
     const IspId hosting = geo_.add_isp("HostCo", IspType::HostingProvider, "FR");
@@ -74,7 +75,6 @@ class PipelineTest : public ::testing::Test {
   }
 
   GeoDb geo_;
-  Dataset dataset_;
   WebsiteDirectory websites_;
 };
 
@@ -85,7 +85,7 @@ TEST_F(PipelineTest, ContributionCurveByUsername) {
     add("minnow" + std::to_string(i), IpAddress(20, 0, 0, 1), 1,
         ContentCategory::Movies);
   }
-  const IdentityAnalysis identity(dataset_, geo_, 5);
+  const IdentityAnalysis identity(view(), geo_, 5);
   const std::vector<double> xs{10.0, 100.0};
   const auto curve = contribution_curve(identity, xs);
   EXPECT_EQ(curve.publishers, 10u);
@@ -101,8 +101,8 @@ TEST_F(PipelineTest, TopConsumptionCountsTopIpDownloads) {
   add("pub2", IpAddress(10, 0, 0, 2), 0, ContentCategory::Movies);
   // pub2's IP shows up as a downloader of pub1's torrent.
   dataset_.downloaders[0].push_back(IpAddress(10, 0, 0, 2));
-  const IdentityAnalysis identity(dataset_, geo_, 10);
-  const auto stats = top_publisher_consumption(dataset_, identity, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
+  const auto stats = top_publisher_consumption(view(), identity, 10);
   EXPECT_EQ(stats.considered, 2u);
   EXPECT_EQ(stats.zero_downloads, 1u);       // pub1 downloads nothing
   EXPECT_EQ(stats.under_five_downloads, 2u); // both under five
@@ -114,7 +114,7 @@ TEST_F(PipelineTest, IspShareTable) {
   for (int i = 0; i < 3; ++i) add("c", IpAddress(20, 3, 0, 1), 2,
                                   ContentCategory::Movies);
   add("anon", std::nullopt, 2, ContentCategory::Movies);  // excluded
-  const auto rows = top_publisher_isps(dataset_, geo_, 10);
+  const auto rows = top_publisher_isps(view(), geo_, 10);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].isp, "HostCo");
   EXPECT_EQ(rows[0].type, IspType::HostingProvider);
@@ -129,7 +129,7 @@ TEST_F(PipelineTest, IspFeederProfileCountsStructure) {
   add("a", IpAddress(10, 0, 0, 1), 1, ContentCategory::Movies);
   add("b", IpAddress(10, 1, 0, 2), 1, ContentCategory::Movies);
   add("c", IpAddress(20, 5, 0, 3), 1, ContentCategory::Movies);
-  const auto profile = isp_feeder_profile(dataset_, geo_, "HostCo");
+  const auto profile = isp_feeder_profile(view(), geo_, "HostCo");
   EXPECT_EQ(profile.fed_torrents, 3u);
   EXPECT_EQ(profile.distinct_ips, 2u);
   EXPECT_EQ(profile.distinct_prefixes16, 2u);
@@ -141,9 +141,9 @@ TEST_F(PipelineTest, ConsumersFromIspExcludesPublishers) {
   // A genuine hosting-provider consumer and the publisher's own address.
   dataset_.downloaders[0].push_back(IpAddress(10, 0, 0, 50));
   dataset_.downloaders[0].push_back(IpAddress(10, 0, 0, 1));
-  EXPECT_EQ(consumers_from_isp(dataset_, geo_, "HostCo", true), 1u);
-  EXPECT_EQ(consumers_from_isp(dataset_, geo_, "HostCo", false), 2u);
-  EXPECT_EQ(consumers_from_isp(dataset_, geo_, "EyeballCo"), 0u);
+  EXPECT_EQ(consumers_from_isp(view(), geo_, "HostCo", true), 1u);
+  EXPECT_EQ(consumers_from_isp(view(), geo_, "HostCo", false), 2u);
+  EXPECT_EQ(consumers_from_isp(view(), geo_, "EyeballCo"), 0u);
 }
 
 TEST_F(PipelineTest, TopHostingShareCountsNamedIsp) {
@@ -151,7 +151,7 @@ TEST_F(PipelineTest, TopHostingShareCountsNamedIsp) {
                                   ContentCategory::Movies);
   for (int i = 0; i < 4; ++i) add("homepub", IpAddress(20, 1, 0, 9), 1,
                                   ContentCategory::Movies);
-  const IdentityAnalysis identity(dataset_, geo_, 10);
+  const IdentityAnalysis identity(view(), geo_, 10);
   const auto share = top_hosting_share(identity, geo_, "HostCo", 10);
   EXPECT_EQ(share.considered, 2u);
   EXPECT_EQ(share.at_hosting, 1u);
@@ -163,8 +163,8 @@ TEST_F(PipelineTest, ContentTypeMixSumsToOne) {
   add("u", IpAddress(10, 0, 0, 1), 1, ContentCategory::Porn);
   add("u", IpAddress(10, 0, 0, 1), 1, ContentCategory::Music);
   add("u", IpAddress(10, 0, 0, 1), 1, ContentCategory::Ebooks);
-  const IdentityAnalysis identity(dataset_, geo_, 5);
-  const auto mix = content_type_mix(dataset_, identity, TargetGroup::All);
+  const IdentityAnalysis identity(view(), geo_, 5);
+  const auto mix = content_type_mix(view(), identity, TargetGroup::All);
   EXPECT_EQ(mix.contents, 4u);
   double sum = 0;
   for (double f : mix.fractions) sum += f;
@@ -172,7 +172,7 @@ TEST_F(PipelineTest, ContentTypeMixSumsToOne) {
   // Movies + Porn both map to coarse Video.
   EXPECT_NEAR(mix.of(CoarseCategory::Video), 0.5, 1e-9);
   EXPECT_NEAR(mix.of(CoarseCategory::Books), 0.25, 1e-9);
-  const auto panel = content_type_panel(dataset_, identity);
+  const auto panel = content_type_panel(view(), identity);
   EXPECT_EQ(panel.size(), 5u);
 }
 
@@ -181,7 +181,7 @@ TEST_F(PipelineTest, PopularityBoxPerGroup) {
                                   ContentCategory::Movies);
   add("casual1", IpAddress(20, 0, 0, 1), 4, ContentCategory::Movies);
   add("casual2", IpAddress(20, 0, 0, 2), 6, ContentCategory::Movies);
-  const IdentityAnalysis identity(dataset_, geo_, 1);
+  const IdentityAnalysis identity(view(), geo_, 1);
   Rng rng(1);
   const auto all = popularity_box(identity, TargetGroup::All, 0, rng);
   EXPECT_EQ(all.box.count, 3u);
@@ -200,13 +200,13 @@ TEST_F(PipelineTest, LongitudinalTableFromUserPages) {
                                   ContentCategory::Music);
   add_user_page("portalpub", -days(400), 0, 120);
   add_user_page("plainpub", -days(100), 0, 20);
-  const IdentityAnalysis identity(dataset_, geo_, 2);
+  const IdentityAnalysis identity(view(), geo_, 2);
   Rng rng(2);
   const auto classification =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
-  const auto histories = publisher_histories(dataset_, classification);
+      classify_top_publishers(view(), identity, websites_, 5, rng);
+  const auto histories = publisher_histories(view(), classification);
   ASSERT_EQ(histories.size(), 2u);
-  const auto rows = longitudinal_table(dataset_, classification);
+  const auto rows = longitudinal_table(view(), classification);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].cls, BusinessClass::BtPortal);
   EXPECT_EQ(rows[0].publishers, 1u);
@@ -220,10 +220,10 @@ TEST_F(PipelineTest, LongitudinalTableFromUserPages) {
 TEST_F(PipelineTest, IncomeTableUsesPanelAverages) {
   for (int i = 0; i < 6; ++i) add("portalpub", IpAddress(10, 0, 0, 1), 3,
                                   ContentCategory::Movies, "megaseed.com");
-  const IdentityAnalysis identity(dataset_, geo_, 1);
+  const IdentityAnalysis identity(view(), geo_, 1);
   Rng rng(3);
   const auto classification =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(view(), identity, websites_, 5, rng);
   const auto rows =
       income_table(classification, websites_, AppraisalPanel::standard());
   ASSERT_EQ(rows.size(), 2u);
@@ -240,12 +240,12 @@ TEST_F(PipelineTest, MoneyFlowsAggregates) {
   for (int i = 0; i < 6; ++i) add("portalpub", IpAddress(10, 0, 0, 1), 3,
                                   ContentCategory::Movies, "megaseed.com");
   add("other", IpAddress(10, 0, 0, 2), 1, ContentCategory::Movies);
-  const IdentityAnalysis identity(dataset_, geo_, 2);
+  const IdentityAnalysis identity(view(), geo_, 2);
   Rng rng(4);
   const auto classification =
-      classify_top_publishers(dataset_, identity, websites_, 5, rng);
+      classify_top_publishers(view(), identity, websites_, 5, rng);
   const auto flows =
-      money_flows(dataset_, classification, websites_, AppraisalPanel::standard(),
+      money_flows(view(), classification, websites_, AppraisalPanel::standard(),
                   geo_, "HostCo", 300.0);
   EXPECT_GT(flows.publishers_income_per_day_usd, 0.0);
   EXPECT_EQ(flows.hosting_servers, 2u);  // two HostCo publisher addresses

@@ -1,6 +1,7 @@
 // Appendix-A estimator: discovery probability, session reconstruction,
 // seeding metrics.
 #include "analysis/session.hpp"
+#include "dataset_fixture.hpp"
 
 #include <gtest/gtest.h>
 
@@ -173,7 +174,7 @@ TEST(UnionLength, DisjointAndOverlapping) {
   EXPECT_EQ(union_length({{0, 10}, {10, 20}}), 20);     // touching
 }
 
-class SeedingMetricsTest : public ::testing::Test {
+class SeedingMetricsTest : public DatasetFixture {
  protected:
   SeedingMetricsTest() {
     dataset_.style = DatasetStyle::Pb10;
@@ -194,12 +195,11 @@ class SeedingMetricsTest : public ::testing::Test {
     dataset_.downloaders.emplace_back();
     dataset_.publisher_sightings.emplace_back();
   }
-  Dataset dataset_;
 };
 
 TEST_F(SeedingMetricsTest, PerTorrentAndAggregates) {
   const std::vector<std::size_t> indices{0, 1, 2};
-  const SeedingMetrics m = seeding_metrics(dataset_, indices, hours(4));
+  const SeedingMetrics m = seeding_metrics(view(), indices, hours(4));
   EXPECT_EQ(m.torrents_with_data, 2u);
   // Torrent 0 session: 6h15m; torrent 1: 2h15m; avg = 4.25h.
   EXPECT_NEAR(m.avg_seeding_hours, 4.25, 0.01);
@@ -215,7 +215,7 @@ TEST_F(SeedingMetricsTest, SingleSightingTorrentCountsOneQueryGapSession) {
   dataset_.downloaders.emplace_back();
   dataset_.publisher_sightings.push_back({days(1)});
   const std::vector<std::size_t> indices{3};
-  const SeedingMetrics m = seeding_metrics(dataset_, indices, hours(4));
+  const SeedingMetrics m = seeding_metrics(view(), indices, hours(4));
   EXPECT_EQ(m.torrents_with_data, 1u);
   EXPECT_NEAR(m.avg_seeding_hours, 0.25, 1e-9);          // 15 min
   EXPECT_NEAR(m.aggregated_session_hours, 0.25, 1e-9);
@@ -224,7 +224,7 @@ TEST_F(SeedingMetricsTest, SingleSightingTorrentCountsOneQueryGapSession) {
 
 TEST_F(SeedingMetricsTest, NoDataPublisher) {
   const std::vector<std::size_t> indices{2};
-  const SeedingMetrics m = seeding_metrics(dataset_, indices, hours(4));
+  const SeedingMetrics m = seeding_metrics(view(), indices, hours(4));
   EXPECT_EQ(m.torrents_with_data, 0u);
   EXPECT_EQ(m.avg_seeding_hours, 0.0);
   EXPECT_EQ(m.aggregated_session_hours, 0.0);

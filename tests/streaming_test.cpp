@@ -361,7 +361,9 @@ StreamingConfig convergence_stream_config() {
 /// the dataset of the very crawl the classifier observed.
 void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
                           const GeoDb& geo, const WebsiteDirectory& websites) {
-  const IdentityAnalysis identity(dataset, geo, kTopN);
+  const CompactDataset compact = compact_dataset(dataset);
+  const CompactDatasetView view = compact.view();
+  const IdentityAnalysis identity(view, geo, kTopN);
 
   // Fake set, exactly.
   const auto fakes = snap.fakes();
@@ -375,7 +377,7 @@ void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
   // Per-publisher verdicts against batch stats and profiles.
   Rng rng(1);  // unused: sample_per_publisher = 0 disables sampling
   const auto batch =
-      classify_top_publishers(dataset, identity, websites, 0, rng);
+      classify_top_publishers(view, identity, websites, 0, rng);
   std::unordered_map<std::string, const PublisherProfile*> profiles;
   for (const PublisherProfile& p : batch.profiles) profiles[p.username] = &p;
 
@@ -401,7 +403,7 @@ void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
 
     // Appendix-A session metrics: the online estimator is exact, so the
     // doubles match bit for bit (same integer totals, same fold order).
-    const SeedingMetrics m = seeding_metrics(dataset, stats->torrents);
+    const SeedingMetrics m = seeding_metrics(view, stats->torrents);
     EXPECT_DOUBLE_EQ(v.seeding_hours, m.avg_seeding_hours) << v.username;
     EXPECT_DOUBLE_EQ(v.aggregated_hours, m.aggregated_session_hours)
         << v.username;

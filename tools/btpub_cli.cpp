@@ -255,7 +255,7 @@ int cmd_export(const Options& options) {
     std::fprintf(stderr, "export: dataset file and output directory required\n");
     return 1;
   }
-  // to_dataset() deep-validates every record before anything is written.
+  // The open deep-validates every record before anything is written.
   const Dataset dataset = MappedDataset(options.positional[0]).to_dataset();
   const std::string out_dir = options.positional[1];
   std::filesystem::create_directories(out_dir);

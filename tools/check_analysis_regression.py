@@ -2,13 +2,16 @@
 """Gate on parallel batch-analysis performance.
 
 Compares a freshly generated BENCH_analysis.json against the committed
-baseline at the repo root. Raw seconds are machine-dependent and raw
-speedups are core-count-dependent (a single-core container legitimately
-measures ~1x at any thread count), so the gate compares *parallel
-efficiency* per (case, sessions): measured speedup divided by the ideal
-speedup min(threads, cores) recorded in the same file. Efficiency is a
-machine-normalised number in (0, ~1]; a >10% drop against baseline fails
-the build.
+baseline at the repo root. Only downloader demographics is measured at
+1 vs N threads (the other passes run serially and have 1-thread rows
+only), so the demographics pair is the one the efficiency comparison
+sees; single-thread rows have no parallel partner and are skipped. Raw
+seconds are machine-dependent and raw speedups are core-count-dependent
+(a single-core container legitimately measures ~1x at any thread count),
+so the gate compares *parallel efficiency* per (case, sessions): measured
+speedup divided by the ideal speedup min(threads, cores) recorded in the
+same file. Efficiency is a machine-normalised number in (0, ~1]; a >10%
+drop against baseline fails the build.
 
 Also fails on correctness signals that need no baseline: within one file,
 the 1-thread and N-thread rows of a case must report the same digest and

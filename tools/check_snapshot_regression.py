@@ -1,15 +1,23 @@
 #!/usr/bin/env python3
 """Gate on mmap snapshot open performance.
 
-Compares a freshly generated BENCH_snapshot.json against the committed
-baseline at the repo root. Raw seconds are machine-dependent (CI runners
-vary wildly), so the gate compares the *ratio* of snapshot open time
-(load_mmap) to open-plus-inflate time (load_mmap_inflate) at each session
-count present in both files: inflating every record into a Dataset is the
-in-tree control workload, which normalises CPU and disk speed away. A >10%
-worse ratio fails the build.
+Opening a snapshot maps the file, fixes up the O(sections) header, then runs
+validate(): one O(n) pass over every record's string references, spans and
+enum bytes. The gate bounds that open (load_mmap) by the in-tree control
+load_mmap_inflate (open plus inflating every record into a Dataset, which
+reads the same records and also allocates). At every session count in the
+fresh file the open must cost at most --max-ratio of the control.
 
-Usage: check_snapshot_regression.py BASELINE.json FRESH.json [--tolerance 0.10]
+Raw seconds are machine-dependent (CI runners vary wildly), so the gate uses
+a ratio. It is a fixed ceiling rather than a band around the committed
+baseline because the ratio of two such different timings is noisy: best of
+five runs each, it spread from 0.023 to 0.049 at 1M sessions over 23 runs on
+one 4-core x86 box, far wider than a 10% band. The ceiling still fails an
+open that starts copying or parsing records the way inflate does, or a
+validate() pass that gets several times slower. The committed baseline's
+ratio is printed for context.
+
+Usage: check_snapshot_regression.py BASELINE.json FRESH.json [--max-ratio 0.10]
 """
 
 import argparse
@@ -40,30 +48,26 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline")
     parser.add_argument("fresh")
-    parser.add_argument("--tolerance", type=float, default=0.10)
+    parser.add_argument("--max-ratio", type=float, default=0.10)
     args = parser.parse_args()
 
     base = load_ratios(args.baseline)
     fresh = load_ratios(args.fresh)
-    common = sorted(set(base) & set(fresh))
-    if not common:
-        print("check_snapshot_regression: no comparable session counts "
-              f"(baseline has {sorted(base)}, fresh has {sorted(fresh)})")
+    if not fresh:
+        print(f"check_snapshot_regression: {args.fresh} has no load_mmap and "
+              f"{CONTROL} pair")
         return 1
 
     failed = False
-    for sessions in common:
-        # Absolute slack floor: at small scales the mmap open is a few
-        # microseconds, so the ratio is ~0 and a pure relative bound would
-        # flag timer noise as a regression.
-        limit = max(base[sessions] * (1.0 + args.tolerance),
-                    base[sessions] + 0.005)
-        verdict = "OK" if fresh[sessions] <= limit else "REGRESSION"
+    for sessions in sorted(fresh):
+        verdict = "OK" if fresh[sessions] <= args.max_ratio else "REGRESSION"
         if verdict == "REGRESSION":
             failed = True
+        context = (f", baseline {base[sessions]:.4f}" if sessions in base
+                   else ", no baseline row")
         print(f"{sessions} sessions: mmap open/inflate ratio "
-              f"{fresh[sessions]:.4f} vs baseline {base[sessions]:.4f} "
-              f"(limit {limit:.4f}) {verdict}")
+              f"{fresh[sessions]:.4f} (limit {args.max_ratio:.4f}{context}) "
+              f"{verdict}")
     return 1 if failed else 0
 
 
