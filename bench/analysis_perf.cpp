@@ -1,8 +1,8 @@
 // analysis_perf — machine-readable perf baseline for the batch analysis
-// passes (emits BENCH_analysis.json). Builds a deterministic synthetic
-// world (bench/synth_world.hpp, shared with build_perf's snapshot suite),
-// persists it once as an mmap snapshot, then runs each analysis pass over
-// the mapped view:
+// passes (BENCH_analysis.json in CI, written with --json). Builds a
+// deterministic synthetic world (bench/synth_world.hpp, shared with
+// build_perf's snapshot suite), persists it once as an mmap snapshot, then
+// runs each analysis pass over the mapped view:
 //
 //   identity       IdentityAnalysis table build           (1 thread)
 //   classify       business classification of every publisher (1 thread)
@@ -15,32 +15,21 @@
 // Demographics is the only threaded pass: the others measured below ~1.3x
 // on 4 real cores and run serially (DESIGN.md §4.8).
 //
-// Every case runs in a fork()ed child (honest per-case peak RSS; the POD
-// result ships back over a pipe) and digests its full result structure
-// with FNV-1a. The parent REFUSES to write numbers when the demographics
-// 1-thread and N-thread digests differ — the pass's contract is
-// byte-identical results at every thread count, so a mismatch exits
-// non-zero instead of publishing fast-but-wrong timings. `cores` is
-// recorded so the regression gate can normalise away machines with fewer
-// cores than threads (a single-core container legitimately measures ~1x).
-//
-// Usage: analysis_perf [--json PATH] [--threads N] [--seed N]
-//                      [--sessions N[,N...]] [--dir PATH] [--quick]
-#include <sys/resource.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+// Every case runs in a forked child (bench/harness run_forked: honest
+// per-case peak RSS) and digests its full result structure with FNV-1a.
+// The parent REFUSES to write numbers when the demographics 1-thread and
+// N-thread digests differ — the pass's contract is byte-identical results
+// at every thread count, so a mismatch exits non-zero instead of
+// publishing fast-but-wrong timings. The envelope's machine.cores lets the
+// regression gate normalise away machines with fewer cores than threads (a
+// single-core container legitimately measures ~1x).
 #include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <functional>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/classify.hpp"
@@ -51,6 +40,7 @@
 #include "analysis/session.hpp"
 #include "crawler/dataset_mmap.hpp"
 #include "geo/isp_catalog.hpp"
+#include "harness.hpp"
 #include "synth_world.hpp"
 #include "websim/website.hpp"
 
@@ -61,7 +51,7 @@ using bench::dataset_sessions;
 using bench::synth_dataset;
 
 struct Options {
-  std::string json_path = "BENCH_analysis.json";
+  std::string json_path;
   std::uint64_t seed = 42;
   /// The demographics parallel case's worker count (the "N" in 1-vs-N).
   std::size_t threads = 4;
@@ -146,20 +136,13 @@ void digest_identity(Digest& d, const IdentityAnalysis& identity) {
   d.u64(identity.total_downloads());
 }
 
-/// POD shipped child -> parent over the pipe.
+/// What a forked case ships back to the parent.
 struct CaseResult {
   double seconds = 0.0;  // per rep
-  long peak_rss_kb = 0;
   std::uint64_t digest = 0;
   std::uint64_t items = 0;
   std::uint64_t reps = 0;
 };
-
-long peak_rss_kb_self() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;  // kilobytes on Linux
-}
 
 /// Runs one analysis pass `reps` times over the mapped view and digests
 /// the final run's full result. The short passes repeat so the measured
@@ -283,60 +266,19 @@ CaseResult run_case(const std::string& name, std::size_t threads,
       result.items = stats.considered;
     });
   } else {
-    std::fprintf(stderr, "analysis_perf: unknown case %s\n", name.c_str());
-    std::exit(2);
-  }
-  result.peak_rss_kb = peak_rss_kb_self();
-  return result;
-}
-
-/// Runs `body` in a forked child so peak RSS is per-case.
-CaseResult run_forked(const char* what,
-                      const std::function<CaseResult()>& body) {
-  int fd[2];
-  if (pipe(fd) != 0) {
-    std::perror("analysis_perf: pipe");
-    std::exit(2);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("analysis_perf: fork");
-    std::exit(2);
-  }
-  if (pid == 0) {
-    close(fd[0]);
-    const CaseResult result = body();
-    ssize_t wrote = write(fd[1], &result, sizeof result);
-    _exit(wrote == static_cast<ssize_t>(sizeof result) ? 0 : 3);
-  }
-  close(fd[1]);
-  CaseResult result;
-  const ssize_t got = read(fd[0], &result, sizeof result);
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (got != static_cast<ssize_t>(sizeof result) || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "analysis_perf: %s child failed\n", what);
-    std::exit(2);
+    throw std::logic_error("unknown case " + name);
   }
   return result;
 }
-
-struct Row {
-  std::string name;
-  std::uint64_t sessions = 0;
-  std::size_t threads = 0;
-  CaseResult r;
-};
 
 constexpr const char* kCases[] = {"identity", "classify", "sessions",
                                   "demographics", "consumption"};
 /// The one case measured at 1 vs N threads; the others run at 1.
 constexpr std::string_view kThreadedCase = "demographics";
 
+/// Runs every case over one world, appending a results row per case.
 void run_world(std::uint64_t sessions, const Options& opt,
-               std::vector<Row>& rows) {
+               std::vector<bench::JsonObject>& rows) {
   namespace fs = std::filesystem;
   char name[64];
   std::snprintf(name, sizeof name, "btpub_analysis_%llu.mmap",
@@ -345,192 +287,95 @@ void run_world(std::uint64_t sessions, const Options& opt,
 
   std::fprintf(stderr, "analysis_perf: building %llu-session snapshot...\n",
                static_cast<unsigned long long>(sessions));
-  run_forked("snapshot build", [&] {
+  bench::run_forked("snapshot build", [&] {
     const Dataset d = synth_dataset(sessions, opt.seed);
     save_mmap_snapshot(d, mmap_path);
     CaseResult r;
     r.items = dataset_sessions(d);
-    r.peak_rss_kb = peak_rss_kb_self();
     return r;
   });
 
+  std::printf("%llu sessions:\n", static_cast<unsigned long long>(sessions));
   for (const char* c : kCases) {
-    const bool threaded = c == kThreadedCase;
-    std::vector<std::size_t> thread_counts = {1};
-    if (threaded) thread_counts.push_back(opt.threads);
-    for (const std::size_t threads : thread_counts) {
+    const auto measure = [&](std::size_t threads) {
       std::fprintf(stderr, "analysis_perf: %s @%zu thread(s)...\n", c,
                    threads);
-      rows.push_back(Row{c, sessions, threads,
-                         run_forked(c, [&] {
-                           return run_case(c, threads, mmap_path, opt.seed);
-                         })});
-      const Row& row = rows.back();
-      std::fprintf(stderr,
-                   "analysis_perf:   %.4fs/rep, digest %016llx, %llu items\n",
-                   row.r.seconds,
-                   static_cast<unsigned long long>(row.r.digest),
-                   static_cast<unsigned long long>(row.r.items));
+      const auto [r, peak_rss_kb] = bench::run_forked(
+          c, [&] { return run_case(c, threads, mmap_path, opt.seed); });
+      char digest[17];
+      std::snprintf(digest, sizeof digest, "%016llx",
+                    static_cast<unsigned long long>(r.digest));
+      rows.push_back(bench::JsonObject()
+                         .text("case", c)
+                         .integer("sessions", sessions)
+                         .integer("threads", threads)
+                         .integer("reps", r.reps)
+                         .fixed("seconds", r.seconds, 6)
+                         .integer("peak_rss_kb", peak_rss_kb)
+                         .integer("items", r.items)
+                         .text("digest", digest));
+      return r;
+    };
+    const CaseResult serial = measure(1);
+    if (c != kThreadedCase) {
+      std::printf("  %-13s %.4fs @1 thread, digest %016llx\n", c,
+                  serial.seconds,
+                  static_cast<unsigned long long>(serial.digest));
+      continue;
     }
-    if (!threaded) continue;
+    const CaseResult parallel = measure(opt.threads);
     // The determinism gate: refuse to publish timings whose results
     // differ between thread counts.
-    const Row& serial = rows[rows.size() - 2];
-    const Row& parallel = rows[rows.size() - 1];
-    if (serial.r.digest != parallel.r.digest) {
+    if (serial.digest != parallel.digest) {
       std::fprintf(stderr,
                    "analysis_perf: %s digest mismatch @%llu sessions "
                    "(1 thread %016llx vs %zu threads %016llx)\n",
                    c, static_cast<unsigned long long>(sessions),
-                   static_cast<unsigned long long>(serial.r.digest),
+                   static_cast<unsigned long long>(serial.digest),
                    opt.threads,
-                   static_cast<unsigned long long>(parallel.r.digest));
+                   static_cast<unsigned long long>(parallel.digest));
       std::exit(2);
     }
+    std::printf("  %-13s %.4fs @1 vs %.4fs @%zu threads (%s), "
+                "digest %016llx matches\n",
+                c, serial.seconds, parallel.seconds, opt.threads,
+                bench::speedup_text(serial.seconds, parallel.seconds,
+                                    opt.threads)
+                    .c_str(),
+                static_cast<unsigned long long>(serial.digest));
   }
   fs::remove(mmap_path);
 }
 
-const Row* find_row(const std::vector<Row>& rows, std::uint64_t sessions,
-                    std::string_view name, std::size_t threads) {
-  for (const Row& row : rows) {
-    if (row.sessions == sessions && row.name == name &&
-        row.threads == threads) {
-      return &row;
-    }
-  }
-  return nullptr;
-}
-
-void write_json(const Options& opt, const std::vector<Row>& rows) {
-  std::ofstream out(opt.json_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "analysis_perf: cannot open %s\n",
-                 opt.json_path.c_str());
-    std::exit(1);
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  out << "{\n  \"benchmark\": \"analysis_parallel\",\n";
-  char line[512];
-  std::snprintf(line, sizeof line,
-                "  \"config\": {\"seed\": %llu, \"threads\": %zu, "
-                "\"cores\": %u, \"format_version\": %d},\n",
-                static_cast<unsigned long long>(opt.seed), opt.threads, cores,
-                mmap_format_version());
-  out << line;
-  out << "  \"headline\": [\n";
-  for (std::size_t i = 0; i < opt.sessions.size(); ++i) {
-    const std::uint64_t n = opt.sessions[i];
-    const Row* serial = find_row(rows, n, kThreadedCase, 1);
-    const Row* parallel = find_row(rows, n, kThreadedCase, opt.threads);
-    std::snprintf(line, sizeof line,
-                  "    {\"sessions\": %llu, \"demographics_speedup\": %.2f, "
-                  "\"demographics_rss_kb\": %ld}%s\n",
-                  static_cast<unsigned long long>(n),
-                  serial->r.seconds / parallel->r.seconds,
-                  parallel->r.peak_rss_kb,
-                  i + 1 < opt.sessions.size() ? "," : "");
-    out << line;
-  }
-  out << "  ],\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::snprintf(
-        line, sizeof line,
-        "    {\"case\": \"%s\", \"sessions\": %llu, \"threads\": %zu, "
-        "\"reps\": %llu, \"seconds\": %.6f, \"peak_rss_kb\": %ld, "
-        "\"items\": %llu, \"digest\": \"%016llx\"}%s\n",
-        row.name.c_str(), static_cast<unsigned long long>(row.sessions),
-        row.threads, static_cast<unsigned long long>(row.r.reps),
-        row.r.seconds, row.r.peak_rss_kb,
-        static_cast<unsigned long long>(row.r.items),
-        static_cast<unsigned long long>(row.r.digest),
-        i + 1 < rows.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
-}
-
 int run(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "analysis_perf: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next();
-    } else if (arg == "--threads") {
-      opt.threads =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--dir") {
-      opt.dir = next();
-    } else if (arg == "--quick") {
-      opt.sessions = {1'000'000};
-    } else if (arg == "--sessions") {
-      opt.sessions.clear();
-      const char* p = next();
-      while (*p != '\0') {
-        char* end = nullptr;
-        const std::uint64_t n = std::strtoull(p, &end, 10);
-        if (end == p || n == 0) {
-          std::fprintf(stderr, "analysis_perf: bad --sessions list\n");
-          return 2;
-        }
-        opt.sessions.push_back(n);
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (opt.sessions.empty()) {
-        std::fprintf(stderr,
-                     "analysis_perf: --sessions needs at least one count\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: analysis_perf [--json PATH] [--threads N] "
-                   "[--seed N] [--sessions N[,N...]] [--dir PATH] "
-                   "[--quick]\n");
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     "[--json PATH] [--threads N] [--seed N] "
+                     "[--sessions N[,N...]] [--dir PATH] [--quick]",
+                     {{"--json", &opt.json_path},
+                      {"--threads", &opt.threads},
+                      {"--seed", &opt.seed},
+                      {"--dir", &opt.dir},
+                      {"--quick", [&] { opt.sessions = {1'000'000}; }},
+                      {"--sessions", &opt.sessions}});
   if (opt.threads < 2) opt.threads = 2;
 
-  std::vector<Row> rows;
+  std::vector<bench::JsonObject> rows;
   for (const std::uint64_t sessions : opt.sessions) {
     run_world(sessions, opt, rows);
   }
-  write_json(opt, rows);
-
-  for (const std::uint64_t n : opt.sessions) {
-    std::printf("%llu sessions:\n", static_cast<unsigned long long>(n));
-    for (const char* c : kCases) {
-      const Row* serial = find_row(rows, n, c, 1);
-      if (c != kThreadedCase) {
-        std::printf("  %-13s %.4fs @1 thread, digest %016llx\n", c,
-                    serial->r.seconds,
-                    static_cast<unsigned long long>(serial->r.digest));
-        continue;
-      }
-      const Row* parallel = find_row(rows, n, c, opt.threads);
-      std::printf("  %-13s %.4fs @1 vs %.4fs @%zu threads (%.2fx), "
-                  "digest %016llx matches\n",
-                  c, serial->r.seconds, parallel->r.seconds, opt.threads,
-                  serial->r.seconds / parallel->r.seconds,
-                  static_cast<unsigned long long>(serial->r.digest));
-    }
-  }
-  std::printf("cores: %u\nwrote %s\n", std::thread::hardware_concurrency(),
-              opt.json_path.c_str());
+  bench::write_bench_json(opt.json_path, "analysis_parallel",
+                          bench::JsonObject()
+                              .integer("seed", opt.seed)
+                              .integer("threads", opt.threads)
+                              .integer("format_version", mmap_format_version()),
+                          rows);
   return 0;
 }
 
 }  // namespace
 }  // namespace btpub
 
-int main(int argc, char** argv) { return btpub::run(argc, argv); }
+int main(int argc, char** argv) {
+  return btpub::bench::guarded_main(argc, argv, btpub::run);
+}

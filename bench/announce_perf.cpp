@@ -1,30 +1,27 @@
 // announce_perf — machine-readable perf baseline for the announce fast
 // path. Times the full steady-state announce round trip (struct-level
 // announce_into and, for reference, the HTTP-string shim) at several
-// thread counts and writes the numbers to a JSON file so CI can archive a
-// perf trajectory across PRs.
+// thread counts and, with --json, writes the numbers (BENCH_announce.json)
+// so CI can archive a perf trajectory across PRs.
 //
 // Threading mirrors the crawler: the tracker is shared, every worker owns
 // its torrent (one swarm per thread — concurrent announces for the same
 // infohash are unsupported by the sweep) plus its reply/scratch buffers.
-//
-// Usage: announce_perf [--json PATH] [--iters N] [--peers N] [--quick]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/sha1.hpp"
+#include "harness.hpp"
 #include "tracker/tracker.hpp"
 
 namespace btpub {
 namespace {
 
 struct Options {
-  std::string json_path = "BENCH_announce.json";
+  std::string json_path;
   // Per-thread announce count. 3000 fits inside one swarm lifetime at the
   // enforced gap, so a client only has to rotate on wrap, like the crawl.
   std::size_t iters = 60000;
@@ -117,79 +114,47 @@ Result run_case(const std::string& mode, std::size_t threads,
   return r;
 }
 
-void write_json(const std::string& path, const Options& opt,
-                const std::vector<Result>& results) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "announce_perf: cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"benchmark\": \"announce_round_trip\",\n";
-  out << "  \"config\": {\"peers_per_swarm\": " << opt.peers
-      << ", \"numwant\": 200, \"iters_per_thread\": " << opt.iters << "},\n";
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    char line[256];
-    std::snprintf(line, sizeof line,
-                  "    {\"mode\": \"%s\", \"threads\": %zu, \"announces\": %zu, "
-                  "\"seconds\": %.4f, \"ns_per_announce\": %.1f, "
-                  "\"ops_per_sec\": %.0f}%s\n",
-                  r.mode.c_str(), r.threads, r.announces, r.seconds,
-                  r.ns_per_announce(), r.ops_per_sec(),
-                  i + 1 < results.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
-}
-
 int run(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "announce_perf: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next();
-    } else if (arg == "--iters") {
-      opt.iters = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--peers") {
-      opt.peers = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--quick") {
-      opt.iters = 5000;
-    } else {
-      std::fprintf(stderr,
-                   "usage: announce_perf [--json PATH] [--iters N] [--peers N] "
-                   "[--quick]\n");
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     "[--json PATH] [--iters N] [--peers N] [--quick]",
+                     {{"--json", &opt.json_path},
+                      {"--iters", &opt.iters},
+                      {"--peers", &opt.peers},
+                      {"--quick", [&] { opt.iters = 5000; }}});
 
   std::vector<std::size_t> thread_counts = {1, 2, 4};
   const std::size_t hw = std::thread::hardware_concurrency();
   if (hw >= 8) thread_counts.push_back(8);
 
-  std::vector<Result> results;
+  std::vector<bench::JsonObject> rows;
   for (const char* mode : {"struct", "http"}) {
     for (const std::size_t threads : thread_counts) {
-      results.push_back(run_case(mode, threads, opt));
-      const Result& r = results.back();
-      std::printf("%-6s %2zu thread(s): %9.0f announces/s  (%.0f ns/announce)\n",
-                  r.mode.c_str(), r.threads, r.ops_per_sec(),
-                  r.ns_per_announce());
+      const Result r = run_case(mode, threads, opt);
+      std::printf(
+          "%-6s %2zu thread(s): %9.0f announces/s  (%.0f ns/announce)\n",
+          r.mode.c_str(), r.threads, r.ops_per_sec(), r.ns_per_announce());
+      rows.push_back(bench::JsonObject()
+                         .text("mode", r.mode)
+                         .integer("threads", r.threads)
+                         .integer("announces", r.announces)
+                         .fixed("seconds", r.seconds, 4)
+                         .fixed("ns_per_announce", r.ns_per_announce(), 1)
+                         .fixed("ops_per_sec", r.ops_per_sec(), 0));
     }
   }
-  write_json(opt.json_path, opt, results);
-  std::printf("wrote %s\n", opt.json_path.c_str());
+  bench::write_bench_json(opt.json_path, "announce_round_trip",
+                          bench::JsonObject()
+                              .integer("peers_per_swarm", opt.peers)
+                              .integer("numwant", 200)
+                              .integer("iters_per_thread", opt.iters),
+                          rows);
   return 0;
 }
 
 }  // namespace
 }  // namespace btpub
 
-int main(int argc, char** argv) { return btpub::run(argc, argv); }
+int main(int argc, char** argv) {
+  return btpub::bench::guarded_main(argc, argv, btpub::run);
+}

@@ -1,13 +1,11 @@
 // build_perf — machine-readable perf baseline for ecosystem construction
 // and DHT-overlay scheduling. Times Ecosystem::build() at several thread
-// counts plus build_dht_overlay() (typed lazy cursors), and writes wall
-// time, peak RSS and the event-queue counters to a JSON file so CI can
-// archive a perf trajectory across PRs.
+// counts plus build_dht_overlay() (typed lazy cursors); with --json, writes
+// wall time, peak RSS and the event-queue counters (BENCH_build.json) so CI
+// can archive a perf trajectory across PRs.
 //
-// Every case runs in a fork()ed child so its peak RSS is its own: RSS is
-// monotone per process, so back-to-back cases in one process would all
-// report the largest predecessor's footprint. The child ships a POD result
-// record back over a pipe.
+// Every case runs in a forked child (bench/harness run_forked) so its peak
+// RSS is its own.
 //
 // The overlay case also replays the scheduled life through the window:
 // `dispatched` is then the number of occurrences an eager scheduler would
@@ -15,40 +13,28 @@
 // is what the lazy typed cursors actually kept in memory — the
 // O(sessions x window/30min) vs O(sessions) headline.
 //
-// --snapshot switches to the dataset snapshot suite (emits
-// BENCH_snapshot.json by default): synthetic million-session worlds are
-// built deterministically, then each persistence phase — pointer-heavy
-// Dataset build, CompactDataset conversion, snapshot save, open, query
-// and inflate — runs fork-isolated for wall time and honest peak RSS.
+// --snapshot switches to the dataset snapshot suite (BENCH_snapshot.json
+// in CI): synthetic million-session worlds are built deterministically,
+// then each persistence phase — pointer-heavy Dataset build, CompactDataset
+// conversion, snapshot save, open, query and inflate — runs fork-isolated
+// for wall time and honest peak RSS.
 // Open and open-plus-inflate report the fastest of five runs.
 // The query case opens the snapshot AND scans every downloader entry
 // (distinct-IP count over the view), so its timing includes faulting the
 // data in, not just the mmap() call.
-//
-// Usage: build_perf [--json PATH] [--threads N] [--scenario NAME]
-//                   [--seed N] [--quick]
-//                   [--snapshot] [--sessions N[,N...]] [--dir PATH]
-#include <sys/resource.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/ecosystem.hpp"
 #include "crawler/compact_dataset.hpp"
 #include "crawler/dataset_mmap.hpp"
+#include "harness.hpp"
 #include "synth_world.hpp"
 #include "util/rng.hpp"
 
@@ -59,7 +45,7 @@ using bench::dataset_sessions;
 using bench::synth_dataset;
 
 struct Options {
-  std::string json_path;  // defaulted per mode in run()
+  std::string json_path;
   std::string scenario = "quick";
   std::uint64_t seed = 42;
   /// The parallel case's worker count (the "N" in 1-vs-N).
@@ -72,21 +58,9 @@ struct Options {
   std::string dir = "/tmp";
 };
 
-ScenarioConfig scenario_by_name(const Options& opt) {
-  ScenarioConfig config;
-  if (opt.scenario == "pb10") {
-    config = ScenarioConfig::pb10(opt.seed);
-  } else if (opt.scenario == "pb09") {
-    config = ScenarioConfig::pb09(opt.seed);
-  } else if (opt.scenario == "mn08") {
-    config = ScenarioConfig::mn08(opt.seed);
-  } else if (opt.scenario == "signature") {
-    config = ScenarioConfig::signature(opt.seed);
-  } else if (opt.scenario == "spoofed") {
-    config = ScenarioConfig::spoofed(opt.seed);
-  } else {
-    config = ScenarioConfig::quick(opt.seed);
-  }
+/// The scenario to build; throws on an unknown --scenario name.
+ScenarioConfig scenario_for(const Options& opt) {
+  ScenarioConfig config = ScenarioConfig::by_name(opt.scenario, opt.seed);
   if (opt.quick) {
     // CI smoke: a third of the reference population, half the window.
     config.window = days(4);
@@ -95,10 +69,9 @@ ScenarioConfig scenario_by_name(const Options& opt) {
   return config;
 }
 
-/// POD shipped child -> parent over the pipe.
+/// What a forked case ships back to the parent.
 struct CaseResult {
   double seconds = 0.0;
-  long peak_rss_kb = 0;
   std::uint64_t torrents = 0;
   std::uint64_t publication_events = 0;
   std::uint64_t pending_after_build = 0;
@@ -114,18 +87,12 @@ struct CaseResult {
   double seconds_commit = 0.0;
 };
 
-long peak_rss_kb_self() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;  // kilobytes on Linux
-}
-
 /// phase: "ecosystem_build" times Ecosystem::build() alone;
 /// "dht_overlay" builds first, then times overlay construction and replays
 /// the scheduled life through the crawl horizon.
 CaseResult run_case(const std::string& phase, std::size_t threads,
                     const Options& opt) {
-  ScenarioConfig config = scenario_by_name(opt);
+  ScenarioConfig config = scenario_for(opt);
   config.threads = threads;
   CaseResult result;
   Ecosystem ecosystem(config);
@@ -154,60 +121,18 @@ CaseResult run_case(const std::string& phase, std::size_t threads,
     overlay->advance_to(horizon);  // replay: every join/announce/leave fires
     result.dispatched = overlay->events().dispatched();
   }
-  result.peak_rss_kb = peak_rss_kb_self();
   result.torrents = ecosystem.torrent_count();
   result.publication_events = ecosystem.build_stats().publication_events;
   return result;
 }
 
-/// Runs one case in a forked child so peak RSS is per-case.
-CaseResult run_case_forked(const std::string& phase, std::size_t threads,
-                           const Options& opt) {
-  int fd[2];
-  if (pipe(fd) != 0) {
-    std::perror("build_perf: pipe");
-    std::exit(2);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("build_perf: fork");
-    std::exit(2);
-  }
-  if (pid == 0) {
-    close(fd[0]);
-    const CaseResult result = run_case(phase, threads, opt);
-    ssize_t wrote = write(fd[1], &result, sizeof result);
-    _exit(wrote == static_cast<ssize_t>(sizeof result) ? 0 : 3);
-  }
-  close(fd[1]);
-  CaseResult result;
-  const ssize_t got = read(fd[0], &result, sizeof result);
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (got != static_cast<ssize_t>(sizeof result) || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "build_perf: %s@%zu child failed\n", phase.c_str(),
-                 threads);
-    std::exit(2);
-  }
-  return result;
-}
-
-struct Row {
-  std::string phase;
-  std::size_t threads;
-  CaseResult r;
-};
-
 // ---------------------------------------------------------------------------
 // Snapshot suite (--snapshot): synthetic worlds + persistence phases.
 // ---------------------------------------------------------------------------
 
-/// POD shipped child -> parent for one snapshot phase.
+/// What a forked snapshot phase ships back to the parent.
 struct SnapResult {
   double seconds = 0.0;
-  long peak_rss_kb = 0;
   std::uint64_t torrents = 0;
   std::uint64_t sessions = 0;      // downloader entries actually produced
   std::uint64_t bytes = 0;         // in-memory bytes (build phases)
@@ -232,51 +157,17 @@ std::uint64_t dataset_bytes_estimate(const Dataset& d) {
   return bytes;
 }
 
-/// Runs `body` in a forked child (honest per-phase RSS), ships SnapResult
-/// back over a pipe.
-SnapResult run_snap_forked(const char* phase,
-                           const std::function<SnapResult()>& body) {
-  int fd[2];
-  if (pipe(fd) != 0) {
-    std::perror("build_perf: pipe");
-    std::exit(2);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("build_perf: fork");
-    std::exit(2);
-  }
-  if (pid == 0) {
-    close(fd[0]);
-    const SnapResult result = body();
-    ssize_t wrote = write(fd[1], &result, sizeof result);
-    _exit(wrote == static_cast<ssize_t>(sizeof result) ? 0 : 3);
-  }
-  close(fd[1]);
-  SnapResult result;
-  const ssize_t got = read(fd[0], &result, sizeof result);
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (got != static_cast<ssize_t>(sizeof result) || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "build_perf: snapshot phase %s failed\n", phase);
-    std::exit(2);
-  }
-  return result;
-}
-
 struct SnapRow {
   std::string phase;
-  std::uint64_t sessions_target = 0;
   SnapResult r;
-  std::uint64_t file_bytes = 0;  // on-disk size, filled by the parent
+  long peak_rss_kb = 0;
 };
 
-/// One world's worth of phases. The snapshot file persists between phases
-/// (written by the save phase, read by the load phases).
+/// One world's worth of phases, appending a results row per phase. The
+/// snapshot file persists between phases (written by the save phase, read
+/// by the load phases).
 void run_snapshot_world(std::uint64_t sessions, const Options& opt,
-                        std::vector<SnapRow>& rows) {
+                        std::vector<bench::JsonObject>& json_rows) {
   namespace fs = std::filesystem;
   char name[64];
   std::snprintf(name, sizeof name, "btpub_snapshot_%llu.mmap",
@@ -293,12 +184,13 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
   auto finish = [](SnapResult& r, const Dataset& d) {
     r.torrents = d.torrents.size();
     r.sessions = dataset_sessions(d);
-    r.peak_rss_kb = peak_rss_kb_self();
   };
-  auto push = [&](const char* phase, const std::function<SnapResult()>& body) {
+  std::vector<SnapRow> rows;
+  auto push = [&](const char* phase, auto&& body) {
     std::fprintf(stderr, "build_perf: snapshot %s @%llu sessions...\n", phase,
                  static_cast<unsigned long long>(sessions));
-    rows.push_back(SnapRow{phase, sessions, run_snap_forked(phase, body), 0});
+    const auto [r, peak_rss_kb] = bench::run_forked(phase, body);
+    rows.push_back(SnapRow{phase, r, peak_rss_kb});
   };
 
   push("dataset_build", [&] {
@@ -355,7 +247,6 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     r.torrents = mapped.view().torrent_count();
     r.sessions = mapped.view().peer_blob.size() / 6;
     r.bytes = mapped.mapped_bytes();
-    r.peak_rss_kb = peak_rss_kb_self();
     return r;
   });
   push("query_mmap", [&] {
@@ -373,7 +264,6 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     r.torrents = torrents;
     r.sessions = sessions;
     r.bytes = bytes;
-    r.peak_rss_kb = peak_rss_kb_self();
     return r;
   });
   push("load_mmap_inflate", [&] {
@@ -385,246 +275,143 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     return r;
   });
 
-  // Attach on-disk sizes, then sanity-check every phase agrees on the
-  // distinct-IP count (a wrong snapshot must fail the bench, not publish
-  // fast-but-broken numbers).
+  // Every phase must agree on the distinct-IP count (a wrong snapshot must
+  // fail the bench, not publish fast-but-broken numbers).
   std::uint64_t expected = 0;
-  for (SnapRow& row : rows) {
-    if (row.sessions_target != sessions) continue;
-    if (row.phase.rfind("save_mmap", 0) == 0 ||
-        row.phase.rfind("load_mmap", 0) == 0 || row.phase == "query_mmap") {
-      row.file_bytes = fs::file_size(mmap_path);
+  for (const SnapRow& row : rows) {
+    if (row.r.distinct_ips == 0) continue;
+    if (expected == 0) expected = row.r.distinct_ips;
+    if (row.r.distinct_ips != expected) {
+      std::fprintf(stderr,
+                   "build_perf: phase %s distinct_ips mismatch "
+                   "(%llu vs %llu)\n",
+                   row.phase.c_str(),
+                   static_cast<unsigned long long>(row.r.distinct_ips),
+                   static_cast<unsigned long long>(expected));
+      std::exit(2);
     }
-    if (row.r.distinct_ips != 0) {
-      if (expected == 0) expected = row.r.distinct_ips;
-      if (row.r.distinct_ips != expected) {
-        std::fprintf(stderr,
-                     "build_perf: phase %s distinct_ips mismatch "
-                     "(%llu vs %llu)\n",
-                     row.phase.c_str(),
-                     static_cast<unsigned long long>(row.r.distinct_ips),
-                     static_cast<unsigned long long>(expected));
-        std::exit(2);
-      }
-    }
+  }
+  const auto phase = [&](std::string_view name) -> const SnapRow& {
+    return *std::find_if(rows.begin(), rows.end(),
+                         [&](const SnapRow& row) { return row.phase == name; });
+  };
+  std::printf(
+      "%llu sessions: open %.6fs, open+inflate %.4fs, distinct-IP query "
+      "%.3fs, query RSS %ld KB\n",
+      static_cast<unsigned long long>(sessions), phase("load_mmap").r.seconds,
+      phase("load_mmap_inflate").r.seconds, phase("query_mmap").r.seconds,
+      phase("query_mmap").peak_rss_kb);
+
+  const std::uint64_t file_bytes = fs::file_size(mmap_path);
+  for (const SnapRow& row : rows) {
+    const bool on_disk = row.phase != "dataset_build" &&
+                         row.phase != "compact_build";
+    json_rows.push_back(bench::JsonObject()
+                            .text("phase", row.phase)
+                            .integer("sessions", row.r.sessions)
+                            .fixed("seconds", row.r.seconds, 6)
+                            .integer("peak_rss_kb", row.peak_rss_kb)
+                            .integer("torrents", row.r.torrents)
+                            .integer("bytes", row.r.bytes)
+                            .integer("file_bytes", on_disk ? file_bytes : 0)
+                            .integer("distinct_ips", row.r.distinct_ips));
   }
   fs::remove(mmap_path);
 }
 
-void write_snapshot_json(const Options& opt, const std::vector<SnapRow>& rows) {
-  std::ofstream out(opt.json_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "build_perf: cannot open %s\n", opt.json_path.c_str());
-    std::exit(1);
-  }
-  auto find = [&](std::uint64_t sessions,
-                  std::string_view phase) -> const SnapRow* {
-    for (const SnapRow& row : rows) {
-      if (row.sessions_target == sessions && row.phase == phase) return &row;
-    }
-    return nullptr;
-  };
-  out << "{\n  \"benchmark\": \"dataset_snapshot\",\n";
-  out << "  \"config\": {\"seed\": " << opt.seed << ", \"format_version\": "
-      << mmap_format_version() << "},\n";
-  char line[512];
-  out << "  \"headline\": [\n";
-  for (std::size_t i = 0; i < opt.sessions.size(); ++i) {
-    const std::uint64_t n = opt.sessions[i];
-    const SnapRow* qmapped = find(n, "query_mmap");
-    const SnapRow* build = find(n, "dataset_build");
-    std::snprintf(
-        line, sizeof line,
-        "    {\"sessions\": %llu, \"mmap_query_rss_kb\": %ld, "
-        "\"dataset_build_rss_kb\": %ld}%s\n",
-        static_cast<unsigned long long>(n), qmapped->r.peak_rss_kb,
-        build->r.peak_rss_kb, i + 1 < opt.sessions.size() ? "," : "");
-    out << line;
-  }
-  out << "  ],\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SnapRow& row = rows[i];
-    std::snprintf(
-        line, sizeof line,
-        "    {\"phase\": \"%s\", \"sessions\": %llu, \"seconds\": %.6f, "
-        "\"peak_rss_kb\": %ld, \"torrents\": %llu, \"bytes\": %llu, "
-        "\"file_bytes\": %llu, \"distinct_ips\": %llu}%s\n",
-        row.phase.c_str(), static_cast<unsigned long long>(row.r.sessions),
-        row.r.seconds, row.r.peak_rss_kb,
-        static_cast<unsigned long long>(row.r.torrents),
-        static_cast<unsigned long long>(row.r.bytes),
-        static_cast<unsigned long long>(row.file_bytes),
-        static_cast<unsigned long long>(row.r.distinct_ips),
-        i + 1 < rows.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
-}
-
 int run_snapshot(const Options& opt) {
-  std::vector<SnapRow> rows;
+  std::vector<bench::JsonObject> rows;
   for (const std::uint64_t sessions : opt.sessions) {
     run_snapshot_world(sessions, opt, rows);
   }
-  write_snapshot_json(opt, rows);
-  for (const std::uint64_t n : opt.sessions) {
-    const SnapRow* mapped = nullptr;
-    const SnapRow* inflated = nullptr;
-    const SnapRow* qmapped = nullptr;
-    for (const SnapRow& row : rows) {
-      if (row.sessions_target != n) continue;
-      if (row.phase == "load_mmap") mapped = &row;
-      if (row.phase == "load_mmap_inflate") inflated = &row;
-      if (row.phase == "query_mmap") qmapped = &row;
-    }
-    std::printf(
-        "%llu sessions: open %.6fs, open+inflate %.4fs, distinct-IP query "
-        "%.3fs, query RSS %ld KB\n",
-        static_cast<unsigned long long>(n), mapped->r.seconds,
-        inflated->r.seconds, qmapped->r.seconds, qmapped->r.peak_rss_kb);
-  }
-  std::printf("wrote %s\n", opt.json_path.c_str());
+  bench::write_bench_json(opt.json_path, "dataset_snapshot",
+                          bench::JsonObject()
+                              .integer("seed", opt.seed)
+                              .integer("format_version", mmap_format_version()),
+                          rows);
   return 0;
-}
-
-void write_json(const Options& opt, const ScenarioConfig& config,
-                const std::vector<Row>& rows, double speedup) {
-  std::ofstream out(opt.json_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "build_perf: cannot open %s\n", opt.json_path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"benchmark\": \"ecosystem_build\",\n";
-  out << "  \"config\": {\"scenario\": \"" << config.name << "\", \"seed\": "
-      << config.seed << ", \"window_days\": " << (config.window / kDay)
-      << ", \"quick\": " << (opt.quick ? "true" : "false") << "},\n";
-  char line[512];
-  std::snprintf(line, sizeof line, "  \"build_speedup_%zu_threads\": %.2f,\n",
-                opt.threads, speedup);
-  out << line;
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::snprintf(
-        line, sizeof line,
-        "    {\"phase\": \"%s\", \"threads\": %zu, \"seconds\": %.4f, "
-        "\"peak_rss_kb\": %ld, \"torrents\": %llu, "
-        "\"pending_after_build\": %llu, \"typed_scheduled\": %llu, "
-        "\"callbacks_scheduled\": %llu, \"dispatched\": %llu, "
-        "\"seconds_population\": %.4f, \"seconds_backfill\": %.4f, "
-        "\"seconds_draw\": %.4f, \"seconds_prepare\": %.4f, "
-        "\"seconds_commit\": %.4f}%s\n",
-        row.phase.c_str(), row.threads, row.r.seconds, row.r.peak_rss_kb,
-        static_cast<unsigned long long>(row.r.torrents),
-        static_cast<unsigned long long>(row.r.pending_after_build),
-        static_cast<unsigned long long>(row.r.typed_scheduled),
-        static_cast<unsigned long long>(row.r.callbacks_scheduled),
-        static_cast<unsigned long long>(row.r.dispatched),
-        row.r.seconds_population, row.r.seconds_backfill, row.r.seconds_draw,
-        row.r.seconds_prepare, row.r.seconds_commit,
-        i + 1 < rows.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
 }
 
 int run(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "build_perf: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next();
-    } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--scenario") {
-      opt.scenario = next();
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--snapshot") {
-      opt.snapshot = true;
-    } else if (arg == "--dir") {
-      opt.dir = next();
-    } else if (arg == "--sessions") {
-      opt.sessions.clear();
-      const char* p = next();
-      while (*p != '\0') {
-        char* end = nullptr;
-        const std::uint64_t n = std::strtoull(p, &end, 10);
-        if (end == p || n == 0) {
-          std::fprintf(stderr, "build_perf: bad --sessions list\n");
-          return 2;
-        }
-        opt.sessions.push_back(n);
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (opt.sessions.empty()) {
-        std::fprintf(stderr, "build_perf: --sessions needs at least one count\n");
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: build_perf [--json PATH] [--threads N] "
-                   "[--scenario NAME] [--seed N] [--quick] "
-                   "[--snapshot] [--sessions N[,N...]] [--dir PATH]\n");
-      return 2;
-    }
-  }
-  if (opt.json_path.empty()) {
-    opt.json_path = opt.snapshot ? "BENCH_snapshot.json" : "BENCH_build.json";
-  }
+  bench::parse_flags(argc, argv,
+                     "[--json PATH] [--threads N] [--scenario NAME] "
+                     "[--seed N] [--quick] [--snapshot] [--sessions N[,N...]] "
+                     "[--dir PATH]",
+                     {{"--json", &opt.json_path},
+                      {"--threads", &opt.threads},
+                      {"--scenario", &opt.scenario},
+                      {"--seed", &opt.seed},
+                      {"--quick", &opt.quick},
+                      {"--snapshot", &opt.snapshot},
+                      {"--sessions", &opt.sessions},
+                      {"--dir", &opt.dir}});
   if (opt.snapshot) return run_snapshot(opt);
   if (opt.threads < 2) opt.threads = 2;
+  const ScenarioConfig config = scenario_for(opt);
 
-  std::vector<Row> rows;
-  for (const std::size_t threads : {std::size_t{1}, opt.threads}) {
-    std::fprintf(stderr, "build_perf: ecosystem_build @%zu thread(s)...\n",
-                 threads);
-    rows.push_back(Row{"ecosystem_build", threads,
-                       run_case_forked("ecosystem_build", threads, opt)});
-  }
-  std::fprintf(stderr, "build_perf: dht_overlay construction + replay...\n");
-  rows.push_back(
-      Row{"dht_overlay", 1, run_case_forked("dht_overlay", 1, opt)});
+  std::vector<bench::JsonObject> rows;
+  auto measure = [&](const char* phase, std::size_t threads) {
+    std::fprintf(stderr, "build_perf: %s @%zu thread(s)...\n", phase, threads);
+    const auto [r, peak_rss_kb] = bench::run_forked(
+        phase, [&] { return run_case(phase, threads, opt); });
+    rows.push_back(bench::JsonObject()
+                       .text("phase", phase)
+                       .integer("threads", threads)
+                       .fixed("seconds", r.seconds, 4)
+                       .integer("peak_rss_kb", peak_rss_kb)
+                       .integer("torrents", r.torrents)
+                       .integer("pending_after_build", r.pending_after_build)
+                       .integer("typed_scheduled", r.typed_scheduled)
+                       .integer("callbacks_scheduled", r.callbacks_scheduled)
+                       .integer("dispatched", r.dispatched)
+                       .fixed("seconds_population", r.seconds_population, 4)
+                       .fixed("seconds_backfill", r.seconds_backfill, 4)
+                       .fixed("seconds_draw", r.seconds_draw, 4)
+                       .fixed("seconds_prepare", r.seconds_prepare, 4)
+                       .fixed("seconds_commit", r.seconds_commit, 4));
+    return r;
+  };
+  const CaseResult serial = measure("ecosystem_build", 1);
+  const CaseResult parallel = measure("ecosystem_build", opt.threads);
+  const CaseResult overlay = measure("dht_overlay", 1);
 
-  const double speedup = rows[0].r.seconds / rows[1].r.seconds;
-  const ScenarioConfig config = scenario_by_name(opt);
-  write_json(opt, config, rows, speedup);
-
-  std::printf("build: %.3fs @1 thread, %.3fs @%zu threads (%.2fx), %llu "
+  std::printf("build: %.3fs @1 thread, %.3fs @%zu threads (%s), %llu "
               "torrents\n",
-              rows[0].r.seconds, rows[1].r.seconds, opt.threads, speedup,
-              static_cast<unsigned long long>(rows[0].r.torrents));
-  for (std::size_t i = 0; i < 2; ++i) {
-    const CaseResult& r = rows[i].r;
-    const double serial = r.seconds_population + r.seconds_backfill +
-                          r.seconds_commit;
+              serial.seconds, parallel.seconds, opt.threads,
+              bench::speedup_text(serial.seconds, parallel.seconds, opt.threads)
+                  .c_str(),
+              static_cast<unsigned long long>(serial.torrents));
+  for (const auto& [threads, r] :
+       {std::pair{std::size_t{1}, serial}, std::pair{opt.threads, parallel}}) {
+    const double floor = r.seconds_population + r.seconds_backfill +
+                         r.seconds_commit;
     std::printf(
         "  phases @%zu: population %.3fs, backfill %.3fs, draw %.3fs, "
         "prepare %.3fs, commit %.3fs (serial floor %.0f%%)\n",
-        rows[i].threads, r.seconds_population, r.seconds_backfill,
-        r.seconds_draw, r.seconds_prepare, r.seconds_commit,
-        r.seconds > 0.0 ? 100.0 * serial / r.seconds : 0.0);
+        threads, r.seconds_population, r.seconds_backfill, r.seconds_draw,
+        r.seconds_prepare, r.seconds_commit,
+        r.seconds > 0.0 ? 100.0 * floor / r.seconds : 0.0);
   }
   std::printf("overlay: %.3fs construct, %llu pending cursors, %llu closures, "
               "%llu occurrences replayed\n",
-              rows[2].r.seconds,
-              static_cast<unsigned long long>(rows[2].r.pending_after_build),
-              static_cast<unsigned long long>(rows[2].r.callbacks_scheduled),
-              static_cast<unsigned long long>(rows[2].r.dispatched));
-  std::printf("wrote %s\n", opt.json_path.c_str());
+              overlay.seconds,
+              static_cast<unsigned long long>(overlay.pending_after_build),
+              static_cast<unsigned long long>(overlay.callbacks_scheduled),
+              static_cast<unsigned long long>(overlay.dispatched));
+  bench::write_bench_json(opt.json_path, "ecosystem_build",
+                          bench::JsonObject()
+                              .text("scenario", config.name)
+                              .integer("seed", config.seed)
+                              .integer("window_days", config.window / kDay)
+                              .flag("quick", opt.quick),
+                          rows);
   return 0;
 }
 
 }  // namespace
 }  // namespace btpub
 
-int main(int argc, char** argv) { return btpub::run(argc, argv); }
+int main(int argc, char** argv) {
+  return btpub::bench::guarded_main(argc, argv, btpub::run);
+}

@@ -2,7 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
+
+#include "harness.hpp"
 
 namespace btpub::bench {
 
@@ -48,14 +49,7 @@ MappedDataset dataset_for(const ScenarioConfig& config, Ecosystem& ecosystem) {
 
 std::size_t threads_from_args(int argc, char** argv) {
   std::size_t threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else {
-      std::fprintf(stderr, "usage: %s [--threads N]\n", argv[0]);
-      std::exit(2);
-    }
-  }
+  parse_flags(argc, argv, "[--threads N]", {{"--threads", &threads}});
   return threads;
 }
 

@@ -40,7 +40,8 @@ void banner(const std::string& id, const std::string& title,
 /// (ScenarioConfig::threads) and for downloader_demographics, the only
 /// analysis pass that stays threaded. Both are byte-identical at any
 /// thread count, so the flag changes wall time, never output. Returns 1
-/// when the flag is absent; exits with usage on unknown arguments.
+/// when the flag is absent; exits with usage on unknown arguments or a
+/// value that is not a whole decimal count.
 std::size_t threads_from_args(int argc, char** argv);
 
 }  // namespace btpub::bench

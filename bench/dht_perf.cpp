@@ -2,20 +2,17 @@
 // DHT. Builds overlays of increasing size, then times iterative get_peers
 // lookups from a read-only vantage, reporting the Kademlia quantities that
 // matter: hops to convergence (O(log n)), messages per lookup, and raw
-// lookup throughput. Writes BENCH_dht.json so CI can archive a perf
-// trajectory across PRs.
-//
-// Usage: dht_perf [--json PATH] [--lookups N] [--quick]
+// lookup throughput. With --json, writes them (BENCH_dht.json) so CI can
+// archive a perf trajectory across PRs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "crypto/sha1.hpp"
 #include "dht/overlay.hpp"
+#include "harness.hpp"
 #include "util/rng.hpp"
 
 namespace btpub {
@@ -25,7 +22,7 @@ using dht::DhtOverlay;
 using dht::LookupStats;
 
 struct Options {
-  std::string json_path = "BENCH_dht.json";
+  std::string json_path;
   std::size_t lookups = 2000;
   std::vector<std::size_t> overlay_sizes = {100, 1000, 4000};
 };
@@ -96,73 +93,45 @@ Result run_case(std::size_t n_nodes, const Options& opt) {
   return r;
 }
 
-void write_json(const std::string& path, const Options& opt,
-                const std::vector<Result>& results) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "dht_perf: cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"benchmark\": \"dht_iterative_get_peers\",\n";
-  out << "  \"config\": {\"lookups\": " << opt.lookups
-      << ", \"torrents\": 64, \"peers_per_torrent\": 20}," << "\n";
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    char line[256];
-    std::snprintf(line, sizeof line,
-                  "    {\"nodes\": %zu, \"lookups\": %zu, \"avg_hops\": %.2f, "
-                  "\"max_hops\": %u, \"avg_messages\": %.1f, "
-                  "\"avg_peers\": %.1f, \"seconds\": %.4f, "
-                  "\"lookups_per_sec\": %.0f}%s\n",
-                  r.nodes, r.lookups, r.avg_hops, r.max_hops, r.avg_messages,
-                  r.avg_peers, r.seconds, r.lookups_per_sec(),
-                  i + 1 < results.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
-}
-
 int run(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "dht_perf: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next();
-    } else if (arg == "--lookups") {
-      opt.lookups = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--quick") {
-      opt.lookups = 300;
-      opt.overlay_sizes = {100, 1000};
-    } else {
-      std::fprintf(stderr,
-                   "usage: dht_perf [--json PATH] [--lookups N] [--quick]\n");
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv, "[--json PATH] [--lookups N] [--quick]",
+                     {{"--json", &opt.json_path},
+                      {"--lookups", &opt.lookups},
+                      {"--quick", [&] {
+                         opt.lookups = 300;
+                         opt.overlay_sizes = {100, 1000};
+                       }}});
 
-  std::vector<Result> results;
+  std::vector<bench::JsonObject> rows;
   for (const std::size_t n : opt.overlay_sizes) {
-    results.push_back(run_case(n, opt));
-    const Result& r = results.back();
+    const Result r = run_case(n, opt);
     std::printf("%5zu nodes: %6.0f lookups/s  avg %.2f hops (max %u), "
                 "%.1f msgs/lookup, %.1f peers/lookup\n",
                 r.nodes, r.lookups_per_sec(), r.avg_hops, r.max_hops,
                 r.avg_messages, r.avg_peers);
+    rows.push_back(bench::JsonObject()
+                       .integer("nodes", r.nodes)
+                       .integer("lookups", r.lookups)
+                       .fixed("avg_hops", r.avg_hops, 2)
+                       .integer("max_hops", r.max_hops)
+                       .fixed("avg_messages", r.avg_messages, 1)
+                       .fixed("avg_peers", r.avg_peers, 1)
+                       .fixed("seconds", r.seconds, 4)
+                       .fixed("lookups_per_sec", r.lookups_per_sec(), 0));
   }
-  write_json(opt.json_path, opt, results);
-  std::printf("wrote %s\n", opt.json_path.c_str());
+  bench::write_bench_json(opt.json_path, "dht_iterative_get_peers",
+                          bench::JsonObject()
+                              .integer("lookups", opt.lookups)
+                              .integer("torrents", 64)
+                              .integer("peers_per_torrent", 20),
+                          rows);
   return 0;
 }
 
 }  // namespace
 }  // namespace btpub
 
-int main(int argc, char** argv) { return btpub::run(argc, argv); }
+int main(int argc, char** argv) {
+  return btpub::bench::guarded_main(argc, argv, btpub::run);
+}

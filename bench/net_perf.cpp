@@ -1,28 +1,21 @@
 // net_perf — machine-readable perf baseline for the wire-serving path
-// (emits BENCH_net.json). Each case forks a ServeDaemon child (so its peak
-// RSS is its own, same discipline as build_perf), drives it over loopback
-// with the in-process load generator at 1/2/4/N worker threads, and
-// records announces/sec plus p50/p90/p99 round-trip latency. A
-// single-thread announce_into loop over an identical world provides the
-// in-process control: the wire/in-process throughput ratio is the
-// machine-normalized number CI gates on (tools/check_net_regression.py),
-// since absolute packets/sec vary wildly across runner hardware.
-//
-// Usage: net_perf [--json PATH] [--duration SECONDS] [--quick]
+// (BENCH_net.json in CI, written with --json). Each case spawns a
+// ServeDaemon child (bench/harness spawn/stop, so its peak RSS is its
+// own), drives it over loopback with the in-process load generator at
+// 1/2/4/N worker threads, and records announces/sec plus p50/p90/p99
+// round-trip latency. A single-thread announce_into loop over an identical
+// world provides the in-process control, reported as the "inprocess" row:
+// the wire/in-process throughput ratio is the machine-normalized number CI
+// gates on (tools/check_bench.py), since absolute packets/sec vary wildly
+// across runner hardware.
 #include <csignal>
-#include <signal.h>
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "netio/loadgen.hpp"
 #include "netio/serve.hpp"
 #include "tracker/tracker.hpp"
@@ -32,7 +25,7 @@ namespace btpub {
 namespace {
 
 struct Options {
-  std::string json_path = "BENCH_net.json";
+  std::string json_path;
   double duration = 2.0;
   std::size_t swarms = 32;
   std::size_t peers = 2000;
@@ -45,19 +38,9 @@ struct Options {
 struct CaseResult {
   std::string transport;
   std::size_t threads = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t timeouts = 0;
-  double seconds = 0.0;
-  std::uint64_t p50_ns = 0;
-  std::uint64_t p90_ns = 0;
-  std::uint64_t p99_ns = 0;
+  /// The in-process control fills only sent, received and elapsed_seconds.
+  netio::LoadgenReport report{};
   long server_peak_rss_kb = 0;
-
-  double ops_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(received) / seconds : 0.0;
-  }
 };
 
 netio::ServeDaemon* g_child_daemon = nullptr;
@@ -66,84 +49,38 @@ void child_term_handler(int) {
   if (g_child_daemon != nullptr) g_child_daemon->request_stop();
 }
 
-struct ServerHandle {
-  pid_t pid = -1;
-  std::uint16_t udp_port = 0;
-  std::uint16_t http_port = 0;
+struct Ports {
+  std::uint16_t udp = 0;
+  std::uint16_t http = 0;
 };
 
-/// Forks a serving child with `shards` UDP shards; returns once the child
+/// Spawns a serving child with `shards` UDP shards; returns once the child
 /// reports its bound ports. The child serves until SIGTERM (2-minute
 /// backstop so a crashed parent cannot leak a spinning daemon).
-ServerHandle spawn_server(std::size_t shards, const Options& opt) {
-  int ports[2];
-  if (pipe(ports) != 0) {
-    std::perror("net_perf: pipe");
-    std::exit(2);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("net_perf: fork");
-    std::exit(2);
-  }
-  if (pid == 0) {
-    close(ports[0]);
-    try {
-      netio::ServeConfig config;
-      config.udp_port = 0;
-      config.http_port = 0;
-      config.shards = shards;
-      config.swarms = opt.swarms;
-      config.peers_per_swarm = opt.peers;
-      config.seed = opt.seed;
-      config.duration_seconds = 120.0;
-      netio::ServeDaemon daemon(config);
-      g_child_daemon = &daemon;
-      signal(SIGTERM, child_term_handler);
-      const std::uint16_t bound[2] = {daemon.udp_port(), daemon.http_port()};
-      if (write(ports[1], bound, sizeof bound) != sizeof bound) _exit(3);
-      close(ports[1]);
-      daemon.run();
-      _exit(0);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "net_perf: server child: %s\n", e.what());
-      _exit(3);
-    }
-  }
-  close(ports[1]);
-  ServerHandle handle;
-  handle.pid = pid;
-  std::uint16_t bound[2] = {0, 0};
-  if (read(ports[0], bound, sizeof bound) != sizeof bound) {
-    std::fprintf(stderr, "net_perf: server child died before binding\n");
-    std::exit(2);
-  }
-  close(ports[0]);
-  handle.udp_port = bound[0];
-  handle.http_port = bound[1];
-  return handle;
-}
-
-/// SIGTERM + reap; returns the child's peak RSS in kB (ru_maxrss).
-long stop_server(const ServerHandle& handle) {
-  kill(handle.pid, SIGTERM);
-  int status = 0;
-  rusage usage{};
-  if (wait4(handle.pid, &status, 0, &usage) != handle.pid) return 0;
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "net_perf: server child exited abnormally (%d)\n",
-                 status);
-    std::exit(2);
-  }
-  return usage.ru_maxrss;
+bench::Spawned<Ports> spawn_server(std::size_t shards, const Options& opt) {
+  return bench::spawn<Ports>("net_perf server", [&](auto&& ready) {
+    netio::ServeConfig config;
+    config.udp_port = 0;
+    config.http_port = 0;
+    config.shards = shards;
+    config.swarms = opt.swarms;
+    config.peers_per_swarm = opt.peers;
+    config.seed = opt.seed;
+    config.duration_seconds = 120.0;
+    netio::ServeDaemon daemon(config);
+    g_child_daemon = &daemon;
+    std::signal(SIGTERM, child_term_handler);
+    ready(Ports{daemon.udp_port(), daemon.http_port()});
+    daemon.run();
+  });
 }
 
 CaseResult run_wire_case(const char* transport, std::size_t threads,
                          const Options& opt) {
-  const ServerHandle server = spawn_server(threads, opt);
+  const bench::Spawned<Ports> server = spawn_server(threads, opt);
 
   netio::LoadgenConfig config;
-  config.udp_port = server.udp_port;
+  config.udp_port = server.value.udp;
   config.threads = threads;
   config.duration_seconds = opt.duration;
   config.window = opt.window;
@@ -152,22 +89,10 @@ CaseResult run_wire_case(const char* transport, std::size_t threads,
   config.numwant = opt.numwant;
   if (std::string_view(transport) == "http") {
     config.use_http = true;
-    config.http_port = server.http_port;
+    config.http_port = server.value.http;
   }
-  const netio::LoadgenReport report = netio::run_loadgen(config);
-
-  CaseResult r;
-  r.transport = transport;
-  r.threads = threads;
-  r.sent = report.sent;
-  r.received = report.received;
-  r.errors = report.errors;
-  r.timeouts = report.timeouts;
-  r.seconds = report.elapsed_seconds;
-  r.p50_ns = report.p50_ns;
-  r.p90_ns = report.p90_ns;
-  r.p99_ns = report.p99_ns;
-  r.server_peak_rss_kb = stop_server(server);
+  CaseResult r{transport, threads, netio::run_loadgen(config)};
+  r.server_peak_rss_kb = bench::stop("net_perf server", server.pid);
   return r;
 }
 
@@ -202,152 +127,92 @@ CaseResult run_inprocess_case(const Options& opt) {
   }
   const auto t1 = std::chrono::steady_clock::now();
 
-  CaseResult r;
-  r.transport = "inprocess";
-  r.threads = 1;
-  r.sent = r.received = iters;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  CaseResult r{"inprocess", 1};
+  r.report.sent = r.report.received = iters;
+  r.report.elapsed_seconds = std::chrono::duration<double>(t1 - t0).count();
   return r;
-}
-
-void write_json(const std::string& path, const Options& opt,
-                const CaseResult& control,
-                const std::vector<CaseResult>& results) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "net_perf: cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  double ops_1 = 0.0, ops_4 = 0.0;
-  for (const CaseResult& r : results) {
-    if (r.transport != "udp") continue;
-    if (r.threads == 1) ops_1 = r.ops_per_sec();
-    if (r.threads == 4) ops_4 = r.ops_per_sec();
-  }
-  out << "{\n  \"benchmark\": \"net_serve\",\n";
-  out << "  \"config\": {\"swarms\": " << opt.swarms
-      << ", \"peers_per_swarm\": " << opt.peers
-      << ", \"numwant\": " << opt.numwant << ", \"window\": " << opt.window
-      << ", \"duration_seconds\": " << opt.duration
-      << ", \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << "},\n";
-  char line[512];
-  std::snprintf(line, sizeof line,
-                "  \"inprocess\": {\"announces\": %llu, \"seconds\": %.4f, "
-                "\"ops_per_sec\": %.0f},\n",
-                static_cast<unsigned long long>(control.received),
-                control.seconds, control.ops_per_sec());
-  out << line;
-  // Scaling is meaningful only with >= 4 real cores; report it regardless
-  // and let the gate decide (it compares against the committed baseline
-  // from the same class of machine).
-  std::snprintf(line, sizeof line, "  \"scaling_1_to_4\": %.3f,\n",
-                ops_1 > 0.0 ? ops_4 / (4.0 * ops_1) : 0.0);
-  out << line;
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    std::snprintf(
-        line, sizeof line,
-        "    {\"transport\": \"%s\", \"threads\": %zu, \"sent\": %llu, "
-        "\"received\": %llu, \"errors\": %llu, \"timeouts\": %llu, "
-        "\"seconds\": %.4f, \"announces_per_sec\": %.0f, "
-        "\"wire_vs_inprocess\": %.4f, \"p50_ns\": %llu, \"p90_ns\": %llu, "
-        "\"p99_ns\": %llu, \"server_peak_rss_kb\": %ld}%s\n",
-        r.transport.c_str(), r.threads,
-        static_cast<unsigned long long>(r.sent),
-        static_cast<unsigned long long>(r.received),
-        static_cast<unsigned long long>(r.errors),
-        static_cast<unsigned long long>(r.timeouts), r.seconds,
-        r.ops_per_sec(),
-        control.ops_per_sec() > 0.0 ? r.ops_per_sec() / control.ops_per_sec()
-                                    : 0.0,
-        static_cast<unsigned long long>(r.p50_ns),
-        static_cast<unsigned long long>(r.p90_ns),
-        static_cast<unsigned long long>(r.p99_ns), r.server_peak_rss_kb,
-        i + 1 < results.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
 }
 
 int run(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "net_perf: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next();
-    } else if (arg == "--duration") {
-      opt.duration = std::strtod(next(), nullptr);
-    } else if (arg == "--quick") {
-      opt.quick = true;
-      opt.duration = 1.0;
-    } else {
-      std::fprintf(stderr,
-                   "usage: net_perf [--json PATH] [--duration SECONDS] "
-                   "[--quick]\n");
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv, "[--json PATH] [--duration SECONDS] [--quick]",
+                     {{"--json", &opt.json_path},
+                      {"--duration", &opt.duration},
+                      {"--quick", [&] {
+                         opt.quick = true;
+                         opt.duration = 1.0;
+                       }}});
 
   // Best-of-2 everywhere: loopback numbers share cores with whatever else
   // the runner is doing, and that interference is one-sided (it only ever
   // slows a case down), so the max over two runs is the low-noise
   // estimate of true capacity — what the regression gate needs.
-  CaseResult control = run_inprocess_case(opt);
-  {
-    const CaseResult again = run_inprocess_case(opt);
-    if (again.ops_per_sec() > control.ops_per_sec()) control = again;
-  }
+  const auto best_of_two = [](auto&& run) {
+    const CaseResult first = run();
+    const CaseResult again = run();
+    return again.report.throughput() > first.report.throughput() ? again
+                                                                 : first;
+  };
+  const CaseResult control =
+      best_of_two([&] { return run_inprocess_case(opt); });
+  const double control_ops = control.report.throughput();
   std::printf("%-5s %2zu thread(s): %9.0f announces/s\n", "ctrl",
-              control.threads, control.ops_per_sec());
+              control.threads, control_ops);
 
   std::vector<std::size_t> thread_counts = {1, 2, 4};
   const std::size_t hw = std::thread::hardware_concurrency();
   if (hw > 4 && !opt.quick) thread_counts.push_back(hw);
   if (opt.quick) thread_counts = {1, 2};
 
-  const auto best_of_two = [&](const char* transport, std::size_t threads) {
-    CaseResult best = run_wire_case(transport, threads, opt);
-    const CaseResult again = run_wire_case(transport, threads, opt);
-    return again.ops_per_sec() > best.ops_per_sec() ? again : best;
+  std::vector<CaseResult> results = {control};
+  const auto wire = [&](const char* transport, std::size_t threads) {
+    const CaseResult r = best_of_two(
+        [&] { return run_wire_case(transport, threads, opt); });
+    std::printf(
+        "%-5s %2zu thread(s): %9.0f announces/s  p50 %.3f ms  p99 %.3f ms  "
+        "rss %ld kB\n",
+        r.transport.c_str(), r.threads, r.report.throughput(),
+        static_cast<double>(r.report.p50_ns) / 1e6,
+        static_cast<double>(r.report.p99_ns) / 1e6, r.server_peak_rss_kb);
+    results.push_back(r);
   };
+  for (const std::size_t threads : thread_counts) wire("udp", threads);
+  wire("http", 1);
 
-  std::vector<CaseResult> results;
-  for (const std::size_t threads : thread_counts) {
-    results.push_back(best_of_two("udp", threads));
-    const CaseResult& r = results.back();
-    std::printf(
-        "%-5s %2zu thread(s): %9.0f announces/s  p50 %.3f ms  p99 %.3f ms  "
-        "rss %ld kB\n",
-        r.transport.c_str(), r.threads, r.ops_per_sec(),
-        static_cast<double>(r.p50_ns) / 1e6,
-        static_cast<double>(r.p99_ns) / 1e6, r.server_peak_rss_kb);
+  std::vector<bench::JsonObject> rows;
+  for (const auto& [transport, threads, report, rss_kb] : results) {
+    const double ops = report.throughput();
+    rows.push_back(
+        bench::JsonObject()
+            .text("transport", transport)
+            .integer("threads", threads)
+            .integer("sent", report.sent)
+            .integer("received", report.received)
+            .integer("errors", report.errors)
+            .integer("timeouts", report.timeouts)
+            .fixed("seconds", report.elapsed_seconds, 4)
+            .fixed("announces_per_sec", ops, 0)
+            .fixed("wire_vs_inprocess",
+                   control_ops > 0.0 ? ops / control_ops : 0.0, 4)
+            .integer("p50_ns", report.p50_ns)
+            .integer("p90_ns", report.p90_ns)
+            .integer("p99_ns", report.p99_ns)
+            .integer("server_peak_rss_kb", rss_kb));
   }
-  results.push_back(best_of_two("http", 1));
-  {
-    const CaseResult& r = results.back();
-    std::printf(
-        "%-5s %2zu thread(s): %9.0f announces/s  p50 %.3f ms  p99 %.3f ms  "
-        "rss %ld kB\n",
-        r.transport.c_str(), r.threads, r.ops_per_sec(),
-        static_cast<double>(r.p50_ns) / 1e6,
-        static_cast<double>(r.p99_ns) / 1e6, r.server_peak_rss_kb);
-  }
-
-  write_json(opt.json_path, opt, control, results);
-  std::printf("wrote %s\n", opt.json_path.c_str());
+  bench::write_bench_json(opt.json_path, "net_serve",
+                          bench::JsonObject()
+                              .integer("swarms", opt.swarms)
+                              .integer("peers_per_swarm", opt.peers)
+                              .integer("numwant", opt.numwant)
+                              .integer("window", opt.window)
+                              .real("duration_seconds", opt.duration),
+                          rows);
   return 0;
 }
 
 }  // namespace
 }  // namespace btpub
 
-int main(int argc, char** argv) { return btpub::run(argc, argv); }
+int main(int argc, char** argv) {
+  return btpub::bench::guarded_main(argc, argv, btpub::run);
+}

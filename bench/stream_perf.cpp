@@ -2,25 +2,16 @@
 // layer (§4.5). Measures the per-update cost of each streaming component
 // (HyperLogLog add, count-min add, online session insertion, the
 // classifier's observer hot path) and the end-to-end cost of running a
-// full tracker crawl with the StreamingClassifier attached versus plain,
-// then writes wall time, per-update nanoseconds and peak RSS to a JSON
-// file so CI can archive the trajectory across PRs.
+// full tracker crawl with the StreamingClassifier attached versus plain.
+// With --json, writes wall time, per-update nanoseconds and peak RSS
+// (BENCH_stream.json) so CI can archive the trajectory across PRs.
 //
-// Every case runs in a fork()ed child so its peak RSS is its own (RSS is
-// monotone per process); the child ships a POD result record back over a
-// pipe — the same harness shape as build_perf.
-//
-// Usage: stream_perf [--json PATH] [--seed N] [--quick]
-#include <sys/resource.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+// Every case runs in a forked child (bench/harness run_forked) so its peak
+// RSS is its own.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,31 +20,25 @@
 #include "analysis/streaming/streaming_classifier.hpp"
 #include "core/ecosystem.hpp"
 #include "crawler/crawler.hpp"
+#include "harness.hpp"
 
 namespace btpub {
 namespace {
 
 struct Options {
-  std::string json_path = "BENCH_stream.json";
+  std::string json_path;
   std::uint64_t seed = 42;
   bool quick = false;
 };
 
-/// POD shipped child -> parent over the pipe.
+/// What a forked case ships back to the parent.
 struct CaseResult {
   double seconds = 0.0;      // timed section only
-  long peak_rss_kb = 0;
   std::uint64_t updates = 0;  // units the timed section processed
   /// Case-specific quality metric: relative estimate error for the sketch
   /// cases, snapshot seconds for the crawl cases.
   double aux = 0.0;
 };
-
-long peak_rss_kb_self() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;  // kilobytes on Linux
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -156,7 +141,9 @@ CaseResult run_case(const std::string& name, const Options& opt) {
     const auto s0 = std::chrono::steady_clock::now();
     const StreamingSnapshot snap = stream.finalize(hours(25));
     result.aux = seconds_since(s0);  // full-snapshot cost
-    if (snap.torrents != static_cast<std::size_t>(torrents)) std::exit(4);
+    if (snap.torrents != static_cast<std::size_t>(torrents)) {
+      throw std::runtime_error("classifier_push: snapshot lost torrents");
+    }
   } else if (name == "crawl_plain" || name == "crawl_observer") {
     // End-to-end: the quick-scenario tracker crawl, with and without the
     // streaming classifier riding along; the pair quantifies the observer
@@ -181,142 +168,57 @@ CaseResult run_case(const std::string& name, const Options& opt) {
       const auto s0 = std::chrono::steady_clock::now();
       const StreamingSnapshot snap = stream.finalize(config.window);
       result.aux = seconds_since(s0);
-      if (snap.torrents != dataset.torrent_count()) std::exit(4);
+      if (snap.torrents != dataset.torrent_count()) {
+        throw std::runtime_error("crawl_observer: snapshot lost torrents");
+      }
     }
   } else {
-    std::fprintf(stderr, "stream_perf: unknown case %s\n", name.c_str());
-    std::exit(2);
-  }
-
-  result.peak_rss_kb = peak_rss_kb_self();
-  return result;
-}
-
-/// Runs one case in a forked child so peak RSS is per-case.
-CaseResult run_case_forked(const std::string& name, const Options& opt) {
-  int fd[2];
-  if (pipe(fd) != 0) {
-    std::perror("stream_perf: pipe");
-    std::exit(2);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("stream_perf: fork");
-    std::exit(2);
-  }
-  if (pid == 0) {
-    close(fd[0]);
-    const CaseResult result = run_case(name, opt);
-    ssize_t wrote = write(fd[1], &result, sizeof result);
-    _exit(wrote == static_cast<ssize_t>(sizeof result) ? 0 : 3);
-  }
-  close(fd[1]);
-  CaseResult result;
-  const ssize_t got = read(fd[0], &result, sizeof result);
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (got != static_cast<ssize_t>(sizeof result) || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    std::fprintf(stderr, "stream_perf: case %s child failed\n", name.c_str());
-    std::exit(2);
+    throw std::logic_error("unknown case " + name);
   }
   return result;
-}
-
-struct Row {
-  std::string name;
-  CaseResult r;
-};
-
-void write_json(const Options& opt, const std::vector<Row>& rows,
-                double observer_overhead) {
-  std::ofstream out(opt.json_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "stream_perf: cannot open %s\n",
-                 opt.json_path.c_str());
-    std::exit(1);
-  }
-  out << "{\n  \"benchmark\": \"streaming_analysis\",\n";
-  out << "  \"config\": {\"seed\": " << opt.seed << ", \"quick\": "
-      << (opt.quick ? "true" : "false") << "},\n";
-  char line[512];
-  std::snprintf(line, sizeof line,
-                "  \"crawl_observer_overhead\": %.3f,\n", observer_overhead);
-  out << line;
-  out << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const double ns_per_update =
-        row.r.updates > 0
-            ? row.r.seconds * 1e9 / static_cast<double>(row.r.updates)
-            : 0.0;
-    std::snprintf(
-        line, sizeof line,
-        "    {\"case\": \"%s\", \"seconds\": %.4f, \"updates\": %llu, "
-        "\"ns_per_update\": %.1f, \"peak_rss_kb\": %ld, \"aux\": %.6f}%s\n",
-        row.name.c_str(), row.r.seconds,
-        static_cast<unsigned long long>(row.r.updates), ns_per_update,
-        row.r.peak_rss_kb, row.r.aux, i + 1 < rows.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n}\n";
 }
 
 int run(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "stream_perf: %s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next();
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--quick") {
-      opt.quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: stream_perf [--json PATH] [--seed N] [--quick]\n");
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv, "[--json PATH] [--seed N] [--quick]",
+                     {{"--json", &opt.json_path},
+                      {"--seed", &opt.seed},
+                      {"--quick", &opt.quick}});
 
   const std::vector<std::string> cases{"hll_update", "cms_update",
                                        "sighting_update", "classifier_push",
                                        "crawl_plain", "crawl_observer"};
-  std::vector<Row> rows;
+  std::vector<bench::JsonObject> rows;
   for (const std::string& name : cases) {
     std::fprintf(stderr, "stream_perf: %s...\n", name.c_str());
-    rows.push_back(Row{name, run_case_forked(name, opt)});
-  }
-
-  const double plain = rows[4].r.seconds;
-  const double observer_overhead =
-      plain > 0.0 ? rows[5].r.seconds / plain : 0.0;
-  write_json(opt, rows, observer_overhead);
-
-  for (const Row& row : rows) {
-    const double ns = row.r.updates > 0 ? row.r.seconds * 1e9 /
-                                              static_cast<double>(row.r.updates)
-                                        : 0.0;
+    const auto [r, peak_rss_kb] = bench::run_forked(
+        name.c_str(), [&] { return run_case(name, opt); });
+    const double ns = r.updates > 0
+                          ? r.seconds * 1e9 / static_cast<double>(r.updates)
+                          : 0.0;
     std::printf("%-16s %8.3fs  %10llu updates  %7.1f ns/update  %7ld KB  "
                 "aux=%.6f\n",
-                row.name.c_str(), row.r.seconds,
-                static_cast<unsigned long long>(row.r.updates), ns,
-                row.r.peak_rss_kb, row.r.aux);
+                name.c_str(), r.seconds,
+                static_cast<unsigned long long>(r.updates), ns, peak_rss_kb,
+                r.aux);
+    rows.push_back(bench::JsonObject()
+                       .text("case", name)
+                       .fixed("seconds", r.seconds, 4)
+                       .integer("updates", r.updates)
+                       .fixed("ns_per_update", ns, 1)
+                       .integer("peak_rss_kb", peak_rss_kb)
+                       .fixed("aux", r.aux, 6));
   }
-  std::printf("crawl observer overhead: %.3fx\nwrote %s\n", observer_overhead,
-              opt.json_path.c_str());
+  bench::write_bench_json(
+      opt.json_path, "streaming_analysis",
+      bench::JsonObject().integer("seed", opt.seed).flag("quick", opt.quick),
+      rows);
   return 0;
 }
 
 }  // namespace
 }  // namespace btpub
 
-int main(int argc, char** argv) { return btpub::run(argc, argv); }
+int main(int argc, char** argv) {
+  return btpub::bench::guarded_main(argc, argv, btpub::run);
+}

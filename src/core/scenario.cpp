@@ -1,5 +1,7 @@
 #include "core/scenario.hpp"
 
+#include <stdexcept>
+
 namespace btpub {
 
 ScenarioConfig ScenarioConfig::pb10(std::uint64_t seed) {
@@ -73,6 +75,17 @@ ScenarioConfig ScenarioConfig::spoofed(std::uint64_t seed) {
   config.name = "spoofed";
   config.fake_spoofed_peers = 25;
   return config;
+}
+
+ScenarioConfig ScenarioConfig::by_name(std::string_view name,
+                                       std::uint64_t seed) {
+  if (name == "pb10") return pb10(seed);
+  if (name == "pb09") return pb09(seed);
+  if (name == "mn08") return mn08(seed);
+  if (name == "signature") return signature(seed);
+  if (name == "quick") return quick(seed);
+  if (name == "spoofed") return spoofed(seed);
+  throw std::invalid_argument("unknown scenario '" + std::string(name) + "'");
 }
 
 }  // namespace btpub

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "crawler/crawler.hpp"
 #include "crawler/dht_crawler.hpp"
@@ -88,6 +89,10 @@ struct ScenarioConfig {
   static ScenarioConfig signature(std::uint64_t seed = 42);
   static ScenarioConfig quick(std::uint64_t seed = 42);
   static ScenarioConfig spoofed(std::uint64_t seed = 42);
+
+  /// The preset called `name` (pb10, pb09, mn08, signature, quick or
+  /// spoofed); throws std::invalid_argument for any other name.
+  static ScenarioConfig by_name(std::string_view name, std::uint64_t seed = 42);
 };
 
 }  // namespace btpub

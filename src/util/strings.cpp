@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -152,6 +153,17 @@ std::optional<std::size_t> url_unescape_into(std::string_view text, char* out,
     out[n++] = decoded;
   }
   return n;
+}
+
+std::optional<std::uint64_t> parse_uint(std::string_view text,
+                                        std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string format_double(double v, int decimals) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,6 +43,12 @@ std::string url_unescape(std::string_view text);
 /// input is malformed or decodes to more than `capacity` bytes.
 std::optional<std::size_t> url_unescape_into(std::string_view text, char* out,
                                              std::size_t capacity);
+
+/// Parses a whole decimal unsigned integer no greater than `max`. Returns
+/// nullopt for an empty string, a sign, whitespace, trailing characters or
+/// a value out of range, so a typo can never turn into 0 or wrap around.
+std::optional<std::uint64_t> parse_uint(std::string_view text,
+                                        std::uint64_t max = UINT64_MAX);
 
 /// printf-lite double formatting with fixed decimals.
 std::string format_double(double v, int decimals);

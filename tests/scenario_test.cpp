@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace btpub {
 namespace {
 
@@ -67,6 +69,17 @@ TEST(Scenarios, SeedFlowsThroughPresets) {
   EXPECT_EQ(ScenarioConfig::pb10(123).seed, 123u);
   EXPECT_EQ(ScenarioConfig::signature(9).seed, 9u);
   EXPECT_EQ(ScenarioConfig::quick(77).seed, 77u);
+}
+
+TEST(Scenarios, ByNameFindsEveryPresetAndRejectsOthers) {
+  for (const char* name : {"pb10", "pb09", "mn08", "signature", "quick", "spoofed"}) {
+    const ScenarioConfig config = ScenarioConfig::by_name(name, 5);
+    EXPECT_EQ(config.name, name);
+    EXPECT_EQ(config.seed, 5u);
+  }
+  EXPECT_THROW(ScenarioConfig::by_name("pb11"), std::invalid_argument);
+  EXPECT_THROW(ScenarioConfig::by_name(""), std::invalid_argument);
+  EXPECT_THROW(ScenarioConfig::by_name("Quick"), std::invalid_argument);
 }
 
 }  // namespace

@@ -99,6 +99,23 @@ TEST(Trim, Whitespace) {
   EXPECT_EQ(trim("x"), "x");
 }
 
+TEST(ParseUint, AcceptsWholeDecimalNumbersUpToMax) {
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("42"), 42u);
+  EXPECT_EQ(parse_uint("007"), 7u);
+  EXPECT_EQ(parse_uint("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_uint("65535", 65535), 65535u);
+}
+
+TEST(ParseUint, RejectsGarbageSignsAndOverflow) {
+  for (const char* bad : {"", "abc", "4x", "x4", " 4", "4 ", "-1", "+1", "1.5",
+                          "1e3", "0x10", "18446744073709551616"}) {
+    EXPECT_EQ(parse_uint(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_uint("70000", 65535), std::nullopt);
+  EXPECT_EQ(parse_uint("65536", 65535), std::nullopt);
+}
+
 TEST(FormatDouble, Decimals) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-1.0, 0), "-1");

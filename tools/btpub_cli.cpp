@@ -21,10 +21,12 @@
 //
 // Exit codes: 0 ok, 1 usage error, 2 runtime failure.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -69,16 +71,6 @@ int usage() {
   return 1;
 }
 
-ScenarioConfig scenario_by_name(const std::string& name, std::uint64_t seed) {
-  if (name == "pb10") return ScenarioConfig::pb10(seed);
-  if (name == "pb09") return ScenarioConfig::pb09(seed);
-  if (name == "mn08") return ScenarioConfig::mn08(seed);
-  if (name == "signature") return ScenarioConfig::signature(seed);
-  if (name == "quick") return ScenarioConfig::quick(seed);
-  if (name == "spoofed") return ScenarioConfig::spoofed(seed);
-  throw std::invalid_argument("unknown scenario '" + name + "'");
-}
-
 struct Options {
   std::string scenario = "quick";
   std::uint64_t seed = 42;
@@ -108,6 +100,16 @@ struct Options {
   std::vector<std::string> positional;
 };
 
+/// The value of a numeric flag; anything parse_uint rejects (a typo, a
+/// sign, a port above 65535) is a usage error rather than a silent 0 or a
+/// wrapped value.
+std::uint64_t number(const std::string& flag, const std::string& value,
+                     std::uint64_t max = UINT64_MAX) {
+  const std::optional<std::uint64_t> n = parse_uint(value, max);
+  if (!n) throw std::invalid_argument("bad value '" + value + "' for " + flag);
+  return *n;
+}
+
 Options parse_options(int argc, char** argv, int first) {
   Options options;
   for (int i = first; i < argc; ++i) {
@@ -119,48 +121,48 @@ Options parse_options(int argc, char** argv, int first) {
     if (arg == "--scenario") {
       options.scenario = next();
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next().c_str(), nullptr, 10);
+      options.seed = number(arg, next());
     } else if (arg == "--out") {
       options.out = next();
     } else if (arg == "--top") {
-      options.top_n = std::strtoull(next().c_str(), nullptr, 10);
+      options.top_n = number(arg, next());
     } else if (arg == "--threads") {
-      options.threads = std::strtoull(next().c_str(), nullptr, 10);
+      options.threads = number(arg, next());
     } else if (arg == "--bootstrap") {
       options.bootstrap = next();
     } else if (arg == "--bind" || arg == "--target") {
       options.bind_ip = next();
     } else if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(
-          std::strtoul(next().c_str(), nullptr, 10));
+      options.port =
+          static_cast<std::uint16_t>(number(arg, next(), UINT16_MAX));
     } else if (arg == "--http-port") {
-      options.http_port = static_cast<std::uint16_t>(
-          std::strtoul(next().c_str(), nullptr, 10));
+      options.http_port =
+          static_cast<std::uint16_t>(number(arg, next(), UINT16_MAX));
     } else if (arg == "--no-http") {
       options.no_http = true;
     } else if (arg == "--http") {
       options.use_http = true;
     } else if (arg == "--shards") {
-      options.shards = std::strtoull(next().c_str(), nullptr, 10);
+      options.shards = number(arg, next());
     } else if (arg == "--swarms") {
-      options.swarms = std::strtoull(next().c_str(), nullptr, 10);
+      options.swarms = number(arg, next());
     } else if (arg == "--peers") {
-      options.peers = std::strtoull(next().c_str(), nullptr, 10);
+      options.peers = number(arg, next());
     } else if (arg == "--query-gap") {
       options.query_gap = std::strtod(next().c_str(), nullptr);
     } else if (arg == "--duration") {
       options.duration = std::strtod(next().c_str(), nullptr);
     } else if (arg == "--max-announces") {
-      options.max_announces = std::strtoull(next().c_str(), nullptr, 10);
+      options.max_announces = number(arg, next());
     } else if (arg == "--max-requests") {
-      options.max_requests = std::strtoull(next().c_str(), nullptr, 10);
+      options.max_requests = number(arg, next());
     } else if (arg == "--rate") {
       options.rate = std::strtod(next().c_str(), nullptr);
     } else if (arg == "--window") {
-      options.window = std::strtoull(next().c_str(), nullptr, 10);
+      options.window = number(arg, next());
     } else if (arg == "--numwant") {
-      options.numwant = static_cast<std::uint32_t>(
-          std::strtoul(next().c_str(), nullptr, 10));
+      options.numwant =
+          static_cast<std::uint32_t>(number(arg, next(), UINT32_MAX));
     } else if (starts_with(arg, "--")) {
       throw std::invalid_argument("unknown option " + arg);
     } else {
@@ -175,7 +177,8 @@ int cmd_simulate(const Options& options) {
     std::fprintf(stderr, "simulate: --out FILE is required\n");
     return 1;
   }
-  ScenarioConfig config = scenario_by_name(options.scenario, options.seed);
+  ScenarioConfig config =
+      ScenarioConfig::by_name(options.scenario, options.seed);
   // One knob drives both parallel engines; either phase is byte-identical
   // at any thread count.
   config.threads = options.threads;
@@ -285,7 +288,8 @@ int cmd_export(const Options& options) {
 }
 
 int cmd_dht_crawl(const Options& options) {
-  ScenarioConfig config = scenario_by_name(options.scenario, options.seed);
+  ScenarioConfig config =
+      ScenarioConfig::by_name(options.scenario, options.seed);
   config.threads = options.threads;
   config.crawler.threads = options.threads;
   config.dht_crawler.bootstrap_magnet = options.bootstrap;
@@ -441,7 +445,8 @@ int cmd_loadgen(const Options& options) {
 }
 
 int cmd_feed(const Options& options) {
-  ScenarioConfig config = scenario_by_name(options.scenario, options.seed);
+  ScenarioConfig config =
+      ScenarioConfig::by_name(options.scenario, options.seed);
   config.window = days(1);
   Ecosystem ecosystem(config);
   ecosystem.build();
