@@ -72,8 +72,12 @@ int main(int argc, char** argv) {
       (histogram.hi - histogram.lo) / static_cast<double>(histogram.counts.size());
   for (std::size_t i = 0; i < histogram.counts.size(); ++i) {
     const double bin_lo = histogram.lo + width * static_cast<double>(i);
-    dist.row({"[" + format_double(bin_lo, 0) + ", " +
-                  format_double(bin_lo + width, 0) + ")",
+    std::string range = "[";
+    range += format_double(bin_lo, 0);
+    range += ", ";
+    range += format_double(bin_lo + width, 0);
+    range += ")";
+    dist.row({range,
               std::to_string(histogram.counts[i]),
               format_double(histogram.fraction(i) * 100.0, 1) + "%"});
   }

@@ -34,8 +34,11 @@ int main(int argc, char** argv) {
 
   AsciiTable table("Figure 5 — estimated money flows");
   table.header({"flow", "estimate"});
+  std::string ad_income = "$";
+  ad_income += humanize(flows.publishers_income_per_day_usd);
+  ad_income += " / day";
   table.row({"downloaders -> publisher sites (visits monetised via ads)",
-             "$" + humanize(flows.publishers_income_per_day_usd) + " / day"});
+             ad_income});
   table.row({"publishers -> hosting (OVH servers found in crawl)",
              std::to_string(flows.hosting_servers) + " servers"});
   table.row({"hosting income (servers x 300 EUR/month)",

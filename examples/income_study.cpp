@@ -38,12 +38,12 @@ int main(int argc, char** argv) {
     if (p.in_textbox) channels += "textbox ";
     if (p.in_filename) channels += "filename ";
     if (p.in_payload) channels += "payload ";
-    if (channels.empty()) channels = "-";
+    if (channels.empty()) channels += '-';
     std::string money;
     if (p.ads) money += "ads ";
     if (p.donations) money += "donations ";
     if (p.vip) money += "vip ";
-    if (money.empty()) money = "-";
+    if (money.empty()) money += '-';
     profiles.row({p.username, std::string(to_string(p.cls)),
                   p.domain.empty() ? "-" : p.domain, channels, money,
                   std::to_string(p.content_count),
@@ -70,10 +70,12 @@ int main(int argc, char** argv) {
                   "median visits/day"});
   for (const IncomeRow& row : income_table(classification, ecosystem.websites(),
                                            ecosystem.appraisal_panel())) {
+    std::string value = "$";
+    value += humanize(row.value_usd.median);
+    std::string income = "$";
+    income += humanize(row.daily_income_usd.median);
     incomes.row({std::string(to_string(row.cls)), std::to_string(row.sites),
-                 "$" + humanize(row.value_usd.median),
-                 "$" + humanize(row.daily_income_usd.median),
-                 humanize(row.daily_visits.median)});
+                 value, income, humanize(row.daily_visits.median)});
   }
   incomes.print();
 

@@ -209,7 +209,7 @@ Ecosystem::PublicationDraft Ecosystem::prepare_publication(
 
   Metainfo metainfo = Metainfo::make(
       tracker_->announce_url(), work.title, work.files,
-      /*piece_length=*/256 * 1024,
+      /*piece_length=*/std::nullopt,  // the creator rule
       /*salt=*/std::to_string(index) + "|" + work.username);
 
   draft.request.title = work.title;

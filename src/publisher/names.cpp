@@ -69,10 +69,12 @@ std::string make_release_title(ContentCategory category, Rng& rng) {
       std::string t = two_word_name(rng, '.');
       t += ".S";
       const auto s = rng.uniform_int(1, 8);
-      t += (s < 10 ? "0" : "") + std::to_string(s);
+      if (s < 10) t += '0';
+      t += std::to_string(s);
       t += "E";
       const auto e = rng.uniform_int(1, 24);
-      t += (e < 10 ? "0" : "") + std::to_string(e);
+      if (e < 10) t += '0';
+      t += std::to_string(e);
       t += ".HDTV.XviD-";
       t += pick(kGroups, rng);
       return t;

@@ -24,29 +24,39 @@ struct FileEntry {
   std::int64_t length = 0; // bytes
 };
 
-/// Parsed or constructed metainfo document.
+/// Parsed or constructed metainfo document. Either way it holds the
+/// .torrent bytes themselves, and the infohash is the SHA-1 of the `info`
+/// value's exact byte span inside them.
 class Metainfo {
  public:
   Metainfo() = default;
 
-  /// Builds a (single- or multi-file) metainfo. Piece hashes are derived
-  /// deterministically from (name, sizes, salt) rather than from payload
-  /// bytes — the simulator never materialises gigabytes of content — but
-  /// the document structure and the infohash computation are wire-real.
+  /// The piece length a torrent creator picks for `total` bytes: the
+  /// smallest power of two >= 256 KiB that keeps the torrent at <= 2048
+  /// pieces, capped at 16 MiB (so beyond 32 GiB the count exceeds 2048).
+  static std::int64_t creator_piece_length(std::int64_t total) noexcept;
+
+  /// Builds a (single- or multi-file) metainfo, writing the .torrent in one
+  /// pass. Without a `piece_length` the creator rule above applies. Piece
+  /// hashes are a PRF of (name, salt, total, piece length) — one SHA-1 per
+  /// torrent, expanded by SplitMix64 — rather than of payload bytes, since
+  /// the simulator never materialises content; the document structure and
+  /// the infohash computation are wire-real.
   static Metainfo make(std::string announce_url, std::string name,
                        std::vector<FileEntry> files,
-                       std::int64_t piece_length = 256 * 1024,
+                       std::optional<std::int64_t> piece_length = std::nullopt,
                        std::string_view salt = {},
                        std::string comment = {});
 
-  /// Serialises to canonical bencode (the .torrent file bytes).
-  std::string encode() const;
+  /// The .torrent file bytes: canonical bencode written by make(), or
+  /// exactly the bytes given to parse().
+  const std::string& encode() const noexcept { return bytes_; }
 
   /// Parses .torrent bytes; throws bencode::Error on malformed documents
   /// and std::invalid_argument on missing required fields.
   static Metainfo parse(std::string_view torrent_bytes);
 
-  /// SHA-1 of the bencoded info dictionary.
+  /// SHA-1 of the bencoded info dictionary, as it appears in encode().
   const Sha1Digest& infohash() const noexcept { return infohash_; }
 
   const std::string& announce_url() const noexcept { return announce_; }
@@ -64,10 +74,10 @@ class Metainfo {
   std::string comment_;
   std::int64_t piece_length_ = 0;
   std::size_t n_pieces_ = 0;
-  std::string pieces_blob_;  // 20 bytes per piece
   std::vector<FileEntry> files_;
   bool multi_file_ = false;
   Sha1Digest infohash_{};
+  std::string bytes_;  // the whole .torrent
 };
 
 }  // namespace btpub

@@ -4,7 +4,6 @@
 #include <cmath>
 
 namespace btpub {
-namespace {
 
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
@@ -13,6 +12,8 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+namespace {
 
 std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));

@@ -14,6 +14,10 @@
 
 namespace btpub {
 
+/// One SplitMix64 step: advances `state` and returns the next output. The
+/// cheap PRF behind derive_seed, Rng seeding and synthetic piece hashes.
+std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+
 /// Stateless substream derivation: maps a (seed, key) pair onto a child
 /// seed through SplitMix64 finalisation. Two different keys give unrelated
 /// streams; the same pair always gives the same stream, independent of any

@@ -166,6 +166,17 @@ std::optional<std::uint64_t> parse_uint(std::string_view text,
   return value;
 }
 
+std::optional<double> parse_double(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      std::signbit(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::string format_double(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, v);

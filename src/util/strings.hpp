@@ -50,6 +50,12 @@ std::optional<std::size_t> url_unescape_into(std::string_view text, char* out,
 std::optional<std::uint64_t> parse_uint(std::string_view text,
                                         std::uint64_t max = UINT64_MAX);
 
+/// Parses a whole finite, non-negative decimal number ("2", "0.5", "1e3").
+/// Returns nullopt for an empty string, a sign, whitespace, trailing
+/// characters, "inf"/"nan" or a value out of range, so `--duration abc`
+/// is an error rather than 0.
+std::optional<double> parse_double(std::string_view text);
+
 /// printf-lite double formatting with fixed decimals.
 std::string format_double(double v, int decimals);
 

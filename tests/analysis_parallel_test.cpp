@@ -191,9 +191,11 @@ TEST_F(AnalysisParallelTest, DemographicsByteIdenticalAcrossThreads) {
     // would show. 0 resolves to hardware concurrency.
     for (const std::size_t threads :
          {std::size_t{0}, std::size_t{3}, parallel_threads()}) {
+      std::string label = "@";
+      label += std::to_string(threads);
       expect_demographics_eq(serial,
                              downloader_demographics(view, geo(), 10, threads),
-                             "@" + std::to_string(threads));
+                             label);
     }
   }
 }

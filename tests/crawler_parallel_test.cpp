@@ -23,8 +23,10 @@ class CrawlerParallelTest : public ::testing::Test {
     // moderated listing — enough structure that any ordering dependence
     // in the engine would show up in the crawled dataset.
     for (std::uint32_t i = 0; i < 12; ++i) {
+      std::string title = "t";
+      title += std::to_string(i);
       const TorrentId id =
-          add_torrent("t" + std::to_string(i), /*publisher_nat=*/i % 5 == 3,
+          add_torrent(title, /*publisher_nat=*/i % 5 == 3,
                       /*extra_leechers=*/3 + i, /*extra_seeders=*/i % 4 == 2,
                       /*publish_at=*/minutes(10) + hours(2) * i,
                       /*publisher_stay=*/hours(3 + i % 3));

@@ -23,7 +23,8 @@ class DemographicsTest : public DatasetFixture {
                    std::vector<IpAddress> downloaders) {
     TorrentRecord record;
     record.portal_id = static_cast<TorrentId>(dataset_.torrents.size());
-    record.username = "u" + std::to_string(record.portal_id);
+    record.username = "u";
+    record.username += std::to_string(record.portal_id);
     record.publisher_ip = publisher;
     dataset_.torrents.push_back(std::move(record));
     dataset_.downloaders.push_back(std::move(downloaders));

@@ -46,7 +46,9 @@ TEST_F(GeneratorTest, ArrivalCountNearMean) {
   Rng rng(2);
   double total = 0;
   for (int trial = 0; trial < 30; ++trial) {
-    Swarm swarm(Sha1::hash("g" + std::to_string(trial)), 32, 0);
+    std::string key = "g";
+    key += std::to_string(trial);
+    Swarm swarm(Sha1::hash(key), 32, 0);
     total += static_cast<double>(generator_.generate(swarm, genuine_spec(), rng));
   }
   EXPECT_NEAR(total / 30.0, 200.0, 15.0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bencode/bencode.hpp"
+#include "crypto/sha1.hpp"
 
 namespace btpub {
 namespace {
@@ -123,6 +124,104 @@ TEST(Metainfo, EncodedFormIsCanonicalBencode) {
   // decode(encode()) must not throw and re-encode identically.
   const std::string bytes = sample_multi().encode();
   EXPECT_EQ(bencode::encode(bencode::decode(bytes)), bytes);
+}
+
+TEST(Metainfo, CreatorPieceLengthRule) {
+  constexpr std::int64_t kKiB = 1024;
+  constexpr std::int64_t kMiB = 1024 * kKiB;
+  constexpr std::int64_t kGiB = 1024 * kMiB;
+  for (const std::int64_t total :
+       {std::int64_t{0}, std::int64_t{1}, 256 * kKiB, 512 * kMiB, 512 * kMiB + 1,
+        700 * kMiB, 4 * kGiB + 7, 32 * kGiB - 1, 32 * kGiB, 32 * kGiB + 1,
+        100 * kGiB, 1024 * kGiB}) {
+    SCOPED_TRACE(total);
+    const std::int64_t pl = Metainfo::creator_piece_length(total);
+    EXPECT_EQ(pl & (pl - 1), 0) << "not a power of two";
+    EXPECT_GE(pl, 256 * kKiB);
+    EXPECT_LE(pl, 16 * kMiB);
+    const std::int64_t pieces = (total + pl - 1) / pl;
+    if (total <= 32 * kGiB) {
+      EXPECT_LE(pieces, 2048);
+      // Smallest such power of two: half of it would need > 2048 pieces.
+      if (pl > 256 * kKiB) {
+        EXPECT_GT((total + pl / 2 - 1) / (pl / 2), 2048);
+      }
+    } else {
+      EXPECT_EQ(pl, 16 * kMiB);
+    }
+  }
+  EXPECT_EQ(Metainfo::creator_piece_length(512 * kMiB), 256 * kKiB);
+  EXPECT_EQ(Metainfo::creator_piece_length(512 * kMiB + 1), 512 * kKiB);
+}
+
+TEST(Metainfo, MakeDefaultsToCreatorPieceLength) {
+  const Metainfo m = Metainfo::make("http://tr.example/announce", "Some.Movie.2010.avi",
+                                    {{"Some.Movie.2010.avi", 734003200}},
+                                    std::nullopt, "salt0");
+  EXPECT_EQ(m.piece_length(), Metainfo::creator_piece_length(734003200));
+  EXPECT_EQ(m.piece_length(), 512 * 1024);
+  EXPECT_EQ(m.piece_count(), 1400u);
+}
+
+TEST(Metainfo, GoldenInfohash) {
+  // Pins the synthesis (piece rule, pieces PRF, encoding) for a fixed
+  // (name, files, salt): a change here moves every infohash in every world.
+  const Metainfo single = Metainfo::make("http://tr.example/announce",
+                                         "Some.Movie.2010.avi",
+                                         {{"Some.Movie.2010.avi", 734003200}},
+                                         std::nullopt, "salt0");
+  EXPECT_EQ(single.infohash().hex(), "1e88ae8dc18d0040c8c3777a92fadee2817c910f");
+  const Metainfo multi = Metainfo::make(
+      "http://tr.example/announce", "Some.Movie.2010",
+      {{"Some.Movie.2010.avi", 734003200},
+       {"Some.Movie.2010.nfo", 4096},
+       {"Visit-www-divxatope-com.txt", 120}},
+      std::nullopt, "salt1");
+  EXPECT_EQ(multi.infohash().hex(), "8e6ff87241e75ff05c1164f012a070f687bdec0b");
+}
+
+TEST(Metainfo, MakeHashesTheInfoBytesItWrites) {
+  const std::string bytes = sample_multi().encode();
+  const std::size_t info = bytes.find("4:infod");
+  ASSERT_NE(info, std::string::npos);
+  // The info dict runs from after its key to the root's closing 'e'.
+  const std::string_view span =
+      std::string_view(bytes).substr(info + 6, bytes.size() - info - 7);
+  EXPECT_EQ(sample_multi().infohash(), Sha1::hash(span));
+}
+
+TEST(Metainfo, InfohashIsSha1OfTheExactInfoBytes) {
+  const std::string pieces(20, '\x5a');
+  const std::string info =
+      "d6:lengthi5e4:name5:x.bin12:piece lengthi16384e6:pieces20:" + pieces + "e";
+  const std::string torrent =
+      "d8:announce10:http://t/a7:comment2:hi4:info" + info + "e";
+  const Metainfo m = Metainfo::parse(torrent);
+  EXPECT_EQ(m.infohash(), Sha1::hash(info));
+  EXPECT_EQ(m.name(), "x.bin");
+  EXPECT_EQ(m.comment(), "hi");
+  EXPECT_EQ(m.piece_count(), 1u);
+  EXPECT_EQ(m.total_size(), 5);
+  EXPECT_EQ(m.encode(), torrent);  // parse keeps the bytes it was given
+}
+
+TEST(Metainfo, UnsortedKeysAreRejectedNotMisHashed) {
+  const std::string pieces(20, '\x5a');
+  // "name" before "length" inside info: not canonical bencode.
+  const std::string unsorted_info =
+      "d8:announce10:http://t/a4:infod4:name5:x.bin6:lengthi5e"
+      "12:piece lengthi16384e6:pieces20:" + pieces + "ee";
+  EXPECT_THROW(Metainfo::parse(unsorted_info), bencode::Error);
+  // "info" before "announce" at the top level.
+  const std::string unsorted_root =
+      "d4:infod6:lengthi5e4:name5:x.bin12:piece lengthi16384e6:pieces20:" +
+      pieces + "e8:announce10:http://t/ae";
+  EXPECT_THROW(Metainfo::parse(unsorted_root), bencode::Error);
+  // A repeated top-level key and trailing bytes are rejected too.
+  const std::string good = sample_single().encode();
+  EXPECT_THROW(Metainfo::parse(good + "x"), bencode::Error);
+  const std::string twice = "d8:announce1:a8:announce1:b" + good.substr(1);
+  EXPECT_THROW(Metainfo::parse(twice), bencode::Error);
 }
 
 class PieceLengthSweep : public ::testing::TestWithParam<std::int64_t> {};

@@ -121,7 +121,9 @@ TEST(Portal, RssSkipsRemovedItems) {
 TEST(Portal, RssHonoursLimit) {
   Portal portal("test");
   for (int i = 0; i < 10; ++i) {
-    portal.publish(make_request("u", "T" + std::to_string(i)), 100 + i);
+    std::string title = "T";
+    title += std::to_string(i);
+    portal.publish(make_request("u", title), 100 + i);
   }
   EXPECT_EQ(portal.rss_since(kInvalidTorrent, 1000, 4).size(), 4u);
 }

@@ -150,8 +150,9 @@ bencode::Value random_value(Rng& rng, int depth) {
   bencode::Dict dict;
   const std::size_t n = rng.index(5);
   for (std::size_t i = 0; i < n; ++i) {
-    dict.emplace("k" + std::to_string(rng.uniform_int(0, 1000)),
-                 random_value(rng, depth + 1));
+    std::string key = "k";
+    key += std::to_string(rng.uniform_int(0, 1000));
+    dict.emplace(std::move(key), random_value(rng, depth + 1));
   }
   return bencode::Value(std::move(dict));
 }

@@ -112,13 +112,15 @@ TEST(Rss, PortalFeedIsParseable) {
   // End to end: a real portal's rss_since rendered and re-parsed.
   Portal portal("feed-test");
   for (int i = 0; i < 5; ++i) {
-    PublishRequest request;
-    request.title = "Item & <" + std::to_string(i) + ">";
-    request.category = ContentCategory::Music;
-    request.username = "user" + std::to_string(i);
-    request.torrent_bytes = "x";
-    request.size_bytes = 1000 + i;
-    portal.publish(std::move(request), 100 + i);
+    const std::string n = std::to_string(i);
+    portal.publish(PublishRequest{.title = "Item & <" + n + ">",
+                                  .category = ContentCategory::Music,
+                                  .username = "user" + n,
+                                  .textbox = {},
+                                  .torrent_bytes = "x",
+                                  .infohash = {},
+                                  .size_bytes = 1000 + i},
+                   100 + i);
   }
   const auto items = portal.rss_since(kInvalidTorrent, 1000);
   const RssDocument doc = parse_rss(render_rss(portal.name(), items));

@@ -116,6 +116,21 @@ TEST(ParseUint, RejectsGarbageSignsAndOverflow) {
   EXPECT_EQ(parse_uint("65536", 65535), std::nullopt);
 }
 
+TEST(ParseDouble, AcceptsFiniteNonNegativeDecimals) {
+  EXPECT_EQ(parse_double("0"), 0.0);
+  EXPECT_EQ(parse_double("2"), 2.0);
+  EXPECT_EQ(parse_double("0.5"), 0.5);
+  EXPECT_EQ(parse_double("1e3"), 1000.0);
+  EXPECT_EQ(parse_double("40000.25"), 40000.25);
+}
+
+TEST(ParseDouble, RejectsGarbageSignsAndNonFinite) {
+  for (const char* bad : {"", "abc", "4x", "x4", " 4", "4 ", "-1", "-0", "+1",
+                          "1.5s", "inf", "nan", "-inf", "1e999", "0x10"}) {
+    EXPECT_EQ(parse_double(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 TEST(FormatDouble, Decimals) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-1.0, 0), "-1");

@@ -110,6 +110,14 @@ std::uint64_t number(const std::string& flag, const std::string& value,
   return *n;
 }
 
+/// The value of a seconds/rate flag, held to the same rule via
+/// parse_double.
+double real_number(const std::string& flag, const std::string& value) {
+  const std::optional<double> x = parse_double(value);
+  if (!x) throw std::invalid_argument("bad value '" + value + "' for " + flag);
+  return *x;
+}
+
 Options parse_options(int argc, char** argv, int first) {
   Options options;
   for (int i = first; i < argc; ++i) {
@@ -149,15 +157,15 @@ Options parse_options(int argc, char** argv, int first) {
     } else if (arg == "--peers") {
       options.peers = number(arg, next());
     } else if (arg == "--query-gap") {
-      options.query_gap = std::strtod(next().c_str(), nullptr);
+      options.query_gap = real_number(arg, next());
     } else if (arg == "--duration") {
-      options.duration = std::strtod(next().c_str(), nullptr);
+      options.duration = real_number(arg, next());
     } else if (arg == "--max-announces") {
       options.max_announces = number(arg, next());
     } else if (arg == "--max-requests") {
       options.max_requests = number(arg, next());
     } else if (arg == "--rate") {
-      options.rate = std::strtod(next().c_str(), nullptr);
+      options.rate = real_number(arg, next());
     } else if (arg == "--window") {
       options.window = number(arg, next());
     } else if (arg == "--numwant") {
