@@ -37,11 +37,10 @@ void banner(const std::string& id, const std::string& title,
 
 /// Parses the shared fig/table command line: `--threads N` (0 = hardware
 /// concurrency) sets the worker count for ecosystem builds
-/// (ScenarioConfig::threads) and for downloader_demographics, the only
-/// analysis pass that stays threaded. Both are byte-identical at any
-/// thread count, so the flag changes wall time, never output. Returns 1
-/// when the flag is absent; exits with usage on unknown arguments or a
-/// value that is not a whole decimal count.
+/// (ScenarioConfig::threads); every analysis pass is serial. The build is
+/// byte-identical at any thread count, so the flag changes wall time,
+/// never output. Returns 1 when the flag is absent; exits with usage on
+/// unknown arguments or a value that is not a whole decimal count.
 std::size_t threads_from_args(int argc, char** argv);
 
 }  // namespace btpub::bench

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const MappedDataset mapped = bench::dataset_for(pb10);
   const CompactDatasetView& view = mapped.view();
   const IspCatalog catalog = IspCatalog::standard();
-  const auto demo = downloader_demographics(view, catalog.db(), 10, threads);
+  const auto demo = downloader_demographics(view, catalog.db(), 10);
 
   AsciiTable countries("Top downloader countries");
   countries.header({"country", "distinct IPs", "share"});

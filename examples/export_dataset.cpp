@@ -15,21 +15,6 @@
 
 using namespace btpub;
 
-namespace {
-
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : "btpub-export";
   const std::uint64_t seed =

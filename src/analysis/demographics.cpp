@@ -1,26 +1,19 @@
 #include "analysis/demographics.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "util/parallel.hpp"
+#include <map>
 
 namespace btpub {
 namespace {
 
-std::vector<DemographicRow> to_rows(
-    const std::unordered_map<std::string, std::size_t>& counts,
-    std::size_t total, std::size_t top_k) {
-  std::vector<DemographicRow> rows;
-  rows.reserve(counts.size());
-  for (const auto& [label, count] : counts) {
-    DemographicRow row;
-    row.label = label;
-    row.downloaders = count;
-    row.share = total ? static_cast<double>(count) / static_cast<double>(total)
+/// Fills in each row's share of `total`, orders by count (ties by label)
+/// and keeps the top k.
+std::vector<DemographicRow> ranked(std::vector<DemographicRow> rows,
+                                   std::size_t total, std::size_t top_k) {
+  for (DemographicRow& row : rows) {
+    row.share = total ? static_cast<double>(row.downloaders) /
+                            static_cast<double>(total)
                       : 0.0;
-    rows.push_back(std::move(row));
   }
   std::sort(rows.begin(), rows.end(),
             [](const DemographicRow& a, const DemographicRow& b) {
@@ -33,86 +26,65 @@ std::vector<DemographicRow> to_rows(
   return rows;
 }
 
-/// Per-shard geo aggregation over a slice of the distinct-IP list.
-struct GeoCounts {
-  std::size_t located = 0;
-  std::unordered_map<std::string, std::size_t> by_country;
-  std::unordered_map<std::string, std::size_t> by_isp;
-};
+/// Per-ISP counts (indexed by IspId) rendered as ISP rows.
+std::vector<DemographicRow> isp_rows(const GeoDb& geo,
+                                     const std::vector<std::size_t>& per_isp) {
+  std::vector<DemographicRow> rows;
+  for (IspId id = 0; id < per_isp.size(); ++id) {
+    if (per_isp[id] > 0) rows.push_back({geo.isp(id).name, per_isp[id], 0.0});
+  }
+  return rows;
+}
+
+/// Per-ISP counts folded into country rows: each ISP has one country.
+std::vector<DemographicRow> country_rows(
+    const GeoDb& geo, const std::vector<std::size_t>& per_isp) {
+  std::map<std::string_view, std::size_t> by_country;
+  for (IspId id = 0; id < per_isp.size(); ++id) {
+    if (per_isp[id] > 0) by_country[geo.isp(id).country] += per_isp[id];
+  }
+  std::vector<DemographicRow> rows;
+  rows.reserve(by_country.size());
+  for (const auto& [country, count] : by_country) {
+    rows.push_back({std::string(country), count, 0.0});
+  }
+  return rows;
+}
 
 }  // namespace
 
-/// Two sharded passes: the dedup scan emits each shard's locally-new IPs
-/// (merged into the global distinct set in span order), then the geo
-/// lookups fan out over the distinct list and merge by commutative sums —
-/// both byte-identical to the serial single pass.
 DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
                                                const GeoDb& geo,
-                                               std::size_t top_k,
-                                               std::size_t threads) {
+                                               std::size_t top_k) {
+  const std::vector<IpAddress> distinct = view.distinct_downloader_ips();
   DownloaderDemographics demo;
-
-  auto shards = sharded_scan(
-      view.torrents.size(), threads, [&](std::size_t begin, std::size_t end) {
-        std::unordered_set<IpAddress> local_seen;
-        std::vector<IpAddress> local_new;
-        for (std::size_t t = begin; t < end; ++t) {
-          const TorrentRecordPod& pod = view.torrents[t];
-          for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
-            const IpAddress ip = view.downloader_ip(pod, i);
-            if (local_seen.insert(ip).second) local_new.push_back(ip);
-          }
-        }
-        return local_new;
-      });
-
-  std::unordered_set<IpAddress> seen;
-  std::vector<IpAddress> distinct;
-  for (const auto& shard : shards) {
-    for (const IpAddress& ip : shard) {
-      if (seen.insert(ip).second) distinct.push_back(ip);
-    }
+  demo.total_distinct_ips = distinct.size();
+  std::vector<std::size_t> per_isp(geo.isp_count());
+  for (const IpAddress ip : distinct) {
+    const auto loc = geo.lookup(ip);
+    if (!loc) continue;
+    ++per_isp[loc->isp];
+    ++demo.located_ips;
   }
-  demo.total_distinct_ips = seen.size();
-
-  auto counts = sharded_scan(
-      distinct.size(), threads, [&](std::size_t begin, std::size_t end) {
-        GeoCounts local;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto loc = geo.lookup(distinct[i]);
-          if (!loc) continue;
-          ++local.located;
-          ++local.by_country[std::string(loc->country)];
-          ++local.by_isp[std::string(loc->isp_name)];
-        }
-        return local;
-      });
-  std::unordered_map<std::string, std::size_t> by_country;
-  std::unordered_map<std::string, std::size_t> by_isp;
-  for (const GeoCounts& shard : counts) {
-    demo.located_ips += shard.located;
-    for (const auto& [label, count] : shard.by_country) by_country[label] += count;
-    for (const auto& [label, count] : shard.by_isp) by_isp[label] += count;
-  }
-  demo.by_country = to_rows(by_country, demo.located_ips, top_k);
-  demo.by_isp = to_rows(by_isp, demo.located_ips, top_k);
+  demo.by_country = ranked(country_rows(geo, per_isp), demo.located_ips, top_k);
+  demo.by_isp = ranked(isp_rows(geo, per_isp), demo.located_ips, top_k);
   return demo;
 }
 
 std::vector<DemographicRow> publisher_countries(const CompactDatasetView& view,
                                                 const GeoDb& geo,
                                                 std::size_t top_k) {
-  std::unordered_map<std::string, std::size_t> counts;
+  std::vector<std::size_t> per_isp(geo.isp_count());
   std::size_t total = 0;
   for (const TorrentRecordPod& pod : view.torrents) {
     const auto ip = view.publisher_ip(pod);
     if (!ip) continue;
     const auto loc = geo.lookup(*ip);
     if (!loc) continue;
-    ++counts[std::string(loc->country)];
+    ++per_isp[loc->isp];
     ++total;
   }
-  return to_rows(counts, total, top_k);
+  return ranked(country_rows(geo, per_isp), total, top_k);
 }
 
 }  // namespace btpub

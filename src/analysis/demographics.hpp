@@ -28,16 +28,14 @@ struct DownloaderDemographics {
 };
 
 /// Maps every distinct downloader IP and aggregates by country and ISP.
-/// `top_k` limits both breakdowns (0 = unlimited). `threads` shards both
-/// the per-torrent dedup scan and the geo lookups over a worker pool (0 =
-/// hardware concurrency); shard results merge in span order / by
-/// commutative sums, so the breakdown is byte-identical to serial at any
-/// thread count. This is the one analysis pass whose threads paid on a
-/// 4-core box (DESIGN.md §4.8).
+/// `top_k` limits both breakdowns (0 = unlimited). One serial pass: the
+/// view's sorted distinct-downloader list is looked up once per IP and
+/// counted by IspId; the ISP rows and the country rows (an ISP has one
+/// country, so a country's count is the sum of its ISPs') are rendered
+/// once at the end (DESIGN.md §4.8).
 DownloaderDemographics downloader_demographics(const CompactDatasetView& view,
                                                const GeoDb& geo,
-                                               std::size_t top_k = 10,
-                                               std::size_t threads = 1);
+                                               std::size_t top_k = 10);
 
 /// Country breakdown of *publishers* (identified IPs), weighted by
 /// published content — the supply-side counterpart.

@@ -85,22 +85,24 @@ IspFeederProfile isp_feeder_profile(const CompactDatasetView& view,
 std::size_t consumers_from_isp(const CompactDatasetView& view, const GeoDb& geo,
                                std::string_view isp_name,
                                bool exclude_publishers) {
-  std::unordered_set<IpAddress> publisher_ips;
+  const auto isp = geo.find_isp(isp_name);
+  if (!isp) return 0;
+  std::vector<IpAddress> publisher_ips;
   if (exclude_publishers) {
     for (const TorrentRecordPod& pod : view.torrents) {
-      if (const auto ip = view.publisher_ip(pod)) publisher_ips.insert(*ip);
+      if (const auto ip = view.publisher_ip(pod)) publisher_ips.push_back(*ip);
     }
+    std::sort(publisher_ips.begin(), publisher_ips.end());
   }
-  std::unordered_set<IpAddress> consumers;
-  for (const TorrentRecordPod& pod : view.torrents) {
-    for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
-      const IpAddress ip = view.downloader_ip(pod, i);
-      if (exclude_publishers && publisher_ips.contains(ip)) continue;
-      const auto loc = geo.lookup(ip);
-      if (loc && loc->isp_name == isp_name) consumers.insert(ip);
+  std::size_t consumers = 0;
+  for (const IpAddress ip : view.distinct_downloader_ips()) {
+    if (std::binary_search(publisher_ips.begin(), publisher_ips.end(), ip)) {
+      continue;
     }
+    const auto loc = geo.lookup(ip);
+    consumers += loc && loc->isp == *isp;
   }
-  return consumers.size();
+  return consumers;
 }
 
 TopHostingShare top_hosting_share(const IdentityAnalysis& identity,

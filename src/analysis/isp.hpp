@@ -42,7 +42,8 @@ IspFeederProfile isp_feeder_profile(const CompactDatasetView& view,
 /// given ISP across the whole dataset (the paper found no OVH consumers).
 /// Addresses known to belong to publishers (identified in any torrent) are
 /// excluded when `exclude_publishers` is set — presence of a publisher's
-/// own box in a swarm it seeds is not consumption.
+/// own box in a swarm it seeds is not consumption. An ISP name the GeoDb
+/// does not know has no consumers.
 std::size_t consumers_from_isp(const CompactDatasetView& view, const GeoDb& geo,
                                std::string_view isp_name,
                                bool exclude_publishers = true);

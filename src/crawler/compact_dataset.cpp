@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "net/compact.hpp"
 
@@ -78,14 +77,21 @@ std::size_t CompactDatasetView::with_publisher_ip() const noexcept {
   return n;
 }
 
-std::size_t CompactDatasetView::distinct_ips_global() const {
-  std::unordered_set<IpAddress> ips;
+std::vector<IpAddress> CompactDatasetView::distinct_downloader_ips() const {
+  std::vector<IpAddress> ips;
+  ips.reserve(ip_observations_total());
   for (const TorrentRecordPod& r : torrents) {
     for (std::uint32_t i = 0; i < r.downloaders.size(); ++i) {
-      ips.insert(downloader_ip(r, i));
+      ips.push_back(downloader_ip(r, i));
     }
   }
-  return ips.size();
+  std::sort(ips.begin(), ips.end());
+  ips.erase(std::unique(ips.begin(), ips.end()), ips.end());
+  return ips;
+}
+
+std::size_t CompactDatasetView::distinct_ips_global() const {
+  return distinct_downloader_ips().size();
 }
 
 std::size_t CompactDatasetView::ip_observations_total() const noexcept {

@@ -161,6 +161,10 @@ struct CompactDatasetView {
   std::size_t torrent_count() const noexcept { return torrents.size(); }
   std::size_t with_username() const noexcept;
   std::size_t with_publisher_ip() const noexcept;
+  /// Every downloader entry decoded once, sorted ascending, duplicates
+  /// removed: the one distinct-downloader routine (demographics, the
+  /// consumer checks and distinct_ips_global all read it).
+  std::vector<IpAddress> distinct_downloader_ips() const;
   std::size_t distinct_ips_global() const;
   std::size_t ip_observations_total() const noexcept;
 };

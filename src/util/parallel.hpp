@@ -1,8 +1,8 @@
-// parallel.hpp — deterministic shard/merge primitives for the batch
-// analysis engine and the ecosystem build.
+// parallel.hpp — deterministic shard/merge primitives for the ecosystem
+// build.
 //
-// The contract every consumer relies on (the same invariant the crawl and
-// build engines established): results are byte-identical to a serial run
+// The contract every consumer relies on (the same invariant the crawl
+// engine established): results are byte-identical to a serial run
 // at any thread count. The primitives here guarantee the easy half —
 // partial results always come back in shard order (shard i covers a
 // contiguous [begin, end) slice of the input, and shard i's result

@@ -198,6 +198,19 @@ std::string humanize(double v) {
   return buf;
 }
 
+std::string csv_escape(std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    return std::string(field);
+  }
+  std::string out = "\"";
+  for (const char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 std::string percent(double fraction, int decimals) {
   return format_double(fraction * 100.0, decimals) + "%";
 }

@@ -56,6 +56,12 @@ std::optional<std::uint64_t> parse_uint(std::string_view text,
 /// is an error rather than 0.
 std::optional<double> parse_double(std::string_view text);
 
+/// One RFC 4180 CSV field: returned as is unless it holds a comma, a
+/// double quote, LF or CR, in which case it is quoted and its double
+/// quotes doubled. Snapshot text is untrusted bytes, so a bare CR must
+/// not split a row either.
+std::string csv_escape(std::string_view field);
+
 /// printf-lite double formatting with fixed decimals.
 std::string format_double(double v, int decimals);
 

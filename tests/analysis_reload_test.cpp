@@ -1,14 +1,8 @@
-// Determinism proof for the batch-analysis layer. Downloader demographics,
-// the one threaded pass, is byte-identical to a serial run at any thread
-// count: its shards cover contiguous index spans and merge back in span
-// order. And every pass gives identical results on an in-memory
-// CompactDataset view and on the mmap-ed snapshot reloaded from it.
-//
-// Thread count for the parallel side defaults to 4 and can be overridden
-// with BTPUB_TEST_THREADS (the TSan CI job exercises 4).
+// Every batch analysis pass gives identical results on an in-memory
+// CompactDataset view and on the mmap-ed snapshot reloaded from it: the
+// view is the analysis layer's one input type, whichever bytes back it.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -24,14 +18,6 @@
 
 namespace btpub {
 namespace {
-
-std::size_t parallel_threads() {
-  if (const char* env = std::getenv("BTPUB_TEST_THREADS")) {
-    const auto n = std::strtoull(env, nullptr, 10);
-    if (n > 1) return static_cast<std::size_t>(n);
-  }
-  return 4;
-}
 
 ScenarioConfig small_scenario() {
   ScenarioConfig config = ScenarioConfig::spoofed(7);
@@ -148,14 +134,14 @@ void expect_demographics_eq(const DownloaderDemographics& a,
   }
 }
 
-class AnalysisParallelTest : public ::testing::Test {
+class AnalysisReloadTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ecosystem_ = new Ecosystem(small_scenario());
     ecosystem_->build();
     compact_ = new CompactDataset(compact_dataset(ecosystem_->crawl()));
     mmap_path_ = (std::filesystem::temp_directory_path() /
-                  "btpub_analysis_parallel_test.mmap")
+                  "btpub_analysis_reload_test.mmap")
                      .string();
     save_mmap_snapshot(*compact_, mmap_path_);
     mapped_ = new MappedDataset(mmap_path_);
@@ -178,29 +164,12 @@ class AnalysisParallelTest : public ::testing::Test {
   static std::string mmap_path_;
 };
 
-Ecosystem* AnalysisParallelTest::ecosystem_ = nullptr;
-CompactDataset* AnalysisParallelTest::compact_ = nullptr;
-MappedDataset* AnalysisParallelTest::mapped_ = nullptr;
-std::string AnalysisParallelTest::mmap_path_;
+Ecosystem* AnalysisReloadTest::ecosystem_ = nullptr;
+CompactDataset* AnalysisReloadTest::compact_ = nullptr;
+MappedDataset* AnalysisReloadTest::mapped_ = nullptr;
+std::string AnalysisReloadTest::mmap_path_;
 
-TEST_F(AnalysisParallelTest, DemographicsByteIdenticalAcrossThreads) {
-  for (const CompactDatasetView& view : {compact_->view(), mapped_->view()}) {
-    const DownloaderDemographics serial = downloader_demographics(view, geo(), 10, 1);
-    // 3 is deliberately coprime with typical torrent counts: shard
-    // boundaries land mid-run everywhere, so any merge-order dependence
-    // would show. 0 resolves to hardware concurrency.
-    for (const std::size_t threads :
-         {std::size_t{0}, std::size_t{3}, parallel_threads()}) {
-      std::string label = "@";
-      label += std::to_string(threads);
-      expect_demographics_eq(serial,
-                             downloader_demographics(view, geo(), 10, threads),
-                             label);
-    }
-  }
-}
-
-TEST_F(AnalysisParallelTest, EveryPassIdenticalOnMmapReload) {
+TEST_F(AnalysisReloadTest, EveryPassIdenticalOnMmapReload) {
   const CompactDatasetView memory = compact_->view();
   const CompactDatasetView mapped = mapped_->view();
   const IdentityAnalysis identity(memory, geo(), 100);

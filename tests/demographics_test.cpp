@@ -53,6 +53,52 @@ TEST_F(DemographicsTest, CountsDistinctDownloadersByCountryAndIsp) {
   EXPECT_EQ(demo.by_isp[0].label, "EyeballUS");
 }
 
+TEST_F(DemographicsTest, IspsOfOneCountryFoldIntoOneCountryRow) {
+  // A second US ISP: its downloaders join EyeballUS's in the US row.
+  const IspId us2 = geo_.add_isp("CableUS", IspType::CommercialIsp, "US");
+  geo_.add_block(CidrBlock(IpAddress(40, 0, 0, 0), 8), us2, "Austin");
+  add_torrent(std::nullopt,
+              {IpAddress(20, 0, 0, 1), IpAddress(40, 0, 0, 1),
+               IpAddress(40, 0, 0, 2), IpAddress(30, 0, 0, 1),
+               IpAddress(30, 0, 0, 2)});
+  const auto demo = downloader_demographics(view(), geo_, 10);
+  EXPECT_EQ(demo.located_ips, 5u);
+  ASSERT_EQ(demo.by_country.size(), 2u);
+  EXPECT_EQ(demo.by_country[0].label, "US");
+  EXPECT_EQ(demo.by_country[0].downloaders, 3u);
+  EXPECT_NEAR(demo.by_country[0].share, 3.0 / 5.0, 1e-9);
+  EXPECT_EQ(demo.by_country[1].label, "DE");
+  // CableUS and EyeballDE tie at 2: the tie orders by label.
+  ASSERT_EQ(demo.by_isp.size(), 3u);
+  EXPECT_EQ(demo.by_isp[0].label, "CableUS");
+  EXPECT_EQ(demo.by_isp[0].downloaders, 2u);
+  EXPECT_EQ(demo.by_isp[1].label, "EyeballDE");
+  EXPECT_EQ(demo.by_isp[1].downloaders, 2u);
+  EXPECT_EQ(demo.by_isp[2].label, "EyeballUS");
+}
+
+TEST_F(DemographicsTest, TiedCountriesOrderByLabel) {
+  add_torrent(std::nullopt, {IpAddress(30, 0, 0, 1), IpAddress(20, 0, 0, 1),
+                             IpAddress(10, 0, 0, 1)});
+  const auto demo = downloader_demographics(view(), geo_, 10);
+  ASSERT_EQ(demo.by_country.size(), 3u);
+  EXPECT_EQ(demo.by_country[0].label, "DE");
+  EXPECT_EQ(demo.by_country[1].label, "FR");
+  EXPECT_EQ(demo.by_country[2].label, "US");
+}
+
+TEST_F(DemographicsTest, AllUnlocatedDownloadersGiveNoRows) {
+  add_torrent(IpAddress(99, 0, 0, 7),
+              {IpAddress(99, 0, 0, 1), IpAddress(99, 0, 0, 2),
+               IpAddress(99, 0, 0, 1)});
+  const auto demo = downloader_demographics(view(), geo_, 10);
+  EXPECT_EQ(demo.total_distinct_ips, 2u);
+  EXPECT_EQ(demo.located_ips, 0u);
+  EXPECT_TRUE(demo.by_country.empty());
+  EXPECT_TRUE(demo.by_isp.empty());
+  EXPECT_TRUE(publisher_countries(view(), geo_, 10).empty());
+}
+
 TEST_F(DemographicsTest, TopKTruncates) {
   add_torrent(std::nullopt, {IpAddress(20, 0, 0, 1), IpAddress(30, 0, 0, 1)});
   const auto demo = downloader_demographics(view(), geo_, 1);

@@ -146,6 +146,13 @@ TEST_F(PipelineTest, ConsumersFromIspExcludesPublishers) {
   EXPECT_EQ(consumers_from_isp(view(), geo_, "EyeballCo"), 0u);
 }
 
+TEST_F(PipelineTest, ConsumersFromUnknownIspIsZero) {
+  add("a", IpAddress(10, 0, 0, 1), 3, ContentCategory::Movies);
+  dataset_.downloaders[0].push_back(IpAddress(10, 0, 0, 50));
+  EXPECT_EQ(consumers_from_isp(view(), geo_, "NoSuchIsp"), 0u);
+  EXPECT_EQ(consumers_from_isp(view(), geo_, "NoSuchIsp", false), 0u);
+}
+
 TEST_F(PipelineTest, TopHostingShareCountsNamedIsp) {
   for (int i = 0; i < 5; ++i) add("hostpub", IpAddress(10, 0, 0, 9), 1,
                                   ContentCategory::Movies);

@@ -148,6 +148,16 @@ TEST(Percent, Rendering) {
   EXPECT_EQ(percent(1.0, 0), "100%");
 }
 
+TEST(CsvEscape, QuotesOnlyFieldsThatNeedIt) {
+  EXPECT_EQ(csv_escape("plain title"), "plain title");
+  EXPECT_EQ(csv_escape(""), "");
+  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
+  // A bare CR ends a record for RFC 4180 readers, so it must be quoted too.
+  EXPECT_EQ(csv_escape("bare\rcr"), "\"bare\rcr\"");
+}
+
 TEST(SimTimeUnits, Conversions) {
   EXPECT_EQ(minutes(2.0), 120);
   EXPECT_EQ(hours(1.5), 5400);

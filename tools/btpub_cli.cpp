@@ -250,17 +250,6 @@ int cmd_analyze(const Options& options) {
   return 0;
 }
 
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 int cmd_export(const Options& options) {
   if (options.positional.size() < 2) {
     std::fprintf(stderr, "export: dataset file and output directory required\n");

@@ -30,16 +30,16 @@ def snapshot(open_s, inflate_s=1.0, sessions=1000000):
     ])
 
 
-def analysis(serial_s, parallel_s, cores, threads=4, digests=("a", "a"),
-             items=(10, 10), case="demographics"):
-    return envelope("analysis_parallel", [
-        {"case": "identity", "sessions": 1000000, "threads": 1,
-         "seconds": 0.2, "items": 5, "digest": "i"},
-        {"case": case, "sessions": 1000000, "threads": 1,
-         "seconds": serial_s, "items": items[0], "digest": digests[0]},
-        {"case": case, "sessions": 1000000, "threads": threads,
-         "seconds": parallel_s, "items": items[1], "digest": digests[1]},
-    ], cores=cores, config={"seed": 42, "threads": threads})
+def analysis(identity_s=0.2, scan_s=0.01, digest="d", items=10,
+             format_version=1):
+    return envelope("analysis_passes", [
+        {"case": "scan", "sessions": 1000000, "seconds": scan_s,
+         "items": 1000, "digest": "s"},
+        {"case": "identity", "sessions": 1000000, "seconds": identity_s,
+         "items": items, "digest": digest},
+        {"case": "sessions", "sessions": 1000000, "seconds": 0.005,
+         "items": 5, "digest": "p"},
+    ], cores=4, config={"seed": 42, "format_version": format_version})
 
 
 def net(ratio=0.27, errors=0, timeouts=0, sent=100000, transport="udp"):
@@ -61,33 +61,60 @@ class CheckBenchTest(unittest.TestCase):
                 paths.append(os.path.join(tmp, name))
                 with open(paths[-1], "w") as fh:
                     json.dump(doc, fh)
-            with contextlib.redirect_stdout(io.StringIO()):
-                return check_bench.main(["check_bench.py"] + paths)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = check_bench.main(["check_bench.py"] + paths)
+            self.output = out.getvalue()
+            return code
 
     def test_snapshot(self):
         self.assertEqual(self.gate(snapshot(0.02), snapshot(0.10)), 0)
         self.assertEqual(self.gate(snapshot(0.02), snapshot(0.11)), 1)
 
-    def test_analysis_digest_and_items_must_match(self):
-        base = analysis(1.0, 0.3, cores=4)
-        self.assertEqual(self.gate(base, analysis(1.0, 0.3, cores=4)), 0)
-        self.assertEqual(
-            self.gate(base, analysis(1.0, 0.3, cores=4, digests=("a", "b"))), 1)
-        self.assertEqual(
-            self.gate(base, analysis(1.0, 0.3, cores=4, items=(10, 11))), 1)
+    def test_analysis_digest_drift_fails(self):
+        base = analysis()
+        self.assertEqual(self.gate(base, analysis()), 0)
+        self.assertEqual(self.gate(base, analysis(digest="e")), 1)
+        self.assertEqual(self.gate(base, analysis(items=11)), 1)
 
-    def test_analysis_efficiency_drop_on_multicore_baseline(self):
-        # Baseline efficiency 1.0/0.3/4 = 0.833: limit min(0.75, 0.783).
-        base = analysis(1.0, 0.3, cores=4)
-        self.assertEqual(self.gate(base, analysis(1.0, 0.33, cores=4)), 0)
-        self.assertEqual(self.gate(base, analysis(1.0, 0.34, cores=4)), 1)
+    def test_analysis_pass_twice_as_slow_relative_to_scan_fails(self):
+        base = analysis()
+        self.assertEqual(self.gate(base, analysis(identity_s=0.4)), 1)
+        # The same 2x on the control is a slower machine, not a regression.
+        self.assertEqual(
+            self.gate(base, analysis(identity_s=0.4, scan_s=0.02)), 0)
 
-    def test_analysis_speedup_floor_on_one_core_baseline(self):
-        base = analysis(1.0, 1.0, cores=1)
-        self.assertEqual(self.gate(base, analysis(1.0, 1 / 0.80, cores=4)), 0)
-        self.assertEqual(self.gate(base, analysis(1.0, 1 / 0.70, cores=4)), 1)
-        # A serial run under 100 ms is skipped, leaving nothing to compare.
-        self.assertEqual(self.gate(base, analysis(0.05, 0.5, cores=4)), 1)
+    def test_analysis_run_inside_the_band_passes(self):
+        band = check_bench.ANALYSIS_BAND
+        base = analysis()
+        self.assertEqual(
+            self.gate(base, analysis(identity_s=0.2 * band * 0.99)), 0)
+        self.assertEqual(
+            self.gate(base, analysis(identity_s=0.2 / band * 1.01)), 0)
+        self.assertEqual(
+            self.gate(base, analysis(identity_s=0.2 * band * 1.01)), 1)
+        # Faster than the band is reported, not failed: it is a gain.
+        self.assertEqual(
+            self.gate(base, analysis(identity_s=0.2 / band * 0.99)), 0)
+
+    def test_analysis_noise_floor_is_reported_not_gated(self):
+        # "sessions" runs 5 ms in the baseline. 9 ms is outside the band
+        # but under the floor, so it is reported only; 20 ms is gated.
+        floor = check_bench.ANALYSIS_MIN_SECONDS
+        fresh = analysis()
+        fresh["results"][2]["seconds"] = floor * 0.9
+        self.assertEqual(self.gate(analysis(), fresh), 0)
+        fresh["results"][2]["seconds"] = floor * 2
+        self.assertEqual(self.gate(analysis(), fresh), 1)
+
+    def test_analysis_other_format_version_is_not_comparable(self):
+        self.assertEqual(self.gate(analysis(), analysis(format_version=2)), 1)
+        self.assertIn("not comparable", self.output)
+
+    def test_analysis_missing_control_fails(self):
+        fresh = analysis()
+        del fresh["results"][0]
+        self.assertEqual(self.gate(analysis(), fresh), 1)
 
     def test_net(self):
         self.assertEqual(self.gate(net(), net(ratio=0.26)), 0)
@@ -101,13 +128,10 @@ class CheckBenchTest(unittest.TestCase):
     def test_no_comparable_cases(self):
         self.assertEqual(
             self.gate(snapshot(0.02), envelope("dataset_snapshot", [])), 1)
-        # Only the serial identity rows are shared: no efficiency pair.
         self.assertEqual(
-            self.gate(analysis(1.0, 0.3, cores=4),
-                      analysis(1.0, 0.3, cores=4, case="other")), 1)
-        self.assertEqual(
-            self.gate(envelope("analysis_parallel", [], cores=4),
-                      analysis(1.0, 0.3, cores=4)), 1)
+            self.gate(envelope("analysis_passes", [],
+                               config={"seed": 42, "format_version": 1}),
+                      analysis()), 1)
         self.assertEqual(self.gate(net(), net(transport="http")), 1)
 
     def test_mismatched_or_ungated_benchmarks(self):
