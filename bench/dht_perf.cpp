@@ -2,8 +2,10 @@
 // DHT. Builds overlays of increasing size, then times iterative get_peers
 // lookups from a read-only vantage, reporting the Kademlia quantities that
 // matter: hops to convergence (O(log n)), messages per lookup, and raw
-// lookup throughput. With --json, writes them (BENCH_dht.json) so CI can
-// archive a perf trajectory across PRs.
+// lookup throughput. Lookups are deterministic, so each case also carries
+// an FNV-1a digest of every lookup's hops, messages and peers found. With
+// --json, writes them (BENCH_dht.json); tools/check_bench.py holds each
+// case's digest to the committed baseline's.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,7 +37,15 @@ struct Result {
   double avg_messages = 0.0;
   double avg_peers = 0.0;
   double seconds = 0.0;
+  std::uint64_t digest = 14695981039346656037ull;
   double lookups_per_sec() const { return double(lookups) / seconds; }
+
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  }
 };
 
 Result run_case(std::size_t n_nodes, const Options& opt) {
@@ -83,6 +93,12 @@ Result run_case(std::size_t n_nodes, const Options& opt) {
     hops += stats.hops;
     messages += stats.messages;
     peers += found.size();
+    r.mix(stats.hops);
+    r.mix(stats.messages);
+    r.mix(found.size());
+    for (const Endpoint& peer : found) {
+      r.mix((std::uint64_t{peer.ip.value()} << 16) | peer.port);
+    }
     r.max_hops = std::max(r.max_hops, stats.hops);
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -106,10 +122,13 @@ int run(int argc, char** argv) {
   std::vector<bench::JsonObject> rows;
   for (const std::size_t n : opt.overlay_sizes) {
     const Result r = run_case(n, opt);
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(r.digest));
     std::printf("%5zu nodes: %6.0f lookups/s  avg %.2f hops (max %u), "
-                "%.1f msgs/lookup, %.1f peers/lookup\n",
+                "%.1f msgs/lookup, %.1f peers/lookup, digest %s\n",
                 r.nodes, r.lookups_per_sec(), r.avg_hops, r.max_hops,
-                r.avg_messages, r.avg_peers);
+                r.avg_messages, r.avg_peers, digest);
     rows.push_back(bench::JsonObject()
                        .integer("nodes", r.nodes)
                        .integer("lookups", r.lookups)
@@ -118,7 +137,8 @@ int run(int argc, char** argv) {
                        .fixed("avg_messages", r.avg_messages, 1)
                        .fixed("avg_peers", r.avg_peers, 1)
                        .fixed("seconds", r.seconds, 4)
-                       .fixed("lookups_per_sec", r.lookups_per_sec(), 0));
+                       .fixed("lookups_per_sec", r.lookups_per_sec(), 0)
+                       .text("digest", digest));
   }
   bench::write_bench_json(opt.json_path, "dht_iterative_get_peers",
                           bench::JsonObject()

@@ -106,6 +106,168 @@ void Writer::string(std::string_view bytes) {
   out_->append(bytes);
 }
 
+// ---- Reader ---------------------------------------------------------------
+
+Reader::Type Reader::peek() const noexcept {
+  if (error_ != nullptr || pos_ >= data_.size()) return Type::Invalid;
+  const char c = data_[pos_];
+  if (c == 'i') return Type::Integer;
+  if (c == 'l') return Type::List;
+  if (c == 'd') return Type::Dict;
+  if (c >= '0' && c <= '9') return Type::String;
+  if (c == 'e') return Type::End;
+  return Type::Invalid;
+}
+
+bool Reader::fail(const char* reason) noexcept {
+  if (error_ == nullptr) {
+    error_ = reason;
+    error_pos_ = pos_;
+  }
+  return false;
+}
+
+bool Reader::begin_value() noexcept {
+  if (error_ != nullptr) return false;
+  if (depth_ > kMaxDepth) return fail("nesting too deep");
+  if (pos_ >= data_.size()) return fail("truncated input");
+  return true;
+}
+
+bool Reader::read_number(char terminator, std::int64_t& out) noexcept {
+  const std::size_t start = pos_;
+  if (pos_ < data_.size() && data_[pos_] == '-') ++pos_;
+  while (pos_ < data_.size() && data_[pos_] >= '0' && data_[pos_] <= '9') {
+    ++pos_;
+  }
+  const std::string_view digits = data_.substr(start, pos_ - start);
+  if (digits.empty() || digits == "-") return fail("malformed integer");
+  // i-0e and leading zeroes are invalid per BEP 3.
+  if (digits == "-0" || (digits.size() > 1 && digits[0] == '0') ||
+      (digits.size() > 2 && digits[0] == '-' && digits[1] == '0')) {
+    return fail("non-canonical integer");
+  }
+  const auto result =
+      std::from_chars(digits.data(), digits.data() + digits.size(), out);
+  if (result.ec != std::errc{}) return fail("integer out of range");
+  if (pos_ >= data_.size()) return fail("truncated input");
+  if (data_[pos_] != terminator) return fail("bad integer terminator");
+  ++pos_;
+  return true;
+}
+
+bool Reader::read_string(std::string_view& out) noexcept {
+  std::int64_t len = 0;
+  if (!read_number(':', len)) return false;
+  if (len < 0) return fail("negative string length");
+  if (static_cast<std::uint64_t>(len) > data_.size() - pos_) {
+    return fail("string exceeds input");
+  }
+  out = data_.substr(pos_, static_cast<std::size_t>(len));
+  pos_ += out.size();
+  return true;
+}
+
+bool Reader::integer(std::int64_t& out) {
+  if (!begin_value()) return false;
+  if (data_[pos_] != 'i') return fail("unexpected byte");
+  ++pos_;
+  return read_number('e', out);
+}
+
+bool Reader::string(std::string_view& out) {
+  if (!begin_value()) return false;
+  if (data_[pos_] < '0' || data_[pos_] > '9') return fail("unexpected byte");
+  return read_string(out);
+}
+
+bool Reader::enter(char open, bool dict) noexcept {
+  if (!begin_value()) return false;
+  if (data_[pos_] != open) return fail("unexpected byte");
+  ++pos_;
+  frames_[depth_] = Frame{{}, dict, false};  // depth_ <= kMaxDepth here
+  ++depth_;
+  return true;
+}
+
+bool Reader::enter_list() { return enter('l', false); }
+bool Reader::enter_dict() { return enter('d', true); }
+
+bool Reader::at_close() noexcept {
+  if (pos_ >= data_.size()) return fail("truncated input");
+  if (data_[pos_] != 'e') return false;
+  ++pos_;
+  --depth_;
+  return true;
+}
+
+bool Reader::next_item() {
+  if (error_ != nullptr) return false;
+  if (depth_ == 0 || frames_[depth_ - 1].dict) return fail("not in a list");
+  return !at_close() && ok();
+}
+
+bool Reader::next_key(std::string_view& key) {
+  if (error_ != nullptr) return false;
+  if (depth_ == 0 || !frames_[depth_ - 1].dict) return fail("not in a dict");
+  Frame& frame = frames_[depth_ - 1];
+  if (at_close() || !ok() || !read_string(key)) return false;
+  if (frame.has_key && key <= frame.prev_key) {
+    return fail("dict keys not strictly ascending");
+  }
+  frame.prev_key = key;
+  frame.has_key = true;
+  return true;
+}
+
+bool Reader::skip() {
+  switch (peek()) {
+    case Type::Integer: {
+      std::int64_t v = 0;
+      return integer(v);
+    }
+    case Type::String: {
+      std::string_view s;
+      return string(s);
+    }
+    case Type::List:
+      if (!enter_list()) return false;
+      while (next_item()) {
+        if (!skip()) return false;
+      }
+      return ok();
+    case Type::Dict: {
+      if (!enter_dict()) return false;
+      std::string_view key;
+      while (next_key(key)) {
+        if (!skip()) return false;
+      }
+      return ok();
+    }
+    case Type::End:
+    case Type::Invalid:
+      break;
+  }
+  // Not the start of a value: record why (depth, truncation or the byte).
+  return begin_value() && fail("unexpected byte");
+}
+
+bool Reader::finish() {
+  if (error_ != nullptr) return false;
+  if (depth_ != 0) return fail("unclosed container");
+  if (pos_ != data_.size()) return fail("trailing bytes after value");
+  return true;
+}
+
+std::string Reader::error() const {
+  if (error_ == nullptr) return {};
+  std::string out = "bencode: ";
+  out += error_;
+  out += " at offset ";
+  out += std::to_string(error_pos_);
+  return out;
+}
+
 namespace {
 
 void encode_into(const Value& v, std::string& out) {
@@ -140,103 +302,46 @@ void encode_into(const Value& v, std::string& out) {
   }
 }
 
-class Parser {
- public:
-  Parser(std::string_view data, std::size_t pos) : data_(data), pos_(pos) {}
-
-  Value parse_value(int depth = 0) {
-    if (depth > kMaxDepth) throw Error("bencode: nesting too deep");
-    const char c = peek();
-    if (c == 'i') return parse_integer();
-    if (c == 'l') return parse_list(depth);
-    if (c == 'd') return parse_dict(depth);
-    if (c >= '0' && c <= '9') return Value(parse_string());
-    throw Error("bencode: unexpected byte at offset " + std::to_string(pos_));
-  }
-
-  std::size_t pos() const noexcept { return pos_; }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  char peek() const {
-    if (pos_ >= data_.size()) throw Error("bencode: truncated input");
-    return data_[pos_];
-  }
-
-  char take() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  std::int64_t parse_raw_integer(char terminator) {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < data_.size() && data_[pos_] >= '0' && data_[pos_] <= '9') ++pos_;
-    if (pos_ == start || (data_[start] == '-' && pos_ == start + 1)) {
-      throw Error("bencode: malformed integer");
+/// The tree decoder: one Value per Reader step, so the tree accepts
+/// exactly what the Reader does.
+Value read_value(Reader& r) {
+  switch (r.peek()) {
+    case Reader::Type::Integer: {
+      std::int64_t v = 0;
+      if (r.integer(v)) return Value(v);
+      break;
     }
-    // i-0e and leading zeroes are invalid per BEP 3.
-    const std::string_view digits = data_.substr(start, pos_ - start);
-    if (digits == "-0" ||
-        (digits.size() > 1 && digits[0] == '0') ||
-        (digits.size() > 2 && digits[0] == '-' && digits[1] == '0')) {
-      throw Error("bencode: non-canonical integer");
+    case Reader::Type::String: {
+      std::string_view s;
+      if (r.string(s)) return Value(std::string(s));
+      break;
     }
-    std::int64_t value = 0;
-    const auto result =
-        std::from_chars(digits.data(), digits.data() + digits.size(), value);
-    if (result.ec != std::errc{}) throw Error("bencode: integer out of range");
-    if (take() != terminator) throw Error("bencode: bad integer terminator");
-    return value;
-  }
-
-  Value parse_integer() {
-    take();  // 'i'
-    return Value(parse_raw_integer('e'));
-  }
-
-  std::string parse_string() {
-    const std::int64_t len = parse_raw_integer(':');
-    if (len < 0) throw Error("bencode: negative string length");
-    const auto n = static_cast<std::size_t>(len);
-    if (pos_ + n > data_.size()) throw Error("bencode: string exceeds input");
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-
-  Value parse_list(int depth) {
-    take();  // 'l'
-    List list;
-    while (peek() != 'e') list.push_back(parse_value(depth + 1));
-    take();  // 'e'
-    return Value(std::move(list));
-  }
-
-  Value parse_dict(int depth) {
-    take();  // 'd'
-    Dict dict;
-    std::string prev_key;
-    bool first = true;
-    while (peek() != 'e') {
-      std::string key = parse_string();
-      if (!first && key <= prev_key) {
-        throw Error("bencode: dict keys not strictly ascending");
+    case Reader::Type::List: {
+      if (!r.enter_list()) break;
+      List list;
+      while (r.next_item()) list.push_back(read_value(r));
+      if (r.ok()) return Value(std::move(list));
+      break;
+    }
+    case Reader::Type::Dict: {
+      if (!r.enter_dict()) break;
+      Dict dict;
+      std::string_view key;
+      while (r.next_key(key)) {
+        Value value = read_value(r);
+        // The Reader has checked that keys ascend, so each one goes last.
+        dict.emplace_hint(dict.end(), std::string(key), std::move(value));
       }
-      Value value = parse_value(depth + 1);
-      prev_key = key;
-      first = false;
-      dict.emplace(std::move(key), std::move(value));
+      if (r.ok()) return Value(std::move(dict));
+      break;
     }
-    take();  // 'e'
-    return Value(std::move(dict));
+    case Reader::Type::End:
+    case Reader::Type::Invalid:
+      r.skip();  // not a value: records why
+      break;
   }
-
-  std::string_view data_;
-  std::size_t pos_;
-};
+  throw Error(r.error());
+}
 
 }  // namespace
 
@@ -247,16 +352,16 @@ std::string encode(const Value& v) {
 }
 
 Value decode(std::string_view data) {
-  std::size_t pos = 0;
-  Value v = decode_prefix(data, pos);
-  if (pos != data.size()) throw Error("bencode: trailing bytes after value");
+  Reader r(data);
+  Value v = read_value(r);
+  if (!r.finish()) throw Error(r.error());
   return v;
 }
 
 Value decode_prefix(std::string_view data, std::size_t& pos) {
-  Parser p(data, pos);
-  Value v = p.parse_value();
-  pos = p.pos();
+  Reader r(data, pos);
+  Value v = read_value(r);
+  pos = r.pos();
   return v;
 }
 

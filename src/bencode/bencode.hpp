@@ -6,6 +6,8 @@
 // same parsing path a real measurement apparatus would.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -110,11 +112,87 @@ class Writer {
   std::string* out_;
 };
 
+/// Strict, non-allocating pull reader: a cursor over the input that yields
+/// integers and string spans (views into the input), enters lists and
+/// dicts, and skips values. It enforces every rule of the format in one
+/// place — canonical integers (no "-0", no leading zeros, in int64 range),
+/// string lengths inside the input, dict keys in strictly ascending byte
+/// order, at most kMaxDepth enclosing containers around any value — and
+/// finish() adds "nothing after the top-level value". decode() builds its
+/// tree on top of it, so the tree and every zero-copy walk (KRPC) accept
+/// exactly the same documents.
+///
+/// Errors are sticky: the first violation records a reason and offset,
+/// and every later call returns false (peek() returns Type::Invalid).
+/// Usage: after next_key() or next_item() returns true, the caller reads
+/// exactly one value (integer/string/enter_*/skip); they return false at
+/// the container's end — ok() tells the end from an error.
+class Reader {
+ public:
+  /// Containers allowed around a value; the top-level value has depth 0.
+  static constexpr std::size_t kMaxDepth = 64;
+
+  enum class Type : std::uint8_t { Integer, String, List, Dict, End, Invalid };
+
+  explicit Reader(std::string_view data, std::size_t pos = 0) noexcept
+      : data_(data), pos_(pos) {}
+
+  /// The kind of the next value from its first byte; End at a 'e', Invalid
+  /// on any other byte, at the end of input, or after an error. Consumes
+  /// nothing and never fails.
+  Type peek() const noexcept;
+
+  /// Read one value of the named type; on a value of another type they
+  /// fail like any malformed input, so peek() first where the type is not
+  /// required.
+  bool integer(std::int64_t& out);
+  bool string(std::string_view& out);
+  bool enter_list();
+  bool enter_dict();
+  /// In a dict: reads the next key, or consumes the closing 'e' and
+  /// returns false.
+  bool next_key(std::string_view& key);
+  /// In a list: true when another item follows, else consumes the closing
+  /// 'e' and returns false.
+  bool next_item();
+  /// Skips one value, validating all of it.
+  bool skip();
+  /// Call after the top-level value: true when it was read without error
+  /// and the input ends there.
+  bool finish();
+
+  bool ok() const noexcept { return error_ == nullptr; }
+  /// "bencode: <reason> at offset N"; empty while ok().
+  std::string error() const;
+  std::size_t pos() const noexcept { return pos_; }
+
+ private:
+  struct Frame {
+    std::string_view prev_key;
+    bool dict = false;
+    bool has_key = false;
+  };
+
+  bool fail(const char* reason) noexcept;
+  bool begin_value() noexcept;
+  bool read_number(char terminator, std::int64_t& out) noexcept;
+  bool read_string(std::string_view& out) noexcept;
+  bool enter(char open, bool dict) noexcept;
+  bool at_close() noexcept;
+
+  std::string_view data_;
+  std::size_t pos_;
+  std::size_t depth_ = 0;
+  const char* error_ = nullptr;
+  std::size_t error_pos_ = 0;
+  std::array<Frame, kMaxDepth + 1> frames_{};
+};
+
 /// Serialises a value to its canonical bencoding.
 std::string encode(const Value& v);
 
 /// Parses exactly one value; throws Error on malformed input or trailing
-/// garbage.
+/// garbage (Reader's rules).
 Value decode(std::string_view data);
 
 /// Parses one value starting at `pos`, advancing `pos` past it. Allows

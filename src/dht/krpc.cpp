@@ -21,14 +21,88 @@ std::string_view bytes_view(const std::array<std::uint8_t, 20>& bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
-/// Reads a 20-byte string value into an id/digest array; false on any
-/// type or length mismatch.
-bool read_id(const bencode::Value* value, std::array<std::uint8_t, 20>& out) {
-  if (value == nullptr || !value->is_string()) return false;
-  const std::string& s = value->as_string();
-  if (s.size() != out.size()) return false;
-  std::memcpy(out.data(), s.data(), out.size());
-  return true;
+void append_compact_nodes(std::string_view blob, std::vector<NodeInfo>& out) {
+  for (std::size_t at = 0; at + 26 <= blob.size(); at += 26) {
+    NodeInfo& node = out.emplace_back();
+    std::memcpy(node.id.bytes.data(), blob.data() + at, 20);
+    node.endpoint = *parse_compact_peer(blob.substr(at + 20, 6));  // 6 bytes
+  }
+}
+
+std::optional<Method> parse_method(std::string_view name) {
+  if (name == "ping") return Method::Ping;
+  if (name == "find_node") return Method::FindNode;
+  if (name == "get_peers") return Method::GetPeers;
+  if (name == "announce_peer") return Method::AnnouncePeer;
+  return std::nullopt;
+}
+
+/// One dict value as the decoders see it: an integer, a string span into
+/// the datagram, or Other — absent, or a container (skipped, though the
+/// Reader validates it).
+struct Field {
+  enum class Kind : std::uint8_t { Other, Integer, String };
+  Kind kind = Kind::Other;
+  std::int64_t integer = 0;
+  std::string_view bytes;
+
+  bool is_integer() const { return kind == Kind::Integer; }
+  bool is_string() const { return kind == Kind::String; }
+  bool is_string(std::string_view want) const {
+    return is_string() && bytes == want;
+  }
+
+  /// Copies a 20-byte string into an id/digest; false on any type or
+  /// length mismatch.
+  bool read_id(std::array<std::uint8_t, 20>& out) const {
+    if (!is_string() || bytes.size() != out.size()) return false;
+    std::memcpy(out.data(), bytes.data(), out.size());
+    return true;
+  }
+};
+
+Field read_field(bencode::Reader& r) {
+  Field f;
+  switch (r.peek()) {
+    case bencode::Reader::Type::Integer:
+      f.kind = Field::Kind::Integer;
+      r.integer(f.integer);
+      break;
+    case bencode::Reader::Type::String:
+      f.kind = Field::Kind::String;
+      r.string(f.bytes);
+      break;
+    default:
+      r.skip();
+      break;
+  }
+  return f;
+}
+
+/// The top-level "q", "t" and "y" of a well-formed bencoded dict; nullopt
+/// for anything else.
+struct Envelope {
+  Field q, t, y;
+};
+
+std::optional<Envelope> read_envelope(std::string_view datagram) {
+  bencode::Reader r(datagram);
+  if (!r.enter_dict()) return std::nullopt;
+  Envelope env;
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "q") {
+      env.q = read_field(r);
+    } else if (key == "t") {
+      env.t = read_field(r);
+    } else if (key == "y") {
+      env.y = read_field(r);
+    } else {
+      r.skip();
+    }
+  }
+  if (!r.finish()) return std::nullopt;
+  return env;
 }
 
 }  // namespace
@@ -54,13 +128,7 @@ std::vector<NodeInfo> parse_compact_nodes(std::string_view blob) {
   std::vector<NodeInfo> nodes;
   if (blob.size() % 26 != 0) return nodes;
   nodes.reserve(blob.size() / 26);
-  for (std::size_t at = 0; at < blob.size(); at += 26) {
-    NodeInfo node;
-    std::memcpy(node.id.bytes.data(), blob.data() + at, 20);
-    const auto endpoint = parse_compact_peer(blob.substr(at + 20, 6));
-    node.endpoint = *endpoint;  // always present: the slice is 6 bytes
-    nodes.push_back(node);
-  }
+  append_compact_nodes(blob, nodes);
   return nodes;
 }
 
@@ -128,63 +196,83 @@ void Query::encode_into(std::string& out) const {
   w.end();
 }
 
-std::optional<Query> Query::decode(std::string_view datagram) {
-  bencode::Value root;
-  try {
-    root = bencode::decode(datagram);
-  } catch (const bencode::Error&) {
-    return std::nullopt;
+bool Query::decode_into(std::string_view datagram, Query& out) {
+  bencode::Reader r(datagram);
+  if (!r.enter_dict()) return false;
+  // "a" sorts before "q": the arguments are kept as spans and checked once
+  // the method is known.
+  bool have_args = false;
+  Field id, info_hash, port, target, token, q, ro, t, y;
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "a") {
+      if (r.peek() != bencode::Reader::Type::Dict) return false;
+      have_args = r.enter_dict();
+      while (r.next_key(key)) {
+        if (key == "id") {
+          id = read_field(r);
+        } else if (key == "info_hash") {
+          info_hash = read_field(r);
+        } else if (key == "port") {
+          port = read_field(r);
+        } else if (key == "target") {
+          target = read_field(r);
+        } else if (key == "token") {
+          token = read_field(r);
+        } else {
+          r.skip();
+        }
+      }
+    } else if (key == "q") {
+      q = read_field(r);
+    } else if (key == "ro") {
+      ro = read_field(r);
+    } else if (key == "t") {
+      t = read_field(r);
+    } else if (key == "y") {
+      y = read_field(r);
+    } else {
+      r.skip();
+    }
   }
-  if (!root.is_dict()) return std::nullopt;
-  const auto y = root.find_string("y");
-  if (!y || *y != "q") return std::nullopt;
-  const auto t = root.find_string("t");
-  const auto q = root.find_string("q");
-  if (!t || !q) return std::nullopt;
-
-  Query query;
-  query.transaction_id = *t;
-  if (*q == "ping") {
-    query.method = Method::Ping;
-  } else if (*q == "find_node") {
-    query.method = Method::FindNode;
-  } else if (*q == "get_peers") {
-    query.method = Method::GetPeers;
-  } else if (*q == "announce_peer") {
-    query.method = Method::AnnouncePeer;
-  } else {
-    return std::nullopt;
+  if (!r.finish() || !have_args || !y.is_string("q") || !t.is_string() ||
+      !q.is_string()) {
+    return false;
   }
-  if (const auto ro = root.find_integer("ro")) query.read_only = *ro != 0;
-
-  const bencode::Value* args = root.find("a");
-  if (args == nullptr || !args->is_dict()) return std::nullopt;
-  if (!read_id(args->find("id"), query.sender_id.bytes)) return std::nullopt;
-  switch (query.method) {
+  const auto method = parse_method(q.bytes);
+  if (!method || !id.read_id(out.sender_id.bytes)) return false;
+  out.method = *method;
+  out.target = {};
+  out.info_hash = {};
+  out.port = 0;
+  out.token.clear();
+  switch (out.method) {
     case Method::Ping:
       break;
     case Method::FindNode:
-      if (!read_id(args->find("target"), query.target.bytes)) return std::nullopt;
+      if (!target.read_id(out.target.bytes)) return false;
       break;
     case Method::GetPeers:
-      if (!read_id(args->find("info_hash"), query.info_hash.bytes)) {
-        return std::nullopt;
-      }
+      if (!info_hash.read_id(out.info_hash.bytes)) return false;
       break;
-    case Method::AnnouncePeer: {
-      if (!read_id(args->find("info_hash"), query.info_hash.bytes)) {
-        return std::nullopt;
+    case Method::AnnouncePeer:
+      if (!info_hash.read_id(out.info_hash.bytes) || !port.is_integer() ||
+          port.integer < 0 || port.integer > 0xffff || !token.is_string()) {
+        return false;
       }
-      const auto port = args->find_integer("port");
-      if (!port || *port < 0 || *port > 0xffff) return std::nullopt;
-      query.port = static_cast<std::uint16_t>(*port);
-      const auto token = args->find_string("token");
-      if (!token) return std::nullopt;
-      query.token = *token;
+      out.port = static_cast<std::uint16_t>(port.integer);
+      out.token.assign(token.bytes);
       break;
-    }
   }
-  return query;
+  out.transaction_id.assign(t.bytes);
+  out.read_only = ro.is_integer() && ro.integer != 0;
+  return true;
+}
+
+std::optional<Query> Query::decode(std::string_view datagram) {
+  Query query;
+  return decode_into(datagram, query) ? std::optional<Query>(std::move(query))
+                                      : std::nullopt;
 }
 
 // ---- response -------------------------------------------------------------
@@ -231,45 +319,79 @@ void Response::encode_into(std::string& out) const {
   w.end();
 }
 
-std::optional<Response> Response::decode(std::string_view datagram) {
-  bencode::Value root;
-  try {
-    root = bencode::decode(datagram);
-  } catch (const bencode::Error&) {
-    return std::nullopt;
-  }
-  if (!root.is_dict()) return std::nullopt;
-  const auto y = root.find_string("y");
-  if (!y || *y != "r") return std::nullopt;
-  const auto t = root.find_string("t");
-  if (!t) return std::nullopt;
-  const bencode::Value* body = root.find("r");
-  if (body == nullptr || !body->is_dict()) return std::nullopt;
-
-  Response response;
-  response.transaction_id = *t;
-  if (!read_id(body->find("id"), response.sender_id.bytes)) return std::nullopt;
-  if (const auto nodes = body->find_string("nodes")) {
-    if (nodes->size() % 26 != 0) return std::nullopt;
-    response.nodes = parse_compact_nodes(*nodes);
-  }
-  if (const auto token = body->find_string("token")) response.token = *token;
-  if (const bencode::Value* values = body->find("values")) {
-    if (!values->is_list()) return std::nullopt;
-    for (const bencode::Value& entry : values->as_list()) {
-      if (!entry.is_string()) return std::nullopt;
-      const auto peer = parse_compact_peer(entry.as_string());
-      if (!peer) return std::nullopt;
-      response.peers.push_back(*peer);
+bool Response::decode_into(std::string_view datagram, Response& out) {
+  out.nodes.clear();
+  out.peers.clear();
+  out.token.clear();
+  bencode::Reader r(datagram);
+  if (!r.enter_dict()) return false;
+  bool have_body = false;
+  Field t, y;
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "r") {
+      if (r.peek() != bencode::Reader::Type::Dict) return false;
+      have_body = r.enter_dict();
+      bool have_id = false;
+      while (r.next_key(key)) {
+        if (key == "id") {
+          if (!read_field(r).read_id(out.sender_id.bytes)) return false;
+          have_id = true;
+        } else if (key == "nodes") {
+          const Field nodes = read_field(r);
+          if (nodes.is_string()) {
+            if (nodes.bytes.size() % 26 != 0) return false;
+            append_compact_nodes(nodes.bytes, out.nodes);
+          }
+        } else if (key == "token") {
+          const Field token = read_field(r);
+          if (token.is_string()) out.token.assign(token.bytes);
+        } else if (key == "values") {
+          if (r.peek() != bencode::Reader::Type::List) return false;
+          r.enter_list();
+          while (r.next_item()) {
+            if (r.peek() != bencode::Reader::Type::String) return false;
+            std::string_view peer;
+            if (!r.string(peer) || peer.size() != 6) return false;
+            out.peers.push_back(*parse_compact_peer(peer));
+          }
+        } else {
+          r.skip();
+        }
+      }
+      if (!have_id) return false;
+    } else if (key == "t") {
+      t = read_field(r);
+    } else if (key == "y") {
+      y = read_field(r);
+    } else {
+      r.skip();
     }
   }
-  return response;
+  if (!r.finish() || !have_body || !y.is_string("r") || !t.is_string()) {
+    return false;
+  }
+  out.transaction_id.assign(t.bytes);
+  return true;
+}
+
+std::optional<Response> Response::decode(std::string_view datagram) {
+  Response response;
+  return decode_into(datagram, response)
+             ? std::optional<Response>(std::move(response))
+             : std::nullopt;
 }
 
 // ---- error ----------------------------------------------------------------
 
 std::string ErrorMessage::encode() const {
   std::string out;
+  encode_into(out);
+  return out;
+}
+
+void ErrorMessage::encode_into(std::string& out) const {
+  out.clear();
   bencode::Writer w(out);
   w.begin_dict();
   w.key("e");
@@ -282,46 +404,70 @@ std::string ErrorMessage::encode() const {
   w.key("y");
   w.string("e");
   w.end();
-  return out;
 }
 
 std::optional<ErrorMessage> ErrorMessage::decode(std::string_view datagram) {
-  bencode::Value root;
-  try {
-    root = bencode::decode(datagram);
-  } catch (const bencode::Error&) {
-    return std::nullopt;
-  }
-  if (!root.is_dict()) return std::nullopt;
-  const auto y = root.find_string("y");
-  if (!y || *y != "e") return std::nullopt;
-  const auto t = root.find_string("t");
-  if (!t) return std::nullopt;
-  const bencode::Value* e = root.find("e");
-  if (e == nullptr || !e->is_list()) return std::nullopt;
-  const bencode::List& list = e->as_list();
-  if (list.size() != 2 || !list[0].is_integer() || !list[1].is_string()) {
-    return std::nullopt;
-  }
+  bencode::Reader r(datagram);
+  if (!r.enter_dict()) return std::nullopt;
   ErrorMessage error;
-  error.transaction_id = *t;
-  error.code = list[0].as_integer();
-  error.message = list[1].as_string();
+  bool have_e = false;
+  Field t, y;
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "e") {
+      // Exactly [code, message].
+      if (r.peek() != bencode::Reader::Type::List) return std::nullopt;
+      r.enter_list();
+      std::size_t n = 0;
+      for (; r.next_item(); ++n) {
+        const Field f = read_field(r);
+        if (n == 0 && f.is_integer()) {
+          error.code = f.integer;
+        } else if (n == 1 && f.is_string()) {
+          error.message.assign(f.bytes);
+        } else {
+          return std::nullopt;
+        }
+      }
+      have_e = n == 2;
+    } else if (key == "t") {
+      t = read_field(r);
+    } else if (key == "y") {
+      y = read_field(r);
+    } else {
+      r.skip();
+    }
+  }
+  if (!r.finish() || !have_e || !y.is_string("e") || !t.is_string()) {
+    return std::nullopt;
+  }
+  error.transaction_id.assign(t.bytes);
   return error;
 }
 
 std::optional<char> message_kind(std::string_view datagram) {
-  try {
-    const bencode::Value root = bencode::decode(datagram);
-    if (!root.is_dict()) return std::nullopt;
-    const auto y = root.find_string("y");
-    if (!y || y->size() != 1) return std::nullopt;
-    const char kind = (*y)[0];
-    if (kind != 'q' && kind != 'r' && kind != 'e') return std::nullopt;
-    return kind;
-  } catch (const bencode::Error&) {
+  const auto env = read_envelope(datagram);
+  if (!env || !env->y.is_string() || env->y.bytes.size() != 1) {
     return std::nullopt;
   }
+  const char kind = env->y.bytes[0];
+  if (kind != 'q' && kind != 'r' && kind != 'e') return std::nullopt;
+  return kind;
+}
+
+ErrorMessage malformed_query_error(std::string_view datagram) {
+  ErrorMessage error;
+  error.code = kErrorProtocol;
+  error.message = "malformed query";
+  if (const auto env = read_envelope(datagram)) {
+    if (env->t.is_string()) error.transaction_id.assign(env->t.bytes);
+    if (env->y.is_string("q") && env->q.is_string() &&
+        !parse_method(env->q.bytes)) {
+      error.code = kErrorUnknownMethod;
+      error.message = "unknown method";
+    }
+  }
+  return error;
 }
 
 }  // namespace btpub::dht

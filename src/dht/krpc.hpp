@@ -4,10 +4,12 @@
 // carrying "q" = ping/find_node/get_peers/announce_peer and its arguments),
 // a response ("y":"r") or an error ("y":"e" with [code, message]).
 // Transaction ids correlate a response with its query; the overlay's RPC
-// layer enforces the echo. Encoding goes through bencode::Writer so a warm
-// buffer makes the hot lookup path allocation-light, exactly like the
-// tracker's announce fast path; decoding reuses the tree parser because
-// queries arrive from untrusted peers and need full validation anyway.
+// layer enforces the echo. Encoding goes through bencode::Writer and
+// decoding through one bencode::Reader pass into a caller-owned message,
+// so with warm buffers a whole exchange allocates nothing. The Reader
+// validates every byte, including the values a decoder skips: a datagram
+// is accepted exactly when the tree decoder (bencode::decode) would accept
+// it and every field checks out.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +63,9 @@ struct Query {
 
   std::string encode() const;
   void encode_into(std::string& out) const;
+  /// Decodes into `out`, reusing its string capacity; false (with `out`
+  /// unspecified) on any malformed or invalid datagram.
+  static bool decode_into(std::string_view datagram, Query& out);
   static std::optional<Query> decode(std::string_view datagram);
 };
 
@@ -77,6 +82,9 @@ struct Response {
 
   std::string encode() const;
   void encode_into(std::string& out) const;
+  /// Decodes into `out`, reusing its vectors' and strings' capacity; false
+  /// (with `out` unspecified) on any malformed or invalid datagram.
+  static bool decode_into(std::string_view datagram, Response& out);
   static std::optional<Response> decode(std::string_view datagram);
 };
 
@@ -87,6 +95,7 @@ struct ErrorMessage {
   std::string message;
 
   std::string encode() const;
+  void encode_into(std::string& out) const;
   static std::optional<ErrorMessage> decode(std::string_view datagram);
 };
 
@@ -98,5 +107,11 @@ inline constexpr std::int64_t kErrorUnknownMethod = 204;
 /// Peeks at the message kind ('q', 'r' or 'e') without a full decode;
 /// nullopt for malformed bencode or a missing/invalid "y" key.
 std::optional<char> message_kind(std::string_view datagram);
+
+/// The reply to a datagram Query::decode rejected: 204 "unknown method"
+/// when it is a query ("y" = "q") whose "q" string names no BEP 5 method,
+/// 203 "malformed query" otherwise. The transaction id is echoed when the
+/// datagram is well-formed bencode with a string "t".
+ErrorMessage malformed_query_error(std::string_view datagram);
 
 }  // namespace btpub::dht

@@ -84,69 +84,68 @@ void PeerStore::expire(SimTime now) {
 
 // ---- node -----------------------------------------------------------------
 
-std::string DhtNode::handle(std::string_view datagram, const Endpoint& from,
-                            SimTime now) {
-  const auto query = Query::decode(datagram);
-  if (!query) {
-    ErrorMessage error;
-    error.code = kErrorProtocol;
-    error.message = "malformed query";
-    // Best effort at echoing a transaction id so the sender can correlate.
-    if (const auto kind = message_kind(datagram); kind == 'q') {
-      error.code = kErrorUnknownMethod;
-      error.message = "unknown method";
-    }
-    return error.encode();
+void DhtNode::add_closest_nodes(const NodeId& target) {
+  table_.closest(target, RoutingTable::kBucketSize, closest_scratch_);
+  for (const Contact& contact : closest_scratch_) {
+    response_.nodes.push_back(NodeInfo{contact.id, contact.endpoint});
+  }
+}
+
+void DhtNode::handle_into(std::string_view datagram, const Endpoint& from,
+                          SimTime now, std::string& out) {
+  if (!Query::decode_into(datagram, query_)) {
+    malformed_query_error(datagram).encode_into(out);
+    return;
   }
   ++queries_served_;
   // Every well-formed query is evidence the sender is alive; BEP 43
   // read-only senders are explicitly not added.
-  if (!query->read_only) table_.observe(query->sender_id, from, now);
+  if (!query_.read_only) table_.observe(query_.sender_id, from, now);
 
-  Response response;
-  response.transaction_id = query->transaction_id;
-  response.sender_id = id();
-  switch (query->method) {
+  response_.transaction_id = query_.transaction_id;
+  response_.sender_id = id();
+  response_.nodes.clear();
+  response_.peers.clear();
+  response_.token.clear();
+  switch (query_.method) {
     case Method::Ping:
       break;
-    case Method::FindNode: {
-      table_.closest(query->target, RoutingTable::kBucketSize, closest_scratch_);
-      for (const Contact& contact : closest_scratch_) {
-        response.nodes.push_back(NodeInfo{contact.id, contact.endpoint});
-      }
+    case Method::FindNode:
+      add_closest_nodes(query_.target);
       break;
-    }
-    case Method::GetPeers: {
-      const NodeId target = NodeId::from_digest(query->info_hash);
-      store_.collect(query->info_hash, now, response.peers);
+    case Method::GetPeers:
+      store_.collect(query_.info_hash, now, response_.peers);
       // Nodes are returned alongside any values (the BEP 5 errata modern
       // clients implement): withholding them would terminate every lookup
       // at the first node holding peers, so announces would pile up there
       // instead of spreading to the k genuinely closest nodes.
-      table_.closest(target, RoutingTable::kBucketSize, closest_scratch_);
-      for (const Contact& contact : closest_scratch_) {
-        response.nodes.push_back(NodeInfo{contact.id, contact.endpoint});
-      }
-      response.token = tokens_.token_for(from.ip, now);
+      add_closest_nodes(NodeId::from_digest(query_.info_hash));
+      response_.token = tokens_.token_for(from.ip, now);
       break;
-    }
-    case Method::AnnouncePeer: {
-      if (!tokens_.valid(query->token, from.ip, now)) {
+    case Method::AnnouncePeer:
+      if (!tokens_.valid(query_.token, from.ip, now)) {
         ErrorMessage error;
-        error.transaction_id = query->transaction_id;
+        error.transaction_id = query_.transaction_id;
         error.code = kErrorProtocol;
         error.message = "bad token";
-        return error.encode();
+        error.encode_into(out);
+        return;
       }
       // The announced peer is the sender's IP at the port it asked for —
       // BEP 5 stores the source address, which is what defeats the
       // spoofed-IP trick that works on trackers (the paper's fake
       // publishers): you cannot announce an address you don't hold.
-      store_.announce(query->info_hash, Endpoint{from.ip, query->port}, now);
+      store_.announce(query_.info_hash, Endpoint{from.ip, query_.port}, now);
       break;
-    }
   }
-  return response.encode();
+  response_.encode_into(out);
+}
+
+std::string DhtNode::handle(std::string_view datagram, const Endpoint& from,
+                            SimTime now) {
+  std::string out;
+  handle_into(datagram, from, now, out);
+  return out;
 }
 
 }  // namespace btpub::dht

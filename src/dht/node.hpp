@@ -97,20 +97,29 @@ class DhtNode {
   PeerStore& store() noexcept { return store_; }
   const TokenJar& tokens() const noexcept { return tokens_; }
 
-  /// Handles one query datagram from `from` at time `now`; returns the
-  /// response (or error) datagram. Non-query or malformed datagrams yield
-  /// a protocol-error message.
+  /// Handles one query datagram from `from` at time `now`, writing the
+  /// response (or error) datagram into `out` (cleared first, capacity
+  /// kept). The decoded query and the response are node members too, so
+  /// once warm a query costs no allocation. A datagram that is not a valid
+  /// query gets malformed_query_error()'s reply.
+  void handle_into(std::string_view datagram, const Endpoint& from,
+                   SimTime now, std::string& out);
   std::string handle(std::string_view datagram, const Endpoint& from,
                      SimTime now);
 
   std::uint64_t queries_served() const noexcept { return queries_served_; }
 
  private:
+  /// Appends the k closest contacts to `target` to response_.nodes.
+  void add_closest_nodes(const NodeId& target);
+
   Endpoint endpoint_;
   RoutingTable table_;
   TokenJar tokens_;
   PeerStore store_;
   std::vector<Contact> closest_scratch_;
+  Query query_;
+  Response response_;
   std::uint64_t queries_served_ = 0;
 };
 

@@ -76,13 +76,20 @@ DhtNode* DhtOverlay::node_at(const Endpoint& endpoint) {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-std::optional<std::string> DhtOverlay::send(const Endpoint& to,
-                                            std::string_view datagram,
-                                            const Endpoint& from, SimTime now) {
+bool DhtOverlay::deliver(const Endpoint& to, const Endpoint& from,
+                         SimTime now) {
   const auto it = nodes_.find(to);
-  if (it == nodes_.end()) return std::nullopt;  // lost: timeout
+  if (it == nodes_.end()) return false;  // lost: timeout
   ++datagrams_;
-  return it->second->handle(datagram, from, now);
+  it->second->handle_into(query_buf_, from, now, reply_buf_);
+  return true;
+}
+
+bool DhtOverlay::exchange(const Query& query, const Endpoint& to,
+                          const Endpoint& from, SimTime now) {
+  query.encode_into(query_buf_);
+  return deliver(to, from, now) && Response::decode_into(reply_buf_, reply_) &&
+         reply_.transaction_id == query.transaction_id;
 }
 
 // ---- iterative machinery --------------------------------------------------
@@ -145,28 +152,20 @@ DhtOverlay::LookupResult DhtOverlay::iterative_get_peers(
     for (const std::size_t index : round) {
       candidates[index].queried = true;
       query.transaction_id = next_transaction_id();
-      const std::string datagram = query.encode();
       if (stats != nullptr) ++stats->messages;
-      const auto raw = send(candidates[index].endpoint, datagram, from, now);
-      if (!raw) {
-        if (stats != nullptr) ++stats->timeouts;
-        continue;
-      }
-      const auto response = Response::decode(*raw);
-      if (!response || response->transaction_id != query.transaction_id) {
-        if (stats != nullptr) ++stats->timeouts;  // error or bogus reply
+      if (!exchange(query, candidates[index].endpoint, from, now)) {
+        if (stats != nullptr) ++stats->timeouts;  // lost, error or bogus reply
         continue;
       }
       Candidate& c = candidates[index];
       c.responded = true;
-      c.id = response->sender_id;
+      c.id = reply_.sender_id;
       c.id_known = true;
-      result.closest.push_back(
-          {NodeInfo{c.id, c.endpoint}, response->token});
-      for (const NodeInfo& node : response->nodes) {
+      result.closest.push_back({NodeInfo{c.id, c.endpoint}, reply_.token});
+      for (const NodeInfo& node : reply_.nodes) {
         add_candidate(node.endpoint, &node.id);
       }
-      for (const Endpoint& peer : response->peers) {
+      for (const Endpoint& peer : reply_.peers) {
         if (known_peers.insert(peer).second) result.peers.push_back(peer);
       }
     }
@@ -234,18 +233,16 @@ void DhtOverlay::iterative_find_node(DhtNode& origin, const NodeId& target,
     for (const std::size_t index : round) {
       candidates[index].queried = true;
       query.transaction_id = next_transaction_id();
-      const auto raw =
-          send(candidates[index].endpoint, query.encode(), origin.endpoint(), now);
-      if (!raw) continue;
-      const auto response = Response::decode(*raw);
-      if (!response || response->transaction_id != query.transaction_id) continue;
+      if (!exchange(query, candidates[index].endpoint, origin.endpoint(), now)) {
+        continue;
+      }
       Candidate& c = candidates[index];
       c.responded = true;
-      c.id = response->sender_id;
+      c.id = reply_.sender_id;
       c.id_known = true;
       // A response is direct evidence of liveness: verified contact.
       origin.table().observe(c.id, c.endpoint, now);
-      for (const NodeInfo& node : response->nodes) {
+      for (const NodeInfo& node : reply_.nodes) {
         add_candidate(node.endpoint, &node.id);
       }
     }
@@ -277,7 +274,8 @@ void DhtOverlay::announce_peer(const Sha1Digest& info_hash,
     announce.token = token;
     announce.transaction_id = next_transaction_id();
     if (stats != nullptr) ++stats->messages;
-    send(node.endpoint, announce.encode(), peer, now);
+    announce.encode_into(query_buf_);
+    deliver(node.endpoint, peer, now);
   }
 }
 

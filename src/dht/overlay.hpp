@@ -17,18 +17,24 @@
 //     imposes).
 //
 // Determinism: node ids derive from (seed, endpoint); transaction ids come
-// from a single sequential counter; the node registry is an ordered map;
-// lookups break distance ties on the id bytes. Two overlays built from the
-// same seed and fed the same schedule answer every query byte-identically.
+// from a single sequential counter; the node registry is a hash map that
+// is only ever probed, never iterated, so its order cannot reach a
+// datagram; lookups break distance ties on the id bytes. Two overlays
+// built from the same seed and fed the same schedule answer every query
+// byte-identically.
+//
+// Every exchange runs through the overlay's own query and reply buffers
+// and one reused decoded Response, and each node answers into the reply
+// buffer from its own reused Query/Response: once warm, a datagram costs
+// its bytes, not an allocation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dht/node.hpp"
@@ -86,12 +92,6 @@ class DhtOverlay {
   void advance_to(SimTime t) { events_.run_until(t); }
   SimTime now() const noexcept { return events_.now(); }
 
-  // ---- wire-level ----------------------------------------------------------
-
-  /// Delivers one datagram; nullopt models a timeout (unknown endpoint).
-  std::optional<std::string> send(const Endpoint& to, std::string_view datagram,
-                                  const Endpoint& from, SimTime now);
-
   // ---- client operations ----------------------------------------------------
 
   /// Iterative get_peers from vantage `from` (need not be a node; pass
@@ -136,13 +136,24 @@ class DhtOverlay {
   /// effect of the traffic.
   void iterative_find_node(DhtNode& from, const NodeId& target, SimTime now);
   std::string next_transaction_id();
+  /// Delivers query_buf_ to `to`, the answer landing in reply_buf_; false
+  /// models a timeout (unknown endpoint).
+  bool deliver(const Endpoint& to, const Endpoint& from, SimTime now);
+  /// Sends `query` and decodes the answer into reply_; true when it is a
+  /// Response echoing the transaction id, false on a timeout or an
+  /// error/bogus reply.
+  bool exchange(const Query& query, const Endpoint& to, const Endpoint& from,
+                SimTime now);
 
   std::uint64_t seed_;
   EventQueue events_;
   Endpoint router_endpoint_;
-  std::map<Endpoint, std::unique_ptr<DhtNode>> nodes_;
+  std::unordered_map<Endpoint, std::unique_ptr<DhtNode>> nodes_;
   std::uint64_t next_transaction_ = 0;
   std::uint64_t datagrams_ = 0;
+  std::string query_buf_;
+  std::string reply_buf_;
+  Response reply_;
 };
 
 }  // namespace btpub::dht

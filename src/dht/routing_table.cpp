@@ -45,17 +45,49 @@ void RoutingTable::remove(const NodeId& id) {
 
 void RoutingTable::closest(const NodeId& target, std::size_t k,
                            std::vector<Contact>& out) const {
-  // A full table holds at most 160*k contacts; gathering and sorting them
-  // all keeps the selection obviously total-ordered (XOR distances are
-  // unique per id, so the order is deterministic).
+  // With m = distance_bit(self ^ target), a contact in bucket i lies at
+  // distance (self ^ id) ^ (self ^ target) from the target, whose highest
+  // set bit is below m for i == m, exactly m for every i < m, and i for
+  // i > m. So the groups {m}, {0..m-1}, {m+1}, {m+2}, ... come in
+  // ascending distance; only a group's own members need sorting, and the
+  // walk stops once k contacts are taken. XOR distances within one table
+  // are unique, so the result equals a full sort truncated to k.
   out.clear();
-  for (const Bucket& bucket : buckets_) {
-    out.insert(out.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(out.begin(), out.end(), [&](const Contact& a, const Contact& b) {
+  if (k == 0) return;
+  const auto by_distance = [&](const Contact& a, const Contact& b) {
     return closer(a.id, b.id, target);
-  });
-  if (out.size() > k) out.resize(k);
+  };
+  // Sorts the group appended from `begin` on; true once k contacts are
+  // taken (the surplus trimmed).
+  const auto take_group = [&](std::size_t begin) {
+    const auto first = out.begin() + static_cast<std::ptrdiff_t>(begin);
+    if (out.size() <= k) {
+      std::sort(first, out.end(), by_distance);
+      return out.size() == k;
+    }
+    std::partial_sort(first, out.begin() + static_cast<std::ptrdiff_t>(k),
+                      out.end(), by_distance);
+    out.resize(k);
+    return true;
+  };
+  const int m = distance_bit(distance(self_, target));
+  if (m >= 0) {
+    const Bucket& own = buckets_[static_cast<std::size_t>(m)];
+    out.insert(out.end(), own.begin(), own.end());
+    if (take_group(0)) return;
+    const std::size_t begin = out.size();
+    for (int i = 0; i < m; ++i) {
+      const Bucket& bucket = buckets_[static_cast<std::size_t>(i)];
+      out.insert(out.end(), bucket.begin(), bucket.end());
+    }
+    if (take_group(begin)) return;
+  }
+  for (int i = m + 1; i < static_cast<int>(buckets_.size()); ++i) {
+    const Bucket& bucket = buckets_[static_cast<std::size_t>(i)];
+    const std::size_t begin = out.size();
+    out.insert(out.end(), bucket.begin(), bucket.end());
+    if (take_group(begin)) return;
+  }
 }
 
 std::size_t RoutingTable::size() const noexcept {

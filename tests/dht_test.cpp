@@ -3,10 +3,13 @@
 // per-node peer store + query handler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dht/node.hpp"
 #include "dht/node_id.hpp"
 #include "dht/krpc.hpp"
 #include "dht/routing_table.hpp"
+#include "util/rng.hpp"
 
 namespace btpub::dht {
 namespace {
@@ -200,6 +203,77 @@ TEST(RoutingTableTest, ClosestReturnsXorOrder) {
   }
 }
 
+/// The reference closest(): every contact, fully sorted, truncated to k.
+std::vector<NodeId> brute_force_closest(const std::vector<NodeId>& ids,
+                                        const NodeId& target, std::size_t k) {
+  std::vector<NodeId> all = ids;
+  std::sort(all.begin(), all.end(), [&](const NodeId& a, const NodeId& b) {
+    return closer(a, b, target);
+  });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+/// A random id whose XOR distance from `self` has its top bit at `bit`.
+NodeId id_in_bucket(const NodeId& self, int bit, Rng& rng) {
+  NodeId d;
+  for (auto& byte : d.bytes) byte = static_cast<std::uint8_t>(rng.index(256));
+  const int top = 19 - bit / 8;  // big-endian byte holding the bit
+  for (int i = 0; i < top; ++i) d.bytes[static_cast<std::size_t>(i)] = 0;
+  auto& b = d.bytes[static_cast<std::size_t>(top)];
+  const int shift = bit % 8;
+  b = static_cast<std::uint8_t>((b & ((1u << shift) - 1)) | (1u << shift));
+  return distance(self, d);
+}
+
+TEST(RoutingTableTest, ClosestMatchesBruteForceOnRandomTables) {
+  Rng rng(0xc105e57);
+  for (int trial = 0; trial < 60; ++trial) {
+    NodeId self;
+    for (auto& byte : self.bytes) byte = static_cast<std::uint8_t>(rng.index(256));
+    RoutingTable table(self);
+    // A mix of full, partly filled and empty buckets; the low buckets are
+    // the crowded ones a real table fills last.
+    const std::size_t offered = rng.index(400);
+    for (std::size_t i = 0; i < offered; ++i) {
+      const int bit = rng.index(3) == 0 ? static_cast<int>(rng.index(160))
+                                        : static_cast<int>(150 + rng.index(10));
+      table.observe(id_in_bucket(self, bit, rng),
+                    {IpAddress(0x0A000000u + std::uint32_t(i)), 6881}, 0);
+    }
+    std::vector<NodeId> ids;
+    std::vector<Contact> everything;
+    table.closest(self, 160 * RoutingTable::kBucketSize, everything);
+    for (const Contact& c : everything) ids.push_back(c.id);
+    ASSERT_EQ(ids.size(), table.size());
+
+    std::vector<NodeId> targets = {self};  // target == self
+    for (int i = 0; i < 8; ++i) {
+      targets.push_back(id_in_bucket(self, static_cast<int>(rng.index(160)), rng));
+    }
+    if (!ids.empty()) targets.push_back(ids[rng.index(ids.size())]);  // a contact
+    for (const NodeId& target : targets) {
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                  RoutingTable::kBucketSize, std::size_t{20},
+                                  ids.size() + 5}) {
+        std::vector<Contact> out;
+        table.closest(target, k, out);
+        std::vector<NodeId> got;
+        for (const Contact& c : out) got.push_back(c.id);
+        ASSERT_EQ(got, brute_force_closest(ids, target, k))
+            << "trial " << trial << " k " << k << " target " << target.hex();
+      }
+    }
+  }
+}
+
+TEST(RoutingTableTest, ClosestOnEmptyTableIsEmpty) {
+  const RoutingTable table(id_with(0x42));
+  std::vector<Contact> out = {Contact{}};
+  table.closest(id_with(0x17), RoutingTable::kBucketSize, out);
+  EXPECT_TRUE(out.empty());
+}
+
 // ---- tokens ----
 
 TEST(TokenJarTest, TokenValidInCurrentAndPreviousEpochOnly) {
@@ -283,6 +357,13 @@ class DhtNodeTest : public ::testing::Test {
     const auto response = Response::decode(node_.handle(query.encode(), from, now));
     EXPECT_TRUE(response.has_value());
     return response.value_or(Response{});
+  }
+
+  /// The error the node answers `datagram` with.
+  ErrorMessage error_reply(std::string_view datagram) {
+    const auto error = ErrorMessage::decode(node_.handle(datagram, kAsker, 10));
+    EXPECT_TRUE(error.has_value()) << datagram;
+    return error.value_or(ErrorMessage{});
   }
 
   DhtNode node_;
@@ -397,6 +478,47 @@ TEST_F(DhtNodeTest, MalformedDatagramYieldsErrorMessage) {
   const auto error = ErrorMessage::decode(node_.handle("garbage", kAsker, 10));
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, kErrorProtocol);
+  EXPECT_EQ(error->transaction_id, "");  // nothing readable to echo
+}
+
+TEST_F(DhtNodeTest, UnknownMethodGets204AndEchoesTransactionId) {
+  const auto error = error_reply(
+      "d1:ad2:id20:aaaaaaaaaaaaaaaaaaaae1:q4:pong1:t2:xy1:y1:qe");
+  EXPECT_EQ(error.code, kErrorUnknownMethod);
+  EXPECT_EQ(error.message, "unknown method");
+  EXPECT_EQ(error.transaction_id, "xy");
+}
+
+TEST_F(DhtNodeTest, MissingArgumentOfKnownMethodGets203) {
+  // find_node without "target".
+  const auto error = error_reply(
+      "d1:ad2:id20:aaaaaaaaaaaaaaaaaaaae1:q9:find_node1:t2:ab1:y1:qe");
+  EXPECT_EQ(error.code, kErrorProtocol);
+  EXPECT_EQ(error.message, "malformed query");
+  EXPECT_EQ(error.transaction_id, "ab");
+}
+
+TEST_F(DhtNodeTest, MistypedArgumentOfKnownMethodGets203) {
+  // announce_peer whose "port" is a string.
+  const auto error = error_reply(
+      "d1:ad2:id20:aaaaaaaaaaaaaaaaaaaa9:info_hash20:bbbbbbbbbbbbbbbbbbbb"
+      "4:port4:68815:token8:abcdefghe1:q13:announce_peer1:t2:cd1:y1:qe");
+  EXPECT_EQ(error.code, kErrorProtocol);
+  EXPECT_EQ(error.transaction_id, "cd");
+}
+
+TEST_F(DhtNodeTest, MissingMethodGets203) {
+  const auto error =
+      error_reply("d1:ad2:id20:aaaaaaaaaaaaaaaaaaaae1:t2:ef1:y1:qe");
+  EXPECT_EQ(error.code, kErrorProtocol);
+  EXPECT_EQ(error.transaction_id, "ef");
+}
+
+TEST_F(DhtNodeTest, NonStringTransactionIdIsNotEchoed) {
+  const auto error =
+      error_reply("d1:ad2:id20:aaaaaaaaaaaaaaaaaaaae1:q4:pong1:ti7e1:y1:qe");
+  EXPECT_EQ(error.code, kErrorUnknownMethod);
+  EXPECT_EQ(error.transaction_id, "");
 }
 
 }  // namespace

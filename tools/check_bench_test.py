@@ -53,6 +53,16 @@ def net(ratio=0.27, errors=0, timeouts=0, sent=100000, transport="udp"):
     ], cores=1)
 
 
+def dht(digest="5d8f00b0c61e1a3b", lookups=300, rate=15000.0):
+    return envelope("dht_iterative_get_peers", [
+        {"nodes": 100, "lookups": lookups, "avg_hops": 4.19,
+         "lookups_per_sec": rate * 1.5, "digest": "0123456789abcdef"},
+        {"nodes": 1000, "lookups": lookups, "avg_hops": 5.26,
+         "lookups_per_sec": rate, "digest": digest},
+    ], cores=4, config={"lookups": lookups, "torrents": 64,
+                        "peers_per_torrent": 20})
+
+
 class CheckBenchTest(unittest.TestCase):
     def gate(self, baseline, fresh):
         with tempfile.TemporaryDirectory() as tmp:
@@ -125,6 +135,24 @@ class CheckBenchTest(unittest.TestCase):
         self.assertEqual(self.gate(net(), net(ratio=0.245)), 0)
         self.assertEqual(self.gate(net(), net(ratio=0.24)), 1)
 
+    def test_dht_digest_drift_fails(self):
+        self.assertEqual(self.gate(dht(), dht()), 0)
+        self.assertEqual(self.gate(dht(), dht(digest="5d8f00b0c61e1a3c")), 1)
+        self.assertIn("FAIL", self.output)
+
+    def test_dht_time_is_not_gated(self):
+        self.assertEqual(self.gate(dht(), dht(rate=1.0)), 0)
+        self.assertEqual(self.gate(dht(), dht(rate=1e9)), 0)
+
+    def test_dht_missing_digest_fails(self):
+        fresh = dht()
+        del fresh["results"][1]["digest"]
+        self.assertEqual(self.gate(dht(), fresh), 1)
+
+    def test_dht_other_config_is_not_comparable(self):
+        self.assertEqual(self.gate(dht(), dht(lookups=2000)), 1)
+        self.assertIn("not comparable", self.output)
+
     def test_no_comparable_cases(self):
         self.assertEqual(
             self.gate(snapshot(0.02), envelope("dataset_snapshot", [])), 1)
@@ -133,11 +161,15 @@ class CheckBenchTest(unittest.TestCase):
                                config={"seed": 42, "format_version": 1}),
                       analysis()), 1)
         self.assertEqual(self.gate(net(), net(transport="http")), 1)
+        no_cases = dht()
+        no_cases["results"] = []
+        self.assertEqual(self.gate(dht(), no_cases), 1)
 
     def test_mismatched_or_ungated_benchmarks(self):
         self.assertEqual(self.gate(snapshot(0.02), net()), 1)
-        ungated = envelope("dht_iterative_get_peers", [])
+        ungated = envelope("announce_round_trip", [])
         self.assertEqual(self.gate(ungated, ungated), 1)
+        self.assertEqual(self.gate(dht(), net()), 1)
 
 
 if __name__ == "__main__":
