@@ -15,6 +15,7 @@
 namespace btpub {
 namespace {
 
+// The label names the kernel Sha1 dispatched to on this CPU.
 void BM_Sha1Hash(benchmark::State& state) {
   const std::string data(static_cast<std::size_t>(state.range(0)), 'x');
   for (auto _ : state) {
@@ -22,8 +23,34 @@ void BM_Sha1Hash(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
+  state.SetLabel(detail::sha1_kernel() == &detail::sha1_compress_portable
+                     ? "portable"
+                     : "shani");
 }
 BENCHMARK(BM_Sha1Hash)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+// One compression kernel called directly on whole blocks, without Sha1's
+// buffering and padding: one block, a 41 KB info dict (about the largest a
+// synthetic torrent has) and 1 MiB.
+void BM_Sha1Kernel(benchmark::State& state, bool shani) {
+  const detail::Sha1Kernel kernel =
+      shani ? detail::sha1_shani_kernel() : &detail::sha1_compress_portable;
+  if (kernel == nullptr) {
+    state.SkipWithError("no SHA extensions on this CPU");
+    return;
+  }
+  const std::string data(static_cast<std::size_t>(state.range(0)), 'x');
+  const auto* blocks = reinterpret_cast<const std::uint8_t*>(data.data());
+  std::array<std::uint32_t, 5> digest_state{};
+  for (auto _ : state) {
+    kernel(digest_state, blocks, data.size() / 64);
+    benchmark::DoNotOptimize(digest_state);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Sha1Kernel, portable, false)->Arg(64)->Arg(41 << 10)->Arg(1 << 20);
+BENCHMARK_CAPTURE(BM_Sha1Kernel, shani, true)->Arg(64)->Arg(41 << 10)->Arg(1 << 20);
 
 // make: the pieces PRF, the one-pass encode and the info-dict SHA-1, at
 // the creator-rule piece length (512 KiB here, 1400 pieces).

@@ -1,6 +1,7 @@
 #include "analysis/streaming/sketch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -21,6 +22,18 @@ double hll_alpha(std::size_t m) noexcept {
       return 0.7213 / (1.0 + 1.079 / static_cast<double>(m));
   }
 }
+
+// 2^-r for every register value r (at most 64 - 4 + 1); halving is exact
+// down to 2^-64, so each entry equals std::ldexp(1.0, -r).
+constexpr std::array<double, 65> kInversePowers = [] {
+  std::array<double, 65> table{};
+  double value = 1.0;
+  for (double& entry : table) {
+    entry = value;
+    value /= 2.0;
+  }
+  return table;
+}();
 
 }  // namespace
 
@@ -45,7 +58,7 @@ double HyperLogLog::estimate() const noexcept {
   double inverse_sum = 0.0;
   std::size_t zeros = 0;
   for (const std::uint8_t reg : registers_) {
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(reg));
+    inverse_sum += kInversePowers[reg];
     if (reg == 0) ++zeros;
   }
   const double raw = hll_alpha(registers_.size()) * m * m / inverse_sum;
@@ -78,16 +91,15 @@ CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth,
                                std::uint64_t salt)
     : width_(std::max<std::size_t>(width, 1)),
       depth_(std::max<std::size_t>(depth, 1)),
+      column_mask_(std::has_single_bit(width_) ? width_ - 1 : 0),
       salt_(salt),
       cells_(width_ * depth_) {}
 
 void CountMinSketch::add(std::uint64_t key, std::uint64_t amount) noexcept {
   auto [h, step] = hashes(key);
   for (std::size_t row = 0; row < depth_; ++row, h += step) {
-    cells_[row * width_ + static_cast<std::size_t>(h % width_)].fetch_add(
-        amount, std::memory_order_relaxed);
+    cells_[row * width_ + column(h)].fetch_add(amount, std::memory_order_relaxed);
   }
-  total_.fetch_add(amount, std::memory_order_relaxed);
 }
 
 std::uint64_t CountMinSketch::count(std::uint64_t key) const noexcept {
@@ -95,10 +107,18 @@ std::uint64_t CountMinSketch::count(std::uint64_t key) const noexcept {
   auto [h, step] = hashes(key);
   for (std::size_t row = 0; row < depth_; ++row, h += step) {
     best = std::min(
-        best, cells_[row * width_ + static_cast<std::size_t>(h % width_)].load(
-                  std::memory_order_relaxed));
+        best, cells_[row * width_ + column(h)].load(std::memory_order_relaxed));
   }
   return best;
+}
+
+std::uint64_t CountMinSketch::total() const noexcept {
+  // Every add lands in exactly one row-0 cell, so row 0 sums to the mass.
+  std::uint64_t sum = 0;
+  for (std::size_t col = 0; col < width_; ++col) {
+    sum += cells_[col].load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 double CountMinSketch::epsilon() const noexcept {

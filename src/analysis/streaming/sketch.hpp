@@ -73,10 +73,8 @@ class CountMinSketch {
   void add(std::uint64_t key, std::uint64_t amount = 1) noexcept;
   /// Point estimate: min over rows. An over-estimate, never an under-.
   std::uint64_t count(std::uint64_t key) const noexcept;
-  /// Total mass added across all keys.
-  std::uint64_t total() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
+  /// Total mass added across all keys: the sum of row 0, O(width).
+  std::uint64_t total() const noexcept;
 
   std::size_t width() const noexcept { return width_; }
   std::size_t depth() const noexcept { return depth_; }
@@ -94,12 +92,18 @@ class CountMinSketch {
     const std::uint64_t h1 = mix64(key ^ salt_);
     return {h1, mix64(h1) | 1};
   }
+  /// h % width, as a mask when width is a power of two (the same column
+  /// without a 64-bit divide).
+  std::size_t column(std::uint64_t h) const noexcept {
+    return static_cast<std::size_t>(column_mask_ != 0 ? h & column_mask_
+                                                      : h % width_);
+  }
 
   std::size_t width_;
   std::size_t depth_;
+  std::uint64_t column_mask_;  // width - 1 for a power-of-two width, else 0
   std::uint64_t salt_;
   std::vector<std::atomic<std::uint64_t>> cells_;
-  std::atomic<std::uint64_t> total_{0};
 };
 
 }  // namespace btpub

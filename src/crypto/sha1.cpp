@@ -2,11 +2,251 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define BTPUB_SHA1_SHANI 1
+#endif
+
 namespace btpub {
 namespace {
 
-std::uint32_t rotl32(std::uint32_t x, int k) noexcept {
+using State = std::array<std::uint32_t, 5>;
+
+constexpr std::uint32_t rotl32(std::uint32_t x, int k) noexcept {
   return (x << k) | (x >> (32 - k));
+}
+
+std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
+}
+
+// The four 20-round phases: round function and constant.
+struct Choose {
+  static constexpr std::uint32_t k = 0x5A827999u;
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) noexcept {
+    return d ^ (b & (c ^ d));
+  }
+};
+template <std::uint32_t K>
+struct Parity {
+  static constexpr std::uint32_t k = K;
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) noexcept {
+    return b ^ c ^ d;
+  }
+};
+struct Majority {
+  static constexpr std::uint32_t k = 0x8F1BBCDCu;
+  static std::uint32_t f(std::uint32_t b, std::uint32_t c, std::uint32_t d) noexcept {
+    return (b & c) | (d & (b | c));
+  }
+};
+using Parity1 = Parity<0x6ED9EBA1u>;
+using Parity2 = Parity<0xCA62C1D6u>;
+
+// Message word i from the rolling 16-word schedule: words 0-15 are the
+// block itself, and each later word overwrites the slot of word i - 16.
+template <int i>
+std::uint32_t schedule(std::uint32_t* w) noexcept {
+  if constexpr (i >= 16) {
+    w[i & 15] = rotl32(w[(i - 3) & 15] ^ w[(i - 8) & 15] ^ w[(i - 14) & 15] ^
+                           w[i & 15],
+                       1);
+  }
+  return w[i & 15];
+}
+
+// Five rounds from round i. Each round adds into e and rotates b; instead of
+// shifting a..e down, the next round renames them, and after five rounds
+// every variable is back in its own role.
+template <class F>
+void step(std::uint32_t a, std::uint32_t& b, std::uint32_t c, std::uint32_t d,
+          std::uint32_t& e, std::uint32_t w) noexcept {
+  e += rotl32(a, 5) + F::f(b, c, d) + F::k + w;
+  b = rotl32(b, 30);
+}
+
+template <class F, int i>
+void five_rounds(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
+                 std::uint32_t& d, std::uint32_t& e, std::uint32_t* w) noexcept {
+  step<F>(a, b, c, d, e, schedule<i>(w));
+  step<F>(e, a, b, c, d, schedule<i + 1>(w));
+  step<F>(d, e, a, b, c, schedule<i + 2>(w));
+  step<F>(c, d, e, a, b, schedule<i + 3>(w));
+  step<F>(b, c, d, e, a, schedule<i + 4>(w));
+}
+
+#ifdef BTPUB_SHA1_SHANI
+// The SHA extensions run four rounds per sha1rnds4 on ABCD packed into one
+// register (A in the top lane) and E riding in the top lane of the message
+// operand. Message groups W0..W19 (four words each) rotate through
+// msg0..msg3: group g+4 is sha1msg2(sha1msg1(W_g, W_g+1) ^ W_g+2, W_g+3),
+// built one piece per step as groups g+1, g+2 and g+3 are consumed.
+// Per-function target: the rest of the program keeps the baseline ISA, and
+// this runs only after sha1_shani_kernel() has checked the CPU.
+__attribute__((target("sha,sse4.1"))) inline __m128i load_words(
+    const std::uint8_t* p) noexcept {
+  // Byte-reverses the 16 bytes: big-endian words, word 0 in the top lane.
+  const __m128i reverse =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+                          reverse);
+}
+
+__attribute__((target("sha,sse4.1"))) void compress_shani(
+    State& state, const std::uint8_t* blocks, std::size_t n) noexcept {
+  __m128i abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state.data())), 0x1B);
+  __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  for (; n > 0; --n, blocks += 64) {
+    const __m128i abcd_save = abcd;
+    const __m128i e_save = e0;
+    __m128i e1;
+    // Rounds 0-3.
+    __m128i msg0 = load_words(blocks + 0);
+    e0 = _mm_add_epi32(e0, msg0);
+    e1 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 0);
+    // Rounds 4-7.
+    __m128i msg1 = load_words(blocks + 16);
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 0);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    // Rounds 8-11.
+    __m128i msg2 = load_words(blocks + 32);
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 0);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 12-15.
+    __m128i msg3 = load_words(blocks + 48);
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 0);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 16-19.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 0);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 20-23.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 1);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 24-27.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 1);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 28-31.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 1);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 32-35.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 1);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 36-39.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 1);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 40-43.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 2);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 44-47.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 2);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 48-51.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 2);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 52-55.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 2);
+    msg0 = _mm_sha1msg1_epu32(msg0, msg1);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 56-59.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 2);
+    msg1 = _mm_sha1msg1_epu32(msg1, msg2);
+    msg0 = _mm_xor_si128(msg0, msg2);
+    // Rounds 60-63.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    msg0 = _mm_sha1msg2_epu32(msg0, msg3);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 3);
+    msg2 = _mm_sha1msg1_epu32(msg2, msg3);
+    msg1 = _mm_xor_si128(msg1, msg3);
+    // Rounds 64-67.
+    e0 = _mm_sha1nexte_epu32(e0, msg0);
+    e1 = abcd;
+    msg1 = _mm_sha1msg2_epu32(msg1, msg0);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 3);
+    msg3 = _mm_sha1msg1_epu32(msg3, msg0);
+    msg2 = _mm_xor_si128(msg2, msg0);
+    // Rounds 68-71.
+    e1 = _mm_sha1nexte_epu32(e1, msg1);
+    e0 = abcd;
+    msg2 = _mm_sha1msg2_epu32(msg2, msg1);
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 3);
+    msg3 = _mm_xor_si128(msg3, msg1);
+    // Rounds 72-75.
+    e0 = _mm_sha1nexte_epu32(e0, msg2);
+    e1 = abcd;
+    msg3 = _mm_sha1msg2_epu32(msg3, msg2);
+    abcd = _mm_sha1rnds4_epu32(abcd, e0, 3);
+    // Rounds 76-79.
+    e1 = _mm_sha1nexte_epu32(e1, msg3);
+    e0 = abcd;
+    abcd = _mm_sha1rnds4_epu32(abcd, e1, 3);
+    // Feed-forward: E's rotate-and-add is one more sha1nexte.
+    e0 = _mm_sha1nexte_epu32(e0, e_save);
+    abcd = _mm_add_epi32(abcd, abcd_save);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state.data()),
+                   _mm_shuffle_epi32(abcd, 0x1B));
+  state[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e0, 3));
+}
+#endif
+
+void compress(State& state, const std::uint8_t* blocks, std::size_t n) noexcept {
+  detail::sha1_kernel()(state, blocks, n);
 }
 
 int hex_value(char c) noexcept {
@@ -54,14 +294,16 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
     std::memcpy(buffer_.data() + buffered_, data.data(), take);
     buffered_ += take;
     offset = take;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    if (buffered_ < 64) return;
+    compress(h_, buffer_.data(), 1);
+    buffered_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block goes to the kernel in one call, so the state stays in
+  // registers across a long message.
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(h_, data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -75,19 +317,18 @@ void Sha1::update(std::string_view data) noexcept {
 }
 
 Sha1Digest Sha1::finish() noexcept {
+  // The buffered tail, 0x80, zeros up to 56 mod 64 and the 64-bit big-endian
+  // bit length: one final block, or two when the tail leaves no room for
+  // the length.
+  std::uint8_t tail[128] = {};
+  std::memcpy(tail, buffer_.data(), buffered_);
+  tail[buffered_] = 0x80;
+  const std::size_t tail_len = buffered_ < 56 ? 64 : 128;
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit big-endian length.
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len =
-      (buffered_ < 56) ? (56 - buffered_) : (120 - buffered_);
-  update(std::span<const std::uint8_t>(pad, pad_len));
-  std::uint8_t len_bytes[8];
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+    tail[tail_len - 1 - i] = static_cast<std::uint8_t>(bit_length >> (8 * i));
   }
-  // Bypass update()'s total_bytes_ accounting for the length field itself.
-  std::memcpy(buffer_.data() + buffered_, len_bytes, 8);
-  process_block(buffer_.data());
+  compress(h_, tail, tail_len / 64);
   buffered_ = 0;
 
   Sha1Digest d;
@@ -98,47 +339,6 @@ Sha1Digest Sha1::finish() noexcept {
     d.bytes[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
   }
   return d;
-}
-
-void Sha1::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = temp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
 }
 
 Sha1Digest Sha1::hash(std::string_view data) noexcept {
@@ -153,4 +353,62 @@ Sha1Digest Sha1::hash(std::span<const std::uint8_t> data) noexcept {
   return ctx.finish();
 }
 
+namespace detail {
+
+void sha1_compress_portable(State& state, const std::uint8_t* blocks,
+                            std::size_t n) noexcept {
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4];
+  for (; n > 0; --n, blocks += 64) {
+    std::uint32_t w[16];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+    const std::uint32_t a0 = a, b0 = b, c0 = c, d0 = d, e0 = e;
+    five_rounds<Choose, 0>(a, b, c, d, e, w);
+    five_rounds<Choose, 5>(a, b, c, d, e, w);
+    five_rounds<Choose, 10>(a, b, c, d, e, w);
+    five_rounds<Choose, 15>(a, b, c, d, e, w);
+    five_rounds<Parity1, 20>(a, b, c, d, e, w);
+    five_rounds<Parity1, 25>(a, b, c, d, e, w);
+    five_rounds<Parity1, 30>(a, b, c, d, e, w);
+    five_rounds<Parity1, 35>(a, b, c, d, e, w);
+    five_rounds<Majority, 40>(a, b, c, d, e, w);
+    five_rounds<Majority, 45>(a, b, c, d, e, w);
+    five_rounds<Majority, 50>(a, b, c, d, e, w);
+    five_rounds<Majority, 55>(a, b, c, d, e, w);
+    five_rounds<Parity2, 60>(a, b, c, d, e, w);
+    five_rounds<Parity2, 65>(a, b, c, d, e, w);
+    five_rounds<Parity2, 70>(a, b, c, d, e, w);
+    five_rounds<Parity2, 75>(a, b, c, d, e, w);
+    a += a0;
+    b += b0;
+    c += c0;
+    d += d0;
+    e += e0;
+  }
+  state = {a, b, c, d, e};
+}
+
+Sha1Kernel sha1_shani_kernel() noexcept {
+#ifdef BTPUB_SHA1_SHANI
+  // Static initialisers in other translation units hash before libgcc's
+  // own constructor may have filled in the CPU model; init is idempotent.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    return &compress_shani;
+  }
+#endif
+  return nullptr;
+}
+
+Sha1Kernel sha1_kernel() noexcept {
+  // A function-local static, not a namespace-scope one: Sha1 runs during
+  // other translation units' static initialisation, before this file's.
+  static const Sha1Kernel kernel = [] {
+    const Sha1Kernel shani = sha1_shani_kernel();
+    return shani != nullptr ? shani : &sha1_compress_portable;
+  }();
+  return kernel;
+}
+
+}  // namespace detail
 }  // namespace btpub

@@ -2,6 +2,10 @@
 // bencoded "info" dictionary; we implement the real digest so that torrents
 // produced by the simulator are wire-accurate and infohash equality behaves
 // exactly as in deployed BitTorrent.
+//
+// The compression function has two kernels: one on the x86 SHA extensions
+// (SHA-NI) and a portable scalar one. Sha1 picks SHA-NI once, at its first
+// use, when the CPU has it; both produce the same state for every input.
 #pragma once
 
 #include <array>
@@ -44,14 +48,33 @@ class Sha1 {
   static Sha1Digest hash(std::span<const std::uint8_t> data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 5> h_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_bytes_ = 0;
   std::size_t buffered_ = 0;
 };
 
+namespace detail {
+
+/// A SHA-1 compression kernel: folds `n` whole 64-byte blocks at `blocks`
+/// into `state` (FIPS 180-4 §6.1.2). Exposed for the kernel-agreement test
+/// and the per-kernel micro benchmarks; everything else goes through Sha1.
+using Sha1Kernel = void (*)(std::array<std::uint32_t, 5>& state,
+                            const std::uint8_t* blocks, std::size_t n) noexcept;
+
+/// Fully unrolled scalar kernel; the only one compiled on non-x86 targets.
+void sha1_compress_portable(std::array<std::uint32_t, 5>& state,
+                            const std::uint8_t* blocks, std::size_t n) noexcept;
+
+/// The SHA-NI kernel, or nullptr when the target is not x86 or the CPU lacks
+/// the SHA extensions (calling it there would fault).
+Sha1Kernel sha1_shani_kernel() noexcept;
+
+/// The kernel Sha1 runs: SHA-NI when present, else portable. Chosen on the
+/// first call and fixed for the life of the process.
+Sha1Kernel sha1_kernel() noexcept;
+
+}  // namespace detail
 }  // namespace btpub
 
 template <>

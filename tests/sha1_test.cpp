@@ -1,11 +1,18 @@
-// SHA-1 against the RFC 3174 / FIPS 180 test vectors, plus streaming and
-// digest value-type behaviour.
+// SHA-1 against the RFC 3174 / FIPS 180 test vectors and padding-boundary
+// known answers, agreement between the SHA-NI and portable kernels, plus
+// streaming and digest value-type behaviour.
 #include "crypto/sha1.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace btpub {
 namespace {
@@ -38,13 +45,92 @@ TEST(Sha1, ExactBlockBoundary) {
   EXPECT_EQ(ctx.finish(), Sha1::hash(msg));
 }
 
-TEST(Sha1, FiftyFiveAndFiftySixBytes) {
-  // 55 bytes: length fits after 0x80 in the same block; 56: it does not.
-  for (std::size_t n : {55u, 56u, 63u, 65u}) {
-    const std::string msg(n, 'q');
-    EXPECT_EQ(Sha1::hash(msg).hex().size(), 40u);
-    EXPECT_EQ(Sha1::hash(msg), Sha1::hash(msg));
+TEST(Sha1, PaddingBoundaryKnownAnswers) {
+  // 'q' x n around the padding boundaries: at 55 bytes the length fits after
+  // 0x80 in the same block, at 56 it does not; 64/65 and 119/120 repeat
+  // that one block later. Digests from Python's hashlib.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "7b271259bf2d2d3311f75d398745f5309ff76e09"},
+      {56, "cc30d5bc02bd26f3da6c5801880078dad9a63032"},
+      {63, "0807f7f930492f9e95070290aeac189e3721bf07"},
+      {64, "ce2798652a5cbba06c6f736ddeca9724e479e5b7"},
+      {65, "b0931a65ae5cf3e027199de5f7c56eb0f073c552"},
+      {119, "c69516277e59324c6533caed0d3f7974cbc86061"},
+      {120, "b265d110f022092352c9471f056c857b31ad79d8"},
+      {128, "4e62cf8bbce5071fabccabebdee5ede47a596d2d"},
+  };
+  for (const auto& [n, hex] : cases) {
+    EXPECT_EQ(Sha1::hash(std::string(n, 'q')).hex(), hex) << n << " bytes";
   }
+}
+
+constexpr std::array<std::uint32_t, 5> kInitialState = {
+    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
+
+// Runs `kernel` over `message` the way Sha1 does: whole blocks of each
+// update chunk straight from the input, a partial block via a buffer, then
+// the padded tail. Returns the final state.
+std::array<std::uint32_t, 5> run_kernel(detail::Sha1Kernel kernel,
+                                        const std::vector<std::uint8_t>& message,
+                                        Rng& chunks) {
+  std::array<std::uint32_t, 5> state = kInitialState;
+  std::vector<std::uint8_t> pending;
+  std::size_t pos = 0;
+  while (pos < message.size()) {
+    const auto take = std::min<std::size_t>(
+        message.size() - pos, static_cast<std::size_t>(chunks.uniform_int(1, 300)));
+    pending.insert(pending.end(), message.begin() + static_cast<std::ptrdiff_t>(pos),
+                   message.begin() + static_cast<std::ptrdiff_t>(pos + take));
+    pos += take;
+    const std::size_t blocks = pending.size() / 64;
+    if (blocks > 0) kernel(state, pending.data(), blocks);
+    pending.erase(pending.begin(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(blocks * 64));
+  }
+  const std::uint64_t bits = message.size() * 8;
+  pending.push_back(0x80);
+  while (pending.size() % 64 != 56) pending.push_back(0);
+  for (int i = 7; i >= 0; --i) pending.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  kernel(state, pending.data(), pending.size() / 64);
+  return state;
+}
+
+TEST(Sha1Kernel, ShaniMatchesPortable) {
+  const detail::Sha1Kernel shani = detail::sha1_shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA extensions on this target or CPU";
+  Rng rng(1907);
+  std::vector<std::uint8_t> message;
+  for (std::size_t length = 0; length <= 4096;
+       length += static_cast<std::size_t>(rng.uniform_int(1, 23))) {
+    message.resize(length);
+    for (auto& byte : message) byte = static_cast<std::uint8_t>(rng.next());
+    // The same chunking for both kernels.
+    const std::uint64_t chunk_seed = rng.next();
+    Rng portable_chunks(chunk_seed);
+    Rng shani_chunks(chunk_seed);
+    const auto expected =
+        run_kernel(&detail::sha1_compress_portable, message, portable_chunks);
+    EXPECT_EQ(run_kernel(shani, message, shani_chunks), expected) << length << " bytes";
+  }
+}
+
+TEST(Sha1Kernel, DispatchedKernelIsOneOfTheTwo) {
+  const detail::Sha1Kernel chosen = detail::sha1_kernel();
+  const detail::Sha1Kernel shani = detail::sha1_shani_kernel();
+  EXPECT_EQ(chosen, shani != nullptr ? shani : &detail::sha1_compress_portable);
+  EXPECT_EQ(detail::sha1_kernel(), chosen);  // fixed after the first call
+}
+
+TEST(Sha1Kernel, PortableMatchesKnownAnswer) {
+  // The portable kernel alone, so a SHA-NI machine still checks it end to
+  // end: "abc" is one padded block.
+  std::uint8_t block[64] = {'a', 'b', 'c', 0x80};
+  block[63] = 24;  // bit length
+  std::array<std::uint32_t, 5> state = kInitialState;
+  detail::sha1_compress_portable(state, block, 1);
+  const std::array<std::uint32_t, 5> expected = {0xa9993e36u, 0x4706816au, 0xba3e2571u,
+                                                 0x7850c26cu, 0x9cd0d89du};
+  EXPECT_EQ(state, expected);
 }
 
 class Sha1Chunking : public ::testing::TestWithParam<std::size_t> {};

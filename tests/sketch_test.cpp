@@ -90,6 +90,61 @@ TEST(HyperLogLog, PrecisionClamped) {
   EXPECT_EQ(HyperLogLog(30).register_count(), std::size_t{1} << 18);
 }
 
+TEST(HyperLogLog, EstimatesPinnedBitForBit) {
+  // Snapshot digests hash these doubles, so the estimator must keep its
+  // exact summation: values captured before 2^-r became a table lookup.
+  struct Case {
+    int precision;
+    std::uint64_t n;
+    double estimate;
+  };
+  const Case cases[] = {
+      {4, 50, 0x1.41f08af70bacep+5},     {4, 200000, 0x1.9b3e021266099p+17},
+      {12, 50, 0x1.8a5d149cb8a0bp+5},    {12, 5000, 0x1.3bc942bd7718ep+12},
+      {12, 200000, 0x1.8ff13d3bca6b3p+17}, {14, 5000, 0x1.3af44f658cf22p+12},
+      {14, 200000, 0x1.84d0e4da62183p+17},
+  };
+  for (const Case& c : cases) {
+    HyperLogLog hll(c.precision, /*salt=*/77);
+    for (std::uint64_t i = 0; i < c.n; ++i) hll.add(i * 0x9E3779B97F4A7C15ULL + 3);
+    EXPECT_EQ(hll.estimate(), c.estimate) << "p" << c.precision << " n" << c.n;
+  }
+}
+
+TEST(CountMinSketch, CountsPinnedAtPowerOfTwoAndOtherWidths) {
+  // A skewed, seeded stream. Width 4096 picks columns by mask, width 1000
+  // by modulo; both must land every add where h % width did. Values
+  // captured before the mask and the row-0 total.
+  struct Case {
+    std::size_t width;
+    std::uint64_t count_sum;
+    std::uint64_t count_fold;
+    std::uint64_t hottest;
+  };
+  for (const Case& c : {Case{4096, 41074, 0x240101afee594b9fULL, 730},
+                        Case{1000, 73491, 0x76ef01197677d4a0ULL, 734}}) {
+    CountMinSketch cms(c.width, 4, /*salt=*/0x5EED);
+    Rng rng(2026);
+    std::vector<std::uint64_t> keys;
+    for (int k = 0; k < 3000; ++k) keys.push_back(rng.next());
+    for (int i = 0; i < 20000; ++i) {
+      const auto index = static_cast<std::size_t>(rng.uniform_int(0, 2999));
+      cms.add(keys[index * index / 3000],
+              static_cast<std::uint64_t>(rng.uniform_int(1, 3)));
+    }
+    std::uint64_t sum = 0;
+    std::uint64_t fold = 0xcbf29ce484222325ULL;  // FNV-1a over the counts
+    for (const std::uint64_t key : keys) {
+      sum += cms.count(key);
+      fold = (fold ^ cms.count(key)) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(cms.total(), 40042u) << c.width;
+    EXPECT_EQ(sum, c.count_sum) << c.width;
+    EXPECT_EQ(fold, c.count_fold) << c.width;
+    EXPECT_EQ(cms.count(keys[0]), c.hottest) << c.width;
+  }
+}
+
 TEST(CountMinSketch, NeverUnderestimates) {
   CountMinSketch cms(512, 4);
   Rng rng(99);
