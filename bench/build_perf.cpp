@@ -385,7 +385,7 @@ int run(int argc, char** argv) {
   for (const auto& [threads, r] :
        {std::pair{std::size_t{1}, serial}, std::pair{opt.threads, parallel}}) {
     const double floor = r.seconds_population + r.seconds_backfill +
-                         r.seconds_commit;
+                         r.seconds_draw + r.seconds_commit;
     std::printf(
         "  phases @%zu: population %.3fs, backfill %.3fs, draw %.3fs, "
         "prepare %.3fs, commit %.3fs (serial floor %.0f%%)\n",

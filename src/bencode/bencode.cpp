@@ -358,11 +358,4 @@ Value decode(std::string_view data) {
   return v;
 }
 
-Value decode_prefix(std::string_view data, std::size_t& pos) {
-  Reader r(data, pos);
-  Value v = read_value(r);
-  pos = r.pos();
-  return v;
-}
-
 }  // namespace btpub::bencode

@@ -134,8 +134,7 @@ class Reader {
 
   enum class Type : std::uint8_t { Integer, String, List, Dict, End, Invalid };
 
-  explicit Reader(std::string_view data, std::size_t pos = 0) noexcept
-      : data_(data), pos_(pos) {}
+  explicit Reader(std::string_view data) noexcept : data_(data) {}
 
   /// The kind of the next value from its first byte; End at a 'e', Invalid
   /// on any other byte, at the end of input, or after an error. Consumes
@@ -181,7 +180,7 @@ class Reader {
   bool at_close() noexcept;
 
   std::string_view data_;
-  std::size_t pos_;
+  std::size_t pos_ = 0;
   std::size_t depth_ = 0;
   const char* error_ = nullptr;
   std::size_t error_pos_ = 0;
@@ -194,9 +193,5 @@ std::string encode(const Value& v);
 /// Parses exactly one value; throws Error on malformed input or trailing
 /// garbage (Reader's rules).
 Value decode(std::string_view data);
-
-/// Parses one value starting at `pos`, advancing `pos` past it. Allows
-/// streaming several concatenated values.
-Value decode_prefix(std::string_view data, std::size_t& pos);
 
 }  // namespace btpub::bencode

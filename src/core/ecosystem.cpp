@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,7 +13,6 @@
 #include "torrent/metainfo.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace btpub {
 namespace {
@@ -118,39 +116,24 @@ void Ecosystem::backfill_history() {
 }
 
 void Ecosystem::generate_publications() {
-  const std::size_t n_threads = ThreadPool::resolve_threads(config_.threads);
+  const std::size_t n_threads = resolve_threads(config_.threads);
   build_stats_.build_threads = n_threads;
 
-  // Phase 1 — parallel draw: every publisher owns a derive_seed substream,
-  // so its event count and times depend on nothing but (scenario seed,
-  // publisher id). Shards cover contiguous publisher spans and concatenate
-  // in span order, reproducing the serial iteration's pre-sort sequence —
-  // so the sort (a total order over its deterministic input) and the
-  // ordinals below come out byte-identical at any thread count.
+  // Phase 1 — serial, cheap: every publisher draws from its own
+  // derive_seed substream, so its event count and times depend on nothing
+  // but (scenario seed, publisher id).
   auto clock = std::chrono::steady_clock::now();
   std::vector<PublicationEvent> events;
   const double window_days = to_days(config_.window);
-  {
-    const auto shards = sharded_scan(
-        population_.publishers.size(), n_threads,
-        [this, window_days](std::size_t begin, std::size_t end) {
-          std::vector<PublicationEvent> out;
-          for (std::size_t p = begin; p < end; ++p) {
-            const Publisher& publisher = population_.publishers[p];
-            Rng event_rng(derive_seed(config_.seed, kTagPublicationEvents,
-                                      static_cast<std::uint64_t>(publisher.id)));
-            const double mean = publisher.window_rate * window_days;
-            const std::size_t n = sample_poisson(mean, event_rng);
-            for (std::size_t i = 0; i < n; ++i) {
-              const SimTime at = static_cast<SimTime>(
-                  event_rng.uniform() * static_cast<double>(config_.window));
-              out.push_back(PublicationEvent{at, publisher.id, 0});
-            }
-          }
-          return out;
-        });
-    for (const auto& shard : shards) {
-      events.insert(events.end(), shard.begin(), shard.end());
+  for (const Publisher& publisher : population_.publishers) {
+    Rng event_rng(derive_seed(config_.seed, kTagPublicationEvents,
+                              static_cast<std::uint64_t>(publisher.id)));
+    const double mean = publisher.window_rate * window_days;
+    const std::size_t n = sample_poisson(mean, event_rng);
+    for (std::size_t i = 0; i < n; ++i) {
+      const SimTime at = static_cast<SimTime>(
+          event_rng.uniform() * static_cast<double>(config_.window));
+      events.push_back(PublicationEvent{at, publisher.id, 0});
     }
   }
   std::sort(events.begin(), events.end(),
@@ -172,17 +155,13 @@ void Ecosystem::generate_publications() {
   // finalize). prepare_publication is a pure function of (event, index)
   // given the frozen population/config, drawing only from the event's own
   // substream — every draft lands in its own slot, so completion order is
-  // irrelevant and any thread count yields identical drafts. Spans are
-  // oversubscribed 16x so one monster swarm cannot serialise a shard's
-  // worth of events behind it.
+  // irrelevant and any thread count yields identical drafts.
   clock = std::chrono::steady_clock::now();
   std::vector<PublicationDraft> drafts(events.size());
-  parallel_for_each_index(
-      events.size(), n_threads,
-      [this, &events, &drafts](std::size_t i) {
-        drafts[i] = prepare_publication(events[i], i);
-      },
-      n_threads * 16);
+  parallel_for(events.size(), n_threads,
+               [this, &events, &drafts](std::size_t i, std::size_t) {
+                 drafts[i] = prepare_publication(events[i], i);
+               });
   build_stats_.seconds_prepare = seconds_since(clock);
 
   // Phase 3 — serial, cheap: commit in event order. Portal ids, tracker

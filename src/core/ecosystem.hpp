@@ -39,12 +39,12 @@ struct BuildStats {
   std::size_t build_threads = 1;
   /// Per-phase wall-clock seconds — the Amdahl diagnosis. population and
   /// backfill run before publication generation; draw/prepare/commit are
-  /// its three phases. draw and prepare scale with build_threads; the
-  /// others are serial, so (population + backfill + commit) / total bounds
-  /// the achievable build speedup.
+  /// its three phases. Only prepare scales with build_threads; the others
+  /// are serial, so (total - prepare) / total bounds the achievable build
+  /// speedup.
   double seconds_population = 0.0;  ///< population + component setup (serial)
   double seconds_backfill = 0.0;    ///< historical user-page backfill (serial)
-  double seconds_draw = 0.0;        ///< publication event drawing (parallel)
+  double seconds_draw = 0.0;        ///< publication event drawing (serial)
   double seconds_prepare = 0.0;     ///< per-event prepare fan-out (parallel)
   double seconds_commit = 0.0;      ///< in-order commit replay (serial)
 };

@@ -1,13 +1,12 @@
 #include "crawler/crawler.hpp"
 
 #include <algorithm>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
 #include "torrent/metainfo.hpp"
 #include "torrent/wire.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel.hpp"
 
 namespace btpub {
 
@@ -251,33 +250,16 @@ Dataset Crawler::crawl_window(SimTime window_start, SimTime window_end) {
 
   // Fan the per-torrent crawls out; merge in portal-id order (candidates
   // are already id-ascending) so the dataset layout is independent of
-  // completion order.
+  // completion order. Each worker keeps one warm scratch across every
+  // torrent it claims; scratch never influences results, so which worker
+  // crawls which torrent stays irrelevant to the output.
+  const std::size_t workers = resolve_threads(config_.threads);
+  std::vector<CrawlScratch> scratch(workers);
   std::vector<CrawlResult> results(candidates.size());
-  const std::size_t n_threads = ThreadPool::resolve_threads(config_.threads);
-  if (n_threads <= 1 || candidates.size() <= 1) {
-    CrawlScratch scratch;  // one warm scratch for the whole window
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      results[i] = crawl_one(candidates[i].id, candidates[i].published_at,
-                             window_end, scratch);
-    }
-  } else {
-    ThreadPool pool(n_threads);
-    std::vector<std::future<CrawlResult>> futures;
-    futures.reserve(candidates.size());
-    for (const Candidate& candidate : candidates) {
-      futures.push_back(pool.submit([this, candidate, window_end] {
-        // One scratch per pool thread, reused across every torrent that
-        // worker picks up. Scratch never influences results, so which
-        // worker crawls which torrent stays irrelevant to the output.
-        thread_local CrawlScratch scratch;
-        return crawl_one(candidate.id, candidate.published_at, window_end,
-                         scratch);
-      }));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      results[i] = futures[i].get();  // rethrows any worker exception
-    }
-  }
+  parallel_for(candidates.size(), workers, [&](std::size_t i, std::size_t w) {
+    results[i] = crawl_one(candidates[i].id, candidates[i].published_at,
+                           window_end, scratch[w]);
+  });
 
   for (CrawlResult& result : results) {
     if (!result.ok) continue;  // removed before we could fetch it

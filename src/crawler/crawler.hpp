@@ -16,7 +16,7 @@
 // ground truth.
 //
 // Parallel crawl engine: crawl_window fans the per-torrent monitoring loop
-// out over a fixed-size thread pool (the paper ran 14 vantage machines over
+// out with parallel_for (the paper ran 14 vantage machines over
 // ~55K torrents concurrently). Three properties make the parallel crawl
 // byte-identical to the sequential one:
 //   * every torrent draws from its own RNG substream derived from

@@ -15,6 +15,7 @@
 #include "netio/event_loop.hpp"
 #include "netio/http.hpp"
 #include "tracker/udp_server.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace btpub::netio {
@@ -98,9 +99,7 @@ struct ServeDaemon::Shard {
 };
 
 ServeDaemon::ServeDaemon(ServeConfig config) : config_(std::move(config)) {
-  shard_threads_ = config_.shards != 0
-                       ? config_.shards
-                       : std::max(1u, std::thread::hardware_concurrency());
+  shard_threads_ = resolve_threads(config_.shards);
 
   stop_fd_ = FdHandle(eventfd(0, EFD_NONBLOCK));
   if (!stop_fd_.valid()) throw_errno("eventfd", "");

@@ -52,6 +52,94 @@ void append_pieces(std::string& out, std::string_view name, std::string_view sal
   }
 }
 
+using Type = bencode::Reader::Type;
+
+/// The `info` fields parse() reads. A field of the wrong type reads as
+/// absent, as an unknown key does.
+struct InfoFields {
+  std::string_view name;
+  std::optional<std::int64_t> piece_length;
+  std::optional<std::string_view> pieces;
+  std::optional<std::int64_t> length;
+  bool has_files = false;
+  /// `files` is not a list of dicts that each hold a `path` list of
+  /// strings; once set, no further entry is kept.
+  bool files_malformed = false;
+  std::vector<FileEntry> files;
+};
+
+/// Reads one `files` entry: a dict whose `path` parts are '/'-joined and
+/// whose `length` defaults to 0.
+void read_file_entry(bencode::Reader& r, InfoFields& info) {
+  if (info.files_malformed || r.peek() != Type::Dict) {
+    info.files_malformed = true;
+    r.skip();
+    return;
+  }
+  r.enter_dict();
+  FileEntry f;
+  bool has_path = false;
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "length" && r.peek() == Type::Integer) {
+      r.integer(f.length);
+    } else if (key == "path" && r.peek() == Type::List) {
+      has_path = true;
+      r.enter_list();
+      for (std::size_t n = 0; r.next_item(); ++n) {
+        std::string_view part;
+        if (r.peek() != Type::String) {
+          info.files_malformed = true;
+          r.skip();
+        } else if (r.string(part)) {
+          if (n > 0) f.path += '/';
+          f.path += part;
+        }
+      }
+    } else {
+      if (key == "path") info.files_malformed = true;
+      r.skip();
+    }
+  }
+  if (!has_path) info.files_malformed = true;
+  if (!info.files_malformed) info.files.push_back(std::move(f));
+}
+
+/// Reads the `info` value; one that is not a dict has none of the fields.
+void read_info(bencode::Reader& r, InfoFields& info) {
+  if (r.peek() != Type::Dict) {
+    r.skip();
+    return;
+  }
+  r.enter_dict();
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "name" && r.peek() == Type::String) {
+      r.string(info.name);
+    } else if (key == "piece length" && r.peek() == Type::Integer) {
+      std::int64_t v = 0;
+      if (r.integer(v)) info.piece_length = v;
+    } else if (key == "pieces" && r.peek() == Type::String) {
+      std::string_view v;
+      if (r.string(v)) info.pieces = v;
+    } else if (key == "length" && r.peek() == Type::Integer) {
+      std::int64_t v = 0;
+      if (r.integer(v)) info.length = v;
+    } else if (key == "files") {
+      info.has_files = true;
+      if (r.peek() == Type::List) {
+        r.enter_list();
+        while (r.next_item()) read_file_entry(r, info);
+      } else {
+        info.files_malformed = true;
+        r.skip();
+      }
+    } else {
+      r.skip();
+    }
+  }
+}
+
 }  // namespace
 
 std::int64_t Metainfo::creator_piece_length(std::int64_t total) noexcept {
@@ -136,80 +224,59 @@ Metainfo Metainfo::make(std::string announce_url, std::string name,
 }
 
 Metainfo Metainfo::parse(std::string_view torrent_bytes) {
-  // Walk the top-level dict value by value so the `info` value's byte span
-  // is known: BEP 3 defines the infohash over the bytes as they appear in
-  // the file, which a re-encoding only reproduces for canonical input. The
-  // walk holds the top level to the decoder's own rules (sorted unique
-  // keys, nothing after the closing 'e').
-  const std::string_view data = torrent_bytes;
-  std::size_t pos = 0;
-  const auto peek = [&]() -> char {
-    if (pos >= data.size()) throw bencode::Error("bencode: truncated input");
-    return data[pos];
-  };
-  if (peek() != 'd') throw bencode::Error("Metainfo: document is not a dict");
-  ++pos;
-  Metainfo m;
-  std::optional<bencode::Value> info;
-  std::string_view info_bytes;
-  std::string prev_key;
-  while (peek() != 'e') {
-    const bool first = pos == 1;
-    std::string key = bencode::decode_prefix(data, pos).as_string();
-    if (!first && key <= prev_key) {
-      throw bencode::Error("bencode: dict keys not strictly ascending");
-    }
-    const std::size_t value_begin = pos;
-    bencode::Value value = bencode::decode_prefix(data, pos);
-    if (key == "announce" && value.is_string()) {
-      m.announce_ = value.as_string();
-    } else if (key == "comment" && value.is_string()) {
-      m.comment_ = value.as_string();
+  // One Reader pass holds the whole document to the format's rules (sorted
+  // unique keys, canonical integers, nothing after the closing 'e') and
+  // yields the `info` value's byte span: BEP 3 defines the infohash over
+  // the bytes as they appear in the file, which a re-encoding only
+  // reproduces for canonical input. The field checks run after the pass,
+  // so a malformed document always reports as bencode::Error.
+  bencode::Reader r(torrent_bytes);
+  if (r.peek() != Type::Dict) throw bencode::Error("Metainfo: document is not a dict");
+  r.enter_dict();
+  std::string_view announce;
+  std::string_view comment;
+  std::optional<std::string_view> info_bytes;
+  InfoFields info;
+  std::string_view key;
+  while (r.next_key(key)) {
+    const std::size_t value_begin = r.pos();
+    if (key == "announce" && r.peek() == Type::String) {
+      r.string(announce);
+    } else if (key == "comment" && r.peek() == Type::String) {
+      r.string(comment);
     } else if (key == "info") {
-      info = std::move(value);
-      info_bytes = data.substr(value_begin, pos - value_begin);
+      read_info(r, info);
+      info_bytes = torrent_bytes.substr(value_begin, r.pos() - value_begin);
+    } else {
+      r.skip();
     }
-    prev_key = std::move(key);
   }
-  if (++pos != data.size()) throw bencode::Error("bencode: trailing bytes after value");
-  if (!info) throw bencode::Error("bencode: missing key 'info'");
+  if (!r.finish()) throw bencode::Error(r.error());
+  if (!info_bytes) throw bencode::Error("bencode: missing key 'info'");
 
-  m.name_ = info->find_string("name").value_or("");
-  if (m.name_.empty()) throw std::invalid_argument("Metainfo: missing name");
-  const auto piece_length = info->find_integer("piece length");
-  if (!piece_length || *piece_length <= 0) {
+  if (info.name.empty()) throw std::invalid_argument("Metainfo: missing name");
+  if (!info.piece_length || *info.piece_length <= 0) {
     throw std::invalid_argument("Metainfo: missing piece length");
   }
-  m.piece_length_ = *piece_length;
-  const bencode::Value* pieces = info->find("pieces");
-  if (pieces == nullptr || !pieces->is_string() ||
-      pieces->as_string().size() % 20 != 0) {
+  if (!info.pieces || info.pieces->size() % 20 != 0) {
     throw std::invalid_argument("Metainfo: malformed pieces blob");
   }
-  m.n_pieces_ = pieces->as_string().size() / 20;
-  if (const bencode::Value* file_list = info->find("files")) {
-    m.multi_file_ = true;
-    for (const bencode::Value& entry : file_list->as_list()) {
-      FileEntry f;
-      f.length = entry.find_integer("length").value_or(0);
-      std::vector<std::string> parts;
-      for (const bencode::Value& part : entry.at("path").as_list()) {
-        parts.push_back(part.as_string());
-      }
-      f.path = join(parts, "/");
-      m.files_.push_back(std::move(f));
-    }
-    if (m.files_.empty()) throw std::invalid_argument("Metainfo: empty file list");
+  if (info.files_malformed) throw bencode::Error("Metainfo: malformed file list");
+  Metainfo m;
+  m.announce_ = announce;
+  m.comment_ = comment;
+  m.name_ = info.name;
+  m.piece_length_ = *info.piece_length;
+  m.n_pieces_ = info.pieces->size() / 20;
+  m.multi_file_ = info.has_files;
+  if (info.has_files) {
+    if (info.files.empty()) throw std::invalid_argument("Metainfo: empty file list");
+    m.files_ = std::move(info.files);
   } else {
-    m.multi_file_ = false;
-    FileEntry f;
-    f.path = m.name_;
-    const auto length = info->find_integer("length");
-    if (!length) throw std::invalid_argument("Metainfo: missing length");
-    f.length = *length;
-    m.files_.push_back(std::move(f));
+    if (!info.length) throw std::invalid_argument("Metainfo: missing length");
+    m.files_.push_back(FileEntry{m.name_, *info.length});
   }
-  m.infohash_ = Sha1::hash(info_bytes);
+  m.infohash_ = Sha1::hash(*info_bytes);
   m.bytes_ = std::string(torrent_bytes);
   return m;
 }

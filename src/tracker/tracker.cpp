@@ -158,20 +158,26 @@ std::optional<Tracker::ScrapeCounts> Tracker::scrape_counts(
 }
 
 std::string Tracker::scrape(const Sha1Digest& infohash, SimTime now) {
-  bencode::Dict files;
+  std::string out;
+  bencode::Writer w(out);
+  w.begin_dict();
+  w.key("files");
+  w.begin_dict();
   if (const auto counts = scrape_counts(infohash, now)) {
-    bencode::Dict entry;
-    entry.emplace("complete", static_cast<std::int64_t>(counts->complete));
-    entry.emplace("incomplete", static_cast<std::int64_t>(counts->incomplete));
-    entry.emplace("downloaded", static_cast<std::int64_t>(counts->downloaded));
-    files.emplace(
-        std::string(reinterpret_cast<const char*>(infohash.bytes.data()),
-                    infohash.bytes.size()),
-        bencode::Value(std::move(entry)));
+    w.key(std::string_view(reinterpret_cast<const char*>(infohash.bytes.data()),
+                           infohash.bytes.size()));
+    w.begin_dict();
+    w.key("complete");
+    w.integer(counts->complete);
+    w.key("downloaded");
+    w.integer(counts->downloaded);
+    w.key("incomplete");
+    w.integer(counts->incomplete);
+    w.end();
   }
-  bencode::Dict root;
-  root.emplace("files", bencode::Value(std::move(files)));
-  return bencode::encode(bencode::Value(std::move(root)));
+  w.end();
+  w.end();
+  return out;
 }
 
 }  // namespace btpub

@@ -102,17 +102,6 @@ TEST(Decode, IntegerOverflowRejected) {
   EXPECT_THROW(decode("i99999999999999999999999999e"), Error);
 }
 
-TEST(DecodePrefix, AdvancesPosition) {
-  const std::string two = "i1e4:spam";
-  std::size_t pos = 0;
-  const Value first = decode_prefix(two, pos);
-  EXPECT_EQ(first.as_integer(), 1);
-  EXPECT_EQ(pos, 3u);
-  const Value second = decode_prefix(two, pos);
-  EXPECT_EQ(second.as_string(), "spam");
-  EXPECT_EQ(pos, two.size());
-}
-
 TEST(Accessors, TypeMismatchThrows) {
   const Value v{std::int64_t{1}};
   EXPECT_THROW(v.as_string(), Error);

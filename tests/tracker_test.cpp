@@ -144,6 +144,16 @@ TEST_F(TrackerTest, ScrapeUnknownHashEmpty) {
   EXPECT_TRUE(root.at("files").as_dict().empty());
 }
 
+TEST_F(TrackerTest, ScrapeBytesArePinned) {
+  const Sha1Digest hosted = swarm_.infohash();
+  const std::string hash(reinterpret_cast<const char*>(hosted.bytes.data()),
+                         hosted.bytes.size());
+  EXPECT_EQ(tracker_.scrape(hosted, 10),
+            "d5:filesd20:" + hash +
+                "d8:completei1e10:downloadedi300e10:incompletei299eeee");
+  EXPECT_EQ(tracker_.scrape(Sha1::hash("zzz"), 10), "d5:filesdee");
+}
+
 TEST_F(TrackerTest, HostRequiresFinalizedSwarm) {
   Swarm raw(Sha1::hash("raw"), 8, 0);
   EXPECT_THROW(tracker_.host_swarm(raw), std::logic_error);
