@@ -78,34 +78,6 @@ bool operator==(const Value& a, const Value& b) {
   return false;
 }
 
-namespace {
-
-/// Appends the decimal digits of `v` without going through std::to_string
-/// (keeps the writer allocation-free regardless of SSO limits).
-void append_decimal(std::int64_t v, std::string& out) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-}  // namespace
-
-void Writer::integer(std::int64_t v) {
-  *out_ += 'i';
-  append_decimal(v, *out_);
-  *out_ += 'e';
-}
-
-void Writer::string_header(std::size_t n) {
-  append_decimal(static_cast<std::int64_t>(n), *out_);
-  *out_ += ':';
-}
-
-void Writer::string(std::string_view bytes) {
-  string_header(bytes.size());
-  out_->append(bytes);
-}
-
 // ---- Reader ---------------------------------------------------------------
 
 Reader::Type Reader::peek() const noexcept {
@@ -135,6 +107,15 @@ bool Reader::begin_value() noexcept {
 }
 
 bool Reader::read_number(char terminator, std::int64_t& out) noexcept {
+  // Fast path: one digit, then the terminator ("4:", "i1e"), which covers
+  // most keys and flags. A lone digit is always canonical, so this accepts
+  // exactly what the general path below accepts.
+  if (data_.size() - pos_ >= 2 && data_[pos_ + 1] == terminator &&
+      data_[pos_] >= '0' && data_[pos_] <= '9') {
+    out = data_[pos_] - '0';
+    pos_ += 2;
+    return true;
+  }
   const std::size_t start = pos_;
   if (pos_ < data_.size() && data_[pos_] == '-') ++pos_;
   while (pos_ < data_.size() && data_[pos_] >= '0' && data_[pos_] <= '9') {

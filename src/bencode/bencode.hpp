@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -91,8 +92,16 @@ class Writer {
   /// fresh message clear it themselves and keep the capacity).
   explicit Writer(std::string& out) : out_(&out) {}
 
-  void integer(std::int64_t v);
-  void string(std::string_view bytes);
+  // Inline: a KRPC datagram makes a dozen of these calls.
+  void integer(std::int64_t v) {
+    *out_ += 'i';
+    append_decimal(v);
+    *out_ += 'e';
+  }
+  void string(std::string_view bytes) {
+    string_header(bytes.size());
+    out_->append(bytes);
+  }
   /// Dict key — identical encoding to string(), named for call-site
   /// clarity.
   void key(std::string_view k) { string(k); }
@@ -100,7 +109,10 @@ class Writer {
   /// Emits the "<n>:" header of a byte string whose n payload bytes the
   /// caller will append directly to buffer() (e.g. a compact-peer blob
   /// written in place).
-  void string_header(std::size_t n);
+  void string_header(std::size_t n) {
+    append_decimal(static_cast<std::int64_t>(n));
+    *out_ += ':';
+  }
 
   void begin_list() { *out_ += 'l'; }
   void begin_dict() { *out_ += 'd'; }
@@ -109,6 +121,19 @@ class Writer {
   std::string& buffer() noexcept { return *out_; }
 
  private:
+  /// Appends the decimal digits of `v` without going through
+  /// std::to_string (keeps the writer allocation-free regardless of SSO
+  /// limits).
+  void append_decimal(std::int64_t v) {
+    if (v >= 0 && v <= 9) {  // most keys, flags and small counts
+      *out_ += static_cast<char>('0' + v);
+      return;
+    }
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out_->append(buf, res.ptr);
+  }
+
   std::string* out_;
 };
 

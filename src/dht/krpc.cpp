@@ -7,14 +7,15 @@
 namespace btpub::dht {
 namespace {
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v >> 8));
-  out.push_back(static_cast<char>(v & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
+/// Writes the 6-byte compact form of `peer` (big-endian ip, then port).
+void put_compact_peer(char* out, const Endpoint& peer) {
+  const std::uint32_t ip = peer.ip.value();
+  out[0] = static_cast<char>(ip >> 24);
+  out[1] = static_cast<char>(ip >> 16);
+  out[2] = static_cast<char>(ip >> 8);
+  out[3] = static_cast<char>(ip);
+  out[4] = static_cast<char>(peer.port >> 8);
+  out[5] = static_cast<char>(peer.port);
 }
 
 std::string_view bytes_view(const std::array<std::uint8_t, 20>& bytes) {
@@ -120,8 +121,10 @@ std::string_view to_string(Method method) {
 // ---- compact encodings ----------------------------------------------------
 
 void append_compact_node(std::string& out, const NodeInfo& node) {
-  out.append(bytes_view(node.id.bytes));
-  append_compact_peer(out, node.endpoint);
+  char bytes[26];
+  std::memcpy(bytes, node.id.bytes.data(), 20);
+  put_compact_peer(bytes + 20, node.endpoint);
+  out.append(bytes, sizeof bytes);
 }
 
 std::vector<NodeInfo> parse_compact_nodes(std::string_view blob) {
@@ -133,8 +136,9 @@ std::vector<NodeInfo> parse_compact_nodes(std::string_view blob) {
 }
 
 void append_compact_peer(std::string& out, const Endpoint& peer) {
-  put_u32(out, peer.ip.value());
-  put_u16(out, peer.port);
+  char bytes[6];
+  put_compact_peer(bytes, peer);
+  out.append(bytes, sizeof bytes);
 }
 
 std::optional<Endpoint> parse_compact_peer(std::string_view blob) {

@@ -28,14 +28,6 @@ enum class Method : std::uint8_t { Ping, FindNode, GetPeers, AnnouncePeer };
 
 std::string_view to_string(Method method);
 
-/// (id, endpoint) pair as carried in "nodes" compact node info.
-struct NodeInfo {
-  NodeId id{};
-  Endpoint endpoint{};
-
-  friend bool operator==(const NodeInfo&, const NodeInfo&) = default;
-};
-
 /// 26-byte-per-node compact node info (BEP 5): 20 id bytes, 4 ip, 2 port.
 void append_compact_node(std::string& out, const NodeInfo& node);
 std::vector<NodeInfo> parse_compact_nodes(std::string_view blob);

@@ -84,13 +84,6 @@ void PeerStore::expire(SimTime now) {
 
 // ---- node -----------------------------------------------------------------
 
-void DhtNode::add_closest_nodes(const NodeId& target) {
-  table_.closest(target, RoutingTable::kBucketSize, closest_scratch_);
-  for (const Contact& contact : closest_scratch_) {
-    response_.nodes.push_back(NodeInfo{contact.id, contact.endpoint});
-  }
-}
-
 void DhtNode::handle_into(std::string_view datagram, const Endpoint& from,
                           SimTime now, std::string& out) {
   if (!Query::decode_into(datagram, query_)) {
@@ -111,7 +104,8 @@ void DhtNode::handle_into(std::string_view datagram, const Endpoint& from,
     case Method::Ping:
       break;
     case Method::FindNode:
-      add_closest_nodes(query_.target);
+      table_.closest(query_.target, RoutingTable::kBucketSize,
+                     response_.nodes);
       break;
     case Method::GetPeers:
       store_.collect(query_.info_hash, now, response_.peers);
@@ -119,7 +113,8 @@ void DhtNode::handle_into(std::string_view datagram, const Endpoint& from,
       // clients implement): withholding them would terminate every lookup
       // at the first node holding peers, so announces would pile up there
       // instead of spreading to the k genuinely closest nodes.
-      add_closest_nodes(NodeId::from_digest(query_.info_hash));
+      table_.closest(NodeId::from_digest(query_.info_hash),
+                     RoutingTable::kBucketSize, response_.nodes);
       response_.token = tokens_.token_for(from.ip, now);
       break;
     case Method::AnnouncePeer:

@@ -110,14 +110,10 @@ class DhtNode {
   std::uint64_t queries_served() const noexcept { return queries_served_; }
 
  private:
-  /// Appends the k closest contacts to `target` to response_.nodes.
-  void add_closest_nodes(const NodeId& target);
-
   Endpoint endpoint_;
   RoutingTable table_;
   TokenJar tokens_;
   PeerStore store_;
-  std::vector<Contact> closest_scratch_;
   Query query_;
   Response response_;
   std::uint64_t queries_served_ = 0;

@@ -27,25 +27,4 @@ NodeId distance(const NodeId& a, const NodeId& b) noexcept {
   return d;
 }
 
-bool closer(const NodeId& a, const NodeId& b, const NodeId& target) noexcept {
-  // Byte-lexicographic comparison of the XOR'd big-endian magnitudes,
-  // without materialising either distance.
-  for (std::size_t i = 0; i < target.bytes.size(); ++i) {
-    const std::uint8_t da = static_cast<std::uint8_t>(a.bytes[i] ^ target.bytes[i]);
-    const std::uint8_t db = static_cast<std::uint8_t>(b.bytes[i] ^ target.bytes[i]);
-    if (da != db) return da < db;
-  }
-  return false;
-}
-
-int distance_bit(const NodeId& d) noexcept {
-  for (std::size_t i = 0; i < d.bytes.size(); ++i) {
-    if (d.bytes[i] == 0) continue;
-    int bit = 7;
-    while (((d.bytes[i] >> bit) & 1) == 0) --bit;
-    return static_cast<int>((d.bytes.size() - 1 - i) * 8) + bit;
-  }
-  return -1;
-}
-
 }  // namespace btpub::dht

@@ -1,7 +1,5 @@
 #include "dht/overlay.hpp"
 
-#include <algorithm>
-#include <unordered_set>
 
 namespace btpub::dht {
 namespace {
@@ -35,12 +33,11 @@ DhtOverlay::DhtOverlay(std::uint64_t seed)
   });
 }
 
-std::string DhtOverlay::next_transaction_id() {
+void DhtOverlay::set_transaction_id(std::string& out) {
   const std::uint64_t n = next_transaction_++;
-  std::string id(2, '\0');
-  id[0] = static_cast<char>((n >> 8) & 0xff);
-  id[1] = static_cast<char>(n & 0xff);
-  return id;
+  out.assign(2, '\0');
+  out[0] = static_cast<char>((n >> 8) & 0xff);
+  out[1] = static_cast<char>(n & 0xff);
 }
 
 NodeId DhtOverlay::add_node(const Endpoint& endpoint, SimTime now) {
@@ -76,46 +73,60 @@ DhtNode* DhtOverlay::node_at(const Endpoint& endpoint) {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-bool DhtOverlay::deliver(const Endpoint& to, const Endpoint& from,
-                         SimTime now) {
-  const auto it = nodes_.find(to);
-  if (it == nodes_.end()) return false;  // lost: timeout
+bool DhtOverlay::deliver(const Query& query, const Endpoint& to,
+                         const Endpoint& from, SimTime now) {
+  DhtNode* node = node_at(to);
+  if (node == nullptr) return false;  // lost: timeout, nothing to encode
+  query.encode_into(query_buf_);
   ++datagrams_;
-  it->second->handle_into(query_buf_, from, now, reply_buf_);
+  node->handle_into(query_buf_, from, now, reply_buf_);
   return true;
 }
 
 bool DhtOverlay::exchange(const Query& query, const Endpoint& to,
                           const Endpoint& from, SimTime now) {
-  query.encode_into(query_buf_);
-  return deliver(to, from, now) && Response::decode_into(reply_buf_, reply_) &&
+  return deliver(query, to, from, now) &&
+         Response::decode_into(reply_buf_, reply_) &&
          reply_.transaction_id == query.transaction_id;
 }
 
 // ---- iterative machinery --------------------------------------------------
 
-DhtOverlay::LookupResult DhtOverlay::iterative_get_peers(
-    const Sha1Digest& info_hash, const Endpoint& from, SimTime now,
-    LookupStats* stats, std::span<const Endpoint> bootstrap, bool read_only) {
-  const NodeId target = NodeId::from_digest(info_hash);
-  LookupResult result;
-  std::vector<Candidate> candidates;
-  std::unordered_set<Endpoint> known_endpoints;
-  std::unordered_set<Endpoint> known_peers;
-
-  auto add_candidate = [&](const Endpoint& endpoint, const NodeId* id) {
-    if (endpoint == from) return;
-    if (!known_endpoints.insert(endpoint).second) return;
-    Candidate c;
-    c.endpoint = endpoint;
-    if (id != nullptr) {
-      c.id = *id;
-      c.id_known = true;
+template <typename OnReply>
+void DhtOverlay::walk(Query& query, const Endpoint& from, SimTime now,
+                      LookupStats* stats, OnReply&& on_reply) {
+  while (true) {
+    frontier_.select(RoutingTable::kBucketSize, kAlpha, round_);
+    if (round_.empty()) break;
+    if (stats != nullptr) ++stats->hops;
+    for (const std::uint32_t index : round_) {
+      frontier_.mark_queried(index);
+      set_transaction_id(query.transaction_id);
+      if (stats != nullptr) ++stats->messages;
+      if (!exchange(query, frontier_[index].endpoint, from, now)) {
+        if (stats != nullptr) ++stats->timeouts;  // lost, error or bogus reply
+        frontier_.failed(index);
+        continue;
+      }
+      frontier_.responded(index, reply_.sender_id);
+      on_reply(index);
+      for (const NodeInfo& node : reply_.nodes) {
+        frontier_.add(node.endpoint, &node.id);
+      }
     }
-    candidates.push_back(c);
-  };
-  for (const Endpoint& hint : bootstrap) add_candidate(hint, nullptr);
-  if (candidates.empty()) add_candidate(router_endpoint_, nullptr);
+  }
+}
+
+void DhtOverlay::iterative_get_peers(const Sha1Digest& info_hash,
+                                     const Endpoint& from, SimTime now,
+                                     LookupStats* stats,
+                                     std::span<const Endpoint> bootstrap,
+                                     bool read_only,
+                                     std::vector<Endpoint>* peers) {
+  frontier_.reset(NodeId::from_digest(info_hash), from);
+  for (const Endpoint& hint : bootstrap) frontier_.add(hint, nullptr);
+  if (frontier_.size() == 0) frontier_.add(router_endpoint_, nullptr);
+  peers_seen_.clear();
 
   Query query;
   query.method = Method::GetPeers;
@@ -123,130 +134,44 @@ DhtOverlay::LookupResult DhtOverlay::iterative_get_peers(
   query.info_hash = info_hash;
   query.read_only = read_only;
 
-  std::vector<std::size_t> round;  // candidate indices queried this round
-  while (true) {
-    // Query targets: every unqueried id-less bootstrap entry, then the
-    // unqueried candidates among the k closest known ones.
-    round.clear();
-    std::vector<std::size_t> ranked;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      if (!c.queried && !c.id_known) round.push_back(i);
-      // Dead nodes (queried, no response) are excluded from the ranked
-      // window so they cannot clog the k closest slots and stall the walk.
-      if (c.id_known && (!c.queried || c.responded)) ranked.push_back(i);
+  walk(query, from, now, stats, [&](std::uint32_t index) {
+    if (peers == nullptr) {
+      // Announce walk: keep the token for announce_peer, skip the peers.
+      if (tokens_.size() <= index) tokens_.resize(index + 1);
+      tokens_[index].assign(reply_.token);
+      return;
     }
-    std::sort(ranked.begin(), ranked.end(), [&](std::size_t a, std::size_t b) {
-      return closer(candidates[a].id, candidates[b].id, target);
-    });
-    for (std::size_t r = 0;
-         r < ranked.size() && r < RoutingTable::kBucketSize &&
-         round.size() < kAlpha;
-         ++r) {
-      if (!candidates[ranked[r]].queried) round.push_back(ranked[r]);
+    for (const Endpoint& peer : reply_.peers) {
+      if (peers_seen_.insert(peer)) peers->push_back(peer);
     }
-    if (round.size() > kAlpha) round.resize(kAlpha);
-    if (round.empty()) break;
+  });
 
-    if (stats != nullptr) ++stats->hops;
-    for (const std::size_t index : round) {
-      candidates[index].queried = true;
-      query.transaction_id = next_transaction_id();
-      if (stats != nullptr) ++stats->messages;
-      if (!exchange(query, candidates[index].endpoint, from, now)) {
-        if (stats != nullptr) ++stats->timeouts;  // lost, error or bogus reply
-        continue;
-      }
-      Candidate& c = candidates[index];
-      c.responded = true;
-      c.id = reply_.sender_id;
-      c.id_known = true;
-      result.closest.push_back({NodeInfo{c.id, c.endpoint}, reply_.token});
-      for (const NodeInfo& node : reply_.nodes) {
-        add_candidate(node.endpoint, &node.id);
-      }
-      for (const Endpoint& peer : reply_.peers) {
-        if (known_peers.insert(peer).second) result.peers.push_back(peer);
-      }
-    }
+  if (peers == nullptr) {
+    // The k closest responders (with their tokens) are the announce targets.
+    frontier_.closest_responders(RoutingTable::kBucketSize, closest_);
+  } else if (stats != nullptr) {
+    stats->peers_found = peers->size();
   }
-
-  // The k closest responders (with their tokens) are the announce targets.
-  std::sort(result.closest.begin(), result.closest.end(),
-            [&](const auto& a, const auto& b) {
-              return closer(a.first.id, b.first.id, target);
-            });
-  if (result.closest.size() > RoutingTable::kBucketSize) {
-    result.closest.resize(RoutingTable::kBucketSize);
-  }
-  if (stats != nullptr) stats->peers_found = result.peers.size();
-  return result;
 }
 
 void DhtOverlay::iterative_find_node(DhtNode& origin, const NodeId& target,
                                      SimTime now) {
-  std::vector<Candidate> candidates;
-  std::unordered_set<Endpoint> known_endpoints;
-  auto add_candidate = [&](const Endpoint& endpoint, const NodeId* id) {
-    if (endpoint == origin.endpoint()) return;
-    if (!known_endpoints.insert(endpoint).second) return;
-    Candidate c;
-    c.endpoint = endpoint;
-    if (id != nullptr) {
-      c.id = *id;
-      c.id_known = true;
-    }
-    candidates.push_back(c);
-  };
+  frontier_.reset(target, origin.endpoint());
   // Seed with the origin's own table (refresh case) plus the router.
-  std::vector<Contact> seeds;
-  origin.table().closest(target, RoutingTable::kBucketSize, seeds);
-  for (const Contact& contact : seeds) add_candidate(contact.endpoint, &contact.id);
-  add_candidate(router_endpoint_, nullptr);
+  origin.table().closest(target, RoutingTable::kBucketSize, seeds_);
+  for (const NodeInfo& seed : seeds_) frontier_.add(seed.endpoint, &seed.id);
+  frontier_.add(router_endpoint_, nullptr);
 
   Query query;
   query.method = Method::FindNode;
   query.sender_id = origin.id();
   query.target = target;
 
-  std::vector<std::size_t> round;
-  while (true) {
-    round.clear();
-    std::vector<std::size_t> ranked;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      if (!c.queried && !c.id_known) round.push_back(i);
-      if (c.id_known && (!c.queried || c.responded)) ranked.push_back(i);
-    }
-    std::sort(ranked.begin(), ranked.end(), [&](std::size_t a, std::size_t b) {
-      return closer(candidates[a].id, candidates[b].id, target);
-    });
-    for (std::size_t r = 0;
-         r < ranked.size() && r < RoutingTable::kBucketSize &&
-         round.size() < kAlpha;
-         ++r) {
-      if (!candidates[ranked[r]].queried) round.push_back(ranked[r]);
-    }
-    if (round.size() > kAlpha) round.resize(kAlpha);
-    if (round.empty()) break;
-
-    for (const std::size_t index : round) {
-      candidates[index].queried = true;
-      query.transaction_id = next_transaction_id();
-      if (!exchange(query, candidates[index].endpoint, origin.endpoint(), now)) {
-        continue;
-      }
-      Candidate& c = candidates[index];
-      c.responded = true;
-      c.id = reply_.sender_id;
-      c.id_known = true;
-      // A response is direct evidence of liveness: verified contact.
-      origin.table().observe(c.id, c.endpoint, now);
-      for (const NodeInfo& node : reply_.nodes) {
-        add_candidate(node.endpoint, &node.id);
-      }
-    }
-  }
+  walk(query, origin.endpoint(), now, nullptr, [&](std::uint32_t index) {
+    // A response is direct evidence of liveness: verified contact.
+    const Frontier::Candidate& c = frontier_[index];
+    origin.table().observe(c.id, c.endpoint, now);
+  });
 }
 
 // ---- client operations ----------------------------------------------------
@@ -256,26 +181,26 @@ std::vector<Endpoint> DhtOverlay::get_peers(const Sha1Digest& info_hash,
                                             LookupStats* stats,
                                             std::span<const Endpoint> bootstrap,
                                             bool read_only) {
-  return iterative_get_peers(info_hash, from, now, stats, bootstrap, read_only)
-      .peers;
+  std::vector<Endpoint> peers;
+  iterative_get_peers(info_hash, from, now, stats, bootstrap, read_only,
+                      &peers);
+  return peers;
 }
 
 void DhtOverlay::announce_peer(const Sha1Digest& info_hash,
                                const Endpoint& peer, SimTime now,
                                LookupStats* stats) {
-  const LookupResult lookup =
-      iterative_get_peers(info_hash, peer, now, stats, {}, false);
+  iterative_get_peers(info_hash, peer, now, stats, {}, false, nullptr);
   Query announce;
   announce.method = Method::AnnouncePeer;
   announce.sender_id = NodeId::for_endpoint(seed_, peer);
   announce.info_hash = info_hash;
   announce.port = peer.port;
-  for (const auto& [node, token] : lookup.closest) {
-    announce.token = token;
-    announce.transaction_id = next_transaction_id();
+  for (const std::uint32_t index : closest_) {
+    announce.token.assign(tokens_[index]);
+    set_transaction_id(announce.transaction_id);
     if (stats != nullptr) ++stats->messages;
-    announce.encode_into(query_buf_);
-    deliver(node.endpoint, peer, now);
+    deliver(announce, frontier_[index].endpoint, peer, now);
   }
 }
 

@@ -26,7 +26,10 @@
 // Every exchange runs through the overlay's own query and reply buffers
 // and one reused decoded Response, and each node answers into the reply
 // buffer from its own reused Query/Response: once warm, a datagram costs
-// its bytes, not an allocation.
+// its bytes, not an allocation. A datagram to an endpoint that is no node
+// is not even encoded. Both walks share one sorted Frontier (frontier.hpp)
+// and the overlay's endpoint sets, so a round costs its new candidates and
+// a warm lookup allocates nothing but its result.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dht/frontier.hpp"
 #include "dht/node.hpp"
 #include "sim/event_queue.hpp"
 
@@ -107,6 +111,9 @@ class DhtOverlay {
   /// Full BEP 5 announce from a node: iterative get_peers to locate the k
   /// closest nodes (collecting their tokens), then announce_peer to each.
   /// The peer's address is its own endpoint; `port` defaults to it too.
+  /// The walk only needs the responders and their tokens, so it collects
+  /// no peers: `stats->peers_found` stays 0 (the `values` of every reply
+  /// are still decoded and validated).
   void announce_peer(const Sha1Digest& info_hash, const Endpoint& peer,
                      SimTime now, LookupStats* stats = nullptr);
 
@@ -114,31 +121,29 @@ class DhtOverlay {
   std::uint64_t datagrams() const noexcept { return datagrams_; }
 
  private:
-  struct Candidate {
-    NodeId id{};
-    Endpoint endpoint{};
-    bool id_known = false;
-    bool queried = false;
-    bool responded = false;
-  };
-  struct LookupResult {
-    std::vector<Endpoint> peers;
-    /// The closest responding nodes with the tokens they handed out.
-    std::vector<std::pair<NodeInfo, std::string>> closest;
-  };
-
-  LookupResult iterative_get_peers(const Sha1Digest& info_hash,
-                                   const Endpoint& from, SimTime now,
-                                   LookupStats* stats,
-                                   std::span<const Endpoint> bootstrap,
-                                   bool read_only);
+  /// Iterative get_peers. With `peers` set, the distinct peers of every
+  /// reply's `values` are appended to it; with `peers` null (an announce
+  /// walk) none are, and the tokens of the k closest responders are left
+  /// in closest_/tokens_ instead.
+  void iterative_get_peers(const Sha1Digest& info_hash, const Endpoint& from,
+                           SimTime now, LookupStats* stats,
+                           std::span<const Endpoint> bootstrap, bool read_only,
+                           std::vector<Endpoint>* peers);
   /// Iterative find_node used by joins; routing tables fill as a side
   /// effect of the traffic.
   void iterative_find_node(DhtNode& from, const NodeId& target, SimTime now);
-  std::string next_transaction_id();
-  /// Delivers query_buf_ to `to`, the answer landing in reply_buf_; false
-  /// models a timeout (unknown endpoint).
-  bool deliver(const Endpoint& to, const Endpoint& from, SimTime now);
+  /// The round loop both walks share: queries frontier_'s picks until it
+  /// converges, calling `on_reply(index)` for each answer before the
+  /// reply's nodes join the frontier.
+  template <typename OnReply>
+  void walk(Query& query, const Endpoint& from, SimTime now,
+            LookupStats* stats, OnReply&& on_reply);
+  /// Writes the next transaction id (a 2-byte sequence number) to `out`.
+  void set_transaction_id(std::string& out);
+  /// Sends `query` to `to`, the answer landing in reply_buf_; false models
+  /// a timeout (unknown endpoint), for which nothing is encoded.
+  bool deliver(const Query& query, const Endpoint& to, const Endpoint& from,
+               SimTime now);
   /// Sends `query` and decodes the answer into reply_; true when it is a
   /// Response echoing the transaction id, false on a timeout or an
   /// error/bogus reply.
@@ -154,6 +159,14 @@ class DhtOverlay {
   std::string query_buf_;
   std::string reply_buf_;
   Response reply_;
+  // Walk scratch, reused by every lookup of this overlay.
+  Frontier frontier_;
+  EndpointSet peers_seen_;
+  std::vector<std::uint32_t> round_;
+  std::vector<std::uint32_t> closest_;
+  /// Per candidate index: the token it answered an announce walk with.
+  std::vector<std::string> tokens_;
+  std::vector<NodeInfo> seeds_;
 };
 
 }  // namespace btpub::dht

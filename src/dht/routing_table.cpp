@@ -4,109 +4,116 @@
 
 namespace btpub::dht {
 
+int RoutingTable::bucket_of(const NodeId& id) const noexcept {
+  return distance_bit(distance_key(id, self_));
+}
+
+std::vector<Contact>::iterator RoutingTable::bucket_begin(int bucket) {
+  return std::partition_point(
+      contacts_.begin(), contacts_.end(),
+      [&](const Contact& c) { return bucket_of(c.id) < bucket; });
+}
+
+std::vector<Contact>::const_iterator RoutingTable::bucket_begin(
+    int bucket) const {
+  return std::partition_point(
+      contacts_.begin(), contacts_.end(),
+      [&](const Contact& c) { return bucket_of(c.id) < bucket; });
+}
+
 void RoutingTable::observe(const NodeId& id, const Endpoint& endpoint,
                            SimTime now) {
-  const int bit = distance_bit(distance(self_, id));
+  const int bit = bucket_of(id);
   if (bit < 0) return;  // own id
-  Bucket& bucket = buckets_[static_cast<std::size_t>(bit)];
+  const auto first = bucket_begin(bit);
+  const auto last = bucket_begin(bit + 1);
 
-  const auto it = std::find_if(bucket.begin(), bucket.end(),
-                               [&](const Contact& c) { return c.id == id; });
-  if (it != bucket.end()) {
+  const auto it =
+      std::find_if(first, last, [&](const Contact& c) { return c.id == id; });
+  if (it != last) {
     // Refresh: move to the most-recently-seen end, keeping the rest in
     // last-seen order.
-    Contact refreshed = *it;
-    refreshed.endpoint = endpoint;
-    refreshed.last_seen = now;
-    bucket.erase(it);
-    bucket.push_back(refreshed);
+    it->endpoint = endpoint;
+    it->last_seen = now;
+    std::rotate(it, it + 1, last);
     return;
   }
-  if (bucket.size() < kBucketSize) {
-    bucket.push_back(Contact{id, endpoint, now});
+  if (static_cast<std::size_t>(last - first) < kBucketSize) {
+    contacts_.insert(last, Contact{id, endpoint, now});
     return;
   }
   // Full: the least-recently-seen contact sits at the front. Evict it only
   // when stale; otherwise the newcomer loses.
-  if (now - bucket.front().last_seen > kStaleAfter) {
-    bucket.erase(bucket.begin());
-    bucket.push_back(Contact{id, endpoint, now});
+  if (now - first->last_seen > kStaleAfter) {
+    *first = Contact{id, endpoint, now};
+    std::rotate(first, first + 1, last);
   }
 }
 
 void RoutingTable::remove(const NodeId& id) {
-  const int bit = distance_bit(distance(self_, id));
+  const int bit = bucket_of(id);
   if (bit < 0) return;
-  Bucket& bucket = buckets_[static_cast<std::size_t>(bit)];
-  const auto it = std::find_if(bucket.begin(), bucket.end(),
-                               [&](const Contact& c) { return c.id == id; });
-  if (it != bucket.end()) bucket.erase(it);
+  const auto first = bucket_begin(bit);
+  const auto last = bucket_begin(bit + 1);
+  const auto it =
+      std::find_if(first, last, [&](const Contact& c) { return c.id == id; });
+  if (it != last) contacts_.erase(it);
 }
 
 void RoutingTable::closest(const NodeId& target, std::size_t k,
-                           std::vector<Contact>& out) const {
+                           std::vector<NodeInfo>& out) const {
   // With m = distance_bit(self ^ target), a contact in bucket i lies at
   // distance (self ^ id) ^ (self ^ target) from the target, whose highest
   // set bit is below m for i == m, exactly m for every i < m, and i for
-  // i > m. So the groups {m}, {0..m-1}, {m+1}, {m+2}, ... come in
-  // ascending distance; only a group's own members need sorting, and the
-  // walk stops once k contacts are taken. XOR distances within one table
-  // are unique, so the result equals a full sort truncated to k.
+  // i > m. So bucket m, then buckets 0..m-1, then each later bucket in
+  // turn come in ascending distance: offered in that order, most contacts
+  // past the first k are turned away by one compare with the farthest
+  // taken so far, and once buckets 0..m are done with k taken the rest
+  // can be skipped. XOR distances within one table are unique, so the
+  // result equals a full sort truncated to k.
   out.clear();
   if (k == 0) return;
-  const auto by_distance = [&](const Contact& a, const Contact& b) {
-    return closer(a.id, b.id, target);
-  };
-  // Sorts the group appended from `begin` on; true once k contacts are
-  // taken (the surplus trimmed).
-  const auto take_group = [&](std::size_t begin) {
-    const auto first = out.begin() + static_cast<std::ptrdiff_t>(begin);
-    if (out.size() <= k) {
-      std::sort(first, out.end(), by_distance);
-      return out.size() == k;
+  const auto key_of = [&](const NodeId& id) { return distance_key(id, target); };
+  // Keeps out sorted by distance with at most k contacts.
+  const auto offer = [&](const Contact& c) {
+    const DistanceKey key = key_of(c.id);
+    if (out.size() == k) {
+      if (!(key < key_of(out.back().id))) return;
+      out.pop_back();
     }
-    std::partial_sort(first, out.begin() + static_cast<std::ptrdiff_t>(k),
-                      out.end(), by_distance);
-    out.resize(k);
-    return true;
+    std::size_t at = out.size();
+    while (at > 0 && key < key_of(out[at - 1].id)) --at;
+    out.insert(out.begin() + static_cast<std::ptrdiff_t>(at),
+               NodeInfo{c.id, c.endpoint});
   };
-  const int m = distance_bit(distance(self_, target));
-  if (m >= 0) {
-    const Bucket& own = buckets_[static_cast<std::size_t>(m)];
-    out.insert(out.end(), own.begin(), own.end());
-    if (take_group(0)) return;
-    const std::size_t begin = out.size();
-    for (int i = 0; i < m; ++i) {
-      const Bucket& bucket = buckets_[static_cast<std::size_t>(i)];
-      out.insert(out.end(), bucket.begin(), bucket.end());
-    }
-    if (take_group(begin)) return;
-  }
-  for (int i = m + 1; i < static_cast<int>(buckets_.size()); ++i) {
-    const Bucket& bucket = buckets_[static_cast<std::size_t>(i)];
-    const std::size_t begin = out.size();
-    out.insert(out.end(), bucket.begin(), bucket.end());
-    if (take_group(begin)) return;
-  }
+  // m = -1 (target == self) leaves both empty: every bucket is "later".
+  const int m = distance_bit(distance_key(self_, target));
+  const auto own = bucket_begin(m);
+  const auto later = bucket_begin(m + 1);
+  std::for_each(own, later, offer);
+  std::for_each(contacts_.begin(), own, offer);
+  if (out.size() == k) return;
+  std::for_each(later, contacts_.end(), offer);
 }
 
-std::size_t RoutingTable::size() const noexcept {
-  std::size_t n = 0;
-  for (const Bucket& bucket : buckets_) n += bucket.size();
-  return n;
-}
+std::size_t RoutingTable::size() const noexcept { return contacts_.size(); }
 
 bool RoutingTable::contains(const NodeId& id) const {
-  const int bit = distance_bit(distance(self_, id));
+  const int bit = bucket_of(id);
   if (bit < 0) return false;
-  const Bucket& bucket = buckets_[static_cast<std::size_t>(bit)];
-  return std::any_of(bucket.begin(), bucket.end(),
-                     [&](const Contact& c) { return c.id == id; });
+  const auto first = bucket_begin(bit);
+  const auto last = bucket_begin(bit + 1);
+  return std::any_of(first, last, [&](const Contact& c) { return c.id == id; });
 }
 
 std::size_t RoutingTable::active_buckets() const noexcept {
   std::size_t n = 0;
-  for (const Bucket& bucket : buckets_) n += bucket.empty() ? 0 : 1;
+  int previous = -1;
+  for (const Contact& c : contacts_) {
+    const int bucket = bucket_of(c.id);
+    n += bucket != previous ? 1 : 0;
+    previous = bucket;
+  }
   return n;
 }
 

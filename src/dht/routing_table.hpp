@@ -4,14 +4,16 @@
 // node's id; bucket i holds up to k contacts whose distance has its highest
 // set bit at position i. Within a bucket, contacts are kept ordered by
 // last-seen time (most recently seen last — the classic Kademlia LRU
-// discipline). A full bucket evicts its least-recently-seen contact only
+// discipline). A table holds a few dozen contacts spread over a handful
+// of buckets, so they live in one flat vector grouped by bucket index:
+// a lookup reads one contiguous run instead of 160 bucket headers and a
+// heap block per bucket, and an idle table costs no bucket array. A full bucket evicts its least-recently-seen contact only
 // when that contact has gone stale (no traffic for kStaleAfter); otherwise
 // the newcomer is dropped, which is what gives the DHT its resistance to
 // table-flushing churn. All policies are deterministic: no liveness pings,
 // no randomised replacement.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -46,9 +48,11 @@ class RoutingTable {
   void remove(const NodeId& id);
 
   /// Appends up to `k` contacts closest to `target` (XOR order, closest
-  /// first) to `out`, which is cleared first.
+  /// first) to `out`, which is cleared first. Callers need only ids and
+  /// endpoints (the k nodes of a reply, a walk's seeds), so `out` takes
+  /// NodeInfo: a reply's nodes are filled in place.
   void closest(const NodeId& target, std::size_t k,
-               std::vector<Contact>& out) const;
+               std::vector<NodeInfo>& out) const;
 
   std::size_t size() const noexcept;
   bool contains(const NodeId& id) const;
@@ -57,10 +61,16 @@ class RoutingTable {
   std::size_t active_buckets() const noexcept;
 
  private:
-  using Bucket = std::vector<Contact>;  // last-seen ascending
+  /// The bucket index of `id` (-1 for the own id).
+  int bucket_of(const NodeId& id) const noexcept;
+  /// The first contact of bucket `bucket` or of a later one.
+  std::vector<Contact>::iterator bucket_begin(int bucket);
+  std::vector<Contact>::const_iterator bucket_begin(int bucket) const;
 
   NodeId self_;
-  std::array<Bucket, 160> buckets_;
+  /// Every contact, ascending by bucket index; within a bucket last-seen
+  /// ascending.
+  std::vector<Contact> contacts_;
 };
 
 }  // namespace btpub::dht

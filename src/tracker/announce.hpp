@@ -50,7 +50,9 @@ std::string encode_announce_reply(const AnnounceReply& reply);
 /// encode_announce_reply — byte-identity of announce responses is part of
 /// the protocol contract (see DESIGN.md, "Announce fast path").
 void encode_announce_reply_into(const AnnounceReply& reply, std::string& out);
-/// Parses a bencoded reply. Throws bencode::Error on malformed bytes.
+/// Parses a bencoded reply in one bencode::Reader pass. Throws
+/// bencode::Error on malformed bytes, and std::invalid_argument when a
+/// success reply's compact peers are not a multiple of 6 bytes long.
 AnnounceReply decode_announce_reply(std::string_view bytes);
 
 }  // namespace btpub

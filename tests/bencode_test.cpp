@@ -98,6 +98,60 @@ TEST(Decode, RejectsDepthBomb) {
   EXPECT_THROW(decode(bomb), Error);
 }
 
+// The Reader reads a lone digit before its terminator ("4:", "i1e") on a
+// fast path; these inputs sit on either side of it. The tree decoder and
+// a bare Reader walk must give the same verdict, and it is pinned.
+TEST(Decode, OneDigitNumbersKeepTheirVerdicts) {
+  struct Case {
+    const char* input;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"0:", true},      {"i0e", true},      {"i-0e", false}, {"i03e", false},
+      {"03:abc", false}, {"1:", false},      {"5:ab", false}, {"i9e", true},
+      {"i10e", true},    {"-1:", false},     {"9:", false},   {"1:a", true},
+      {"i-1e", true},    {"d1:ai7ee", true}, {"d1:a", false}, {"i7", false},
+  };
+  for (const Case& c : cases) {
+    bool tree_accepts = true;
+    try {
+      decode(c.input);
+    } catch (const Error&) {
+      tree_accepts = false;
+    }
+    Reader r(c.input);
+    const bool reader_accepts = r.skip() && r.finish();
+    EXPECT_EQ(tree_accepts, c.accepted) << c.input;
+    EXPECT_EQ(reader_accepts, c.accepted) << c.input;
+  }
+  EXPECT_EQ(decode("i0e").as_integer(), 0);
+  EXPECT_EQ(decode("i9e").as_integer(), 9);
+  EXPECT_EQ(decode("i10e").as_integer(), 10);
+  EXPECT_EQ(decode("0:").as_string(), "");
+  EXPECT_EQ(decode("1:a").as_string(), "a");
+  // "9:" at the very end: the length is read, the payload is missing.
+  Reader r("9:");
+  std::string_view out;
+  EXPECT_FALSE(r.string(out));
+  EXPECT_EQ(r.error(), "bencode: string exceeds input at offset 2");
+}
+
+TEST(Encode, WriterMatchesTreeAroundOneDigit) {
+  for (const std::int64_t v : {std::int64_t{-10}, std::int64_t{-1}, std::int64_t{0},
+                               std::int64_t{1}, std::int64_t{9}, std::int64_t{10},
+                               std::int64_t{99}, std::int64_t{100}}) {
+    std::string out;
+    Writer(out).integer(v);
+    EXPECT_EQ(out, encode(Value(v))) << v;
+  }
+  for (const std::size_t n : {0, 1, 9, 10, 11}) {
+    const std::string bytes(n, 'x');
+    std::string out;
+    Writer(out).string(bytes);
+    EXPECT_EQ(out, encode(Value(bytes))) << n;
+  }
+}
+
 TEST(Decode, IntegerOverflowRejected) {
   EXPECT_THROW(decode("i99999999999999999999999999e"), Error);
 }

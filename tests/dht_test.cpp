@@ -1,10 +1,12 @@
 // Mainline DHT building blocks (BEP 5): node ids and the XOR metric, KRPC
-// codecs, k-bucket routing tables, rotating announce tokens, and the
-// per-node peer store + query handler.
+// codecs, k-bucket routing tables, rotating announce tokens, the per-node
+// peer store + query handler, and the sorted frontier of a lookup walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
+#include "dht/frontier.hpp"
 #include "dht/node.hpp"
 #include "dht/node_id.hpp"
 #include "dht/krpc.hpp"
@@ -193,7 +195,7 @@ TEST(RoutingTableTest, ClosestReturnsXorOrder) {
   for (std::uint8_t i = 1; i <= 10; ++i) {
     table.observe(id_with(i), {IpAddress(0x0A000000u + i), 6881}, 0);
   }
-  std::vector<Contact> out;
+  std::vector<NodeInfo> out;
   table.closest(id_with(0x01), 3, out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].id, id_with(0x01));  // distance 0
@@ -242,9 +244,9 @@ TEST(RoutingTableTest, ClosestMatchesBruteForceOnRandomTables) {
                     {IpAddress(0x0A000000u + std::uint32_t(i)), 6881}, 0);
     }
     std::vector<NodeId> ids;
-    std::vector<Contact> everything;
+    std::vector<NodeInfo> everything;
     table.closest(self, 160 * RoutingTable::kBucketSize, everything);
-    for (const Contact& c : everything) ids.push_back(c.id);
+    for (const NodeInfo& c : everything) ids.push_back(c.id);
     ASSERT_EQ(ids.size(), table.size());
 
     std::vector<NodeId> targets = {self};  // target == self
@@ -256,10 +258,10 @@ TEST(RoutingTableTest, ClosestMatchesBruteForceOnRandomTables) {
       for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                                   RoutingTable::kBucketSize, std::size_t{20},
                                   ids.size() + 5}) {
-        std::vector<Contact> out;
+        std::vector<NodeInfo> out;
         table.closest(target, k, out);
         std::vector<NodeId> got;
-        for (const Contact& c : out) got.push_back(c.id);
+        for (const NodeInfo& c : out) got.push_back(c.id);
         ASSERT_EQ(got, brute_force_closest(ids, target, k))
             << "trial " << trial << " k " << k << " target " << target.hex();
       }
@@ -269,7 +271,7 @@ TEST(RoutingTableTest, ClosestMatchesBruteForceOnRandomTables) {
 
 TEST(RoutingTableTest, ClosestOnEmptyTableIsEmpty) {
   const RoutingTable table(id_with(0x42));
-  std::vector<Contact> out = {Contact{}};
+  std::vector<NodeInfo> out = {NodeInfo{}};
   table.closest(id_with(0x17), RoutingTable::kBucketSize, out);
   EXPECT_TRUE(out.empty());
 }
@@ -519,6 +521,227 @@ TEST_F(DhtNodeTest, NonStringTransactionIdIsNotEchoed) {
       error_reply("d1:ad2:id20:aaaaaaaaaaaaaaaaaaaae1:q4:pong1:ti7e1:y1:qe");
   EXPECT_EQ(error.code, kErrorUnknownMethod);
   EXPECT_EQ(error.transaction_id, "");
+}
+
+// ---- walk frontier ----
+
+/// The walk state as the lookups kept it before the frontier: a plain
+/// candidate list, deduplicated by endpoint.
+struct ReferenceWalk {
+  NodeId target;
+  Endpoint self;
+  std::vector<Frontier::Candidate> candidates;
+  std::set<Endpoint> known;
+
+  void add(const Endpoint& endpoint, const NodeId* id) {
+    if (endpoint == self || !known.insert(endpoint).second) return;
+    Frontier::Candidate c;
+    c.endpoint = endpoint;
+    if (id != nullptr) {
+      c.id = *id;
+      c.id_known = true;
+    }
+    candidates.push_back(c);
+  }
+
+  /// Rebuild `ranked` from the live id-known candidates, sort it fully and
+  /// take up to alpha unqueried entries from its first k, after every
+  /// unqueried id-less entry.
+  std::vector<std::uint32_t> round(std::size_t k, std::size_t alpha) const {
+    std::vector<std::uint32_t> round;
+    std::vector<std::uint32_t> ranked;
+    for (std::uint32_t i = 0; i < candidates.size(); ++i) {
+      const Frontier::Candidate& c = candidates[i];
+      if (!c.queried && !c.id_known) round.push_back(i);
+      if (c.id_known && (!c.queried || c.responded)) ranked.push_back(i);
+    }
+    std::sort(ranked.begin(), ranked.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return closer(candidates[a].id, candidates[b].id, target);
+    });
+    for (std::size_t r = 0; r < ranked.size() && r < k && round.size() < alpha;
+         ++r) {
+      if (!candidates[ranked[r]].queried) round.push_back(ranked[r]);
+    }
+    if (round.size() > alpha) round.resize(alpha);
+    return round;
+  }
+
+  std::vector<std::uint32_t> closest_responders(std::size_t k) const {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t i = 0; i < candidates.size(); ++i) {
+      if (candidates[i].responded) out.push_back(i);
+    }
+    std::sort(out.begin(), out.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return closer(candidates[a].id, candidates[b].id, target);
+    });
+    if (out.size() > k) out.resize(k);
+    return out;
+  }
+};
+
+/// Drives a Frontier and the reference through one seeded random walk,
+/// checking after every step that both hold the same candidates and pick
+/// the same round. Returns the number of rounds checked.
+std::size_t check_frontier_walk(std::uint64_t seed, std::size_t k,
+                                std::size_t alpha) {
+  Rng rng(seed);
+  NodeId target;
+  for (auto& byte : target.bytes) byte = static_cast<std::uint8_t>(rng.index(256));
+  const Endpoint self{IpAddress(10, 0, 0, 1), 6881};
+  // A small address pool, so duplicates and `self` come up often. Ids
+  // derive from endpoints (as in the overlay), so no two endpoints share
+  // one; an id change draws from another seed.
+  const auto endpoint = [&] {
+    return Endpoint{IpAddress(10, 0, 0, static_cast<std::uint8_t>(1 + rng.index(200))),
+                    6881};
+  };
+  Frontier frontier;
+  ReferenceWalk ref{target, self, {}, {}};
+  frontier.reset(target, self);
+
+  std::size_t rounds = 0;
+  std::vector<std::uint32_t> got;
+  const auto check = [&](const char* step) {
+    ASSERT_EQ(frontier.size(), ref.candidates.size()) << step;
+    for (std::uint32_t i = 0; i < frontier.size(); ++i) {
+      ASSERT_EQ(frontier[i].endpoint, ref.candidates[i].endpoint) << step;
+      ASSERT_EQ(frontier[i].id_known, ref.candidates[i].id_known) << step;
+      if (frontier[i].id_known) {
+        ASSERT_EQ(frontier[i].id, ref.candidates[i].id) << step;
+      }
+    }
+    frontier.select(k, alpha, got);
+    ASSERT_EQ(got, ref.round(k, alpha))
+        << step << " (seed " << seed << ", k " << k << ", alpha " << alpha << ")";
+    std::vector<std::uint32_t> closest;
+    frontier.closest_responders(k, closest);
+    ASSERT_EQ(closest, ref.closest_responders(k)) << step;
+  };
+  const auto add = [&](bool idless) {
+    const Endpoint e = endpoint();
+    const NodeId id = NodeId::for_endpoint(seed, e);
+    frontier.add(e, idless ? nullptr : &id);
+    ref.add(e, idless ? nullptr : &id);
+  };
+
+  // Bootstrap: a few id-less hints, some id-known seeds.
+  for (std::size_t i = rng.index(4); i > 0; --i) add(true);
+  for (std::size_t i = rng.index(12); i > 0; --i) add(false);
+  check("bootstrap");
+  while (true) {
+    frontier.select(k, alpha, got);
+    if (got.empty()) break;
+    ++rounds;
+    const std::vector<std::uint32_t> round = got;
+    for (const std::uint32_t index : round) {
+      frontier.mark_queried(index);
+      ref.candidates[index].queried = true;
+      check("queried");
+    }
+    for (const std::uint32_t index : round) {
+      Frontier::Candidate& c = ref.candidates[index];
+      const double roll = rng.uniform();
+      if (roll < 0.35) {  // timeout, error or bogus reply
+        frontier.failed(index);
+        check("failed");
+        continue;
+      }
+      // Answers under its own id, or (rarely) under another one.
+      NodeId id = NodeId::for_endpoint(seed, c.endpoint);
+      if (roll > 0.9) id = NodeId::for_endpoint(seed + 1 + rng.index(1000), c.endpoint);
+      frontier.responded(index, id);
+      c.responded = true;
+      c.id = id;
+      c.id_known = true;
+      check("responded");
+      for (std::size_t n = rng.index(9); n > 0; --n) {
+        add(false);
+        check("added");
+      }
+    }
+  }
+  // Converged: nothing unqueried is left in any selectable slot.
+  check("converged");
+  return rounds;
+}
+
+TEST(FrontierTest, RoundsMatchAFullResortOnRandomWalks) {
+  std::size_t rounds = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3},
+                                RoutingTable::kBucketSize, std::size_t{20}}) {
+      for (const std::size_t alpha : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+        rounds += check_frontier_walk(seed * 131 + k * 7 + alpha, k, alpha);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(rounds, 1000u);
+}
+
+TEST(FrontierTest, FewerThanKLiveAndAllQueried) {
+  NodeId target;
+  const Endpoint self{IpAddress(10, 0, 0, 1), 6881};
+  Frontier frontier;
+  frontier.reset(target, self);
+  std::vector<std::uint32_t> round;
+  frontier.select(RoutingTable::kBucketSize, 3, round);
+  EXPECT_TRUE(round.empty());  // nothing known
+
+  // Two id-known candidates and one id-less hint; `self` and a duplicate
+  // are ignored.
+  const NodeId near = id_with(0x01);
+  const NodeId far = id_with(0x40);
+  frontier.add(self, &near);
+  frontier.add({IpAddress(10, 0, 0, 3), 1}, &far);
+  frontier.add({IpAddress(10, 0, 0, 2), 1}, &near);
+  frontier.add({IpAddress(10, 0, 0, 2), 1}, &far);
+  frontier.add({IpAddress(10, 0, 0, 4), 1}, nullptr);
+  ASSERT_EQ(frontier.size(), 3u);
+
+  // The id-less hint goes first, then the closest: fewer than k live.
+  frontier.select(RoutingTable::kBucketSize, 3, round);
+  EXPECT_EQ(round, (std::vector<std::uint32_t>{2, 1, 0}));
+  frontier.select(RoutingTable::kBucketSize, 2, round);
+  EXPECT_EQ(round, (std::vector<std::uint32_t>{2, 1}));
+  // k = 1: only the closest slot is read.
+  frontier.select(1, 3, round);
+  EXPECT_EQ(round, (std::vector<std::uint32_t>{2, 1}));
+
+  for (const std::uint32_t i : {0u, 1u, 2u}) frontier.mark_queried(i);
+  frontier.select(RoutingTable::kBucketSize, 3, round);
+  EXPECT_TRUE(round.empty());  // all queried, answers pending
+  frontier.responded(1, near);
+  frontier.failed(0);
+  frontier.responded(2, id_with(0x02));
+  frontier.select(RoutingTable::kBucketSize, 3, round);
+  EXPECT_TRUE(round.empty());  // all queried: converged
+
+  std::vector<std::uint32_t> closest;
+  frontier.closest_responders(RoutingTable::kBucketSize, closest);
+  EXPECT_EQ(closest, (std::vector<std::uint32_t>{1, 2}));
+  frontier.closest_responders(1, closest);
+  EXPECT_EQ(closest, (std::vector<std::uint32_t>{1}));
+
+  // A reset walk starts empty and forgets every endpoint.
+  frontier.reset(target, self);
+  EXPECT_EQ(frontier.size(), 0u);
+  frontier.add({IpAddress(10, 0, 0, 2), 1}, &near);
+  EXPECT_EQ(frontier.size(), 1u);
+}
+
+TEST(FrontierTest, EndpointSetDedupsAcrossGrowthAndClears) {
+  EndpointSet set;
+  for (std::uint32_t round = 0; round < 3; ++round) {
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+      EXPECT_TRUE(set.insert({IpAddress(0x0A000000u + i), 6881}));
+      EXPECT_FALSE(set.insert({IpAddress(0x0A000000u + i), 6881}));
+      EXPECT_TRUE(set.insert({IpAddress(0x0A000000u + i), 6882}));  // port counts
+    }
+    EXPECT_EQ(set.size(), 2000u);
+    set.clear();
+    EXPECT_EQ(set.size(), 0u);
+  }
 }
 
 }  // namespace

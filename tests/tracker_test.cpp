@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "bencode/bencode.hpp"
+#include "net/compact.hpp"
 #include "tracker/announce.hpp"
+#include "util/rng.hpp"
 
 namespace btpub {
 namespace {
@@ -312,6 +316,84 @@ TEST(AnnounceWire, FailureEncodingRoundTrip) {
   EXPECT_FALSE(decoded.ok);
   EXPECT_EQ(decoded.failure_reason, "slow down");
   EXPECT_TRUE(decoded.peers.empty());
+}
+
+/// The tree-based decoder decode_announce_reply replaced, kept as the
+/// oracle for the Reader port.
+AnnounceReply tree_decode_announce_reply(std::string_view bytes) {
+  const bencode::Value root = bencode::decode(bytes);
+  AnnounceReply reply;
+  if (const auto failure = root.find_string("failure reason")) {
+    reply.ok = false;
+    reply.failure_reason = *failure;
+    return reply;
+  }
+  reply.ok = true;
+  reply.interval = root.find_integer("interval").value_or(0);
+  reply.complete = static_cast<std::uint32_t>(root.find_integer("complete").value_or(0));
+  reply.incomplete =
+      static_cast<std::uint32_t>(root.find_integer("incomplete").value_or(0));
+  if (const auto peers = root.find_string("peers")) {
+    reply.peers = decode_compact_peers(*peers);
+  }
+  return reply;
+}
+
+/// A decoder's verdict on one input: the reply it returned, or the kind
+/// and message of what it threw.
+std::string verdict(AnnounceReply (*decode)(std::string_view),
+                    std::string_view bytes) {
+  try {
+    const AnnounceReply r = decode(bytes);
+    std::string out = r.ok ? "ok " : "failure " + r.failure_reason + " ";
+    out += std::to_string(r.interval) + " " + std::to_string(r.complete) + " " +
+           std::to_string(r.incomplete);
+    for (const Endpoint& peer : r.peers) out += " " + peer.to_string();
+    return out;
+  } catch (const bencode::Error& e) {
+    return std::string("bencode::Error ") + e.what();
+  } catch (const std::invalid_argument& e) {
+    return std::string("invalid_argument ") + e.what();
+  }
+}
+
+TEST(AnnounceWire, ReaderDecodeMatchesTreeOnMutatedReplies) {
+  AnnounceReply success;
+  success.ok = true;
+  success.interval = minutes(30);
+  success.complete = 7;
+  success.incomplete = 123456;
+  success.peers = {{IpAddress(1, 2, 3, 4), 6881}, {IpAddress(5, 6, 7, 8), 1234},
+                   {IpAddress(9, 9, 9, 9), 9}};
+  AnnounceReply failure;
+  failure.failure_reason = "unregistered torrent";
+  // Hand-written replies the encoder never emits: extra and mistyped keys,
+  // a non-dict root.
+  const std::vector<std::string> replies = {
+      encode_announce_reply(success), encode_announce_reply(failure),
+      "d8:completei3e10:incompletel1:xe8:intervali60e5:peers6:abcdef3:zzzi1ee",
+      "d14:failure reasoni5e8:intervali9ee", "li1ei2ee"};
+  Rng rng(0x7ac4e2);
+  std::size_t checked = 0;
+  const auto check = [&](const std::string& bytes) {
+    ASSERT_EQ(verdict(decode_announce_reply, bytes),
+              verdict(tree_decode_announce_reply, bytes))
+        << "input " << bytes;
+    ++checked;
+  };
+  for (const std::string& reply : replies) {
+    check(reply);
+    for (std::size_t n = 0; n < reply.size(); ++n) check(reply.substr(0, n));
+    for (int trial = 0; trial < 400; ++trial) {
+      std::string mutant = reply;
+      for (std::size_t flips = 1 + rng.index(3); flips > 0; --flips) {
+        mutant[rng.index(mutant.size())] ^= static_cast<char>(1u << rng.index(8));
+      }
+      check(mutant);
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(checked, 2000u);
 }
 
 }  // namespace
