@@ -308,7 +308,7 @@ void run_world(std::uint64_t sessions, const Options& opt,
                static_cast<unsigned long long>(sessions));
   bench::run_forked("snapshot build", [&] {
     const Dataset d = synth_dataset(sessions, opt.seed);
-    save_mmap_snapshot(d, mmap_path);
+    save_mmap_snapshot(compact_dataset(d), mmap_path);
     CaseResult r;
     r.items = dataset_sessions(d);
     return r;

@@ -16,9 +16,9 @@
 // --snapshot switches to the dataset snapshot suite (BENCH_snapshot.json
 // in CI): synthetic million-session worlds are built deterministically,
 // then each persistence phase — pointer-heavy Dataset build, CompactDataset
-// conversion, snapshot save, open, query and inflate — runs fork-isolated
-// for wall time and honest peak RSS.
-// Open and open-plus-inflate report the fastest of five runs.
+// conversion, snapshot save, open and query — runs fork-isolated for wall
+// time and honest peak RSS.
+// Conversion and open report the fastest of five runs.
 // The query case opens the snapshot AND scans every downloader entry
 // (distinct-IP count over the view), so its timing includes faulting the
 // data in, not just the mmap() call.
@@ -198,30 +198,10 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     Dataset d;
     r.seconds = timed([&] { d = synth_dataset(sessions, seed); });
     r.bytes = dataset_bytes_estimate(d);
-    r.distinct_ips = d.distinct_ips_global();
     finish(r, d);
     return r;
   });
-  push("compact_build", [&] {
-    SnapResult r;
-    const Dataset d = synth_dataset(sessions, seed);
-    CompactDataset c;
-    r.seconds = timed([&] { c = compact_dataset(d); });
-    r.bytes = c.byte_size();
-    r.distinct_ips = c.view().distinct_ips_global();
-    finish(r, d);
-    return r;
-  });
-  push("save_mmap", [&] {
-    SnapResult r;
-    const Dataset d = synth_dataset(sessions, seed);
-    const CompactDataset c = compact_dataset(d);
-    r.seconds = timed([&] { save_mmap_snapshot(c, mmap_path); });
-    r.bytes = c.byte_size();
-    finish(r, d);
-    return r;
-  });
-  // The CI gate divides load_mmap by load_mmap_inflate, so both report the
+  // The CI gate divides load_mmap by compact_build, so both report the
   // fastest of kGatedReps runs: a single ~1 ms open swings by 2x with
   // scheduling and page-fault noise, the minimum much less. `run` returns
   // what it built, so tearing that down stays outside the timing.
@@ -236,6 +216,25 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     }
     return best;
   };
+  push("compact_build", [&] {
+    SnapResult r;
+    const Dataset d = synth_dataset(sessions, seed);
+    r.seconds = fastest([&] { return compact_dataset(d); });
+    const CompactDataset c = compact_dataset(d);
+    r.bytes = c.byte_size();
+    r.distinct_ips = c.view().distinct_ips_global();
+    finish(r, d);
+    return r;
+  });
+  push("save_mmap", [&] {
+    SnapResult r;
+    const Dataset d = synth_dataset(sessions, seed);
+    const CompactDataset c = compact_dataset(d);
+    r.seconds = timed([&] { save_mmap_snapshot(c, mmap_path); });
+    r.bytes = c.byte_size();
+    finish(r, d);
+    return r;
+  });
   // Load = time-to-ready (open + O(sections) fixup + the O(n) validate()
   // pass). Query = time-to-answer for the distinct-downloader-IP count,
   // paying the full data touch — faulting every peer-blob page in.
@@ -266,15 +265,6 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
     r.bytes = bytes;
     return r;
   });
-  push("load_mmap_inflate", [&] {
-    SnapResult r;
-    r.seconds = fastest([&] { return MappedDataset(mmap_path).to_dataset(); });
-    const Dataset d = MappedDataset(mmap_path).to_dataset();
-    r.distinct_ips = d.distinct_ips_global();
-    finish(r, d);
-    return r;
-  });
-
   // Every phase must agree on the distinct-IP count (a wrong snapshot must
   // fail the bench, not publish fast-but-broken numbers).
   std::uint64_t expected = 0;
@@ -296,10 +286,10 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
                          [&](const SnapRow& row) { return row.phase == name; });
   };
   std::printf(
-      "%llu sessions: open %.6fs, open+inflate %.4fs, distinct-IP query "
+      "%llu sessions: open %.6fs, compact build %.4fs, distinct-IP query "
       "%.3fs, query RSS %ld KB\n",
       static_cast<unsigned long long>(sessions), phase("load_mmap").r.seconds,
-      phase("load_mmap_inflate").r.seconds, phase("query_mmap").r.seconds,
+      phase("compact_build").r.seconds, phase("query_mmap").r.seconds,
       phase("query_mmap").peak_rss_kb);
 
   const std::uint64_t file_bytes = fs::file_size(mmap_path);

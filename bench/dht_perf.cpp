@@ -6,9 +6,15 @@
 // an FNV-1a digest of every lookup's hops, messages and peers found. With
 // --json, writes them (BENCH_dht.json); tools/check_bench.py holds each
 // case's digest to the committed baseline's.
+//
+// A case is a few milliseconds of lookups, too short for one timing to
+// mean much, so it runs on kReps freshly built overlays and reports the
+// median time. Every rep must produce the first rep's digest, or the bench
+// fails: a run is also a determinism check.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +28,9 @@ namespace {
 
 using dht::DhtOverlay;
 using dht::LookupStats;
+
+/// Overlays built and timed per case; the reported time is their median.
+constexpr std::size_t kReps = 9;
 
 struct Options {
   std::string json_path;
@@ -121,7 +130,20 @@ int run(int argc, char** argv) {
 
   std::vector<bench::JsonObject> rows;
   for (const std::size_t n : opt.overlay_sizes) {
-    const Result r = run_case(n, opt);
+    std::vector<Result> reps;
+    for (std::size_t i = 0; i < kReps; ++i) {
+      reps.push_back(run_case(n, opt));
+      if (reps.back().digest != reps.front().digest) {
+        throw std::runtime_error("dht_perf: " + std::to_string(n) +
+                                 "-node rep " + std::to_string(i) +
+                                 " digest differs from rep 0");
+      }
+    }
+    std::nth_element(reps.begin(), reps.begin() + kReps / 2, reps.end(),
+                     [](const Result& a, const Result& b) {
+                       return a.seconds < b.seconds;
+                     });
+    const Result& r = reps[kReps / 2];
     char digest[17];
     std::snprintf(digest, sizeof digest, "%016llx",
                   static_cast<unsigned long long>(r.digest));

@@ -21,6 +21,7 @@
 #include "core/ecosystem.hpp"
 #include "crawler/crawler.hpp"
 #include "harness.hpp"
+#include "synth_world.hpp"
 
 namespace btpub {
 namespace {
@@ -162,8 +163,7 @@ CaseResult run_case(const std::string& name, const Options& opt) {
     result.seconds = seconds_since(t0);
     result.updates = name == "crawl_observer"
                          ? stream.updates()
-                         : static_cast<std::uint64_t>(
-                               dataset.ip_observations_total());
+                         : bench::dataset_sessions(dataset);
     if (name == "crawl_observer") {
       const auto s0 = std::chrono::steady_clock::now();
       const StreamingSnapshot snap = stream.finalize(config.window);

@@ -4,80 +4,6 @@
 
 namespace btpub::bencode {
 
-Value::Value(std::int64_t v) : type_(Type::Integer), integer_(v) {}
-Value::Value(std::string v) : type_(Type::String), string_(std::move(v)) {}
-Value::Value(List v) : type_(Type::List), list_(std::make_shared<List>(std::move(v))) {}
-Value::Value(Dict v) : type_(Type::Dict), dict_(std::make_shared<Dict>(std::move(v))) {}
-
-std::int64_t Value::as_integer() const {
-  if (!is_integer()) throw Error("bencode: value is not an integer");
-  return integer_;
-}
-
-const std::string& Value::as_string() const {
-  if (!is_string()) throw Error("bencode: value is not a string");
-  return string_;
-}
-
-const List& Value::as_list() const {
-  if (!is_list()) throw Error("bencode: value is not a list");
-  return *list_;
-}
-
-const Dict& Value::as_dict() const {
-  if (!is_dict()) throw Error("bencode: value is not a dict");
-  return *dict_;
-}
-
-List& Value::as_list() {
-  if (!is_list()) throw Error("bencode: value is not a list");
-  return *list_;
-}
-
-Dict& Value::as_dict() {
-  if (!is_dict()) throw Error("bencode: value is not a dict");
-  return *dict_;
-}
-
-const Value* Value::find(std::string_view key) const {
-  if (!is_dict()) return nullptr;
-  const auto it = dict_->find(std::string(key));
-  return it == dict_->end() ? nullptr : &it->second;
-}
-
-const Value& Value::at(std::string_view key) const {
-  const Value* v = find(key);
-  if (v == nullptr) throw Error("bencode: missing key '" + std::string(key) + "'");
-  return *v;
-}
-
-std::optional<std::int64_t> Value::find_integer(std::string_view key) const {
-  const Value* v = find(key);
-  if (v == nullptr || !v->is_integer()) return std::nullopt;
-  return v->as_integer();
-}
-
-std::optional<std::string> Value::find_string(std::string_view key) const {
-  const Value* v = find(key);
-  if (v == nullptr || !v->is_string()) return std::nullopt;
-  return v->as_string();
-}
-
-bool operator==(const Value& a, const Value& b) {
-  if (a.type_ != b.type_) return false;
-  switch (a.type_) {
-    case Value::Type::Integer:
-      return a.integer_ == b.integer_;
-    case Value::Type::String:
-      return a.string_ == b.string_;
-    case Value::Type::List:
-      return *a.list_ == *b.list_;
-    case Value::Type::Dict:
-      return *a.dict_ == *b.dict_;
-  }
-  return false;
-}
-
 // ---- Reader ---------------------------------------------------------------
 
 Reader::Type Reader::peek() const noexcept {
@@ -247,96 +173,6 @@ std::string Reader::error() const {
   out += " at offset ";
   out += std::to_string(error_pos_);
   return out;
-}
-
-namespace {
-
-void encode_into(const Value& v, std::string& out) {
-  switch (v.type()) {
-    case Value::Type::Integer:
-      out += 'i';
-      out += std::to_string(v.as_integer());
-      out += 'e';
-      break;
-    case Value::Type::String: {
-      const std::string& s = v.as_string();
-      out += std::to_string(s.size());
-      out += ':';
-      out += s;
-      break;
-    }
-    case Value::Type::List:
-      out += 'l';
-      for (const Value& item : v.as_list()) encode_into(item, out);
-      out += 'e';
-      break;
-    case Value::Type::Dict:
-      out += 'd';
-      for (const auto& [key, val] : v.as_dict()) {
-        out += std::to_string(key.size());
-        out += ':';
-        out += key;
-        encode_into(val, out);
-      }
-      out += 'e';
-      break;
-  }
-}
-
-/// The tree decoder: one Value per Reader step, so the tree accepts
-/// exactly what the Reader does.
-Value read_value(Reader& r) {
-  switch (r.peek()) {
-    case Reader::Type::Integer: {
-      std::int64_t v = 0;
-      if (r.integer(v)) return Value(v);
-      break;
-    }
-    case Reader::Type::String: {
-      std::string_view s;
-      if (r.string(s)) return Value(std::string(s));
-      break;
-    }
-    case Reader::Type::List: {
-      if (!r.enter_list()) break;
-      List list;
-      while (r.next_item()) list.push_back(read_value(r));
-      if (r.ok()) return Value(std::move(list));
-      break;
-    }
-    case Reader::Type::Dict: {
-      if (!r.enter_dict()) break;
-      Dict dict;
-      std::string_view key;
-      while (r.next_key(key)) {
-        Value value = read_value(r);
-        // The Reader has checked that keys ascend, so each one goes last.
-        dict.emplace_hint(dict.end(), std::string(key), std::move(value));
-      }
-      if (r.ok()) return Value(std::move(dict));
-      break;
-    }
-    case Reader::Type::End:
-    case Reader::Type::Invalid:
-      r.skip();  // not a value: records why
-      break;
-  }
-  throw Error(r.error());
-}
-
-}  // namespace
-
-std::string encode(const Value& v) {
-  std::string out;
-  encode_into(v, out);
-  return out;
-}
-
-Value decode(std::string_view data) {
-  Reader r(data);
-  Value v = read_value(r);
-  if (!r.finish()) throw Error(r.error());
-  return v;
 }
 
 }  // namespace btpub::bencode

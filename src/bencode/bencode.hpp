@@ -1,86 +1,31 @@
-// bencode.hpp — encoder/decoder for the bencode format (BEP 3).
+// bencode.hpp — the bencode format (BEP 3): Writer encodes, Reader decodes.
 //
 // The simulator keeps the *formats* real even though no sockets are opened:
-// .torrent metainfo files and tracker announce responses are produced and
-// consumed as genuine bencoded byte strings, so the crawler exercises the
-// same parsing path a real measurement apparatus would.
+// .torrent metainfo files, tracker announce responses and DHT datagrams are
+// produced and consumed as genuine bencoded byte strings, so the crawler
+// exercises the same parsing path a real measurement apparatus would.
+// Neither type builds a document tree: the Writer appends to a caller-owned
+// buffer and the Reader walks the input in place.
 #pragma once
 
 #include <array>
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace btpub::bencode {
 
-class Value;
-
-using List = std::vector<Value>;
-// Bencode dictionaries are ordered by raw byte string; std::map matches the
-// canonical-encoding requirement (keys sorted) for free.
-using Dict = std::map<std::string, Value>;
-
-/// Error thrown on malformed bencode input or on type-mismatched access.
+/// Error thrown on malformed bencode input.
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// A bencode value: integer, byte string, list or dictionary.
-class Value {
- public:
-  enum class Type { Integer, String, List, Dict };
-
-  Value() : Value(std::int64_t{0}) {}
-  Value(std::int64_t v);                 // NOLINT(google-explicit-constructor)
-  Value(std::string v);                  // NOLINT(google-explicit-constructor)
-  Value(const char* v) : Value(std::string(v)) {}  // NOLINT
-  Value(List v);                         // NOLINT(google-explicit-constructor)
-  Value(Dict v);                         // NOLINT(google-explicit-constructor)
-
-  Type type() const noexcept { return type_; }
-  bool is_integer() const noexcept { return type_ == Type::Integer; }
-  bool is_string() const noexcept { return type_ == Type::String; }
-  bool is_list() const noexcept { return type_ == Type::List; }
-  bool is_dict() const noexcept { return type_ == Type::Dict; }
-
-  /// Checked accessors; throw Error on type mismatch.
-  std::int64_t as_integer() const;
-  const std::string& as_string() const;
-  const List& as_list() const;
-  const Dict& as_dict() const;
-  List& as_list();
-  Dict& as_dict();
-
-  /// Dictionary lookup returning nullptr when the key is absent.
-  const Value* find(std::string_view key) const;
-  /// Dictionary lookup that throws when the key is absent.
-  const Value& at(std::string_view key) const;
-
-  /// Typed optional lookups for the common tracker/metainfo fields.
-  std::optional<std::int64_t> find_integer(std::string_view key) const;
-  std::optional<std::string> find_string(std::string_view key) const;
-
-  friend bool operator==(const Value& a, const Value& b);
-
- private:
-  Type type_;
-  std::int64_t integer_ = 0;
-  std::string string_;
-  // Indirection keeps Value small and breaks the recursive type.
-  std::shared_ptr<List> list_;
-  std::shared_ptr<Dict> dict_;
-};
-
 /// Streaming encoder that appends canonical bencoding directly into a
-/// caller-owned buffer — no Value tree, no intermediate strings. Once the
+/// caller-owned buffer — no document tree, no intermediate strings. Once the
 /// buffer's capacity has grown to the steady-state reply size, encoding is
 /// allocation-free, which is what the tracker's announce fast path relies
 /// on. The writer does not validate nesting; callers are expected to emit
@@ -143,9 +88,9 @@ class Writer {
 /// place — canonical integers (no "-0", no leading zeros, in int64 range),
 /// string lengths inside the input, dict keys in strictly ascending byte
 /// order, at most kMaxDepth enclosing containers around any value — and
-/// finish() adds "nothing after the top-level value". decode() builds its
-/// tree on top of it, so the tree and every zero-copy walk (KRPC) accept
-/// exactly the same documents.
+/// finish() adds "nothing after the top-level value". Every parser in the
+/// product (metainfo, announce replies, KRPC) walks its input with it, so
+/// they all accept exactly the same documents.
 ///
 /// Errors are sticky: the first violation records a reason and offset,
 /// and every later call returns false (peek() returns Type::Invalid).
@@ -211,12 +156,5 @@ class Reader {
   std::size_t error_pos_ = 0;
   std::array<Frame, kMaxDepth + 1> frames_{};
 };
-
-/// Serialises a value to its canonical bencoding.
-std::string encode(const Value& v);
-
-/// Parses exactly one value; throws Error on malformed input or trailing
-/// garbage (Reader's rules).
-Value decode(std::string_view data);
 
 }  // namespace btpub::bencode

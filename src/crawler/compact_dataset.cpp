@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 
 #include "net/compact.hpp"
+#include "util/strings.hpp"
 
 namespace btpub {
 namespace {
@@ -304,69 +306,25 @@ void validate(const CompactDatasetView& view) {
   check_times(view.user_publish_times, "publish time");
 }
 
-Dataset inflate(const CompactDatasetView& view) {
-  validate(view);
-  return inflate_validated(view);
-}
-
-Dataset inflate_validated(const CompactDatasetView& view) {
-  Dataset dataset;
-  dataset.name = std::string(view.name);
-  dataset.style = view.style;
-  dataset.window_start = view.window_start;
-  dataset.window_end = view.window_end;
-
-  const std::size_t n = view.torrents.size();
-  dataset.torrents.reserve(n);
-  dataset.downloaders.reserve(n);
-  dataset.publisher_sightings.reserve(n);
+void write_csv(const CompactDatasetView& view, std::ostream& torrents,
+               std::ostream& sightings) {
+  torrents << "portal_id,infohash,title,category,username,publisher_ip,"
+              "published_at,downloads,removed\n";
+  sightings << "portal_id,time_seconds\n";
   for (const TorrentRecordPod& pod : view.torrents) {
-    TorrentRecord r;
-    r.portal_id = pod.portal_id;
-    r.infohash.bytes = pod.infohash;
-    r.title = std::string(view.title(pod));
-    r.category = static_cast<ContentCategory>(pod.category);
-    r.language = static_cast<Language>(pod.language);
-    r.size_bytes = pod.size_bytes;
-    r.username = std::string(view.username(pod));
-    r.publisher_ip = view.publisher_ip(pod);
-    r.published_at = pod.published_at;
-    r.first_seen = pod.first_seen;
-    r.textbox = std::string(view.textbox(pod));
-    r.payload_filenames.reserve(pod.payload_filenames.size());
-    for (const StrRef ref : view.filenames_of(pod)) {
-      r.payload_filenames.emplace_back(view.str(ref));
+    const std::optional<IpAddress> publisher_ip = view.publisher_ip(pod);
+    torrents << pod.portal_id << ',' << Sha1Digest{pod.infohash}.hex() << ','
+             << csv_escape(view.title(pod)) << ','
+             << to_string(static_cast<ContentCategory>(pod.category)) << ','
+             << csv_escape(view.username(pod)) << ','
+             << (publisher_ip ? publisher_ip->to_string() : "") << ','
+             << pod.published_at << ',' << view.downloader_count(pod) << ','
+             << ((pod.flags & TorrentRecordPod::kObservedRemoved) != 0 ? 1 : 0)
+             << '\n';
+    for (const SimTime t : view.sightings_of(pod)) {
+      sightings << pod.portal_id << ',' << t << '\n';
     }
-    r.piece_count = static_cast<std::size_t>(pod.piece_count);
-    r.observed_removed = (pod.flags & TorrentRecordPod::kObservedRemoved) != 0;
-    r.observed_removed_at = pod.observed_removed_at;
-    r.initial_seeders = pod.initial_seeders;
-    r.initial_peers = pod.initial_peers;
-    r.query_count = pod.query_count;
-    r.max_concurrent = pod.max_concurrent;
-    dataset.torrents.push_back(std::move(r));
-
-    std::vector<IpAddress> ips;
-    ips.reserve(pod.downloaders.size());
-    for (std::uint32_t i = 0; i < pod.downloaders.size(); ++i) {
-      ips.push_back(view.downloader_ip(pod, i));
-    }
-    dataset.downloaders.push_back(std::move(ips));
-
-    const auto sightings = view.sightings_of(pod);
-    dataset.publisher_sightings.emplace_back(sightings.begin(), sightings.end());
   }
-
-  dataset.user_pages.reserve(view.user_pages.size());
-  for (const UserPagePod& pod : view.user_pages) {
-    UserPage page;
-    page.username = std::string(view.str(pod.username));
-    page.banned = (pod.flags & UserPagePod::kBanned) != 0;
-    const auto times = view.publish_times_of(pod);
-    page.publish_times.assign(times.begin(), times.end());
-    dataset.user_pages.emplace(page.username, std::move(page));
-  }
-  return dataset;
 }
 
 }  // namespace btpub

@@ -20,7 +20,7 @@
 //   user_pages          UserPagePod rows sorted by username
 //   user_publish_times  user-page publish times, flattened
 //
-// Conversion Dataset ⇄ CompactDataset is lossless, and CompactDatasetView
+// Conversion Dataset → CompactDataset is lossless, and CompactDatasetView
 // exposes the arrays as spans without owning them — the same view type
 // reads an in-memory CompactDataset or an mmap-ed snapshot
 // (dataset_mmap.hpp) byte-for-byte identically. The view is the batch
@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -157,7 +158,7 @@ struct CompactDatasetView {
   /// Binary search over the username-sorted user pages.
   const UserPagePod* find_user(std::string_view username) const noexcept;
 
-  // ---- Table-1 summary helpers, span-native (match Dataset's). ----
+  // ---- Table-1 summary helpers, span-native. ----
   std::size_t torrent_count() const noexcept { return torrents.size(); }
   std::size_t with_username() const noexcept;
   std::size_t with_publisher_ip() const noexcept;
@@ -241,13 +242,17 @@ class CompactDatasetBuilder {
 /// per-record checks.
 void validate(const CompactDatasetView& view);
 
-/// Lossless conversions. inflate() validates the view first and throws
-/// std::runtime_error on a corrupt one.
+/// Lossless conversion from the crawler's output; a crawl is read back
+/// only through the view.
 CompactDataset compact_dataset(const Dataset& dataset);
-Dataset inflate(const CompactDatasetView& view);
 
-/// inflate() without the validate() pass, for a view that has already
-/// passed it (a MappedDataset validates once, at open).
-Dataset inflate_validated(const CompactDatasetView& view);
+/// The CSV export (`btpub export`): one torrents row per torrent
+/// (portal_id, infohash, title, category, username, publisher_ip,
+/// published_at, downloads, removed; text fields csv_escape()d, an
+/// unidentified publisher IP empty) and one sightings row per publisher
+/// sighting (portal_id, time_seconds), each file under a header line.
+/// Expects a view that has passed validate().
+void write_csv(const CompactDatasetView& view, std::ostream& torrents,
+               std::ostream& sightings);
 
 }  // namespace btpub

@@ -1,7 +1,5 @@
 #include "crawler/dataset.hpp"
 
-#include <unordered_set>
-
 namespace btpub {
 
 std::string_view to_string(DatasetStyle style) {
@@ -14,36 +12,6 @@ std::string_view to_string(DatasetStyle style) {
       return "pb10";
   }
   return "?";
-}
-
-std::size_t Dataset::with_username() const {
-  std::size_t n = 0;
-  for (const TorrentRecord& t : torrents) {
-    if (!t.username.empty()) ++n;
-  }
-  return n;
-}
-
-std::size_t Dataset::with_publisher_ip() const {
-  std::size_t n = 0;
-  for (const TorrentRecord& t : torrents) {
-    if (t.publisher_ip.has_value()) ++n;
-  }
-  return n;
-}
-
-std::size_t Dataset::distinct_ips_global() const {
-  std::unordered_set<IpAddress> ips;
-  for (const auto& torrent_ips : downloaders) {
-    ips.insert(torrent_ips.begin(), torrent_ips.end());
-  }
-  return ips.size();
-}
-
-std::size_t Dataset::ip_observations_total() const {
-  std::size_t n = 0;
-  for (const auto& torrent_ips : downloaders) n += torrent_ips.size();
-  return n;
 }
 
 }  // namespace btpub

@@ -82,14 +82,7 @@ struct Dataset {
   /// tests compare datasets with it.
   bool operator==(const Dataset&) const = default;
 
-  // ---- Table-1 style summary helpers. ----
   std::size_t torrent_count() const noexcept { return torrents.size(); }
-  std::size_t with_username() const;
-  std::size_t with_publisher_ip() const;
-  /// Distinct downloader IPs across all torrents.
-  std::size_t distinct_ips_global() const;
-  /// Sum over torrents of per-torrent distinct downloader IPs.
-  std::size_t ip_observations_total() const;
 };
 
 }  // namespace btpub

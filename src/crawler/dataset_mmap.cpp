@@ -170,10 +170,6 @@ void save_mmap_snapshot(const CompactDataset& dataset, const std::string& path) 
   save_mmap_snapshot(dataset, out);
 }
 
-void save_mmap_snapshot(const Dataset& dataset, const std::string& path) {
-  save_mmap_snapshot(compact_dataset(dataset), path);
-}
-
 MappedDataset::MappedDataset(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) fail("cannot open " + path + ": " + std::strerror(errno));

@@ -53,8 +53,6 @@ int mmap_format_version() noexcept;
 /// std::runtime_error on I/O failure.
 void save_mmap_snapshot(const CompactDataset& dataset, std::ostream& out);
 void save_mmap_snapshot(const CompactDataset& dataset, const std::string& path);
-/// Convenience: compacts then writes.
-void save_mmap_snapshot(const Dataset& dataset, const std::string& path);
 
 /// A loaded snapshot: the file stays mapped for the object's lifetime and
 /// view() exposes the arrays in place. Move-only.
@@ -73,9 +71,6 @@ class MappedDataset {
 
   /// Zero-copy view into the mapping; valid while this object lives.
   const CompactDatasetView& view() const noexcept { return view_; }
-
-  /// Inflates to the pointer-heavy Dataset (for CSV export and tests).
-  Dataset to_dataset() const { return inflate_validated(view_); }
 
   std::size_t mapped_bytes() const noexcept { return size_; }
 

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "bencode/bencode.hpp"
+#include "bencode_tree.hpp"
 #include "crypto/sha1.hpp"
 #include "net/compact.hpp"
 #include "tracker/tracker.hpp"

@@ -1,6 +1,7 @@
 // Bencode codec tests: round trips, canonical-form enforcement, and the
 // malformed inputs a crawler must survive.
 #include "bencode/bencode.hpp"
+#include "bencode_tree.hpp"
 
 #include <gtest/gtest.h>
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crawler/compact_dataset.hpp"
 #include "torrent/metainfo.hpp"
 
 namespace btpub {
@@ -186,8 +187,9 @@ TEST_F(CrawlerTest, CrawlWindowMonitorsAndStops) {
   EXPECT_LT(record.query_count, 70u);
   EXPECT_GE(record.query_count, 25u);
   EXPECT_EQ(dataset.downloaders[0].size(), 8u);
-  EXPECT_EQ(dataset.with_username(), 1u);
-  EXPECT_EQ(dataset.with_publisher_ip(), 1u);
+  const CompactDataset compact = compact_dataset(dataset);
+  EXPECT_EQ(compact.view().with_username(), 1u);
+  EXPECT_EQ(compact.view().with_publisher_ip(), 1u);
 }
 
 TEST_F(CrawlerTest, Pb09StyleQueriesOnlyOnce) {

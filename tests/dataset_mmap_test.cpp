@@ -1,6 +1,7 @@
 // Zero-copy mmap snapshot: round trips, validation, corruption handling
-// (including every analysis pass over mutated snapshots), the
-// load_or_generate cache, and consumer identity.
+// (including every analysis pass and the CSV export over mutated
+// snapshots), the CSV export's bytes, the load_or_generate cache, and
+// consumer identity.
 #include "crawler/dataset_mmap.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +30,7 @@
 #include "analysis/popularity.hpp"
 #include "analysis/session.hpp"
 #include "crawler/compact_dataset.hpp"
+#include "dataset_fixture.hpp"
 #include "util/rng.hpp"
 
 namespace btpub {
@@ -148,7 +152,7 @@ TEST(CompactDataset, LosslessRoundTripAllStyles) {
        {DatasetStyle::Mn08, DatasetStyle::Pb09, DatasetStyle::Pb10}) {
     const Dataset original = sample_dataset(style);
     const CompactDataset compact = compact_dataset(original);
-    EXPECT_EQ(inflate(compact.view()), original);
+    expect_view_matches(original, compact.view());
   }
 }
 
@@ -180,11 +184,69 @@ TEST(CompactDataset, SummaryHelpersMatchDataset) {
   const Dataset original = sample_dataset(DatasetStyle::Pb09);
   const CompactDataset compact = compact_dataset(original);
   const CompactDatasetView view = compact.view();
+  std::size_t with_username = 0, with_publisher_ip = 0, observations = 0;
+  for (const TorrentRecord& r : original.torrents) {
+    with_username += !r.username.empty();
+    with_publisher_ip += r.publisher_ip.has_value();
+  }
+  std::set<IpAddress> distinct;
+  for (const std::vector<IpAddress>& ips : original.downloaders) {
+    observations += ips.size();
+    distinct.insert(ips.begin(), ips.end());
+  }
   EXPECT_EQ(view.torrent_count(), original.torrents.size());
-  EXPECT_EQ(view.with_username(), original.with_username());
-  EXPECT_EQ(view.with_publisher_ip(), original.with_publisher_ip());
-  EXPECT_EQ(view.distinct_ips_global(), original.distinct_ips_global());
-  EXPECT_EQ(view.ip_observations_total(), original.ip_observations_total());
+  EXPECT_EQ(view.with_username(), with_username);
+  EXPECT_EQ(view.with_publisher_ip(), with_publisher_ip);
+  EXPECT_EQ(view.distinct_ips_global(), distinct.size());
+  EXPECT_EQ(view.ip_observations_total(), observations);
+  EXPECT_EQ(view.distinct_downloader_ips(),
+            std::vector<IpAddress>(distinct.begin(), distinct.end()));
+}
+
+TEST(CsvExport, HandBuiltDatasetExactText) {
+  Dataset d;
+  d.name = "csv";
+  d.window_end = days(1);
+  // A title that needs quoting, no username, no publisher IP, removed, and
+  // no sightings.
+  TorrentRecord quoted;
+  quoted.portal_id = 3;
+  quoted.infohash = Sha1Digest::from_hex("0123456789abcdef0123456789abcdef01234567");
+  quoted.title = "Movie, \"Special\" Edition";
+  quoted.category = ContentCategory::TvShows;
+  quoted.published_at = 3600;
+  quoted.observed_removed = true;
+  quoted.observed_removed_at = 7000;
+  d.torrents.push_back(quoted);
+  d.downloaders.push_back({IpAddress(1, 2, 3, 4), IpAddress(5, 6, 7, 8)});
+  d.publisher_sightings.emplace_back();
+  // A plain row: identified publisher, sightings, no downloaders.
+  TorrentRecord plain;
+  plain.portal_id = 7;
+  plain.infohash = Sha1Digest::from_hex("fedcba9876543210fedcba9876543210fedcba98");
+  plain.title = "plain";
+  plain.category = ContentCategory::Ebooks;
+  plain.username = "alice";
+  plain.publisher_ip = IpAddress(10, 0, 0, 5);
+  plain.published_at = 7200;
+  d.torrents.push_back(plain);
+  d.downloaders.emplace_back();
+  d.publisher_sightings.push_back({7300, 7900});
+
+  const CompactDataset compact = compact_dataset(d);
+  std::ostringstream torrents, sightings;
+  write_csv(compact.view(), torrents, sightings);
+  EXPECT_EQ(torrents.str(),
+            "portal_id,infohash,title,category,username,publisher_ip,"
+            "published_at,downloads,removed\n"
+            "3,0123456789abcdef0123456789abcdef01234567,"
+            "\"Movie, \"\"Special\"\" Edition\",TV-Shows,,,3600,2,1\n"
+            "7,fedcba9876543210fedcba9876543210fedcba98,plain,E-books,alice,"
+            "10.0.0.5,7200,0,0\n");
+  EXPECT_EQ(sightings.str(),
+            "portal_id,time_seconds\n"
+            "7,7300\n"
+            "7,7900\n");
 }
 
 TEST(MappedDataset, RoundTripAllStyles) {
@@ -192,9 +254,9 @@ TEST(MappedDataset, RoundTripAllStyles) {
        {DatasetStyle::Mn08, DatasetStyle::Pb09, DatasetStyle::Pb10}) {
     const Dataset original = sample_dataset(style);
     const std::string path = tmp_path("roundtrip.mmap");
-    save_mmap_snapshot(original, path);
+    save_mmap_snapshot(compact_dataset(original), path);
     const MappedDataset mapped(path);
-    EXPECT_EQ(mapped.to_dataset(), original);
+    expect_view_matches(original, mapped.view());
   }
 }
 
@@ -203,11 +265,11 @@ TEST(MappedDataset, EmptyDataset) {
   empty.name = "empty";
   empty.style = DatasetStyle::Mn08;
   const std::string path = tmp_path("empty.mmap");
-  save_mmap_snapshot(empty, path);
+  save_mmap_snapshot(compact_dataset(empty), path);
   const MappedDataset mapped(path);
   EXPECT_EQ(mapped.view().torrent_count(), 0u);
   EXPECT_EQ(mapped.view().name, "empty");
-  EXPECT_EQ(mapped.to_dataset(), empty);
+  expect_view_matches(empty, mapped.view());
 }
 
 TEST(MappedDataset, RejectsMissingFile) {
@@ -218,7 +280,7 @@ TEST(MappedDataset, RejectsMissingFile) {
 TEST(MappedDataset, RejectsTruncatedFile) {
   const Dataset original = sample_dataset(DatasetStyle::Pb10);
   const std::string path = tmp_path("trunc.mmap");
-  save_mmap_snapshot(original, path);
+  save_mmap_snapshot(compact_dataset(original), path);
   const std::vector<char> bytes = slurp(path);
   ASSERT_GT(bytes.size(), 64u);
   // Cut inside the header, then inside the sections.
@@ -233,7 +295,7 @@ TEST(MappedDataset, RejectsTruncatedFile) {
 TEST(MappedDataset, RejectsBadMagicAndVersion) {
   const Dataset original = sample_dataset(DatasetStyle::Pb10);
   const std::string path = tmp_path("magic.mmap");
-  save_mmap_snapshot(original, path);
+  save_mmap_snapshot(compact_dataset(original), path);
   std::vector<char> bytes = slurp(path);
 
   std::vector<char> bad = bytes;
@@ -254,7 +316,7 @@ TEST(MappedDataset, RejectsBadMagicAndVersion) {
 TEST(MappedDataset, RejectsCorruptSectionTable) {
   const Dataset original = sample_dataset(DatasetStyle::Pb10);
   const std::string path = tmp_path("table.mmap");
-  save_mmap_snapshot(original, path);
+  save_mmap_snapshot(compact_dataset(original), path);
   std::vector<char> bytes = slurp(path);
   // First section entry: {u32 id, u32 reserved, u64 offset, u64 size} at
   // byte 64. Point it past the end of the file.
@@ -267,7 +329,7 @@ TEST(MappedDataset, RejectsCorruptSectionTable) {
 TEST(MappedDataset, RejectsCorruptRecordPayloadOnOpen) {
   const Dataset original = sample_dataset(DatasetStyle::Pb10);
   const std::string path = tmp_path("payload.mmap");
-  save_mmap_snapshot(original, path);
+  save_mmap_snapshot(compact_dataset(original), path);
   std::vector<char> bytes = slurp(path);
 
   // Blow up the first record's title length: the per-record pass at open
@@ -286,11 +348,10 @@ TEST(MappedDataset, RejectsCorruptRecordPayloadOnOpen) {
     EXPECT_NE(what.find("title ref"), std::string::npos) << what;
   }
 
-  // inflate() runs the same validation over an in-memory view.
+  // validate() runs the same checks over an in-memory view.
   CompactDataset compact = compact_dataset(original);
   compact.torrents[0].sightings.end = 1000;
   EXPECT_THROW(validate(compact.view()), std::runtime_error);
-  EXPECT_THROW(inflate(compact.view()), std::runtime_error);
 
   // A time whose difference with its neighbours overflows int64 is
   // rejected before the session reconstruction can subtract it.
@@ -302,7 +363,7 @@ TEST(MappedDataset, RejectsCorruptRecordPayloadOnOpen) {
 
 TEST(MappedDataset, RejectsOutOfRangeEnumBytes) {
   const std::string path = tmp_path("enum.mmap");
-  save_mmap_snapshot(sample_dataset(DatasetStyle::Pb10), path);
+  save_mmap_snapshot(compact_dataset(sample_dataset(DatasetStyle::Pb10)), path);
   const std::vector<char> bytes = slurp(path);
 
   // The style byte is checked at open (O(1), so open stays O(sections)).
@@ -355,7 +416,7 @@ void run_every_pass(const CompactDatasetView& view) {
 }
 
 /// Writes `bytes` to `path`, opens it, runs every analysis pass on the
-/// view and inflates it. A mutated snapshot must either load or throw
+/// view and exports it as CSV. A mutated snapshot must either load or throw
 /// std::runtime_error at open: any other exception fails the test, and an
 /// out-of-bounds access trips the ASan/UBSan build.
 void open_and_analyse(const std::string& path, const std::vector<char>& bytes) {
@@ -367,12 +428,13 @@ void open_and_analyse(const std::string& path, const std::vector<char>& bytes) {
     return;
   }
   run_every_pass(mapped->view());
-  (void)mapped->to_dataset();
+  std::ostringstream torrents, sightings;
+  write_csv(mapped->view(), torrents, sightings);
 }
 
 TEST(MappedDataset, SeededMutationsThrowOrLoad) {
   const std::string path = tmp_path("mutate.mmap");
-  save_mmap_snapshot(sample_dataset(DatasetStyle::Pb10), path);
+  save_mmap_snapshot(compact_dataset(sample_dataset(DatasetStyle::Pb10)), path);
   const std::vector<char> clean = slurp(path);
   Rng rng(0x5eed);  // fixed: the same mutations on every run, no corpus
 
@@ -458,12 +520,12 @@ TEST(LoadOrGenerate, ColdGeneratesWarmReloads) {
   };
   const MappedDataset first = load_or_generate(path, generate);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(inflate(first.view()), original);
+  expect_view_matches(original, first.view());
 
   // The second call is served from the snapshot; generate() is not run.
   const MappedDataset second = load_or_generate(path, generate);
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(inflate(second.view()), original);
+  expect_view_matches(original, second.view());
 }
 
 TEST(LoadOrGenerate, RejectedCacheWarnsAndIsReplaced) {
@@ -485,8 +547,9 @@ TEST(LoadOrGenerate, RejectedCacheWarnsAndIsReplaced) {
       << err;
   EXPECT_NE(err.find("truncated"), std::string::npos) << err;
   // The garbage was replaced by a snapshot that opens and holds the data.
-  EXPECT_EQ(inflate(d.view()), sample_dataset(DatasetStyle::Pb10));
-  EXPECT_EQ(MappedDataset(path).to_dataset(), sample_dataset(DatasetStyle::Pb10));
+  expect_view_matches(sample_dataset(DatasetStyle::Pb10), d.view());
+  expect_view_matches(sample_dataset(DatasetStyle::Pb10),
+                      MappedDataset(path).view());
 }
 
 TEST(LoadOrGenerate, FailedSaveThrowsNamingPathAndErrno) {
@@ -557,7 +620,6 @@ TEST(Classify, IdenticalOnReloadedDatasets) {
   const std::string path = tmp_path("classify.mmap");
   save_mmap_snapshot(original, path);
   const MappedDataset mapped(path);
-  const CompactDataset reinflated = compact_dataset(mapped.to_dataset());
 
   auto classify = [&](const CompactDatasetView& view) {
     const IdentityAnalysis identity(view, geo, 10);
@@ -565,8 +627,7 @@ TEST(Classify, IdenticalOnReloadedDatasets) {
     return classify_top_publishers(view, identity, websites, 3, rng);
   };
   const ClassificationResult a = classify(original.view());
-  const ClassificationResult b = classify(reinflated.view());
-  const ClassificationResult c = classify(mapped.view());
+  const ClassificationResult b = classify(mapped.view());
 
   auto expect_same = [](const ClassificationResult& x,
                         const ClassificationResult& y) {
@@ -580,7 +641,6 @@ TEST(Classify, IdenticalOnReloadedDatasets) {
     }
   };
   expect_same(a, b);
-  expect_same(a, c);
 }
 
 TEST(Classify, OutOfRangeLanguageOnViewCountsAsOther) {

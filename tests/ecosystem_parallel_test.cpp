@@ -17,6 +17,7 @@
 #include "core/ecosystem.hpp"
 #include "crawler/compact_dataset.hpp"
 #include "crawler/dataset_mmap.hpp"
+#include "dataset_fixture.hpp"
 
 namespace btpub {
 namespace {
@@ -114,16 +115,17 @@ TEST_F(EcosystemParallelTest, OverlayScheduleAllocatesNoClosures) {
 TEST_F(EcosystemParallelTest, CompactFormByteIdentical) {
   // The struct-of-arrays conversion is itself deterministic (interning and
   // flattening walk torrents in index order, user pages are sorted), so
-  // the 1-vs-N invariant must survive it: identical compact arrays, and
-  // identical datasets after inflating back.
-  const CompactDataset a = compact_dataset(serial_->crawl());
+  // the 1-vs-N invariant must survive it: identical compact arrays, and an
+  // N-thread view holding every field of the 1-thread crawl.
+  const Dataset serial = serial_->crawl();
+  const CompactDataset a = compact_dataset(serial);
   const CompactDataset b = compact_dataset(parallel_->crawl());
   EXPECT_EQ(a.text, b.text);
   EXPECT_EQ(a.peer_blob, b.peer_blob);
   EXPECT_EQ(std::memcmp(a.torrents.data(), b.torrents.data(),
                         a.torrents.size() * sizeof(TorrentRecordPod)),
             0);
-  EXPECT_EQ(inflate(a.view()), inflate(b.view()));
+  expect_view_matches(serial, b.view());
 }
 
 TEST_F(EcosystemParallelTest, MmapSnapshotByteIdentical) {

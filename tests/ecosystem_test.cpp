@@ -46,8 +46,8 @@ CompactDataset* EcosystemTest::compact_ = nullptr;
 TEST_F(EcosystemTest, GeneratesSubstantialWorld) {
   EXPECT_GT(eco_->torrent_count(), 300u);
   EXPECT_EQ(dataset_->torrent_count(), eco_->torrent_count());
-  EXPECT_GT(dataset_->distinct_ips_global(), 1000u);
-  EXPECT_EQ(dataset_->with_username(), dataset_->torrent_count());
+  EXPECT_GT(compact_->view().distinct_ips_global(), 1000u);
+  EXPECT_EQ(compact_->view().with_username(), dataset_->torrent_count());
 }
 
 TEST_F(EcosystemTest, TruthAndDatasetAligned) {
@@ -192,8 +192,11 @@ TEST_F(EcosystemTest, WholeRunReproducibleFromSeed) {
   ASSERT_EQ(other.torrent_count(), eco_->torrent_count());
   const Dataset replay = other.crawl();
   EXPECT_EQ(replay.torrent_count(), dataset_->torrent_count());
-  EXPECT_EQ(replay.distinct_ips_global(), dataset_->distinct_ips_global());
-  EXPECT_EQ(replay.with_publisher_ip(), dataset_->with_publisher_ip());
+  const CompactDataset compact_replay = compact_dataset(replay);
+  EXPECT_EQ(compact_replay.view().distinct_ips_global(),
+            compact_->view().distinct_ips_global());
+  EXPECT_EQ(compact_replay.view().with_publisher_ip(),
+            compact_->view().with_publisher_ip());
 }
 
 TEST_F(EcosystemTest, DifferentSeedDifferentWorld) {

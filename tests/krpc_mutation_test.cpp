@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bencode/bencode.hpp"
+#include "bencode_tree.hpp"
 #include "dht/krpc.hpp"
 #include "dht/node.hpp"
 #include "util/rng.hpp"

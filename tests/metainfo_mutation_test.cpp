@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bencode/bencode.hpp"
+#include "bencode_tree.hpp"
 #include "torrent/metainfo.hpp"
 #include "util/rng.hpp"
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bencode/bencode.hpp"
+#include "bencode_tree.hpp"
 #include "crypto/sha1.hpp"
 
 namespace btpub {

@@ -6,6 +6,7 @@
 
 #include "analysis/session.hpp"
 #include "bencode/bencode.hpp"
+#include "bencode_tree.hpp"
 #include "swarm/swarm.hpp"
 
 namespace btpub {

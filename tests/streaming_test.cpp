@@ -422,8 +422,7 @@ void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
                 3.0 * snap.hll_relative_error * exact + 2.0)
         << "torrent " << dataset.torrents[i].portal_id;
   }
-  const double global_exact =
-      static_cast<double>(dataset.distinct_ips_global());
+  const double global_exact = static_cast<double>(view.distinct_ips_global());
   EXPECT_NEAR(snap.est_distinct_ips_global, global_exact,
               3.0 * snap.hll_relative_error * global_exact + 2.0);
 }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "bencode/bencode.hpp"
+#include "bencode_tree.hpp"
 #include "net/compact.hpp"
 #include "tracker/announce.hpp"
 #include "util/rng.hpp"

@@ -6,7 +6,8 @@
 //   btpub analyze pb10.mmap
 //       identity analysis summary: skew, fake/top shares, top publishers
 //   btpub export pb10.mmap out_dir/
-//       dump torrents/publishers/sightings as CSV
+//       write torrents.csv (one row per torrent) and sightings.csv (one
+//       row per publisher sighting) into out_dir/
 //   btpub feed --scenario quick --seed 7
 //       print the portal's RSS 2.0 XML after a simulated day
 //   btpub dht-crawl --scenario spoofed --seed 42 --out spoofed_dht.mmap
@@ -196,11 +197,12 @@ int cmd_simulate(const Options& options) {
   Ecosystem ecosystem(config);
   ecosystem.build();
   std::fprintf(stderr, "crawling %zu torrents...\n", ecosystem.torrent_count());
-  const Dataset dataset = ecosystem.crawl();
-  save_mmap_snapshot(dataset, options.out);
+  const CompactDataset compact = compact_dataset(ecosystem.crawl());
+  save_mmap_snapshot(compact, options.out);
+  const CompactDatasetView view = compact.view();
   std::printf("wrote %s: %zu torrents, %zu distinct downloader IPs\n",
-              options.out.c_str(), dataset.torrent_count(),
-              dataset.distinct_ips_global());
+              options.out.c_str(), view.torrent_count(),
+              view.distinct_ips_global());
   return 0;
 }
 
@@ -256,30 +258,13 @@ int cmd_export(const Options& options) {
     return 1;
   }
   // The open deep-validates every record before anything is written.
-  const Dataset dataset = MappedDataset(options.positional[0]).to_dataset();
+  const MappedDataset mapped(options.positional[0]);
   const std::string out_dir = options.positional[1];
   std::filesystem::create_directories(out_dir);
-
   std::ofstream torrents(out_dir + "/torrents.csv");
-  torrents << "portal_id,infohash,title,category,username,publisher_ip,"
-              "published_at,downloads,removed\n";
-  for (std::size_t i = 0; i < dataset.torrent_count(); ++i) {
-    const TorrentRecord& r = dataset.torrents[i];
-    torrents << r.portal_id << ',' << r.infohash.hex() << ','
-             << csv_escape(r.title) << ',' << to_string(r.category) << ','
-             << csv_escape(r.username) << ','
-             << (r.publisher_ip ? r.publisher_ip->to_string() : "") << ','
-             << r.published_at << ',' << dataset.downloaders[i].size() << ','
-             << (r.observed_removed ? 1 : 0) << '\n';
-  }
   std::ofstream sightings(out_dir + "/sightings.csv");
-  sightings << "portal_id,time_seconds\n";
-  for (std::size_t i = 0; i < dataset.torrent_count(); ++i) {
-    for (const SimTime t : dataset.publisher_sightings[i]) {
-      sightings << dataset.torrents[i].portal_id << ',' << t << '\n';
-    }
-  }
-  std::printf("exported %zu torrents to %s/\n", dataset.torrent_count(),
+  write_csv(mapped.view(), torrents, sightings);
+  std::printf("exported %zu torrents to %s/\n", mapped.view().torrent_count(),
               out_dir.c_str());
   return 0;
 }
@@ -298,7 +283,9 @@ int cmd_dht_crawl(const Options& options) {
                ecosystem.torrent_count());
   const Dataset tracker_view = ecosystem.crawl();
   const Dataset dht_view = ecosystem.dht_crawl();
-  if (!options.out.empty()) save_mmap_snapshot(dht_view, options.out);
+  if (!options.out.empty()) {
+    save_mmap_snapshot(compact_dataset(dht_view), options.out);
+  }
 
   const CrossCheckReport report = cross_check(tracker_view, dht_view);
   AsciiTable summary("Tracker vs DHT (" + config.name + ")");

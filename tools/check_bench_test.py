@@ -22,11 +22,11 @@ def envelope(benchmark, results, cores=None, config=None):
             "config": config or {}, "results": results}
 
 
-def snapshot(open_s, inflate_s=1.0, sessions=1000000):
+def snapshot(open_s, control_s=1.0, sessions=1000000):
     return envelope("dataset_snapshot", [
+        {"phase": "compact_build", "sessions": sessions,
+         "seconds": control_s},
         {"phase": "load_mmap", "sessions": sessions, "seconds": open_s},
-        {"phase": "load_mmap_inflate", "sessions": sessions,
-         "seconds": inflate_s},
     ])
 
 
@@ -78,8 +78,15 @@ class CheckBenchTest(unittest.TestCase):
             return code
 
     def test_snapshot(self):
-        self.assertEqual(self.gate(snapshot(0.02), snapshot(0.10)), 0)
-        self.assertEqual(self.gate(snapshot(0.02), snapshot(0.11)), 1)
+        self.assertEqual(self.gate(snapshot(0.009), snapshot(0.025)), 0)
+        self.assertEqual(self.gate(snapshot(0.009), snapshot(0.026)), 1)
+        # The ratio is per session count, over that count's control.
+        self.assertEqual(
+            self.gate(snapshot(0.009), snapshot(0.05, control_s=2.0)), 0)
+        # A run without the control row has nothing to gate.
+        no_control = envelope("dataset_snapshot", [
+            {"phase": "load_mmap", "sessions": 1000000, "seconds": 0.001}])
+        self.assertEqual(self.gate(snapshot(0.009), no_control), 1)
 
     def test_analysis_digest_drift_fails(self):
         base = analysis()
