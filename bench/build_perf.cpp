@@ -1,6 +1,6 @@
 // build_perf — machine-readable perf baseline for ecosystem construction
 // and DHT-overlay scheduling. Times Ecosystem::build() at several thread
-// counts plus build_dht_overlay() (typed lazy cursors); with --json, writes
+// counts plus build_dht_overlay() (lazy event cursors); with --json, writes
 // wall time, peak RSS and the event-queue counters (BENCH_build.json) so CI
 // can archive a perf trajectory across PRs.
 //
@@ -9,8 +9,8 @@
 //
 // The overlay case also replays the scheduled life through the window:
 // `dispatched` is then the number of occurrences an eager scheduler would
-// have heap-allocated closures for up front, while `pending_after_build`
-// is what the lazy typed cursors actually kept in memory — the
+// have queued up front, while `pending_after_build` is what the lazy
+// cursors actually kept in memory — the
 // O(sessions x window/30min) vs O(sessions) headline.
 //
 // --snapshot switches to the dataset snapshot suite (BENCH_snapshot.json
@@ -76,7 +76,6 @@ struct CaseResult {
   std::uint64_t publication_events = 0;
   std::uint64_t pending_after_build = 0;
   std::uint64_t typed_scheduled = 0;
-  std::uint64_t callbacks_scheduled = 0;
   std::uint64_t dispatched = 0;
   /// BuildStats per-phase wall seconds (the Amdahl breakdown); only the
   /// ecosystem_build cases fill these.
@@ -116,8 +115,7 @@ CaseResult run_case(const std::string& phase, std::size_t threads,
     const auto t1 = std::chrono::steady_clock::now();
     result.seconds = std::chrono::duration<double>(t1 - t0).count();
     result.pending_after_build = overlay->events().pending();
-    result.typed_scheduled = overlay->events().typed_scheduled();
-    result.callbacks_scheduled = overlay->events().callbacks_scheduled();
+    result.typed_scheduled = overlay->events().scheduled();
     overlay->advance_to(horizon);  // replay: every join/announce/leave fires
     result.dispatched = overlay->events().dispatched();
   }
@@ -353,7 +351,6 @@ int run(int argc, char** argv) {
                        .integer("torrents", r.torrents)
                        .integer("pending_after_build", r.pending_after_build)
                        .integer("typed_scheduled", r.typed_scheduled)
-                       .integer("callbacks_scheduled", r.callbacks_scheduled)
                        .integer("dispatched", r.dispatched)
                        .fixed("seconds_population", r.seconds_population, 4)
                        .fixed("seconds_backfill", r.seconds_backfill, 4)
@@ -383,11 +380,10 @@ int run(int argc, char** argv) {
         r.seconds_prepare, r.seconds_commit,
         r.seconds > 0.0 ? 100.0 * floor / r.seconds : 0.0);
   }
-  std::printf("overlay: %.3fs construct, %llu pending cursors, %llu closures, "
+  std::printf("overlay: %.3fs construct, %llu pending cursors, "
               "%llu occurrences replayed\n",
               overlay.seconds,
               static_cast<unsigned long long>(overlay.pending_after_build),
-              static_cast<unsigned long long>(overlay.callbacks_scheduled),
               static_cast<unsigned long long>(overlay.dispatched));
   bench::write_bench_json(opt.json_path, "ecosystem_build",
                           bench::JsonObject()

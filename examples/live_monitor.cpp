@@ -6,8 +6,8 @@
 // content from detected fake accounts is flagged (the filtering feature the
 // paper describes as future work).
 //
-// The monitor runs on the discrete-event engine: an RSS poll every five
-// minutes drives single tracker queries, exactly like the real deployment —
+// The monitor runs on a simulated clock: an RSS poll every five minutes
+// drives single tracker queries, exactly like the real deployment —
 // plus a trackerless cross-check: every discovery also walks the Mainline
 // DHT (iterative get_peers) and reports when the two vantages disagree, the
 // spoofed-tracker-announce signature.
@@ -30,7 +30,6 @@
 #include "core/ecosystem.hpp"
 #include "crawler/crawler.hpp"
 #include "portal/rss.hpp"
-#include "sim/event_queue.hpp"
 #include "util/strings.hpp"
 
 using namespace btpub;
@@ -126,10 +125,8 @@ int main(int argc, char** argv) {
               ecosystem.portal().name().c_str(),
               static_cast<long long>(config.window / kDay));
 
-  EventQueue queue;
   TorrentId last_seen = kInvalidTorrent;
-  std::function<void()> poll = [&] {
-    const SimTime now = queue.now();
+  const auto poll = [&](SimTime now) {
     // 1. Fetch the RSS feed — as real XML — and parse it, exactly like a
     // 2010 feed reader would.
     const std::string xml = render_rss(
@@ -173,21 +170,22 @@ int main(int argc, char** argv) {
         stream.on_removal(id, now);  // provisional fake signal, mid-crawl
       }
     }
-    if (now < config.window) queue.schedule_in(minutes(5), poll);
   };
   // 3. Rolling verdicts: every six simulated hours the streaming layer
   // reports who currently looks fake / top / altruistic, with the sketch
   // error bounds — analysis at crawl time, not post-hoc.
-  std::function<void()> report = [&] {
-    const SimTime now = queue.now();
+  const auto report = [&](SimTime now) {
     const StreamingSnapshot snap = stream.round(now);
     std::printf("\n---- rolling verdicts @ %s ----\n%s----\n\n",
                 format_duration(now).c_str(), snap.to_text().c_str());
-    if (now < config.window) queue.schedule_in(hours(6), report);
   };
-  queue.schedule_at(hours(6), report);
-  queue.schedule_at(0, poll);
-  queue.run();
+  // The RSS poll runs every five minutes up to the first tick at or past
+  // the window end; a report due at the same tick runs before the poll.
+  for (SimTime now = 0;; now += minutes(5)) {
+    if (now > 0 && now % hours(6) == 0) report(now);
+    poll(now);
+    if (now >= config.window) break;
+  }
 
   std::printf("\nmonitored %zu contents; fake-publisher filter knows %zu "
               "banned accounts\n",

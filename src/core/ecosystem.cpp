@@ -359,14 +359,14 @@ std::unique_ptr<dht::DhtOverlay> Ecosystem::build_dht_overlay(
     Interval merged = intervals.front();
     auto emit = [net, endpoint = endpoint](const Interval& iv) {
       if (iv.end <= iv.start) return;
-      TypedEvent join;
-      join.kind = TypedEvent::Kind::NodeJoin;
+      dht::OverlayEvent join;
+      join.kind = dht::OverlayEvent::Kind::NodeJoin;
       join.endpoint = endpoint;
-      net->events().schedule_typed(iv.start, join);
-      TypedEvent leave;
-      leave.kind = TypedEvent::Kind::NodeLeave;
+      net->events().schedule(iv.start, join);
+      dht::OverlayEvent leave;
+      leave.kind = dht::OverlayEvent::Kind::NodeLeave;
       leave.endpoint = endpoint;
-      net->events().schedule_typed(iv.end, leave);
+      net->events().schedule(iv.end, leave);
     };
     for (std::size_t i = 1; i < intervals.size(); ++i) {
       if (intervals[i].start <= merged.end) {
@@ -387,7 +387,7 @@ std::unique_ptr<dht::DhtOverlay> Ecosystem::build_dht_overlay(
   // One lazy cursor per session: the queue re-arms the next occurrence
   // when the previous one fires, so pending memory is O(live sessions),
   // not O(sessions x window/kDhtReannounce). Cursors are scheduled after
-  // the joins, so at equal timestamps (shared FIFO sequence) a node's
+  // the joins, so at equal timestamps (FIFO within a timestamp) a node's
   // join precedes its first announce.
   for (std::size_t i = 0; i < swarms_.size(); ++i) {
     const Sha1Digest infohash = swarms_[i]->infohash();
@@ -404,13 +404,13 @@ std::unique_ptr<dht::DhtOverlay> Ecosystem::build_dht_overlay(
         at += ((-at + kDhtReannounce - 1) / kDhtReannounce) * kDhtReannounce;
       }
       if (at >= stop) continue;
-      TypedEvent announce;
-      announce.kind = TypedEvent::Kind::Announce;
+      dht::OverlayEvent announce;
+      announce.kind = dht::OverlayEvent::Kind::Announce;
       announce.endpoint = s.endpoint;
       announce.infohash = infohash;
       announce.every = kDhtReannounce;
       announce.until = stop;
-      net->events().schedule_typed(at, announce);
+      net->events().schedule(at, announce);
     }
   }
   return overlay;

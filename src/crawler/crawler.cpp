@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "torrent/metainfo.hpp"
 #include "torrent/wire.hpp"
 #include "util/parallel.hpp"
 
@@ -76,12 +75,11 @@ void Crawler::first_contact(TorrentRecord& record, std::vector<IpAddress>& ips,
         if (!probe) continue;  // NAT or gone
         const auto handshake = Handshake::decode(probe->handshake);
         if (!handshake || handshake->infohash != record.infohash) continue;
-        std::size_t pos = 0;
-        const auto message = decode_message(probe->bitfield, pos);
-        if (!message || message->type != WireMessageType::Bitfield) continue;
+        const auto body = decode_bitfield_message(probe->bitfield);
+        if (!body) continue;
         Bitfield field;
         try {
-          field = Bitfield::from_bytes(message->payload, record.piece_count);
+          field = Bitfield::from_bytes(*body, record.piece_count);
         } catch (const std::invalid_argument&) {
           continue;
         }
@@ -158,56 +156,18 @@ std::optional<TorrentRecord> Crawler::discover(TorrentId id, SimTime now,
 std::optional<TorrentRecord> Crawler::discover_with(
     TorrentId id, SimTime now, std::vector<IpAddress>& downloaders,
     std::vector<SimTime>& sightings, CrawlScratch& scratch) {
-  const auto page = portal_->page(id, now);
-  if (!page || page->removed) return std::nullopt;
-  const auto torrent_bytes = portal_->fetch_torrent(id, now);
-  if (!torrent_bytes) return std::nullopt;
-
-  TorrentRecord record;
-  record.portal_id = id;
-  record.title = page->title;
-  record.category = page->category;
-  record.language = page->language;
-  record.size_bytes = page->size_bytes;
-  record.published_at = page->published_at;
-  record.textbox = page->textbox;
-  if (config_.style != DatasetStyle::Mn08) record.username = page->username;
-
-  Metainfo metainfo;
-  try {
-    metainfo = Metainfo::parse(*torrent_bytes);
-  } catch (const std::exception&) {
-    return std::nullopt;  // malformed .torrent: skip, as a real crawler would
-  }
-  record.infohash = metainfo.infohash();
-  record.piece_count = metainfo.piece_count();
-  for (const FileEntry& f : metainfo.files()) {
-    record.payload_filenames.push_back(f.path);
-  }
-
-  first_contact(record, downloaders, sightings, scratch, now);
+  auto record = fetch_record(*portal_, id, now, config_.style);
+  if (record) first_contact(*record, downloaders, sightings, scratch, now);
   return record;
 }
 
-Crawler::CrawlResult Crawler::crawl_one(TorrentId id, SimTime published_at,
+Crawler::CrawlResult Crawler::crawl_one(const WindowTorrent& torrent,
                                         SimTime window_end,
                                         CrawlScratch& scratch) {
   CrawlResult result;
   scratch.seen.clear();  // per-torrent dedup; capacity is kept
-  // Per-torrent substream: the jitter (and any future per-torrent draw)
-  // depends only on (seed, portal id), never on how many torrents were
-  // crawled before this one or on which worker runs it.
-  Rng rng(derive_seed(seed_, static_cast<std::uint64_t>(id)));
-
-  // Discovery happens at the next RSS poll tick plus a small handling
-  // delay for the .torrent download.
-  const SimTime poll_tick =
-      ((published_at / config_.rss_poll) + 1) * config_.rss_poll;
-  const SimTime discovery =
-      poll_tick + static_cast<SimDuration>(rng.uniform_int(5, 60));
-
-  auto record = discover_with(id, discovery, result.downloaders,
-                              result.sightings, scratch);
+  auto record = discover_with(torrent.id, torrent.discovery,
+                              result.downloaders, result.sightings, scratch);
   if (!record) return result;  // removed before we could fetch it
 
   if (config_.style != DatasetStyle::Pb09) {
@@ -226,39 +186,20 @@ Dataset Crawler::crawl_window(SimTime window_start, SimTime window_end) {
   dataset.window_start = window_start;
   dataset.window_end = window_end;
 
-  // Walk the portal's dense id space; ids are publication-ordered, so this
-  // is equivalent to having tailed the RSS feed throughout the window.
-  const TorrentId newest = portal_->newest_id();
-  if (newest == kInvalidTorrent) return dataset;
+  const std::vector<WindowTorrent> torrents =
+      window_torrents(*portal_, window_start, window_end, config_.grace,
+                      config_.rss_poll, seed_);
 
-  struct Candidate {
-    TorrentId id;
-    SimTime published_at;
-  };
-  std::vector<Candidate> candidates;
-  for (TorrentId id = 0; id <= newest; ++id) {
-    // Peek only at the publication timestamp — equivalent to having read
-    // the RSS item when it appeared; all content access goes through
-    // discover_with() at the discovery time.
-    const auto page = portal_->page(id, window_end + config_.grace);
-    if (!page) continue;
-    if (page->published_at < window_start || page->published_at >= window_end) {
-      continue;
-    }
-    candidates.push_back(Candidate{id, page->published_at});
-  }
-
-  // Fan the per-torrent crawls out; merge in portal-id order (candidates
+  // Fan the per-torrent crawls out; merge in portal-id order (the torrents
   // are already id-ascending) so the dataset layout is independent of
   // completion order. Each worker keeps one warm scratch across every
   // torrent it claims; scratch never influences results, so which worker
   // crawls which torrent stays irrelevant to the output.
   const std::size_t workers = resolve_threads(config_.threads);
   std::vector<CrawlScratch> scratch(workers);
-  std::vector<CrawlResult> results(candidates.size());
-  parallel_for(candidates.size(), workers, [&](std::size_t i, std::size_t w) {
-    results[i] = crawl_one(candidates[i].id, candidates[i].published_at,
-                           window_end, scratch[w]);
+  std::vector<CrawlResult> results(torrents.size());
+  parallel_for(torrents.size(), workers, [&](std::size_t i, std::size_t w) {
+    results[i] = crawl_one(torrents[i], window_end, scratch[w]);
   });
 
   for (CrawlResult& result : results) {
@@ -268,20 +209,8 @@ Dataset Crawler::crawl_window(SimTime window_start, SimTime window_end) {
     dataset.publisher_sightings.push_back(std::move(result.sightings));
   }
 
-  // Snapshot user pages at the end of the crawl (§5.2's longitudinal view).
-  if (config_.style != DatasetStyle::Mn08) {
-    for (const TorrentRecord& record : dataset.torrents) {
-      if (record.username.empty()) continue;
-      if (!dataset.user_pages.contains(record.username)) {
-        const auto [it, inserted] = dataset.user_pages.emplace(
-            record.username,
-            portal_->user_page(record.username, window_end + config_.grace));
-        if (observer_ && inserted) {
-          observer_->on_user_page(record.username, it->second);
-        }
-      }
-    }
-  }
+  snapshot_user_pages(*portal_, dataset, window_end + config_.grace,
+                      observer_);
   return dataset;
 }
 

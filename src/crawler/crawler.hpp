@@ -31,6 +31,7 @@
 #include <unordered_set>
 
 #include "crawler/dataset.hpp"
+#include "crawler/discovery.hpp"
 #include "crawler/observer.hpp"
 #include "geo/geo_db.hpp"
 #include "portal/portal.hpp"
@@ -109,10 +110,9 @@ class Crawler {
   };
 
   /// Full per-torrent crawl (discovery + monitoring). Pure function of
-  /// (id, published_at, window_end) given the construction-time seed —
-  /// safe to run concurrently for distinct ids as long as each worker owns
-  /// its scratch.
-  CrawlResult crawl_one(TorrentId id, SimTime published_at, SimTime window_end,
+  /// (torrent, window_end) — safe to run concurrently for distinct
+  /// torrents as long as each worker owns its scratch.
+  CrawlResult crawl_one(const WindowTorrent& torrent, SimTime window_end,
                         CrawlScratch& scratch);
 
   /// Discovery with externally-owned scratch (so monitoring can keep
@@ -143,7 +143,7 @@ class Crawler {
   const GeoDb* geo_;
   CrawlObserver* observer_ = nullptr;
   CrawlerConfig config_;
-  /// Root seed; per-torrent substreams are derive_seed(seed_, portal_id).
+  /// Root seed of the discovery jitter (see discovery_time).
   std::uint64_t seed_;
 };
 

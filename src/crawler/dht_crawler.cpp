@@ -4,9 +4,8 @@
 #include <queue>
 #include <unordered_set>
 
+#include "crawler/discovery.hpp"
 #include "torrent/magnet.hpp"
-#include "torrent/metainfo.hpp"
-#include "util/rng.hpp"
 
 namespace btpub {
 
@@ -39,9 +38,8 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
 
   const SimTime hard_stop = window_end + config_.grace;
 
-  // Same discovery rule as the tracker crawler: the dense id space stands
-  // in for having tailed the RSS feed; discovery lands on the next poll
-  // tick plus a per-torrent jittered handling delay.
+  // The tracker crawler's torrents, discovered by the same rule
+  // (discovery.hpp); the jitter comes from this vantage's own seed.
   struct Monitor {
     TorrentId id = kInvalidTorrent;
     TorrentRecord record;
@@ -49,7 +47,6 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
     std::unordered_set<IpAddress> seen;
     std::uint32_t consecutive_empty = 0;
     bool discovered = false;
-    bool ok = false;
   };
   std::vector<Monitor> monitors;
 
@@ -65,22 +62,12 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
   };
   std::priority_queue<Poll, std::vector<Poll>, LaterPoll> schedule;
 
-  const TorrentId newest = portal_->newest_id();
-  if (newest == kInvalidTorrent) return dataset;
-  for (TorrentId id = 0; id <= newest; ++id) {
-    const auto page = portal_->page(id, hard_stop);
-    if (!page) continue;
-    if (page->published_at < window_start || page->published_at >= window_end) {
-      continue;
-    }
-    Rng rng(derive_seed(seed_, static_cast<std::uint64_t>(id)));
-    const SimTime poll_tick =
-        ((page->published_at / config_.rss_poll) + 1) * config_.rss_poll;
-    const SimTime discovery =
-        poll_tick + static_cast<SimDuration>(rng.uniform_int(5, 60));
+  for (const WindowTorrent& torrent :
+       window_torrents(*portal_, window_start, window_end, config_.grace,
+                       config_.rss_poll, seed_)) {
     Monitor monitor;
-    monitor.id = id;
-    schedule.push(Poll{discovery, monitors.size()});
+    monitor.id = torrent.id;
+    schedule.push(Poll{torrent.discovery, monitors.size()});
     monitors.push_back(std::move(monitor));
   }
 
@@ -94,32 +81,11 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
     const SimTime now = poll.at;
 
     if (!m.discovered) {
-      const auto page = portal_->page(m.id, now);
-      if (!page || page->removed) continue;  // gone before the first fetch
-      const auto torrent_bytes = portal_->fetch_torrent(m.id, now);
-      if (!torrent_bytes) continue;
-      Metainfo metainfo;
-      try {
-        metainfo = Metainfo::parse(*torrent_bytes);
-      } catch (const std::exception&) {
-        continue;  // malformed .torrent: skip
-      }
-      m.record.portal_id = m.id;
-      m.record.title = page->title;
-      m.record.category = page->category;
-      m.record.language = page->language;
-      m.record.size_bytes = page->size_bytes;
-      m.record.published_at = page->published_at;
-      m.record.textbox = page->textbox;
-      if (config_.style != DatasetStyle::Mn08) m.record.username = page->username;
-      m.record.infohash = metainfo.infohash();
-      m.record.piece_count = metainfo.piece_count();
-      for (const FileEntry& f : metainfo.files()) {
-        m.record.payload_filenames.push_back(f.path);
-      }
+      auto record = fetch_record(*portal_, m.id, now, config_.style);
+      if (!record) continue;  // gone before the first fetch, or malformed
+      m.record = std::move(*record);
       m.record.first_seen = now;
       m.discovered = true;
-      m.ok = true;
       if (observer_) observer_->on_discover(m.record, now);
     } else if (!m.record.observed_removed) {
       const auto page = portal_->page(m.id, now);
@@ -164,23 +130,12 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
   }
 
   for (Monitor& m : monitors) {
-    if (!m.ok) continue;
+    if (!m.discovered) continue;
     dataset.torrents.push_back(std::move(m.record));
     dataset.downloaders.push_back(std::move(m.ips));
     dataset.publisher_sightings.emplace_back();  // no probe at this vantage
   }
-  if (config_.style != DatasetStyle::Mn08) {
-    for (const TorrentRecord& record : dataset.torrents) {
-      if (record.username.empty()) continue;
-      if (!dataset.user_pages.contains(record.username)) {
-        const auto [it, inserted] = dataset.user_pages.emplace(
-            record.username, portal_->user_page(record.username, hard_stop));
-        if (observer_ && inserted) {
-          observer_->on_user_page(record.username, it->second);
-        }
-      }
-    }
-  }
+  snapshot_user_pages(*portal_, dataset, hard_stop, observer_);
   return dataset;
 }
 

@@ -1,6 +1,5 @@
 #include "dht/overlay.hpp"
 
-
 namespace btpub::dht {
 namespace {
 
@@ -16,17 +15,18 @@ DhtOverlay::DhtOverlay(std::uint64_t seed)
       NodeId::for_endpoint(seed_, router_endpoint_), router_endpoint_,
       derive_seed(seed_, 0xB007));
   nodes_.emplace(router_endpoint_, std::move(router));
-  // The one closure of the scheduled overlay life: every join, departure
-  // and (lazily re-armed) periodic announce arrives as a POD TypedEvent.
-  events_.set_typed_handler([this](const TypedEvent& event, SimTime at) {
+}
+
+void DhtOverlay::advance_to(SimTime t) {
+  events_.run_until(t, [this](const OverlayEvent& event, SimTime at) {
     switch (event.kind) {
-      case TypedEvent::Kind::NodeJoin:
+      case OverlayEvent::Kind::NodeJoin:
         add_node(event.endpoint, at);
         break;
-      case TypedEvent::Kind::NodeLeave:
+      case OverlayEvent::Kind::NodeLeave:
         remove_node(event.endpoint);
         break;
-      case TypedEvent::Kind::Announce:
+      case OverlayEvent::Kind::Announce:
         announce_peer(event.infohash, event.endpoint, at);
         break;
     }

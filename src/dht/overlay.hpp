@@ -8,9 +8,10 @@
 // around departed nodes exactly as a real client would.
 //
 // Time is driven two ways, both deterministic:
-//   * an internal EventQueue carries the scheduled life of the overlay
-//     (node joins at session arrival, periodic announce_peer refreshes,
-//     departures) — advance_to(t) replays it up to t;
+//   * an internal EventQueue (event_queue.hpp) carries the scheduled life
+//     of the overlay (node joins at session arrival, periodic
+//     announce_peer refreshes, departures) — advance_to(t) replays it up
+//     to t;
 //   * client operations (lookups, announces, the crawler's walks) run
 //     synchronously at an explicit `now`, which must be >= the last
 //     advance (one monotone sweep, the same discipline Swarm::counts_at
@@ -33,16 +34,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "dht/event_queue.hpp"
 #include "dht/frontier.hpp"
 #include "dht/node.hpp"
-#include "sim/event_queue.hpp"
 
 namespace btpub::dht {
 
@@ -86,15 +86,14 @@ class DhtOverlay {
 
   // ---- scheduled life -------------------------------------------------------
 
-  /// The overlay registers itself as the queue's typed-event handler at
-  /// construction: schedule_typed NodeJoin/NodeLeave/Announce records drive
-  /// add_node/remove_node/announce_peer with zero per-event closures, and
-  /// periodic announces re-arm lazily (one pending cursor per session).
+  /// The overlay's schedule: NodeJoin/NodeLeave/Announce events scheduled
+  /// here drive add_node/remove_node/announce_peer when advance_to reaches
+  /// them, and periodic announces re-arm lazily (one pending cursor per
+  /// session).
   EventQueue& events() noexcept { return events_; }
   /// Replays scheduled events with timestamp <= t. Client operations at
   /// time `now` must be preceded by advance_to(now).
-  void advance_to(SimTime t) { events_.run_until(t); }
-  SimTime now() const noexcept { return events_.now(); }
+  void advance_to(SimTime t);
 
   // ---- client operations ----------------------------------------------------
 

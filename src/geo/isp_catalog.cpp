@@ -57,14 +57,7 @@ void IspCatalog::add(const std::string& name, IspType type,
   }
   pool_index_.emplace(name, pools_.size());
   pools_.emplace_back(id, std::move(blocks));
-  switch (type) {
-    case IspType::HostingProvider:
-      hosting_names_.push_back(name);
-      break;
-    case IspType::CommercialIsp:
-      commercial_names_.push_back(name);
-      break;
-  }
+  if (type == IspType::HostingProvider) hosting_names_.push_back(name);
 }
 
 IspCatalog IspCatalog::standard(std::size_t extra_isps) {

@@ -57,11 +57,8 @@ class IspCatalog {
   const IpPool& pool(std::string_view isp_name) const;
   bool has(std::string_view isp_name) const;
 
-  /// All hosting-provider / commercial pools (for random placement).
+  /// All hosting-provider pools (for random placement).
   const std::vector<std::string>& hosting_names() const noexcept { return hosting_names_; }
-  const std::vector<std::string>& commercial_names() const noexcept {
-    return commercial_names_;
-  }
   /// Generic eyeball ISPs for the downloader population.
   const std::vector<std::string>& eyeball_names() const noexcept { return eyeball_names_; }
 
@@ -75,7 +72,6 @@ class IspCatalog {
   std::vector<IpPool> pools_;
   std::unordered_map<std::string, std::size_t> pool_index_;
   std::vector<std::string> hosting_names_;
-  std::vector<std::string> commercial_names_;
   std::vector<std::string> eyeball_names_;
   std::uint32_t next_slash16_ = (20u << 8);  // start carving at 20.0.0.0/16
 };

@@ -35,8 +35,6 @@ std::optional<SwarmNetwork::ProbeResult> SwarmNetwork::probe(
   ProbeResult result;
   result.handshake = hs.encode();
   result.bitfield = encode_bitfield_message(swarm->bitfield_at(*session, t));
-  // DHT nodes listen on their peer-wire port in this model.
-  result.port = encode_port_message(endpoint.port);
   return result;
 }
 

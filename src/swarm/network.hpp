@@ -29,15 +29,10 @@ class SwarmNetwork {
   struct ProbeResult {
     std::string handshake;  // 68 raw bytes
     std::string bitfield;   // length-prefixed bitfield message
-    /// Length-prefixed Port message (BEP 5): connectable peers advertise
-    /// the UDP port their DHT node listens on — the same population that
-    /// joins the simulated overlay (NATed peers are neither probeable nor
-    /// DHT nodes, so every probe that succeeds carries one).
-    std::string port;
   };
 
   /// Connects to `endpoint` for `infohash` at time t and performs the
-  /// handshake + bitfield (+ Port) exchange. nullopt when the peer is
+  /// handshake + bitfield exchange. nullopt when the peer is
   /// behind NAT, not present, or the swarm is unknown.
   std::optional<ProbeResult> probe(const Sha1Digest& infohash,
                                    const Endpoint& endpoint, SimTime t);

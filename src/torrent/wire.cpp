@@ -1,12 +1,13 @@
 #include "torrent/wire.hpp"
 
 #include <cstring>
-#include <stdexcept>
 
 namespace btpub {
 namespace {
 
 constexpr std::string_view kProtocol = "BitTorrent protocol";
+/// The BEP 3 message id of a bitfield message.
+constexpr unsigned char kBitfieldId = 5;
 
 void append_u32(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>((v >> 24) & 0xff));
@@ -66,124 +67,16 @@ std::string encode_bitfield_message(const Bitfield& field) {
   const std::string body = field.to_bytes();
   std::string out;
   append_u32(out, static_cast<std::uint32_t>(1 + body.size()));
-  out.push_back(static_cast<char>(WireMessageType::Bitfield));
+  out.push_back(static_cast<char>(kBitfieldId));
   out += body;
   return out;
 }
 
-std::string encode_have_message(std::uint32_t piece) {
-  std::string out;
-  append_u32(out, 5);
-  out.push_back(static_cast<char>(WireMessageType::Have));
-  append_u32(out, piece);
-  return out;
-}
-
-std::string encode_state_message(WireMessageType type) {
-  const auto id = static_cast<unsigned char>(type);
-  if (id > static_cast<unsigned char>(WireMessageType::NotInterested)) {
-    throw std::invalid_argument("wire: not a state message");
-  }
-  std::string out;
-  append_u32(out, 1);
-  out.push_back(static_cast<char>(id));
-  return out;
-}
-
-std::string encode_keepalive() {
-  std::string out;
-  append_u32(out, 0);
-  return out;
-}
-
-namespace {
-
-std::string encode_block_body(WireMessageType type, const BlockRequest& r) {
-  std::string out;
-  append_u32(out, 13);
-  out.push_back(static_cast<char>(type));
-  append_u32(out, r.piece);
-  append_u32(out, r.begin);
-  append_u32(out, r.length);
-  return out;
-}
-
-}  // namespace
-
-std::string encode_request_message(const BlockRequest& request) {
-  return encode_block_body(WireMessageType::Request, request);
-}
-
-std::string encode_cancel_message(const BlockRequest& request) {
-  return encode_block_body(WireMessageType::Cancel, request);
-}
-
-BlockRequest parse_block_request(std::string_view payload) {
-  if (payload.size() != 12) {
-    throw std::invalid_argument("wire: bad request/cancel body");
-  }
-  BlockRequest r;
-  r.piece = read_u32(payload, 0);
-  r.begin = read_u32(payload, 4);
-  r.length = read_u32(payload, 8);
-  return r;
-}
-
-std::string encode_piece_message(std::uint32_t piece, std::uint32_t begin,
-                                 std::string_view data) {
-  std::string out;
-  append_u32(out, static_cast<std::uint32_t>(9 + data.size()));
-  out.push_back(static_cast<char>(WireMessageType::Piece));
-  append_u32(out, piece);
-  append_u32(out, begin);
-  out += data;
-  return out;
-}
-
-PieceBlock parse_piece_block(std::string_view payload) {
-  if (payload.size() < 8) throw std::invalid_argument("wire: bad piece body");
-  PieceBlock block;
-  block.piece = read_u32(payload, 0);
-  block.begin = read_u32(payload, 4);
-  block.data = std::string(payload.substr(8));
-  return block;
-}
-
-std::string encode_port_message(std::uint16_t port) {
-  std::string out;
-  append_u32(out, 3);
-  out.push_back(static_cast<char>(WireMessageType::Port));
-  out.push_back(static_cast<char>((port >> 8) & 0xff));
-  out.push_back(static_cast<char>(port & 0xff));
-  return out;
-}
-
-std::uint16_t parse_port_message(std::string_view payload) {
-  if (payload.size() != 2) throw std::invalid_argument("wire: bad port body");
-  return static_cast<std::uint16_t>(
-      (static_cast<unsigned char>(payload[0]) << 8) |
-      static_cast<unsigned char>(payload[1]));
-}
-
-std::optional<WireMessage> decode_message(std::string_view bytes, std::size_t& pos) {
-  if (pos + 4 > bytes.size()) return std::nullopt;
-  const std::uint32_t length = read_u32(bytes, pos);
-  if (length == 0) {  // keep-alive
-    pos += 4;
-    WireMessage msg;
-    msg.type = WireMessageType::KeepAlive;
-    return msg;
-  }
-  if (pos + 4 + length > bytes.size()) return std::nullopt;
-  const auto id = static_cast<unsigned char>(bytes[pos + 4]);
-  if (id > static_cast<unsigned char>(WireMessageType::Port)) {
-    throw std::invalid_argument("wire: unknown message id " + std::to_string(id));
-  }
-  WireMessage msg;
-  msg.type = static_cast<WireMessageType>(id);
-  msg.payload = std::string(bytes.substr(pos + 5, length - 1));
-  pos += 4 + length;
-  return msg;
+std::optional<std::string_view> decode_bitfield_message(std::string_view bytes) {
+  if (bytes.size() < 5) return std::nullopt;
+  if (read_u32(bytes, 0) != bytes.size() - 4) return std::nullopt;
+  if (static_cast<unsigned char>(bytes[4]) != kBitfieldId) return std::nullopt;
+  return bytes.substr(5);
 }
 
 }  // namespace btpub

@@ -29,72 +29,13 @@ struct Handshake {
   static std::array<std::uint8_t, 20> make_peer_id(std::uint64_t seed);
 };
 
-/// Length-prefixed wire messages (the full BEP 3 set).
-enum class WireMessageType : std::uint8_t {
-  Choke = 0,
-  Unchoke = 1,
-  Interested = 2,
-  NotInterested = 3,
-  Have = 4,
-  Bitfield = 5,
-  Request = 6,
-  Piece = 7,
-  Cancel = 8,
-  Port = 9,          // DHT port (BEP 5)
-  KeepAlive = 255,   // zero-length message (no id on the wire)
-};
-
 /// Encodes a bitfield message: <len><id=5><bitfield bytes>.
 std::string encode_bitfield_message(const Bitfield& field);
 
-/// Encodes a have message: <len=5><id=4><piece index>.
-std::string encode_have_message(std::uint32_t piece);
-
-/// The no-payload messages: choke/unchoke/interested/not-interested.
-std::string encode_state_message(WireMessageType type);
-
-/// The zero-length keep-alive.
-std::string encode_keepalive();
-
-/// A block request/cancel body: <piece><begin><length>.
-struct BlockRequest {
-  std::uint32_t piece = 0;
-  std::uint32_t begin = 0;
-  std::uint32_t length = 0;
-
-  friend bool operator==(const BlockRequest&, const BlockRequest&) = default;
-};
-
-std::string encode_request_message(const BlockRequest& request);
-std::string encode_cancel_message(const BlockRequest& request);
-/// Parses a request/cancel payload. Throws std::invalid_argument on a
-/// malformed body.
-BlockRequest parse_block_request(std::string_view payload);
-
-/// A piece (block transfer) message: <piece><begin><data>.
-std::string encode_piece_message(std::uint32_t piece, std::uint32_t begin,
-                                 std::string_view data);
-struct PieceBlock {
-  std::uint32_t piece = 0;
-  std::uint32_t begin = 0;
-  std::string data;
-};
-PieceBlock parse_piece_block(std::string_view payload);
-
-/// The DHT port message: <port>.
-std::string encode_port_message(std::uint16_t port);
-std::uint16_t parse_port_message(std::string_view payload);
-
-/// A decoded wire message (header + raw payload).
-struct WireMessage {
-  WireMessageType type = WireMessageType::KeepAlive;
-  std::string payload;
-};
-
-/// Decodes one length-prefixed message from the start of `bytes`,
-/// advancing `pos`. nullopt when the buffer is truncated; throws
-/// std::invalid_argument on an unknown message id. Zero-length messages
-/// decode as KeepAlive.
-std::optional<WireMessage> decode_message(std::string_view bytes, std::size_t& pos);
+/// Decodes `bytes` as exactly one bitfield message and returns its body
+/// (the raw bitfield bytes). nullopt when the buffer is truncated, its
+/// length field does not cover exactly the rest of it, or the message is
+/// not a bitfield; never throws.
+std::optional<std::string_view> decode_bitfield_message(std::string_view bytes);
 
 }  // namespace btpub

@@ -108,28 +108,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
-double Rng::pareto(double x_min, double alpha) noexcept {
-  assert(x_min > 0.0 && alpha > 0.0);
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return x_min / std::pow(u, 1.0 / alpha);
-}
-
-std::size_t Rng::zipf(std::size_t n, double s) noexcept {
-  assert(n > 0);
-  // One-off inversion without a cached CDF: walk the harmonic sum.
-  // Only used for small n; large-n callers should hold a ZipfSampler.
-  double h = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) h += 1.0 / std::pow(static_cast<double>(k), s);
-  double target = uniform() * h;
-  double acc = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(static_cast<double>(k), s);
-    if (acc >= target) return k;
-  }
-  return n;
-}
-
 std::size_t Rng::index(std::size_t size) noexcept {
   assert(size > 0);
   return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(size) - 1));
@@ -165,32 +143,6 @@ std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
     target -= w;
   }
   return weights.size() - 1;
-}
-
-ZipfSampler::ZipfSampler(std::size_t n, double exponent) : exponent_(exponent) {
-  assert(n > 0);
-  cdf_.resize(n);
-  double acc = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(static_cast<double>(k), exponent);
-    cdf_[k - 1] = acc;
-  }
-  for (double& v : cdf_) v /= acc;
-  cdf_.back() = 1.0;  // guard against rounding
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform();
-  std::size_t lo = 0, hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo + 1;  // ranks are 1-based
 }
 
 }  // namespace btpub

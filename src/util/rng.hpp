@@ -35,8 +35,7 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t key,
 }
 
 /// Deterministic random number generator plus the distributions the
-/// ecosystem model needs (uniform, normal, lognormal, exponential,
-/// Zipf, Pareto). Satisfies UniformRandomBitGenerator so it can also be
+/// ecosystem model needs (uniform, normal, lognormal, exponential). Satisfies UniformRandomBitGenerator so it can also be
 /// used with <random> adaptors if ever required.
 class Rng {
  public:
@@ -77,13 +76,6 @@ class Rng {
   double lognormal_median(double median, double sigma) noexcept;
   /// Exponential with the given mean (mean = 1/lambda).
   double exponential(double mean) noexcept;
-  /// Pareto with scale x_min and shape alpha (alpha > 0).
-  double pareto(double x_min, double alpha) noexcept;
-
-  /// Zipf-distributed rank in [1, n] with exponent s, by inversion on the
-  /// precomputed CDF held by ZipfSampler; this method is the slow O(log n)
-  /// one-off variant.
-  std::size_t zipf(std::size_t n, double s) noexcept;
 
   /// Picks a uniformly random element index of a non-empty span.
   std::size_t index(std::size_t size) noexcept;
@@ -109,23 +101,6 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
-};
-
-/// Precomputed-CDF Zipf sampler: O(n) setup, O(log n) per draw. Used for
-/// content-popularity ranks where millions of draws share one (n, s).
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double exponent);
-
-  /// Rank in [1, n]; rank 1 is the most probable.
-  std::size_t sample(Rng& rng) const noexcept;
-
-  std::size_t size() const noexcept { return cdf_.size(); }
-  double exponent() const noexcept { return exponent_; }
-
- private:
-  std::vector<double> cdf_;
-  double exponent_;
 };
 
 }  // namespace btpub

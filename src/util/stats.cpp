@@ -113,17 +113,6 @@ std::vector<LorenzPoint> top_share_curve(std::span<const double> contributions,
   return curve;
 }
 
-double top_k_share(std::span<const double> contributions, std::size_t k) {
-  if (contributions.empty() || k == 0) return 0.0;
-  std::vector<double> desc(contributions.begin(), contributions.end());
-  std::sort(desc.begin(), desc.end(), std::greater<>());
-  const double total = std::accumulate(desc.begin(), desc.end(), 0.0);
-  if (total <= 0.0) return 0.0;
-  k = std::min(k, desc.size());
-  const double top = std::accumulate(desc.begin(), desc.begin() + static_cast<std::ptrdiff_t>(k), 0.0);
-  return top / total;
-}
-
 Histogram::Histogram(double lo_, double hi_, std::size_t bins) : lo(lo_), hi(hi_) {
   assert(hi_ > lo_ && bins > 0);
   counts.assign(bins, 0);

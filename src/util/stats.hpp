@@ -61,9 +61,6 @@ struct LorenzPoint {
 std::vector<LorenzPoint> top_share_curve(std::span<const double> contributions,
                                          std::span<const double> top_percents);
 
-/// Share of total mass held by the k largest contributors.
-double top_k_share(std::span<const double> contributions, std::size_t k);
-
 /// Fixed-width histogram over [lo, hi) with `bins` buckets. Samples outside
 /// the range are NOT clamped into the edge buckets (that silently corrupts
 /// the distribution tails) — they are tallied in the explicit `underflow` /

@@ -1,8 +1,14 @@
-// Piece bitfields and the peer-wire handshake / message framing.
+// Piece bitfields and the peer-wire handshake / bitfield message, plus a
+// seeded mutation loop over both (probe bytes come from peers).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "torrent/bitfield.hpp"
 #include "torrent/wire.hpp"
+#include "util/rng.hpp"
 
 namespace btpub {
 namespace {
@@ -117,192 +123,139 @@ TEST(WireMessages, BitfieldMessageRoundTrip) {
   Bitfield f(12);
   f.set_prefix(12);
   const std::string msg = encode_bitfield_message(f);
-  std::size_t pos = 0;
-  const auto decoded = decode_message(msg, pos);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, WireMessageType::Bitfield);
-  EXPECT_EQ(pos, msg.size());
-  EXPECT_TRUE(Bitfield::from_bytes(decoded->payload, 12).complete());
+  ASSERT_EQ(msg.size(), 4u + 1u + 2u);  // <len=3><id=5><2 bitfield bytes>
+  EXPECT_EQ(static_cast<unsigned char>(msg[3]), 3);
+  EXPECT_EQ(static_cast<unsigned char>(msg[4]), 5);
+  const auto body = decode_bitfield_message(msg);
+  ASSERT_TRUE(body.has_value());
+  EXPECT_EQ(*body, f.to_bytes());
+  EXPECT_TRUE(Bitfield::from_bytes(*body, 12).complete());
 }
 
-TEST(WireMessages, HaveMessage) {
-  const std::string msg = encode_have_message(0x01020304);
-  std::size_t pos = 0;
-  const auto decoded = decode_message(msg, pos);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, WireMessageType::Have);
-  ASSERT_EQ(decoded->payload.size(), 4u);
-  EXPECT_EQ(static_cast<unsigned char>(decoded->payload[0]), 0x01);
-  EXPECT_EQ(static_cast<unsigned char>(decoded->payload[3]), 0x04);
+TEST(WireMessages, EmptyBitfieldMessageDecodes) {
+  const auto body = decode_bitfield_message(encode_bitfield_message(Bitfield()));
+  ASSERT_TRUE(body.has_value());
+  EXPECT_TRUE(body->empty());
 }
 
 TEST(WireMessages, TruncatedBufferReturnsNullopt) {
-  const std::string msg = encode_have_message(1);
+  Bitfield f(20);
+  f.set(3);
+  const std::string msg = encode_bitfield_message(f);
   for (std::size_t cut = 0; cut < msg.size(); ++cut) {
-    std::size_t pos = 0;
-    EXPECT_FALSE(decode_message(msg.substr(0, cut), pos).has_value()) << cut;
+    EXPECT_FALSE(decode_bitfield_message(msg.substr(0, cut)).has_value()) << cut;
   }
 }
 
-TEST(WireMessages, UnknownIdThrows) {
-  std::string msg;
-  msg.push_back(0);
-  msg.push_back(0);
-  msg.push_back(0);
-  msg.push_back(1);
-  msg.push_back(21);  // unknown id
-  std::size_t pos = 0;
-  EXPECT_THROW(decode_message(msg, pos), std::invalid_argument);
+TEST(WireMessages, BadLengthReturnsNullopt) {
+  Bitfield f(16);
+  std::string longer = encode_bitfield_message(f);
+  longer[3] = static_cast<char>(longer[3] + 1);  // claims one byte too many
+  EXPECT_FALSE(decode_bitfield_message(longer).has_value());
+  std::string shorter = encode_bitfield_message(f);
+  shorter[3] = static_cast<char>(shorter[3] - 1);  // trailing byte uncovered
+  EXPECT_FALSE(decode_bitfield_message(shorter).has_value());
+  const std::string keepalive(4, '\0');  // zero-length: no id at all
+  EXPECT_FALSE(decode_bitfield_message(keepalive).has_value());
 }
 
-TEST(WireMessages, SequentialDecode) {
-  Bitfield f(4);
-  f.set(1);
-  const std::string stream = encode_bitfield_message(f) + encode_have_message(3);
-  std::size_t pos = 0;
-  const auto first = decode_message(stream, pos);
-  const auto second = decode_message(stream, pos);
-  ASSERT_TRUE(first && second);
-  EXPECT_EQ(first->type, WireMessageType::Bitfield);
-  EXPECT_EQ(second->type, WireMessageType::Have);
-  EXPECT_EQ(pos, stream.size());
-}
-
-TEST(WireMessages, KeepAliveDecodes) {
-  const std::string msg = encode_keepalive();
-  ASSERT_EQ(msg.size(), 4u);
-  std::size_t pos = 0;
-  const auto decoded = decode_message(msg, pos);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, WireMessageType::KeepAlive);
-  EXPECT_EQ(pos, 4u);
-}
-
-TEST(WireMessages, StateMessages) {
-  for (const WireMessageType type :
-       {WireMessageType::Choke, WireMessageType::Unchoke,
-        WireMessageType::Interested, WireMessageType::NotInterested}) {
-    const std::string msg = encode_state_message(type);
-    std::size_t pos = 0;
-    const auto decoded = decode_message(msg, pos);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->type, type);
-    EXPECT_TRUE(decoded->payload.empty());
+TEST(WireMessages, OtherMessageIdsReturnNullopt) {
+  // Every id but 5 is rejected, including ids no BEP 3 message uses.
+  for (int id = 0; id < 256; ++id) {
+    if (id == 5) continue;
+    std::string msg = encode_bitfield_message(Bitfield(8));
+    msg[4] = static_cast<char>(id);
+    EXPECT_FALSE(decode_bitfield_message(msg).has_value()) << id;
   }
-  EXPECT_THROW(encode_state_message(WireMessageType::Piece),
-               std::invalid_argument);
 }
 
-TEST(WireMessages, RequestAndCancelRoundTrip) {
-  const BlockRequest request{7, 16384, 16384};
-  std::size_t pos = 0;
-  const auto req = decode_message(encode_request_message(request), pos);
-  ASSERT_TRUE(req.has_value());
-  EXPECT_EQ(req->type, WireMessageType::Request);
-  EXPECT_EQ(parse_block_request(req->payload), request);
-
-  pos = 0;
-  const auto cancel = decode_message(encode_cancel_message(request), pos);
-  ASSERT_TRUE(cancel.has_value());
-  EXPECT_EQ(cancel->type, WireMessageType::Cancel);
-  EXPECT_EQ(parse_block_request(cancel->payload), request);
-}
-
-TEST(WireMessages, BlockRequestRejectsBadBody) {
-  EXPECT_THROW(parse_block_request("short"), std::invalid_argument);
-  EXPECT_THROW(parse_block_request(std::string(16, 'x')), std::invalid_argument);
-}
-
-TEST(WireMessages, PieceMessageCarriesData) {
-  std::string data = "block-bytes";
-  data.push_back('\0');
-  data += "more";
-  std::size_t pos = 0;
-  const auto decoded =
-      decode_message(encode_piece_message(3, 16384, data), pos);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, WireMessageType::Piece);
-  const PieceBlock block = parse_piece_block(decoded->payload);
-  EXPECT_EQ(block.piece, 3u);
-  EXPECT_EQ(block.begin, 16384u);
-  EXPECT_EQ(block.data, data);
-  EXPECT_THROW(parse_piece_block("1234567"), std::invalid_argument);
-}
-
-TEST(WireMessages, PortMessageRoundTrip) {
-  std::size_t pos = 0;
-  const auto decoded = decode_message(encode_port_message(6881), pos);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, WireMessageType::Port);
-  EXPECT_EQ(parse_port_message(decoded->payload), 6881);
-  EXPECT_THROW(parse_port_message("x"), std::invalid_argument);
-}
-
-TEST(WireMessages, PortMessageBoundaryValues) {
-  // <len=3><id=9><2-byte big-endian port>; both ends of the port range
-  // survive the round trip and the message is always 7 bytes on the wire.
-  for (const std::uint16_t port : {std::uint16_t{1}, std::uint16_t{0xffff}}) {
-    const std::string wire = encode_port_message(port);
-    ASSERT_EQ(wire.size(), 7u);
-    std::size_t pos = 0;
-    const auto decoded = decode_message(wire, pos);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->type, WireMessageType::Port);
-    EXPECT_EQ(parse_port_message(decoded->payload), port);
-    EXPECT_EQ(pos, wire.size());
+/// What a crawler makes of one probe's bytes: whether the peer passes as
+/// the complete seeder of a `pieces`-piece torrent with `infohash`. The
+/// same steps as Crawler::first_contact; nothing may throw but the
+/// bitfield parse, which the crawler catches.
+bool looks_like_seeder(std::string_view handshake, std::string_view bitfield,
+                       const Sha1Digest& infohash, std::size_t pieces) {
+  const auto hs = Handshake::decode(handshake);
+  if (!hs || hs->infohash != infohash) return false;
+  const auto body = decode_bitfield_message(bitfield);
+  if (!body) return false;
+  try {
+    return Bitfield::from_bytes(*body, pieces).complete();
+  } catch (const std::invalid_argument&) {
+    return false;
   }
-  // Over-long payloads are rejected too, not just truncated ones.
-  EXPECT_THROW(parse_port_message("abc"), std::invalid_argument);
 }
 
-TEST(WireMessages, FullDownloadConversation) {
-  // A leecher fetching one piece from a seeder, message by message:
-  // handshake exchange, bitfield, interested/unchoke, request, piece, have.
-  const Sha1Digest infohash = Sha1::hash("conversation");
-  Handshake leecher_hs;
-  leecher_hs.infohash = infohash;
-  leecher_hs.peer_id = Handshake::make_peer_id(1);
-  Handshake seeder_hs;
-  seeder_hs.infohash = infohash;
-  seeder_hs.peer_id = Handshake::make_peer_id(2);
+/// One seeded mutation of `bytes`: a bit flip, a truncation, a splice of
+/// `other`'s bytes, or an inflated 4-byte length field.
+std::string mutate(const std::string& bytes, const std::string& other,
+                   Rng& rng) {
+  std::string out = bytes;
+  switch (rng.uniform_int(0, 3)) {
+    case 0:  // flip 1-4 bits
+      for (int k = rng.uniform_int(1, 4); k > 0 && !out.empty(); --k) {
+        out[rng.index(out.size())] ^= static_cast<char>(1u << rng.uniform_int(0, 7));
+      }
+      break;
+    case 1:  // truncate
+      out.resize(rng.index(out.size() + 1));
+      break;
+    case 2: {  // splice a slice of the other buffer over a slice of this one
+      const std::size_t at = rng.index(out.size() + 1);
+      const std::size_t from = rng.index(other.size() + 1);
+      const std::size_t len = rng.index(other.size() - from + 1);
+      out = out.substr(0, at) + other.substr(from, len) +
+            out.substr(std::min(out.size(), at + len));
+      break;
+    }
+    default: {  // inflate the length field (the first four bytes)
+      if (out.size() < 4) break;
+      const std::uint32_t inflated =
+          rng.chance(0.5) ? 0xffffffffu
+                          : static_cast<std::uint32_t>(out.size() +
+                                                       rng.uniform_int(0, 1000));
+      for (int k = 0; k < 4; ++k) {
+        out[k] = static_cast<char>((inflated >> (24 - 8 * k)) & 0xff);
+      }
+      break;
+    }
+  }
+  return out;
+}
 
-  Bitfield full(4);
-  full.set_prefix(4);
-  const BlockRequest want{0, 0, 16384};
-  const std::string block(16384, 'd');
+TEST(WireMutation, SeededMutationsNeverThrow) {
+  // Probe bytes come from peers: no mutation of a handshake or a bitfield
+  // message may make the decode throw, and a mutant that still decodes
+  // never yields more than the torrent's pieces.
+  Rng rng(0x5eedb17f);
+  std::size_t decoded = 0;
+  std::size_t seeders = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::size_t pieces = rng.index(70);  // 0..69, spare bits included
+    Bitfield field(pieces);
+    field.set_prefix(rng.chance(0.5) ? pieces : rng.index(pieces + 1));
+    Handshake hs;
+    hs.infohash = Sha1::hash(std::to_string(round));
+    hs.peer_id = Handshake::make_peer_id(static_cast<std::uint64_t>(round));
+    const std::string handshake = hs.encode();
+    const std::string message = encode_bitfield_message(field);
 
-  const std::string seeder_stream = seeder_hs.encode() +
-                                    encode_bitfield_message(full) +
-                                    encode_state_message(WireMessageType::Unchoke) +
-                                    encode_piece_message(0, 0, block);
-  // Leecher side: parse the seeder's stream.
-  ASSERT_TRUE(Handshake::decode(seeder_stream.substr(0, 68)).has_value());
-  std::size_t pos = 68;
-  const auto bf = decode_message(seeder_stream, pos);
-  ASSERT_TRUE(bf && bf->type == WireMessageType::Bitfield);
-  EXPECT_TRUE(Bitfield::from_bytes(bf->payload, 4).complete());
-  const auto unchoke = decode_message(seeder_stream, pos);
-  ASSERT_TRUE(unchoke && unchoke->type == WireMessageType::Unchoke);
-  const auto piece = decode_message(seeder_stream, pos);
-  ASSERT_TRUE(piece && piece->type == WireMessageType::Piece);
-  EXPECT_EQ(parse_piece_block(piece->payload).data.size(), want.length);
-  EXPECT_EQ(pos, seeder_stream.size());
-
-  // Seeder side: parse the leecher's stream.
-  const std::string leecher_stream =
-      leecher_hs.encode() + encode_state_message(WireMessageType::Interested) +
-      encode_request_message(want) + encode_have_message(0) + encode_keepalive();
-  pos = 68;
-  const auto interested = decode_message(leecher_stream, pos);
-  ASSERT_TRUE(interested && interested->type == WireMessageType::Interested);
-  const auto request = decode_message(leecher_stream, pos);
-  ASSERT_TRUE(request && request->type == WireMessageType::Request);
-  EXPECT_EQ(parse_block_request(request->payload), want);
-  const auto have = decode_message(leecher_stream, pos);
-  ASSERT_TRUE(have && have->type == WireMessageType::Have);
-  const auto keepalive = decode_message(leecher_stream, pos);
-  ASSERT_TRUE(keepalive && keepalive->type == WireMessageType::KeepAlive);
-  EXPECT_EQ(pos, leecher_stream.size());
+    const std::string bad_hs = mutate(handshake, message, rng);
+    const std::string bad_msg = mutate(message, handshake, rng);
+    EXPECT_NO_THROW({
+      (void)Handshake::decode(bad_hs);
+      if (const auto body = decode_bitfield_message(bad_msg)) {
+        ++decoded;
+        EXPECT_EQ(body->size() + 5, bad_msg.size());
+      }
+      seeders += looks_like_seeder(bad_hs, bad_msg, hs.infohash, pieces);
+      seeders += looks_like_seeder(handshake, bad_msg, hs.infohash, pieces);
+    }) << "round " << round;
+  }
+  // The loop exercised both outcomes: some mutants still decode (flips in
+  // the body), most do not.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(seeders, 0u);
 }
 
 }  // namespace

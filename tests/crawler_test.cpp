@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "crawler/compact_dataset.hpp"
+#include "crawler/discovery.hpp"
 #include "torrent/metainfo.hpp"
 
 namespace btpub {
@@ -243,6 +248,80 @@ TEST_F(CrawlerTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.torrents[0].query_count, b.torrents[0].query_count);
   EXPECT_EQ(a.downloaders[0].size(), b.downloaders[0].size());
   EXPECT_EQ(a.publisher_sightings[0], b.publisher_sightings[0]);
+}
+
+// ---- the shared discovery rules (crawler/discovery.hpp) --------------------
+
+TEST(DiscoveryRules, NextPollTickPlusJitter) {
+  const SimDuration poll = minutes(5);
+  for (const SimTime published : {SimTime{0}, SimTime{1}, minutes(5) - 1,
+                                  minutes(5), hours(7) + 13}) {
+    for (TorrentId id = 0; id < 50; ++id) {
+      const SimTime tick = (published / poll + 1) * poll;  // strictly after
+      const SimTime at = discovery_time(published, poll, 9, id);
+      EXPECT_GE(at, tick + 5) << published << " " << id;
+      EXPECT_LE(at, tick + 60) << published << " " << id;
+      EXPECT_EQ(at, discovery_time(published, poll, 9, id));  // keyed, stateless
+    }
+  }
+  // The jitter is per torrent: ids draw from their own substreams.
+  std::set<SimTime> distinct;
+  for (TorrentId id = 0; id < 50; ++id) distinct.insert(discovery_time(0, poll, 9, id));
+  EXPECT_GT(distinct.size(), 10u);
+}
+
+TEST_F(CrawlerTest, WindowTorrentsAreThePublishedOnesInIdOrder) {
+  const TorrentId a = add_torrent("a", false, 0, 0, minutes(10), hours(3));
+  const TorrentId b = add_torrent("b", false, 0, 0, days(1) - 1, hours(3));
+  add_torrent("late", false, 0, 0, days(1) + hours(1), hours(3));
+  const auto torrents =
+      window_torrents(portal_, 0, days(1), days(3), minutes(5), 9);
+  ASSERT_EQ(torrents.size(), 2u);
+  EXPECT_EQ(torrents[0].id, a);
+  EXPECT_EQ(torrents[0].discovery, discovery_time(minutes(10), minutes(5), 9, a));
+  EXPECT_EQ(torrents[1].id, b);
+  EXPECT_EQ(torrents[1].discovery, discovery_time(days(1) - 1, minutes(5), 9, b));
+  // A torrent removed before discovery is still in the window: the crawler
+  // learns of it, then finds it gone (fetch_record).
+  portal_.moderate_remove(a, minutes(11));
+  EXPECT_EQ(window_torrents(portal_, 0, days(1), days(3), minutes(5), 9).size(), 2u);
+}
+
+TEST_F(CrawlerTest, FetchRecordCopiesThePageAndTheMetainfo) {
+  const TorrentId id = add_torrent("rec", false, 0, 0, minutes(10), hours(3));
+  const auto record = fetch_record(portal_, id, minutes(20), DatasetStyle::Pb10);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->portal_id, id);
+  EXPECT_EQ(record->title, "rec");
+  EXPECT_EQ(record->username, "user_rec");
+  EXPECT_EQ(record->published_at, minutes(10));
+  EXPECT_EQ(record->payload_filenames, std::vector<std::string>{"rec"});
+  EXPECT_EQ(record->infohash, swarms_.back()->infohash());
+  EXPECT_EQ(record->query_count, 0u);  // no observation yet
+  EXPECT_TRUE(
+      fetch_record(portal_, id, minutes(20), DatasetStyle::Mn08)->username.empty());
+  EXPECT_FALSE(fetch_record(portal_, id, minutes(5), DatasetStyle::Pb10));  // unpublished
+  portal_.moderate_remove(id, minutes(30));
+  EXPECT_FALSE(fetch_record(portal_, id, minutes(30), DatasetStyle::Pb10));
+}
+
+TEST_F(CrawlerTest, FetchRecordSkipsMalformedTorrent) {
+  PublishRequest request;
+  request.title = "broken";
+  request.username = "user_broken";
+  request.torrent_bytes = "d4:infoi3e";  // truncated bencode
+  const TorrentId id = portal_.publish(std::move(request), minutes(10));
+  EXPECT_FALSE(fetch_record(portal_, id, minutes(20), DatasetStyle::Pb10));
+  EXPECT_EQ(make_crawler().crawl_window(0, days(1)).torrent_count(), 0u);
+}
+
+TEST_F(CrawlerTest, Mn08SnapshotsNoUserPages) {
+  add_torrent("mn", false, 2, 0, minutes(10), hours(3));
+  CrawlerConfig config;
+  config.style = DatasetStyle::Mn08;
+  const Dataset dataset = make_crawler(config).crawl_window(0, days(1));
+  ASSERT_EQ(dataset.torrent_count(), 1u);
+  EXPECT_TRUE(dataset.user_pages.empty());
 }
 
 }  // namespace

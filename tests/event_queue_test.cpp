@@ -1,258 +1,185 @@
-// Discrete-event engine tests.
-#include "sim/event_queue.hpp"
+// The DHT overlay's event queue: ordering, deadlines, clamping and the
+// lazy periodic cursors.
+#include "dht/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <limits>
 #include <utility>
 #include <vector>
 
-namespace btpub {
+namespace btpub::dht {
 namespace {
+
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+
+Endpoint ep(std::uint32_t host) { return Endpoint{IpAddress(host), 6881}; }
+
+OverlayEvent join_event(std::uint32_t host) {
+  OverlayEvent event;
+  event.kind = OverlayEvent::Kind::NodeJoin;
+  event.endpoint = ep(host);
+  return event;
+}
+
+OverlayEvent announce_event(std::uint32_t host, SimDuration every,
+                            SimTime until) {
+  OverlayEvent event;
+  event.kind = OverlayEvent::Kind::Announce;
+  event.endpoint = ep(host);
+  event.every = every;
+  event.until = until;
+  return event;
+}
+
+/// Runs `q` to the deadline, recording (host, time) of every dispatch.
+std::vector<std::pair<std::uint32_t, SimTime>> run(EventQueue& q,
+                                                   SimTime deadline) {
+  std::vector<std::pair<std::uint32_t, SimTime>> fired;
+  q.run_until(deadline, [&](const OverlayEvent& event, SimTime at) {
+    fired.emplace_back(event.endpoint.ip.value(), at);
+  });
+  return fired;
+}
 
 TEST(EventQueue, DispatchesInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(30, [&] { order.push_back(3); });
-  q.schedule_at(10, [&] { order.push_back(1); });
-  q.schedule_at(20, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 30);
+  q.schedule(30, join_event(3));
+  q.schedule(10, join_event(1));
+  OverlayEvent leave;
+  leave.kind = OverlayEvent::Kind::NodeLeave;
+  leave.endpoint = ep(2);
+  q.schedule(20, leave);
+  std::vector<std::pair<OverlayEvent::Kind, SimTime>> seen;
+  q.run_until(kForever, [&](const OverlayEvent& event, SimTime at) {
+    seen.emplace_back(event.kind, at);
+    EXPECT_EQ(q.now(), at);
+  });
+  EXPECT_EQ(seen, (std::vector<std::pair<OverlayEvent::Kind, SimTime>>{
+                      {OverlayEvent::Kind::NodeJoin, 10},
+                      {OverlayEvent::Kind::NodeLeave, 20},
+                      {OverlayEvent::Kind::NodeJoin, 30}}));
   EXPECT_EQ(q.dispatched(), 3u);
 }
 
 TEST(EventQueue, FifoWithinSameTimestamp) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule_at(5, [&order, i] { order.push_back(i); });
+  for (std::uint32_t host = 0; host < 10; ++host) q.schedule(5, join_event(host));
+  const auto fired = run(q, kForever);
+  ASSERT_EQ(fired.size(), 10u);
+  for (std::uint32_t host = 0; host < 10; ++host) {
+    EXPECT_EQ(fired[host], std::make_pair(host, SimTime{5}));
   }
-  q.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, ScheduleInIsRelative) {
-  EventQueue q;
-  SimTime seen = -1;
-  q.schedule_at(100, [&] {
-    q.schedule_in(50, [&] { seen = q.now(); });
-  });
-  q.run();
-  EXPECT_EQ(seen, 150);
 }
 
 TEST(EventQueue, PastSchedulingClampsToNow) {
+  // Scheduled from inside a dispatch at t=100, an event for t=10 runs at
+  // t=100, after the dispatch that scheduled it and before anything later.
   EventQueue q;
-  SimTime seen = -1;
-  q.schedule_at(100, [&] {
-    q.schedule_at(10, [&] { seen = q.now(); });  // in the past
+  q.schedule(100, join_event(1));
+  q.schedule(200, join_event(3));
+  std::vector<std::pair<std::uint32_t, SimTime>> fired;
+  q.run_until(kForever, [&](const OverlayEvent& event, SimTime at) {
+    const std::uint32_t host = event.endpoint.ip.value();
+    fired.emplace_back(host, at);
+    if (host == 1) q.schedule(10, join_event(2));  // in the past
   });
-  q.run();
-  EXPECT_EQ(seen, 100);
+  EXPECT_EQ(fired, (std::vector<std::pair<std::uint32_t, SimTime>>{
+                       {1, 100}, {2, 100}, {3, 200}}));
 }
 
-TEST(EventQueue, NegativeDelayClamps) {
+TEST(EventQueue, DispatchMayScheduleFutureEvents) {
+  // A chain that schedules its own successor runs to its end in one call.
   EventQueue q;
-  bool ran = false;
-  q.schedule_at(50, [&] {
-    q.schedule_in(-20, [&] { ran = true; });
+  int ticks = 0;
+  q.schedule(0, join_event(1));
+  q.run_until(kForever, [&](const OverlayEvent& event, SimTime at) {
+    if (++ticks < 5) q.schedule(at + 10, event);
   });
-  q.run();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(q.now(), 50);
+  EXPECT_EQ(ticks, 5);
+  EXPECT_EQ(q.now(), kForever);  // the clock ends at the deadline
 }
 
 TEST(EventQueue, RunUntilStopsAtDeadline) {
   EventQueue q;
-  std::vector<SimTime> fired;
   for (SimTime t : {10, 20, 30, 40}) {
-    q.schedule_at(t, [&fired, t] { fired.push_back(t); });
+    q.schedule(t, join_event(static_cast<std::uint32_t>(t)));
   }
-  q.run_until(25);
-  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(run(q, 25).size(), 2u);
   EXPECT_EQ(q.now(), 25);
   EXPECT_EQ(q.pending(), 2u);
-  q.run_until(100);
-  EXPECT_EQ(fired.size(), 4u);
+  EXPECT_EQ(run(q, 100).size(), 2u);
   EXPECT_EQ(q.now(), 100);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, RunUntilInclusiveOfDeadline) {
   EventQueue q;
-  bool ran = false;
-  q.schedule_at(25, [&] { ran = true; });
-  q.run_until(25);
-  EXPECT_TRUE(ran);
+  q.schedule(25, join_event(1));
+  EXPECT_EQ(run(q, 24).size(), 0u);
+  EXPECT_EQ(run(q, 25), (std::vector<std::pair<std::uint32_t, SimTime>>{
+                            {1, 25}}));
 }
 
-TEST(EventQueue, StepOneAtATime) {
+TEST(EventQueue, PeriodicCursorReArmsLazily) {
   EventQueue q;
-  int count = 0;
-  q.schedule_at(1, [&] { ++count; });
-  q.schedule_at(2, [&] { ++count; });
-  EXPECT_TRUE(q.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(q.step());
-  EXPECT_FALSE(q.step());
-  EXPECT_EQ(count, 2);
-}
-
-TEST(EventQueue, SelfReschedulingChain) {
-  EventQueue q;
-  int ticks = 0;
-  std::function<void()> tick = [&] {
-    if (++ticks < 5) q.schedule_in(10, tick);
-  };
-  q.schedule_at(0, tick);
-  q.run();
-  EXPECT_EQ(ticks, 5);
-  EXPECT_EQ(q.now(), 40);
-}
-
-// ---- typed lane -----------------------------------------------------------
-
-Endpoint ep(std::uint32_t host) { return Endpoint{IpAddress(host), 6881}; }
-
-TypedEvent join_event(std::uint32_t host) {
-  TypedEvent event;
-  event.kind = TypedEvent::Kind::NodeJoin;
-  event.endpoint = ep(host);
-  return event;
-}
-
-TEST(EventQueueTyped, DispatchesThroughHandler) {
-  EventQueue q;
-  std::vector<std::pair<TypedEvent::Kind, SimTime>> seen;
-  q.set_typed_handler([&](const TypedEvent& event, SimTime at) {
-    seen.emplace_back(event.kind, at);
-  });
-  TypedEvent leave;
-  leave.kind = TypedEvent::Kind::NodeLeave;
-  leave.endpoint = ep(1);
-  q.schedule_typed(20, leave);
-  q.schedule_typed(10, join_event(1));
-  q.run();
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], std::make_pair(TypedEvent::Kind::NodeJoin, SimTime{10}));
-  EXPECT_EQ(seen[1], std::make_pair(TypedEvent::Kind::NodeLeave, SimTime{20}));
-  EXPECT_EQ(q.dispatched(), 2u);
-}
-
-TEST(EventQueueTyped, WithoutHandlerThrows) {
-  EventQueue q;
-  q.schedule_typed(5, join_event(1));
-  EXPECT_THROW(q.run(), std::logic_error);
-}
-
-TEST(EventQueueTyped, EqualTimestampsInterleaveInSchedulingOrder) {
-  // The two lanes share one sequence counter, so at an equal timestamp the
-  // globally earlier schedule_* call fires first regardless of lane.
-  EventQueue q;
-  std::vector<int> order;
-  q.set_typed_handler([&](const TypedEvent&, SimTime) { order.push_back(1); });
-  q.schedule_at(7, [&] { order.push_back(0); });   // seq 0, callback lane
-  q.schedule_typed(7, join_event(1));              // seq 1, typed lane
-  q.schedule_at(7, [&] { order.push_back(2); });   // seq 2, callback lane
-  q.schedule_typed(7, join_event(2));              // seq 3, typed lane
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 1}));
-}
-
-TEST(EventQueueTyped, PeriodicCursorReArmsLazily) {
-  EventQueue q;
+  // until is exclusive: 40 fires, 50 is never scheduled.
+  q.schedule(10, announce_event(9, 10, 45));
+  EXPECT_EQ(q.pending(), 1u);
   std::vector<SimTime> fired;
-  q.set_typed_handler([&](const TypedEvent& event, SimTime at) {
-    EXPECT_EQ(event.kind, TypedEvent::Kind::Announce);
+  q.run_until(kForever, [&](const OverlayEvent& event, SimTime at) {
+    EXPECT_EQ(event.kind, OverlayEvent::Kind::Announce);
     fired.push_back(at);
     // Lazy: while the cursor is live, exactly one pending record exists —
     // the current dispatch re-armed at most the *next* occurrence.
-    EXPECT_LE(q.pending_typed(), 1u);
+    EXPECT_LE(q.pending(), 1u);
   });
-  TypedEvent announce;
-  announce.kind = TypedEvent::Kind::Announce;
-  announce.endpoint = ep(9);
-  announce.every = 10;
-  announce.until = 45;  // exclusive: 40 fires, 50 never scheduled
-  q.schedule_typed(10, announce);
-  EXPECT_EQ(q.pending_typed(), 1u);
-  q.run();
   EXPECT_EQ(fired, (std::vector<SimTime>{10, 20, 30, 40}));
   // One initial schedule + three re-arms, each counted.
-  EXPECT_EQ(q.typed_scheduled(), 4u);
-  EXPECT_EQ(q.callbacks_scheduled(), 0u);
+  EXPECT_EQ(q.scheduled(), 4u);
 }
 
-TEST(EventQueueTyped, ReArmBoundaryIsExclusive) {
+TEST(EventQueue, ReArmBoundaryIsExclusive) {
   EventQueue q;
-  std::vector<SimTime> fired;
-  q.set_typed_handler(
-      [&](const TypedEvent&, SimTime at) { fired.push_back(at); });
-  TypedEvent announce;
-  announce.kind = TypedEvent::Kind::Announce;
-  announce.endpoint = ep(3);
-  announce.every = 10;
-  announce.until = 30;  // next occurrence at exactly `until` must not fire
-  q.schedule_typed(10, announce);
-  q.run();
-  EXPECT_EQ(fired, (std::vector<SimTime>{10, 20}));
+  // The next occurrence at exactly `until` must not fire.
+  q.schedule(10, announce_event(3, 10, 30));
+  EXPECT_EQ(run(q, kForever), (std::vector<std::pair<std::uint32_t, SimTime>>{
+                                  {3, 10}, {3, 20}}));
 }
 
-TEST(EventQueueTyped, OneShotDoesNotReArm) {
+TEST(EventQueue, OneShotDoesNotReArm) {
   EventQueue q;
-  int count = 0;
-  q.set_typed_handler([&](const TypedEvent&, SimTime) { ++count; });
-  TypedEvent once = join_event(4);  // every == 0
+  OverlayEvent once = join_event(4);  // every == 0
   once.until = 1000;
-  q.schedule_typed(10, once);
-  q.run();
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(q.typed_scheduled(), 1u);
+  q.schedule(10, once);
+  EXPECT_EQ(run(q, kForever).size(), 1u);
+  EXPECT_EQ(q.scheduled(), 1u);
 }
 
-TEST(EventQueueTyped, RunUntilSpansBothLanes) {
+TEST(EventQueue, RunUntilLeavesTheReArmedCursorPending) {
   EventQueue q;
-  std::vector<int> order;
-  q.set_typed_handler([&](const TypedEvent&, SimTime) { order.push_back(1); });
-  q.schedule_typed(10, join_event(1));
-  q.schedule_at(20, [&] { order.push_back(0); });
-  TypedEvent cursor;
-  cursor.kind = TypedEvent::Kind::Announce;
-  cursor.endpoint = ep(2);
-  cursor.every = 25;
-  cursor.until = 1000;
-  q.schedule_typed(30, cursor);
-  q.run_until(35);
-  EXPECT_EQ(order, (std::vector<int>{1, 0, 1}));
+  q.schedule(10, join_event(1));
+  q.schedule(30, announce_event(2, 25, 1000));
+  EXPECT_EQ(run(q, 35), (std::vector<std::pair<std::uint32_t, SimTime>>{
+                            {1, 10}, {2, 30}}));
   EXPECT_EQ(q.now(), 35);
   EXPECT_EQ(q.pending(), 1u);  // the re-armed cursor at 55
-  q.run_until(55);
-  EXPECT_EQ(order.size(), 4u);
+  EXPECT_EQ(run(q, 55), (std::vector<std::pair<std::uint32_t, SimTime>>{
+                            {2, 55}}));
 }
 
-TEST(EventQueueTyped, PastTypedSchedulingClampsToNow) {
+TEST(EventQueue, Counters) {
   EventQueue q;
-  SimTime seen = -1;
-  q.set_typed_handler([&](const TypedEvent&, SimTime at) { seen = at; });
-  q.schedule_at(100, [&] { q.schedule_typed(10, join_event(1)); });
-  q.run();
-  EXPECT_EQ(seen, 100);
-}
-
-TEST(EventQueueTyped, CountersSplitByLane) {
-  EventQueue q;
-  q.set_typed_handler([](const TypedEvent&, SimTime) {});
-  q.schedule_at(1, [] {});
-  q.schedule_in(2, [] {});
-  q.schedule_typed(3, TypedEvent{});
-  EXPECT_EQ(q.callbacks_scheduled(), 2u);
-  EXPECT_EQ(q.typed_scheduled(), 1u);
-  EXPECT_EQ(q.pending_callbacks(), 2u);
-  EXPECT_EQ(q.pending_typed(), 1u);
+  q.schedule(1, join_event(1));
+  q.schedule(2, join_event(2));
+  q.schedule(3, OverlayEvent{});
+  EXPECT_EQ(q.scheduled(), 3u);
   EXPECT_EQ(q.pending(), 3u);
-  q.run();
+  EXPECT_EQ(q.dispatched(), 0u);
+  run(q, kForever);
+  EXPECT_EQ(q.pending(), 0u);
   EXPECT_EQ(q.dispatched(), 3u);
 }
 
 }  // namespace
-}  // namespace btpub
+}  // namespace btpub::dht

@@ -194,32 +194,18 @@ TEST_F(NetworkTest, ProbeReachablePeerYieldsWireBytes) {
   const auto hs = Handshake::decode(result->handshake);
   ASSERT_TRUE(hs.has_value());
   EXPECT_EQ(hs->infohash, swarm_.infohash());
-  std::size_t pos = 0;
-  const auto msg = decode_message(result->bitfield, pos);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->type, WireMessageType::Bitfield);
-  EXPECT_TRUE(Bitfield::from_bytes(msg->payload, 40).complete());
-}
-
-TEST_F(NetworkTest, ProbeAdvertisesDhtPortForConnectablePeers) {
-  const Endpoint peer{IpAddress(10, 0, 0, 1), 6881};
-  const auto result = network_.probe(swarm_.infohash(), peer, 10);
-  ASSERT_TRUE(result.has_value());
-  std::size_t pos = 0;
-  const auto msg = decode_message(result->port, pos);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->type, WireMessageType::Port);
-  EXPECT_EQ(parse_port_message(msg->payload), peer.port);
+  const auto body = decode_bitfield_message(result->bitfield);
+  ASSERT_TRUE(body.has_value());
+  EXPECT_TRUE(Bitfield::from_bytes(*body, 40).complete());
 }
 
 TEST_F(NetworkTest, ProbePartialDownloaderNotComplete) {
   const auto result =
       network_.probe(swarm_.infohash(), Endpoint{IpAddress(10, 0, 0, 3), 6881}, 250);
   ASSERT_TRUE(result.has_value());
-  std::size_t pos = 0;
-  const auto msg = decode_message(result->bitfield, pos);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_FALSE(Bitfield::from_bytes(msg->payload, 40).complete());
+  const auto body = decode_bitfield_message(result->bitfield);
+  ASSERT_TRUE(body.has_value());
+  EXPECT_FALSE(Bitfield::from_bytes(*body, 40).complete());
 }
 
 TEST_F(NetworkTest, ProbeNattedPeerFails) {

@@ -146,31 +146,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 7.0, 0.15);
 }
 
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(17);
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_GE(rng.pareto(3.0, 2.0), 3.0);
-  }
-}
-
-TEST(Rng, ZipfRankRange) {
-  Rng rng(18);
-  for (int i = 0; i < 2000; ++i) {
-    const std::size_t rank = rng.zipf(10, 1.0);
-    ASSERT_GE(rank, 1u);
-    ASSERT_LE(rank, 10u);
-  }
-}
-
-TEST(Rng, ZipfMonotoneProbabilities) {
-  Rng rng(19);
-  std::vector<int> counts(11, 0);
-  for (int i = 0; i < 30000; ++i) ++counts[rng.zipf(10, 1.2)];
-  EXPECT_GT(counts[1], counts[2]);
-  EXPECT_GT(counts[2], counts[5]);
-  EXPECT_GT(counts[5], counts[10]);
-}
-
 TEST(Rng, IndexWithinBounds) {
   Rng rng(20);
   for (int i = 0; i < 1000; ++i) ASSERT_LT(rng.index(17), 17u);
@@ -229,26 +204,6 @@ TEST(Rng, WeightedIndexIgnoresNegativeWeights) {
   const std::vector<double> weights{-5.0, 0.0, 2.0};
   for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.weighted_index(weights), 2u);
 }
-
-class ZipfSamplerTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(ZipfSamplerTest, MatchesAnalyticMass) {
-  const double s = GetParam();
-  ZipfSampler sampler(50, s);
-  Rng rng(27);
-  std::vector<double> counts(51, 0.0);
-  const int n = 60000;
-  for (int i = 0; i < n; ++i) ++counts[sampler.sample(rng)];
-  double h = 0.0;
-  for (int k = 1; k <= 50; ++k) h += 1.0 / std::pow(k, s);
-  for (int k : {1, 2, 5, 10}) {
-    const double expected = (1.0 / std::pow(k, s)) / h;
-    EXPECT_NEAR(counts[k] / n, expected, 0.01) << "rank " << k << " s=" << s;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Exponents, ZipfSamplerTest,
-                         ::testing::Values(0.8, 1.0, 1.5, 2.0));
 
 class RngSeedTest : public ::testing::TestWithParam<std::uint64_t> {};
 

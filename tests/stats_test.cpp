@@ -134,16 +134,6 @@ TEST(TopShareCurve, EmptyPopulation) {
   EXPECT_EQ(curve[0].content_percent, 0.0);
 }
 
-TEST(TopKShare, Basics) {
-  const std::vector<double> v{10, 30, 60};
-  EXPECT_DOUBLE_EQ(top_k_share(v, 1), 0.6);
-  EXPECT_DOUBLE_EQ(top_k_share(v, 2), 0.9);
-  EXPECT_DOUBLE_EQ(top_k_share(v, 3), 1.0);
-  EXPECT_DOUBLE_EQ(top_k_share(v, 99), 1.0);
-  EXPECT_DOUBLE_EQ(top_k_share(v, 0), 0.0);
-  EXPECT_DOUBLE_EQ(top_k_share({}, 5), 0.0);
-}
-
 TEST(HistogramTest, CountsInRangeSamples) {
   Histogram h(0.0, 10.0, 5);
   h.add(0.5);  // bucket 0

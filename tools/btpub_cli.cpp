@@ -7,7 +7,8 @@
 //       identity analysis summary: skew, fake/top shares, top publishers
 //   btpub export pb10.mmap out_dir/
 //       write torrents.csv (one row per torrent) and sightings.csv (one
-//       row per publisher sighting) into out_dir/
+//       row per publisher sighting) into out_dir/; exits 2 when either
+//       file cannot be written
 //   btpub feed --scenario quick --seed 7
 //       print the portal's RSS 2.0 XML after a simulated day
 //   btpub dht-crawl --scenario spoofed --seed 42 --out spoofed_dht.mmap
@@ -263,7 +264,16 @@ int cmd_export(const Options& options) {
   std::filesystem::create_directories(out_dir);
   std::ofstream torrents(out_dir + "/torrents.csv");
   std::ofstream sightings(out_dir + "/sightings.csv");
-  write_csv(mapped.view(), torrents, sightings);
+  if (torrents && sightings) {
+    write_csv(mapped.view(), torrents, sightings);
+    torrents.close();  // a failed close (a lost write) sets failbit
+    sightings.close();
+  }
+  if (!torrents || !sightings) {
+    std::fprintf(stderr, "export: cannot write %s/%s\n", out_dir.c_str(),
+                 !torrents ? "torrents.csv" : "sightings.csv");
+    return 2;
+  }
   std::printf("exported %zu torrents to %s/\n", mapped.view().torrent_count(),
               out_dir.c_str());
   return 0;
