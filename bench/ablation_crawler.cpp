@@ -50,8 +50,8 @@ Outcome evaluate(Ecosystem& ecosystem, const CrawlerConfig& config) {
       for (const Interval& s : truth.seed_sessions) true_time += s.length();
       if (true_time < hours(2)) continue;
       SimDuration estimated = 0;
-      for (const Interval& s :
-           reconstruct_sessions(dataset.publisher_sightings[i], hours(4))) {
+      for (const Interval& s : reconstruct_sessions(
+               dataset.publisher_sightings[i], kSessionOfflineGap)) {
         estimated += s.length();
       }
       error += std::abs(to_hours(estimated) - to_hours(true_time)) /

@@ -236,7 +236,7 @@ CaseResult run_case(const std::string& name, const std::string& mmap_path,
     timed([&](std::uint64_t rep) {
       Rng rng(derive_seed(seed, 0x5e55, rep));
       const std::vector<SeedingBox> panel =
-          seeding_panel(view, identity, 400, rng, hours(4));
+          seeding_panel(view, identity, 400, rng);
       Digest d;
       d.u64(panel.size());
       for (const SeedingBox& box : panel) {

@@ -88,7 +88,7 @@ int main() {
   AsciiTable robustness("Seeding-time estimate vs ground truth per offline "
                         "threshold (paper: 2h/4h/6h give similar results)");
   robustness.header({"threshold", "mean relative error", "torrents measured"});
-  for (const SimDuration threshold : {hours(2), hours(4), hours(6)}) {
+  for (const SimDuration threshold : {hours(2), kSessionOfflineGap, hours(6)}) {
     double total_error = 0.0;
     std::size_t measured = 0;
     for (std::size_t i = 0; i < dataset.torrent_count(); ++i) {

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const IdentityAnalysis identity(view, catalog.db(), 60);
   Rng rng(config.seed);
 
-  const auto panel = seeding_panel(view, identity, 400, rng, hours(4));
+  const auto panel = seeding_panel(view, identity, 400, rng);
 
   AsciiTable a("Figure 4(a) — avg seeding time per torrent (hours)");
   a.header({"group", "p25", "median", "p75", "publishers"});

@@ -215,7 +215,8 @@ void BM_ReconstructSessions(benchmark::State& state) {
     sightings.push_back(t);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reconstruct_sessions(sightings, hours(4)));
+    benchmark::DoNotOptimize(
+        reconstruct_sessions(sightings, kSessionOfflineGap));
   }
 }
 BENCHMARK(BM_ReconstructSessions);

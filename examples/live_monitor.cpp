@@ -179,9 +179,9 @@ int main(int argc, char** argv) {
     std::printf("\n---- rolling verdicts @ %s ----\n%s----\n\n",
                 format_duration(now).c_str(), snap.to_text().c_str());
   };
-  // The RSS poll runs every five minutes up to the first tick at or past
+  // The RSS poll runs every kRssPoll up to the first tick at or past
   // the window end; a report due at the same tick runs before the poll.
-  for (SimTime now = 0;; now += minutes(5)) {
+  for (SimTime now = 0;; now += kRssPoll) {
     if (now > 0 && now % hours(6) == 0) report(now);
     poll(now);
     if (now >= config.window) break;

@@ -19,6 +19,13 @@
 
 namespace btpub {
 
+/// Appendix A's offline rule: a sighting gap longer than this means the
+/// peer left (the paper's 4 h; robustness checked at 2 h and 6 h).
+inline constexpr SimDuration kSessionOfflineGap = hours(4);
+/// One nominal tracker query gap: a session runs from its first sighting
+/// to this long after its last.
+inline constexpr SimDuration kSessionQueryGap = minutes(15);
+
 /// Appendix A, equation (1): probability that a peer present in a torrent
 /// of N peers is returned at least once over m queries of W random peers.
 double discovery_probability(double w, double n, std::size_t m);
@@ -34,16 +41,15 @@ inline constexpr std::size_t kQueriesUnreachable =
 std::size_t queries_for_probability(double w, double n, double target);
 
 /// Turns sparse sighting times into presence sessions: consecutive
-/// sightings closer than `offline_gap` belong to one session (the paper's
-/// 4 h threshold; robustness checked at 2 h and 6 h). Unsorted input
+/// sightings closer than `offline_gap` belong to one session. Unsorted input
 /// (merged multi-vantage timelines) is detected and sorted defensively —
 /// the result is always the sorted-order reconstruction. Each session is
 /// [first_sighting, last_sighting + one nominal query gap); a single
 /// sighting yields exactly one query_gap-long session. Negative query gaps
 /// are clamped to zero.
-std::vector<Interval> reconstruct_sessions(std::span<const SimTime> sightings,
-                                           SimDuration offline_gap,
-                                           SimDuration query_gap = minutes(15));
+std::vector<Interval> reconstruct_sessions(
+    std::span<const SimTime> sightings, SimDuration offline_gap,
+    SimDuration query_gap = kSessionQueryGap);
 
 /// Union length of a set of (possibly overlapping) intervals.
 SimDuration union_length(std::vector<Interval> intervals);
@@ -64,7 +70,7 @@ struct SeedingMetrics {
 /// torrents; sightings come from the view's flat sightings array.
 SeedingMetrics seeding_metrics(const CompactDatasetView& view,
                                std::span<const std::size_t> torrent_indices,
-                               SimDuration offline_gap = hours(4));
+                               SimDuration offline_gap = kSessionOfflineGap);
 
 /// The Figure-4 panel: per-group box plots over publishers. "All" is
 /// subsampled to `all_sample` (the paper's random 400). Publishers without
@@ -78,9 +84,9 @@ struct SeedingBox {
 };
 
 /// The "All" subsample is drawn from `rng` in group order.
-std::vector<SeedingBox> seeding_panel(const CompactDatasetView& view,
-                                      const IdentityAnalysis& identity,
-                                      std::size_t all_sample, Rng& rng,
-                                      SimDuration offline_gap = hours(4));
+std::vector<SeedingBox> seeding_panel(
+    const CompactDatasetView& view, const IdentityAnalysis& identity,
+    std::size_t all_sample, Rng& rng,
+    SimDuration offline_gap = kSessionOfflineGap);
 
 }  // namespace btpub

@@ -20,14 +20,15 @@
 #include <map>
 #include <vector>
 
+#include "analysis/session.hpp"
 #include "util/time.hpp"
 
 namespace btpub {
 
 class OnlineSessionEstimator {
  public:
-  explicit OnlineSessionEstimator(SimDuration offline_gap = hours(4),
-                                  SimDuration query_gap = minutes(15))
+  explicit OnlineSessionEstimator(SimDuration offline_gap = kSessionOfflineGap,
+                                  SimDuration query_gap = kSessionQueryGap)
       : offline_gap_(offline_gap),
         query_gap_(query_gap < 0 ? 0 : query_gap) {}
 

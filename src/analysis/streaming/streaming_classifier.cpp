@@ -10,19 +10,19 @@
 
 namespace btpub {
 
+/// The batch rule's fake-farm thresholds.
+constexpr FakeDetectionConfig kFakeRule{};
+
 StreamingClassifier::StreamingClassifier(const GeoDb& geo,
                                          const WebsiteDirectory& websites,
                                          StreamingConfig config)
     : geo_(&geo),
       websites_(&websites),
       config_(config),
-      announce_rates_(config.cms_width, config.cms_depth, config.sketch_salt) {}
+      announce_rates_(kCmsWidth, kCmsDepth, kSketchSalt) {}
 
 void StreamingClassifier::on_discover(const TorrentRecord& record, SimTime now) {
-  auto slot = std::make_unique<TorrentSlot>(config_.hll_precision,
-                                            config_.sketch_salt,
-                                            config_.offline_gap,
-                                            config_.query_gap);
+  auto slot = std::make_unique<TorrentSlot>();
   slot->id = record.portal_id;
   slot->username = record.username;
   slot->language = record.language;
@@ -104,7 +104,7 @@ StreamingSnapshot StreamingClassifier::snapshot(SimTime now,
   snap.torrents = slots.size();
 
   // Global distinct-IP estimate: register-wise merge of the per-slot HLLs.
-  HyperLogLog global(config_.hll_precision, config_.sketch_salt);
+  HyperLogLog global(kHllPrecision, kSketchSalt);
   snap.torrent_estimates.reserve(slots.size());
   for (const TorrentSlot* slot : slots) {
     global.merge(slot->downloaders);
@@ -168,14 +168,14 @@ StreamingSnapshot StreamingClassifier::snapshot(SimTime now,
   }
   std::vector<bool> fake(aggs.size(), false);
   for (const auto& [ip, members] : ip_to_aggs) {
-    if (members.size() < config_.fake.min_usernames_per_ip) continue;
+    if (members.size() < kFakeRule.min_usernames_per_ip) continue;
     std::size_t banned_count = 0;
     for (const std::size_t a : members) {
       if (banned(aggs[a].username, aggs[a].removed_observed)) ++banned_count;
     }
     const double fraction = static_cast<double>(banned_count) /
                             static_cast<double>(members.size());
-    if (fraction < config_.fake.min_banned_fraction) continue;
+    if (fraction < kFakeRule.min_banned_fraction) continue;
     for (const std::size_t a : members) fake[a] = true;
   }
   for (std::size_t a = 0; a < aggs.size(); ++a) {
@@ -257,7 +257,7 @@ StreamingSnapshot StreamingClassifier::snapshot(SimTime now,
     const double span_hours = std::max(1.0, to_hours(span_end - span_start));
     verdict.rate_flagged =
         static_cast<double>(verdict.announce_observations) / span_hours >
-        config_.announce_rate_alert;
+        kAnnounceRateAlert;
 
     // Business classification for the top cut, batch-identical (unsampled):
     // first finding in portal-id order names the domain, channels OR over

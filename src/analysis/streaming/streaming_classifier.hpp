@@ -44,26 +44,24 @@
 
 namespace btpub {
 
+/// HyperLogLog precision: 2^p registers per torrent (p=12 -> 4 KiB, ~1.6%
+/// standard error).
+inline constexpr int kHllPrecision = 12;
+/// Count-min geometry for the per-IP announce-rate sketch.
+inline constexpr std::size_t kCmsWidth = 4096;
+inline constexpr std::size_t kCmsDepth = 4;
+/// Salt folded into every sketch hash (determinism: same salt, same
+/// registers).
+inline constexpr std::uint64_t kSketchSalt = 0x5eed5eedULL;
+/// Provisional fake signal: a publisher IP observed more often than this
+/// many times per hour of its monitoring span is rate-flagged.
+inline constexpr double kAnnounceRateAlert = 120.0;
+
+// The fake-farm thresholds are the batch rule's (FakeDetectionConfig{}),
+// and the session parameters Appendix A's (analysis/session.hpp).
 struct StreamingConfig {
   /// Size of the "top publishers" cut (the paper's 100).
   std::size_t top_n = 100;
-  /// Fake-farm thresholds, identical to the batch rule.
-  FakeDetectionConfig fake{};
-  /// Appendix-A session parameters.
-  SimDuration offline_gap = hours(4);
-  SimDuration query_gap = minutes(15);
-  /// HyperLogLog precision: 2^p registers per torrent (p=12 -> 4 KiB,
-  /// ~1.6% standard error).
-  int hll_precision = 12;
-  /// Count-min geometry for the per-IP announce-rate sketch.
-  std::size_t cms_width = 4096;
-  std::size_t cms_depth = 4;
-  /// Salt folded into every sketch hash (determinism: same salt, same
-  /// registers).
-  std::uint64_t sketch_salt = 0x5eed5eedULL;
-  /// Provisional fake signal: a publisher IP observed more often than this
-  /// many times per hour of its monitoring span is rate-flagged.
-  double announce_rate_alert = 120.0;
 };
 
 /// One publisher's rolling verdict.
@@ -148,12 +146,6 @@ class StreamingClassifier : public CrawlObserver {
     return snapshot(now, false);
   }
 
-  /// Count-min point estimate for one IP's announce observations.
-  std::uint64_t announce_count(IpAddress ip) const {
-    return announce_rates_.count(ip.value());
-  }
-
-  const StreamingConfig& config() const noexcept { return config_; }
   std::size_t torrents_seen() const;
   std::uint64_t updates() const noexcept {
     return updates_.load(std::memory_order_relaxed);
@@ -170,13 +162,8 @@ class StreamingClassifier : public CrawlObserver {
     bool removed = false;
     SimTime discovered_at = 0;
     SimTime last_observation = 0;
-    HyperLogLog downloaders;
+    HyperLogLog downloaders{kHllPrecision, kSketchSalt};
     OnlineSessionEstimator sessions;
-
-    TorrentSlot(int hll_precision, std::uint64_t salt, SimDuration offline_gap,
-                SimDuration query_gap)
-        : downloaders(hll_precision, salt),
-          sessions(offline_gap, query_gap) {}
   };
 
   TorrentSlot* find_slot(TorrentId id) const;

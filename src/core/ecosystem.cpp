@@ -28,6 +28,18 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 constexpr SimDuration kDhtReannounce = minutes(30);
 static_assert(kDhtReannounce < dht::PeerStore::kPeerTtl);
 
+/// Moderation of fake content: a listing is removed after an exponential
+/// delay of this mean, never sooner than the floor.
+constexpr SimDuration kModerationMeanDelay = hours(30);
+constexpr SimDuration kModerationMinDelay = hours(2);
+static_assert(kModerationMeanDelay > kModerationMinDelay);
+
+/// Cross-posted content already lives on another portal: its swarm was
+/// born this long before the listing, drawn uniformly.
+constexpr SimDuration kCrossPostLeadMin = hours(12);
+constexpr SimDuration kCrossPostLeadMax = hours(72);
+static_assert(kCrossPostLeadMax >= kCrossPostLeadMin);
+
 /// Safety clamp on one publisher's backfilled history (a runaway
 /// historical_rate * lifetime product would otherwise stall the build).
 /// Hitting it is recorded in BuildStats and warned about — a silently
@@ -66,7 +78,6 @@ void Ecosystem::build() {
   tracker_ = std::make_unique<Tracker>(config_.tracker, rng_.fork());
 
   consumers_ = std::make_unique<ConsumerPool>(catalog_);
-  consumers_->set_sticky_bias(config_.sticky_consumer_bias);
   for (const auto& [endpoint, weight] : population_.sticky_consumers) {
     consumers_->add_sticky(endpoint, weight);
   }
@@ -187,7 +198,7 @@ Ecosystem::PublicationDraft Ecosystem::prepare_publication(
   PublishedWork work = publisher.make_work(when, event.ordinal, rng);
 
   Metainfo metainfo = Metainfo::make(
-      tracker_->announce_url(), work.title, work.files,
+      std::string(kTrackerAnnounceUrl), work.title, work.files,
       /*piece_length=*/std::nullopt,  // the creator rule
       /*salt=*/std::to_string(index) + "|" + work.username);
 
@@ -207,9 +218,9 @@ Ecosystem::PublicationDraft Ecosystem::prepare_publication(
   if (work.payload != PayloadKind::Genuine &&
       !rng.chance(config_.moderation_miss_probability)) {
     const auto delay = std::max<SimDuration>(
-        config_.moderation_min_delay,
+        kModerationMinDelay,
         static_cast<SimDuration>(
-            rng.exponential(static_cast<double>(config_.moderation_mean_delay))));
+            rng.exponential(static_cast<double>(kModerationMeanDelay))));
     draft.removal = when + delay;
   }
 
@@ -217,25 +228,18 @@ Ecosystem::PublicationDraft Ecosystem::prepare_publication(
   SimTime birth = when;
   if (work.cross_posted) {
     birth = when - static_cast<SimDuration>(
-                       rng.uniform(static_cast<double>(config_.cross_post_lead_min),
-                                    static_cast<double>(config_.cross_post_lead_max)));
+                       rng.uniform(static_cast<double>(kCrossPostLeadMin),
+                                    static_cast<double>(kCrossPostLeadMax)));
   }
 
   const SimTime hard_end = config_.window + days(2);
   SwarmSpec spec;
   spec.birth = birth;
   spec.expected_downloads = work.expected_downloads;
-  spec.decay_tau = work.payload != PayloadKind::Genuine ? config_.fake_decay_tau
-                                                         : config_.decay_tau;
   spec.arrivals_end = draft.removal >= 0
                           ? std::min<SimTime>(draft.removal, config_.window)
                           : config_.window;
   spec.fake = work.payload != PayloadKind::Genuine;
-  spec.nat_fraction = config_.downloader_nat_fraction;
-  spec.median_download_time = config_.median_download_time;
-  spec.abort_probability = config_.abort_probability;
-  spec.seed_probability = config_.seed_probability;
-  spec.mean_seed_time = config_.mean_seed_time;
 
   auto swarm = std::make_unique<Swarm>(metainfo.infohash(), metainfo.piece_count(),
                                        birth);

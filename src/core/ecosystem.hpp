@@ -89,7 +89,6 @@ class Ecosystem {
 
   // --- components (valid after build()) ---
   const ScenarioConfig& config() const noexcept { return config_; }
-  const IspCatalog& catalog() const noexcept { return catalog_; }
   const GeoDb& geo() const noexcept { return catalog_.db(); }
   const Portal& portal() const noexcept { return portal_; }
   Portal& portal() noexcept { return portal_; }

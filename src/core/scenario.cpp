@@ -4,12 +4,18 @@
 
 namespace btpub {
 
+/// The one place a preset writes its dataset style, for both vantages.
+static void set_style(ScenarioConfig& config, DatasetStyle style) {
+  config.crawler.style = style;
+  config.dht_crawler.style = style;
+}
+
 ScenarioConfig ScenarioConfig::pb10(std::uint64_t seed) {
   ScenarioConfig config;
   config.seed = seed;
   config.name = "pb10";
   config.window = days(30);
-  config.crawler.style = DatasetStyle::Pb10;
+  set_style(config, DatasetStyle::Pb10);
   return config;
 }
 
@@ -17,7 +23,7 @@ ScenarioConfig ScenarioConfig::pb09(std::uint64_t seed) {
   ScenarioConfig config = pb10(seed);
   config.name = "pb09";
   config.window = days(21);
-  config.crawler.style = DatasetStyle::Pb09;
+  set_style(config, DatasetStyle::Pb09);
   return config;
 }
 
@@ -25,7 +31,7 @@ ScenarioConfig ScenarioConfig::mn08(std::uint64_t seed) {
   ScenarioConfig config = pb10(seed);
   config.name = "mn08";
   config.window = days(39);
-  config.crawler.style = DatasetStyle::Mn08;
+  set_style(config, DatasetStyle::Mn08);
   return config;
 }
 
@@ -48,7 +54,7 @@ ScenarioConfig ScenarioConfig::signature(std::uint64_t seed) {
   config.population.fake_usernames = 40;
   config.population.compromised_usernames = 4;
   config.population.popularity_scale = 0.6;
-  config.crawler.style = DatasetStyle::Pb10;
+  set_style(config, DatasetStyle::Pb10);
   return config;
 }
 
@@ -66,7 +72,7 @@ ScenarioConfig ScenarioConfig::quick(std::uint64_t seed) {
   config.population.compromised_usernames = 3;
   config.population.rate_scale = 0.6;
   config.population.popularity_scale = 0.5;
-  config.crawler.style = DatasetStyle::Pb10;
+  set_style(config, DatasetStyle::Pb10);
   return config;
 }
 

@@ -45,35 +45,13 @@ struct ScenarioConfig {
 
   PopulationConfig population;
   TrackerConfig tracker;
+  /// The presets set crawler.style and dht_crawler.style together.
   CrawlerConfig crawler;
   DhtCrawlerConfig dht_crawler;
 
-  // Swarm demand model.
-  double downloader_nat_fraction = 0.35;
-  SimDuration decay_tau = days(1.5);
-  /// Fake swarms: catchy titles attract their victims fast, and the portal
-  /// removes the listing within a day or two, so the arrival process both
-  /// decays quicker and is truncated earlier.
-  SimDuration fake_decay_tau = hours(14);
-  SimDuration median_download_time = hours(2.5);
-  double abort_probability = 0.15;
-  double seed_probability = 0.45;
-  SimDuration mean_seed_time = hours(3);
-  /// Fraction of downloader draws taken from the sticky consumer pool.
-  double sticky_consumer_bias = 0.02;
-
-  // Moderation of fake content.
-  SimDuration moderation_mean_delay = hours(30);
-  SimDuration moderation_min_delay = hours(2);
   /// Fraction of fake listings moderation never catches (the paper notes
   /// the portals' countermeasure "does not seem to be enough effective").
   double moderation_miss_probability = 0.0;
-
-  /// How many "other seeders" top publishers wait for is a per-class
-  /// seeding-policy knob; this global floor keeps every genuine swarm
-  /// seeded long enough to bootstrap.
-  SimDuration cross_post_lead_min = hours(12);
-  SimDuration cross_post_lead_max = hours(72);
 
   /// Spoofed decoy addresses a fake-farm publisher injects into the
   /// tracker per torrent (claimed seeders drawn from a hosting-style

@@ -53,7 +53,7 @@ void Crawler::first_contact(TorrentRecord& record, std::vector<IpAddress>& ips,
   AnnounceRequest request;
   request.infohash = record.infohash;
   request.client = vantage(0);
-  request.numwant = config_.numwant;
+  request.numwant = kCrawlerNumwant;
   request.now = now;
   // Struct-level announce: same observable reply as the HTTP string round
   // trip (handle_get + decode), minus the encode/parse work — the golden
@@ -107,7 +107,7 @@ void Crawler::monitor(TorrentRecord& record, std::vector<IpAddress>& ips,
   const SimDuration stagger = gap / static_cast<SimDuration>(n_vantage);
 
   std::uint32_t consecutive_empty = 0;
-  SimTime next_page_check = record.first_seen + config_.page_recheck;
+  SimTime next_page_check = record.first_seen + kPageRecheck;
   std::uint64_t tick = 1;
   while (true) {
     const std::size_t machine = tick % n_vantage;
@@ -120,7 +120,7 @@ void Crawler::monitor(TorrentRecord& record, std::vector<IpAddress>& ips,
     AnnounceRequest request;
     request.infohash = record.infohash;
     request.client = vantage(machine);
-    request.numwant = config_.numwant;
+    request.numwant = kCrawlerNumwant;
     request.now = now;
     tracker_->announce_into(request, scratch.reply, scratch.announce);
     const AnnounceReply& reply = scratch.reply;
@@ -134,14 +134,9 @@ void Crawler::monitor(TorrentRecord& record, std::vector<IpAddress>& ips,
       }
     }
 
-    if (now >= next_page_check && !record.observed_removed) {
-      const auto page = portal_->page(record.portal_id, now);
-      if (page && page->removed) {
-        record.observed_removed = true;
-        record.observed_removed_at = now;
-        if (observer_) observer_->on_removal(record.portal_id, now);
-      }
-      next_page_check = now + config_.page_recheck;
+    if (now >= next_page_check) {
+      check_removal(*portal_, record, now, observer_);
+      next_page_check = now + kPageRecheck;
     }
   }
 }
@@ -172,7 +167,7 @@ Crawler::CrawlResult Crawler::crawl_one(const WindowTorrent& torrent,
 
   if (config_.style != DatasetStyle::Pb09) {
     monitor(*record, result.downloaders, result.sightings, scratch,
-            window_end + config_.grace);
+            window_end + kCrawlGrace);
   }
   result.record = std::move(*record);
   result.ok = true;
@@ -187,8 +182,8 @@ Dataset Crawler::crawl_window(SimTime window_start, SimTime window_end) {
   dataset.window_end = window_end;
 
   const std::vector<WindowTorrent> torrents =
-      window_torrents(*portal_, window_start, window_end, config_.grace,
-                      config_.rss_poll, seed_);
+      window_torrents(*portal_, window_start, window_end, config_.rss_poll,
+                      seed_);
 
   // Fan the per-torrent crawls out; merge in portal-id order (the torrents
   // are already id-ascending) so the dataset layout is independent of
@@ -209,7 +204,7 @@ Dataset Crawler::crawl_window(SimTime window_start, SimTime window_end) {
     dataset.publisher_sightings.push_back(std::move(result.sightings));
   }
 
-  snapshot_user_pages(*portal_, dataset, window_end + config_.grace,
+  snapshot_user_pages(*portal_, dataset, window_end + kCrawlGrace,
                       observer_);
   return dataset;
 }

@@ -41,23 +41,23 @@
 
 namespace btpub {
 
+/// Peers solicited per query (the tracker caps at its own maximum).
+inline constexpr std::size_t kCrawlerNumwant = 200;
+/// How often a monitored torrent's content page is re-checked for
+/// moderation removals.
+inline constexpr SimDuration kPageRecheck = hours(12);
+
 struct CrawlerConfig {
   DatasetStyle style = DatasetStyle::Pb10;
   /// RSS polling period (how fast a birth is detected).
-  SimDuration rss_poll = minutes(5);
+  SimDuration rss_poll = kRssPoll;
   /// Geographically-distributed query machines.
   std::size_t vantage_points = 1;
-  /// Peers solicited per query (the tracker caps at its own maximum).
-  std::size_t numwant = 200;
   /// Stop monitoring a swarm after this many consecutive empty replies.
   std::uint32_t empty_replies_to_stop = 10;
   /// Only attempt seeder identification when the swarm has fewer
   /// participants than this (paper: 20) and exactly one seeder.
   std::uint32_t max_probe_peers = 20;
-  /// How often the content page is re-checked for moderation removals.
-  SimDuration page_recheck = hours(12);
-  /// Monitoring continues at most this long past the window end.
-  SimDuration grace = days(3);
   /// Worker threads for crawl_window; 0 = hardware concurrency. The
   /// resulting dataset is identical for every thread count.
   std::size_t threads = 0;
@@ -79,8 +79,6 @@ class Crawler {
   std::optional<TorrentRecord> discover(TorrentId id, SimTime now,
                                         std::vector<IpAddress>& downloaders,
                                         std::vector<SimTime>& sightings);
-
-  const CrawlerConfig& config() const noexcept { return config_; }
 
   /// Attaches the crawl-time observation stream (§4.5). The observer
   /// outlives the crawl and receives hooks from every worker thread —

@@ -5,14 +5,20 @@
 
 namespace btpub {
 
+/// A torrent is only judged on set overlap once the tracker saw at least
+/// this many distinct peers (tiny swarms disagree by chance).
+constexpr std::size_t kMinTrackerPeers = 5;
+/// Flag when fewer than this fraction of tracker-observed IPs were also
+/// returned by the DHT.
+constexpr double kMinOverlap = 0.5;
+
 std::size_t CrossCheckReport::flagged_count() const {
   return static_cast<std::size_t>(
       std::count_if(torrents.begin(), torrents.end(),
                     [](const TorrentCrossCheck& t) { return t.flagged; }));
 }
 
-CrossCheckReport cross_check(const Dataset& tracker, const Dataset& dht,
-                             const CrossCheckConfig& config) {
+CrossCheckReport cross_check(const Dataset& tracker, const Dataset& dht) {
   CrossCheckReport report;
   // Both vantages emit torrents in portal-id order; a single merge walk
   // pairs them up.
@@ -57,8 +63,8 @@ CrossCheckReport cross_check(const Dataset& tracker, const Dataset& dht,
 
     const bool publisher_missing =
         tr.publisher_ip.has_value() && !check.publisher_in_dht;
-    const bool low_overlap = tracker_peers >= config.min_tracker_peers &&
-                             check.overlap < config.min_overlap;
+    const bool low_overlap = tracker_peers >= kMinTrackerPeers &&
+                             check.overlap < kMinOverlap;
     check.flagged = publisher_missing || low_overlap;
     report.torrents.push_back(check);
   }

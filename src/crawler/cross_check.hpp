@@ -17,15 +17,6 @@
 
 namespace btpub {
 
-struct CrossCheckConfig {
-  /// A torrent is only judged on set overlap once the tracker saw at least
-  /// this many distinct peers (tiny swarms disagree by chance).
-  std::size_t min_tracker_peers = 5;
-  /// Flag when fewer than this fraction of tracker-observed IPs were also
-  /// returned by the DHT.
-  double min_overlap = 0.5;
-};
-
 /// One torrent's comparison, matched by portal id.
 struct TorrentCrossCheck {
   TorrentId portal_id = kInvalidTorrent;
@@ -53,7 +44,6 @@ struct CrossCheckReport {
 /// Compares a tracker-vantage dataset with a DHT-vantage dataset of the
 /// same window. Torrents are matched by portal id; ones seen by only one
 /// vantage are skipped.
-CrossCheckReport cross_check(const Dataset& tracker, const Dataset& dht,
-                             const CrossCheckConfig& config = {});
+CrossCheckReport cross_check(const Dataset& tracker, const Dataset& dht);
 
 }  // namespace btpub

@@ -160,14 +160,24 @@ void save_mmap_snapshot(const CompactDataset& dataset, std::ostream& out) {
 }
 
 void save_mmap_snapshot(const CompactDataset& dataset, const std::string& path) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   errno = 0;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
     const int err = errno;
-    fail("cannot open " + path + " for writing (errno " + std::to_string(err) +
+    fail("cannot open " + tmp + " for writing (errno " + std::to_string(err) +
          ": " + (err != 0 ? std::strerror(err) : "-") + ")");
   }
-  save_mmap_snapshot(dataset, out);
+  try {
+    save_mmap_snapshot(dataset, out);  // flushes and checks the stream
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      const int err = errno;
+      fail("cannot rename " + tmp + " to " + path + ": " + std::strerror(err));
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
 }
 
 MappedDataset::MappedDataset(const std::string& path) {

@@ -49,8 +49,9 @@ namespace btpub {
 int mmap_format_version() noexcept;
 
 /// Writes the snapshot. The ostream overload exists for deterministic
-/// byte-level tests; the file overload is the normal path. Throws
-/// std::runtime_error on I/O failure.
+/// byte-level tests; the file overload is the normal path. It writes
+/// `path.tmp.<pid>` and renames it over `path`, so a snapshot that is
+/// already open keeps its bytes. Throws std::runtime_error on I/O failure.
 void save_mmap_snapshot(const CompactDataset& dataset, std::ostream& out);
 void save_mmap_snapshot(const CompactDataset& dataset, const std::string& path);
 

@@ -63,8 +63,7 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
   std::priority_queue<Poll, std::vector<Poll>, LaterPoll> schedule;
 
   for (const WindowTorrent& torrent :
-       window_torrents(*portal_, window_start, window_end, config_.grace,
-                       config_.rss_poll, seed_)) {
+       window_torrents(*portal_, window_start, window_end, kRssPoll, seed_)) {
     Monitor monitor;
     monitor.id = torrent.id;
     schedule.push(Poll{torrent.discovery, monitors.size()});
@@ -87,13 +86,8 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
       m.record.first_seen = now;
       m.discovered = true;
       if (observer_) observer_->on_discover(m.record, now);
-    } else if (!m.record.observed_removed) {
-      const auto page = portal_->page(m.id, now);
-      if (page && page->removed) {
-        m.record.observed_removed = true;
-        m.record.observed_removed_at = now;
-        if (observer_) observer_->on_removal(m.id, now);
-      }
+    } else {
+      check_removal(*portal_, m.record, now, observer_);
     }
 
     overlay_->advance_to(now);
@@ -121,11 +115,11 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
       observer_->on_downloaders(m.id, observed_, now);
     }
     if (peers.empty()) {
-      if (++m.consecutive_empty >= config_.empty_lookups_to_stop) continue;
+      if (++m.consecutive_empty >= kEmptyLookupsToStop) continue;
     } else {
       m.consecutive_empty = 0;
     }
-    const SimTime next = now + config_.poll_interval;
+    const SimTime next = now + kDhtPollInterval;
     if (next <= hard_stop) schedule.push(Poll{next, poll.monitor});
   }
 

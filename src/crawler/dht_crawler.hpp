@@ -25,23 +25,24 @@
 #include <string>
 
 #include "crawler/dataset.hpp"
+#include "crawler/discovery.hpp"
 #include "crawler/observer.hpp"
 #include "dht/overlay.hpp"
 #include "portal/portal.hpp"
 
 namespace btpub {
 
+/// Period between get_peers walks on a monitored torrent. DHT lookups cost
+/// ~20 messages each, so the cadence is coarser than the tracker's.
+inline constexpr SimDuration kDhtPollInterval = minutes(30);
+/// Stop monitoring after this many consecutive peerless lookups.
+inline constexpr std::uint32_t kEmptyLookupsToStop = 10;
+
+/// Torrents are discovered at kRssPoll, the tracker vantage's default.
 struct DhtCrawlerConfig {
   DatasetStyle style = DatasetStyle::Pb10;
-  /// RSS polling period (how fast a birth is detected).
-  SimDuration rss_poll = minutes(5);
-  /// Period between get_peers walks on a monitored torrent. DHT lookups
-  /// cost ~20 messages each, so the cadence is coarser than the tracker's.
-  SimDuration poll_interval = minutes(30);
-  /// Stop monitoring after this many consecutive peerless lookups.
-  std::uint32_t empty_lookups_to_stop = 10;
   /// Monitoring continues at most this long past the window end.
-  SimDuration grace = days(3);
+  SimDuration grace = kCrawlGrace;
   /// Optional magnet URI whose x.pe peer hints seed every lookup's
   /// shortlist (the operator's bootstrap entry points). Empty, absent or
   /// malformed x.pe-less magnets fall back to the overlay router.
@@ -66,7 +67,6 @@ class DhtCrawler {
   /// DHT vantage. Deterministic given (overlay seed+schedule, seed).
   Dataset crawl_window(SimTime window_start, SimTime window_end);
 
-  const DhtCrawlerConfig& config() const noexcept { return config_; }
   const DhtCrawlTotals& totals() const noexcept { return totals_; }
 
   /// Attaches the crawl-time observation stream (§4.5). The DHT vantage

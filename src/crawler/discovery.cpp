@@ -15,7 +15,6 @@ SimTime discovery_time(SimTime published_at, SimDuration rss_poll,
 std::vector<WindowTorrent> window_torrents(const Portal& portal,
                                            SimTime window_start,
                                            SimTime window_end,
-                                           SimDuration grace,
                                            SimDuration rss_poll,
                                            std::uint64_t seed) {
   std::vector<WindowTorrent> torrents;
@@ -24,7 +23,7 @@ std::vector<WindowTorrent> window_torrents(const Portal& portal,
   for (TorrentId id = 0; id <= newest; ++id) {
     // Peek only at the publication timestamp; all content access goes
     // through fetch_record() at the discovery time.
-    const auto page = portal.page(id, window_end + grace);
+    const auto page = portal.page(id, window_end);
     if (!page) continue;
     if (page->published_at < window_start || page->published_at >= window_end) {
       continue;
@@ -64,6 +63,16 @@ std::optional<TorrentRecord> fetch_record(const Portal& portal, TorrentId id,
     record.payload_filenames.push_back(f.path);
   }
   return record;
+}
+
+void check_removal(const Portal& portal, TorrentRecord& record, SimTime now,
+                   CrawlObserver* observer) {
+  if (record.observed_removed) return;
+  const auto page = portal.page(record.portal_id, now);
+  if (!page || !page->removed) return;
+  record.observed_removed = true;
+  record.observed_removed_at = now;
+  if (observer) observer->on_removal(record.portal_id, now);
 }
 
 void snapshot_user_pages(const Portal& portal, Dataset& dataset, SimTime at,

@@ -16,6 +16,14 @@
 
 namespace btpub {
 
+/// The RSS polling period (how fast a birth is detected): the DHT
+/// vantage's, and the tracker vantage's default.
+inline constexpr SimDuration kRssPoll = minutes(5);
+
+/// Both vantages keep monitoring at most this long past the window end,
+/// and snapshot the user pages then.
+inline constexpr SimDuration kCrawlGrace = days(3);
+
 /// A torrent a crawl covers and the time the crawler first fetches it.
 struct WindowTorrent {
   TorrentId id = kInvalidTorrent;
@@ -32,13 +40,12 @@ SimTime discovery_time(SimTime published_at, SimDuration rss_poll,
 
 /// The torrents published in [window_start, window_end), id-ascending, with
 /// their discovery times. Walks the portal's dense id space, peeking only
-/// at each page's publication time as of window_end + grace: ids are
+/// at each page's publication time as of window_end: ids are
 /// publication-ordered, so this is equivalent to having tailed the RSS
 /// feed throughout the window.
 std::vector<WindowTorrent> window_torrents(const Portal& portal,
                                            SimTime window_start,
                                            SimTime window_end,
-                                           SimDuration grace,
                                            SimDuration rss_poll,
                                            std::uint64_t seed);
 
@@ -49,6 +56,11 @@ std::vector<WindowTorrent> window_torrents(const Portal& portal,
 /// as a real crawler would. first_seen and the observations stay unset.
 std::optional<TorrentRecord> fetch_record(const Portal& portal, TorrentId id,
                                           SimTime now, DatasetStyle style);
+
+/// Re-checks a monitored torrent's content page at `now`: the first time it
+/// shows a moderation removal, marks `record` and tells `observer` (if set).
+void check_removal(const Portal& portal, TorrentRecord& record, SimTime now,
+                   CrawlObserver* observer);
 
 /// Snapshots, as of `at`, the user page of every username in the dataset
 /// (§5.2's longitudinal view); mn08 has no usernames and gets none. Each

@@ -25,6 +25,12 @@ namespace {
 
 constexpr std::uint64_t kWorkerSeedTag = 0x6c6f6164'67656e31ULL;  // "loadgen1"
 
+/// Synthetic client IPs rotated per worker via the announce `ip` field,
+/// bounding the server's per-client rate-limiter state.
+constexpr std::uint32_t kIpPool = 256;
+/// Requests in flight on one keep-alive pipelined HTTP connection.
+constexpr std::size_t kHttpPipeline = 8;
+
 /// Slot ring for in-flight requests; transaction ids index it modulo size.
 struct Pending {
   std::uint32_t tid = 0;
@@ -125,7 +131,7 @@ WorkerResult udp_worker(const LoadgenConfig& cfg, std::size_t worker,
     req.transaction_id = seq;
     req.infohash = infohashes[rng.next() % infohashes.size()];
     req.ip = 0x0B000000u + (static_cast<std::uint32_t>(worker) << 16) +
-             static_cast<std::uint32_t>(seq % cfg.ip_pool);
+             static_cast<std::uint32_t>(seq % kIpPool);
     req.encode_into(buf);
     while (send(fd.get(), buf.data(), buf.size(), 0) < 0) {
       if (errno == EINTR) continue;
@@ -258,12 +264,12 @@ WorkerResult http_worker(const LoadgenConfig& cfg, std::size_t worker,
 
   while (steady_ns() < deadline && !(quota_done() && send_times.empty())) {
     out.clear();
-    while (send_times.size() < cfg.http_pipeline && !quota_done()) {
+    while (send_times.size() < kHttpPipeline && !quota_done()) {
       AnnounceRequest announce;
       announce.infohash = infohashes[rng.next() % infohashes.size()];
       announce.client = Endpoint{
           IpAddress(0x0B000000u + (static_cast<std::uint32_t>(worker) << 16) +
-                    static_cast<std::uint32_t>(r.sent % cfg.ip_pool)),
+                    static_cast<std::uint32_t>(r.sent % kIpPool)),
           6881};
       announce.numwant = cfg.numwant;
       announce.now = 0;  // daemon clock

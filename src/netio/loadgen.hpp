@@ -88,14 +88,10 @@ struct LoadgenConfig {
   /// `seed` exactly as the daemon derives them).
   std::size_t swarms = 64;
   std::uint32_t numwant = 50;
-  /// Synthetic client IPs rotated per worker via the announce `ip` field,
-  /// bounding the server's per-client rate-limiter state.
-  std::size_t ip_pool = 256;
   /// Drive GET /announce over a keep-alive pipelined HTTP connection
   /// instead of UDP.
   bool use_http = false;
   std::uint16_t http_port = 0;
-  std::size_t http_pipeline = 8;
 };
 
 struct LoadgenReport {

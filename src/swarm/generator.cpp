@@ -16,7 +16,7 @@ void ConsumerPool::add_sticky(Endpoint endpoint, double weight) {
 }
 
 Endpoint ConsumerPool::draw(Rng& rng) const {
-  if (!sticky_.empty() && rng.chance(sticky_bias_)) {
+  if (!sticky_.empty() && rng.chance(kStickyConsumerBias)) {
     const std::size_t i = rng.weighted_index(weights_);
     return sticky_[i];
   }
@@ -33,7 +33,7 @@ double SwarmGenerator::truncated_mean(const SwarmSpec& spec) {
   const SimDuration horizon = spec.arrivals_end - spec.birth;
   if (horizon <= 0) return 0.0;
   const double T = static_cast<double>(horizon);
-  const double tau = static_cast<double>(std::max<SimDuration>(spec.decay_tau, 1));
+  const double tau = static_cast<double>(std::max<SimDuration>(spec.decay_tau(), 1));
   return spec.expected_downloads * (1.0 - std::exp(-T / tau));
 }
 
@@ -47,7 +47,7 @@ std::size_t SwarmGenerator::generate(Swarm& swarm, const SwarmSpec& spec,
   swarm.reserve_sessions(swarm.sessions().size() + n + 8);
 
   const double T = static_cast<double>(spec.arrivals_end - spec.birth);
-  const double tau = static_cast<double>(std::max<SimDuration>(spec.decay_tau, 1));
+  const double tau = static_cast<double>(std::max<SimDuration>(spec.decay_tau(), 1));
   const double mass = 1.0 - std::exp(-T / tau);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -59,7 +59,7 @@ std::size_t SwarmGenerator::generate(Swarm& swarm, const SwarmSpec& spec,
     PeerSession s;
     s.endpoint = consumers_->draw(rng);
     s.arrive = arrive;
-    s.nat = rng.chance(spec.nat_fraction);
+    s.nat = rng.chance(kDownloaderNatFraction);
 
     if (spec.fake) {
       // Fake payload: the user joins, realises the content is bogus (or
@@ -67,21 +67,21 @@ std::size_t SwarmGenerator::generate(Swarm& swarm, const SwarmSpec& spec,
       const SimDuration stay = minutes(rng.uniform(10.0, 40.0));
       s.depart = arrive + stay;
       // complete_at stays at "never".
-    } else if (rng.chance(spec.abort_probability)) {
+    } else if (rng.chance(kAbortProbability)) {
       const double dl =
-          rng.lognormal_median(static_cast<double>(spec.median_download_time), 0.8);
+          rng.lognormal_median(static_cast<double>(kMedianDownloadTime), 0.8);
       const SimDuration stay =
           std::max<SimDuration>(minutes(5), static_cast<SimDuration>(dl * rng.uniform(0.1, 0.7)));
       s.depart = arrive + stay;
     } else {
       const double dl =
-          rng.lognormal_median(static_cast<double>(spec.median_download_time), 0.8);
+          rng.lognormal_median(static_cast<double>(kMedianDownloadTime), 0.8);
       const auto duration = std::max<SimDuration>(minutes(10), static_cast<SimDuration>(dl));
       s.complete_at = arrive + duration;
       SimDuration seed_tail = minutes(rng.uniform(1.0, 5.0));  // brief linger
-      if (rng.chance(spec.seed_probability)) {
+      if (rng.chance(kSeedProbability)) {
         seed_tail = static_cast<SimDuration>(
-            rng.exponential(static_cast<double>(spec.mean_seed_time)));
+            rng.exponential(static_cast<double>(kMeanSeedTime)));
         seed_tail = std::max<SimDuration>(seed_tail, minutes(5));
       }
       s.depart = s.complete_at + seed_tail;

@@ -20,6 +20,23 @@
 
 namespace btpub {
 
+/// Fraction of downloaders behind NAT (unreachable for probes).
+inline constexpr double kDownloaderNatFraction = 0.35;
+/// Arrival-rate decay constant of a genuine swarm: rate ~ exp(-(t-birth)/tau).
+inline constexpr SimDuration kDecayTau = days(1.5);
+/// Fake swarms decay faster: catchy titles attract their victims at once, and
+/// the portal removes the listing within a day or two.
+inline constexpr SimDuration kFakeDecayTau = hours(14);
+/// Median time a genuine downloader needs to complete.
+inline constexpr SimDuration kMedianDownloadTime = hours(2.5);
+/// Probability a genuine downloader aborts before completing.
+inline constexpr double kAbortProbability = 0.15;
+/// Probability a completed downloader stays to seed, and for how long.
+inline constexpr double kSeedProbability = 0.45;
+inline constexpr SimDuration kMeanSeedTime = hours(3);
+/// Fraction of downloader draws taken from the sticky consumer pool.
+inline constexpr double kStickyConsumerBias = 0.02;
+
 /// The population that downloads content: fresh eyeball-ISP users plus a
 /// sticky pool of known consumers (regular publishers also consume; top
 /// publishers mostly do not — §3.1's "40% of the top-100 download nothing").
@@ -31,22 +48,16 @@ class ConsumerPool {
   /// given relative weight of appearing in any one swarm.
   void add_sticky(Endpoint endpoint, double weight = 1.0);
 
-  /// Draws a downloader endpoint: with probability `sticky_bias` a sticky
-  /// consumer, otherwise a fresh residential address. Pure given `rng` and
-  /// touches no pool state, so concurrent draws from distinct generators
-  /// (the parallel ecosystem build) are safe.
+  /// Draws a downloader endpoint: with probability kStickyConsumerBias a
+  /// sticky consumer, otherwise a fresh residential address. Pure given
+  /// `rng` and touches no pool state, so concurrent draws from distinct
+  /// generators (the parallel ecosystem build) are safe.
   Endpoint draw(Rng& rng) const;
-
-  /// Probability that a draw comes from the sticky pool (default 2%).
-  void set_sticky_bias(double bias) { sticky_bias_ = bias; }
-
-  std::size_t sticky_count() const noexcept { return sticky_.size(); }
 
  private:
   const IspCatalog* catalog_;
   std::vector<Endpoint> sticky_;
   std::vector<double> weights_;
-  double sticky_bias_ = 0.02;
 };
 
 /// Parameters of one torrent's demand.
@@ -54,21 +65,12 @@ struct SwarmSpec {
   SimTime birth = 0;
   /// Expected number of downloads over an unbounded horizon.
   double expected_downloads = 50.0;
-  /// Arrival-rate decay constant (rate ~ exp(-(t-birth)/tau)).
-  SimDuration decay_tau = days(4);
   /// Hard stop for new arrivals (listing removal or end of simulation).
   SimTime arrivals_end = 0;
-  /// Fake content: downloaders abandon quickly and never seed.
+  /// Fake content: arrivals decay at kFakeDecayTau instead of kDecayTau,
+  /// and downloaders abandon quickly and never seed.
   bool fake = false;
-  /// Fraction of downloaders behind NAT (unreachable for probes).
-  double nat_fraction = 0.35;
-  /// Median time a genuine downloader needs to complete.
-  SimDuration median_download_time = hours(2.5);
-  /// Probability a genuine downloader aborts before completing.
-  double abort_probability = 0.15;
-  /// Probability a completed downloader stays to seed, and for how long.
-  double seed_probability = 0.35;
-  SimDuration mean_seed_time = hours(2);
+  SimDuration decay_tau() const noexcept { return fake ? kFakeDecayTau : kDecayTau; }
 };
 
 /// Generates downloader sessions for one swarm.
@@ -81,7 +83,7 @@ class SwarmGenerator {
   std::size_t generate(Swarm& swarm, const SwarmSpec& spec, Rng& rng) const;
 
   /// The truncated-exponential arrival-count mean used internally; exposed
-  /// for tests: E[N] = expected * (1 - exp(-T/tau)).
+  /// for tests: E[N] = expected * (1 - exp(-T/tau)), tau = spec.decay_tau().
   static double truncated_mean(const SwarmSpec& spec);
 
  private:

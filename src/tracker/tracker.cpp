@@ -26,10 +26,6 @@ void Tracker::host_swarm(Swarm& swarm) {
   swarms_.insert(swarm.infohash(), &swarm);
 }
 
-bool Tracker::hosts(const Sha1Digest& infohash) const {
-  return swarms_.contains(infohash);
-}
-
 bool Tracker::is_blacklisted(IpAddress client) const {
   const Shard& shard = shard_for(client.value());
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -108,7 +104,7 @@ void Tracker::announce_into(const AnnounceRequest& request, AnnounceReply& reply
         request.now - last->second < enforced_gap_) {
       ++shard.stats.rejected_rate;
       auto& count = shard.violations[client_ip];
-      if (++count >= config_.blacklist_after) {
+      if (++count >= kBlacklistAfter) {
         shard.blacklist.insert(client_ip);
       }
       reply.failure_reason = "slow down";

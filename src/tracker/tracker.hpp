@@ -27,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -37,6 +38,12 @@
 
 namespace btpub {
 
+/// The announce URL advertised in metainfo files.
+inline constexpr std::string_view kTrackerAnnounceUrl =
+    "http://tracker.btpub.example/announce";
+/// Number of rate violations before a client IP is blacklisted.
+inline constexpr std::uint32_t kBlacklistAfter = 50;
+
 struct TrackerConfig {
   /// Hard cap on peers per reply (the paper: at most 200).
   std::size_t max_numwant = 200;
@@ -45,10 +52,6 @@ struct TrackerConfig {
   /// load-dependent throttling.
   SimDuration min_query_gap = minutes(10);
   SimDuration max_query_gap = minutes(15);
-  /// Number of rate violations before the client IP is blacklisted.
-  std::uint32_t blacklist_after = 50;
-  /// The announce URL advertised in metainfo files.
-  std::string announce_url = "http://tracker.btpub.example/announce";
 };
 
 /// The tracker. Announces are thread-safe across distinct infohashes; see
@@ -58,13 +61,10 @@ class Tracker {
   explicit Tracker(TrackerConfig config, Rng rng);
 
   const TrackerConfig& config() const noexcept { return config_; }
-  const std::string& announce_url() const noexcept { return config_.announce_url; }
 
   /// Hosts a finalized swarm; the swarm must outlive the tracker.
   /// Build-time only — not safe concurrently with announce().
   void host_swarm(Swarm& swarm);
-  bool hosts(const Sha1Digest& infohash) const;
-  std::size_t swarm_count() const noexcept { return swarms_.size(); }
 
   /// Reusable per-caller scratch for the announce fast path. Each crawl
   /// worker owns one; the tracker never stores state in it beyond the

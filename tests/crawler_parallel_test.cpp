@@ -37,7 +37,7 @@ class CrawlerParallelTest : public ::testing::Test {
   TorrentId add_torrent(const std::string& title, bool publisher_nat,
                         std::size_t extra_leechers, std::size_t extra_seeders,
                         SimTime publish_at, SimDuration publisher_stay) {
-    Metainfo metainfo = Metainfo::make(tracker_.announce_url(), title,
+    Metainfo metainfo = Metainfo::make(std::string(kTrackerAnnounceUrl), title,
                                        {{title + ".avi", 5 << 20}}, 256 * 1024,
                                        title);
     PublishRequest request;

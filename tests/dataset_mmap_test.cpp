@@ -5,10 +5,13 @@
 #include "crawler/dataset_mmap.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -270,6 +273,33 @@ TEST(MappedDataset, EmptyDataset) {
   EXPECT_EQ(mapped.view().torrent_count(), 0u);
   EXPECT_EQ(mapped.view().name, "empty");
   expect_view_matches(empty, mapped.view());
+}
+
+TEST(MappedDataset, SavingOverAnOpenSnapshotLeavesItsViewIntact) {
+  const Dataset original = sample_dataset(DatasetStyle::Pb10);
+  const std::string path = tmp_path("overwritten.mmap");
+  save_mmap_snapshot(compact_dataset(original), path);
+  const MappedDataset mapped(path);
+
+  Dataset smaller;
+  smaller.name = "smaller";
+  smaller.style = DatasetStyle::Mn08;
+  save_mmap_snapshot(compact_dataset(smaller), path);
+  EXPECT_EQ(MappedDataset(path).view().name, "smaller");
+
+  // The open view must still read the bytes it validated. A child reads
+  // it, so a SIGBUS from a mapping truncated under it fails the test
+  // instead of killing the test binary.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << std::strerror(errno);
+  if (child == 0) {
+    expect_view_matches(original, mapped.view());
+    std::_Exit(::testing::Test::HasFailure() ? 1 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child status " << status;
 }
 
 TEST(MappedDataset, RejectsMissingFile) {

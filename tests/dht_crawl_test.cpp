@@ -3,6 +3,8 @@
 // detection the vantage exists for.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/ecosystem.hpp"
 #include "crawler/cross_check.hpp"
 #include "publisher/profile.hpp"
@@ -10,11 +12,9 @@
 namespace btpub {
 namespace {
 
-ScenarioConfig tiny(std::uint64_t seed) {
-  // A cut-down quick scenario so the double-build tests stay fast.
-  ScenarioConfig config = ScenarioConfig::quick(seed);
-  config.name = "tiny";
-  config.window = days(4);
+/// Cuts a preset's population down so the double-build tests stay fast.
+ScenarioConfig cut_down(ScenarioConfig config, SimDuration window) {
+  config.window = window;
   config.population.regular_publishers = 150;
   config.population.portal_owners = 2;
   config.population.other_web = 2;
@@ -22,6 +22,12 @@ ScenarioConfig tiny(std::uint64_t seed) {
   config.population.fake_farms = 2;
   config.population.fake_usernames = 10;
   config.population.compromised_usernames = 1;
+  return config;
+}
+
+ScenarioConfig tiny(std::uint64_t seed) {
+  ScenarioConfig config = cut_down(ScenarioConfig::quick(seed), days(4));
+  config.name = "tiny";
   return config;
 }
 
@@ -62,6 +68,31 @@ TEST(DhtCrawlTest, DatasetCarriesVantageNameAndTorrents) {
   // publishers, it only enumerates swarm membership.
   for (std::size_t i = 0; i < dataset.torrent_count(); ++i) {
     EXPECT_FALSE(dataset.torrents[i].publisher_ip.has_value()) << i;
+  }
+}
+
+TEST(DhtCrawlTest, DhtVantageTakesTheScenariosStyle) {
+  // pb09 and mn08 worlds over a short window: the DHT dataset is recorded
+  // in the scenario's style, like the tracker vantage's.
+  const std::pair<ScenarioConfig, const char*> cases[] = {
+      {ScenarioConfig::pb09(95), "pb09-dht"},
+      {ScenarioConfig::mn08(96), "mn08-dht"}};
+  for (const auto& [preset, name] : cases) {
+    Ecosystem ecosystem(cut_down(preset, days(2)));
+    ecosystem.build();
+    const Dataset dataset = ecosystem.dht_crawl();
+    EXPECT_EQ(dataset.style, preset.crawler.style) << name;
+    EXPECT_EQ(dataset.name, name);
+    ASSERT_GT(dataset.torrent_count(), 0u) << name;
+    if (preset.crawler.style == DatasetStyle::Mn08) {
+      // mn08 identifies publishers by IP only: no usernames, no user pages.
+      for (const TorrentRecord& record : dataset.torrents) {
+        EXPECT_TRUE(record.username.empty()) << record.portal_id;
+      }
+      EXPECT_TRUE(dataset.user_pages.empty());
+    } else {
+      EXPECT_FALSE(dataset.user_pages.empty()) << name;
+    }
   }
 }
 

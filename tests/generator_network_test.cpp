@@ -21,7 +21,6 @@ class GeneratorTest : public ::testing::Test {
     SwarmSpec spec;
     spec.birth = 0;
     spec.expected_downloads = 200.0;
-    spec.decay_tau = days(1);
     spec.arrivals_end = days(10);
     return spec;
   }
@@ -33,9 +32,17 @@ class GeneratorTest : public ::testing::Test {
 
 TEST_F(GeneratorTest, TruncatedMeanFormula) {
   SwarmSpec spec = genuine_spec();
-  // T = 10 days, tau = 1 day: mass ~ 1 - e^-10 ~ 1.
-  EXPECT_NEAR(SwarmGenerator::truncated_mean(spec), 200.0, 0.1);
-  spec.arrivals_end = days(1);
+  // T = 10 days, tau = 1.5 days: mass = 1 - e^(-10/1.5).
+  EXPECT_EQ(spec.decay_tau(), kDecayTau);
+  EXPECT_NEAR(SwarmGenerator::truncated_mean(spec),
+              200.0 * (1 - std::exp(-10.0 / 1.5)), 0.1);
+  spec.arrivals_end = kDecayTau;
+  EXPECT_NEAR(SwarmGenerator::truncated_mean(spec), 200.0 * (1 - std::exp(-1.0)),
+              0.1);
+  // A fake swarm decays at the faster fake tau.
+  spec.fake = true;
+  EXPECT_EQ(spec.decay_tau(), kFakeDecayTau);
+  spec.arrivals_end = kFakeDecayTau;
   EXPECT_NEAR(SwarmGenerator::truncated_mean(spec), 200.0 * (1 - std::exp(-1.0)),
               0.1);
   spec.arrivals_end = 0;
@@ -63,10 +70,10 @@ TEST_F(GeneratorTest, ArrivalsWithinWindowAndDecaying) {
   for (const PeerSession& s : swarm.sessions()) {
     ASSERT_GE(s.arrive, spec.birth);
     ASSERT_LT(s.arrive, spec.arrivals_end);
-    if (s.arrive < days(1)) ++early;
-    if (s.arrive >= days(5)) ++late;
+    if (s.arrive < kDecayTau) ++early;
+    if (s.arrive >= 5 * kDecayTau) ++late;
   }
-  // Exponential decay with tau=1d: ~63% in the first day, ~nothing after 5.
+  // Exponential decay: ~63% within the first tau, ~nothing after 5 tau.
   EXPECT_GT(early, swarm.session_count() / 2);
   EXPECT_LT(late, swarm.session_count() / 20);
 }
@@ -86,8 +93,8 @@ TEST_F(GeneratorTest, GenuinePeersSometimesSeed) {
   }
   EXPECT_GT(completed, 0u);
   EXPECT_GT(aborted, 0u);
-  // Default abort probability is 15%.
-  EXPECT_NEAR(static_cast<double>(aborted) / swarm.session_count(), 0.15, 0.08);
+  EXPECT_NEAR(static_cast<double>(aborted) / swarm.session_count(),
+              kAbortProbability, 0.08);
 }
 
 TEST_F(GeneratorTest, FakeSwarmNobodyCompletes) {
@@ -107,25 +114,24 @@ TEST_F(GeneratorTest, NatFractionRespected) {
   Rng rng(6);
   SwarmSpec spec = genuine_spec();
   spec.expected_downloads = 3000;
-  spec.nat_fraction = 0.4;
   Swarm swarm(Sha1::hash("nat"), 32, 0);
   generator_.generate(swarm, spec, rng);
   std::size_t nat = 0;
   for (const PeerSession& s : swarm.sessions()) nat += s.nat;
-  EXPECT_NEAR(static_cast<double>(nat) / swarm.session_count(), 0.4, 0.03);
+  EXPECT_NEAR(static_cast<double>(nat) / swarm.session_count(),
+              kDownloaderNatFraction, 0.03);
 }
 
 TEST_F(GeneratorTest, ConsumerPoolStickyBias) {
   ConsumerPool pool(catalog_);
   const Endpoint sticky{IpAddress(9, 9, 9, 9), 1234};
   pool.add_sticky(sticky, 1.0);
-  pool.set_sticky_bias(0.5);
   Rng rng(8);
   int hits = 0;
-  for (int i = 0; i < 4000; ++i) {
+  for (int i = 0; i < 40000; ++i) {
     if (pool.draw(rng) == sticky) ++hits;
   }
-  EXPECT_NEAR(hits / 4000.0, 0.5, 0.04);
+  EXPECT_NEAR(hits / 40000.0, kStickyConsumerBias, 0.003);
 }
 
 TEST_F(GeneratorTest, ConsumerPoolWeights) {
@@ -134,13 +140,17 @@ TEST_F(GeneratorTest, ConsumerPoolWeights) {
   const Endpoint b{IpAddress(2, 2, 2, 2), 2};
   pool.add_sticky(a, 1.0);
   pool.add_sticky(b, 3.0);
-  pool.set_sticky_bias(1.0);  // always sticky
   Rng rng(10);
+  int a_hits = 0;
   int b_hits = 0;
-  for (int i = 0; i < 8000; ++i) {
-    if (pool.draw(rng) == b) ++b_hits;
+  for (int i = 0; i < 200000; ++i) {
+    const Endpoint e = pool.draw(rng);
+    a_hits += e == a;
+    b_hits += e == b;
   }
-  EXPECT_NEAR(b_hits / 8000.0, 0.75, 0.03);
+  // Among the sticky draws, b comes up three times as often as a.
+  ASSERT_GT(a_hits + b_hits, 2000);
+  EXPECT_NEAR(static_cast<double>(b_hits) / (a_hits + b_hits), 0.75, 0.03);
 }
 
 TEST_F(GeneratorTest, FreshConsumersResolveInGeoDb) {

@@ -82,7 +82,6 @@ TEST(NetioServe, HttpAndUdpServeConcurrently) {
   LoadgenConfig http_load = udp_load;
   http_load.use_http = true;
   http_load.http_port = daemon.http_port();
-  http_load.http_pipeline = 4;
 
   const LoadgenReport udp_report = run_loadgen(udp_load);
   const LoadgenReport http_report = run_loadgen(http_load);

@@ -262,17 +262,17 @@ TEST_F(StreamingClassifierTest, FakeFarmRuleOverProvisionalRemovals) {
 }
 
 TEST_F(StreamingClassifierTest, SketchesFeedEstimatesAndRateFlag) {
-  StreamingConfig config;
-  config.announce_rate_alert = 10.0;  // low alert so the test can trip it
-  StreamingClassifier stream(geo_, websites_, config);
+  StreamingClassifier stream(geo_, websites_);
   const IpAddress publisher(20, 0, 0, 7);
   stream.on_discover(make_record(0, "noisy", publisher, "megaseed.com"), 0);
 
   std::vector<IpAddress> ips;
   for (std::uint32_t i = 0; i < 500; ++i) ips.push_back(IpAddress(0x1E000100u + i));
   stream.on_downloaders(0, ips, minutes(10));
-  // 100 publisher sightings inside a sub-hour span (floored to 1 h): 100/h.
-  for (int i = 0; i < 100; ++i) {
+  // 200 publisher sightings inside a sub-hour span (floored to 1 h): 200/h,
+  // above the kAnnounceRateAlert of 120/h.
+  static_assert(kAnnounceRateAlert < 200.0);
+  for (int i = 0; i < 200; ++i) {
     stream.on_publisher_sighting(0, minutes(10 + i / 10));
   }
 
@@ -280,11 +280,11 @@ TEST_F(StreamingClassifierTest, SketchesFeedEstimatesAndRateFlag) {
   ASSERT_EQ(snap.torrent_estimates.size(), 1u);
   const double est = snap.torrent_estimates[0].est_distinct_downloaders;
   EXPECT_NEAR(est, 500.0, 3.0 * snap.hll_relative_error * 500.0 + 2.0);
-  EXPECT_EQ(snap.announce_total, 600u);  // 500 downloaders + 100 sightings
+  EXPECT_EQ(snap.announce_total, 700u);  // 500 downloaders + 200 sightings
 
   const PublisherVerdict* v = find_verdict(snap, "noisy");
   ASSERT_NE(v, nullptr);
-  EXPECT_GE(v->announce_observations, 100u);
+  EXPECT_GE(v->announce_observations, 200u);
   EXPECT_TRUE(v->rate_flagged);
   EXPECT_TRUE(v->top);
   EXPECT_EQ(v->cls, BusinessClass::BtPortal);

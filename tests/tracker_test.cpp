@@ -97,23 +97,20 @@ TEST_F(TrackerTest, RateLimitIsPerClient) {
 }
 
 TEST_F(TrackerTest, PersistentAbuseGetsBlacklisted) {
-  TrackerConfig config;
-  config.blacklist_after = 5;
-  Tracker strict(config, Rng(6));
-  strict.host_swarm(swarm_);
   const IpAddress abuser(0x0A0000FF);
   AnnounceRequest r;
   r.infohash = swarm_.infohash();
   r.client = Endpoint{abuser, 1};
   r.now = 0;
-  ASSERT_TRUE(strict.announce(r).ok);
-  for (int i = 0; i < 5; ++i) {
+  ASSERT_TRUE(tracker_.announce(r).ok);
+  for (std::uint32_t i = 0; i < kBlacklistAfter; ++i) {
+    EXPECT_FALSE(tracker_.is_blacklisted(abuser)) << i;
     r.now = i + 1;  // way below the gap
-    EXPECT_FALSE(strict.announce(r).ok);
+    EXPECT_FALSE(tracker_.announce(r).ok);
   }
-  EXPECT_TRUE(strict.is_blacklisted(abuser));
+  EXPECT_TRUE(tracker_.is_blacklisted(abuser));
   r.now = days(10);
-  const AnnounceReply reply = strict.announce(r);
+  const AnnounceReply reply = tracker_.announce(r);
   EXPECT_FALSE(reply.ok);
   EXPECT_EQ(reply.failure_reason, "client banned");
 }

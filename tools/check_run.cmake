@@ -2,11 +2,14 @@
 # the SHA-256 of its stdout, and the SHA-256 of each file it wrote.
 #
 #   cmake [-DEXIT=<code>] [-DSTDOUT_SHA256=<hex>] [-DMAKE_DIR=<path>]
+#         [-DCLEAN_DIR=<path>]
 #         -P check_run.cmake [<file>=<sha256>...] -- <program> <args>...
 #
 # EXIT defaults to 0. Each listed file is deleted before the run, so only
 # bytes the command wrote can match. MAKE_DIR is created before the run (a
 # test can use it to put a directory where the program wants a file).
+# CLEAN_DIR is deleted with its contents before the run (a test can use it
+# to start a cache cold).
 cmake_minimum_required(VERSION 3.16)  # quoted if() operands are literals
 
 set(files)
@@ -34,6 +37,9 @@ if(NOT DEFINED EXIT)
   set(EXIT 0)
 endif()
 
+if(DEFINED CLEAN_DIR)
+  file(REMOVE_RECURSE "${CLEAN_DIR}")
+endif()
 if(DEFINED MAKE_DIR)
   file(MAKE_DIRECTORY "${MAKE_DIR}")
 endif()
