@@ -160,20 +160,19 @@ void save_mmap_snapshot(const CompactDataset& dataset, std::ostream& out) {
 }
 
 void save_mmap_snapshot(const CompactDataset& dataset, const std::string& path) {
+  // Written beside `path` and renamed over it, so a view already open on
+  // `path` keeps the bytes it validated.
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const auto cannot_write = [&](int err) {
+    fail("cannot write " + path + " (via " + tmp + ", errno " +
+         std::to_string(err) + ": " + (err != 0 ? std::strerror(err) : "-") + ")");
+  };
   errno = 0;
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    const int err = errno;
-    fail("cannot open " + tmp + " for writing (errno " + std::to_string(err) +
-         ": " + (err != 0 ? std::strerror(err) : "-") + ")");
-  }
+  if (!out) cannot_write(errno);
   try {
     save_mmap_snapshot(dataset, out);  // flushes and checks the stream
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      const int err = errno;
-      fail("cannot rename " + tmp + " to " + path + ": " + std::strerror(err));
-    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) cannot_write(errno);
   } catch (...) {
     std::remove(tmp.c_str());
     throw;

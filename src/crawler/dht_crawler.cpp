@@ -36,7 +36,7 @@ Dataset DhtCrawler::crawl_window(SimTime window_start, SimTime window_end) {
   dataset.window_end = window_end;
   totals_ = DhtCrawlTotals{};
 
-  const SimTime hard_stop = window_end + config_.grace;
+  const SimTime hard_stop = window_end + kCrawlGrace;
 
   // The tracker crawler's torrents, discovered by the same rule
   // (discovery.hpp); the jitter comes from this vantage's own seed.

@@ -41,8 +41,9 @@ inline constexpr std::uint32_t kEmptyLookupsToStop = 10;
 /// Torrents are discovered at kRssPoll, the tracker vantage's default.
 struct DhtCrawlerConfig {
   DatasetStyle style = DatasetStyle::Pb10;
-  /// Monitoring continues at most this long past the window end.
-  SimDuration grace = kCrawlGrace;
+  /// Monitoring continues at most this long past the window end. A
+  /// member so that overlay horizons read it off the config.
+  static constexpr SimDuration grace = kCrawlGrace;
   /// Optional magnet URI whose x.pe peer hints seed every lookup's
   /// shortlist (the operator's bootstrap entry points). Empty, absent or
   /// malformed x.pe-less magnets fall back to the overlay router.

@@ -46,7 +46,7 @@ inline constexpr std::uint32_t kBlacklistAfter = 50;
 
 struct TrackerConfig {
   /// Hard cap on peers per reply (the paper: at most 200).
-  std::size_t max_numwant = 200;
+  static constexpr std::size_t max_numwant = 200;
   /// Minimum gap between two queries from one client for one torrent.
   /// The actual enforced gap is drawn per tracker in [min, max] to model
   /// load-dependent throttling.
