@@ -1,8 +1,8 @@
 // analysis_perf — machine-readable perf baseline for the batch analysis
 // passes (BENCH_analysis.json in CI, written with --json). Builds a
 // deterministic synthetic world (bench/synth_world.hpp, shared with
-// build_perf's snapshot suite), persists it once as an mmap snapshot, then
-// runs each analysis pass over the mapped view:
+// build_perf), persists it once as an mmap snapshot, then runs each
+// analysis pass over the mapped view:
 //
 //   scan           control: decodes every downloader entry once
 //   identity       IdentityAnalysis table build

@@ -1,21 +1,7 @@
-// build_perf — machine-readable perf baseline for ecosystem construction
-// and DHT-overlay scheduling. Times Ecosystem::build() at several thread
-// counts plus build_dht_overlay() (lazy event cursors); with --json, writes
-// wall time, peak RSS and the event-queue counters (BENCH_build.json) so CI
-// can archive a perf trajectory across PRs.
-//
-// Every case runs in a forked child (bench/harness run_forked) so its peak
-// RSS is its own.
-//
-// The overlay case also replays the scheduled life through the window:
-// `dispatched` is then the number of occurrences an eager scheduler would
-// have queued up front, while `pending_after_build` is what the lazy
-// cursors actually kept in memory — the
-// O(sessions x window/30min) vs O(sessions) headline.
-//
-// --snapshot switches to the dataset snapshot suite (BENCH_snapshot.json
-// in CI): synthetic million-session worlds are built deterministically,
-// then each persistence phase — pointer-heavy Dataset build, CompactDataset
+// build_perf — machine-readable perf baseline for the dataset snapshot
+// (BENCH_snapshot.json in CI, written with --json). Synthetic
+// million-session worlds are built deterministically, then each
+// persistence phase — pointer-heavy Dataset build, CompactDataset
 // conversion, snapshot save, open and query — runs fork-isolated for wall
 // time and honest peak RSS.
 // Conversion and open report the fastest of five runs.
@@ -31,12 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "core/ecosystem.hpp"
 #include "crawler/compact_dataset.hpp"
 #include "crawler/dataset_mmap.hpp"
 #include "harness.hpp"
 #include "synth_world.hpp"
-#include "util/rng.hpp"
 
 namespace btpub {
 namespace {
@@ -46,87 +30,12 @@ using bench::synth_dataset;
 
 struct Options {
   std::string json_path;
-  std::string scenario = "quick";
   std::uint64_t seed = 42;
-  /// The parallel case's worker count (the "N" in 1-vs-N).
-  std::size_t threads = 4;
-  bool quick = false;
-  bool snapshot = false;
-  /// Session counts for the snapshot suite (downloader entries per world).
+  /// Session counts (downloader entries per world).
   std::vector<std::uint64_t> sessions = {1'000'000, 10'000'000};
-  /// Scratch directory for the snapshot suite's cache files.
+  /// Scratch directory for the snapshot files.
   std::string dir = "/tmp";
 };
-
-/// The scenario to build; throws on an unknown --scenario name.
-ScenarioConfig scenario_for(const Options& opt) {
-  ScenarioConfig config = ScenarioConfig::by_name(opt.scenario, opt.seed);
-  if (opt.quick) {
-    // CI smoke: a third of the reference population, half the window.
-    config.window = days(4);
-    config.population.regular_publishers /= 3;
-  }
-  return config;
-}
-
-/// What a forked case ships back to the parent.
-struct CaseResult {
-  double seconds = 0.0;
-  std::uint64_t torrents = 0;
-  std::uint64_t publication_events = 0;
-  std::uint64_t pending_after_build = 0;
-  std::uint64_t typed_scheduled = 0;
-  std::uint64_t dispatched = 0;
-  /// BuildStats per-phase wall seconds (the Amdahl breakdown); only the
-  /// ecosystem_build cases fill these.
-  double seconds_population = 0.0;
-  double seconds_backfill = 0.0;
-  double seconds_draw = 0.0;
-  double seconds_prepare = 0.0;
-  double seconds_commit = 0.0;
-};
-
-/// phase: "ecosystem_build" times Ecosystem::build() alone;
-/// "dht_overlay" builds first, then times overlay construction and replays
-/// the scheduled life through the crawl horizon.
-CaseResult run_case(const std::string& phase, std::size_t threads,
-                    const Options& opt) {
-  ScenarioConfig config = scenario_for(opt);
-  config.threads = threads;
-  CaseResult result;
-  Ecosystem ecosystem(config);
-
-  if (phase == "ecosystem_build") {
-    const auto t0 = std::chrono::steady_clock::now();
-    ecosystem.build();
-    const auto t1 = std::chrono::steady_clock::now();
-    result.seconds = std::chrono::duration<double>(t1 - t0).count();
-    const BuildStats& stats = ecosystem.build_stats();
-    result.seconds_population = stats.seconds_population;
-    result.seconds_backfill = stats.seconds_backfill;
-    result.seconds_draw = stats.seconds_draw;
-    result.seconds_prepare = stats.seconds_prepare;
-    result.seconds_commit = stats.seconds_commit;
-  } else {
-    ecosystem.build();
-    const SimTime horizon = config.window + config.dht_crawler.grace;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto overlay = ecosystem.build_dht_overlay(horizon);
-    const auto t1 = std::chrono::steady_clock::now();
-    result.seconds = std::chrono::duration<double>(t1 - t0).count();
-    result.pending_after_build = overlay->events().pending();
-    result.typed_scheduled = overlay->events().scheduled();
-    overlay->advance_to(horizon);  // replay: every join/announce/leave fires
-    result.dispatched = overlay->events().dispatched();
-  }
-  result.torrents = ecosystem.torrent_count();
-  result.publication_events = ecosystem.build_stats().publication_events;
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot suite (--snapshot): synthetic worlds + persistence phases.
-// ---------------------------------------------------------------------------
 
 /// What a forked snapshot phase ships back to the parent.
 struct SnapResult {
@@ -307,7 +216,15 @@ void run_snapshot_world(std::uint64_t sessions, const Options& opt,
   fs::remove(mmap_path);
 }
 
-int run_snapshot(const Options& opt) {
+int run(int argc, char** argv) {
+  Options opt;
+  bench::parse_flags(argc, argv,
+                     "[--json PATH] [--seed N] [--sessions N[,N...]] "
+                     "[--dir PATH]",
+                     {{"--json", &opt.json_path},
+                      {"--seed", &opt.seed},
+                      {"--sessions", &opt.sessions},
+                      {"--dir", &opt.dir}});
   std::vector<bench::JsonObject> rows;
   for (const std::uint64_t sessions : opt.sessions) {
     run_snapshot_world(sessions, opt, rows);
@@ -316,81 +233,6 @@ int run_snapshot(const Options& opt) {
                           bench::JsonObject()
                               .integer("seed", opt.seed)
                               .integer("format_version", mmap_format_version()),
-                          rows);
-  return 0;
-}
-
-int run(int argc, char** argv) {
-  Options opt;
-  bench::parse_flags(argc, argv,
-                     "[--json PATH] [--threads N] [--scenario NAME] "
-                     "[--seed N] [--quick] [--snapshot] [--sessions N[,N...]] "
-                     "[--dir PATH]",
-                     {{"--json", &opt.json_path},
-                      {"--threads", &opt.threads},
-                      {"--scenario", &opt.scenario},
-                      {"--seed", &opt.seed},
-                      {"--quick", &opt.quick},
-                      {"--snapshot", &opt.snapshot},
-                      {"--sessions", &opt.sessions},
-                      {"--dir", &opt.dir}});
-  if (opt.snapshot) return run_snapshot(opt);
-  if (opt.threads < 2) opt.threads = 2;
-  const ScenarioConfig config = scenario_for(opt);
-
-  std::vector<bench::JsonObject> rows;
-  auto measure = [&](const char* phase, std::size_t threads) {
-    std::fprintf(stderr, "build_perf: %s @%zu thread(s)...\n", phase, threads);
-    const auto [r, peak_rss_kb] = bench::run_forked(
-        phase, [&] { return run_case(phase, threads, opt); });
-    rows.push_back(bench::JsonObject()
-                       .text("phase", phase)
-                       .integer("threads", threads)
-                       .fixed("seconds", r.seconds, 4)
-                       .integer("peak_rss_kb", peak_rss_kb)
-                       .integer("torrents", r.torrents)
-                       .integer("pending_after_build", r.pending_after_build)
-                       .integer("typed_scheduled", r.typed_scheduled)
-                       .integer("dispatched", r.dispatched)
-                       .fixed("seconds_population", r.seconds_population, 4)
-                       .fixed("seconds_backfill", r.seconds_backfill, 4)
-                       .fixed("seconds_draw", r.seconds_draw, 4)
-                       .fixed("seconds_prepare", r.seconds_prepare, 4)
-                       .fixed("seconds_commit", r.seconds_commit, 4));
-    return r;
-  };
-  const CaseResult serial = measure("ecosystem_build", 1);
-  const CaseResult parallel = measure("ecosystem_build", opt.threads);
-  const CaseResult overlay = measure("dht_overlay", 1);
-
-  std::printf("build: %.3fs @1 thread, %.3fs @%zu threads (%s), %llu "
-              "torrents\n",
-              serial.seconds, parallel.seconds, opt.threads,
-              bench::speedup_text(serial.seconds, parallel.seconds, opt.threads)
-                  .c_str(),
-              static_cast<unsigned long long>(serial.torrents));
-  for (const auto& [threads, r] :
-       {std::pair{std::size_t{1}, serial}, std::pair{opt.threads, parallel}}) {
-    const double floor = r.seconds_population + r.seconds_backfill +
-                         r.seconds_draw + r.seconds_commit;
-    std::printf(
-        "  phases @%zu: population %.3fs, backfill %.3fs, draw %.3fs, "
-        "prepare %.3fs, commit %.3fs (serial floor %.0f%%)\n",
-        threads, r.seconds_population, r.seconds_backfill, r.seconds_draw,
-        r.seconds_prepare, r.seconds_commit,
-        r.seconds > 0.0 ? 100.0 * floor / r.seconds : 0.0);
-  }
-  std::printf("overlay: %.3fs construct, %llu pending cursors, "
-              "%llu occurrences replayed\n",
-              overlay.seconds,
-              static_cast<unsigned long long>(overlay.pending_after_build),
-              static_cast<unsigned long long>(overlay.dispatched));
-  bench::write_bench_json(opt.json_path, "ecosystem_build",
-                          bench::JsonObject()
-                              .text("scenario", config.name)
-                              .integer("seed", config.seed)
-                              .integer("window_days", config.window / kDay)
-                              .flag("quick", opt.quick),
                           rows);
   return 0;
 }

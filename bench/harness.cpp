@@ -127,9 +127,7 @@ void parse_flags(int argc, char** argv, std::string_view usage,
     std::visit(
         [&](auto target) {
           using Target = decltype(target);
-          if constexpr (std::is_same_v<Target, bool*>) {
-            *target = true;
-          } else if constexpr (std::is_same_v<Target, std::function<void()>>) {
+          if constexpr (std::is_same_v<Target, std::function<void()>>) {
             target();
           } else if constexpr (std::is_same_v<Target, std::uint64_t*>) {
             *target = count(value());
@@ -173,10 +171,6 @@ JsonObject& JsonObject::text(std::string_view key, std::string_view value) {
   return raw(key, quoted + '"');
 }
 
-JsonObject& JsonObject::flag(std::string_view key, bool value) {
-  return raw(key, value ? "true" : "false");
-}
-
 JsonObject& JsonObject::fixed(std::string_view key, double value,
                               int decimals) {
   return raw(key, format_double(value, decimals));
@@ -206,15 +200,6 @@ void write_bench_json(const std::string& path, std::string_view benchmark,
   out.close();
   if (!out) fail("write_bench_json", "cannot write " + path);
   std::printf("wrote %s\n", path.c_str());
-}
-
-std::string speedup_text(double serial_seconds, double parallel_seconds,
-                         std::size_t threads) {
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < threads) {
-    return "not measured (" + std::to_string(cores) + " cores)";
-  }
-  return format_double(serial_seconds / parallel_seconds, 2) + "x";
 }
 
 int guarded_main(int argc, char** argv, int (*run)(int, char**)) {

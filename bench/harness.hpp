@@ -78,14 +78,14 @@ Spawned<T> spawn(const char* what, Body&& body) {
 /// kB and throws unless it exited with status 0.
 long stop(const char* what, pid_t pid);
 
-/// One command-line flag and where its value goes. Bools and callbacks take
-/// no value (callbacks run in argv order, so a later flag can override a
-/// `--quick` preset). Counts parse with parse_uint; a list is comma-separated
+/// One command-line flag and where its value goes. Callbacks take no value
+/// (they run in argv order, so a later flag can override a `--quick`
+/// preset). Counts parse with parse_uint; a list is comma-separated
 /// non-zero counts (`--sessions N[,N...]`); doubles must be non-negative.
 struct Flag {
   std::string_view name;
-  std::variant<bool*, std::function<void()>, std::uint64_t*, double*,
-               std::string*, std::vector<std::uint64_t>*>
+  std::variant<std::function<void()>, std::uint64_t*, double*, std::string*,
+               std::vector<std::uint64_t>*>
       target;
 };
 
@@ -99,7 +99,6 @@ void parse_flags(int argc, char** argv, std::string_view usage,
 class JsonObject {
  public:
   JsonObject& text(std::string_view key, std::string_view value);
-  JsonObject& flag(std::string_view key, bool value);
   JsonObject& integer(std::string_view key, std::integral auto value) {
     return raw(key, std::to_string(value));
   }
@@ -121,11 +120,6 @@ class JsonObject {
 void write_bench_json(const std::string& path, std::string_view benchmark,
                       const JsonObject& config,
                       const std::vector<JsonObject>& results);
-
-/// "1.26x" when this machine has at least `threads` cores, otherwise
-/// "not measured (N cores)": a 1-core box cannot measure thread scaling.
-std::string speedup_text(double serial_seconds, double parallel_seconds,
-                         std::size_t threads);
 
 /// Runs a bench's `run`, turning an escaped exception (a failed forked
 /// case, an unwritable --json path) into "PROGRAM: message" and exit 2.

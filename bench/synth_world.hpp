@@ -1,7 +1,7 @@
 // synth_world.hpp — deterministic synthetic crawl worlds for the perf
-// benches. Shared by build_perf's snapshot suite and analysis_perf so both
-// measure the same world byte-for-byte: ~`sessions` downloader entries
-// spread over sessions/20 torrents, usernames drawn from a 10K pool
+// benches. Shared by build_perf and analysis_perf so both measure the same
+// world byte-for-byte: ~`sessions` downloader entries spread over
+// sessions/20 torrents, usernames drawn from a 10K pool
 // (interning realism: heavy cross-torrent sharing), titles and filenames
 // unique per torrent (arena growth realism). Every torrent draws from its
 // own derive_seed substream, so the world is a pure function of

@@ -50,7 +50,7 @@ struct DhtCrawlerConfig {
   std::string bootstrap_magnet;
 };
 
-/// Aggregate lookup telemetry for one crawl (feeds BENCH_dht.json).
+/// Aggregate lookup telemetry for one crawl (feeds perfbench's dht.* counts).
 struct DhtCrawlTotals {
   std::uint64_t lookups = 0;
   std::uint64_t messages = 0;

@@ -46,7 +46,7 @@
 
 namespace btpub::dht {
 
-/// Telemetry of one iterative lookup (the dht_perf metrics).
+/// Telemetry of one iterative lookup (hops, messages, peers found).
 struct LookupStats {
   /// Query rounds until convergence (the O(log n) quantity).
   std::uint32_t hops = 0;

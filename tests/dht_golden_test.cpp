@@ -1,14 +1,21 @@
-// Golden pin of one small seeded world's trackerless crawl. The values were
-// captured from the tree-decoding KRPC implementation; any change to the
-// dht layer (codec, routing table, node, overlay) must leave every lookup
-// decision — and so every number here — exactly as it was.
+// Golden pins of the trackerless lookup path: one small seeded world's crawl
+// (values captured from the tree-decoding KRPC implementation) and
+// read-only lookups on bare overlays. Any change to the dht layer (codec,
+// routing table, node, overlay) must leave every lookup decision — and so
+// every number here — exactly as it was.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/ecosystem.hpp"
 #include "crawler/cross_check.hpp"
 #include "crawler/dht_crawler.hpp"
+#include "crypto/sha1.hpp"
+#include "dht/overlay.hpp"
+#include "util/rng.hpp"
 
 namespace btpub {
 namespace {
@@ -76,6 +83,64 @@ TEST(DhtGolden, SeededCrawlIsPinned) {
   EXPECT_EQ(cross.matched_count(), 62u);
   EXPECT_EQ(cross.flagged_count(), 25u);
   EXPECT_EQ(flags.h, 5678898315542375879ull);
+}
+
+/// `n_nodes` joined one per second from a synthetic /8, 64 torrents with 20
+/// announced peers each, then 300 read-only get_peers for torrents drawn
+/// from Rng(99): the digest covers every lookup's hops, messages and peers.
+std::uint64_t overlay_lookup_digest(std::size_t n_nodes) {
+  constexpr std::size_t kTorrents = 64;
+  constexpr std::size_t kPeersPerTorrent = 20;
+  constexpr std::size_t kLookups = 300;
+  dht::DhtOverlay overlay(/*seed=*/7);
+
+  SimTime now = 0;
+  std::vector<Endpoint> endpoints;
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    const Endpoint endpoint{
+        IpAddress(0x0D000000 + static_cast<std::uint32_t>(i)), 6881};
+    overlay.add_node(endpoint, ++now);
+    endpoints.push_back(endpoint);
+  }
+  std::vector<Sha1Digest> infohashes;
+  for (std::size_t t = 0; t < kTorrents; ++t) {
+    infohashes.push_back(Sha1::hash("dht_perf_" + std::to_string(t)));
+    for (std::size_t p = 0; p < kPeersPerTorrent; ++p) {
+      overlay.announce_peer(infohashes.back(),
+                            endpoints[(t * kPeersPerTorrent + p) % n_nodes],
+                            ++now);
+    }
+  }
+
+  const Endpoint vantage{IpAddress(10, 88, 0, 1), 6881};
+  Rng rng(99);
+  Fnv digest;
+  for (std::size_t i = 0; i < kLookups; ++i) {
+    const Sha1Digest& infohash = infohashes[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kTorrents - 1)))];
+    dht::LookupStats stats;
+    const auto found = overlay.get_peers(infohash, vantage, now, &stats, {},
+                                         /*read_only=*/true);
+    digest.u64(stats.hops);
+    digest.u64(stats.messages);
+    digest.u64(found.size());
+    for (const Endpoint& peer : found) {
+      digest.u64((std::uint64_t{peer.ip.value()} << 16) | peer.port);
+    }
+  }
+  return digest.h;
+}
+
+TEST(DhtGolden, OverlayLookupsArePinned) {
+  for (const auto& [nodes, pinned] :
+       {std::pair{std::size_t{100}, 0x7530568f820f6b66ull},
+        std::pair{std::size_t{1000}, 0x27e4d2ec025968d6ull}}) {
+    SCOPED_TRACE(std::to_string(nodes) + " nodes");
+    const std::uint64_t first = overlay_lookup_digest(nodes);
+    // A second overlay from the same seed must repeat every lookup.
+    EXPECT_EQ(overlay_lookup_digest(nodes), first);
+    EXPECT_EQ(first, pinned);
+  }
 }
 
 }  // namespace

@@ -6,14 +6,15 @@ Usage: check_bench.py BASELINE.json FRESH.json
 Both files carry the bench/*_perf envelope {"benchmark", "machine":
 {"cores"}, "config", "results"}; "benchmark" picks the rule. Each rule
 compares a machine-normalised number, since raw seconds and packets/sec
-vary wildly across runners, or a digest of deterministic results. Exits 1 on a regression or when nothing is
-comparable, 2 on a usage error.
+vary wildly across runners, and the analysis rule also a digest of
+deterministic results. Exits 1 on a regression, when nothing is comparable
+or when no rule gates the file, 2 on a usage error.
 """
 
 import json
 import sys
 
-# dataset_snapshot (build_perf --snapshot): at every session count the mmap
+# dataset_snapshot (build_perf): at every session count the mmap
 # open (load_mmap, which runs the O(n) validate()) may cost at most this
 # share of the control, compact_build (Dataset to CompactDataset, O(n)
 # per-record work of the same kind). A fixed ceiling, not a band around
@@ -49,10 +50,6 @@ NET_KEEP = 0.9
 NET_SLACK = 0.02
 NET_CONTROL = "inprocess"
 
-# dht_iterative_get_peers (dht_perf): lookups are deterministic, so every
-# case's digest of per-lookup hops, messages and peers found must equal the
-# baseline's when both runs used the same config. No time is gated:
-# lookups_per_sec is printed beside the baseline's for the record.
 
 
 def verdict(ok):
@@ -162,33 +159,9 @@ def check_net(base_doc, fresh_doc):
     return int(failed)
 
 
-def check_dht(base_doc, fresh_doc):
-    if base_doc["config"] != fresh_doc["config"]:
-        print(f"dht: not comparable: baseline config {base_doc['config']} vs "
-              f"fresh {fresh_doc['config']}; regenerate the baseline")
-        return 1
-    base = {r["nodes"]: r for r in base_doc["results"]}
-    fresh = {r["nodes"]: r for r in fresh_doc["results"]}
-    common = sorted(set(base) & set(fresh))
-    if not common:
-        print("dht: no comparable cases")
-        return 1
-    failed = False
-    for n in common:
-        b, f = base[n], fresh[n]
-        ok = f.get("digest") is not None and f.get("digest") == b.get("digest")
-        failed |= not ok
-        print(f"{n} nodes: digest {f.get('digest')} vs baseline "
-              f"{b.get('digest')} {'OK' if ok else 'FAIL'} "
-              f"({f['lookups_per_sec']:.0f} lookups/s, baseline "
-              f"{b['lookups_per_sec']:.0f}, not gated)")
-    return int(failed)
-
-
 RULES = {"dataset_snapshot": check_snapshot,
          "analysis_passes": check_analysis,
-         "net_serve": check_net,
-         "dht_iterative_get_peers": check_dht}
+         "net_serve": check_net}
 
 
 def load(path):
