@@ -84,56 +84,60 @@ void PeerStore::expire(SimTime now) {
 
 // ---- node -----------------------------------------------------------------
 
+bool DhtNode::answer(const Query& query, const Endpoint& from, SimTime now,
+                     Response& out) {
+  // Every well-formed query is evidence the sender is alive; BEP 43
+  // read-only senders are explicitly not added.
+  if (!query.read_only) table_.observe(query.sender_id, from, now);
+
+  out.transaction_id = query.transaction_id;
+  out.sender_id = id();
+  out.nodes.clear();
+  out.peers.clear();
+  out.token.clear();
+  switch (query.method) {
+    case Method::Ping:
+      break;
+    case Method::FindNode:
+      table_.closest(query.target, RoutingTable::kBucketSize, out.nodes);
+      break;
+    case Method::GetPeers:
+      store_.collect(query.info_hash, now, out.peers);
+      // Nodes are returned alongside any values (the BEP 5 errata modern
+      // clients implement): withholding them would terminate every lookup
+      // at the first node holding peers, so announces would pile up there
+      // instead of spreading to the k genuinely closest nodes.
+      table_.closest(NodeId::from_digest(query.info_hash),
+                     RoutingTable::kBucketSize, out.nodes);
+      out.token = tokens_.token_for(from.ip, now);
+      break;
+    case Method::AnnouncePeer:
+      if (!tokens_.valid(query.token, from.ip, now)) return false;
+      // The announced peer is the sender's IP at the port it asked for —
+      // BEP 5 stores the source address, which is what defeats the
+      // spoofed-IP trick that works on trackers (the paper's fake
+      // publishers): you cannot announce an address you don't hold.
+      store_.announce(query.info_hash, Endpoint{from.ip, query.port}, now);
+      break;
+  }
+  return true;
+}
+
 void DhtNode::handle_into(std::string_view datagram, const Endpoint& from,
                           SimTime now, std::string& out) {
   if (!Query::decode_into(datagram, query_)) {
     malformed_query_error(datagram).encode_into(out);
     return;
   }
-  ++queries_served_;
-  // Every well-formed query is evidence the sender is alive; BEP 43
-  // read-only senders are explicitly not added.
-  if (!query_.read_only) table_.observe(query_.sender_id, from, now);
-
-  response_.transaction_id = query_.transaction_id;
-  response_.sender_id = id();
-  response_.nodes.clear();
-  response_.peers.clear();
-  response_.token.clear();
-  switch (query_.method) {
-    case Method::Ping:
-      break;
-    case Method::FindNode:
-      table_.closest(query_.target, RoutingTable::kBucketSize,
-                     response_.nodes);
-      break;
-    case Method::GetPeers:
-      store_.collect(query_.info_hash, now, response_.peers);
-      // Nodes are returned alongside any values (the BEP 5 errata modern
-      // clients implement): withholding them would terminate every lookup
-      // at the first node holding peers, so announces would pile up there
-      // instead of spreading to the k genuinely closest nodes.
-      table_.closest(NodeId::from_digest(query_.info_hash),
-                     RoutingTable::kBucketSize, response_.nodes);
-      response_.token = tokens_.token_for(from.ip, now);
-      break;
-    case Method::AnnouncePeer:
-      if (!tokens_.valid(query_.token, from.ip, now)) {
-        ErrorMessage error;
-        error.transaction_id = query_.transaction_id;
-        error.code = kErrorProtocol;
-        error.message = "bad token";
-        error.encode_into(out);
-        return;
-      }
-      // The announced peer is the sender's IP at the port it asked for —
-      // BEP 5 stores the source address, which is what defeats the
-      // spoofed-IP trick that works on trackers (the paper's fake
-      // publishers): you cannot announce an address you don't hold.
-      store_.announce(query_.info_hash, Endpoint{from.ip, query_.port}, now);
-      break;
+  if (answer(query_, from, now, response_)) {
+    response_.encode_into(out);
+    return;
   }
-  response_.encode_into(out);
+  ErrorMessage error;
+  error.transaction_id = query_.transaction_id;
+  error.code = kErrorProtocol;
+  error.message = "bad token";
+  error.encode_into(out);
 }
 
 std::string DhtNode::handle(std::string_view datagram, const Endpoint& from,

@@ -97,17 +97,25 @@ class DhtNode {
   PeerStore& store() noexcept { return store_; }
   const TokenJar& tokens() const noexcept { return tokens_; }
 
-  /// Handles one query datagram from `from` at time `now`, writing the
-  /// response (or error) datagram into `out` (cleared first, capacity
-  /// kept). The decoded query and the response are node members too, so
-  /// once warm a query costs no allocation. A datagram that is not a valid
-  /// query gets malformed_query_error()'s reply.
+  /// Answers one typed query from `from` at time `now` into `out` (every
+  /// field rewritten, capacity kept): learns a non-read-only sender, then
+  /// runs the BEP 5 method. False when an announce_peer carries a token
+  /// this node did not hand to `from.ip` in the current or previous epoch;
+  /// nothing is stored then and `out` is unspecified. The overlay's own
+  /// traffic (joins, announce walks, announce_peer) calls this directly.
+  bool answer(const Query& query, const Endpoint& from, SimTime now,
+              Response& out);
+
+  /// The wire form of answer(), which the crawler's read-only walks take:
+  /// decodes one query datagram into a member Query, answers it into a
+  /// member Response and encodes that into `out` (cleared first, capacity
+  /// kept), so once warm a query costs no allocation. A datagram that is
+  /// not a valid query gets malformed_query_error()'s reply, and a bad
+  /// announce token a 203 "bad token" error.
   void handle_into(std::string_view datagram, const Endpoint& from,
                    SimTime now, std::string& out);
   std::string handle(std::string_view datagram, const Endpoint& from,
                      SimTime now);
-
-  std::uint64_t queries_served() const noexcept { return queries_served_; }
 
  private:
   Endpoint endpoint_;
@@ -116,7 +124,6 @@ class DhtNode {
   PeerStore store_;
   Query query_;
   Response response_;
-  std::uint64_t queries_served_ = 0;
 };
 
 }  // namespace btpub::dht

@@ -73,20 +73,17 @@ DhtNode* DhtOverlay::node_at(const Endpoint& endpoint) {
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-bool DhtOverlay::deliver(const Query& query, const Endpoint& to,
-                         const Endpoint& from, SimTime now) {
-  DhtNode* node = node_at(to);
-  if (node == nullptr) return false;  // lost: timeout, nothing to encode
-  query.encode_into(query_buf_);
-  ++datagrams_;
-  node->handle_into(query_buf_, from, now, reply_buf_);
-  return true;
-}
-
 bool DhtOverlay::exchange(const Query& query, const Endpoint& to,
                           const Endpoint& from, SimTime now) {
-  return deliver(query, to, from, now) &&
-         Response::decode_into(reply_buf_, reply_) &&
+  DhtNode* node = node_at(to);
+  if (node == nullptr) return false;  // lost: timeout, nothing to answer
+  ++datagrams_;
+  // The overlay's own traffic is the simulated world: the node answers the
+  // typed query. A measurement walk's query crosses the KRPC wire both ways.
+  if (!query.read_only) return node->answer(query, from, now, reply_);
+  query.encode_into(query_buf_);
+  node->handle_into(query_buf_, from, now, reply_buf_);
+  return Response::decode_into(reply_buf_, reply_) &&
          reply_.transaction_id == query.transaction_id;
 }
 
@@ -200,7 +197,7 @@ void DhtOverlay::announce_peer(const Sha1Digest& info_hash,
     announce.token.assign(tokens_[index]);
     set_transaction_id(announce.transaction_id);
     if (stats != nullptr) ++stats->messages;
-    deliver(announce, frontier_[index].endpoint, peer, now);
+    exchange(announce, frontier_[index].endpoint, peer, now);
   }
 }
 

@@ -1,11 +1,21 @@
 // overlay.hpp — the simulated Mainline DHT overlay network.
 //
-// No sockets: a datagram "sent" to an endpoint is handled synchronously by
+// No sockets: a query "sent" to an endpoint is answered synchronously by
 // the addressed node at the carried simulated time, mirroring how the
 // tracker endpoint answers announce datagrams. Reachability is modelled:
-// datagrams to endpoints that are not (or no longer) overlay nodes are
-// lost, which the RPC layer reports as a timeout — iterative lookups route
+// queries to endpoints that are not (or no longer) overlay nodes are lost,
+// which the RPC layer reports as a timeout — iterative lookups route
 // around departed nodes exactly as a real client would.
+//
+// Two halves, one exchange (DESIGN §1): the overlay's own traffic — joins'
+// find_node walks, announce walks' get_peers and the announce_peer that
+// follows — is the simulated world, so the node answers the typed Query
+// (DhtNode::answer) and no byte is written. A measurement vantage's BEP 43
+// read-only get_peers is the apparatus, so it crosses the KRPC wire: the
+// query is encoded, the node decodes it, answers and encodes the reply
+// (DhtNode::handle_into), and the overlay decodes that and checks the
+// transaction-id echo. Both paths answer from the same node state, so
+// which one a query takes changes no reply.
 //
 // Time is driven two ways, both deterministic:
 //   * an internal EventQueue (event_queue.hpp) carries the scheduled life
@@ -24,13 +34,13 @@
 // built from the same seed and fed the same schedule answer every query
 // byte-identically.
 //
-// Every exchange runs through the overlay's own query and reply buffers
-// and one reused decoded Response, and each node answers into the reply
-// buffer from its own reused Query/Response: once warm, a datagram costs
-// its bytes, not an allocation. A datagram to an endpoint that is no node
-// is not even encoded. Both walks share one sorted Frontier (frontier.hpp)
-// and the overlay's endpoint sets, so a round costs its new candidates and
-// a warm lookup allocates nothing but its result.
+// A wire exchange runs through the overlay's own query and reply buffers
+// and one reused decoded Response, which a typed answer fills directly,
+// and each node decodes and encodes through its own reused Query/Response:
+// once warm, an exchange costs no allocation. A query to an endpoint that
+// is no node is not even answered. Both walks share one sorted Frontier
+// (frontier.hpp) and the overlay's endpoint sets, so a round costs its new
+// candidates and a warm lookup allocates nothing but its result.
 #pragma once
 
 #include <cstdint>
@@ -111,12 +121,12 @@ class DhtOverlay {
   /// closest nodes (collecting their tokens), then announce_peer to each.
   /// The peer's address is its own endpoint; `port` defaults to it too.
   /// The walk only needs the responders and their tokens, so it collects
-  /// no peers: `stats->peers_found` stays 0 (the `values` of every reply
-  /// are still decoded and validated).
+  /// no peers: `stats->peers_found` stays 0. Every exchange of it is typed
+  /// (no read-only flag), so no reply's `values` is encoded or decoded.
   void announce_peer(const Sha1Digest& info_hash, const Endpoint& peer,
                      SimTime now, LookupStats* stats = nullptr);
 
-  /// Total datagrams delivered (diagnostic).
+  /// Total queries delivered to a node, typed or on the wire (diagnostic).
   std::uint64_t datagrams() const noexcept { return datagrams_; }
 
  private:
@@ -139,13 +149,12 @@ class DhtOverlay {
             LookupStats* stats, OnReply&& on_reply);
   /// Writes the next transaction id (a 2-byte sequence number) to `out`.
   void set_transaction_id(std::string& out);
-  /// Sends `query` to `to`, the answer landing in reply_buf_; false models
-  /// a timeout (unknown endpoint), for which nothing is encoded.
-  bool deliver(const Query& query, const Endpoint& to, const Endpoint& from,
-               SimTime now);
-  /// Sends `query` and decodes the answer into reply_; true when it is a
-  /// Response echoing the transaction id, false on a timeout or an
-  /// error/bogus reply.
+  /// Delivers `query` to `to` and leaves the answer in reply_; false on a
+  /// timeout (unknown endpoint, for which nothing is encoded), a rejected
+  /// announce token, or a wire reply that is an error or fails to echo the
+  /// transaction id. A BEP 43 read-only query crosses the KRPC wire
+  /// (encode, DhtNode::handle_into, decode); any other is answered typed
+  /// by DhtNode::answer.
   bool exchange(const Query& query, const Endpoint& to, const Endpoint& from,
                 SimTime now);
 

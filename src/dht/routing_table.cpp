@@ -106,15 +106,4 @@ bool RoutingTable::contains(const NodeId& id) const {
   return std::any_of(first, last, [&](const Contact& c) { return c.id == id; });
 }
 
-std::size_t RoutingTable::active_buckets() const noexcept {
-  std::size_t n = 0;
-  int previous = -1;
-  for (const Contact& c : contacts_) {
-    const int bucket = bucket_of(c.id);
-    n += bucket != previous ? 1 : 0;
-    previous = bucket;
-  }
-  return n;
-}
-
 }  // namespace btpub::dht

@@ -57,9 +57,6 @@ class RoutingTable {
   std::size_t size() const noexcept;
   bool contains(const NodeId& id) const;
 
-  /// Number of non-empty buckets (diagnostic; the perf bench reports it).
-  std::size_t active_buckets() const noexcept;
-
  private:
   /// The bucket index of `id` (-1 for the own id).
   int bucket_of(const NodeId& id) const noexcept;

@@ -523,6 +523,143 @@ TEST_F(DhtNodeTest, NonStringTransactionIdIsNotEchoed) {
   EXPECT_EQ(error.transaction_id, "");
 }
 
+// ---- typed answer vs. the wire ----
+
+/// Two nodes built from the same id and secret and given the same history:
+/// `typed_` is asked through answer(), `wire_` through handle() with the
+/// query encoded and the reply decoded. Fed the same queries, they must
+/// reply alike and stay in the same state.
+class DhtNodeAnswerTest : public ::testing::Test {
+ protected:
+  static constexpr Endpoint kSelf{IpAddress(10, 0, 0, 1), 6881};
+  static constexpr Endpoint kAsker{IpAddress(10, 0, 0, 2), 7000};
+  static constexpr Endpoint kVantage{IpAddress(10, 88, 0, 1), 6881};
+
+  DhtNodeAnswerTest()
+      : typed_(NodeId::for_endpoint(1, kSelf), kSelf, /*token_secret=*/555),
+        wire_(NodeId::for_endpoint(1, kSelf), kSelf, /*token_secret=*/555) {
+    for (DhtNode* node : {&typed_, &wire_}) {
+      // One contact in each of twelve low buckets: enough for a full reply,
+      // and the top buckets, where a newcomer lands, keep room.
+      for (int i = 0; i < 12; ++i) {
+        const int bucket = 10 + 10 * i;
+        NodeId id = node->id();
+        id.bytes[19 - bucket / 8] ^= static_cast<std::uint8_t>(1 << (bucket % 8));
+        node->table().observe(id, {IpAddress(0x0B000000u + i), 6881}, 1);
+      }
+      // More peers than one reply carries.
+      for (std::uint32_t i = 0; i < 60; ++i) {
+        node->store().announce(kStored, {IpAddress(0x0C000000u + i), 7000}, 2);
+      }
+    }
+  }
+
+  /// Asks both nodes `query`; expects equal replies and returns the typed.
+  Response ask_both(Query query, const Endpoint& from, SimTime now) {
+    query.transaction_id = "tx";
+    query.sender_id = NodeId::for_endpoint(1, from);
+    Response typed;
+    EXPECT_TRUE(typed_.answer(query, from, now, typed));
+    const auto wire = Response::decode(wire_.handle(query.encode(), from, now));
+    EXPECT_TRUE(wire.has_value()) << to_string(query.method);
+    if (wire) {
+      EXPECT_EQ(typed.transaction_id, wire->transaction_id);
+      EXPECT_EQ(typed.sender_id, wire->sender_id);
+      EXPECT_EQ(typed.nodes, wire->nodes);
+      EXPECT_EQ(typed.peers, wire->peers);
+      EXPECT_EQ(typed.token, wire->token);
+    }
+    EXPECT_EQ(typed_.table().size(), wire_.table().size());
+    EXPECT_EQ(typed_.store().stored_peers(), wire_.store().stored_peers());
+    return typed;
+  }
+
+  static inline const Sha1Digest kStored = Sha1::hash("stored");
+  DhtNode typed_;
+  DhtNode wire_;
+};
+
+TEST_F(DhtNodeAnswerTest, AnswerEqualsTheWireReplyForEveryMethod) {
+  Query ping;
+  ping.method = Method::Ping;
+  const Response pong = ask_both(ping, kAsker, 10);
+  EXPECT_EQ(pong.transaction_id, "tx");
+  EXPECT_EQ(pong.sender_id, typed_.id());
+  EXPECT_TRUE(typed_.table().contains(NodeId::for_endpoint(1, kAsker)));
+
+  Query find;
+  find.method = Method::FindNode;
+  find.target = NodeId::from_digest(Sha1::hash("target"));
+  EXPECT_EQ(ask_both(find, kAsker, 20).nodes.size(),
+            RoutingTable::kBucketSize);
+
+  Query get;
+  get.method = Method::GetPeers;
+  get.info_hash = kStored;
+  const Response plain = ask_both(get, kAsker, 30);
+  EXPECT_EQ(plain.peers.size(), PeerStore::kMaxPeersPerReply);
+  EXPECT_EQ(plain.nodes.size(), RoutingTable::kBucketSize);
+  EXPECT_EQ(plain.token.size(), 8u);
+
+  // A read-only sender is answered alike and learned by neither node.
+  const std::size_t contacts = typed_.table().size();
+  get.read_only = true;
+  const Response measured = ask_both(get, kVantage, 40);
+  EXPECT_EQ(measured.peers, plain.peers);
+  EXPECT_EQ(typed_.table().size(), contacts);
+  get.read_only = false;
+
+  Query announce;
+  announce.method = Method::AnnouncePeer;
+  announce.info_hash = kStored;
+  announce.port = 9000;
+  announce.token = plain.token;
+  const Response stored = ask_both(announce, kAsker, 50);
+  EXPECT_TRUE(stored.nodes.empty());
+  EXPECT_TRUE(stored.token.empty());
+  // The announce reached both stores: the newest peer closes the window.
+  EXPECT_EQ(ask_both(get, kAsker, 60).peers.back(),
+            (Endpoint{kAsker.ip, 9000}));
+}
+
+TEST_F(DhtNodeAnswerTest, StaleOrForeignTokenIsRefusedAndStoresNothing) {
+  Query get;
+  get.method = Method::GetPeers;
+  get.info_hash = Sha1::hash("refused");
+  const SimTime issued = minutes(7);
+  const Response res = ask_both(get, kAsker, issued);
+
+  Query announce;
+  announce.method = Method::AnnouncePeer;
+  announce.info_hash = get.info_hash;
+  announce.port = 7000;
+  announce.token = res.token;
+  announce.transaction_id = "tx";
+  const Endpoint thief{IpAddress(66, 6, 6, 6), 7000};
+  const std::size_t stored = typed_.store().stored_peers();
+  const std::size_t hashes = typed_.store().stored_infohashes();
+  Response out;
+
+  // Two rotations later the asker's own token is stale.
+  announce.sender_id = NodeId::for_endpoint(1, kAsker);
+  EXPECT_FALSE(typed_.answer(announce, kAsker,
+                             issued + 2 * TokenJar::kTokenRotate, out));
+  // A token handed to another IP is foreign, even in its own epoch.
+  announce.sender_id = NodeId::for_endpoint(1, thief);
+  EXPECT_FALSE(typed_.answer(announce, thief, issued, out));
+  EXPECT_EQ(typed_.store().stored_peers(), stored);
+  EXPECT_EQ(typed_.store().stored_infohashes(), hashes);
+
+  // The wire form of the same refusal is a 203 "bad token" error.
+  const auto error =
+      ErrorMessage::decode(wire_.handle(announce.encode(), thief, issued));
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, kErrorProtocol);
+  EXPECT_EQ(error->message, "bad token");
+  EXPECT_EQ(error->transaction_id, "tx");
+  EXPECT_EQ(wire_.store().stored_peers(), stored);
+}
+
 // ---- walk frontier ----
 
 /// The walk state as the lookups kept it before the frontier: a plain
