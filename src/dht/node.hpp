@@ -12,7 +12,7 @@
 // a peer that stops re-announcing ages out after kPeerTtl. Storage order
 // is last-announce order (a refresh moves the entry to the recent end),
 // so replies are a pure function of the announce history — no hash-map
-// iteration order leaks into any datagram — and the reply window always
+// iteration order leaks into any reply — and the reply window always
 // covers the most recent announcers.
 #pragma once
 

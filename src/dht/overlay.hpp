@@ -30,7 +30,7 @@
 // Determinism: node ids derive from (seed, endpoint); transaction ids come
 // from a single sequential counter; the node registry is a hash map that
 // is only ever probed, never iterated, so its order cannot reach a
-// datagram; lookups break distance ties on the id bytes. Two overlays
+// reply; lookups break distance ties on the id bytes. Two overlays
 // built from the same seed and fed the same schedule answer every query
 // byte-identically.
 //
