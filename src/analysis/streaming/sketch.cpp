@@ -93,12 +93,12 @@ CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth,
       depth_(std::max<std::size_t>(depth, 1)),
       column_mask_(std::has_single_bit(width_) ? width_ - 1 : 0),
       salt_(salt),
-      cells_(width_ * depth_) {}
+      cells_(width_ * depth_, 0) {}
 
 void CountMinSketch::add(std::uint64_t key, std::uint64_t amount) noexcept {
   auto [h, step] = hashes(key);
   for (std::size_t row = 0; row < depth_; ++row, h += step) {
-    cells_[row * width_ + column(h)].fetch_add(amount, std::memory_order_relaxed);
+    cells_[row * width_ + column(h)] += amount;
   }
 }
 
@@ -106,8 +106,7 @@ std::uint64_t CountMinSketch::count(std::uint64_t key) const noexcept {
   std::uint64_t best = ~std::uint64_t{0};
   auto [h, step] = hashes(key);
   for (std::size_t row = 0; row < depth_; ++row, h += step) {
-    best = std::min(
-        best, cells_[row * width_ + column(h)].load(std::memory_order_relaxed));
+    best = std::min(best, cells_[row * width_ + column(h)]);
   }
   return best;
 }
@@ -116,7 +115,7 @@ std::uint64_t CountMinSketch::total() const noexcept {
   // Every add lands in exactly one row-0 cell, so row 0 sums to the mass.
   std::uint64_t sum = 0;
   for (std::size_t col = 0; col < width_; ++col) {
-    sum += cells_[col].load(std::memory_order_relaxed);
+    sum += cells_[col];
   }
   return sum;
 }

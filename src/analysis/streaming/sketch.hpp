@@ -3,20 +3,17 @@
 // count-min sketch for per-IP announce rates.
 //
 // Both sketches are *commutative*: their final state depends only on the
-// multiset of updates, never on update order or thread interleaving. That
-// property is what lets the parallel crawl engine push observations from
-// N workers and still produce byte-identical end-of-crawl snapshots at
-// every thread count (the same invariant the crawl itself guarantees).
+// multiset of updates, never on update order. That property is what lets
+// one classifier take observations from both vantages, interleaved (as
+// live_monitor feeds it), and still produce the same end-of-crawl snapshot
+// as any other order of the same observations.
 //
 //   * HyperLogLog registers only ever move up (max of two states), so
-//     per-torrent instances are owned by one worker and merged serially at
-//     snapshot time — no atomics needed on the hot path.
-//   * CountMinSketch cells are relaxed atomic counters shared by all
-//     workers; fetch_add is commutative, so final counts are exact
-//     functions of the observation multiset.
+//     per-torrent instances merge register-wise at snapshot time.
+//   * CountMinSketch cells are plain sums; addition is commutative, so
+//     final counts are exact functions of the observation multiset.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -62,8 +59,8 @@ class HyperLogLog {
   std::vector<std::uint8_t> registers_;
 };
 
-/// Count-min sketch (Cormode & Muthukrishnan 2005) over 64-bit keys with
-/// relaxed-atomic cells, shared by every crawl worker. count() never
+/// Count-min sketch (Cormode & Muthukrishnan 2005) over 64-bit keys.
+/// count() never
 /// under-estimates; with width w it over-estimates by at most e/w of the
 /// total mass with probability 1 - e^-depth.
 class CountMinSketch {
@@ -103,7 +100,7 @@ class CountMinSketch {
   std::size_t depth_;
   std::uint64_t column_mask_;  // width - 1 for a power-of-two width, else 0
   std::uint64_t salt_;
-  std::vector<std::atomic<std::uint64_t>> cells_;
+  std::vector<std::uint64_t> cells_;
 };
 
 }  // namespace btpub

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <mutex>
 #include <unordered_set>
 
 #include "analysis/session.hpp"
@@ -30,13 +29,11 @@ void StreamingClassifier::on_discover(const TorrentRecord& record, SimTime now) 
   slot->publisher_ip = record.publisher_ip;
   slot->discovered_at = now;
   slot->last_observation = now;
-  std::unique_lock lock(mu_);
   slots_[record.portal_id] = std::move(slot);
 }
 
 StreamingClassifier::TorrentSlot* StreamingClassifier::find_slot(
     TorrentId id) const {
-  std::shared_lock lock(mu_);
   const auto it = slots_.find(id);
   return it == slots_.end() ? nullptr : it->second.get();
 }
@@ -51,7 +48,7 @@ void StreamingClassifier::on_downloaders(TorrentId id,
     announce_rates_.add(ip.value());
   }
   slot->last_observation = std::max(slot->last_observation, now);
-  updates_.fetch_add(ips.size(), std::memory_order_relaxed);
+  updates_ += ips.size();
 }
 
 void StreamingClassifier::on_publisher_sighting(TorrentId id, SimTime now) {
@@ -60,7 +57,7 @@ void StreamingClassifier::on_publisher_sighting(TorrentId id, SimTime now) {
   slot->sessions.add_sighting(now);
   if (slot->publisher_ip) announce_rates_.add(slot->publisher_ip->value());
   slot->last_observation = std::max(slot->last_observation, now);
-  updates_.fetch_add(1, std::memory_order_relaxed);
+  ++updates_;
 }
 
 void StreamingClassifier::on_removal(TorrentId id, SimTime now) {
@@ -72,12 +69,10 @@ void StreamingClassifier::on_removal(TorrentId id, SimTime now) {
 
 void StreamingClassifier::on_user_page(const std::string& username,
                                        const UserPage& page) {
-  std::unique_lock lock(mu_);
   user_banned_[username] = page.banned;
 }
 
 std::size_t StreamingClassifier::torrents_seen() const {
-  std::shared_lock lock(mu_);
   return slots_.size();
 }
 
@@ -86,17 +81,10 @@ StreamingSnapshot StreamingClassifier::snapshot(SimTime now,
   StreamingSnapshot snap;
   snap.at = now;
 
-  // Stable view: slots in portal-id order. Snapshots must not run
-  // concurrently with observation pushes (observer.hpp contract), so the
-  // slot contents are quiescent here.
+  // Stable view: slots in portal-id order.
   std::vector<const TorrentSlot*> slots;
-  std::unordered_map<std::string, bool> banned_pages;
-  {
-    std::shared_lock lock(mu_);
-    slots.reserve(slots_.size());
-    for (const auto& [id, slot] : slots_) slots.push_back(slot.get());
-    banned_pages = user_banned_;
-  }
+  slots.reserve(slots_.size());
+  for (const auto& [id, slot] : slots_) slots.push_back(slot.get());
   std::sort(slots.begin(), slots.end(),
             [](const TorrentSlot* a, const TorrentSlot* b) {
               return a->id < b->id;
@@ -147,8 +135,8 @@ StreamingSnapshot StreamingClassifier::snapshot(SimTime now,
   snap.publishers = aggs.size();
 
   const auto banned = [&](const std::string& username, bool removed) {
-    const auto it = banned_pages.find(username);
-    if (it != banned_pages.end() && it->second) return true;
+    const auto it = user_banned_.find(username);
+    if (it != user_banned_.end() && it->second) return true;
     return provisional && removed;
   };
 
@@ -206,7 +194,7 @@ StreamingSnapshot StreamingClassifier::snapshot(SimTime now,
     verdict.content_count = agg.slots.size();
     verdict.fake = fake[a];
     verdict.provisional_fake =
-        fake[a] && provisional && !banned_pages.contains(agg.username) &&
+        fake[a] && provisional && !user_banned_.contains(agg.username) &&
         agg.removed_observed;
     verdict.top = top[a];
 

@@ -21,15 +21,14 @@
 // inputs — who published what, promotion findings, username <-> IP links,
 // moderation bans — are small per-publisher state kept exactly, so
 // finalize() reproduces IdentityAnalysis + classify_top_publishers
-// (unsampled) verbatim on the same observations, at any crawl thread
-// count. Only the distinct-IP counts are estimates, and those stay within
-// the sketch's documented error bound.
+// (unsampled) verbatim on the same observations, in any push order. Only
+// the distinct-IP counts are estimates, and those stay within the
+// sketch's documented error bound.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -118,8 +117,8 @@ struct StreamingSnapshot {
   std::vector<std::string> top() const;
   /// Usernames currently called fake.
   std::vector<std::string> fakes() const;
-  /// Canonical multi-line rendering (stable across runs — the 1-vs-N
-  /// byte-identity oracle, also what live_monitor prints).
+  /// Canonical multi-line rendering (stable across runs and push orders —
+  /// the byte-identity oracle, also what live_monitor prints).
   std::string to_text() const;
 };
 
@@ -128,7 +127,7 @@ class StreamingClassifier : public CrawlObserver {
   StreamingClassifier(const GeoDb& geo, const WebsiteDirectory& websites,
                       StreamingConfig config = {});
 
-  // CrawlObserver (thread-safe; see observer.hpp for the contract).
+  // CrawlObserver (see observer.hpp for the contract).
   void on_discover(const TorrentRecord& record, SimTime now) override;
   void on_downloaders(TorrentId id, std::span<const IpAddress> ips,
                       SimTime now) override;
@@ -138,8 +137,7 @@ class StreamingClassifier : public CrawlObserver {
 
   /// Provisional verdicts mid-crawl: moderation removals observed so far
   /// stand in for the user-page bans that only exist at crawl end, and
-  /// rate flags feed the fake signal. Must not run concurrently with
-  /// observation pushes.
+  /// rate flags feed the fake signal.
   StreamingSnapshot round(SimTime now) const { return snapshot(now, true); }
   /// End-of-crawl verdicts: exact batch semantics (user-page bans only).
   StreamingSnapshot finalize(SimTime now = 0) const {
@@ -147,12 +145,10 @@ class StreamingClassifier : public CrawlObserver {
   }
 
   std::size_t torrents_seen() const;
-  std::uint64_t updates() const noexcept {
-    return updates_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t updates() const noexcept { return updates_; }
 
  private:
-  /// Per-torrent state, owned by the one worker crawling that torrent.
+  /// Per-torrent state.
   struct TorrentSlot {
     TorrentId id = kInvalidTorrent;
     std::string username;
@@ -173,14 +169,11 @@ class StreamingClassifier : public CrawlObserver {
   const WebsiteDirectory* websites_;
   StreamingConfig config_;
 
-  /// Guards the slot map and the user-page table; slot *contents* are
-  /// single-owner and accessed without it.
-  mutable std::shared_mutex mu_;
   std::unordered_map<TorrentId, std::unique_ptr<TorrentSlot>> slots_;
   std::unordered_map<std::string, bool> user_banned_;
 
   CountMinSketch announce_rates_;
-  std::atomic<std::uint64_t> updates_{0};
+  std::uint64_t updates_ = 0;
 };
 
 }  // namespace btpub

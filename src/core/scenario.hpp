@@ -39,8 +39,8 @@ struct ScenarioConfig {
   /// metainfo hashing, swarm generation, seed-session planning); 0 =
   /// hardware concurrency. The generated world is byte-identical for every
   /// value — each publication event draws from its own derive_seed
-  /// substream and results merge back in event order. The crawl has its
-  /// own knob (crawler.threads).
+  /// substream and results merge back in event order. The crawl runs on
+  /// one thread whatever this says.
   std::size_t threads = 0;
 
   PopulationConfig population;

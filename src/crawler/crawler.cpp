@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "torrent/wire.hpp"
-#include "util/parallel.hpp"
 
 namespace btpub {
 
@@ -28,28 +27,26 @@ Endpoint Crawler::vantage(std::size_t index) const {
 
 void Crawler::record_reply(const AnnounceReply& reply, TorrentRecord& record,
                            std::vector<IpAddress>& ips,
-                           std::vector<SimTime>& sightings,
-                           CrawlScratch& scratch, SimTime now) {
+                           std::vector<SimTime>& sightings, SimTime now) {
   record.max_concurrent =
       std::max(record.max_concurrent, reply.complete + reply.incomplete);
-  scratch.observed.clear();
+  scratch_.observed.clear();
   for (const Endpoint& peer : reply.peers) {
     if (record.publisher_ip && peer.ip == *record.publisher_ip) {
       sightings.push_back(now);
       if (observer_) observer_->on_publisher_sighting(record.portal_id, now);
       continue;
     }
-    if (scratch.seen.insert(peer.ip).second) ips.push_back(peer.ip);
-    if (observer_) scratch.observed.push_back(peer.ip);
+    if (scratch_.seen.insert(peer.ip).second) ips.push_back(peer.ip);
+    if (observer_) scratch_.observed.push_back(peer.ip);
   }
-  if (observer_ && !scratch.observed.empty()) {
-    observer_->on_downloaders(record.portal_id, scratch.observed, now);
+  if (observer_ && !scratch_.observed.empty()) {
+    observer_->on_downloaders(record.portal_id, scratch_.observed, now);
   }
 }
 
 void Crawler::first_contact(TorrentRecord& record, std::vector<IpAddress>& ips,
-                            std::vector<SimTime>& sightings,
-                            CrawlScratch& scratch, SimTime now) {
+                            std::vector<SimTime>& sightings, SimTime now) {
   AnnounceRequest request;
   request.infohash = record.infohash;
   request.client = vantage(0);
@@ -58,8 +55,8 @@ void Crawler::first_contact(TorrentRecord& record, std::vector<IpAddress>& ips,
   // Struct-level announce: same observable reply as the HTTP string round
   // trip (handle_get + decode), minus the encode/parse work — the golden
   // response test pins the wire bytes the shim still produces.
-  tracker_->announce_into(request, scratch.reply, scratch.announce);
-  const AnnounceReply& reply = scratch.reply;
+  tracker_->announce_into(request, scratch_.reply, scratch_.announce);
+  const AnnounceReply& reply = scratch_.reply;
   record.first_seen = now;
   ++record.query_count;
   if (reply.ok) {
@@ -94,12 +91,11 @@ void Crawler::first_contact(TorrentRecord& record, std::vector<IpAddress>& ips,
   // identified publisher with the record, and before any peer push so
   // on_discover always precedes the per-peer hooks.
   if (observer_) observer_->on_discover(record, now);
-  if (reply.ok) record_reply(reply, record, ips, sightings, scratch, now);
+  if (reply.ok) record_reply(reply, record, ips, sightings, now);
 }
 
 void Crawler::monitor(TorrentRecord& record, std::vector<IpAddress>& ips,
-                      std::vector<SimTime>& sightings, CrawlScratch& scratch,
-                      SimTime hard_stop) {
+                      std::vector<SimTime>& sightings, SimTime hard_stop) {
   // Each vantage machine queries at the fastest allowed cadence; their
   // schedules are staggered so aggregated resolution is gap/vantage_points.
   const SimDuration gap = tracker_->enforced_gap() + kSecond;
@@ -122,11 +118,11 @@ void Crawler::monitor(TorrentRecord& record, std::vector<IpAddress>& ips,
     request.client = vantage(machine);
     request.numwant = kCrawlerNumwant;
     request.now = now;
-    tracker_->announce_into(request, scratch.reply, scratch.announce);
-    const AnnounceReply& reply = scratch.reply;
+    tracker_->announce_into(request, scratch_.reply, scratch_.announce);
+    const AnnounceReply& reply = scratch_.reply;
     ++record.query_count;
     if (reply.ok) {
-      record_reply(reply, record, ips, sightings, scratch, now);
+      record_reply(reply, record, ips, sightings, now);
       if (reply.peers.empty()) {
         if (++consecutive_empty >= config_.empty_replies_to_stop) break;
       } else {
@@ -144,34 +140,10 @@ void Crawler::monitor(TorrentRecord& record, std::vector<IpAddress>& ips,
 std::optional<TorrentRecord> Crawler::discover(TorrentId id, SimTime now,
                                                std::vector<IpAddress>& downloaders,
                                                std::vector<SimTime>& sightings) {
-  CrawlScratch scratch;
-  return discover_with(id, now, downloaders, sightings, scratch);
-}
-
-std::optional<TorrentRecord> Crawler::discover_with(
-    TorrentId id, SimTime now, std::vector<IpAddress>& downloaders,
-    std::vector<SimTime>& sightings, CrawlScratch& scratch) {
+  scratch_.seen.clear();  // per-torrent dedup; capacity is kept
   auto record = fetch_record(*portal_, id, now, config_.style);
-  if (record) first_contact(*record, downloaders, sightings, scratch, now);
+  if (record) first_contact(*record, downloaders, sightings, now);
   return record;
-}
-
-Crawler::CrawlResult Crawler::crawl_one(const WindowTorrent& torrent,
-                                        SimTime window_end,
-                                        CrawlScratch& scratch) {
-  CrawlResult result;
-  scratch.seen.clear();  // per-torrent dedup; capacity is kept
-  auto record = discover_with(torrent.id, torrent.discovery,
-                              result.downloaders, result.sightings, scratch);
-  if (!record) return result;  // removed before we could fetch it
-
-  if (config_.style != DatasetStyle::Pb09) {
-    monitor(*record, result.downloaders, result.sightings, scratch,
-            window_end + kCrawlGrace);
-  }
-  result.record = std::move(*record);
-  result.ok = true;
-  return result;
 }
 
 Dataset Crawler::crawl_window(SimTime window_start, SimTime window_end) {
@@ -185,23 +157,17 @@ Dataset Crawler::crawl_window(SimTime window_start, SimTime window_end) {
       window_torrents(*portal_, window_start, window_end, config_.rss_poll,
                       seed_);
 
-  // Fan the per-torrent crawls out; merge in portal-id order (the torrents
-  // are already id-ascending) so the dataset layout is independent of
-  // completion order. Each worker keeps one warm scratch across every
-  // torrent it claims; scratch never influences results, so which worker
-  // crawls which torrent stays irrelevant to the output.
-  const std::size_t workers = resolve_threads(config_.threads);
-  std::vector<CrawlScratch> scratch(workers);
-  std::vector<CrawlResult> results(torrents.size());
-  parallel_for(torrents.size(), workers, [&](std::size_t i, std::size_t w) {
-    results[i] = crawl_one(torrents[i], window_end, scratch[w]);
-  });
-
-  for (CrawlResult& result : results) {
-    if (!result.ok) continue;  // removed before we could fetch it
-    dataset.torrents.push_back(std::move(result.record));
-    dataset.downloaders.push_back(std::move(result.downloaders));
-    dataset.publisher_sightings.push_back(std::move(result.sightings));
+  for (const WindowTorrent& torrent : torrents) {
+    std::vector<IpAddress> downloaders;
+    std::vector<SimTime> sightings;
+    auto record = discover(torrent.id, torrent.discovery, downloaders, sightings);
+    if (!record) continue;  // removed before we could fetch it
+    if (config_.style != DatasetStyle::Pb09) {
+      monitor(*record, downloaders, sightings, window_end + kCrawlGrace);
+    }
+    dataset.torrents.push_back(std::move(*record));
+    dataset.downloaders.push_back(std::move(downloaders));
+    dataset.publisher_sightings.push_back(std::move(sightings));
   }
 
   snapshot_user_pages(*portal_, dataset, window_end + kCrawlGrace,

@@ -15,15 +15,14 @@
 // bencoded tracker replies and peer-wire bytes. It never touches simulator
 // ground truth.
 //
-// Parallel crawl engine: crawl_window fans the per-torrent monitoring loop
-// out with parallel_for (the paper ran 14 vantage machines over
-// ~55K torrents concurrently). Three properties make the parallel crawl
-// byte-identical to the sequential one:
-//   * every torrent draws from its own RNG substream derived from
-//     (seed, portal id), never from a shared sequential stream;
-//   * the tracker's announce path is thread-safe with stateless peer
-//     sampling keyed on the query identity (see tracker.hpp);
-//   * results are merged in portal-id order regardless of completion order.
+// The crawl is one loop over the window's torrents in portal-id order, on
+// the calling thread. It is a sweep over simulated time, so more threads
+// would change only how fast the sweep is computed, and DESIGN §4.1
+// measured that they do not make it faster. Each torrent's discovery
+// jitter draws from its own RNG substream derived from (seed, portal id),
+// and each tracker reply's peer sample from the query identity (see
+// tracker.hpp), so a torrent's crawl does not depend on which torrents
+// were crawled before it.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +57,9 @@ struct CrawlerConfig {
   /// Only attempt seeder identification when the swarm has fewer
   /// participants than this (paper: 20) and exactly one seeder.
   std::uint32_t max_probe_peers = 20;
-  /// Worker threads for crawl_window; 0 = hardware concurrency. The
-  /// resulting dataset is identical for every thread count.
+  /// Read by nothing: the crawl runs on the calling thread. Kept because
+  /// the frozen perfbench drivers assign it; the next change to that
+  /// benchmark deletes it.
   std::size_t threads = 0;
 };
 
@@ -68,9 +68,8 @@ class Crawler {
   Crawler(const Portal& portal, Tracker& tracker, SwarmNetwork& network,
           const GeoDb& geo, CrawlerConfig config, std::uint64_t seed);
 
-  /// Crawls every torrent published in [window_start, window_end); returns
-  /// the dataset. Deterministic given the seed, independent of
-  /// config.threads and of scheduling order.
+  /// Crawls every torrent published in [window_start, window_end) in
+  /// portal-id order; returns the dataset. Deterministic given the seed.
   Dataset crawl_window(SimTime window_start, SimTime window_end);
 
   /// Discovery + first tracker contact for a single torrent (the pb09
@@ -81,24 +80,16 @@ class Crawler {
                                         std::vector<SimTime>& sightings);
 
   /// Attaches the crawl-time observation stream (§4.5). The observer
-  /// outlives the crawl and receives hooks from every worker thread —
-  /// see observer.hpp for the threading contract. Null detaches.
+  /// outlives the crawl; see observer.hpp for the hook order. Null
+  /// detaches.
   void set_observer(CrawlObserver* observer) noexcept { observer_ = observer; }
 
  private:
-  /// Everything one torrent's crawl produces; merged in portal-id order.
-  struct CrawlResult {
-    TorrentRecord record;
-    std::vector<IpAddress> downloaders;
-    std::vector<SimTime> sightings;
-    bool ok = false;
-  };
-
-  /// Per-worker reusable state for the announce fast path: the decoded
-  /// reply, the tracker's sampling scratch and the per-torrent seen-IP
-  /// dedup set all keep their capacity across torrents, so the monitor
-  /// loop's inner announce is allocation-free at steady state. Owned by
-  /// exactly one worker; `seen` is cleared at the start of each torrent.
+  /// Reusable state for the announce fast path: the decoded reply, the
+  /// tracker's sampling scratch and the per-torrent seen-IP dedup set all
+  /// keep their capacity across torrents, so the monitor loop's inner
+  /// announce is allocation-free at steady state. `seen` is cleared at the
+  /// start of each discovery.
   struct CrawlScratch {
     AnnounceReply reply;
     Tracker::AnnounceScratch announce;
@@ -107,33 +98,18 @@ class Crawler {
     std::vector<IpAddress> observed;
   };
 
-  /// Full per-torrent crawl (discovery + monitoring). Pure function of
-  /// (torrent, window_end) — safe to run concurrently for distinct
-  /// torrents as long as each worker owns its scratch.
-  CrawlResult crawl_one(const WindowTorrent& torrent, SimTime window_end,
-                        CrawlScratch& scratch);
-
-  /// Discovery with externally-owned scratch (so monitoring can keep
-  /// extending the dedup set).
-  std::optional<TorrentRecord> discover_with(TorrentId id, SimTime now,
-                                             std::vector<IpAddress>& downloaders,
-                                             std::vector<SimTime>& sightings,
-                                             CrawlScratch& scratch);
-
   /// First tracker contact + (conditional) initial-seeder identification.
   void first_contact(TorrentRecord& record, std::vector<IpAddress>& ips,
-                     std::vector<SimTime>& sightings, CrawlScratch& scratch,
-                     SimTime now);
+                     std::vector<SimTime>& sightings, SimTime now);
   /// Periodic monitoring until the empty-reply stop rule fires.
   void monitor(TorrentRecord& record, std::vector<IpAddress>& ips,
-               std::vector<SimTime>& sightings, CrawlScratch& scratch,
-               SimTime hard_stop);
+               std::vector<SimTime>& sightings, SimTime hard_stop);
   Endpoint vantage(std::size_t index) const;
   /// Dedup-inserts the peers of a reply; records publisher sightings and
   /// streams both to the attached observer.
   void record_reply(const AnnounceReply& reply, TorrentRecord& record,
                     std::vector<IpAddress>& ips, std::vector<SimTime>& sightings,
-                    CrawlScratch& scratch, SimTime now);
+                    SimTime now);
 
   const Portal* portal_;
   Tracker* tracker_;
@@ -143,6 +119,7 @@ class Crawler {
   CrawlerConfig config_;
   /// Root seed of the discovery jitter (see discovery_time).
   std::uint64_t seed_;
+  CrawlScratch scratch_;
 };
 
 }  // namespace btpub

@@ -8,14 +8,13 @@
 // (analysis/streaming/streaming_classifier.hpp) is the production
 // implementation; tests attach recording stubs.
 //
-// Threading contract: crawl_window fans torrents out over a worker pool, so
-// hooks fire concurrently from multiple threads — implementations must be
-// thread-safe. Per-torrent ordering is guaranteed (one torrent is crawled
-// by exactly one worker, time-ordered): on_discover precedes every other
-// hook for that id. Cross-torrent ordering is unspecified; observers that
-// want thread-count-independent results must keep their cross-torrent state
-// commutative (see analysis/streaming/sketch.hpp). on_user_page is called
-// serially after all workers have joined.
+// Threading contract: hooks fire from one thread. For each torrent,
+// on_discover precedes every other hook for that id. Cross-torrent order
+// is the crawler's (Crawler::crawl_window goes in portal-id order), and
+// one observer may be fed by both vantages, interleaved (live_monitor does
+// this), so an observer that wants order-independent results keeps its
+// cross-torrent state commutative (see analysis/streaming/sketch.hpp).
+// on_user_page is called after every torrent's other hooks.
 #pragma once
 
 #include <span>

@@ -19,6 +19,7 @@
 #include "tracker/announce.hpp"
 #include "tracker/udp.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace btpub::netio {
 namespace {
@@ -30,6 +31,10 @@ constexpr std::uint64_t kWorkerSeedTag = 0x6c6f6164'67656e31ULL;  // "loadgen1"
 constexpr std::uint32_t kIpPool = 256;
 /// Requests in flight on one keep-alive pipelined HTTP connection.
 constexpr std::size_t kHttpPipeline = 8;
+/// Largest response body the HTTP worker will frame. The daemon's largest
+/// reply, an announce carrying TrackerConfig::max_numwant compact peers,
+/// is about 1.3 KB; a Content-Length beyond this cap is not the daemon's.
+constexpr std::uint64_t kMaxHttpBody = 16 * 1024;
 
 /// Slot ring for in-flight requests; transaction ids index it modulo size.
 struct Pending {
@@ -244,6 +249,19 @@ WorkerResult udp_worker(const LoadgenConfig& cfg, std::size_t worker,
   return r;
 }
 
+/// The Content-Length of a response head, at most kMaxHttpBody; nullopt
+/// when the header is missing, malformed or over the cap.
+std::optional<std::size_t> parse_content_length(std::string_view head) {
+  constexpr std::string_view kName = "Content-Length:";
+  const auto pos = head.find(kName);
+  if (pos == std::string_view::npos) return std::nullopt;
+  const std::string_view line = head.substr(pos + kName.size());
+  const auto length = parse_uint(trim(line.substr(0, line.find("\r\n"))),
+                                 kMaxHttpBody);
+  if (!length) return std::nullopt;
+  return static_cast<std::size_t>(*length);
+}
+
 WorkerResult http_worker(const LoadgenConfig& cfg, std::size_t worker,
                          const std::vector<Sha1Digest>& infohashes) {
   WorkerResult r;
@@ -305,13 +323,16 @@ WorkerResult http_worker(const LoadgenConfig& cfg, std::size_t worker,
         continue;
       }
       const std::string_view head(rx.data(), head_end);
-      std::size_t content_length = 0;
-      if (const auto pos = head.find("Content-Length:");
-          pos != std::string_view::npos) {
-        content_length = static_cast<std::size_t>(
-            std::strtoul(rx.c_str() + pos + 15, nullptr, 10));
+      const auto content_length = parse_content_length(head);
+      if (!content_length) {
+        // Unframeable: nothing after this reply can be trusted either.
+        ++r.errors;
+        send_times.pop_front();
+        r.timeouts += send_times.size();
+        r.elapsed = static_cast<double>(steady_ns() - t0) / 1e9;
+        return r;
       }
-      const std::size_t total = head_end + 4 + content_length;
+      const std::size_t total = head_end + 4 + *content_length;
       if (rx.size() < total) {
         const ssize_t n = read(fd.get(), in, sizeof in);
         if (n <= 0) {

@@ -27,31 +27,14 @@ void Tracker::host_swarm(Swarm& swarm) {
 }
 
 bool Tracker::is_blacklisted(IpAddress client) const {
-  const Shard& shard = shard_for(client.value());
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.blacklist.contains(client.value());
+  return blacklist_.contains(client.value());
 }
 
 void Tracker::reset_state(std::uint64_t sample_seed) {
   sample_seed_ = sample_seed;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.last_query.clear();
-    shard.violations.clear();
-    shard.blacklist.clear();
-  }
-}
-
-Tracker::Stats Tracker::stats() const {
-  Stats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total.queries += shard.stats.queries;
-    total.rejected_rate += shard.stats.rejected_rate;
-    total.rejected_blacklist += shard.stats.rejected_blacklist;
-    total.rejected_unknown += shard.stats.rejected_unknown;
-  }
-  return total;
+  last_query_.clear();
+  violations_.clear();
+  blacklist_.clear();
 }
 
 std::string Tracker::handle_get(std::string_view query_string) {
@@ -80,43 +63,35 @@ AnnounceReply Tracker::announce(const AnnounceRequest& request) {
 void Tracker::announce_into(const AnnounceRequest& request, AnnounceReply& reply,
                             AnnounceScratch& scratch) {
   const std::uint32_t client_ip = request.client.ip.value();
-  Shard& shard = shard_for(client_ip);
   reply.ok = false;
   reply.failure_reason.clear();
   reply.interval = enforced_gap_;
   reply.complete = 0;
   reply.incomplete = 0;
   reply.peers.clear();
+  ++stats_.queries;
 
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.stats.queries;
-
-    if (shard.blacklist.contains(client_ip)) {
-      ++shard.stats.rejected_blacklist;
-      reply.failure_reason = "client banned";
-      return;
-    }
-
-    const ClientKey key{client_ip, request.infohash};
-    const auto last = shard.last_query.find(key);
-    if (last != shard.last_query.end() &&
-        request.now - last->second < enforced_gap_) {
-      ++shard.stats.rejected_rate;
-      auto& count = shard.violations[client_ip];
-      if (++count >= kBlacklistAfter) {
-        shard.blacklist.insert(client_ip);
-      }
-      reply.failure_reason = "slow down";
-      return;
-    }
-    shard.last_query[key] = request.now;
+  if (blacklist_.contains(client_ip)) {
+    ++stats_.rejected_blacklist;
+    reply.failure_reason = "client banned";
+    return;
   }
+
+  const ClientKey key{client_ip, request.infohash};
+  const auto last = last_query_.find(key);
+  if (last != last_query_.end() && request.now - last->second < enforced_gap_) {
+    ++stats_.rejected_rate;
+    if (++violations_[client_ip] >= kBlacklistAfter) {
+      blacklist_.insert(client_ip);
+    }
+    reply.failure_reason = "slow down";
+    return;
+  }
+  last_query_[key] = request.now;
 
   Swarm* const found = swarms_.find(request.infohash);
   if (found == nullptr) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.stats.rejected_unknown;
+    ++stats_.rejected_unknown;
     reply.failure_reason = "unregistered torrent";
     return;
   }

@@ -7,24 +7,16 @@
 // query-rate limit the authors had to respect (one query per 10–15 minutes
 // per client and torrent) and blacklists abusive clients.
 //
-// Threading contract (the parallel crawl engine relies on this):
-//   * host_swarm() is build-time only — the swarm registry is read-only
-//     once announces begin.
-//   * Per-client mutable state (rate-limit timestamps, violation counters,
-//     the blacklist, stats) is sharded by client IP under striped mutexes,
-//     so announces from different crawl workers never race.
-//   * Peer sampling is stateless: each reply draws from a generator keyed
-//     on (sample seed, infohash, query time, client IP), never from a
-//     shared stream, so the sampled subset is a pure function of the query
-//     and is identical under any thread interleaving.
-//   * A given swarm's time sweep is single-threaded: concurrent announces
-//     for the SAME infohash are not supported (the crawler fans out
-//     per-torrent, so each swarm is only ever queried by one worker).
+// Threading contract: one thread uses a Tracker. The measurement crawl is
+// serial, and each `btpub serve` shard owns its own replica (DESIGN §4.7).
+// host_swarm() is build-time only — the swarm registry is read-only once
+// announces begin. Peer sampling is stateless: each reply draws from a
+// generator keyed on (sample seed, infohash, query time, client IP), never
+// from a shared stream, so the sampled subset is a pure function of the
+// query, independent of the order in which swarms are queried.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,8 +46,7 @@ struct TrackerConfig {
   SimDuration max_query_gap = minutes(15);
 };
 
-/// The tracker. Announces are thread-safe across distinct infohashes; see
-/// the threading contract above.
+/// The tracker; see the threading contract above.
 class Tracker {
  public:
   explicit Tracker(TrackerConfig config, Rng rng);
@@ -63,11 +54,11 @@ class Tracker {
   const TrackerConfig& config() const noexcept { return config_; }
 
   /// Hosts a finalized swarm; the swarm must outlive the tracker.
-  /// Build-time only — not safe concurrently with announce().
+  /// Build-time only.
   void host_swarm(Swarm& swarm);
 
-  /// Reusable per-caller scratch for the announce fast path. Each crawl
-  /// worker owns one; the tracker never stores state in it beyond the
+  /// Reusable per-caller scratch for the announce fast path. The crawler
+  /// owns one; the tracker never stores state in it beyond the
   /// duration of one announce_into call. See DESIGN.md, "Announce fast
   /// path", for the ownership rules.
   struct AnnounceScratch {
@@ -122,9 +113,7 @@ class Tracker {
     std::uint64_t rejected_blacklist = 0;
     std::uint64_t rejected_unknown = 0;
   };
-  /// Aggregated over all shards; a consistent snapshot only while no
-  /// announce is in flight.
-  Stats stats() const;
+  Stats stats() const noexcept { return stats_; }
 
   /// The gap this tracker actually enforces (drawn once at construction).
   SimDuration enforced_gap() const noexcept { return enforced_gap_; }
@@ -142,30 +131,14 @@ class Tracker {
     }
   };
 
-  /// All mutable per-client state for one stripe of the IP space. Keying
-  /// every map in the shard by the client IP keeps one announce's rate
-  /// check, violation bump and blacklist lookup under a single lock.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<ClientKey, SimTime, ClientKeyHash> last_query;
-    std::unordered_map<std::uint32_t, std::uint32_t> violations;
-    std::unordered_set<std::uint32_t> blacklist;
-    Stats stats;
-  };
-  static constexpr std::size_t kShards = 16;
-
-  Shard& shard_for(std::uint32_t ip) noexcept {
-    return shards_[(ip * 0x9E3779B9u) >> 28];  // top 4 bits of a Fibonacci hash
-  }
-  const Shard& shard_for(std::uint32_t ip) const noexcept {
-    return shards_[(ip * 0x9E3779B9u) >> 28];
-  }
-
   TrackerConfig config_;
   SimDuration enforced_gap_;
   std::uint64_t sample_seed_;
   ShardedSwarmMap<Swarm> swarms_;
-  std::array<Shard, kShards> shards_;
+  std::unordered_map<ClientKey, SimTime, ClientKeyHash> last_query_;
+  std::unordered_map<std::uint32_t, std::uint32_t> violations_;
+  std::unordered_set<std::uint32_t> blacklist_;
+  Stats stats_;
 };
 
 }  // namespace btpub

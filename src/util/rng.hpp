@@ -21,10 +21,12 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 /// Stateless substream derivation: maps a (seed, key) pair onto a child
 /// seed through SplitMix64 finalisation. Two different keys give unrelated
 /// streams; the same pair always gives the same stream, independent of any
-/// generator state. This is what makes the parallel crawl deterministic —
-/// every per-torrent and per-announce generator is keyed by identity
-/// (portal id, infohash, query time...) rather than drawn from a shared
-/// sequential stream whose output would depend on scheduling order.
+/// generator state. This is what makes the parallel build deterministic
+/// and a crawl independent of the order it visits torrents in — every
+/// per-publication, per-torrent and per-announce generator is keyed by
+/// identity (event index, portal id, infohash, query time...) rather than
+/// drawn from a shared sequential stream whose output would depend on
+/// scheduling order.
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t key) noexcept;
 
 /// Variadic form: folds every key into the seed left to right.

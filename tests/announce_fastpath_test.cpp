@@ -5,58 +5,18 @@
 //     tree-based encoder for both reply forms;
 //   * announce_into() is observably identical to announce();
 //   * the steady-state announce_into + encode round trip performs zero
-//     heap allocations once buffers are warm (counted via global
-//     operator new instrumentation, local to this binary).
+//     heap allocations once buffers are warm (counted by
+//     counting_allocator.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "bencode/bencode.hpp"
 #include "bencode_tree.hpp"
+#include "counting_allocator.hpp"
 #include "crypto/sha1.hpp"
 #include "net/compact.hpp"
 #include "tracker/tracker.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-}  // namespace
-
-// Counting global allocator: every operator-new form funnels through here.
-// gtest and the fixtures allocate freely; only the delta across the
-// measured steady-state section must be zero.
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = ((size ? size : 1) + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace btpub {
 namespace {

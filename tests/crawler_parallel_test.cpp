@@ -1,6 +1,6 @@
-// Parallel crawl engine determinism: the headline invariant is that a
-// crawl with N worker threads produces a Dataset equal, field for field,
-// to the sequential crawl's. Two layers:
+// Crawl determinism: a crawl is a pure function of the world and its
+// seeds, so the same crawl over a reset tracker gives a Dataset equal,
+// field for field, to the first. Two layers:
 //   * a hand-built multi-torrent mini ecosystem (fast, exercises staggered
 //     publication times and per-torrent RNG substreams), and
 //   * a generated quick-scenario ecosystem crawled through the same
@@ -85,11 +85,9 @@ class CrawlerParallelTest : public ::testing::Test {
     return id;
   }
 
-  Dataset crawl_with_threads(std::size_t threads) {
+  Dataset crawl() {
     tracker_.reset_state(77);
-    CrawlerConfig config;
-    config.threads = threads;
-    Crawler crawler(portal_, tracker_, network_, geo_, config, 9);
+    Crawler crawler(portal_, tracker_, network_, geo_, CrawlerConfig{}, 9);
     return crawler.crawl_window(0, days(2));
   }
 
@@ -100,34 +98,51 @@ class CrawlerParallelTest : public ::testing::Test {
   std::vector<std::unique_ptr<Swarm>> swarms_;
 };
 
-TEST_F(CrawlerParallelTest, FourThreadsByteIdenticalToOneThread) {
-  const Dataset sequential = crawl_with_threads(1);
-  const Dataset parallel = crawl_with_threads(4);
-  ASSERT_GT(sequential.torrent_count(), 0u);
-  EXPECT_EQ(sequential.torrent_count(), parallel.torrent_count());
-  EXPECT_EQ(sequential, parallel);
+TEST_F(CrawlerParallelTest, SameSeedReplayIsIdentical) {
+  const Dataset first = crawl();
+  ASSERT_GT(first.torrent_count(), 0u);
+  EXPECT_EQ(crawl(), first);
 }
 
-TEST_F(CrawlerParallelTest, ManyThreadsAndRepeatedRunsAllIdentical) {
-  const Dataset reference = crawl_with_threads(1);
-  for (const std::size_t threads : {2u, 3u, 8u, 16u}) {
-    EXPECT_EQ(crawl_with_threads(threads), reference)
-        << "thread count " << threads << " diverged";
+TEST_F(CrawlerParallelTest, OneCrawlerReplaysAcrossCallsAndDiscover) {
+  // crawl_window and discover share one warm scratch: nothing a previous
+  // call left in it (the last torrent's seen-IP set above all) may change
+  // a later call's output.
+  tracker_.reset_state(77);
+  Crawler crawler(portal_, tracker_, network_, geo_, CrawlerConfig{}, 9);
+  const Dataset first = crawler.crawl_window(0, days(2));
+  tracker_.reset_state(77);
+  EXPECT_EQ(crawler.crawl_window(0, days(2)), first);
+
+  ASSERT_GT(first.torrent_count(), 0u);
+  const TorrentRecord& last = first.torrents.back();
+  std::vector<IpAddress> warm_ips, fresh_ips;
+  std::vector<SimTime> warm_sightings, fresh_sightings;
+  tracker_.reset_state(77);
+  const auto warm =
+      crawler.discover(last.portal_id, last.first_seen, warm_ips, warm_sightings);
+  tracker_.reset_state(77);
+  Crawler fresh(portal_, tracker_, network_, geo_, CrawlerConfig{}, 9);
+  const auto cold =
+      fresh.discover(last.portal_id, last.first_seen, fresh_ips, fresh_sightings);
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_EQ(*warm, *cold);
+  EXPECT_FALSE(warm_ips.empty());
+  EXPECT_EQ(warm_ips, fresh_ips);
+  EXPECT_EQ(warm_sightings, fresh_sightings);
+}
+
+TEST_F(CrawlerParallelTest, DatasetIsInPortalIdOrder) {
+  const Dataset dataset = crawl();
+  for (std::size_t i = 1; i < dataset.torrent_count(); ++i) {
+    EXPECT_LT(dataset.torrents[i - 1].portal_id, dataset.torrents[i].portal_id);
   }
-  // Replay at the same thread count is stable too.
-  EXPECT_EQ(crawl_with_threads(4), crawl_with_threads(4));
 }
 
-TEST_F(CrawlerParallelTest, MergeOrderIsPortalIdOrder) {
-  const Dataset parallel = crawl_with_threads(8);
-  for (std::size_t i = 1; i < parallel.torrent_count(); ++i) {
-    EXPECT_LT(parallel.torrents[i - 1].portal_id, parallel.torrents[i].portal_id);
-  }
-}
-
-TEST(CrawlerParallelEcosystemTest, GeneratedScenarioByteIdentical) {
+TEST(CrawlerParallelEcosystemTest, GeneratedScenarioReplayIsIdentical) {
   // The production path: a generated ecosystem, crawled twice through
-  // Crawler with different thread counts over the same tracker.
+  // Crawler over the same tracker.
   ScenarioConfig config = ScenarioConfig::quick(1234);
   config.window = days(2);
   config.population.regular_publishers = 120;
@@ -135,20 +150,17 @@ TEST(CrawlerParallelEcosystemTest, GeneratedScenarioByteIdentical) {
   Ecosystem ecosystem(config);
   ecosystem.build();
 
-  auto crawl = [&](std::size_t threads) {
+  auto crawl = [&] {
     ecosystem.tracker().reset_state(config.seed ^ 0x7214CBull);
-    CrawlerConfig crawler_config = config.crawler;
-    crawler_config.threads = threads;
     Crawler crawler(ecosystem.portal(), ecosystem.tracker(),
-                    ecosystem.network(), ecosystem.geo(), crawler_config,
+                    ecosystem.network(), ecosystem.geo(), config.crawler,
                     config.seed ^ 0xC4A37E5ull);
     return crawler.crawl_window(0, config.window);
   };
 
-  const Dataset sequential = crawl(1);
-  const Dataset parallel = crawl(4);
-  ASSERT_GT(sequential.torrent_count(), 0u);
-  EXPECT_EQ(sequential, parallel);
+  const Dataset first = crawl();
+  ASSERT_GT(first.torrent_count(), 0u);
+  EXPECT_EQ(crawl(), first);
 }
 
 }  // namespace

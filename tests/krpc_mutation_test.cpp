@@ -6,14 +6,11 @@
 // decoder (bencode::decode) — on accept or reject and on every field — and
 // bencode::Reader must accept exactly what bencode::decode accepts. A warm decode allocates at most in proportion
 // to the mutant, and a warm decode_into / handle_into allocates nothing
-// (counted via global operator new instrumentation, local to this binary).
+// (counted by counting_allocator.hpp).
 // Out-of-bounds reads trip the ASan/UBSan build.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <optional>
 #include <string>
 #include <utility>
@@ -21,63 +18,10 @@
 
 #include "bencode/bencode.hpp"
 #include "bencode_tree.hpp"
+#include "counting_allocator.hpp"
 #include "dht/krpc.hpp"
 #include "dht/node.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-void note_alloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-// Counting global allocator: every operator-new form funnels through here.
-void* operator new(std::size_t size) {
-  note_alloc(size);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  note_alloc(size);
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = ((size ? size : 1) + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-// Out of line, so GCC's -Wmismatched-new-delete never sees free() inlined
-// next to a `new` it cannot tell was this file's malloc-backed one.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::size_t,
-                                       std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t,
-                                         std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace btpub::dht {
 namespace {

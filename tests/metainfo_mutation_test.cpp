@@ -3,15 +3,12 @@
 // length fields are applied to generated torrents; every mutant must
 // either throw bencode::Error / std::invalid_argument, or parse with an
 // infohash equal to the SHA-1 of its own `info` bytes. Allocation during
-// each parse is bounded by the mutant's size (counted via global operator
-// new instrumentation, local to this binary), so no length field can make
+// each parse is bounded by the mutant's size (counted by
+// counting_allocator.hpp), so no length field can make
 // the parser reserve memory the input does not back. Out-of-bounds reads
 // trip the ASan/UBSan build.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -20,65 +17,9 @@
 
 #include "bencode/bencode.hpp"
 #include "bencode_tree.hpp"
+#include "counting_allocator.hpp"
 #include "torrent/metainfo.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_alloc_max{0};
-
-void note_alloc(std::size_t size) {
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  std::uint64_t prev = g_alloc_max.load(std::memory_order_relaxed);
-  while (size > prev &&
-         !g_alloc_max.compare_exchange_weak(prev, size, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-// Counting global allocator: every operator-new form funnels through here.
-void* operator new(std::size_t size) {
-  note_alloc(size);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  note_alloc(size);
-  const std::size_t a = static_cast<std::size_t>(align);
-  const std::size_t rounded = ((size ? size : 1) + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-// Out of line, so GCC's -Wmismatched-new-delete never sees free() inlined
-// next to a `new` it cannot tell was this file's malloc-backed one.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p, std::size_t,
-                                       std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t,
-                                         std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace btpub {
 namespace {

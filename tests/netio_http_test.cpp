@@ -2,18 +2,22 @@
 // golden-bytes equivalence of socket-served bodies against
 // Tracker::handle_get / announce_into, keep-alive pipelining, and
 // malformed framing (bad request lines, unsupported versions, oversized
-// headers) answered with the right status and a closed connection.
+// headers) answered with the right status and a closed connection; and
+// the load generator's side of the framing, which rejects a reply whose
+// Content-Length it cannot trust.
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "netio/http.hpp"
+#include "netio/loadgen.hpp"
 #include "netio/serve.hpp"
 #include "netio/socket.hpp"
 #include "tracker/announce.hpp"
@@ -290,6 +294,60 @@ TEST(NetioHttp, OversizedHeaderBlockGets431AndClose) {
   daemon.request_stop();
   daemon.join();
   EXPECT_EQ(daemon.stats().http_bad_requests, 1u);
+}
+
+/// Runs one loadgen HTTP worker, capped at one request, against a
+/// one-connection TCP server that answers it with `response` and then
+/// waits for the worker to hang up.
+LoadgenReport loadgen_against_scripted_reply(const std::string& response) {
+  FdHandle listener = make_tcp_listener("127.0.0.1", 0, 1);
+  std::thread server([&] {
+    pollfd p{listener.get(), POLLIN, 0};
+    if (poll(&p, 1, 5000) <= 0) return;
+    FdHandle conn(accept(listener.get(), nullptr, nullptr));
+    if (!conn.valid()) return;
+    set_nonblocking(conn.get(), false);
+    std::string rx;
+    char buf[4096];
+    while (rx.find("\r\n\r\n") == std::string::npos) {
+      const ssize_t n = read(conn.get(), buf, sizeof buf);
+      if (n <= 0) return;
+      rx.append(buf, static_cast<std::size_t>(n));
+    }
+    std::size_t off = 0;
+    while (off < response.size()) {
+      const ssize_t n =
+          write(conn.get(), response.data() + off, response.size() - off);
+      if (n <= 0) return;
+      off += static_cast<std::size_t>(n);
+    }
+    while (read(conn.get(), buf, sizeof buf) > 0) {
+    }
+  });
+  LoadgenConfig config;
+  config.use_http = true;
+  config.http_port = local_port(listener.get());
+  config.threads = 1;
+  config.max_requests = 1;
+  config.duration_seconds = 3.0;
+  config.swarms = 1;
+  const LoadgenReport report = run_loadgen(config);
+  server.join();
+  return report;
+}
+
+TEST(NetioHttp, LoadgenRejectsUntrustedContentLength) {
+  // A non-numeric length must not read as 0, and one past UINT64_MAX must
+  // not saturate and wrap the framing arithmetic: each is an error that
+  // ends the connection, never a received reply.
+  for (const char* length : {"abc", "18446744073709551616"}) {
+    const LoadgenReport report = loadgen_against_scripted_reply(
+        std::string("HTTP/1.1 200 OK\r\nContent-Length: ") + length +
+        "\r\n\r\n");
+    EXPECT_EQ(report.sent, 1u) << length;
+    EXPECT_EQ(report.errors, 1u) << length;
+    EXPECT_EQ(report.received, 0u) << length;
+  }
 }
 
 }  // namespace

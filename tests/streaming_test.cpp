@@ -1,7 +1,7 @@
 // Streaming analysis layer (§4.5): the online session estimator, the
 // real-time classifier's edge cases, and the headline convergence
 // invariant — online end-of-crawl verdicts equal the batch pipeline's on
-// the same observations, at any thread count and from either vantage,
+// the same observations, in any push order and from either vantage,
 // with HLL distinct-IP estimates inside the documented error bound.
 #include "analysis/streaming/streaming_classifier.hpp"
 
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -293,21 +292,17 @@ TEST_F(StreamingClassifierTest, SketchesFeedEstimatesAndRateFlag) {
   EXPECT_GT(v->seeding_hours, 0.0);
 }
 
-TEST_F(StreamingClassifierTest, ConcurrentPushesMatchSerialByteForByte) {
+TEST_F(StreamingClassifierTest, PushOrderDoesNotChangeSnapshot) {
   // The streaming determinism contract in miniature: per-torrent state is
-  // single-owner and the shared count-min is commutative, so four workers
-  // interleaving pushes arbitrarily must land on the serial snapshot.
-  constexpr int kTorrents = 16;
-  StreamingClassifier serial(geo_, websites_, {});
-  StreamingClassifier parallel(geo_, websites_, {});
-  for (TorrentId id = 0; id < kTorrents; ++id) {
-    const auto record =
-        make_record(id, "pub" + std::to_string(id % 5),
-                    IpAddress(30, 0, 0, 10 + id % 5),
-                    id % 2 == 0 ? "megaseed.com" : "");
-    serial.on_discover(record, 0);
-    parallel.on_discover(record, 0);
-  }
+  // keyed by portal id and the shared count-min is commutative, so pushing
+  // the same observations in another torrent order (as two vantages
+  // interleaving into one classifier do) lands on the same snapshot.
+  constexpr TorrentId kTorrents = 16;
+  const auto record_for = [](TorrentId id) {
+    return make_record(id, "pub" + std::to_string(id % 5),
+                       IpAddress(30, 0, 0, 10 + id % 5),
+                       id % 2 == 0 ? "megaseed.com" : "");
+  };
   const auto push = [](StreamingClassifier& stream, TorrentId id) {
     std::vector<IpAddress> ips;
     for (std::uint32_t i = 0; i < 200; ++i) {
@@ -318,17 +313,23 @@ TEST_F(StreamingClassifierTest, ConcurrentPushesMatchSerialByteForByte) {
       stream.on_publisher_sighting(id, hours(1 + id) + minutes(15 * s));
     }
   };
-  for (TorrentId id = 0; id < kTorrents; ++id) push(serial, id);
-  std::vector<std::thread> workers;
-  for (int w = 0; w < 4; ++w) {
-    workers.emplace_back([&, w] {
-      for (TorrentId id = w; id < kTorrents; id += 4) push(parallel, id);
-    });
+  // A stride coprime with kTorrents visits every id once, out of order.
+  const auto permuted = [](TorrentId i) { return (i * 5 + 3) % kTorrents; };
+
+  StreamingClassifier in_order(geo_, websites_, {});
+  for (TorrentId id = 0; id < kTorrents; ++id) {
+    in_order.on_discover(record_for(id), 0);
+    push(in_order, id);
   }
-  for (auto& worker : workers) worker.join();
-  EXPECT_EQ(serial.updates(), parallel.updates());
-  EXPECT_EQ(serial.finalize(days(1)).to_text(),
-            parallel.finalize(days(1)).to_text());
+  StreamingClassifier out_of_order(geo_, websites_, {});
+  for (TorrentId i = 0; i < kTorrents; ++i) {
+    out_of_order.on_discover(record_for(permuted(i)), 0);
+  }
+  for (TorrentId i = kTorrents; i-- > 0;) push(out_of_order, permuted(i));
+
+  EXPECT_EQ(in_order.updates(), out_of_order.updates());
+  EXPECT_EQ(in_order.finalize(days(1)).to_text(),
+            out_of_order.finalize(days(1)).to_text());
 }
 
 // ---------------------------------------------------------- convergence
@@ -440,13 +441,11 @@ class StreamingConvergenceTest : public ::testing::Test {
 
   /// One tracker crawl with the streaming classifier attached; the batch
   /// pipeline consumes the returned dataset of the same crawl.
-  static Dataset crawl_with(StreamingClassifier& stream, std::size_t threads) {
+  static Dataset crawl_with(StreamingClassifier& stream) {
     const ScenarioConfig& config = ecosystem_->config();
     ecosystem_->tracker().reset_state(derive_seed(config.seed, 0x57AB1Eull));
-    CrawlerConfig crawler_config = config.crawler;
-    crawler_config.threads = threads;
     Crawler crawler(ecosystem_->portal(), ecosystem_->tracker(),
-                    ecosystem_->network(), ecosystem_->geo(), crawler_config,
+                    ecosystem_->network(), ecosystem_->geo(), config.crawler,
                     derive_seed(config.seed, 0xC4A71ull));
     crawler.set_observer(&stream);
     return crawler.crawl_window(0, config.window);
@@ -457,10 +456,10 @@ class StreamingConvergenceTest : public ::testing::Test {
 
 Ecosystem* StreamingConvergenceTest::ecosystem_ = nullptr;
 
-TEST_F(StreamingConvergenceTest, TrackerVantageSequentialMatchesBatch) {
+TEST_F(StreamingConvergenceTest, TrackerVantageMatchesBatch) {
   StreamingClassifier stream(ecosystem_->geo(), ecosystem_->websites(),
                              convergence_stream_config());
-  const Dataset dataset = crawl_with(stream, 1);
+  const Dataset dataset = crawl_with(stream);
   ASSERT_GT(dataset.torrent_count(), 0u);
   const StreamingSnapshot snap = stream.finalize(ecosystem_->config().window);
   EXPECT_EQ(snap.torrents, dataset.torrent_count());
@@ -470,24 +469,6 @@ TEST_F(StreamingConvergenceTest, TrackerVantageSequentialMatchesBatch) {
   // the convergence check exercised non-trivial verdicts.
   EXPECT_FALSE(snap.fakes().empty());
   EXPECT_FALSE(snap.top().empty());
-}
-
-TEST_F(StreamingConvergenceTest, ParallelCrawlMatchesBatchAndSequentialBytes) {
-  StreamingClassifier sequential(ecosystem_->geo(), ecosystem_->websites(),
-                                 convergence_stream_config());
-  const Dataset dataset_seq = crawl_with(sequential, 1);
-  StreamingClassifier parallel(ecosystem_->geo(), ecosystem_->websites(),
-                               convergence_stream_config());
-  const Dataset dataset_par = crawl_with(parallel, 4);
-
-  // Online verdicts at N threads: byte-identical to the sequential run and
-  // still batch-exact against the parallel crawl's own dataset.
-  const SimTime window = ecosystem_->config().window;
-  EXPECT_EQ(parallel.finalize(window).to_text(),
-            sequential.finalize(window).to_text());
-  EXPECT_EQ(dataset_par.torrent_count(), dataset_seq.torrent_count());
-  expect_matches_batch(parallel.finalize(window), dataset_par,
-                       ecosystem_->geo(), ecosystem_->websites());
 }
 
 TEST_F(StreamingConvergenceTest, DhtVantageMatchesBatch) {

@@ -57,8 +57,9 @@ int usage() {
                "  btpub analyze FILE [--top N]\n"
                "  btpub export FILE OUT_DIR\n"
                "  btpub feed [--scenario NAME] [--seed N]\n"
-               "  btpub dht-crawl [--scenario NAME] [--seed N] [--out FILE]"
-               " [--bootstrap MAGNET]\n"
+               "  btpub dht-crawl [--scenario NAME] [--seed N] [--threads N]"
+               " [--out FILE]\n"
+               "              [--bootstrap MAGNET]\n"
                "  btpub serve [--bind IP] [--port N] [--http-port N]"
                " [--no-http] [--shards N]\n"
                "              [--swarms N] [--peers N] [--seed N]"
@@ -69,7 +70,11 @@ int usage() {
                "              [--rate PER_WORKER_PER_SEC] [--window N]"
                " [--numwant N]\n"
                "              [--max-requests N] [--swarms N] [--seed N]"
-               " [--http --http-port N]\n");
+               " [--http --http-port N]\n"
+               "simulate/dht-crawl --threads N: ecosystem build workers"
+               " (default: all cores);\n"
+               "  the crawl runs on one thread. loadgen --threads N:"
+               " client workers.\n");
   return 1;
 }
 
@@ -78,8 +83,8 @@ struct Options {
   std::uint64_t seed = 42;
   std::string out;
   std::size_t top_n = 100;
-  /// Worker threads for the ecosystem build and the crawl; 0 = hardware
-  /// concurrency. Both phases are byte-identical for every value.
+  /// Worker threads for the ecosystem build (0 = hardware concurrency;
+  /// the world is byte-identical for every value), or loadgen's workers.
   std::size_t threads = 0;
   /// dht-crawl: magnet URI whose x.pe hints bootstrap the DHT vantage.
   std::string bootstrap;
@@ -189,10 +194,9 @@ int cmd_simulate(const Options& options) {
   }
   ScenarioConfig config =
       ScenarioConfig::by_name(options.scenario, options.seed);
-  // One knob drives both parallel engines; either phase is byte-identical
-  // at any thread count.
+  // --threads drives the build; the world is byte-identical at any
+  // thread count, and the crawl runs on one thread.
   config.threads = options.threads;
-  config.crawler.threads = options.threads;
   std::fprintf(stderr, "building %s (seed %llu)...\n", config.name.c_str(),
                static_cast<unsigned long long>(config.seed));
   Ecosystem ecosystem(config);
@@ -283,7 +287,6 @@ int cmd_dht_crawl(const Options& options) {
   ScenarioConfig config =
       ScenarioConfig::by_name(options.scenario, options.seed);
   config.threads = options.threads;
-  config.crawler.threads = options.threads;
   config.dht_crawler.bootstrap_magnet = options.bootstrap;
   std::fprintf(stderr, "building %s (seed %llu)...\n", config.name.c_str(),
                static_cast<unsigned long long>(config.seed));
