@@ -301,7 +301,7 @@ TEST(NetioHttp, OversizedHeaderBlockGets431AndClose) {
 /// waits for the worker to hang up.
 LoadgenReport loadgen_against_scripted_reply(const std::string& response) {
   FdHandle listener = make_tcp_listener("127.0.0.1", 0, 1);
-  std::thread server([&] {
+  std::jthread server([&] {
     pollfd p{listener.get(), POLLIN, 0};
     if (poll(&p, 1, 5000) <= 0) return;
     FdHandle conn(accept(listener.get(), nullptr, nullptr));
@@ -331,9 +331,7 @@ LoadgenReport loadgen_against_scripted_reply(const std::string& response) {
   config.max_requests = 1;
   config.duration_seconds = 3.0;
   config.swarms = 1;
-  const LoadgenReport report = run_loadgen(config);
-  server.join();
-  return report;
+  return run_loadgen(config);  // the server joins on return
 }
 
 TEST(NetioHttp, LoadgenRejectsUntrustedContentLength) {
