@@ -72,10 +72,6 @@ void StreamingClassifier::on_user_page(const std::string& username,
   user_banned_[username] = page.banned;
 }
 
-std::size_t StreamingClassifier::torrents_seen() const {
-  return slots_.size();
-}
-
 StreamingSnapshot StreamingClassifier::snapshot(SimTime now,
                                                 bool provisional) const {
   StreamingSnapshot snap;

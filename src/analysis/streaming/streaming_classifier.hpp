@@ -144,7 +144,6 @@ class StreamingClassifier : public CrawlObserver {
     return snapshot(now, false);
   }
 
-  std::size_t torrents_seen() const;
   std::uint64_t updates() const noexcept { return updates_; }
 
  private:

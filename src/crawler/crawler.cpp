@@ -52,9 +52,9 @@ void Crawler::first_contact(TorrentRecord& record, std::vector<IpAddress>& ips,
   request.client = vantage(0);
   request.numwant = kCrawlerNumwant;
   request.now = now;
-  // Struct-level announce: same observable reply as the HTTP string round
-  // trip (handle_get + decode), minus the encode/parse work — the golden
-  // response test pins the wire bytes the shim still produces.
+  // Struct-level announce: the reply the HTTP listener would encode, minus
+  // the encode/parse work — announce_fastpath_test's golden response pins
+  // the wire bytes of that path.
   tracker_->announce_into(request, scratch_.reply, scratch_.announce);
   const AnnounceReply& reply = scratch_.reply;
   record.first_seen = now;

@@ -311,26 +311,6 @@ MappedDataset::~MappedDataset() {
   if (map_ != nullptr) ::munmap(map_, size_);
 }
 
-MappedDataset::MappedDataset(MappedDataset&& other) noexcept
-    : map_(other.map_), size_(other.size_), view_(other.view_) {
-  other.map_ = nullptr;
-  other.size_ = 0;
-  other.view_ = CompactDatasetView{};
-}
-
-MappedDataset& MappedDataset::operator=(MappedDataset&& other) noexcept {
-  if (this != &other) {
-    if (map_ != nullptr) ::munmap(map_, size_);
-    map_ = other.map_;
-    size_ = other.size_;
-    view_ = other.view_;
-    other.map_ = nullptr;
-    other.size_ = 0;
-    other.view_ = CompactDatasetView{};
-  }
-  return *this;
-}
-
 MappedDataset load_or_generate(const std::string& path,
                                const std::function<Dataset()>& generate) {
   if (std::filesystem::exists(path)) {

@@ -56,7 +56,8 @@ void save_mmap_snapshot(const CompactDataset& dataset, std::ostream& out);
 void save_mmap_snapshot(const CompactDataset& dataset, const std::string& path);
 
 /// A loaded snapshot: the file stays mapped for the object's lifetime and
-/// view() exposes the arrays in place. Move-only.
+/// view() exposes the arrays in place. Neither copied nor moved (a
+/// function returning one by value returns a prvalue, which needs neither).
 class MappedDataset {
  public:
   /// Opens, maps and validates every record. Throws std::runtime_error
@@ -65,8 +66,6 @@ class MappedDataset {
   explicit MappedDataset(const std::string& path);
   ~MappedDataset();
 
-  MappedDataset(MappedDataset&& other) noexcept;
-  MappedDataset& operator=(MappedDataset&& other) noexcept;
   MappedDataset(const MappedDataset&) = delete;
   MappedDataset& operator=(const MappedDataset&) = delete;
 

@@ -127,14 +127,6 @@ void append_compact_node(std::string& out, const NodeInfo& node) {
   out.append(bytes, sizeof bytes);
 }
 
-std::vector<NodeInfo> parse_compact_nodes(std::string_view blob) {
-  std::vector<NodeInfo> nodes;
-  if (blob.size() % 26 != 0) return nodes;
-  nodes.reserve(blob.size() / 26);
-  append_compact_nodes(blob, nodes);
-  return nodes;
-}
-
 void append_compact_peer(std::string& out, const Endpoint& peer) {
   char bytes[6];
   put_compact_peer(bytes, peer);
@@ -153,12 +145,6 @@ std::optional<Endpoint> parse_compact_peer(std::string_view blob) {
 }
 
 // ---- query ----------------------------------------------------------------
-
-std::string Query::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
 
 void Query::encode_into(std::string& out) const {
   out.clear();
@@ -273,19 +259,7 @@ bool Query::decode_into(std::string_view datagram, Query& out) {
   return true;
 }
 
-std::optional<Query> Query::decode(std::string_view datagram) {
-  Query query;
-  return decode_into(datagram, query) ? std::optional<Query>(std::move(query))
-                                      : std::nullopt;
-}
-
 // ---- response -------------------------------------------------------------
-
-std::string Response::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
 
 void Response::encode_into(std::string& out) const {
   out.clear();
@@ -379,20 +353,7 @@ bool Response::decode_into(std::string_view datagram, Response& out) {
   return true;
 }
 
-std::optional<Response> Response::decode(std::string_view datagram) {
-  Response response;
-  return decode_into(datagram, response)
-             ? std::optional<Response>(std::move(response))
-             : std::nullopt;
-}
-
 // ---- error ----------------------------------------------------------------
-
-std::string ErrorMessage::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
 
 void ErrorMessage::encode_into(std::string& out) const {
   out.clear();
@@ -408,55 +369,6 @@ void ErrorMessage::encode_into(std::string& out) const {
   w.key("y");
   w.string("e");
   w.end();
-}
-
-std::optional<ErrorMessage> ErrorMessage::decode(std::string_view datagram) {
-  bencode::Reader r(datagram);
-  if (!r.enter_dict()) return std::nullopt;
-  ErrorMessage error;
-  bool have_e = false;
-  Field t, y;
-  std::string_view key;
-  while (r.next_key(key)) {
-    if (key == "e") {
-      // Exactly [code, message].
-      if (r.peek() != bencode::Reader::Type::List) return std::nullopt;
-      r.enter_list();
-      std::size_t n = 0;
-      for (; r.next_item(); ++n) {
-        const Field f = read_field(r);
-        if (n == 0 && f.is_integer()) {
-          error.code = f.integer;
-        } else if (n == 1 && f.is_string()) {
-          error.message.assign(f.bytes);
-        } else {
-          return std::nullopt;
-        }
-      }
-      have_e = n == 2;
-    } else if (key == "t") {
-      t = read_field(r);
-    } else if (key == "y") {
-      y = read_field(r);
-    } else {
-      r.skip();
-    }
-  }
-  if (!r.finish() || !have_e || !y.is_string("e") || !t.is_string()) {
-    return std::nullopt;
-  }
-  error.transaction_id.assign(t.bytes);
-  return error;
-}
-
-std::optional<char> message_kind(std::string_view datagram) {
-  const auto env = read_envelope(datagram);
-  if (!env || !env->y.is_string() || env->y.bytes.size() != 1) {
-    return std::nullopt;
-  }
-  const char kind = env->y.bytes[0];
-  if (kind != 'q' && kind != 'r' && kind != 'e') return std::nullopt;
-  return kind;
 }
 
 ErrorMessage malformed_query_error(std::string_view datagram) {

@@ -31,7 +31,6 @@ std::string_view to_string(Method method);
 
 /// 26-byte-per-node compact node info (BEP 5): 20 id bytes, 4 ip, 2 port.
 void append_compact_node(std::string& out, const NodeInfo& node);
-std::vector<NodeInfo> parse_compact_nodes(std::string_view blob);
 
 /// 6-byte compact peer info (same layout the tracker uses).
 void append_compact_peer(std::string& out, const Endpoint& peer);
@@ -54,12 +53,11 @@ struct Query {
   /// walks never pollute the overlay they observe.
   bool read_only = false;
 
-  std::string encode() const;
+  /// Clears `out` and writes the datagram into it, keeping its capacity.
   void encode_into(std::string& out) const;
   /// Decodes into `out`, reusing its string capacity; false (with `out`
   /// unspecified) on any malformed or invalid datagram.
   static bool decode_into(std::string_view datagram, Query& out);
-  static std::optional<Query> decode(std::string_view datagram);
 };
 
 /// A KRPC response message.
@@ -73,12 +71,10 @@ struct Response {
   /// get_peers: write token for a later announce_peer.
   std::string token;
 
-  std::string encode() const;
   void encode_into(std::string& out) const;
   /// Decodes into `out`, reusing its vectors' and strings' capacity; false
   /// (with `out` unspecified) on any malformed or invalid datagram.
   static bool decode_into(std::string_view datagram, Response& out);
-  static std::optional<Response> decode(std::string_view datagram);
 };
 
 /// A KRPC error message ([code, message]).
@@ -87,9 +83,7 @@ struct ErrorMessage {
   std::int64_t code = 201;
   std::string message;
 
-  std::string encode() const;
   void encode_into(std::string& out) const;
-  static std::optional<ErrorMessage> decode(std::string_view datagram);
 };
 
 /// BEP 5 error codes used by the node implementation.
@@ -97,11 +91,7 @@ inline constexpr std::int64_t kErrorGeneric = 201;
 inline constexpr std::int64_t kErrorProtocol = 203;
 inline constexpr std::int64_t kErrorUnknownMethod = 204;
 
-/// Peeks at the message kind ('q', 'r' or 'e') without a full decode;
-/// nullopt for malformed bencode or a missing/invalid "y" key.
-std::optional<char> message_kind(std::string_view datagram);
-
-/// The reply to a datagram Query::decode rejected: 204 "unknown method"
+/// The reply to a datagram Query::decode_into rejected: 204 "unknown method"
 /// when it is a query ("y" = "q") whose "q" string names no BEP 5 method,
 /// 203 "malformed query" otherwise. The transaction id is echoed when the
 /// datagram is well-formed bencode with a string "t".

@@ -70,18 +70,6 @@ void PeerStore::collect(const Sha1Digest& info_hash, SimTime now,
   }
 }
 
-void PeerStore::expire(SimTime now) {
-  for (auto it = store_.begin(); it != store_.end();) {
-    std::vector<Entry>& entries = it->second;
-    const std::size_t before = entries.size();
-    std::erase_if(entries, [&](const Entry& entry) {
-      return now - entry.last_announce > kPeerTtl;
-    });
-    stored_ -= before - entries.size();
-    it = entries.empty() ? store_.erase(it) : std::next(it);
-  }
-}
-
 // ---- node -----------------------------------------------------------------
 
 bool DhtNode::answer(const Query& query, const Endpoint& from, SimTime now,
@@ -138,13 +126,6 @@ void DhtNode::handle_into(std::string_view datagram, const Endpoint& from,
   error.code = kErrorProtocol;
   error.message = "bad token";
   error.encode_into(out);
-}
-
-std::string DhtNode::handle(std::string_view datagram, const Endpoint& from,
-                            SimTime now) {
-  std::string out;
-  handle_into(datagram, from, now, out);
-  return out;
 }
 
 }  // namespace btpub::dht

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "dht/krpc.hpp"
@@ -60,13 +60,10 @@ class PeerStore {
 
   /// Appends the live peers for `info_hash` (the kMaxPeersPerReply most
   /// recently announced, oldest first) to `out`, which is cleared first.
-  /// Expired entries are pruned as a side effect.
+  /// Expired entries of that infohash are pruned as a side effect, and an
+  /// infohash left with none is dropped.
   void collect(const Sha1Digest& info_hash, SimTime now,
                std::vector<Endpoint>& out);
-
-  /// Drops every expired entry (housekeeping; collect() already prunes
-  /// the infohash it serves).
-  void expire(SimTime now);
 
   std::size_t stored_peers() const noexcept { return stored_; }
   std::size_t stored_infohashes() const noexcept { return store_.size(); }
@@ -77,9 +74,9 @@ class PeerStore {
     SimTime last_announce = 0;
   };
 
-  // std::map: stable, deterministic iteration for expire(); per-infohash
-  // vectors preserve announce order for replies.
-  std::map<Sha1Digest, std::vector<Entry>> store_;
+  // Only ever probed by key, never iterated, so hash order cannot reach a
+  // reply; per-infohash vectors preserve announce order for replies.
+  std::unordered_map<Sha1Digest, std::vector<Entry>> store_;
   std::size_t stored_ = 0;
 };
 
@@ -114,8 +111,6 @@ class DhtNode {
   /// announce token a 203 "bad token" error.
   void handle_into(std::string_view datagram, const Endpoint& from,
                    SimTime now, std::string& out);
-  std::string handle(std::string_view datagram, const Endpoint& from,
-                     SimTime now);
 
  private:
   Endpoint endpoint_;

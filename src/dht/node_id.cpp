@@ -2,8 +2,6 @@
 
 namespace btpub::dht {
 
-std::string NodeId::hex() const { return to_digest().hex(); }
-
 NodeId NodeId::for_endpoint(std::uint64_t seed, const Endpoint& endpoint) {
   std::uint8_t material[14];
   for (int i = 0; i < 8; ++i) {
@@ -17,14 +15,6 @@ NodeId NodeId::for_endpoint(std::uint64_t seed, const Endpoint& endpoint) {
   material[12] = static_cast<std::uint8_t>(endpoint.port >> 8);
   material[13] = static_cast<std::uint8_t>(endpoint.port);
   return from_digest(Sha1::hash(std::span<const std::uint8_t>(material)));
-}
-
-NodeId distance(const NodeId& a, const NodeId& b) noexcept {
-  NodeId d;
-  for (std::size_t i = 0; i < d.bytes.size(); ++i) {
-    d.bytes[i] = static_cast<std::uint8_t>(a.bytes[i] ^ b.bytes[i]);
-  }
-  return d;
 }
 
 }  // namespace btpub::dht

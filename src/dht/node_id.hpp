@@ -3,8 +3,8 @@
 // Mainline DHT nodes live in the same SHA-1 space as infohashes; closeness
 // between a node and a torrent is the XOR metric interpreted as a
 // big-endian 160-bit integer. Keeping NodeId layout-compatible with
-// Sha1Digest lets the overlay reuse the existing digest plumbing (hex
-// rendering, hashing, infohash targets) without conversions.
+// Sha1Digest lets the overlay reuse the existing digest plumbing (hashing,
+// infohash targets) without conversions.
 #pragma once
 
 #include <array>
@@ -12,7 +12,6 @@
 #include <compare>
 #include <cstdint>
 #include <cstring>
-#include <string>
 
 #include "crypto/sha1.hpp"
 #include "net/ip.hpp"
@@ -24,8 +23,6 @@ struct NodeId {
   std::array<std::uint8_t, 20> bytes{};
 
   auto operator<=>(const NodeId&) const = default;
-
-  std::string hex() const;
 
   /// The infohash-as-target view: lookups for a torrent aim at the
   /// infohash bytes directly.
@@ -47,9 +44,6 @@ struct NodeInfo {
 
   friend bool operator==(const NodeInfo&, const NodeInfo&) = default;
 };
-
-/// XOR distance between two ids (big-endian magnitude order).
-NodeId distance(const NodeId& a, const NodeId& b) noexcept;
 
 /// An XOR distance as three big-endian words (bytes 0-7, 8-15, 16-19):
 /// tuple order on them is the magnitude order.

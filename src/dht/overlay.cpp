@@ -64,10 +64,6 @@ void DhtOverlay::remove_node(const Endpoint& endpoint) {
   nodes_.erase(endpoint);
 }
 
-bool DhtOverlay::is_node(const Endpoint& endpoint) const {
-  return nodes_.contains(endpoint);
-}
-
 DhtNode* DhtOverlay::node_at(const Endpoint& endpoint) {
   const auto it = nodes_.find(endpoint);
   return it == nodes_.end() ? nullptr : it->second.get();

@@ -87,10 +87,11 @@ class DhtOverlay {
   /// Adding an existing endpoint refreshes (re-joins) it. Returns the id.
   NodeId add_node(const Endpoint& endpoint, SimTime now);
 
-  /// Departs a node: it stops answering; other tables shed it on timeout.
+  /// Departs a node: it stops answering and queries to it time out. Other
+  /// tables keep its contact until a newcomer evicts it as stale
+  /// (RoutingTable::observe).
   void remove_node(const Endpoint& endpoint);
 
-  bool is_node(const Endpoint& endpoint) const;
   DhtNode* node_at(const Endpoint& endpoint);
   std::size_t node_count() const noexcept { return nodes_.size(); }
 

@@ -50,16 +50,6 @@ void RoutingTable::observe(const NodeId& id, const Endpoint& endpoint,
   }
 }
 
-void RoutingTable::remove(const NodeId& id) {
-  const int bit = bucket_of(id);
-  if (bit < 0) return;
-  const auto first = bucket_begin(bit);
-  const auto last = bucket_begin(bit + 1);
-  const auto it =
-      std::find_if(first, last, [&](const Contact& c) { return c.id == id; });
-  if (it != last) contacts_.erase(it);
-}
-
 void RoutingTable::closest(const NodeId& target, std::size_t k,
                            std::vector<NodeInfo>& out) const {
   // With m = distance_bit(self ^ target), a contact in bucket i lies at
@@ -94,16 +84,6 @@ void RoutingTable::closest(const NodeId& target, std::size_t k,
   std::for_each(contacts_.begin(), own, offer);
   if (out.size() == k) return;
   std::for_each(later, contacts_.end(), offer);
-}
-
-std::size_t RoutingTable::size() const noexcept { return contacts_.size(); }
-
-bool RoutingTable::contains(const NodeId& id) const {
-  const int bit = bucket_of(id);
-  if (bit < 0) return false;
-  const auto first = bucket_begin(bit);
-  const auto last = bucket_begin(bit + 1);
-  return std::any_of(first, last, [&](const Contact& c) { return c.id == id; });
 }
 
 }  // namespace btpub::dht

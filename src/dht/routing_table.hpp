@@ -44,18 +44,12 @@ class RoutingTable {
   /// it, applying the full-bucket eviction policy. The own id is ignored.
   void observe(const NodeId& id, const Endpoint& endpoint, SimTime now);
 
-  /// Removes a contact (used when an RPC to it times out).
-  void remove(const NodeId& id);
-
   /// Appends up to `k` contacts closest to `target` (XOR order, closest
   /// first) to `out`, which is cleared first. Callers need only ids and
   /// endpoints (the k nodes of a reply, a walk's seeds), so `out` takes
   /// NodeInfo: a reply's nodes are filled in place.
   void closest(const NodeId& target, std::size_t k,
                std::vector<NodeInfo>& out) const;
-
-  std::size_t size() const noexcept;
-  bool contains(const NodeId& id) const;
 
  private:
   /// The bucket index of `id` (-1 for the own id).

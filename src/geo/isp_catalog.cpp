@@ -131,8 +131,4 @@ const IpPool& IspCatalog::pool(std::string_view isp_name) const {
   return pools_[it->second];
 }
 
-bool IspCatalog::has(std::string_view isp_name) const {
-  return pool_index_.contains(std::string(isp_name));
-}
-
 }  // namespace btpub

@@ -55,7 +55,6 @@ class IspCatalog {
   /// Pool for a named ISP; throws std::out_of_range when absent.
   IpPool& pool(std::string_view isp_name);
   const IpPool& pool(std::string_view isp_name) const;
-  bool has(std::string_view isp_name) const;
 
   /// All hosting-provider pools (for random placement).
   const std::vector<std::string>& hosting_names() const noexcept { return hosting_names_; }

@@ -1,7 +1,5 @@
 #include "net/compact.hpp"
 
-#include <stdexcept>
-
 namespace btpub {
 
 void append_compact_peer(std::string& out, const Endpoint& peer) {
@@ -13,31 +11,6 @@ void append_compact_peer(std::string& out, const Endpoint& peer) {
                          static_cast<char>((peer.port >> 8) & 0xff),
                          static_cast<char>(peer.port & 0xff)};
   out.append(bytes, sizeof bytes);
-}
-
-std::string encode_compact_peers(std::span<const Endpoint> peers) {
-  std::string out;
-  out.reserve(peers.size() * 6);
-  for (const Endpoint& p : peers) append_compact_peer(out, p);
-  return out;
-}
-
-std::vector<Endpoint> decode_compact_peers(std::string_view data) {
-  if (data.size() % 6 != 0) {
-    throw std::invalid_argument("compact peers: length not a multiple of 6");
-  }
-  std::vector<Endpoint> peers;
-  peers.reserve(data.size() / 6);
-  for (std::size_t i = 0; i < data.size(); i += 6) {
-    const auto b = [&](std::size_t k) {
-      return static_cast<std::uint32_t>(static_cast<unsigned char>(data[i + k]));
-    };
-    Endpoint e;
-    e.ip = IpAddress((b(0) << 24) | (b(1) << 16) | (b(2) << 8) | b(3));
-    e.port = static_cast<std::uint16_t>((b(4) << 8) | b(5));
-    peers.push_back(e);
-  }
-  return peers;
 }
 
 }  // namespace btpub

@@ -1,11 +1,9 @@
 // compact.hpp — BEP 23 compact peer-list encoding: each peer is 6 bytes
 // (4-byte big-endian IPv4 + 2-byte big-endian port). Trackers answer
-// announces with this format; the crawler decodes it.
+// announces with this format.
 #pragma once
 
-#include <span>
 #include <string>
-#include <vector>
 
 #include "net/ip.hpp"
 
@@ -15,12 +13,5 @@ namespace btpub {
 /// announce fast path writes the peers blob directly into the reply
 /// buffer instead of building an intermediate string).
 void append_compact_peer(std::string& out, const Endpoint& peer);
-
-/// Encodes endpoints into a compact peers byte string.
-std::string encode_compact_peers(std::span<const Endpoint> peers);
-
-/// Decodes a compact peers byte string. Throws std::invalid_argument when
-/// the length is not a multiple of 6.
-std::vector<Endpoint> decode_compact_peers(std::string_view data);
 
 }  // namespace btpub

@@ -30,23 +30,11 @@ std::optional<IpAddress> IpAddress::parse(std::string_view text) {
   return IpAddress(value);
 }
 
-std::string Prefix16::to_string() const {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%u.%u.0.0/16", (hi_ >> 8) & 0xff, hi_ & 0xff);
-  return buf;
-}
-
 CidrBlock::CidrBlock(IpAddress base, int len) : len_(len) {
   assert(len >= 0 && len <= 32);
   const std::uint32_t mask =
       len == 0 ? 0u : (~std::uint32_t{0}) << (32 - len);
   base_ = IpAddress(base.value() & mask);
-}
-
-bool CidrBlock::contains(IpAddress ip) const noexcept {
-  const std::uint32_t mask =
-      len_ == 0 ? 0u : (~std::uint32_t{0}) << (32 - len_);
-  return (ip.value() & mask) == base_.value();
 }
 
 std::uint64_t CidrBlock::size() const noexcept {
@@ -56,30 +44,6 @@ std::uint64_t CidrBlock::size() const noexcept {
 IpAddress CidrBlock::at(std::uint64_t offset) const noexcept {
   assert(offset < size());
   return IpAddress(base_.value() + static_cast<std::uint32_t>(offset));
-}
-
-std::string CidrBlock::to_string() const {
-  return base_.to_string() + "/" + std::to_string(len_);
-}
-
-std::optional<CidrBlock> CidrBlock::parse(std::string_view text) {
-  const auto slash = text.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  const auto ip = IpAddress::parse(text.substr(0, slash));
-  if (!ip) return std::nullopt;
-  const auto len_text = text.substr(slash + 1);
-  int len = -1;
-  const auto res =
-      std::from_chars(len_text.data(), len_text.data() + len_text.size(), len);
-  if (res.ec != std::errc{} || res.ptr != len_text.data() + len_text.size() ||
-      len < 0 || len > 32) {
-    return std::nullopt;
-  }
-  return CidrBlock(*ip, len);
-}
-
-std::string Endpoint::to_string() const {
-  return ip.to_string() + ":" + std::to_string(port);
 }
 
 }  // namespace btpub

@@ -43,7 +43,6 @@ class Prefix16 {
   constexpr explicit Prefix16(IpAddress ip) : hi_(static_cast<std::uint16_t>(ip.value() >> 16)) {}
 
   constexpr std::uint16_t value() const noexcept { return hi_; }
-  std::string to_string() const;  // "a.b.0.0/16"
 
   auto operator<=>(const Prefix16&) const = default;
 
@@ -61,16 +60,10 @@ class CidrBlock {
   constexpr IpAddress base() const noexcept { return base_; }
   constexpr int length() const noexcept { return len_; }
 
-  bool contains(IpAddress ip) const noexcept;
   /// Number of addresses in the block (2^(32-len)).
   std::uint64_t size() const noexcept;
   /// ip at `offset` within the block; offset must be < size().
   IpAddress at(std::uint64_t offset) const noexcept;
-
-  std::string to_string() const;  // "a.b.c.d/len"
-
-  /// Parses "a.b.c.d/len"; nullopt on malformed input.
-  static std::optional<CidrBlock> parse(std::string_view text);
 
   auto operator<=>(const CidrBlock&) const = default;
 
@@ -84,7 +77,6 @@ struct Endpoint {
   IpAddress ip;
   std::uint16_t port = 0;
 
-  std::string to_string() const;
   auto operator<=>(const Endpoint&) const = default;
 };
 

@@ -34,10 +34,6 @@ HttpAnnounceServer::HttpAnnounceServer(Tracker& tracker, FdHandle listener,
 
 HttpAnnounceServer::~HttpAnnounceServer() = default;
 
-std::uint16_t HttpAnnounceServer::port() const {
-  return local_port(listener_.get());
-}
-
 void HttpAnnounceServer::register_with(EventLoop& loop) {
   loop.add(listener_.get(), EPOLLIN, kListenerTag);
 }
@@ -200,8 +196,8 @@ bool HttpAnnounceServer::process_buffer(Conn* conn) {
 }
 
 void HttpAnnounceServer::announce_body(std::string_view target) {
-  // Identical decision path to Tracker::handle_get, via the same view
-  // parser and announce_into — the body bytes are the protocol contract.
+  // The view parser, then announce_into — the body bytes are the protocol
+  // contract (announce_fastpath_test pins them for one query).
   const auto request = parse_query_string(target);
   if (!request) {
     reply_.ok = false;

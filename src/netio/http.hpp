@@ -2,8 +2,9 @@
 // daemon. Wire framing only: nonblocking accept, bounded header parsing,
 // keep-alive and pipelining; the response *bodies* come from the exact
 // same view-based query parser and announce_into fast path the simulated
-// tracker uses, so a socket-served announce is byte-identical to
-// Tracker::handle_get (a tested invariant — see netio_http_test).
+// tracker uses, so a socket-served announce is byte-identical to an
+// in-process announce_into of the parsed query (a tested invariant — see
+// netio_http_test).
 //
 // The listener and every connection live on one serving shard's event
 // loop (shard 0); HTTP is the compatibility path, UDP the throughput path,
@@ -46,8 +47,6 @@ class HttpAnnounceServer {
 
   HttpAnnounceServer(const HttpAnnounceServer&) = delete;
   HttpAnnounceServer& operator=(const HttpAnnounceServer&) = delete;
-
-  std::uint16_t port() const;
 
   /// Registers the listener on the shard's loop under kListenerTag.
   void register_with(EventLoop& loop);

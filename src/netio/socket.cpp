@@ -1,7 +1,6 @@
 #include "netio/socket.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -18,14 +17,6 @@ void FdHandle::reset() noexcept {
 
 void throw_errno(const std::string& what, const std::string& addr) {
   throw std::system_error(errno, std::generic_category(), what + " " + addr);
-}
-
-sockaddr_in to_sockaddr(const Endpoint& endpoint) noexcept {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(endpoint.ip.value());
-  addr.sin_port = htons(endpoint.port);
-  return addr;
 }
 
 Endpoint from_sockaddr(const sockaddr_in& addr) noexcept {
@@ -52,15 +43,6 @@ sockaddr_in parse_addr(const std::string& ip, std::uint16_t port,
 }
 
 }  // namespace
-
-void set_nonblocking(int fd, bool nonblocking) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0) throw_errno("fcntl F_GETFL on fd", std::to_string(fd));
-  const int wanted = nonblocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (wanted != flags && fcntl(fd, F_SETFL, wanted) < 0) {
-    throw_errno("fcntl F_SETFL on fd", std::to_string(fd));
-  }
-}
 
 std::uint16_t local_port(int fd) {
   sockaddr_in addr{};

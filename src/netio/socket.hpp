@@ -49,9 +49,8 @@ class FdHandle {
 /// one uniform errno+address diagnostic.
 [[noreturn]] void throw_errno(const std::string& what, const std::string& addr);
 
-/// sockaddr_in <-> Endpoint conversion (host-order Endpoint, network-order
-/// sockaddr).
-sockaddr_in to_sockaddr(const Endpoint& endpoint) noexcept;
+/// sockaddr_in -> Endpoint conversion (network-order sockaddr, host-order
+/// Endpoint).
 Endpoint from_sockaddr(const sockaddr_in& addr) noexcept;
 
 /// Renders "a.b.c.d:port" for diagnostics.
@@ -81,7 +80,5 @@ FdHandle make_tcp_client_socket(const std::string& ip, std::uint16_t port);
 
 /// The port a socket is actually bound to (resolves ephemeral binds).
 std::uint16_t local_port(int fd);
-
-void set_nonblocking(int fd, bool nonblocking);
 
 }  // namespace btpub::netio

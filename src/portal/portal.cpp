@@ -1,7 +1,6 @@
 #include "portal/portal.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace btpub {
@@ -100,12 +99,6 @@ void Portal::moderate_remove(TorrentId id, SimTime at) {
   if (user.banned_at < 0 || user.banned_at > at) user.banned_at = at;
 }
 
-bool Portal::is_banned(std::string_view username, SimTime now) const {
-  const auto it = users_.find(std::string(username));
-  return it != users_.end() && it->second.banned_at >= 0 &&
-         now >= it->second.banned_at;
-}
-
 UserPage Portal::user_page(std::string_view username, SimTime now) const {
   UserPage page;
   page.username = std::string(username);
@@ -118,27 +111,6 @@ UserPage Portal::user_page(std::string_view username, SimTime now) const {
     page.banned = it->second.banned_at >= 0 && now >= it->second.banned_at;
   }
   return page;
-}
-
-std::vector<std::string> Portal::all_usernames() const {
-  std::vector<std::string> names;
-  names.reserve(users_.size());
-  for (const auto& [name, state] : users_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-std::size_t Portal::removed_count(SimTime now) const {
-  std::size_t n = 0;
-  for (const Listing& l : listings_) {
-    if (removed_by(l, now)) ++n;
-  }
-  return n;
-}
-
-const Portal::Listing& Portal::listing(TorrentId id) const {
-  assert(id < listings_.size());
-  return listings_[id];
 }
 
 }  // namespace btpub

@@ -129,20 +129,13 @@ class Portal {
   /// unknown ids or already-removed listings with an earlier timestamp.
   void moderate_remove(TorrentId id, SimTime at);
 
-  bool is_banned(std::string_view username, SimTime now) const;
-
   /// Per-user history page at `now`; usernames never seen yield an empty
   /// page.
   UserPage user_page(std::string_view username, SimTime now) const;
 
-  /// Every username that ever published (including banned ones).
-  std::vector<std::string> all_usernames() const;
-
   std::size_t listing_count() const noexcept { return listings_.size(); }
-  /// Removals scheduled at or before `now`.
-  std::size_t removed_count(SimTime now) const;
 
-  /// Internal listing access for the ecosystem driver (ground truth side).
+ private:
   struct Listing {
     ContentPage page;  // `removed` unset here; derived from removed_at
     std::string torrent_bytes;
@@ -150,9 +143,6 @@ class Portal {
     PayloadKind payload = PayloadKind::Genuine;
     SimTime removed_at = -1;  // -1 = never removed
   };
-  const Listing& listing(TorrentId id) const;
-
- private:
   struct UserState {
     std::vector<SimTime> publish_times;
     SimTime banned_at = -1;  // -1 = never banned

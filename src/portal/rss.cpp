@@ -200,9 +200,9 @@ class XmlCursor {
     if (end == std::string_view::npos) {
       throw std::invalid_argument("xml: unterminated text");
     }
-    const std::string raw(text_.substr(pos_, end - pos_));
+    const std::string_view raw = text_.substr(pos_, end - pos_);
     pos_ = end;
-    return xml_unescape(std::string(trim(raw)));
+    return xml_unescape(trim(raw));
   }
 
   /// True when positioned at the closing tag of `name`.

@@ -205,14 +205,6 @@ IpStrategy draw_top_strategy(PublisherClass cls, Rng& rng, bool& hosted) {
 
 }  // namespace
 
-std::vector<PublisherId> Population::ids_of(PublisherClass cls) const {
-  std::vector<PublisherId> ids;
-  for (const Publisher& p : publishers) {
-    if (p.cls == cls) ids.push_back(p.id);
-  }
-  return ids;
-}
-
 Population build_population(const PopulationConfig& config, IspCatalog& catalog,
                             Rng& rng) {
   Population pop;

@@ -46,9 +46,6 @@ struct Population {
 
   Publisher& by_id(PublisherId id) { return publishers.at(id); }
   const Publisher& by_id(PublisherId id) const { return publishers.at(id); }
-
-  /// Ids of all publishers of a class.
-  std::vector<PublisherId> ids_of(PublisherClass cls) const;
 };
 
 /// Builds a population. Mutates the catalog (allocates server addresses).

@@ -4,41 +4,6 @@
 #include <span>
 
 namespace btpub {
-
-std::string_view to_string(PublisherClass c) {
-  switch (c) {
-    case PublisherClass::Regular:
-      return "Regular";
-    case PublisherClass::TopAltruistic:
-      return "Top-Altruistic";
-    case PublisherClass::TopPortalOwner:
-      return "Top-PortalOwner";
-    case PublisherClass::TopOtherWeb:
-      return "Top-OtherWeb";
-    case PublisherClass::FakeAntipiracy:
-      return "Fake-Antipiracy";
-    case PublisherClass::FakeMalware:
-      return "Fake-Malware";
-  }
-  return "?";
-}
-
-std::string_view to_string(IpStrategy s) {
-  switch (s) {
-    case IpStrategy::SingleIp:
-      return "SingleIp";
-    case IpStrategy::HostingMulti:
-      return "HostingMulti";
-    case IpStrategy::DynamicCommercial:
-      return "DynamicCommercial";
-    case IpStrategy::MultiIsp:
-      return "MultiIsp";
-    case IpStrategy::FakeFarm:
-      return "FakeFarm";
-  }
-  return "?";
-}
-
 namespace {
 
 // Category order: Movies, TvShows, Porn, Music, Audiobooks, Games,

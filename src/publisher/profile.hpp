@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "portal/category.hpp"
 #include "util/rng.hpp"
@@ -27,8 +26,6 @@ enum class PublisherClass : std::uint8_t {
   FakeAntipiracy,  // agency machine poisoning the index with decoys
   FakeMalware,     // malware spreader using catchy fake titles
 };
-
-std::string_view to_string(PublisherClass c);
 
 constexpr bool is_fake(PublisherClass c) {
   return c == PublisherClass::FakeAntipiracy || c == PublisherClass::FakeMalware;
@@ -49,8 +46,6 @@ enum class IpStrategy : std::uint8_t {
   MultiIsp,           // home + work across different ISPs (16%)
   FakeFarm,           // a fake machine: 1-3 servers, many usernames
 };
-
-std::string_view to_string(IpStrategy s);
 
 /// Where a promoting URL is embedded (§5's three channels). Bitmask.
 enum class PromoChannel : std::uint8_t {

@@ -17,10 +17,6 @@ Swarm* SwarmNetwork::find(const Sha1Digest& infohash) {
   return swarms_.find(infohash);
 }
 
-const Swarm* SwarmNetwork::find(const Sha1Digest& infohash) const {
-  return swarms_.find(infohash);
-}
-
 std::optional<SwarmNetwork::ProbeResult> SwarmNetwork::probe(
     const Sha1Digest& infohash, const Endpoint& endpoint, SimTime t) {
   Swarm* swarm = find(infohash);

@@ -22,7 +22,6 @@ class SwarmNetwork {
   void register_swarm(Swarm& swarm);
 
   Swarm* find(const Sha1Digest& infohash);
-  const Swarm* find(const Sha1Digest& infohash) const;
   std::size_t swarm_count() const noexcept { return swarms_.size(); }
 
   /// Result of a peer-wire probe.

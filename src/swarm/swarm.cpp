@@ -174,14 +174,6 @@ void Swarm::sample_peers(SimTime t, std::size_t k, Rng& rng,
   }
 }
 
-std::vector<const PeerSession*> Swarm::peers_at(SimTime t) {
-  advance_to(t);
-  std::vector<const PeerSession*> out;
-  out.reserve(present_.size());
-  for (std::uint32_t idx : present_) out.push_back(&sessions_[idx]);
-  return out;
-}
-
 const PeerSession* Swarm::find_peer(const Endpoint& endpoint, SimTime t) {
   assert(finalized_);
   const auto begin = std::partition_point(

@@ -103,9 +103,6 @@ class Swarm {
   void sample_peers(SimTime t, std::size_t k, Rng& rng,
                     std::vector<const PeerSession*>& out, SampleScratch& scratch);
 
-  /// All sessions present at t (used when the swarm is small).
-  std::vector<const PeerSession*> peers_at(SimTime t);
-
   /// The session with this endpoint present at t, if any.
   const PeerSession* find_peer(const Endpoint& endpoint, SimTime t);
 

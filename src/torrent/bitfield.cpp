@@ -8,11 +8,6 @@ namespace btpub {
 Bitfield::Bitfield(std::size_t n_pieces)
     : n_pieces_(n_pieces), bytes_((n_pieces + 7) / 8, 0) {}
 
-bool Bitfield::get(std::size_t piece) const {
-  if (piece >= n_pieces_) throw std::out_of_range("Bitfield::get");
-  return (bytes_[piece / 8] >> (7 - piece % 8)) & 1;
-}
-
 void Bitfield::set(std::size_t piece, bool value) {
   if (piece >= n_pieces_) throw std::out_of_range("Bitfield::set");
   const std::uint8_t mask = static_cast<std::uint8_t>(1u << (7 - piece % 8));
@@ -31,11 +26,6 @@ std::size_t Bitfield::count() const noexcept {
 
 bool Bitfield::complete() const noexcept {
   return n_pieces_ > 0 && count() == n_pieces_;
-}
-
-double Bitfield::fraction() const noexcept {
-  if (n_pieces_ == 0) return 0.0;
-  return static_cast<double>(count()) / static_cast<double>(n_pieces_);
 }
 
 void Bitfield::set_prefix(std::size_t k) {

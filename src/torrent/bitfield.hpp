@@ -18,15 +18,12 @@ class Bitfield {
   explicit Bitfield(std::size_t n_pieces);
 
   std::size_t size() const noexcept { return n_pieces_; }
-  bool get(std::size_t piece) const;
   void set(std::size_t piece, bool value = true);
 
   /// Number of set bits.
   std::size_t count() const noexcept;
   /// True when every piece bit is set.
   bool complete() const noexcept;
-  /// count()/size(); 0 for an empty field.
-  double fraction() const noexcept;
 
   /// Sets the first k pieces (linear download-progress model).
   void set_prefix(std::size_t k);

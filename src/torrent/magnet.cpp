@@ -6,18 +6,6 @@
 
 namespace btpub {
 
-std::string MagnetLink::to_uri() const {
-  std::string uri = "magnet:?xt=urn:btih:" + infohash.hex();
-  if (!display_name.empty()) uri += "&dn=" + url_escape(display_name);
-  for (const std::string& tracker : trackers) {
-    uri += "&tr=" + url_escape(tracker);
-  }
-  for (const Endpoint& peer : peers) {
-    uri += "&x.pe=" + url_escape(peer.to_string());
-  }
-  return uri;
-}
-
 namespace {
 
 std::optional<Endpoint> parse_peer_hint(std::string_view text) {

@@ -23,9 +23,6 @@ struct MagnetLink {
   std::vector<std::string> trackers;  // optional
   std::vector<Endpoint> peers;        // optional x.pe peer hints
 
-  /// Renders "magnet:?xt=urn:btih:<hex>&dn=...&tr=...&x.pe=...".
-  std::string to_uri() const;
-
   /// Parses a magnet URI; nullopt when the scheme or the infohash is
   /// missing/malformed, or an x.pe hint is not a valid <ip>:<port>.
   /// Unknown parameters are ignored.

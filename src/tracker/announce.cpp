@@ -1,7 +1,6 @@
 #include "tracker/announce.hpp"
 
 #include <charconv>
-#include <stdexcept>
 
 #include "bencode/bencode.hpp"
 #include "net/compact.hpp"
@@ -88,75 +87,6 @@ void encode_announce_reply_into(const AnnounceReply& reply, std::string& out) {
   writer.string_header(reply.peers.size() * 6);
   for (const Endpoint& peer : reply.peers) append_compact_peer(out, peer);
   writer.end();
-}
-
-std::string encode_announce_reply(const AnnounceReply& reply) {
-  std::string out;
-  encode_announce_reply_into(reply, out);
-  return out;
-}
-
-AnnounceReply decode_announce_reply(std::string_view bytes) {
-  // One Reader pass over the whole reply, keeping the fields as views;
-  // they are interpreted after it, so any syntax error anywhere throws
-  // bencode::Error first (Reader errors are sticky: the loop just ends).
-  // A field of the wrong type, or a top-level value that is no dict, is
-  // ignored, as a lookup in the decoded tree would.
-  bencode::Reader r(bytes);
-  std::optional<std::string_view> failure;
-  std::optional<std::string_view> peers;
-  std::int64_t interval = 0;
-  std::int64_t complete = 0;
-  std::int64_t incomplete = 0;
-  const auto read_integer = [&](std::int64_t& out) {
-    if (r.peek() == bencode::Reader::Type::Integer) {
-      r.integer(out);
-    } else {
-      r.skip();
-    }
-  };
-  const auto read_string = [&](std::optional<std::string_view>& out) {
-    std::string_view view;
-    if (r.peek() != bencode::Reader::Type::String) {
-      r.skip();
-    } else if (r.string(view)) {
-      out = view;
-    }
-  };
-  if (r.peek() == bencode::Reader::Type::Dict && r.enter_dict()) {
-    std::string_view key;
-    while (r.next_key(key)) {
-      if (key == "complete") {
-        read_integer(complete);
-      } else if (key == "failure reason") {
-        read_string(failure);
-      } else if (key == "incomplete") {
-        read_integer(incomplete);
-      } else if (key == "interval") {
-        read_integer(interval);
-      } else if (key == "peers") {
-        read_string(peers);
-      } else {
-        r.skip();
-      }
-    }
-  } else {
-    r.skip();
-  }
-  if (!r.finish()) throw bencode::Error(r.error());
-
-  AnnounceReply reply;
-  if (failure) {
-    reply.ok = false;
-    reply.failure_reason = *failure;
-    return reply;
-  }
-  reply.ok = true;
-  reply.interval = interval;
-  reply.complete = static_cast<std::uint32_t>(complete);
-  reply.incomplete = static_cast<std::uint32_t>(incomplete);
-  if (peers) reply.peers = decode_compact_peers(*peers);
-  return reply;
 }
 
 }  // namespace btpub

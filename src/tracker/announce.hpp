@@ -26,14 +26,14 @@ struct AnnounceRequest {
   SimTime now = 0;  // simulated clock carried in-band instead of wall time
 };
 
-/// Decoded announce response.
+/// An announce response.
 struct AnnounceReply {
   bool ok = false;
   std::string failure_reason;     // set when !ok
   SimDuration interval = 0;       // tracker-mandated min re-announce gap
   std::uint32_t complete = 0;     // seeders
   std::uint32_t incomplete = 0;   // leechers
-  std::vector<Endpoint> peers;    // compact-decoded
+  std::vector<Endpoint> peers;    // compact-encoded on the wire
 };
 
 /// Renders "/announce?info_hash=...&ip=...&port=...&numwant=...".
@@ -43,16 +43,10 @@ std::string to_query_string(const AnnounceRequest& request);
 /// last-one-wins semantics (matching common tracker behaviour).
 std::optional<AnnounceRequest> parse_query_string(std::string_view query);
 
-/// Bencodes a reply (success or failure form).
-std::string encode_announce_reply(const AnnounceReply& reply);
-/// Same encoding, but clears `out` and writes into it so the caller can
-/// reuse one buffer across queries. The emitted bytes are identical to
-/// encode_announce_reply — byte-identity of announce responses is part of
-/// the protocol contract (see DESIGN.md, "Announce fast path").
+/// Bencodes a reply (success or failure form), clearing `out` and writing
+/// into it so the caller can reuse one buffer across queries.
+/// Byte-identity of announce responses is part of the protocol contract
+/// (see DESIGN.md, "Announce fast path").
 void encode_announce_reply_into(const AnnounceReply& reply, std::string& out);
-/// Parses a bencoded reply in one bencode::Reader pass. Throws
-/// bencode::Error on malformed bytes, and std::invalid_argument when a
-/// success reply's compact peers are not a multiple of 6 bytes long.
-AnnounceReply decode_announce_reply(std::string_view bytes);
 
 }  // namespace btpub

@@ -26,38 +26,11 @@ void Tracker::host_swarm(Swarm& swarm) {
   swarms_.insert(swarm.infohash(), &swarm);
 }
 
-bool Tracker::is_blacklisted(IpAddress client) const {
-  return blacklist_.contains(client.value());
-}
-
 void Tracker::reset_state(std::uint64_t sample_seed) {
   sample_seed_ = sample_seed;
   last_query_.clear();
   violations_.clear();
   blacklist_.clear();
-}
-
-std::string Tracker::handle_get(std::string_view query_string) {
-  const auto request = parse_query_string(query_string);
-  AnnounceReply reply;
-  std::string body;
-  if (!request) {
-    reply.ok = false;
-    reply.failure_reason = "malformed request";
-    encode_announce_reply_into(reply, body);
-    return body;
-  }
-  AnnounceScratch scratch;
-  announce_into(*request, reply, scratch);
-  encode_announce_reply_into(reply, body);
-  return body;
-}
-
-AnnounceReply Tracker::announce(const AnnounceRequest& request) {
-  AnnounceReply reply;
-  AnnounceScratch scratch;
-  announce_into(request, reply, scratch);
-  return reply;
 }
 
 void Tracker::announce_into(const AnnounceRequest& request, AnnounceReply& reply,

@@ -66,17 +66,8 @@ class Tracker {
     Swarm::SampleScratch sample;
   };
 
-  /// Full protocol round trip: takes the bencoded-over-HTTP GET query
-  /// string, returns the bencoded response body. Thin shim over
-  /// announce_into kept for protocol-level tests and wire-format callers.
-  std::string handle_get(std::string_view query_string);
-
-  /// Struct-level announce (used by simulator-internal callers and by
-  /// handle_get). Applies rate limiting and blacklisting.
-  AnnounceReply announce(const AnnounceRequest& request);
-
-  /// The steady-state fast path: identical semantics to announce(), but
-  /// writes into a caller-owned reply (whose peers vector is cleared, not
+  /// Answers one announce, applying blacklisting and rate limiting.
+  /// Writes into a caller-owned reply (whose peers vector is cleared, not
   /// shrunk) and samples through caller-owned scratch — allocation-free
   /// once reply/scratch capacities have warmed up. All reply fields are
   /// overwritten; nothing from a previous query leaks through.
@@ -98,8 +89,6 @@ class Tracker {
   /// time `now`. Shares its counters with the UDP scrape action via
   /// scrape_counts().
   std::string scrape(const Sha1Digest& infohash, SimTime now);
-
-  bool is_blacklisted(IpAddress client) const;
 
   /// Clears per-client rate-limit/blacklist state and re-keys the
   /// stateless peer-sampling draw; hosted swarms, stats and the enforced

@@ -38,12 +38,6 @@ std::uint64_t get_u64(std::string_view d, std::size_t at) {
 
 // ---- connect --------------------------------------------------------------
 
-std::string UdpConnectRequest::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
-
 void UdpConnectRequest::encode_into(std::string& out) const {
   out.clear();
   out.reserve(16);
@@ -62,12 +56,6 @@ std::optional<UdpConnectRequest> UdpConnectRequest::decode(
   UdpConnectRequest req;
   req.transaction_id = get_u32(datagram, 12);
   return req;
-}
-
-std::string UdpConnectResponse::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
 }
 
 void UdpConnectResponse::encode_into(std::string& out) const {
@@ -91,12 +79,6 @@ std::optional<UdpConnectResponse> UdpConnectResponse::decode(
 }
 
 // ---- announce -------------------------------------------------------------
-
-std::string UdpAnnounceRequest::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
 
 void UdpAnnounceRequest::encode_into(std::string& out) const {
   out.clear();
@@ -138,55 +120,7 @@ std::optional<UdpAnnounceRequest> UdpAnnounceRequest::decode(
   return req;
 }
 
-std::string UdpAnnounceResponse::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
-
-void UdpAnnounceResponse::encode_into(std::string& out) const {
-  out.clear();
-  out.reserve(20 + peers.size() * 6);
-  put_u32(out, static_cast<std::uint32_t>(UdpAction::Announce));
-  put_u32(out, transaction_id);
-  put_u32(out, interval);
-  put_u32(out, leechers);
-  put_u32(out, seeders);
-  for (const Endpoint& p : peers) {
-    put_u32(out, p.ip.value());
-    put_u16(out, p.port);
-  }
-}
-
-std::optional<UdpAnnounceResponse> UdpAnnounceResponse::decode(
-    std::string_view datagram) {
-  if (datagram.size() < 20 || (datagram.size() - 20) % 6 != 0) {
-    return std::nullopt;
-  }
-  if (get_u32(datagram, 0) != static_cast<std::uint32_t>(UdpAction::Announce)) {
-    return std::nullopt;
-  }
-  UdpAnnounceResponse res;
-  res.transaction_id = get_u32(datagram, 4);
-  res.interval = get_u32(datagram, 8);
-  res.leechers = get_u32(datagram, 12);
-  res.seeders = get_u32(datagram, 16);
-  for (std::size_t at = 20; at < datagram.size(); at += 6) {
-    Endpoint peer;
-    peer.ip = IpAddress(get_u32(datagram, at));
-    peer.port = get_u16(datagram, at + 4);
-    res.peers.push_back(peer);
-  }
-  return res;
-}
-
 // ---- scrape ---------------------------------------------------------------
-
-std::string UdpScrapeRequest::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
 
 void UdpScrapeRequest::encode_into(std::string& out) const {
   out.clear();
@@ -220,12 +154,6 @@ std::optional<UdpScrapeRequest> UdpScrapeRequest::decode(
   return req;
 }
 
-std::string UdpScrapeResponse::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
-
 void UdpScrapeResponse::encode_into(std::string& out) const {
   out.clear();
   out.reserve(8 + entries.size() * 12);
@@ -238,33 +166,7 @@ void UdpScrapeResponse::encode_into(std::string& out) const {
   }
 }
 
-std::optional<UdpScrapeResponse> UdpScrapeResponse::decode(
-    std::string_view datagram) {
-  if (datagram.size() < 8 || (datagram.size() - 8) % 12 != 0) {
-    return std::nullopt;
-  }
-  if (get_u32(datagram, 0) != static_cast<std::uint32_t>(UdpAction::Scrape)) {
-    return std::nullopt;
-  }
-  UdpScrapeResponse res;
-  res.transaction_id = get_u32(datagram, 4);
-  for (std::size_t at = 8; at < datagram.size(); at += 12) {
-    UdpScrapeEntry entry;
-    entry.seeders = get_u32(datagram, at);
-    entry.completed = get_u32(datagram, at + 4);
-    entry.leechers = get_u32(datagram, at + 8);
-    res.entries.push_back(entry);
-  }
-  return res;
-}
-
 // ---- error ----------------------------------------------------------------
-
-std::string UdpErrorResponse::encode() const {
-  std::string out;
-  encode_into(out);
-  return out;
-}
 
 void UdpErrorResponse::encode_into(std::string& out) const {
   out.clear();

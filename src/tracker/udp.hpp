@@ -3,9 +3,11 @@
 // OpenBitTorrent — the tracker behind most of the paper's torrents — served
 // announces over UDP as well as HTTP. The packet formats here are
 // wire-exact (big-endian, the 0x41727101980 magic, the connect/announce/
-// error actions); the simulated tracker answers datagrams through
-// Tracker::handle_udp (udp_server.hpp), including the connection-id
-// handshake and expiry.
+// scrape/error actions); the simulated tracker answers datagrams through
+// UdpTrackerEndpoint (udp_server.hpp), including the connection-id
+// handshake and expiry. The announce response has no struct here: the
+// endpoint encodes it straight from the tracker's reply
+// (UdpTrackerEndpoint::encode_announce_response_into).
 #pragma once
 
 #include <array>
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "crypto/sha1.hpp"
-#include "net/ip.hpp"
 #include "util/time.hpp"
 
 namespace btpub {
@@ -33,11 +34,9 @@ enum class UdpAction : std::uint32_t {
 struct UdpConnectRequest {
   std::uint32_t transaction_id = 0;
 
-  std::string encode() const;
   /// Clears `out` and writes the datagram into it; reusing one buffer
   /// across calls makes steady-state encoding allocation-free (the wire
   /// server and load generator both rely on this — see src/netio/).
-  /// Byte-identical to encode(); every encode() below delegates here.
   void encode_into(std::string& out) const;
   static std::optional<UdpConnectRequest> decode(std::string_view datagram);
 };
@@ -46,7 +45,6 @@ struct UdpConnectResponse {
   std::uint32_t transaction_id = 0;
   std::uint64_t connection_id = 0;
 
-  std::string encode() const;
   void encode_into(std::string& out) const;
   static std::optional<UdpConnectResponse> decode(std::string_view datagram);
 };
@@ -65,21 +63,8 @@ struct UdpAnnounceRequest {
   std::uint32_t num_want = ~0u;  // default: tracker decides
   std::uint16_t port = 0;
 
-  std::string encode() const;
   void encode_into(std::string& out) const;
   static std::optional<UdpAnnounceRequest> decode(std::string_view datagram);
-};
-
-struct UdpAnnounceResponse {
-  std::uint32_t transaction_id = 0;
-  std::uint32_t interval = 0;
-  std::uint32_t leechers = 0;
-  std::uint32_t seeders = 0;
-  std::vector<Endpoint> peers;
-
-  std::string encode() const;
-  void encode_into(std::string& out) const;
-  static std::optional<UdpAnnounceResponse> decode(std::string_view datagram);
 };
 
 /// Scrape request: connection id, action=2, transaction id, then 1..74
@@ -91,7 +76,6 @@ struct UdpScrapeRequest {
 
   static constexpr std::size_t kMaxInfohashes = 74;
 
-  std::string encode() const;
   void encode_into(std::string& out) const;
   static std::optional<UdpScrapeRequest> decode(std::string_view datagram);
 };
@@ -110,16 +94,13 @@ struct UdpScrapeResponse {
   std::uint32_t transaction_id = 0;
   std::vector<UdpScrapeEntry> entries;
 
-  std::string encode() const;
   void encode_into(std::string& out) const;
-  static std::optional<UdpScrapeResponse> decode(std::string_view datagram);
 };
 
 struct UdpErrorResponse {
   std::uint32_t transaction_id = 0;
   std::string message;
 
-  std::string encode() const;
   void encode_into(std::string& out) const;
   static std::optional<UdpErrorResponse> decode(std::string_view datagram);
 };

@@ -17,14 +17,6 @@ void put_u32(std::string& out, std::uint32_t v) {
 
 }  // namespace
 
-std::string UdpTrackerEndpoint::error(std::uint32_t transaction_id,
-                                      std::string message) const {
-  UdpErrorResponse res;
-  res.transaction_id = transaction_id;
-  res.message = std::move(message);
-  return res.encode();
-}
-
 void UdpTrackerEndpoint::error_into(std::uint32_t transaction_id,
                                     std::string_view message,
                                     std::string& out) const {
@@ -63,13 +55,6 @@ void UdpTrackerEndpoint::prune_expired(SimTime now) {
   std::erase_if(connections_, [&](const auto& entry) {
     return now - entry.second.issued > kConnectionTtl;
   });
-}
-
-std::string UdpTrackerEndpoint::handle(std::string_view datagram,
-                                       const Endpoint& from, SimTime now) {
-  std::string out;
-  handle_into(datagram, from, now, out);
-  return out;
 }
 
 void UdpTrackerEndpoint::handle_into(std::string_view datagram,

@@ -19,22 +19,18 @@ class UdpTrackerEndpoint {
   explicit UdpTrackerEndpoint(Tracker& tracker, Rng rng)
       : tracker_(&tracker), rng_(rng) {}
 
-  /// Handles one request datagram from `from` at simulated time `now` and
-  /// returns the response datagram (connect / announce / scrape / error).
-  std::string handle(std::string_view datagram, const Endpoint& from,
-                     SimTime now);
-
-  /// Same protocol state machine, but the response is written into `out`
-  /// (cleared first; capacity kept) and announces run through the
+  /// Handles one request datagram from `from` at simulated time `now`,
+  /// writing the response datagram (connect / announce / scrape / error)
+  /// into `out` (cleared first; capacity kept). Announces run through the
   /// tracker's announce_into fast path with endpoint-owned scratch —
   /// allocation-free once buffers have warmed up, except on connect (the
   /// connection table inserts) and on a reply whose peer list outgrows
   /// every previous one. This is the per-packet path the wire server
-  /// (src/netio/) drives; handle() is a thin shim over it.
+  /// (src/netio/) drives.
   void handle_into(std::string_view datagram, const Endpoint& from,
                    SimTime now, std::string& out);
 
-  /// Per-action counters, bumped by handle_into/handle. `announces` counts
+  /// Per-action counters, bumped by handle_into. `announces` counts
   /// protocol-level announce datagrams; `announce_failures` the subset the
   /// tracker refused (rate limit, unknown torrent, ban).
   struct Stats {
@@ -55,9 +51,9 @@ class UdpTrackerEndpoint {
 
   static constexpr SimDuration kConnectionTtl = minutes(2);
 
-  /// Encodes the BEP-15 announce response for `reply` straight into `out`
-  /// — byte-identical to filling a UdpAnnounceResponse and encode(), minus
-  /// the peer-list copy.
+  /// Encodes the BEP-15 announce response for `reply` straight into `out`:
+  /// action, transaction id, interval, leechers, seeders, then 6 bytes per
+  /// peer. The one encoder of that message.
   static void encode_announce_response_into(std::uint32_t transaction_id,
                                             const AnnounceReply& reply,
                                             std::string& out);
@@ -68,7 +64,6 @@ class UdpTrackerEndpoint {
     std::uint32_t ip = 0;
   };
 
-  std::string error(std::uint32_t transaction_id, std::string message) const;
   void error_into(std::uint32_t transaction_id, std::string_view message,
                   std::string& out) const;
   /// A connection id is valid up to and INCLUDING kConnectionTtl after

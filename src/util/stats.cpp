@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "util/rng.hpp"
 
@@ -30,26 +29,11 @@ double percentile_sorted(std::span<const double> sorted, double q) {
 
 }  // namespace
 
-double percentile(std::span<const double> values, double q) {
-  const auto sorted = sorted_copy(values);
-  return percentile_sorted(sorted, q);
-}
-
 double mean(std::span<const double> values) {
   if (values.empty()) return 0.0;
   const double sum = std::accumulate(values.begin(), values.end(), 0.0);
   return sum / static_cast<double>(values.size());
 }
-
-double stddev(std::span<const double> values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double acc = 0.0;
-  for (double v : values) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
-double median(std::span<const double> values) { return percentile(values, 50.0); }
 
 BoxStats box_stats(std::span<const double> values) {
   BoxStats b;
@@ -151,20 +135,6 @@ double Histogram::fraction(std::size_t i) const {
   const std::size_t t = observed();
   if (t == 0 || i >= counts.size()) return 0.0;
   return static_cast<double>(counts[i]) / static_cast<double>(t);
-}
-
-std::string to_string(const BoxStats& b) {
-  std::ostringstream os;
-  os << "min=" << b.min << " p25=" << b.p25 << " med=" << b.median << " p75=" << b.p75
-     << " max=" << b.max << " (n=" << b.count << ")";
-  return os.str();
-}
-
-std::string to_string(const SummaryRow& s) {
-  std::ostringstream os;
-  os << s.min << "/" << s.median << "/" << s.avg << "/" << s.max << " (n=" << s.count
-     << ")";
-  return os.str();
 }
 
 std::size_t sample_poisson(double mean, Rng& rng) noexcept {

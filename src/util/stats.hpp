@@ -1,12 +1,11 @@
 // stats.hpp — descriptive statistics used by the analysis pipeline and the
-// bench harnesses: percentiles, box-plot summaries (Figures 3 and 4),
+// bench harnesses: box-plot summaries (Figures 3 and 4),
 // min/median/avg/max rows (Tables 4 and 5), Gini coefficient and CDF points
 // (Figure 1 skewness), and simple histograms.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace btpub {
@@ -31,17 +30,10 @@ struct SummaryRow {
   std::size_t count = 0;
 };
 
-/// Linear-interpolated percentile, q in [0, 100]. Returns 0 for empty input.
-double percentile(std::span<const double> values, double q);
-
 /// Arithmetic mean; 0 for empty input.
 double mean(std::span<const double> values);
 
-/// Sample standard deviation; 0 for fewer than two values.
-double stddev(std::span<const double> values);
-
-double median(std::span<const double> values);
-
+/// Quartiles and medians below are linear-interpolated percentiles.
 BoxStats box_stats(std::span<const double> values);
 
 SummaryRow summary_row(std::span<const double> values);
@@ -83,10 +75,6 @@ struct Histogram {
   /// dilute the in-range mass, as they should).
   double fraction(std::size_t i) const;
 };
-
-/// Renders a BoxStats line like "min=1 p25=3 med=7 p75=12 max=40 (n=84)".
-std::string to_string(const BoxStats& b);
-std::string to_string(const SummaryRow& s);
 
 class Rng;
 

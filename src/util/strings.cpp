@@ -9,20 +9,6 @@
 
 namespace btpub {
 
-std::vector<std::string> split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 void split_views(std::string_view s, char sep,
                  std::vector<std::string_view>& out) {
   out.clear();
@@ -44,15 +30,6 @@ std::vector<std::string_view> split_views(std::string_view s, char sep) {
   return out;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(),
@@ -66,13 +43,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool contains_icase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) return true;
-  const std::string h = to_lower(haystack);
-  const std::string n = to_lower(needle);
-  return h.find(n) != std::string::npos;
 }
 
 std::string_view trim(std::string_view s) {

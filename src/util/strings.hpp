@@ -10,11 +10,9 @@
 
 namespace btpub {
 
-/// Splits on a single character; empty fields are preserved.
-std::vector<std::string> split(std::string_view s, char sep);
-
-/// Like split, but the fields are views into `s` — no per-field copies.
-/// The views are only valid while the underlying buffer is.
+/// Splits on a single character; empty fields are preserved. The fields
+/// are views into `s` — no per-field copies — and are only valid while
+/// the underlying buffer is.
 std::vector<std::string_view> split_views(std::string_view s, char sep);
 
 /// Appends the fields of `s` split on `sep` to `out` (which is cleared
@@ -22,13 +20,10 @@ std::vector<std::string_view> split_views(std::string_view s, char sep);
 /// allocation-free once its capacity has grown.
 void split_views(std::string_view s, char sep, std::vector<std::string_view>& out);
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 std::string to_lower(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
-bool contains_icase(std::string_view haystack, std::string_view needle);
 
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);

@@ -5,22 +5,6 @@
 
 namespace btpub {
 
-std::string_view to_string(BusinessType type) {
-  switch (type) {
-    case BusinessType::PrivateBtPortal:
-      return "BT Portal";
-    case BusinessType::ImageHosting:
-      return "Image Hosting";
-    case BusinessType::Forum:
-      return "Forum";
-    case BusinessType::ReligiousSite:
-      return "Religious Site";
-    case BusinessType::None:
-      return "None";
-  }
-  return "?";
-}
-
 void WebsiteDirectory::add(Website site) {
   if (site.domain.empty()) {
     throw std::invalid_argument("WebsiteDirectory: empty domain");
@@ -78,14 +62,6 @@ std::vector<std::string> WebsiteDirectory::third_parties(
   const Website* site = find(domain);
   if (site == nullptr) return {};
   return site->ad_networks;
-}
-
-std::vector<std::string> WebsiteDirectory::all_domains() const {
-  std::vector<std::string> domains;
-  domains.reserve(sites_.size());
-  for (const auto& [domain, site] : sites_) domains.push_back(domain);
-  std::sort(domains.begin(), domains.end());
-  return domains;
 }
 
 }  // namespace btpub

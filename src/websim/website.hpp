@@ -27,8 +27,6 @@ enum class BusinessType : std::uint8_t {
   None,             // no site / purely altruistic publisher
 };
 
-std::string_view to_string(BusinessType type);
-
 /// A registered website with ground-truth economics.
 struct Website {
   std::string domain;
@@ -84,8 +82,6 @@ class WebsiteDirectory {
 
   /// Third-party hosts contacted when loading the page (ads networks).
   std::vector<std::string> third_parties(std::string_view domain) const;
-
-  std::vector<std::string> all_domains() const;
 
  private:
   std::unordered_map<std::string, Website> sites_;

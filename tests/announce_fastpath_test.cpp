@@ -3,7 +3,7 @@
 //     zero-allocation refactor must not move a single byte on the wire;
 //   * the streaming bencode::Writer encoding matches the canonical
 //     tree-based encoder for both reply forms;
-//   * announce_into() is observably identical to announce();
+//   * a reused reply and scratch answer like fresh ones;
 //   * the steady-state announce_into + encode round trip performs zero
 //     heap allocations once buffers are warm (counted by
 //     counting_allocator.hpp).
@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "announce_support.hpp"
 #include "bencode/bencode.hpp"
 #include "bencode_tree.hpp"
 #include "counting_allocator.hpp"
@@ -41,10 +42,12 @@ Swarm make_golden_swarm(SimTime depart = 100000) {
   return swarm;
 }
 
-// Captured from the pre-fast-path implementation (PR 1 tree): the exact
-// query string and the SHA-1 of the exact response body for this fixed
-// (tracker seed, swarm, client, time) tuple. If either expectation moves,
-// the wire format changed — that is a protocol break, not a refactor.
+// Captured from the first tree-based implementation: the exact query
+// string and the SHA-1 of the exact response body (parse_query_string,
+// announce_into, encode_announce_reply_into: the HTTP listener's steps)
+// for this fixed (tracker seed, swarm, client, time) tuple. If either
+// expectation moves, the wire format changed — that is a protocol break,
+// not a refactor.
 TEST(AnnounceGolden, FixedSeedQueryBytesUnchanged) {
   Swarm swarm = make_golden_swarm();
   Tracker tracker(TrackerConfig{}, Rng(5));
@@ -61,7 +64,7 @@ TEST(AnnounceGolden, FixedSeedQueryBytesUnchanged) {
             "/announce?info_hash=%EC0%AD%C7%9EsI%00C%0EAt%CF%0A6%C2%D0%C4%22r"
             "&ip=10.0.0.8&port=6881&numwant=200&t=10");
 
-  const std::string body = tracker.handle_get(query);
+  const std::string body = handle_get(tracker, query);
   EXPECT_EQ(body.size(), 1260u);
   EXPECT_EQ(Sha1::hash(body).hex(),
             "b9c7f4a9df9c5217b724ea360f5117ece797f841");
@@ -84,10 +87,12 @@ TEST(AnnounceEncode, WriterMatchesTreeEncoderSuccess) {
   dict.emplace("interval", static_cast<std::int64_t>(reply.interval));
   dict.emplace("complete", static_cast<std::int64_t>(reply.complete));
   dict.emplace("incomplete", static_cast<std::int64_t>(reply.incomplete));
-  dict.emplace("peers", encode_compact_peers(reply.peers));
+  std::string peers;
+  for (const Endpoint& peer : reply.peers) append_compact_peer(peers, peer);
+  dict.emplace("peers", peers);
   const std::string tree = bencode::encode(bencode::Value(std::move(dict)));
 
-  EXPECT_EQ(encode_announce_reply(reply), tree);
+  EXPECT_EQ(encode_reply(reply), tree);
 }
 
 TEST(AnnounceEncode, WriterMatchesTreeEncoderFailure) {
@@ -99,7 +104,7 @@ TEST(AnnounceEncode, WriterMatchesTreeEncoderFailure) {
   dict.emplace("failure reason", reply.failure_reason);
   const std::string tree = bencode::encode(bencode::Value(std::move(dict)));
 
-  EXPECT_EQ(encode_announce_reply(reply), tree);
+  EXPECT_EQ(encode_reply(reply), tree);
 }
 
 TEST(AnnounceEncode, IntoReusesBufferAndClearsStaleBytes) {
@@ -115,19 +120,19 @@ TEST(AnnounceEncode, IntoReusesBufferAndClearsStaleBytes) {
 
   std::string buffer;
   encode_announce_reply_into(big, buffer);
-  EXPECT_EQ(buffer, encode_announce_reply(big));
+  EXPECT_EQ(buffer, encode_reply(big));
   encode_announce_reply_into(small, buffer);  // shrinking reuse, no stale tail
-  EXPECT_EQ(buffer, encode_announce_reply(small));
+  EXPECT_EQ(buffer, encode_reply(small));
 }
 
-TEST(AnnounceFastPath, AnnounceIntoMatchesAnnounce) {
+TEST(AnnounceFastPath, ReusedReplyMatchesFreshReply) {
   Swarm swarm = make_golden_swarm();
   Tracker tracker(TrackerConfig{}, Rng(5));
   tracker.host_swarm(swarm);
   const SimDuration gap = tracker.enforced_gap() + kSecond;
 
-  // Two trackers would draw distinct sample seeds, so compare the two
-  // entry points on one tracker at distinct query times: sampling is a
+  // Two trackers would draw distinct sample seeds, so compare a warm and
+  // a fresh reply on one tracker at distinct query times: sampling is a
   // pure function of (seed, infohash, time, client), never of call order.
   Tracker::AnnounceScratch scratch;
   AnnounceReply reused;
@@ -142,7 +147,7 @@ TEST(AnnounceFastPath, AnnounceIntoMatchesAnnounce) {
 
     AnnounceRequest again = request;
     again.client.ip = IpAddress(10, 2, 0, static_cast<std::uint8_t>(i));
-    const AnnounceReply fresh = tracker.announce(again);
+    const AnnounceReply fresh = announce(tracker, again);
     ASSERT_TRUE(reused.ok);
     ASSERT_TRUE(fresh.ok);
     EXPECT_EQ(reused.complete, fresh.complete);

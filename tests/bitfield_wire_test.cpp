@@ -19,9 +19,8 @@ TEST(BitfieldTest, SetGetCount) {
   EXPECT_EQ(f.count(), 0u);
   f.set(0);
   f.set(9);
-  EXPECT_TRUE(f.get(0));
-  EXPECT_TRUE(f.get(9));
-  EXPECT_FALSE(f.get(5));
+  // Bits 0 and 9 and nothing else: MSB of byte 0, second bit of byte 1.
+  EXPECT_EQ(f.to_bytes(), std::string("\x80\x40", 2));
   EXPECT_EQ(f.count(), 2u);
   f.set(9, false);
   EXPECT_EQ(f.count(), 1u);
@@ -29,19 +28,18 @@ TEST(BitfieldTest, SetGetCount) {
 
 TEST(BitfieldTest, OutOfRangeThrows) {
   Bitfield f(8);
-  EXPECT_THROW(f.get(8), std::out_of_range);
   EXPECT_THROW(f.set(8), std::out_of_range);
 }
 
-TEST(BitfieldTest, CompleteAndFraction) {
+TEST(BitfieldTest, CompleteAndCount) {
   Bitfield f(3);
   EXPECT_FALSE(f.complete());
   f.set_prefix(3);
   EXPECT_TRUE(f.complete());
-  EXPECT_DOUBLE_EQ(f.fraction(), 1.0);
+  EXPECT_EQ(f.count(), 3u);
   Bitfield half(4);
   half.set_prefix(2);
-  EXPECT_DOUBLE_EQ(half.fraction(), 0.5);
+  EXPECT_EQ(half.count(), 2u);
   EXPECT_FALSE(half.complete());
   EXPECT_FALSE(Bitfield().complete());  // empty field is never complete
 }

@@ -11,10 +11,19 @@
 #include "dht/node_id.hpp"
 #include "dht/krpc.hpp"
 #include "dht/routing_table.hpp"
+#include "dht_support.hpp"
 #include "util/rng.hpp"
 
 namespace btpub::dht {
 namespace {
+
+NodeId xor_ids(const NodeId& a, const NodeId& b) {
+  NodeId d;
+  for (std::size_t i = 0; i < d.bytes.size(); ++i) {
+    d.bytes[i] = static_cast<std::uint8_t>(a.bytes[i] ^ b.bytes[i]);
+  }
+  return d;
+}
 
 NodeId id_with(std::uint8_t first, std::uint8_t last = 0) {
   NodeId id;
@@ -25,13 +34,15 @@ NodeId id_with(std::uint8_t first, std::uint8_t last = 0) {
 
 // ---- node ids and the XOR metric ----
 
-TEST(NodeIdTest, DistanceIsXor) {
+TEST(NodeIdTest, DistanceKeyIsXorInBigEndianWords) {
   const NodeId a = id_with(0xF0, 0x0F);
   const NodeId b = id_with(0x0F, 0x0F);
-  const NodeId d = distance(a, b);
-  EXPECT_EQ(d.bytes[0], 0xFF);
-  EXPECT_EQ(d.bytes[19], 0x00);
-  EXPECT_EQ(distance(a, a), NodeId{});
+  const DistanceKey d = distance_key(a, b);
+  EXPECT_EQ(d.hi, 0xFF00000000000000ull);
+  EXPECT_EQ(d.mid, 0u);
+  EXPECT_EQ(d.lo, 0u);
+  const DistanceKey self = distance_key(a, a);
+  EXPECT_EQ(self.hi | self.mid | self.lo, 0u);
 }
 
 TEST(NodeIdTest, CloserComparesBigEndianMagnitude) {
@@ -61,19 +72,27 @@ TEST(NodeIdTest, ForEndpointIsDeterministicAndEndpointSensitive) {
 
 // ---- KRPC codecs ----
 
-TEST(KrpcTest, CompactNodeRoundTrip) {
+TEST(KrpcTest, CompactNodesInAResponse) {
   std::string blob;
   const NodeInfo a{id_with(0xAA, 0x01), {IpAddress(10, 0, 0, 1), 6881}};
   const NodeInfo b{id_with(0xBB, 0x02), {IpAddress(10, 0, 0, 2), 51413}};
   append_compact_node(blob, a);
   append_compact_node(blob, b);
   ASSERT_EQ(blob.size(), 52u);
-  const auto nodes = parse_compact_nodes(blob);
-  ASSERT_EQ(nodes.size(), 2u);
-  EXPECT_EQ(nodes[0], a);
-  EXPECT_EQ(nodes[1], b);
+  // 20 id bytes, then the big-endian address and port.
+  EXPECT_EQ(blob.substr(0, 20), std::string(a.id.bytes.begin(), a.id.bytes.end()));
+  EXPECT_EQ(blob.substr(20, 6), std::string("\x0A\x00\x00\x01\x1A\xE1", 6));
+  const auto response_with = [](std::string_view nodes) {
+    return "d1:rd2:id20:aaaaaaaaaaaaaaaaaaaa5:nodes" + std::to_string(nodes.size()) +
+           ":" + std::string(nodes) + "e1:t2:tx1:y1:re";
+  };
+  const auto decoded = decode<Response>(response_with(blob));
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->nodes.size(), 2u);
+  EXPECT_EQ(decoded->nodes[0], a);
+  EXPECT_EQ(decoded->nodes[1], b);
   // A ragged blob is rejected wholesale rather than partially parsed.
-  EXPECT_TRUE(parse_compact_nodes(blob.substr(0, 51)).empty());
+  EXPECT_FALSE(decode<Response>(response_with(blob.substr(0, 51))).has_value());
 }
 
 TEST(KrpcTest, QueryRoundTripAllMethods) {
@@ -88,7 +107,7 @@ TEST(KrpcTest, QueryRoundTripAllMethods) {
     query.port = 6881;
     query.token = "tok~";
     query.read_only = (method == Method::GetPeers);
-    const auto decoded = Query::decode(query.encode());
+    const auto decoded = decode<Query>(encode(query));
     ASSERT_TRUE(decoded.has_value()) << to_string(method);
     EXPECT_EQ(decoded->transaction_id, "aa");
     EXPECT_EQ(decoded->method, method);
@@ -115,7 +134,7 @@ TEST(KrpcTest, ResponseRoundTripWithNodesPeersAndToken) {
                {id_with(0x02), {IpAddress(10, 1, 1, 2), 2000}}};
   res.peers = {{IpAddress(10, 2, 2, 1), 3000}, {IpAddress(10, 2, 2, 2), 4000}};
   res.token = "write-token";
-  const auto decoded = Response::decode(res.encode());
+  const auto decoded = decode<Response>(encode(res));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->transaction_id, "tx");
   EXPECT_EQ(decoded->sender_id, res.sender_id);
@@ -124,38 +143,27 @@ TEST(KrpcTest, ResponseRoundTripWithNodesPeersAndToken) {
   EXPECT_EQ(decoded->token, "write-token");
 }
 
-TEST(KrpcTest, ErrorRoundTripAndKindPeek) {
+TEST(KrpcTest, ErrorEncoding) {
   ErrorMessage error;
   error.transaction_id = "e1";
   error.code = kErrorProtocol;
   error.message = "bad token";
-  const std::string wire = error.encode();
-  EXPECT_EQ(message_kind(wire), 'e');
-  const auto decoded = ErrorMessage::decode(wire);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->code, kErrorProtocol);
-  EXPECT_EQ(decoded->message, "bad token");
-
-  Query q;
-  q.transaction_id = "q1";
-  EXPECT_EQ(message_kind(q.encode()), 'q');
-  EXPECT_FALSE(message_kind("not bencode").has_value());
+  EXPECT_EQ(encode(error), "d1:eli203e9:bad tokene1:t2:e11:y1:ee");
 }
 
 TEST(KrpcTest, DecodeRejectsMalformedMessages) {
-  EXPECT_FALSE(Query::decode("").has_value());
-  EXPECT_FALSE(Query::decode("d1:y1:qe").has_value());       // no method
-  EXPECT_FALSE(Query::decode("i42e").has_value());           // not a dict
-  EXPECT_FALSE(Response::decode("d1:y1:re").has_value());    // no body
-  EXPECT_FALSE(ErrorMessage::decode("d1:y1:ee").has_value());
+  EXPECT_FALSE(decode<Query>("").has_value());
+  EXPECT_FALSE(decode<Query>("d1:y1:qe").has_value());       // no method
+  EXPECT_FALSE(decode<Query>("i42e").has_value());           // not a dict
+  EXPECT_FALSE(decode<Response>("d1:y1:re").has_value());    // no body
   // A query with an unknown method name must not decode as some default.
   Query q;
   q.transaction_id = "xx";
-  std::string wire = q.encode();
+  std::string wire = encode(q);
   const std::size_t at = wire.find("4:ping");
   ASSERT_NE(at, std::string::npos);
   wire.replace(at, 6, "4:pong");
-  EXPECT_FALSE(Query::decode(wire).has_value());
+  EXPECT_FALSE(decode<Query>(wire).has_value());
 }
 
 // ---- routing table ----
@@ -163,11 +171,11 @@ TEST(KrpcTest, DecodeRejectsMalformedMessages) {
 TEST(RoutingTableTest, ObserveInsertsAndSelfIsIgnored) {
   RoutingTable table(id_with(0x00));
   table.observe(id_with(0x00), {IpAddress(10, 0, 0, 1), 1}, 0);  // self
-  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(contacts(table).size(), 0u);
   table.observe(id_with(0x80), {IpAddress(10, 0, 0, 2), 2}, 0);
   table.observe(id_with(0x81), {IpAddress(10, 0, 0, 3), 3}, 0);
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_TRUE(table.contains(id_with(0x80)));
+  EXPECT_EQ(contacts(table).size(), 2u);
+  EXPECT_TRUE(has_contact(table, id_with(0x80)));
 }
 
 TEST(RoutingTableTest, FullBucketEvictsOnlyStaleContacts) {
@@ -176,18 +184,18 @@ TEST(RoutingTableTest, FullBucketEvictsOnlyStaleContacts) {
   for (std::uint8_t i = 0; i < RoutingTable::kBucketSize; ++i) {
     table.observe(id_with(0x80, i), {IpAddress(0x0A000000u + i), 6881}, 0);
   }
-  ASSERT_EQ(table.size(), RoutingTable::kBucketSize);
+  ASSERT_EQ(contacts(table).size(), RoutingTable::kBucketSize);
   // Fresh bucket: the newcomer is dropped.
   table.observe(id_with(0x80, 0x99), {IpAddress(10, 9, 9, 9), 6881},
                 minutes(1));
-  EXPECT_FALSE(table.contains(id_with(0x80, 0x99)));
+  EXPECT_FALSE(has_contact(table, id_with(0x80, 0x99)));
   // Once the oldest contact has gone quiet past kStaleAfter, a newcomer
   // takes its slot.
   const SimTime later = minutes(1) + RoutingTable::kStaleAfter + 1;
   table.observe(id_with(0x80, 0x99), {IpAddress(10, 9, 9, 9), 6881}, later);
-  EXPECT_TRUE(table.contains(id_with(0x80, 0x99)));
-  EXPECT_FALSE(table.contains(id_with(0x80, 0)));  // LRU victim
-  EXPECT_EQ(table.size(), RoutingTable::kBucketSize);
+  EXPECT_TRUE(has_contact(table, id_with(0x80, 0x99)));
+  EXPECT_FALSE(has_contact(table, id_with(0x80, 0)));  // LRU victim
+  EXPECT_EQ(contacts(table).size(), RoutingTable::kBucketSize);
 }
 
 TEST(RoutingTableTest, ClosestReturnsXorOrder) {
@@ -225,7 +233,7 @@ NodeId id_in_bucket(const NodeId& self, int bit, Rng& rng) {
   auto& b = d.bytes[static_cast<std::size_t>(top)];
   const int shift = bit % 8;
   b = static_cast<std::uint8_t>((b & ((1u << shift) - 1)) | (1u << shift));
-  return distance(self, d);
+  return xor_ids(self, d);
 }
 
 TEST(RoutingTableTest, ClosestMatchesBruteForceOnRandomTables) {
@@ -247,7 +255,7 @@ TEST(RoutingTableTest, ClosestMatchesBruteForceOnRandomTables) {
     std::vector<NodeInfo> everything;
     table.closest(self, 160 * RoutingTable::kBucketSize, everything);
     for (const NodeInfo& c : everything) ids.push_back(c.id);
-    ASSERT_EQ(ids.size(), table.size());
+    ASSERT_EQ(ids.size(), contacts(table).size());
 
     std::vector<NodeId> targets = {self};  // target == self
     for (int i = 0; i < 8; ++i) {
@@ -263,7 +271,7 @@ TEST(RoutingTableTest, ClosestMatchesBruteForceOnRandomTables) {
         std::vector<NodeId> got;
         for (const NodeInfo& c : out) got.push_back(c.id);
         ASSERT_EQ(got, brute_force_closest(ids, target, k))
-            << "trial " << trial << " k " << k << " target " << target.hex();
+            << "trial " << trial << " k " << k << " target " << target.to_digest().hex();
       }
     }
   }
@@ -297,7 +305,7 @@ TEST(TokenJarTest, TokenValidInCurrentAndPreviousEpochOnly) {
 
 // ---- peer store ----
 
-TEST(PeerStoreTest, AnnounceCollectExpire) {
+TEST(PeerStoreTest, AnnounceCollectAge) {
   PeerStore store;
   const Sha1Digest hash = Sha1::hash("stored");
   store.announce(hash, {IpAddress(10, 0, 0, 1), 1}, 0);
@@ -316,8 +324,9 @@ TEST(PeerStoreTest, AnnounceCollectExpire) {
                  PeerStore::kPeerTtl + minutes(1));
   store.collect(hash, 2 * PeerStore::kPeerTtl, out);
   EXPECT_EQ(out.size(), 1u);
-  // expire() drops empty infohashes entirely.
-  store.expire(4 * PeerStore::kPeerTtl);
+  // Once every announcer has aged out, collect() drops the infohash.
+  store.collect(hash, 4 * PeerStore::kPeerTtl, out);
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ(store.stored_peers(), 0u);
   EXPECT_EQ(store.stored_infohashes(), 0u);
 }
@@ -356,14 +365,14 @@ class DhtNodeTest : public ::testing::Test {
   Response ask(Query& query, const Endpoint& from, SimTime now) {
     query.transaction_id = "t1";
     query.sender_id = NodeId::for_endpoint(1, from);
-    const auto response = Response::decode(node_.handle(query.encode(), from, now));
+    const auto response = decode<Response>(handle(node_, encode(query), from, now));
     EXPECT_TRUE(response.has_value());
     return response.value_or(Response{});
   }
 
   /// The error the node answers `datagram` with.
   ErrorMessage error_reply(std::string_view datagram) {
-    const auto error = ErrorMessage::decode(node_.handle(datagram, kAsker, 10));
+    const auto error = ref_error(handle(node_, datagram, kAsker, 10));
     EXPECT_TRUE(error.has_value()) << datagram;
     return error.value_or(ErrorMessage{});
   }
@@ -377,7 +386,7 @@ TEST_F(DhtNodeTest, PingEchoesTransactionAndLearnsSender) {
   const Response res = ask(ping, kAsker, 10);
   EXPECT_EQ(res.transaction_id, "t1");
   EXPECT_EQ(res.sender_id, node_.id());
-  EXPECT_TRUE(node_.table().contains(NodeId::for_endpoint(1, kAsker)));
+  EXPECT_TRUE(has_contact(node_.table(), NodeId::for_endpoint(1, kAsker)));
 }
 
 TEST_F(DhtNodeTest, ReadOnlySendersStayOutOfTheTable) {
@@ -385,7 +394,7 @@ TEST_F(DhtNodeTest, ReadOnlySendersStayOutOfTheTable) {
   ping.method = Method::Ping;
   ping.read_only = true;
   ask(ping, kAsker, 10);
-  EXPECT_EQ(node_.table().size(), 0u);
+  EXPECT_EQ(contacts(node_.table()).size(), 0u);
 }
 
 TEST_F(DhtNodeTest, GetPeersReturnsNodesAlongsideValues) {
@@ -444,8 +453,8 @@ TEST_F(DhtNodeTest, AnnounceWithBadTokenIsRejected) {
   announce.token = "forged!!";
   announce.transaction_id = "t9";
   announce.sender_id = NodeId::for_endpoint(1, kAsker);
-  const std::string raw = node_.handle(announce.encode(), kAsker, 10);
-  const auto error = ErrorMessage::decode(raw);
+  const std::string raw = handle(node_, encode(announce), kAsker, 10);
+  const auto error = ref_error(raw);
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, kErrorProtocol);
   EXPECT_EQ(error->transaction_id, "t9");
@@ -471,13 +480,13 @@ TEST_F(DhtNodeTest, TokenFromAnotherIpIsRejected) {
   announce.transaction_id = "t2";
   announce.sender_id = NodeId::for_endpoint(1, thief);
   const auto error =
-      ErrorMessage::decode(node_.handle(announce.encode(), thief, 20));
+      ref_error(handle(node_, encode(announce), thief, 20));
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, kErrorProtocol);
 }
 
 TEST_F(DhtNodeTest, MalformedDatagramYieldsErrorMessage) {
-  const auto error = ErrorMessage::decode(node_.handle("garbage", kAsker, 10));
+  const auto error = ref_error(handle(node_, "garbage", kAsker, 10));
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, kErrorProtocol);
   EXPECT_EQ(error->transaction_id, "");  // nothing readable to echo
@@ -560,7 +569,7 @@ class DhtNodeAnswerTest : public ::testing::Test {
     query.sender_id = NodeId::for_endpoint(1, from);
     Response typed;
     EXPECT_TRUE(typed_.answer(query, from, now, typed));
-    const auto wire = Response::decode(wire_.handle(query.encode(), from, now));
+    const auto wire = decode<Response>(handle(wire_, encode(query), from, now));
     EXPECT_TRUE(wire.has_value()) << to_string(query.method);
     if (wire) {
       EXPECT_EQ(typed.transaction_id, wire->transaction_id);
@@ -569,7 +578,7 @@ class DhtNodeAnswerTest : public ::testing::Test {
       EXPECT_EQ(typed.peers, wire->peers);
       EXPECT_EQ(typed.token, wire->token);
     }
-    EXPECT_EQ(typed_.table().size(), wire_.table().size());
+    EXPECT_EQ(contacts(typed_.table()), contacts(wire_.table()));
     EXPECT_EQ(typed_.store().stored_peers(), wire_.store().stored_peers());
     return typed;
   }
@@ -585,7 +594,7 @@ TEST_F(DhtNodeAnswerTest, AnswerEqualsTheWireReplyForEveryMethod) {
   const Response pong = ask_both(ping, kAsker, 10);
   EXPECT_EQ(pong.transaction_id, "tx");
   EXPECT_EQ(pong.sender_id, typed_.id());
-  EXPECT_TRUE(typed_.table().contains(NodeId::for_endpoint(1, kAsker)));
+  EXPECT_TRUE(has_contact(typed_.table(), NodeId::for_endpoint(1, kAsker)));
 
   Query find;
   find.method = Method::FindNode;
@@ -602,11 +611,11 @@ TEST_F(DhtNodeAnswerTest, AnswerEqualsTheWireReplyForEveryMethod) {
   EXPECT_EQ(plain.token.size(), 8u);
 
   // A read-only sender is answered alike and learned by neither node.
-  const std::size_t contacts = typed_.table().size();
+  const std::size_t known = contacts(typed_.table()).size();
   get.read_only = true;
   const Response measured = ask_both(get, kVantage, 40);
   EXPECT_EQ(measured.peers, plain.peers);
-  EXPECT_EQ(typed_.table().size(), contacts);
+  EXPECT_EQ(contacts(typed_.table()).size(), known);
   get.read_only = false;
 
   Query announce;
@@ -652,7 +661,7 @@ TEST_F(DhtNodeAnswerTest, StaleOrForeignTokenIsRefusedAndStoresNothing) {
 
   // The wire form of the same refusal is a 203 "bad token" error.
   const auto error =
-      ErrorMessage::decode(wire_.handle(announce.encode(), thief, issued));
+      ref_error(handle(wire_, encode(announce), thief, issued));
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, kErrorProtocol);
   EXPECT_EQ(error->message, "bad token");

@@ -38,10 +38,9 @@ TEST(IpAddress, Ordering) {
   EXPECT_EQ(IpAddress(9, 9, 9, 9), IpAddress(9, 9, 9, 9));
 }
 
-TEST(Prefix16, ExtractionAndFormat) {
+TEST(Prefix16, Extraction) {
   const Prefix16 p(IpAddress(81, 93, 17, 200));
   EXPECT_EQ(p.value(), (81u << 8) | 93u);
-  EXPECT_EQ(p.to_string(), "81.93.0.0/16");
   EXPECT_EQ(Prefix16(IpAddress(81, 93, 0, 1)), p);
   EXPECT_NE(Prefix16(IpAddress(81, 94, 0, 1)), p);
 }
@@ -49,43 +48,26 @@ TEST(Prefix16, ExtractionAndFormat) {
 TEST(CidrBlock, MasksBase) {
   const CidrBlock block(IpAddress(10, 1, 2, 3), 16);
   EXPECT_EQ(block.base().to_string(), "10.1.0.0");
-  EXPECT_EQ(block.to_string(), "10.1.0.0/16");
   EXPECT_EQ(block.size(), 65536u);
 }
 
-TEST(CidrBlock, ContainsAndAt) {
+TEST(CidrBlock, At) {
   const CidrBlock block(IpAddress(10, 1, 0, 0), 24);
-  EXPECT_TRUE(block.contains(IpAddress(10, 1, 0, 255)));
-  EXPECT_FALSE(block.contains(IpAddress(10, 1, 1, 0)));
   EXPECT_EQ(block.at(7), IpAddress(10, 1, 0, 7));
   EXPECT_EQ(block.size(), 256u);
 }
 
 TEST(CidrBlock, ExtremeLengths) {
   const CidrBlock all(IpAddress(1, 2, 3, 4), 0);
-  EXPECT_TRUE(all.contains(IpAddress(250, 250, 250, 250)));
+  EXPECT_EQ(all.base(), IpAddress(0, 0, 0, 0));
   EXPECT_EQ(all.size(), 1ull << 32);
   const CidrBlock host(IpAddress(1, 2, 3, 4), 32);
-  EXPECT_TRUE(host.contains(IpAddress(1, 2, 3, 4)));
-  EXPECT_FALSE(host.contains(IpAddress(1, 2, 3, 5)));
+  EXPECT_EQ(host.at(0), IpAddress(1, 2, 3, 4));
   EXPECT_EQ(host.size(), 1u);
 }
 
-TEST(CidrBlock, ParseValidAndInvalid) {
-  const auto block = CidrBlock::parse("172.16.0.0/12");
-  ASSERT_TRUE(block.has_value());
-  EXPECT_EQ(block->length(), 12);
-  EXPECT_TRUE(block->contains(IpAddress(172, 31, 255, 255)));
-  EXPECT_FALSE(CidrBlock::parse("172.16.0.0").has_value());
-  EXPECT_FALSE(CidrBlock::parse("172.16.0.0/33").has_value());
-  EXPECT_FALSE(CidrBlock::parse("172.16.0.0/-1").has_value());
-  EXPECT_FALSE(CidrBlock::parse("x/8").has_value());
-  EXPECT_FALSE(CidrBlock::parse("1.2.3.4/1x").has_value());
-}
-
-TEST(EndpointTest, FormatAndHash) {
+TEST(EndpointTest, Hash) {
   const Endpoint e{IpAddress(1, 2, 3, 4), 6881};
-  EXPECT_EQ(e.to_string(), "1.2.3.4:6881");
   const Endpoint same{IpAddress(1, 2, 3, 4), 6881};
   const Endpoint other{IpAddress(1, 2, 3, 4), 6882};
   EXPECT_EQ(std::hash<Endpoint>{}(e), std::hash<Endpoint>{}(same));
@@ -93,35 +75,18 @@ TEST(EndpointTest, FormatAndHash) {
   EXPECT_NE(e, other);
 }
 
-TEST(CompactPeers, RoundTrip) {
-  std::vector<Endpoint> peers{
-      {IpAddress(1, 2, 3, 4), 6881},
+TEST(CompactPeers, SixBigEndianBytesPerPeer) {
+  const std::vector<Endpoint> peers{
+      {IpAddress(0x01, 0x02, 0x03, 0x04), 0x1A2B},
       {IpAddress(255, 254, 253, 252), 65535},
       {IpAddress(0, 0, 0, 1), 1},
   };
-  const std::string wire = encode_compact_peers(peers);
-  EXPECT_EQ(wire.size(), 18u);
-  const auto decoded = decode_compact_peers(wire);
-  EXPECT_EQ(decoded, peers);
-}
-
-TEST(CompactPeers, EmptyList) {
-  EXPECT_EQ(encode_compact_peers({}), "");
-  EXPECT_TRUE(decode_compact_peers("").empty());
-}
-
-TEST(CompactPeers, RejectsBadLength) {
-  EXPECT_THROW(decode_compact_peers("12345"), std::invalid_argument);
-  EXPECT_THROW(decode_compact_peers("1234567"), std::invalid_argument);
-}
-
-TEST(CompactPeers, BigEndianLayout) {
-  const std::vector<Endpoint> one{{IpAddress(0x01, 0x02, 0x03, 0x04), 0x1A2B}};
-  const std::string wire = encode_compact_peers(one);
-  EXPECT_EQ(static_cast<unsigned char>(wire[0]), 0x01);
-  EXPECT_EQ(static_cast<unsigned char>(wire[3]), 0x04);
-  EXPECT_EQ(static_cast<unsigned char>(wire[4]), 0x1A);
-  EXPECT_EQ(static_cast<unsigned char>(wire[5]), 0x2B);
+  std::string wire;
+  for (const Endpoint& peer : peers) append_compact_peer(wire, peer);
+  EXPECT_EQ(wire, std::string("\x01\x02\x03\x04\x1A\x2B"
+                              "\xFF\xFE\xFD\xFC\xFF\xFF"
+                              "\x00\x00\x00\x01\x00\x01",
+                              18));
 }
 
 }  // namespace

@@ -2,15 +2,15 @@
 // DHT's parsers of untrusted datagrams. Bit flips, truncations, splices,
 // inflated length fields and one-field edits of the decoded tree are
 // applied to encoded queries, responses and errors. For every mutant the
-// one-pass Reader decoders must agree with a reference built on the tree
-// decoder (bencode::decode) — on accept or reject and on every field — and
-// bencode::Reader must accept exactly what bencode::decode accepts. A warm decode allocates at most in proportion
-// to the mutant, and a warm decode_into / handle_into allocates nothing
-// (counted by counting_allocator.hpp).
+// one-pass Reader decoders (Query and Response decode_into) must agree
+// with a reference built on the tree decoder (dht_support.hpp) — on
+// accept or reject and on every field — and bencode::Reader must accept
+// exactly what bencode::decode accepts. A warm decode allocates at most in
+// proportion to the mutant, and a warm decode_into / handle_into allocates
+// nothing (counted by counting_allocator.hpp).
 // Out-of-bounds reads trip the ASan/UBSan build.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -21,159 +21,29 @@
 #include "counting_allocator.hpp"
 #include "dht/krpc.hpp"
 #include "dht/node.hpp"
+#include "dht_support.hpp"
 #include "util/rng.hpp"
 
 namespace btpub::dht {
 namespace {
-
-// ---- the reference: the tree-decoding KRPC logic ---------------------------
-
-std::optional<bencode::Value> ref_root(std::string_view datagram) {
-  try {
-    bencode::Value root = bencode::decode(datagram);
-    if (!root.is_dict()) return std::nullopt;
-    return root;
-  } catch (const bencode::Error&) {
-    return std::nullopt;
-  }
-}
-
-bool ref_read_id(const bencode::Value* value, std::array<std::uint8_t, 20>& out) {
-  if (value == nullptr || !value->is_string()) return false;
-  const std::string& s = value->as_string();
-  if (s.size() != out.size()) return false;
-  std::memcpy(out.data(), s.data(), out.size());
-  return true;
-}
-
-std::optional<Query> ref_query(std::string_view datagram) {
-  const auto root = ref_root(datagram);
-  if (!root) return std::nullopt;
-  const auto y = root->find_string("y");
-  if (!y || *y != "q") return std::nullopt;
-  const auto t = root->find_string("t");
-  const auto q = root->find_string("q");
-  if (!t || !q) return std::nullopt;
-  Query query;
-  query.transaction_id = *t;
-  if (*q == "ping") {
-    query.method = Method::Ping;
-  } else if (*q == "find_node") {
-    query.method = Method::FindNode;
-  } else if (*q == "get_peers") {
-    query.method = Method::GetPeers;
-  } else if (*q == "announce_peer") {
-    query.method = Method::AnnouncePeer;
-  } else {
-    return std::nullopt;
-  }
-  if (const auto ro = root->find_integer("ro")) query.read_only = *ro != 0;
-  const bencode::Value* args = root->find("a");
-  if (args == nullptr || !args->is_dict()) return std::nullopt;
-  if (!ref_read_id(args->find("id"), query.sender_id.bytes)) return std::nullopt;
-  switch (query.method) {
-    case Method::Ping:
-      break;
-    case Method::FindNode:
-      if (!ref_read_id(args->find("target"), query.target.bytes)) return std::nullopt;
-      break;
-    case Method::GetPeers:
-      if (!ref_read_id(args->find("info_hash"), query.info_hash.bytes)) {
-        return std::nullopt;
-      }
-      break;
-    case Method::AnnouncePeer: {
-      if (!ref_read_id(args->find("info_hash"), query.info_hash.bytes)) {
-        return std::nullopt;
-      }
-      const auto port = args->find_integer("port");
-      if (!port || *port < 0 || *port > 0xffff) return std::nullopt;
-      query.port = static_cast<std::uint16_t>(*port);
-      const auto token = args->find_string("token");
-      if (!token) return std::nullopt;
-      query.token = *token;
-      break;
-    }
-  }
-  return query;
-}
-
-std::optional<Response> ref_response(std::string_view datagram) {
-  const auto root = ref_root(datagram);
-  if (!root) return std::nullopt;
-  const auto y = root->find_string("y");
-  if (!y || *y != "r") return std::nullopt;
-  const auto t = root->find_string("t");
-  if (!t) return std::nullopt;
-  const bencode::Value* body = root->find("r");
-  if (body == nullptr || !body->is_dict()) return std::nullopt;
-  Response response;
-  response.transaction_id = *t;
-  if (!ref_read_id(body->find("id"), response.sender_id.bytes)) return std::nullopt;
-  if (const auto nodes = body->find_string("nodes")) {
-    if (nodes->size() % 26 != 0) return std::nullopt;
-    response.nodes = parse_compact_nodes(*nodes);
-  }
-  if (const auto token = body->find_string("token")) response.token = *token;
-  if (const bencode::Value* values = body->find("values")) {
-    if (!values->is_list()) return std::nullopt;
-    for (const bencode::Value& entry : values->as_list()) {
-      if (!entry.is_string()) return std::nullopt;
-      const auto peer = parse_compact_peer(entry.as_string());
-      if (!peer) return std::nullopt;
-      response.peers.push_back(*peer);
-    }
-  }
-  return response;
-}
-
-std::optional<ErrorMessage> ref_error(std::string_view datagram) {
-  const auto root = ref_root(datagram);
-  if (!root) return std::nullopt;
-  const auto y = root->find_string("y");
-  if (!y || *y != "e") return std::nullopt;
-  const auto t = root->find_string("t");
-  if (!t) return std::nullopt;
-  const bencode::Value* e = root->find("e");
-  if (e == nullptr || !e->is_list()) return std::nullopt;
-  const bencode::List& list = e->as_list();
-  if (list.size() != 2 || !list[0].is_integer() || !list[1].is_string()) {
-    return std::nullopt;
-  }
-  ErrorMessage error;
-  error.transaction_id = *t;
-  error.code = list[0].as_integer();
-  error.message = list[1].as_string();
-  return error;
-}
-
-std::optional<char> ref_kind(std::string_view datagram) {
-  const auto root = ref_root(datagram);
-  if (!root) return std::nullopt;
-  const auto y = root->find_string("y");
-  if (!y || y->size() != 1) return std::nullopt;
-  const char kind = (*y)[0];
-  if (kind != 'q' && kind != 'r' && kind != 'e') return std::nullopt;
-  return kind;
-}
 
 // ---- field-by-field renderings, so a mismatch prints what differs -----------
 
 std::string show(const std::optional<Query>& q) {
   if (!q) return "reject";
   return "t=" + q->transaction_id + " m=" + std::string(to_string(q->method)) +
-         " id=" + q->sender_id.hex() + " target=" + q->target.hex() +
-         " ih=" + NodeId::from_digest(q->info_hash).hex() +
+         " id=" + q->sender_id.to_digest().hex() + " target=" + q->target.to_digest().hex() +
+         " ih=" + q->info_hash.hex() +
          " port=" + std::to_string(q->port) + " token=" + q->token +
          " ro=" + std::to_string(q->read_only);
 }
 
 std::string show(const std::optional<Response>& r) {
   if (!r) return "reject";
-  std::string out = "t=" + r->transaction_id + " id=" + r->sender_id.hex() +
+  std::string out = "t=" + r->transaction_id + " id=" + r->sender_id.to_digest().hex() +
                     " token=" + r->token + " nodes=";
   for (const NodeInfo& n : r->nodes) {
-    out += n.id.hex() + "@" + std::to_string(n.endpoint.ip.value()) + ":" +
+    out += n.id.to_digest().hex() + "@" + std::to_string(n.endpoint.ip.value()) + ":" +
            std::to_string(n.endpoint.port) + ",";
   }
   out += " peers=";
@@ -181,12 +51,6 @@ std::string show(const std::optional<Response>& r) {
     out += std::to_string(p.ip.value()) + ":" + std::to_string(p.port) + ",";
   }
   return out;
-}
-
-std::string show(const std::optional<ErrorMessage>& e) {
-  if (!e) return "reject";
-  return "t=" + e->transaction_id + " code=" + std::to_string(e->code) +
-         " msg=" + e->message;
 }
 
 bool reader_accepts(std::string_view datagram) {
@@ -233,32 +97,32 @@ std::vector<std::string> base_datagrams() {
   q.transaction_id = "aa";
   q.sender_id = id_from(2);
   q.method = Method::Ping;
-  out.push_back(q.encode());
+  out.push_back(encode(q));
   q.method = Method::FindNode;
   q.target = id_from(3);
-  out.push_back(q.encode());
+  out.push_back(encode(q));
   q.method = Method::GetPeers;
   q.info_hash = id_from(4).to_digest();
   q.read_only = true;
-  out.push_back(q.encode());
+  out.push_back(encode(q));
   q.method = Method::AnnouncePeer;
   q.read_only = false;
   q.port = 51413;
   q.token = "12345678";
-  out.push_back(q.encode());
+  out.push_back(encode(q));
 
-  out.push_back(get_peers_response(12).encode());  // with values
-  out.push_back(get_peers_response(0).encode());   // nodes + token only
+  out.push_back(encode(get_peers_response(12)));  // with values
+  out.push_back(encode(get_peers_response(0)));   // nodes + token only
   Response ping;
   ping.transaction_id = "zz";
   ping.sender_id = id_from(5);
-  out.push_back(ping.encode());
+  out.push_back(encode(ping));
 
   ErrorMessage error;
   error.transaction_id = "ee";
   error.code = kErrorProtocol;
   error.message = "bad token";
-  out.push_back(error.encode());
+  out.push_back(encode(error));
 
   // Keys the decoders skip (a client version, nested containers) and
   // mistyped optional fields, which both decoders ignore.
@@ -274,7 +138,7 @@ std::vector<std::string> base_datagrams() {
 // ---- the differential check ---------------------------------------------------
 
 struct Tally {
-  int accepted = 0;  // by some decoder
+  int accepted = 0;  // by some reference decoder
   int rejected = 0;  // by all of them
 };
 
@@ -297,16 +161,13 @@ void check_mutant(const std::string& m, Tally& tally) {
   const auto want_query = ref_query(m);
   EXPECT_EQ(show(query_ok ? std::optional<Query>(g_query) : std::nullopt),
             show(want_query));
-  EXPECT_EQ(show(Query::decode(m)), show(want_query));
+  EXPECT_EQ(show(decode<Query>(m)), show(want_query));
   const auto want_response = ref_response(m);
   EXPECT_EQ(show(response_ok ? std::optional<Response>(g_response) : std::nullopt),
             show(want_response));
-  EXPECT_EQ(show(Response::decode(m)), show(want_response));
-  const auto want_error = ref_error(m);
-  EXPECT_EQ(show(ErrorMessage::decode(m)), show(want_error));
-  EXPECT_EQ(message_kind(m).value_or('-'), ref_kind(m).value_or('-'));
+  EXPECT_EQ(show(decode<Response>(m)), show(want_response));
 
-  if (want_query || want_response || want_error) {
+  if (want_query || want_response || ref_error(m)) {
     ++tally.accepted;
   } else {
     ++tally.rejected;
@@ -496,7 +357,7 @@ TEST(KrpcMutation, ReaderMatchesTheTreeOnStructuralEdgeCases) {
 // ---- steady state allocates nothing -------------------------------------------
 
 TEST(KrpcAllocation, WarmDecodeIntoAllocatesNothing) {
-  const std::string response_wire = get_peers_response(50).encode();
+  const std::string response_wire = encode(get_peers_response(50));
   const std::string query_wire = base_datagrams()[3];  // announce_peer
   Response response;
   Query query;
@@ -534,17 +395,17 @@ TEST(KrpcAllocation, WarmHandleIntoAllocatesNothing) {
   q.transaction_id = "t1";
   q.sender_id = NodeId::for_endpoint(1, asker);
   q.method = Method::Ping;
-  queries.push_back(q.encode());
+  queries.push_back(encode(q));
   q.method = Method::FindNode;
   q.target = id_from(10);
-  queries.push_back(q.encode());
+  queries.push_back(encode(q));
   q.method = Method::GetPeers;
   q.info_hash = info_hash;
-  queries.push_back(q.encode());
+  queries.push_back(encode(q));
   q.method = Method::AnnouncePeer;
   q.port = 7000;
   q.token = node.tokens().token_for(asker.ip, now);
-  queries.push_back(q.encode());
+  queries.push_back(encode(q));
 
   std::string out;
   for (const std::string& wire : queries) node.handle_into(wire, asker, now, out);
@@ -561,7 +422,7 @@ TEST(KrpcAllocation, WarmHandleIntoAllocatesNothing) {
   EXPECT_EQ(after - before, 0u) << "warm handle_into performed heap allocations";
   EXPECT_GT(bytes, 0u);
   // The last answer (to announce_peer) is a response, not an error.
-  EXPECT_EQ(message_kind(out).value_or('-'), 'r');
+  EXPECT_EQ(ref_kind(out).value_or('-'), 'r');
 }
 
 }  // namespace

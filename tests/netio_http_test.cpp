@@ -1,6 +1,7 @@
 // netio_http_test — the HTTP/1.1 announce listener over real TCP framing:
-// golden-bytes equivalence of socket-served bodies against
-// Tracker::handle_get / announce_into, keep-alive pipelining, and
+// golden-bytes equivalence of socket-served bodies against the tests'
+// handle_get (announce_support.hpp) and announce_into, keep-alive
+// pipelining, and
 // malformed framing (bad request lines, unsupported versions, oversized
 // headers) answered with the right status and a closed connection; and
 // the load generator's side of the framing, which rejects a reply whose
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "announce_support.hpp"
 #include "netio/http.hpp"
 #include "netio/loadgen.hpp"
 #include "netio/serve.hpp"
@@ -163,9 +165,9 @@ TEST(NetioHttp, AnnounceBodyMatchesHandleGetAndFastPath) {
     EXPECT_EQ(response->status, 200);
     EXPECT_TRUE(response->keep_alive);
 
-    // handle_get and the announce_into fast path are themselves tested
-    // byte-identical (announce_fastpath_test); the wire must match both.
-    EXPECT_EQ(response->body, replica.tracker.handle_get(target));
+    // handle_get's body is pinned by announce_fastpath_test's golden
+    // bytes; the wire must match it and the announce_into fast path.
+    EXPECT_EQ(response->body, handle_get(replica.tracker, target));
 
     AnnounceReply reply;
     Tracker::AnnounceScratch scratch;
@@ -200,7 +202,7 @@ TEST(NetioHttp, PipelinedRequestsAnswerInOrderOverOneConnection) {
     const auto response = client.read_response();
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->status, 200);
-    EXPECT_EQ(response->body, replica.tracker.handle_get(target));
+    EXPECT_EQ(response->body, handle_get(replica.tracker, target));
   }
 
   daemon.request_stop();
@@ -272,6 +274,9 @@ TEST(NetioHttp, MalformedRequestLineGets400AndClose) {
     ASSERT_TRUE(response.has_value());
     // Tracker convention: malformed announce queries get a bencoded
     // failure body with status 200, exactly like handle_get.
+    LocalReplica replica;
+    EXPECT_EQ(response->body,
+              handle_get(replica.tracker, "/announce?info_hash=bogus"));
     EXPECT_EQ(response->status, 200);
     EXPECT_NE(response->body.find("malformed request"), std::string::npos);
   }
@@ -304,9 +309,10 @@ LoadgenReport loadgen_against_scripted_reply(const std::string& response) {
   std::jthread server([&] {
     pollfd p{listener.get(), POLLIN, 0};
     if (poll(&p, 1, 5000) <= 0) return;
+    // On Linux an accepted socket does not inherit the listener's
+    // O_NONBLOCK, so the reads and writes below block.
     FdHandle conn(accept(listener.get(), nullptr, nullptr));
     if (!conn.valid()) return;
-    set_nonblocking(conn.get(), false);
     std::string rx;
     char buf[4096];
     while (rx.find("\r\n\r\n") == std::string::npos) {

@@ -18,6 +18,7 @@
 #include "tracker/tracker.hpp"
 #include "tracker/udp.hpp"
 #include "tracker/udp_server.hpp"
+#include "udp_support.hpp"
 #include "util/rng.hpp"
 
 namespace btpub::netio {
@@ -61,7 +62,7 @@ class WireClient {
 
   std::uint64_t connect_handshake(std::uint32_t tid = 1) {
     UdpConnectRequest request{tid};
-    send_raw(request.encode());
+    send_raw(encode(request));
     const auto raw = recv_one();
     EXPECT_TRUE(raw.has_value());
     const auto response = UdpConnectResponse::decode(*raw);
@@ -117,7 +118,7 @@ TEST(NetioUdpWire, AnnounceBytesMatchDirectFastPath) {
     announce.ip = 0x0B010000u + static_cast<std::uint32_t>(s);
     announce.port = 6881;
     announce.num_want = 50;
-    client.send_raw(announce.encode());
+    client.send_raw(encode(announce));
     const auto wire = client.recv_one();
     ASSERT_TRUE(wire.has_value());
 
@@ -149,10 +150,10 @@ TEST(NetioUdpWire, ScrapeCountsHostedAndUnhostedRows) {
   scrape.transaction_id = 9;
   scrape.infohashes = {serve_swarm_infohash(kSeed, 0),
                        Sha1::hash("not a served swarm")};
-  client.send_raw(scrape.encode());
+  client.send_raw(encode(scrape));
   const auto wire = client.recv_one();
   ASSERT_TRUE(wire.has_value());
-  const auto response = UdpScrapeResponse::decode(*wire);
+  const auto response = decode_scrape_response(*wire);
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->transaction_id, 9u);
   ASSERT_EQ(response->entries.size(), 2u);
@@ -172,7 +173,7 @@ TEST(NetioUdpWire, ShortDatagramsAreDroppedNotAnswered) {
   daemon.start();
   {
     WireClient client(daemon.udp_port());
-    const std::string valid = UdpConnectRequest{5}.encode();
+    const std::string valid = encode(UdpConnectRequest{5});
     // All 16 too-short prefixes, then one valid connect: the only reply
     // must be the connect response (everything shorter was dropped).
     for (std::size_t len = 0; len < 16; ++len) {
@@ -204,7 +205,7 @@ TEST(NetioUdpWire, TruncatedAnnouncesGetErrorReplies) {
   announce.transaction_id = 77;
   announce.infohash = serve_swarm_infohash(kSeed, 0);
   announce.port = 6881;
-  const std::string full = announce.encode();
+  const std::string full = encode(announce);
   ASSERT_EQ(full.size(), 98u);
 
   // Every truncation in [16, 98) must be answered (with an error — a
@@ -248,7 +249,7 @@ TEST(NetioUdpWire, MalformedAndHostileDatagramsNeverCrashTheDaemon) {
     announce.transaction_id = 13;
     announce.infohash = serve_swarm_infohash(kSeed, 1);
     announce.port = 6881;
-    client.send_raw(announce.encode());
+    client.send_raw(encode(announce));
     const auto raw = client.recv_one();
     ASSERT_TRUE(raw.has_value());
     const auto error = UdpErrorResponse::decode(*raw);
@@ -266,7 +267,7 @@ TEST(NetioUdpWire, MalformedAndHostileDatagramsNeverCrashTheDaemon) {
     announce.ip = 0x0B020304u;
     announce.port = 6881;
     announce.num_want = 0xFFFFFFFEu;  // huge, but not the ~0 sentinel
-    client.send_raw(announce.encode());
+    client.send_raw(encode(announce));
     const auto raw = client.recv_one();
     ASSERT_TRUE(raw.has_value());
     const auto response = UdpAnnounceResponse::decode(*raw);
@@ -294,7 +295,7 @@ TEST(NetioUdpWire, MalformedAndHostileDatagramsNeverCrashTheDaemon) {
     announce.ip = 0x0B030303u;
     announce.port = 6881;
     announce.num_want = 10;
-    client.send_raw(announce.encode());
+    client.send_raw(encode(announce));
     const auto raw = client.recv_one();
     ASSERT_TRUE(raw.has_value());
     const auto response = UdpAnnounceResponse::decode(*raw);

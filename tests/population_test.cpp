@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace btpub {
@@ -28,13 +29,18 @@ class PopulationTest : public ::testing::Test {
 };
 
 TEST_F(PopulationTest, ClassCountsMatchConfig) {
-  EXPECT_EQ(population_.ids_of(PublisherClass::Regular).size(), 200u);
-  EXPECT_EQ(population_.ids_of(PublisherClass::TopPortalOwner).size(), 12u);
-  EXPECT_EQ(population_.ids_of(PublisherClass::TopOtherWeb).size(), 10u);
-  EXPECT_EQ(population_.ids_of(PublisherClass::TopAltruistic).size(), 14u);
-  EXPECT_EQ(population_.ids_of(PublisherClass::FakeAntipiracy).size() +
-                population_.ids_of(PublisherClass::FakeMalware).size(),
-            8u);
+  const auto count = [&](PublisherClass cls) {
+    return std::count_if(population_.publishers.begin(),
+                         population_.publishers.end(),
+                         [&](const Publisher& p) { return p.cls == cls; });
+  };
+  EXPECT_EQ(count(PublisherClass::Regular), 200);
+  EXPECT_EQ(count(PublisherClass::TopPortalOwner), 12);
+  EXPECT_EQ(count(PublisherClass::TopOtherWeb), 10);
+  EXPECT_EQ(count(PublisherClass::TopAltruistic), 14);
+  EXPECT_EQ(count(PublisherClass::FakeAntipiracy) +
+                count(PublisherClass::FakeMalware),
+            8);
   EXPECT_EQ(population_.publishers.size(), 200u + 12 + 10 + 14 + 8);
 }
 
@@ -77,7 +83,7 @@ TEST_F(PopulationTest, FakeFarmsShareThrowawayPool) {
 TEST_F(PopulationTest, NonFarmPublishersHaveOneUsername) {
   for (const Publisher& p : population_.publishers) {
     if (!p.is_fake_farm()) {
-      EXPECT_EQ(p.usernames.size(), 1u) << to_string(p.cls);
+      EXPECT_EQ(p.usernames.size(), 1u) << static_cast<int>(p.cls);
     }
   }
 }
@@ -136,7 +142,7 @@ TEST_F(PopulationTest, ProfitDrivenPublishersHaveWebsites) {
       EXPECT_GT(site->daily_income_usd, 0.0);
       EXPECT_GT(site->daily_visits, 0.0);
     } else {
-      EXPECT_TRUE(p.promo_domain.empty()) << to_string(p.cls);
+      EXPECT_TRUE(p.promo_domain.empty()) << static_cast<int>(p.cls);
     }
   }
   EXPECT_EQ(population_.websites.size(),
@@ -152,7 +158,7 @@ TEST_F(PopulationTest, StickyConsumersExcludeHostedAndFakes) {
     if (p.is_fake_farm() || (is_top(p.cls) && p.hosted)) {
       for (const Endpoint& e : p.endpoints) {
         EXPECT_FALSE(sticky_ips.contains(e.ip.value()))
-            << to_string(p.cls) << " " << e.to_string();
+            << static_cast<int>(p.cls) << " " << e.ip.to_string() << ":" << e.port;
       }
     }
   }

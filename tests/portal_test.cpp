@@ -66,7 +66,7 @@ TEST(Portal, ModerationIsInvisibleBeforeItsTime) {
   // Before removal: fully visible, user in good standing.
   EXPECT_FALSE(portal.page(id, 499)->removed);
   EXPECT_TRUE(portal.fetch_torrent(id, 499).has_value());
-  EXPECT_FALSE(portal.is_banned("baduser", 499));
+  EXPECT_FALSE(portal.user_page("baduser", 499).banned);
   // After removal: tombstone page, fetches fail, account banned.
   const auto page = portal.page(id, 500);
   ASSERT_TRUE(page.has_value());
@@ -74,9 +74,7 @@ TEST(Portal, ModerationIsInvisibleBeforeItsTime) {
   EXPECT_TRUE(page->textbox.empty());
   EXPECT_FALSE(portal.fetch_torrent(id, 500).has_value());
   EXPECT_FALSE(portal.download_payload(id, 500).has_value());
-  EXPECT_TRUE(portal.is_banned("baduser", 500));
-  EXPECT_EQ(portal.removed_count(499), 0u);
-  EXPECT_EQ(portal.removed_count(500), 1u);
+  EXPECT_TRUE(portal.user_page("baduser", 500).banned);
 }
 
 TEST(Portal, EarlierRemovalWins) {
@@ -153,16 +151,6 @@ TEST(Portal, UnknownUserPageIsEmpty) {
   const UserPage page = portal.user_page("ghost", 100);
   EXPECT_TRUE(page.publish_times.empty());
   EXPECT_FALSE(page.banned);
-}
-
-TEST(Portal, AllUsernamesSorted) {
-  Portal portal("test");
-  portal.publish(make_request("zeta", "A"), 1);
-  portal.publish(make_request("alpha", "B"), 2);
-  const auto names = portal.all_usernames();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "alpha");
-  EXPECT_EQ(names[1], "zeta");
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ TEST(ClassProfiles, CategoryWeightsNormalised) {
     const ClassProfile& profile = class_profile(cls);
     const double sum = std::accumulate(profile.category_weights.begin(),
                                        profile.category_weights.end(), 0.0);
-    EXPECT_NEAR(sum, 1.0, 0.02) << to_string(cls);
+    EXPECT_NEAR(sum, 1.0, 0.02) << static_cast<int>(cls);
     EXPECT_EQ(profile.cls, cls);
     EXPECT_GT(profile.rate_median, 0.0);
     EXPECT_GT(profile.popularity_median, 0.0);
@@ -84,7 +84,9 @@ TEST(PromoChannels, BitmaskOps) {
 TEST(Names, ReleaseTitlesLookScene) {
   Rng rng(3);
   const std::string movie = make_release_title(ContentCategory::Movies, rng);
-  EXPECT_TRUE(contains_icase(movie, "rip") || contains_icase(movie, "x264"))
+  const std::string lower = to_lower(movie);
+  EXPECT_TRUE(lower.find("rip") != std::string::npos ||
+              lower.find("x264") != std::string::npos)
       << movie;
   const std::string tv = make_release_title(ContentCategory::TvShows, rng);
   EXPECT_NE(tv.find(".S0"), std::string::npos) << tv;
@@ -141,11 +143,6 @@ TEST(Names, BrandHintFlowsIntoDomain) {
   Rng rng(8);
   const std::string domain = make_domain("UltraTorrents", rng);
   EXPECT_TRUE(starts_with(domain, "ultratorrents")) << domain;
-}
-
-TEST(Names, EnumRendering) {
-  EXPECT_EQ(to_string(PublisherClass::FakeMalware), "Fake-Malware");
-  EXPECT_EQ(to_string(IpStrategy::DynamicCommercial), "DynamicCommercial");
 }
 
 // --- plan_seed_sessions behaviour ---

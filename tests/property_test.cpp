@@ -52,8 +52,10 @@ TEST_P(SwarmDifferential, SweepMatchesBruteForce) {
     const SwarmCounts counts = swarm.counts_at(t);
     ASSERT_EQ(counts.seeders, seeders) << "t=" << t;
     ASSERT_EQ(counts.leechers, leechers) << "t=" << t;
-    // peers_at must agree with the count and contain only present peers.
-    const auto present = swarm.peers_at(t);
+    // A sample as large as the swarm is every present peer: it must agree
+    // with the count and contain only present peers.
+    Rng draw(0);
+    const auto present = swarm.sample_peers(t, sessions.size(), draw);
     ASSERT_EQ(present.size(), seeders + leechers);
     for (const PeerSession* p : present) ASSERT_TRUE(p->present_at(t));
   }

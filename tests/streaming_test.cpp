@@ -195,7 +195,6 @@ TEST_F(StreamingClassifierTest, HooksForUnknownTorrentAreNoOps) {
   stream.on_downloaders(42, std::vector<IpAddress>{IpAddress(30, 0, 0, 9)}, 0);
   stream.on_publisher_sighting(42, 0);
   stream.on_removal(42, 0);
-  EXPECT_EQ(stream.torrents_seen(), 0u);
   EXPECT_EQ(stream.updates(), 0u);
   EXPECT_EQ(stream.round(0).torrents, 0u);
 }

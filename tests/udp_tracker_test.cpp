@@ -5,6 +5,7 @@
 #include "torrent/wire.hpp"
 #include "tracker/udp.hpp"
 #include "tracker/udp_server.hpp"
+#include "udp_support.hpp"
 
 namespace btpub {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 TEST(UdpPackets, ConnectRequestRoundTrip) {
   UdpConnectRequest req;
   req.transaction_id = 0xDEADBEEF;
-  const std::string wire = req.encode();
+  const std::string wire = encode(req);
   ASSERT_EQ(wire.size(), 16u);
   // Magic constant in the first 8 bytes, big-endian.
   EXPECT_EQ(static_cast<unsigned char>(wire[0]), 0x00);
@@ -25,7 +26,7 @@ TEST(UdpPackets, ConnectRequestRoundTrip) {
 
 TEST(UdpPackets, ConnectRequestRejectsBadMagicOrSize) {
   UdpConnectRequest req;
-  std::string wire = req.encode();
+  std::string wire = encode(req);
   wire[0] = 0x7f;
   EXPECT_FALSE(UdpConnectRequest::decode(wire).has_value());
   EXPECT_FALSE(UdpConnectRequest::decode("short").has_value());
@@ -35,7 +36,7 @@ TEST(UdpPackets, ConnectResponseRoundTrip) {
   UdpConnectResponse res;
   res.transaction_id = 42;
   res.connection_id = 0x0123456789ABCDEFull;
-  const auto decoded = UdpConnectResponse::decode(res.encode());
+  const auto decoded = UdpConnectResponse::decode(encode(res));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->transaction_id, 42u);
   EXPECT_EQ(decoded->connection_id, 0x0123456789ABCDEFull);
@@ -55,7 +56,7 @@ TEST(UdpPackets, AnnounceRequestRoundTrip) {
   req.key = 0xCAFE;
   req.num_want = 50;
   req.port = 6881;
-  const std::string wire = req.encode();
+  const std::string wire = encode(req);
   ASSERT_EQ(wire.size(), 98u);
   const auto decoded = UdpAnnounceRequest::decode(wire);
   ASSERT_TRUE(decoded.has_value());
@@ -68,25 +69,24 @@ TEST(UdpPackets, AnnounceRequestRoundTrip) {
   EXPECT_EQ(decoded->port, 6881);
 }
 
-TEST(UdpPackets, AnnounceResponseRoundTrip) {
-  UdpAnnounceResponse res;
-  res.transaction_id = 11;
-  res.interval = 900;
-  res.leechers = 12;
-  res.seeders = 3;
-  res.peers = {{IpAddress(10, 0, 0, 1), 6881}, {IpAddress(10, 0, 0, 2), 51413}};
-  const auto decoded = UdpAnnounceResponse::decode(res.encode());
+TEST(UdpPackets, EndpointAnnounceResponseLayout) {
+  AnnounceReply reply;
+  reply.ok = true;
+  reply.interval = 900;
+  reply.incomplete = 12;
+  reply.complete = 3;
+  reply.peers = {{IpAddress(10, 0, 0, 1), 6881}, {IpAddress(10, 0, 0, 2), 51413}};
+  std::string wire;
+  UdpTrackerEndpoint::encode_announce_response_into(11, reply, wire);
+  ASSERT_EQ(wire.size(), 20u + 2 * 6);
+  EXPECT_EQ(udp_response_action(wire), UdpAction::Announce);
+  const auto decoded = UdpAnnounceResponse::decode(wire);
   ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->transaction_id, 11u);
   EXPECT_EQ(decoded->interval, 900u);
-  EXPECT_EQ(decoded->peers, res.peers);
-}
-
-TEST(UdpPackets, AnnounceResponseRejectsRaggedPeerList) {
-  UdpAnnounceResponse res;
-  res.peers = {{IpAddress(10, 0, 0, 1), 6881}};
-  std::string wire = res.encode();
-  wire.pop_back();
-  EXPECT_FALSE(UdpAnnounceResponse::decode(wire).has_value());
+  EXPECT_EQ(decoded->leechers, 12u);
+  EXPECT_EQ(decoded->seeders, 3u);
+  EXPECT_EQ(decoded->peers, reply.peers);
 }
 
 TEST(UdpPackets, ScrapeRequestRoundTrip) {
@@ -94,7 +94,7 @@ TEST(UdpPackets, ScrapeRequestRoundTrip) {
   req.connection_id = 77;
   req.transaction_id = 13;
   req.infohashes = {Sha1::hash("a"), Sha1::hash("b"), Sha1::hash("c")};
-  const std::string wire = req.encode();
+  const std::string wire = encode(req);
   ASSERT_EQ(wire.size(), 16u + 3 * 20);
   const auto decoded = UdpScrapeRequest::decode(wire);
   ASSERT_TRUE(decoded.has_value());
@@ -106,40 +106,32 @@ TEST(UdpPackets, ScrapeRequestRoundTrip) {
 TEST(UdpPackets, ScrapeRequestRejectsEmptyRaggedAndOversized) {
   UdpScrapeRequest req;
   req.infohashes = {Sha1::hash("x")};
-  std::string wire = req.encode();
+  std::string wire = encode(req);
   EXPECT_FALSE(UdpScrapeRequest::decode(wire.substr(0, 16)).has_value());
   wire.pop_back();  // ragged infohash list
   EXPECT_FALSE(UdpScrapeRequest::decode(wire).has_value());
   req.infohashes.assign(UdpScrapeRequest::kMaxInfohashes + 1, Sha1::hash("y"));
-  EXPECT_FALSE(UdpScrapeRequest::decode(req.encode()).has_value());
+  EXPECT_FALSE(UdpScrapeRequest::decode(encode(req)).has_value());
 }
 
 TEST(UdpPackets, ScrapeResponseRoundTrip) {
   UdpScrapeResponse res;
   res.transaction_id = 21;
   res.entries = {{5, 120, 31}, {0, 0, 0}};
-  const std::string wire = res.encode();
+  const std::string wire = encode(res);
   ASSERT_EQ(wire.size(), 8u + 2 * 12);
   EXPECT_EQ(udp_response_action(wire), UdpAction::Scrape);
-  const auto decoded = UdpScrapeResponse::decode(wire);
+  const auto decoded = decode_scrape_response(wire);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->transaction_id, 21u);
   EXPECT_EQ(decoded->entries, res.entries);
-}
-
-TEST(UdpPackets, ScrapeResponseRejectsRaggedEntries) {
-  UdpScrapeResponse res;
-  res.entries = {{1, 2, 3}};
-  std::string wire = res.encode();
-  wire.pop_back();
-  EXPECT_FALSE(UdpScrapeResponse::decode(wire).has_value());
 }
 
 TEST(UdpPackets, ErrorRoundTripAndActionPeek) {
   UdpErrorResponse err;
   err.transaction_id = 3;
   err.message = "slow down";
-  const std::string wire = err.encode();
+  const std::string wire = encode(err);
   EXPECT_EQ(udp_response_action(wire), UdpAction::Error);
   const auto decoded = UdpErrorResponse::decode(wire);
   ASSERT_TRUE(decoded.has_value());
@@ -169,7 +161,7 @@ class UdpEndpointTest : public ::testing::Test {
   std::uint64_t connect(const Endpoint& from, SimTime now) {
     UdpConnectRequest req;
     req.transaction_id = 1;
-    const std::string response = endpoint_.handle(req.encode(), from, now);
+    const std::string response = handle(endpoint_, encode(req), from, now);
     const auto decoded = UdpConnectResponse::decode(response);
     EXPECT_TRUE(decoded.has_value());
     return decoded ? decoded->connection_id : 0;
@@ -183,7 +175,7 @@ class UdpEndpointTest : public ::testing::Test {
     req.infohash = swarm_.infohash();
     req.port = from.port;
     req.num_want = num_want;
-    return endpoint_.handle(req.encode(), from, now);
+    return handle(endpoint_, encode(req), from, now);
   }
 
   Tracker tracker_;
@@ -271,7 +263,7 @@ TEST_F(UdpEndpointTest, TrackerFailuresSurfaceAsErrors) {
   req.infohash = Sha1::hash("not hosted");
   req.port = client.port;
   const auto err =
-      UdpErrorResponse::decode(endpoint_.handle(req.encode(), client, 150));
+      UdpErrorResponse::decode(handle(endpoint_, encode(req), client, 150));
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->message, "unregistered torrent");
   EXPECT_EQ(err->transaction_id, 5u);
@@ -285,7 +277,7 @@ TEST_F(UdpEndpointTest, ScrapeReturnsSwarmCountersInRequestOrder) {
   req.transaction_id = 9;
   req.infohashes = {Sha1::hash("not hosted"), swarm_.infohash()};
   const auto res =
-      UdpScrapeResponse::decode(endpoint_.handle(req.encode(), client, 150));
+      decode_scrape_response(handle(endpoint_, encode(req), client, 150));
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->transaction_id, 9u);
   ASSERT_EQ(res->entries.size(), 2u);
@@ -304,7 +296,7 @@ TEST_F(UdpEndpointTest, ScrapeAgreesWithBencodedScrape) {
   req.transaction_id = 1;
   req.infohashes = {swarm_.infohash()};
   const auto res =
-      UdpScrapeResponse::decode(endpoint_.handle(req.encode(), client, 150));
+      decode_scrape_response(handle(endpoint_, encode(req), client, 150));
   ASSERT_TRUE(res.has_value());
   const auto counts = tracker_.scrape_counts(swarm_.infohash(), 150);
   ASSERT_TRUE(counts.has_value());
@@ -320,7 +312,7 @@ TEST_F(UdpEndpointTest, ScrapeWithoutConnectFails) {
   req.transaction_id = 4;
   req.infohashes = {swarm_.infohash()};
   const auto err =
-      UdpErrorResponse::decode(endpoint_.handle(req.encode(), client, 100));
+      UdpErrorResponse::decode(handle(endpoint_, encode(req), client, 100));
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->message, "invalid connection id");
   EXPECT_EQ(err->transaction_id, 4u);
@@ -329,7 +321,7 @@ TEST_F(UdpEndpointTest, ScrapeWithoutConnectFails) {
 TEST_F(UdpEndpointTest, MalformedDatagramGetsError) {
   const Endpoint client{IpAddress(9, 9, 9, 6), 7000};
   const auto err =
-      UdpErrorResponse::decode(endpoint_.handle("junk", client, 100));
+      UdpErrorResponse::decode(handle(endpoint_, "junk", client, 100));
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->message, "malformed datagram");
 }

@@ -98,21 +98,6 @@ TEST(WebsiteDirectory, HttpExchange404ForUnknown) {
   EXPECT_TRUE(dir.third_parties("ghost.example").empty());
 }
 
-TEST(WebsiteDirectory, AllDomainsSorted) {
-  WebsiteDirectory dir;
-  dir.add(portal_site());
-  dir.add(image_site());
-  const auto domains = dir.all_domains();
-  ASSERT_EQ(domains.size(), 2u);
-  EXPECT_EQ(domains[0], "pixsor.com");
-  EXPECT_EQ(domains[1], "ultratorrents.com");
-}
-
-TEST(BusinessTypeNames, Rendering) {
-  EXPECT_EQ(to_string(BusinessType::PrivateBtPortal), "BT Portal");
-  EXPECT_EQ(to_string(BusinessType::ImageHosting), "Image Hosting");
-}
-
 TEST(Appraisal, EstimatesAreDeterministic) {
   const AppraisalService service("svc", 1.0, 0.3);
   const Website site = portal_site();
