@@ -16,11 +16,10 @@ std::vector<double> sorted_copy(std::span<const double> values) {
   return v;
 }
 
+// The q-th percentile (0 <= q <= 100) of non-empty ascending `sorted`,
+// linearly interpolated between the two nearest ranks.
 double percentile_sorted(std::span<const double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  const double clamped = std::clamp(q, 0.0, 100.0);
-  const double pos = clamped / 100.0 * static_cast<double>(sorted.size() - 1);
+  const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);

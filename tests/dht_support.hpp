@@ -1,5 +1,5 @@
-// dht_support.hpp — test-side helpers for the DHT: string-returning
-// wrappers over the product's caller-owned-buffer KRPC paths, a routing
+// dht_support.hpp — test-side helpers for the DHT: a fresh-message form of
+// decode_into (encode/handle come from wire_support.hpp), a routing
 // table's full contact list, and the reference KRPC decoders built on the
 // value-tree decoder (tests/bencode_tree.hpp). The product decodes only
 // queries and responses (decode_into); error replies are read back here
@@ -17,18 +17,10 @@
 #include "bencode/bencode.hpp"
 #include "bencode_tree.hpp"
 #include "dht/krpc.hpp"
-#include "dht/node.hpp"
 #include "dht/routing_table.hpp"
+#include "wire_support.hpp"
 
 namespace btpub::dht {
-
-/// The datagram `message.encode_into` writes.
-template <typename Message>
-std::string encode(const Message& message) {
-  std::string out;
-  message.encode_into(out);
-  return out;
-}
 
 /// `Message::decode_into` a fresh message; nullopt when it rejects.
 template <typename Message>
@@ -36,14 +28,6 @@ std::optional<Message> decode(std::string_view datagram) {
   Message message;
   if (!Message::decode_into(datagram, message)) return std::nullopt;
   return message;
-}
-
-/// The reply `node.handle_into` writes for `datagram`.
-inline std::string handle(DhtNode& node, std::string_view datagram,
-                          const Endpoint& from, SimTime now) {
-  std::string out;
-  node.handle_into(datagram, from, now, out);
-  return out;
 }
 
 /// Every contact of `table`, closest to its own id first.

@@ -15,7 +15,9 @@ TEST(BoxStats, SingleValue) {
   const std::vector<double> v{7.0};
   const BoxStats b = box_stats(v);
   EXPECT_EQ(b.min, 7.0);
+  EXPECT_EQ(b.p25, 7.0);
   EXPECT_EQ(b.median, 7.0);
+  EXPECT_EQ(b.p75, 7.0);
   EXPECT_EQ(b.max, 7.0);
 }
 

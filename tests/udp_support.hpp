@@ -1,40 +1,21 @@
-// udp_support.hpp — test-side helpers for the BEP 15 codec: string-
-// returning wrappers over the product's encode_into / handle_into paths,
-// and decoders for the two response datagrams only the daemon sends. The
-// load generator reads an announce or scrape reply no further than its
-// action and transaction id, so reading the rest of the endpoint's bytes
-// (UdpTrackerEndpoint::encode_announce_response_into and its scrape rows)
-// is the tests' job.
+// udp_support.hpp — test-side decoders for the two BEP 15 response
+// datagrams only the daemon sends. The load generator reads an announce or
+// scrape reply no further than its action and transaction id, so reading
+// the rest of the endpoint's bytes (its encode_announce_response_into and
+// scrape rows) is the tests' job. Fresh-buffer encode/handle come from
+// wire_support.hpp.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "net/ip.hpp"
 #include "tracker/udp.hpp"
-#include "tracker/udp_server.hpp"
+#include "wire_support.hpp"
 
 namespace btpub {
-
-/// The datagram `message.encode_into` writes.
-template <typename Message>
-std::string encode(const Message& message) {
-  std::string out;
-  message.encode_into(out);
-  return out;
-}
-
-/// The reply `endpoint.handle_into` writes for `datagram`.
-inline std::string handle(UdpTrackerEndpoint& endpoint,
-                          std::string_view datagram, const Endpoint& from,
-                          SimTime now) {
-  std::string out;
-  endpoint.handle_into(datagram, from, now, out);
-  return out;
-}
 
 inline std::uint32_t udp_be32(std::string_view d, std::size_t at) {
   std::uint32_t v = 0;

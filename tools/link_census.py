@@ -4,17 +4,19 @@ linked into at least one shipped binary.
 
 Reads `nm --defined-only -C` of each library and binary. A library symbol
 of type T (a strong, global function) that no binary defines is unlinked:
-no shipped program runs it. Each unlinked function must be listed in the
-allow file with a one-line reason, and each allow-file entry must still
-name an unlinked function, so the list cannot go stale.
+no shipped program runs it. Each unlinked function must be listed in
+tools/link_census_allow.txt with a one-line reason, and each entry there
+must still name an unlinked function, so the list cannot go stale.
 
 Build the libraries and binaries at -O0 with -ffunction-sections and link
 with -Wl,--gc-sections: at -O0 no caller hides a callee by inlining it, and
 the linker drops every function section nothing reaches. The census cannot
-see functions defined inline in headers (they are weak, not T), types that
-nothing uses, or data.
+see functions defined inline in headers (they are weak, not T), code with
+internal linkage (t) or dead branches inside a linked function, virtual
+functions kept only because a linked vtable names them, types that nothing
+uses, or data.
 
-Run: python3 tools/link_census.py [--allow FILE] --lib LIB.a... --bin BIN...
+Run: python3 tools/link_census.py --lib LIB.a... --bin BIN...
 Exit 0 when every unlinked function is allowed, 1 otherwise, 2 on usage.
 """
 
@@ -23,8 +25,8 @@ import os
 import subprocess
 import sys
 
-DEFAULT_ALLOW = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             "link_census_allow.txt")
+ALLOW_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "link_census_allow.txt")
 
 
 def run_nm(path):
@@ -77,15 +79,14 @@ def census(libs, bins):
 
 def main(argv):
     parser = argparse.ArgumentParser(prog="link_census.py")
-    parser.add_argument("--allow", default=DEFAULT_ALLOW)
     parser.add_argument("--lib", nargs="+", required=True)
     parser.add_argument("--bin", nargs="+", required=True)
     args = parser.parse_args(argv[1:])
     try:
-        with open(args.allow) as fh:
+        with open(ALLOW_FILE) as fh:
             allowed = parse_allow(fh.read())
     except (OSError, ValueError) as err:
-        print(f"link_census: {args.allow}: {err}")
+        print(f"link_census: {ALLOW_FILE}: {err}")
         return 2
 
     unlinked = census(args.lib, args.bin)
@@ -100,9 +101,9 @@ def main(argv):
         print(f"  STALE    {name}  (allowed, but linked or gone)")
     if unlisted:
         print(f"FAIL: {len(unlisted)} function(s) no shipped binary runs; "
-              f"delete them, or list each in {args.allow} with a reason")
+              f"delete them, or list each in {ALLOW_FILE} with a reason")
     if stale:
-        print(f"FAIL: {len(stale)} stale entr(y/ies) in {args.allow}")
+        print(f"FAIL: {len(stale)} stale entr(y/ies) in {ALLOW_FILE}")
     return int(bool(unlisted or stale))
 
 

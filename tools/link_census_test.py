@@ -54,16 +54,17 @@ class LinkCensusTest(unittest.TestCase):
             allow_path = os.path.join(tmp, "allow.txt")
             with open(allow_path, "w") as fh:
                 fh.write(allow)
-            saved = link_census.run_nm
+            saved = link_census.run_nm, link_census.ALLOW_FILE
             link_census.run_nm = listings.__getitem__
+            link_census.ALLOW_FILE = allow_path
             out = io.StringIO()
             try:
                 with contextlib.redirect_stdout(out):
                     code = link_census.main(
-                        ["link_census.py", "--allow", allow_path,
-                         "--lib", "lib.a", "--bin"] + bin_names)
+                        ["link_census.py", "--lib", "lib.a", "--bin"]
+                        + bin_names)
             finally:
-                link_census.run_nm = saved
+                link_census.run_nm, link_census.ALLOW_FILE = saved
         self.output = out.getvalue()
         return code
 
