@@ -12,13 +12,14 @@
 // DHT (iterative get_peers) and reports when the two vantages disagree, the
 // spoofed-tracker-announce signature.
 //
-// New in this build: the streaming analysis layer (§4.5). A
-// StreamingClassifier rides the crawl as a CrawlObserver — every tracker
-// reply and DHT lookup feeds its sketches (HyperLogLog distinct-IP
-// estimates, count-min announce rates) and its online session estimator —
-// and the monitor prints rolling fake/top/altruistic verdicts with the
-// sketch error bounds every simulated six hours, instead of waiting for a
-// finished dataset.
+// The streaming analysis layer (§4.5): a StreamingClassifier rides the
+// crawl as a CrawlObserver. Every tracker reply and DHT lookup feeds its
+// sketches (HyperLogLog distinct-IP estimates, count-min announce rates),
+// and it keeps each discovered record and publisher sighting. Every
+// simulated six hours the monitor prints rolling fake/top/altruistic
+// verdicts — the batch identity, classification and session passes run
+// over what was observed so far — with the sketch error bounds, instead
+// of waiting for a finished dataset.
 //
 // Build & run:   ./build/examples/live_monitor [seed]
 #include <cstdio>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <functional>
 
 #include "util/strings.hpp"
 
@@ -89,45 +90,26 @@ std::optional<std::string> domain_from_title(std::string_view title) {
   return std::string(tail);
 }
 
-std::optional<std::string> domain_from_payload(
-    std::span<const std::string> filenames) {
-  for (const std::string& name : filenames) {
-    if (auto domain = payload_domain_from_name(name)) return domain;
-  }
-  return std::nullopt;
-}
+namespace {
 
-std::optional<PromoFinding> find_promotion(const TorrentRecord& record) {
+/// The one channel rule: textbox, then title, then the payload filenames
+/// (read through `name_of`); the first domain found names the finding.
+template <typename Filenames, typename NameOf>
+std::optional<PromoFinding> promotion_in(std::string_view textbox,
+                                         std::string_view title,
+                                         const Filenames& filenames,
+                                         NameOf name_of) {
   PromoFinding finding;
-  if (const auto domain = domain_from_textbox(record.textbox)) {
+  if (const auto domain = domain_from_textbox(textbox)) {
     finding.domain = *domain;
     finding.in_textbox = true;
   }
-  if (const auto domain = domain_from_title(record.title)) {
+  if (const auto domain = domain_from_title(title)) {
     if (finding.domain.empty()) finding.domain = *domain;
     finding.in_filename = true;
   }
-  if (const auto domain = domain_from_payload(record.payload_filenames)) {
-    if (finding.domain.empty()) finding.domain = *domain;
-    finding.in_payload = true;
-  }
-  if (finding.domain.empty()) return std::nullopt;
-  return finding;
-}
-
-std::optional<PromoFinding> find_promotion(const CompactDatasetView& view,
-                                           const TorrentRecordPod& pod) {
-  PromoFinding finding;
-  if (const auto domain = domain_from_textbox(view.textbox(pod))) {
-    finding.domain = *domain;
-    finding.in_textbox = true;
-  }
-  if (const auto domain = domain_from_title(view.title(pod))) {
-    if (finding.domain.empty()) finding.domain = *domain;
-    finding.in_filename = true;
-  }
-  for (const StrRef& ref : view.filenames_of(pod)) {
-    if (auto domain = payload_domain_from_name(view.str(ref))) {
+  for (const auto& file : filenames) {
+    if (auto domain = payload_domain_from_name(name_of(file))) {
       if (finding.domain.empty()) finding.domain = *domain;
       finding.in_payload = true;
       break;
@@ -135,6 +117,20 @@ std::optional<PromoFinding> find_promotion(const CompactDatasetView& view,
   }
   if (finding.domain.empty()) return std::nullopt;
   return finding;
+}
+
+}  // namespace
+
+std::optional<PromoFinding> find_promotion(const TorrentRecord& record) {
+  return promotion_in(record.textbox, record.title, record.payload_filenames,
+                      std::identity{});
+}
+
+std::optional<PromoFinding> find_promotion(const CompactDatasetView& view,
+                                           const TorrentRecordPod& pod) {
+  return promotion_in(view.textbox(pod), view.title(pod),
+                      view.filenames_of(pod),
+                      [&view](StrRef ref) { return view.str(ref); });
 }
 
 std::vector<const PublisherProfile*> ClassificationResult::of_class(

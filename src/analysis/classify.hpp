@@ -34,12 +34,12 @@ struct PromoFinding {
 /// URL extraction primitives (exposed for tests).
 std::optional<std::string> domain_from_textbox(std::string_view textbox);
 std::optional<std::string> domain_from_title(std::string_view title);
-std::optional<std::string> domain_from_payload(
-    std::span<const std::string> filenames);
 
-/// Scans one crawled torrent for a promoting URL in any channel. The
-/// record overload serves the live classifier during the crawl; the view
-/// overload reads title/textbox/payload filenames from the text arena.
+/// Scans one crawled torrent for a promoting URL in any channel: textbox,
+/// then title, then the payload filenames ("Visit-www-<domain>.txt"); the
+/// first domain found names the finding. The record overload serves
+/// examples/live_monitor's publisher pages during the crawl; the view
+/// overload reads the same fields from the text arena. Both run one body.
 std::optional<PromoFinding> find_promotion(const TorrentRecord& record);
 std::optional<PromoFinding> find_promotion(const CompactDatasetView& view,
                                            const TorrentRecordPod& pod);

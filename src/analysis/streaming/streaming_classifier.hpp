@@ -1,41 +1,38 @@
 // streaming_classifier.hpp — the real-time publisher classifier (§4.5).
 //
 // The batch pipeline answers "fake / top / altruistic?" only after a crawl
-// has finished: IdentityAnalysis aggregates a complete dataset view, then
-// classify_top_publishers replays the downloader experience. This class is
-// the crawl-time equivalent: it implements CrawlObserver, consumes the
-// observation stream from either vantage (or both) while crawling, and can
-// emit provisional verdicts at every poll round — with bounded memory.
+// has finished. This class is the crawl-time equivalent: it implements
+// CrawlObserver, consumes the observation stream from either vantage (or
+// both) while crawling, and can emit provisional verdicts at every poll
+// round.
 //
-//   * Per-torrent distinct downloader IPs: a HyperLogLog per monitored
-//     torrent (the streaming replacement, on the observation side, for the
-//     finalize-only cached Swarm::distinct_downloader_ips ground-truth
-//     path) — O(2^p) bytes per torrent instead of a per-IP hash set.
-//   * Per-IP announce rates: one shared count-min sketch; publisher IPs
-//     whose observation rate exceeds the alert threshold are flagged as a
-//     provisional fake signal (decoy-flood posture).
-//   * Sessions: an OnlineSessionEstimator per identified publisher, fed
-//     one sighting at a time.
+// It keeps two kinds of state per monitored torrent:
+//   * Exact observations: the discovered TorrentRecord, the publisher
+//     sighting times, the moderation-removal flag and the monitoring span.
+//     Every verdict is read off the batch passes run over these: a
+//     snapshot rebuilds them as a CompactDataset (slots in portal-id
+//     order, one user page per username) and runs IdentityAnalysis,
+//     unsampled classify_top_publishers and seeding_metrics over its view.
+//     The fake/top/HP/business/language/session rules thus live only in
+//     analysis/groups, classify and session.
+//   * Sketches for the unbounded per-IP populations: a HyperLogLog of
+//     distinct downloader IPs per torrent, and one shared count-min sketch
+//     of per-IP announce rates whose publisher IPs above the alert
+//     threshold are rate-flagged (decoy-flood posture).
 //
-// Verdict convergence (pinned by streaming_test): the *exact* classifier
-// inputs — who published what, promotion findings, username <-> IP links,
-// moderation bans — are small per-publisher state kept exactly, so
-// finalize() reproduces IdentityAnalysis + classify_top_publishers
-// (unsampled) verbatim on the same observations, in any push order. Only
-// the distinct-IP counts are estimates, and those stay within the
-// sketch's documented error bound.
+// finalize() therefore equals the batch passes over the same crawl's
+// dataset, in any push order (pinned by streaming_test and perfbench's
+// simulate_quick gate); only the distinct-IP counts are estimates, inside
+// the sketch's documented error bound.
 #pragma once
 
+#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/classify.hpp"
-#include "analysis/groups.hpp"
-#include "analysis/streaming/online_session.hpp"
 #include "analysis/streaming/sketch.hpp"
 #include "crawler/observer.hpp"
 #include "geo/geo_db.hpp"
@@ -81,7 +78,7 @@ struct PublisherVerdict {
   std::string domain;
   bool in_textbox = false, in_filename = false, in_payload = false;
   std::optional<Language> dominant_language;
-  /// Appendix-A streaming estimates (tracker vantage only).
+  /// Appendix-A seeding metrics (seeding_metrics; tracker vantage only).
   double seeding_hours = 0.0;       // mean per-torrent session time
   double aggregated_hours = 0.0;    // union across torrents
   double parallel_torrents = 0.0;
@@ -147,29 +144,27 @@ class StreamingClassifier : public CrawlObserver {
   std::uint64_t updates() const noexcept { return updates_; }
 
  private:
-  /// Per-torrent state.
+  /// Per-torrent state: the exact observations and the downloader sketch.
   struct TorrentSlot {
-    TorrentId id = kInvalidTorrent;
-    std::string username;
-    Language language = Language::English;
-    std::optional<PromoFinding> finding;
-    std::optional<IpAddress> publisher_ip;
+    TorrentRecord record;
+    std::vector<SimTime> sightings;  // arrival order
     bool removed = false;
     SimTime discovered_at = 0;
     SimTime last_observation = 0;
     HyperLogLog downloaders{kHllPrecision, kSketchSalt};
-    OnlineSessionEstimator sessions;
   };
 
-  TorrentSlot* find_slot(TorrentId id) const;
+  TorrentSlot* find_slot(TorrentId id);
   StreamingSnapshot snapshot(SimTime now, bool provisional) const;
 
   const GeoDb* geo_;
   const WebsiteDirectory* websites_;
   StreamingConfig config_;
 
-  std::unordered_map<TorrentId, std::unique_ptr<TorrentSlot>> slots_;
-  std::unordered_map<std::string, bool> user_banned_;
+  /// Keyed by portal id, so iteration is the batch dataset order.
+  std::map<TorrentId, TorrentSlot> slots_;
+  /// Confirmed ban per user page received.
+  std::map<std::string, bool, std::less<>> user_banned_;
 
   CountMinSketch announce_rates_;
   std::uint64_t updates_ = 0;

@@ -20,8 +20,8 @@ void put_u32(std::string& out, std::uint32_t v) {
 void UdpTrackerEndpoint::error_into(std::uint32_t transaction_id,
                                     std::string_view message,
                                     std::string& out) const {
-  // Same bytes as UdpErrorResponse::encode without routing the message
-  // text through a std::string member.
+  // Same bytes as UdpErrorResponse::encode_into without routing the
+  // message text through a std::string member.
   out.clear();
   put_u32(out, static_cast<std::uint32_t>(UdpAction::Error));
   put_u32(out, transaction_id);

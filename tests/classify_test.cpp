@@ -59,17 +59,70 @@ TEST(DomainFromTitle, RejectsPlainTitles) {
   EXPECT_FALSE(domain_from_title("nodash.com").has_value());
 }
 
-TEST(DomainFromPayload, FindsTextFile) {
-  const std::vector<std::string> files{"Movie.avi", "Movie.nfo",
-                                       "Visit-www-pixsor-com.txt"};
-  EXPECT_EQ(domain_from_payload(files), "pixsor.com");
+TEST(FindPromotion, PayloadFindsTextFile) {
+  TorrentRecord record;
+  record.title = "Movie.2010";
+  record.payload_filenames = {"Movie.avi", "Movie.nfo",
+                              "Visit-www-pixsor-com.txt"};
+  const auto finding = find_promotion(record);
+  ASSERT_TRUE(finding.has_value());
+  EXPECT_EQ(finding->domain, "pixsor.com");
+  EXPECT_FALSE(finding->in_textbox);
+  EXPECT_FALSE(finding->in_filename);
+  EXPECT_TRUE(finding->in_payload);
 }
 
-TEST(DomainFromPayload, RejectsOtherTextFiles) {
-  const std::vector<std::string> files{"Movie.avi", "readme.txt",
-                                       "Visit-www-incomplete"};
-  EXPECT_FALSE(domain_from_payload(files).has_value());
-  EXPECT_FALSE(domain_from_payload({}).has_value());
+TEST(FindPromotion, PayloadRejectsOtherTextFiles) {
+  TorrentRecord record;
+  record.title = "Movie.2010";
+  record.payload_filenames = {"Movie.avi", "readme.txt", "Visit-www-incomplete"};
+  EXPECT_FALSE(find_promotion(record).has_value());
+  record.payload_filenames.clear();
+  EXPECT_FALSE(find_promotion(record).has_value());
+}
+
+/// find_promotion over the record and over its compact row.
+void expect_overloads_agree(const TorrentRecord& record) {
+  CompactDatasetBuilder builder;
+  builder.add_torrent(record, {}, {});
+  const CompactDataset compact = builder.finish();
+  const CompactDatasetView view = compact.view();
+  const auto from_record = find_promotion(record);
+  const auto from_view = find_promotion(view, view.torrents[0]);
+  ASSERT_EQ(from_record.has_value(), from_view.has_value());
+  if (!from_record) return;
+  EXPECT_EQ(from_record->domain, from_view->domain);
+  EXPECT_EQ(from_record->in_textbox, from_view->in_textbox);
+  EXPECT_EQ(from_record->in_filename, from_view->in_filename);
+  EXPECT_EQ(from_record->in_payload, from_view->in_payload);
+}
+
+TEST(FindPromotion, FirstChannelNamesTheDomain) {
+  // Textbox before title before payload; every channel still sets its flag,
+  // and the view overload reads the same row the same way.
+  TorrentRecord record;
+  record.title = "Film.2010-zona.to";
+  record.payload_filenames = {"Visit-www-pixsor-com.txt",
+                              "Visit-www-megaseed-com.txt"};
+  auto finding = find_promotion(record);
+  ASSERT_TRUE(finding.has_value());
+  EXPECT_EQ(finding->domain, "zona.to");
+  EXPECT_TRUE(finding->in_filename);
+  EXPECT_TRUE(finding->in_payload);
+  expect_overloads_agree(record);
+  record.title = "Film.2010";
+  finding = find_promotion(record);
+  ASSERT_TRUE(finding.has_value());
+  EXPECT_EQ(finding->domain, "pixsor.com");  // the first payload file wins
+  expect_overloads_agree(record);
+  record.textbox = "at http://www.divxatope.com/";
+  finding = find_promotion(record);
+  ASSERT_TRUE(finding.has_value());
+  EXPECT_EQ(finding->domain, "divxatope.com");
+  EXPECT_TRUE(finding->in_textbox);
+  expect_overloads_agree(record);
+  record = TorrentRecord{};
+  expect_overloads_agree(record);
 }
 
 TEST(FindPromotion, MergesChannels) {

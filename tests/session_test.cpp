@@ -83,8 +83,10 @@ TEST(ReconstructSessions, SingleSighting) {
 }
 
 TEST(ReconstructSessions, GapSplitsSessions) {
-  const std::vector<SimTime> sightings{0, hours(1), hours(2),
-                                       hours(8), hours(9)};
+  // Duplicate times (a sighting repeated, one on a session's right edge)
+  // are absorbed into their session.
+  const std::vector<SimTime> sightings{0,        hours(1), hours(1), hours(2),
+                                       hours(2), hours(8), hours(9)};
   const auto sessions = reconstruct_sessions(sightings, hours(4), minutes(15));
   ASSERT_EQ(sessions.size(), 2u);
   EXPECT_EQ(sessions[0].start, 0);
@@ -98,6 +100,14 @@ TEST(ReconstructSessions, GapExactlyAtThresholdDoesNotSplit) {
   EXPECT_EQ(reconstruct_sessions(sightings, hours(4)).size(), 1u);
   const std::vector<SimTime> beyond{0, hours(4) + 1};
   EXPECT_EQ(reconstruct_sessions(beyond, hours(4)).size(), 2u);
+  // A late-arriving sighting 4h from both neighbours bridges their two
+  // sessions into one; 5h from both, it stands alone.
+  const std::vector<SimTime> bridged{0, hours(8), hours(4)};
+  const auto one = reconstruct_sessions(bridged, hours(4), minutes(15));
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].length(), hours(8) + minutes(15));
+  const std::vector<SimTime> apart{0, hours(10), hours(5)};
+  EXPECT_EQ(reconstruct_sessions(apart, hours(4)).size(), 3u);
 }
 
 TEST(ReconstructSessions, ThresholdSensitivity) {
@@ -114,7 +124,7 @@ TEST(ReconstructSessions, ShuffledInputMatchesSorted) {
   // timeline arriving out of order fabricated a phantom session split at
   // every backwards jump. Sorted and shuffled inputs must now reconstruct
   // identical intervals.
-  const std::vector<SimTime> sorted{0,        minutes(30), hours(1),
+  const std::vector<SimTime> sorted{0,        minutes(30), hours(1), hours(8),
                                     hours(8), hours(9),    hours(20)};
   const auto expected = reconstruct_sessions(sorted, hours(4), minutes(15));
   ASSERT_EQ(expected.size(), 3u);

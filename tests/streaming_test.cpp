@@ -1,8 +1,9 @@
-// Streaming analysis layer (§4.5): the online session estimator, the
-// real-time classifier's edge cases, and the headline convergence
-// invariant — online end-of-crawl verdicts equal the batch pipeline's on
-// the same observations, in any push order and from either vantage,
-// with HLL distinct-IP estimates inside the documented error bound.
+// Streaming analysis layer (§4.5): the real-time classifier's edge cases,
+// and the headline convergence invariant — online end-of-crawl verdicts
+// equal the batch pipeline's on the same observations, in any push order
+// and from either vantage, with HLL distinct-IP estimates inside the
+// documented error bound; a provisional round equals the batch identity
+// analysis with every observed removal counted as a ban.
 #include "analysis/streaming/streaming_classifier.hpp"
 
 #include <gtest/gtest.h>
@@ -15,115 +16,12 @@
 #include "analysis/classify.hpp"
 #include "analysis/groups.hpp"
 #include "analysis/session.hpp"
-#include "analysis/streaming/online_session.hpp"
 #include "core/ecosystem.hpp"
 #include "crawler/crawler.hpp"
 #include "crawler/dht_crawler.hpp"
 
 namespace btpub {
 namespace {
-
-// ---------------------------------------------------------------- sessions
-
-TEST(OnlineSessionEstimator, EmptyEstimator) {
-  OnlineSessionEstimator est;
-  EXPECT_EQ(est.session_count(), 0u);
-  EXPECT_EQ(est.sighting_count(), 0u);
-  EXPECT_EQ(est.total_session_length(), 0);
-  EXPECT_TRUE(est.intervals().empty());
-}
-
-TEST(OnlineSessionEstimator, SingleSightingIsOneQueryGapSession) {
-  OnlineSessionEstimator est(hours(4), minutes(15));
-  est.add_sighting(hours(2));
-  ASSERT_EQ(est.session_count(), 1u);
-  EXPECT_EQ(est.total_session_length(), minutes(15));
-  const auto intervals = est.intervals();
-  ASSERT_EQ(intervals.size(), 1u);
-  EXPECT_EQ(intervals[0].start, hours(2));
-  EXPECT_EQ(intervals[0].end, hours(2) + minutes(15));
-}
-
-TEST(OnlineSessionEstimator, DuplicatesAndInSessionSightingsAreAbsorbed) {
-  OnlineSessionEstimator est(hours(4), minutes(15));
-  est.add_sighting(0);
-  est.add_sighting(hours(2));
-  est.add_sighting(hours(1));  // strictly inside [0, 2h]
-  est.add_sighting(hours(2));  // duplicate of the right edge
-  ASSERT_EQ(est.session_count(), 1u);
-  EXPECT_EQ(est.total_session_length(), hours(2) + minutes(15));
-  EXPECT_EQ(est.sighting_count(), 4u);
-}
-
-TEST(OnlineSessionEstimator, LateSightingBridgesTwoSessions) {
-  OnlineSessionEstimator est(hours(4), minutes(15));
-  est.add_sighting(0);
-  est.add_sighting(hours(10));
-  ASSERT_EQ(est.session_count(), 2u);
-  // 5h from both neighbours: still two sessions (gap > 4h on each side).
-  est.add_sighting(hours(5));
-  EXPECT_EQ(est.session_count(), 3u);
-  // 4h closes both gaps at once: everything collapses into one session.
-  OnlineSessionEstimator bridge(hours(4), minutes(15));
-  bridge.add_sighting(0);
-  bridge.add_sighting(hours(8));
-  ASSERT_EQ(bridge.session_count(), 2u);
-  bridge.add_sighting(hours(4));
-  ASSERT_EQ(bridge.session_count(), 1u);
-  EXPECT_EQ(bridge.total_session_length(), hours(8) + minutes(15));
-}
-
-TEST(OnlineSessionEstimator, MatchesBatchReconstructionUnderAnyOrder) {
-  // The pinned invariant: after any permutation of any sighting multiset,
-  // intervals() equals reconstruct_sessions() over the sorted list.
-  Rng rng(4242);
-  for (int trial = 0; trial < 50; ++trial) {
-    const SimDuration offline_gap = hours(1 + trial % 6);
-    std::vector<SimTime> sightings;
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 40));
-    for (std::size_t i = 0; i < n; ++i) {
-      sightings.push_back(minutes(rng.uniform_int(0, 3000)));
-    }
-    const auto batch = [&] {
-      std::vector<SimTime> sorted = sightings;
-      std::sort(sorted.begin(), sorted.end());
-      return reconstruct_sessions(sorted, offline_gap, minutes(15));
-    }();
-
-    rng.shuffle(sightings);
-    OnlineSessionEstimator est(offline_gap, minutes(15));
-    for (const SimTime t : sightings) est.add_sighting(t);
-
-    const auto online = est.intervals();
-    ASSERT_EQ(online.size(), batch.size()) << "trial " << trial;
-    SimDuration batch_total = 0;
-    for (std::size_t i = 0; i < online.size(); ++i) {
-      EXPECT_EQ(online[i].start, batch[i].start) << "trial " << trial;
-      EXPECT_EQ(online[i].end, batch[i].end) << "trial " << trial;
-      batch_total += batch[i].length();
-    }
-    EXPECT_EQ(est.total_session_length(), batch_total) << "trial " << trial;
-  }
-}
-
-TEST(OnlineSessionEstimator, OutOfOrderTelemetry) {
-  OnlineSessionEstimator est;
-  est.add_sighting(minutes(10));
-  est.add_sighting(minutes(5));   // behind the newest
-  est.add_sighting(minutes(10));  // ties the newest
-  est.add_sighting(minutes(20));
-  EXPECT_EQ(est.out_of_order_count(), 2u);
-  EXPECT_EQ(est.sighting_count(), 4u);
-}
-
-TEST(OnlineSessionEstimator, NegativeQueryGapClampedToZero) {
-  OnlineSessionEstimator est(hours(4), -minutes(15));
-  est.add_sighting(hours(1));
-  EXPECT_EQ(est.total_session_length(), 0);
-  const auto intervals = est.intervals();
-  ASSERT_EQ(intervals.size(), 1u);
-  EXPECT_EQ(intervals[0].length(), 0);
-}
 
 // ------------------------------------------------------- classifier edges
 
@@ -401,8 +299,8 @@ void expect_matches_batch(const StreamingSnapshot& snap, const Dataset& dataset,
     EXPECT_EQ(v.in_payload, p.in_payload) << v.username;
     EXPECT_EQ(v.dominant_language, p.dominant_language) << v.username;
 
-    // Appendix-A session metrics: the online estimator is exact, so the
-    // doubles match bit for bit (same integer totals, same fold order).
+    // Appendix-A session metrics: the same pass over the same sightings,
+    // so the doubles match bit for bit.
     const SeedingMetrics m = seeding_metrics(view, stats->torrents);
     EXPECT_DOUBLE_EQ(v.seeding_hours, m.avg_seeding_hours) << v.username;
     EXPECT_DOUBLE_EQ(v.aggregated_hours, m.aggregated_session_hours)
@@ -438,9 +336,9 @@ class StreamingConvergenceTest : public ::testing::Test {
     ecosystem_ = nullptr;
   }
 
-  /// One tracker crawl with the streaming classifier attached; the batch
-  /// pipeline consumes the returned dataset of the same crawl.
-  static Dataset crawl_with(StreamingClassifier& stream) {
+  /// One tracker crawl with `stream` attached; the batch pipeline consumes
+  /// the returned dataset of the same crawl.
+  static Dataset crawl_with(CrawlObserver& stream) {
     const ScenarioConfig& config = ecosystem_->config();
     ecosystem_->tracker().reset_state(derive_seed(config.seed, 0x57AB1Eull));
     Crawler crawler(ecosystem_->portal(), ecosystem_->tracker(),
@@ -468,6 +366,69 @@ TEST_F(StreamingConvergenceTest, TrackerVantageMatchesBatch) {
   // the convergence check exercised non-trivial verdicts.
   EXPECT_FALSE(snap.fakes().empty());
   EXPECT_FALSE(snap.top().empty());
+}
+
+/// Forwards every hook except the end-of-crawl user pages: what a
+/// classifier has seen at a mid-crawl round.
+class WithoutUserPages : public CrawlObserver {
+ public:
+  explicit WithoutUserPages(CrawlObserver& next) : next_(&next) {}
+  void on_discover(const TorrentRecord& record, SimTime now) override {
+    next_->on_discover(record, now);
+  }
+  void on_downloaders(TorrentId id, std::span<const IpAddress> ips,
+                      SimTime now) override {
+    next_->on_downloaders(id, ips, now);
+  }
+  void on_publisher_sighting(TorrentId id, SimTime now) override {
+    next_->on_publisher_sighting(id, now);
+  }
+  void on_removal(TorrentId id, SimTime now) override {
+    next_->on_removal(id, now);
+  }
+  void on_user_page(const std::string&, const UserPage&) override {}
+
+ private:
+  CrawlObserver* next_;
+};
+
+TEST_F(StreamingConvergenceTest, ProvisionalRoundMatchesBatch) {
+  // Before the user pages arrive, an observed moderation removal stands in
+  // for the ban: round() must equal IdentityAnalysis over the same crawl's
+  // dataset with exactly the usernames that had a torrent removed banned.
+  StreamingClassifier stream(ecosystem_->geo(), ecosystem_->websites(),
+                             convergence_stream_config());
+  WithoutUserPages mid_crawl(stream);
+  Dataset dataset = crawl_with(mid_crawl);
+  const StreamingSnapshot snap = stream.round(ecosystem_->config().window);
+
+  dataset.user_pages.clear();
+  for (const TorrentRecord& record : dataset.torrents) {
+    if (!record.observed_removed || record.username.empty()) continue;
+    UserPage& page = dataset.user_pages[record.username];
+    page.username = record.username;
+    page.banned = true;
+  }
+  ASSERT_FALSE(dataset.user_pages.empty()) << "the crawl observed no removal";
+  const CompactDataset compact = compact_dataset(dataset);
+  const IdentityAnalysis identity(compact.view(), ecosystem_->geo(), kTopN);
+
+  const auto fakes = snap.fakes();
+  EXPECT_EQ(std::unordered_set<std::string>(fakes.begin(), fakes.end()),
+            identity.fake_usernames());
+  EXPECT_EQ(snap.top(), identity.top());
+  std::unordered_set<std::string> top_hp;
+  for (const PublisherVerdict& v : snap.verdicts) {
+    if (v.top && v.hosting_provider) top_hp.insert(v.username);
+  }
+  EXPECT_EQ(top_hp, identity.top_hp());
+  // No user page confirms anything yet: a fake call is marked provisional
+  // exactly when its own username had a torrent removed.
+  for (const PublisherVerdict& v : snap.verdicts) {
+    EXPECT_EQ(v.provisional_fake,
+              v.fake && dataset.user_pages.contains(v.username))
+        << v.username;
+  }
 }
 
 TEST_F(StreamingConvergenceTest, DhtVantageMatchesBatch) {
