@@ -208,7 +208,6 @@ Ecosystem::PublicationDraft Ecosystem::prepare_publication(
   draft.request.language = work.language;
   draft.request.username = work.username;
   draft.request.textbox = work.textbox;
-  draft.request.torrent_bytes = metainfo.encode();
   draft.request.infohash = metainfo.infohash();
   draft.request.size_bytes = metainfo.total_size();
   draft.request.payload = work.payload;
@@ -244,6 +243,7 @@ Ecosystem::PublicationDraft Ecosystem::prepare_publication(
 
   auto swarm = std::make_unique<Swarm>(metainfo.infohash(), metainfo.piece_count(),
                                        birth);
+  draft.request.torrent = std::move(metainfo).file();  // metainfo's last use
   swarm_generator_->generate(*swarm, spec, rng);
 
   // When does the k-th non-publisher seeder appear? (the publisher's

@@ -38,12 +38,12 @@ std::optional<TorrentRecord> fetch_record(const Portal& portal, TorrentId id,
                                           SimTime now, DatasetStyle style) {
   const auto page = portal.page(id, now);
   if (!page || page->removed) return std::nullopt;
-  const auto torrent_bytes = portal.fetch_torrent(id, now);
+  auto torrent_bytes = portal.fetch_torrent(id, now);
   if (!torrent_bytes) return std::nullopt;
 
   Metainfo metainfo;
   try {
-    metainfo = Metainfo::parse(*torrent_bytes);
+    metainfo = Metainfo::parse(std::move(*torrent_bytes));
   } catch (const std::exception&) {
     return std::nullopt;
   }

@@ -23,7 +23,7 @@ TorrentId Portal::publish(PublishRequest request, SimTime now) {
   l.page.textbox = std::move(request.textbox);
   l.page.size_bytes = request.size_bytes;
   l.page.published_at = now;
-  l.torrent_bytes = std::move(request.torrent_bytes);
+  l.torrent = std::move(request.torrent);
   l.infohash = request.infohash;
   l.payload = request.payload;
   listings_.push_back(std::move(l));
@@ -79,7 +79,7 @@ std::optional<std::string> Portal::fetch_torrent(TorrentId id, SimTime now) cons
   if (id >= listings_.size()) return std::nullopt;
   const Listing& l = listings_[id];
   if (l.page.published_at > now || removed_by(l, now)) return std::nullopt;
-  return l.torrent_bytes;
+  return l.torrent.bytes();
 }
 
 std::optional<PayloadKind> Portal::download_payload(TorrentId id,

@@ -25,6 +25,7 @@
 
 #include "crypto/sha1.hpp"
 #include "portal/category.hpp"
+#include "torrent/metainfo.hpp"
 #include "util/time.hpp"
 
 namespace btpub {
@@ -82,7 +83,7 @@ struct PublishRequest {
   Language language = Language::English;
   std::string username;
   std::string textbox;
-  std::string torrent_bytes;        // bencoded metainfo served to downloaders
+  TorrentFile torrent;              // the .torrent served to downloaders
   Sha1Digest infohash;
   std::int64_t size_bytes = 0;
   PayloadKind payload = PayloadKind::Genuine;
@@ -116,7 +117,8 @@ class Portal {
   /// flag set, textbox emptied).
   std::optional<ContentPage> page(TorrentId id, SimTime now) const;
 
-  /// Serves .torrent bytes; nullopt when unknown, unpublished or removed.
+  /// Serves .torrent bytes, written out from the held TorrentFile; nullopt
+  /// when unknown, unpublished or removed.
   std::optional<std::string> fetch_torrent(TorrentId id, SimTime now) const;
 
   /// Emulates downloading & inspecting the payload, as the authors did for
@@ -138,7 +140,7 @@ class Portal {
  private:
   struct Listing {
     ContentPage page;  // `removed` unset here; derived from removed_at
-    std::string torrent_bytes;
+    TorrentFile torrent;
     Sha1Digest infohash;
     PayloadKind payload = PayloadKind::Genuine;
     SimTime removed_at = -1;  // -1 = never removed

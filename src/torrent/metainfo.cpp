@@ -1,5 +1,8 @@
 #include "torrent/metainfo.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -14,20 +17,23 @@ constexpr std::int64_t kMinPieceLength = 256 * 1024;
 constexpr std::int64_t kMaxPieceLength = 16 * 1024 * 1024;
 constexpr std::int64_t kTargetPieces = 2048;
 
+/// Blob bytes make() hashes per Sha1::update; a multiple of 8, so every
+/// chunk but the last ends on a word boundary.
+constexpr std::size_t kPiecesChunk = 4096;
+
 std::uint64_t load_le(const Sha1Digest& d, std::size_t at, std::size_t n) {
   std::uint64_t v = 0;
   for (std::size_t i = n; i-- > 0;) v = (v << 8) | d.bytes[at + i];
   return v;
 }
 
-/// Appends the synthetic pieces blob (20 bytes per piece). One SHA-1 of
-/// the salted identity seeds a SplitMix64 stream that fills the blob, so
-/// the cost is one hash per torrent, not one per piece. The payload is
-/// never materialised; what matters downstream is that the blob has the
-/// right shape and feeds a stable infohash.
-void append_pieces(std::string& out, std::string_view name, std::string_view salt,
-                   std::int64_t total, std::int64_t piece_length,
-                   std::size_t n_pieces) {
+/// The SplitMix64 state the synthetic pieces blob expands from. One SHA-1
+/// of the salted identity seeds it, so the cost is one hash per torrent,
+/// not one per piece. The payload is never materialised; what matters
+/// downstream is that the blob has the right shape and feeds a stable
+/// infohash.
+std::uint64_t pieces_seed(std::string_view name, std::string_view salt,
+                          std::int64_t total, std::int64_t piece_length) {
   Sha1 ctx;
   ctx.update(name);
   ctx.update(std::string_view("\0", 1));
@@ -37,17 +43,24 @@ void append_pieces(std::string& out, std::string_view name, std::string_view sal
   ctx.update("/");
   ctx.update(std::to_string(piece_length));
   const Sha1Digest seed = ctx.finish();
-  std::uint64_t state =
-      derive_seed(load_le(seed, 0, 8), load_le(seed, 8, 8), load_le(seed, 16, 4));
+  return derive_seed(load_le(seed, 0, 8), load_le(seed, 8, 8), load_le(seed, 16, 4));
+}
 
-  const std::size_t begin = out.size();
-  const std::size_t n = n_pieces * 20;
-  out.resize(begin + n);
-  char* blob = out.data() + begin;
-  for (std::size_t i = 0; i < n; i += 8) {
+/// Writes the next `n` blob bytes of the stream at `state`: each word
+/// little-endian, and a trailing partial word low byte first. Any chunk
+/// but the last must be a multiple of 8 bytes.
+void fill_pieces(std::uint64_t& state, char* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
     std::uint64_t word = splitmix64(state);
-    for (std::size_t b = i; b < i + 8 && b < n; ++b, word >>= 8) {
-      blob[b] = static_cast<char>(word & 0xff);
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    std::memcpy(out + i, &word, 8);
+  }
+  if (i < n) {
+    for (std::uint64_t word = splitmix64(state); i < n; ++i, word >>= 8) {
+      out[i] = static_cast<char>(word & 0xff);
     }
   }
 }
@@ -142,6 +155,17 @@ void read_info(bencode::Reader& r, InfoFields& info) {
 
 }  // namespace
 
+std::string TorrentFile::bytes() const {
+  std::string out;
+  out.reserve(head.size() + pieces_size + tail.size());
+  out += head;
+  out.resize(head.size() + pieces_size);
+  std::uint64_t state = pieces_seed;
+  fill_pieces(state, out.data() + head.size(), pieces_size);
+  out += tail;
+  return out;
+}
+
 std::int64_t Metainfo::creator_piece_length(std::int64_t total) noexcept {
   std::int64_t piece_length = kMinPieceLength;
   while (piece_length < kMaxPieceLength && total > kTargetPieces * piece_length) {
@@ -175,11 +199,13 @@ Metainfo Metainfo::make(std::string announce_url, std::string name,
       static_cast<std::size_t>((total + m.piece_length_ - 1) / m.piece_length_);
   if (m.n_pieces_ == 0) m.n_pieces_ = 1;
 
-  // One pass, keys in canonical (ascending) order at every level.
-  std::size_t estimate = 96 + m.announce_.size() + m.comment_.size() +
-                         m.name_.size() + m.n_pieces_ * 20;
+  // One pass, keys in canonical (ascending) order at every level. The head
+  // runs to the pieces string header; the blob streams into the infohash
+  // and is not kept.
+  std::size_t estimate = 96 + m.announce_.size() + m.comment_.size() + m.name_.size();
   for (const FileEntry& f : m.files_) estimate += f.path.size() + 48;
-  std::string& out = m.bytes_;
+  TorrentFile& file = m.file_;
+  std::string& out = file.head;
   out.reserve(estimate);
   bencode::Writer w(out);
   w.begin_dict();
@@ -215,22 +241,36 @@ Metainfo Metainfo::make(std::string announce_url, std::string name,
   w.key("piece length");
   w.integer(m.piece_length_);
   w.key("pieces");
-  w.string_header(m.n_pieces_ * 20);
-  append_pieces(out, m.name_, salt, total, m.piece_length_, m.n_pieces_);
-  w.end();
-  m.infohash_ = Sha1::hash(std::string_view(out).substr(info_begin));
-  w.end();
+  file.pieces_size = m.n_pieces_ * 20;
+  w.string_header(file.pieces_size);
+  file.pieces_seed = pieces_seed(m.name_, salt, total, m.piece_length_);
+
+  Sha1 infohash;
+  infohash.update(std::string_view(out).substr(info_begin));
+  std::uint64_t state = file.pieces_seed;
+  char chunk[kPiecesChunk];
+  for (std::size_t done = 0; done < file.pieces_size; done += kPiecesChunk) {
+    const std::size_t n = std::min(kPiecesChunk, file.pieces_size - done);
+    fill_pieces(state, chunk, n);
+    infohash.update(std::string_view(chunk, n));
+  }
+  bencode::Writer tail(file.tail);
+  tail.end();  // info
+  infohash.update(file.tail);
+  m.infohash_ = infohash.finish();
+  tail.end();  // root
   return m;
 }
 
-Metainfo Metainfo::parse(std::string_view torrent_bytes) {
+Metainfo Metainfo::parse(std::string torrent_bytes) {
   // One Reader pass holds the whole document to the format's rules (sorted
   // unique keys, canonical integers, nothing after the closing 'e') and
   // yields the `info` value's byte span: BEP 3 defines the infohash over
   // the bytes as they appear in the file, which a re-encoding only
   // reproduces for canonical input. The field checks run after the pass,
   // so a malformed document always reports as bencode::Error.
-  bencode::Reader r(torrent_bytes);
+  const std::string_view doc = torrent_bytes;
+  bencode::Reader r(doc);
   if (r.peek() != Type::Dict) throw bencode::Error("Metainfo: document is not a dict");
   r.enter_dict();
   std::string_view announce;
@@ -246,7 +286,7 @@ Metainfo Metainfo::parse(std::string_view torrent_bytes) {
       r.string(comment);
     } else if (key == "info") {
       read_info(r, info);
-      info_bytes = torrent_bytes.substr(value_begin, r.pos() - value_begin);
+      info_bytes = doc.substr(value_begin, r.pos() - value_begin);
     } else {
       r.skip();
     }
@@ -277,7 +317,7 @@ Metainfo Metainfo::parse(std::string_view torrent_bytes) {
     m.files_.push_back(FileEntry{m.name_, *info.length});
   }
   m.infohash_ = Sha1::hash(*info_bytes);
-  m.bytes_ = std::string(torrent_bytes);
+  m.file_.head = std::move(torrent_bytes);  // the views above are done with
   return m;
 }
 

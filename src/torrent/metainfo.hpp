@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "crypto/sha1.hpp"
@@ -24,9 +25,23 @@ struct FileEntry {
   std::int64_t length = 0; // bytes
 };
 
+/// A .torrent document held without its synthetic `pieces` blob: the
+/// bencoded bytes up to and including the blob's string header, the
+/// SplitMix64 state the blob expands from, and the bytes after the blob.
+/// A parsed or opaque document is all head, with an empty blob.
+struct TorrentFile {
+  std::string head;
+  std::uint64_t pieces_seed = 0;  // stream state before the blob's first word
+  std::size_t pieces_size = 0;    // blob bytes (20 per piece)
+  std::string tail;
+
+  /// The whole document: head, the blob written out, tail.
+  std::string bytes() const;
+};
+
 /// Parsed or constructed metainfo document. Either way it holds the
-/// .torrent bytes themselves, and the infohash is the SHA-1 of the `info`
-/// value's exact byte span inside them.
+/// .torrent file, and the infohash is the SHA-1 of the `info` value's
+/// exact byte span inside its bytes.
 class Metainfo {
  public:
   Metainfo() = default;
@@ -41,20 +56,26 @@ class Metainfo {
   /// hashes are a PRF of (name, salt, total, piece length) — one SHA-1 per
   /// torrent, expanded by SplitMix64 — rather than of payload bytes, since
   /// the simulator never materialises content; the document structure and
-  /// the infohash computation are wire-real.
+  /// the infohash computation are wire-real. The blob streams through the
+  /// infohash in fixed chunks and is not stored (see TorrentFile).
   static Metainfo make(std::string announce_url, std::string name,
                        std::vector<FileEntry> files,
                        std::optional<std::int64_t> piece_length = std::nullopt,
                        std::string_view salt = {},
                        std::string comment = {});
 
-  /// The .torrent file bytes: canonical bencode written by make(), or
-  /// exactly the bytes given to parse().
-  const std::string& encode() const noexcept { return bytes_; }
+  /// The .torrent file bytes, written out: canonical bencode built by
+  /// make(), or exactly the bytes given to parse().
+  std::string encode() const { return file_.bytes(); }
 
-  /// Parses .torrent bytes; throws bencode::Error on malformed documents
-  /// and std::invalid_argument on missing required fields.
-  static Metainfo parse(std::string_view torrent_bytes);
+  /// The .torrent file as held; `std::move(m).file()` hands it over.
+  const TorrentFile& file() const& noexcept { return file_; }
+  TorrentFile file() && noexcept { return std::move(file_); }
+
+  /// Parses .torrent bytes and keeps them; throws bencode::Error on
+  /// malformed documents and std::invalid_argument on missing required
+  /// fields.
+  static Metainfo parse(std::string torrent_bytes);
 
   /// SHA-1 of the bencoded info dictionary, as it appears in encode().
   const Sha1Digest& infohash() const noexcept { return infohash_; }
@@ -77,7 +98,7 @@ class Metainfo {
   std::vector<FileEntry> files_;
   bool multi_file_ = false;
   Sha1Digest infohash_{};
-  std::string bytes_;  // the whole .torrent
+  TorrentFile file_;
 };
 
 }  // namespace btpub

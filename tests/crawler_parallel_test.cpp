@@ -44,7 +44,7 @@ class CrawlerParallelTest : public ::testing::Test {
     request.title = title;
     request.category = ContentCategory::Movies;
     request.username = "user_" + title;
-    request.torrent_bytes = metainfo.encode();
+    request.torrent = metainfo.file();
     request.infohash = metainfo.infohash();
     request.size_bytes = metainfo.total_size();
     const TorrentId id = portal_.publish(std::move(request), publish_at);

@@ -36,7 +36,7 @@ class CrawlerTest : public ::testing::Test {
     request.category = ContentCategory::Movies;
     request.username = "user_" + title;
     request.textbox = "Visit http://www.example.com/ now";
-    request.torrent_bytes = metainfo.encode();
+    request.torrent = metainfo.file();
     request.infohash = metainfo.infohash();
     request.size_bytes = metainfo.total_size();
     const TorrentId id = portal_.publish(std::move(request), publish_at);
@@ -311,7 +311,7 @@ TEST_F(CrawlerTest, FetchRecordSkipsMalformedTorrent) {
   PublishRequest request;
   request.title = "broken";
   request.username = "user_broken";
-  request.torrent_bytes = "d4:infoi3e";  // truncated bencode
+  request.torrent.head = "d4:infoi3e";  // truncated bencode
   const TorrentId id = portal_.publish(std::move(request), minutes(10));
   EXPECT_FALSE(fetch_record(portal_, id, minutes(20), DatasetStyle::Pb10));
   EXPECT_EQ(make_crawler().crawl_window(0, days(1)).torrent_count(), 0u);

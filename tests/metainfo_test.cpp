@@ -25,6 +25,12 @@ Metainfo sample_multi() {
       256 * 1024, "salt1");
 }
 
+Metainfo sample_odd() {
+  return Metainfo::make("http://tr.example/announce", "odd.bin",
+                        {{"odd.bin", 205 * 16384 - 100}}, 16384, "salt2",
+                        "205 pieces");
+}
+
 TEST(Metainfo, SingleFileRoundTrip) {
   const Metainfo original = sample_single();
   const Metainfo parsed = Metainfo::parse(original.encode());
@@ -181,14 +187,42 @@ TEST(Metainfo, GoldenInfohash) {
   EXPECT_EQ(multi.infohash().hex(), "8e6ff87241e75ff05c1164f012a070f687bdec0b");
 }
 
+TEST(Metainfo, GoldenBytes) {
+  // Pins the whole written-out document, blob included, for blobs of a
+  // whole number of words (single), of a partial last word past many
+  // hash chunks (multi, 2,801 pieces) and of a lone partial word after a
+  // 4 KiB chunk (odd, 205 pieces: 4,100 bytes).
+  EXPECT_EQ(Sha1::hash(sample_single().encode()).hex(),
+            "26e59cd2ee092e6ad75ce473b9f43393ea5b0c98");
+  EXPECT_EQ(Sha1::hash(sample_multi().encode()).hex(),
+            "32a3f4b8250285919254dfb8b488076ea1109115");
+  const Metainfo odd = sample_odd();
+  ASSERT_EQ(odd.piece_count() * 20 % 8, 4u);
+  EXPECT_EQ(Sha1::hash(odd.encode()).hex(),
+            "302bc31217ba4bf67b22ab92d00a0cfbfe700c93");
+}
+
 TEST(Metainfo, MakeHashesTheInfoBytesItWrites) {
-  const std::string bytes = sample_multi().encode();
-  const std::size_t info = bytes.find("4:infod");
-  ASSERT_NE(info, std::string::npos);
-  // The info dict runs from after its key to the root's closing 'e'.
-  const std::string_view span =
-      std::string_view(bytes).substr(info + 6, bytes.size() - info - 7);
-  EXPECT_EQ(sample_multi().infohash(), Sha1::hash(span));
+  // make() hashes the blob as it streams; the infohash must be the SHA-1
+  // of the info span of the bytes written out afterwards.
+  for (const Metainfo& m : {sample_single(), sample_multi(), sample_odd()}) {
+    const std::string bytes = m.encode();
+    const std::size_t info = bytes.find("4:infod");
+    ASSERT_NE(info, std::string::npos);
+    // The info dict runs from after its key to the root's closing 'e'.
+    const std::string_view span =
+        std::string_view(bytes).substr(info + 6, bytes.size() - info - 7);
+    EXPECT_EQ(m.infohash(), Sha1::hash(span));
+  }
+}
+
+TEST(Metainfo, MadeFileHoldsNoBlob) {
+  const Metainfo m = sample_multi();
+  const TorrentFile& file = m.file();
+  EXPECT_EQ(file.pieces_size, m.piece_count() * 20);
+  EXPECT_TRUE(file.head.ends_with("6:pieces56020:"));
+  EXPECT_EQ(file.tail, "ee");
+  EXPECT_EQ(file.bytes().size(), file.head.size() + file.pieces_size + 2);
 }
 
 TEST(Metainfo, InfohashIsSha1OfTheExactInfoBytes) {
@@ -204,6 +238,8 @@ TEST(Metainfo, InfohashIsSha1OfTheExactInfoBytes) {
   EXPECT_EQ(m.piece_count(), 1u);
   EXPECT_EQ(m.total_size(), 5);
   EXPECT_EQ(m.encode(), torrent);  // parse keeps the bytes it was given
+  EXPECT_EQ(m.file().head, torrent);
+  EXPECT_EQ(m.file().pieces_size, 0u);
 }
 
 TEST(Metainfo, UnsortedKeysAreRejectedNotMisHashed) {

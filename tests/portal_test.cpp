@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "counting_allocator.hpp"
+#include "torrent/metainfo.hpp"
+
 namespace btpub {
 namespace {
 
@@ -13,7 +16,7 @@ PublishRequest make_request(const std::string& user, const std::string& title,
   r.category = ContentCategory::Movies;
   r.username = user;
   r.textbox = "Visit http://www.example.com/ for more";
-  r.torrent_bytes = "d4:infod4:name1:xee";  // opaque to the portal
+  r.torrent.head = "d4:infod4:name1:xee";  // opaque to the portal: head only
   r.infohash = Sha1::hash(title);
   r.size_bytes = 1000;
   r.payload = payload;
@@ -57,6 +60,21 @@ TEST(Portal, FetchTorrentAndPayload) {
   EXPECT_EQ(portal.fetch_torrent(id, 100), "d4:infod4:name1:xee");
   EXPECT_EQ(portal.download_payload(id, 100), PayloadKind::FakeMalware);
   EXPECT_FALSE(portal.fetch_torrent(id, 99).has_value());
+}
+
+TEST(Portal, PublishHoldsNoPiecesBlob) {
+  // 1000 MiB at the creator's 512 KiB: 2,000 pieces, a 40,000-byte blob.
+  Metainfo m = Metainfo::make("http://tr.example/announce", "Big.Release.mkv",
+                              {{"Big.Release.mkv", std::int64_t{1000} << 20}});
+  ASSERT_EQ(m.piece_count(), 2000u);
+  const std::string bytes = m.encode();
+  PublishRequest r = make_request("u1", "A");
+  Portal portal("test");
+  g_alloc_bytes.store(0, std::memory_order_relaxed);
+  r.torrent = std::move(m).file();  // the hand-over the ecosystem makes
+  const TorrentId id = portal.publish(std::move(r), 100);
+  EXPECT_LT(g_alloc_bytes.load(std::memory_order_relaxed), 4096u);
+  EXPECT_EQ(portal.fetch_torrent(id, 100), bytes);
 }
 
 TEST(Portal, ModerationIsInvisibleBeforeItsTime) {

@@ -129,7 +129,7 @@ TEST(Rss, PortalFeedIsParseable) {
                                   .category = ContentCategory::Music,
                                   .username = "user" + n,
                                   .textbox = {},
-                                  .torrent_bytes = "x",
+                                  .torrent = {.head = "x", .tail = {}},
                                   .infohash = {},
                                   .size_bytes = 1000 + i},
                    100 + i);
