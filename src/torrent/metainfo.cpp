@@ -59,9 +59,8 @@ void fill_pieces(std::uint64_t& state, char* out, std::size_t n) {
     std::memcpy(out + i, &word, 8);
   }
   if (i < n) {
-    for (std::uint64_t word = splitmix64(state); i < n; ++i, word >>= 8) {
-      out[i] = static_cast<char>(word & 0xff);
-    }
+    std::uint64_t word = splitmix64(state);
+    for (; i < n; ++i, word >>= 8) out[i] = static_cast<char>(word & 0xff);
   }
 }
 
