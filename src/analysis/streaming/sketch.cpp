@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace btpub {
@@ -54,12 +55,42 @@ void HyperLogLog::add(std::uint64_t key) noexcept {
 }
 
 double HyperLogLog::estimate() const noexcept {
-  const double m = static_cast<double>(registers_.size());
-  double inverse_sum = 0.0;
+  const std::size_t n = registers_.size();
+  const double m = static_cast<double>(n);
+  // The sum of 2^-register, without one dependent chain of n adds: an
+  // all-zero word of 8 registers adds exactly 8.0 and is only counted (a
+  // per-torrent sketch is nearly all such words), and the other registers
+  // go to four partial sums. Every term is 2^-r with r <= the largest rank
+  // `top`, so every partial sum is a multiple of 2^-top no larger than
+  // m = 2^precision: exact in a double's 53-bit mantissa while
+  // precision + top <= 53. Then every add in any order is exact, and the
+  // sum equals the register-order one bit for bit.
+  const std::uint8_t* const regs = registers_.data();
+  double sums[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t zero_words = 0;
   std::size_t zeros = 0;
-  for (const std::uint8_t reg : registers_) {
-    inverse_sum += kInversePowers[reg];
-    if (reg == 0) ++zeros;
+  std::uint8_t top = 0;
+  for (std::size_t i = 0; i < n; i += 8) {  // n >= 16
+    std::uint64_t word;
+    std::memcpy(&word, regs + i, 8);
+    if (word == 0) {
+      ++zero_words;
+      continue;
+    }
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::uint8_t reg = regs[i + k];
+      sums[k % 4] += kInversePowers[reg];
+      zeros += reg == 0;
+      top = std::max(top, reg);
+    }
+  }
+  zeros += 8 * zero_words;
+  double inverse_sum = (static_cast<double>(8 * zero_words) + (sums[0] + sums[1])) +
+                       (sums[2] + sums[3]);
+  if (precision_ + top > 53) {
+    // Terms too small to sum exactly: keep the register-order rounding.
+    inverse_sum = 0.0;
+    for (const std::uint8_t reg : registers_) inverse_sum += kInversePowers[reg];
   }
   const double raw = hll_alpha(registers_.size()) * m * m / inverse_sum;
   if (raw <= 2.5 * m && zeros > 0) {
@@ -73,8 +104,14 @@ void HyperLogLog::merge(const HyperLogLog& other) {
   if (other.precision_ != precision_ || other.salt_ != salt_) {
     throw std::invalid_argument("HyperLogLog::merge: mismatched sketches");
   }
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
+  if (&other == this) return;  // max with itself; also keeps __restrict true
+  // The bound is read once: a store through a byte pointer could alias
+  // registers_' own fields, which would stop the loop vectorising.
+  const std::size_t n = registers_.size();
+  std::uint8_t* __restrict into = registers_.data();
+  const std::uint8_t* __restrict from = other.registers_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    into[i] = std::max(into[i], from[i]);
   }
 }
 

@@ -18,16 +18,9 @@
 #include <utility>
 #include <vector>
 
-namespace btpub {
+#include "util/rng.hpp"  // mix64, the sketches' hash
 
-/// SplitMix64 finalizer — the same mixer the RNG substream derivation uses.
-/// Full-avalanche 64-bit hash for sketch bucketing.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+namespace btpub {
 
 /// HyperLogLog distinct counter (Flajolet et al. 2007) with the standard
 /// small-range linear-counting correction. With 2^precision registers the

@@ -22,13 +22,19 @@ void StreamingClassifier::on_discover(const TorrentRecord& record, SimTime now) 
   slot.record = record;
   slot.discovered_at = now;
   slot.last_observation = now;
-  slots_.insert_or_assign(record.portal_id, std::move(slot));
+  const auto it = slots_.insert_or_assign(record.portal_id, std::move(slot)).first;
+  cached_id_ = it->first;
+  cached_slot_ = &it->second;
 }
 
 StreamingClassifier::TorrentSlot* StreamingClassifier::find_slot(
     TorrentId id) {
+  if (cached_slot_ != nullptr && cached_id_ == id) return cached_slot_;
   const auto it = slots_.find(id);
-  return it == slots_.end() ? nullptr : &it->second;
+  if (it == slots_.end()) return nullptr;
+  cached_id_ = id;
+  cached_slot_ = &it->second;
+  return cached_slot_;
 }
 
 void StreamingClassifier::on_downloaders(TorrentId id,

@@ -123,6 +123,9 @@ class StreamingClassifier : public CrawlObserver {
  public:
   StreamingClassifier(const GeoDb& geo, const WebsiteDirectory& websites,
                       StreamingConfig config = {});
+  // Holds a pointer into its own slots (see cached_slot_).
+  StreamingClassifier(const StreamingClassifier&) = delete;
+  StreamingClassifier& operator=(const StreamingClassifier&) = delete;
 
   // CrawlObserver (see observer.hpp for the contract).
   void on_discover(const TorrentRecord& record, SimTime now) override;
@@ -163,6 +166,11 @@ class StreamingClassifier : public CrawlObserver {
 
   /// Keyed by portal id, so iteration is the batch dataset order.
   std::map<TorrentId, TorrentSlot> slots_;
+  /// The slot a hook last resolved. A crawler sends each torrent's hooks in
+  /// a run, so a run looks its slot up once; map nodes never move, and
+  /// slots are never erased, so the pointer stays valid.
+  TorrentId cached_id_ = kInvalidTorrent;
+  TorrentSlot* cached_slot_ = nullptr;
   /// Confirmed ban per user page received.
   std::map<std::string, bool, std::less<>> user_banned_;
 

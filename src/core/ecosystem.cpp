@@ -121,9 +121,7 @@ void Ecosystem::backfill_history() {
     // Pin the very first appearance so the lifetime is exact.
     times.push_back(-static_cast<SimTime>(days_before * static_cast<double>(kDay)));
     std::sort(times.begin(), times.end());
-    for (const SimTime t : times) {
-      portal_.record_historical_publish(p.usernames.front(), t);
-    }
+    portal_.record_history(p.usernames.front(), times);
   }
 }
 

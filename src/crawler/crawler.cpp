@@ -37,7 +37,7 @@ void Crawler::record_reply(const AnnounceReply& reply, TorrentRecord& record,
       if (observer_) observer_->on_publisher_sighting(record.portal_id, now);
       continue;
     }
-    if (scratch_.seen.insert(peer.ip).second) ips.push_back(peer.ip);
+    if (scratch_.seen.insert(peer.ip.value())) ips.push_back(peer.ip);
     if (observer_) scratch_.observed.push_back(peer.ip);
   }
   if (observer_ && !scratch_.observed.empty()) {

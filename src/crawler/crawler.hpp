@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 
 #include "crawler/dataset.hpp"
 #include "crawler/discovery.hpp"
@@ -36,6 +35,7 @@
 #include "portal/portal.hpp"
 #include "swarm/network.hpp"
 #include "tracker/tracker.hpp"
+#include "util/key_set.hpp"
 #include "util/rng.hpp"
 
 namespace btpub {
@@ -93,7 +93,7 @@ class Crawler {
   struct CrawlScratch {
     AnnounceReply reply;
     Tracker::AnnounceScratch announce;
-    std::unordered_set<IpAddress> seen;
+    KeySet seen;  // IpAddress::value() of every downloader recorded
     /// Per-reply non-publisher IPs batched into one observer push.
     std::vector<IpAddress> observed;
   };

@@ -4,49 +4,6 @@
 
 namespace btpub::dht {
 
-// ---- endpoint set ----------------------------------------------------------
-
-void EndpointSet::clear() noexcept {
-  size_ = 0;
-  if (++generation_ == 0) {
-    // Wrapped: stale slots could now alias the new generation.
-    for (Slot& slot : slots_) slot.generation = 0;
-    generation_ = 1;
-  }
-}
-
-bool EndpointSet::insert(const Endpoint& endpoint) {
-  if ((size_ + 1) * 2 > slots_.size()) grow();
-  return place(key_of(endpoint));
-}
-
-bool EndpointSet::place(std::uint64_t key) {
-  const std::size_t mask = slots_.size() - 1;
-  // Fibonacci hashing: the product's middle bits spread sequential
-  // addresses, the common case in the synthetic address blocks.
-  std::size_t at = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
-  while (slots_[at].generation == generation_) {
-    if (slots_[at].key == key) return false;
-    at = (at + 1) & mask;
-  }
-  slots_[at] = Slot{key, generation_};
-  ++size_;
-  return true;
-}
-
-void EndpointSet::grow() {
-  const std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
-  const std::uint32_t live = generation_;
-  generation_ = 1;
-  size_ = 0;
-  for (const Slot& slot : old) {
-    if (slot.generation == live) place(slot.key);
-  }
-}
-
-// ---- frontier --------------------------------------------------------------
-
 void Frontier::reset(const NodeId& target, const Endpoint& self) {
   target_ = target;
   self_ = self;
@@ -58,7 +15,7 @@ void Frontier::reset(const NodeId& target, const Endpoint& self) {
 }
 
 void Frontier::add(const Endpoint& endpoint, const NodeId* id) {
-  if (endpoint == self_ || !known_.insert(endpoint)) return;
+  if (endpoint == self_ || !known_.insert(endpoint_key(endpoint))) return;
   const auto index = static_cast<std::uint32_t>(candidates_.size());
   Candidate& c = candidates_.emplace_back();
   c.endpoint = endpoint;

@@ -28,36 +28,14 @@
 
 #include "dht/node_id.hpp"
 #include "net/ip.hpp"
+#include "util/key_set.hpp"
 
 namespace btpub::dht {
 
-/// An open-addressing set of endpoints, cleared in O(1) by bumping a
-/// generation: a slot is occupied only when it carries the current one.
-class EndpointSet {
- public:
-  /// Empties the set, keeping its slots.
-  void clear() noexcept;
-  /// Adds `endpoint`; false when it is already present.
-  bool insert(const Endpoint& endpoint);
-  std::size_t size() const noexcept { return size_; }
-
- private:
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint32_t generation = 0;  // 0 never matches: generation_ >= 1
-  };
-
-  static std::uint64_t key_of(const Endpoint& endpoint) noexcept {
-    return (std::uint64_t{endpoint.ip.value()} << 16) | endpoint.port;
-  }
-  /// Inserts `key` into a table with room for it.
-  bool place(std::uint64_t key);
-  void grow();
-
-  std::vector<Slot> slots_;
-  std::uint32_t generation_ = 1;
-  std::size_t size_ = 0;
-};
+/// An endpoint as one KeySet key: the address above the port.
+inline std::uint64_t endpoint_key(const Endpoint& endpoint) noexcept {
+  return (std::uint64_t{endpoint.ip.value()} << 16) | endpoint.port;
+}
 
 class Frontier {
  public:
@@ -115,7 +93,7 @@ class Frontier {
   NodeId target_{};
   Endpoint self_{};
   std::vector<Candidate> candidates_;
-  EndpointSet known_;
+  KeySet known_;  // endpoint_key of every candidate
   /// Live id-known candidates, ascending distance to target_.
   std::vector<Ranked> ranked_;
   /// Id-less candidates in insertion order; the first `idless_queried_`

@@ -135,7 +135,7 @@ void DhtOverlay::iterative_get_peers(const Sha1Digest& info_hash,
       return;
     }
     for (const Endpoint& peer : reply_.peers) {
-      if (peers_seen_.insert(peer)) peers->push_back(peer);
+      if (peers_seen_.insert(endpoint_key(peer))) peers->push_back(peer);
     }
   });
 

@@ -170,7 +170,7 @@ class DhtOverlay {
   Response reply_;
   // Walk scratch, reused by every lookup of this overlay.
   Frontier frontier_;
-  EndpointSet peers_seen_;
+  KeySet peers_seen_;
   std::vector<std::uint32_t> round_;
   std::vector<std::uint32_t> closest_;
   /// Per candidate index: the token it answered an announce walk with.

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace btpub {
 
@@ -116,15 +117,11 @@ IspCatalog IspCatalog::standard(std::size_t extra_isps) {
 }
 
 IpPool& IspCatalog::pool(std::string_view isp_name) {
-  const auto it = pool_index_.find(std::string(isp_name));
-  if (it == pool_index_.end()) {
-    throw std::out_of_range("IspCatalog: unknown ISP '" + std::string(isp_name) + "'");
-  }
-  return pools_[it->second];
+  return const_cast<IpPool&>(std::as_const(*this).pool(isp_name));
 }
 
 const IpPool& IspCatalog::pool(std::string_view isp_name) const {
-  const auto it = pool_index_.find(std::string(isp_name));
+  const auto it = pool_index_.find(isp_name);
   if (it == pool_index_.end()) {
     throw std::out_of_range("IspCatalog: unknown ISP '" + std::string(isp_name) + "'");
   }

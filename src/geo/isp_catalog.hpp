@@ -10,7 +10,10 @@
 // rented boxes and churning residential addresses for home users.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "geo/geo_db.hpp"
@@ -69,7 +72,16 @@ class IspCatalog {
 
   GeoDb db_;
   std::vector<IpPool> pools_;
-  std::unordered_map<std::string, std::size_t> pool_index_;
+  /// Hashes a std::string and a std::string_view alike, so pool() finds a
+  /// name without copying it.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      pool_index_;
   std::vector<std::string> hosting_names_;
   std::vector<std::string> eyeball_names_;
   std::uint32_t next_slash16_ = (20u << 8);  // start carving at 20.0.0.0/16

@@ -27,14 +27,22 @@ TorrentId Portal::publish(PublishRequest request, SimTime now) {
   l.infohash = request.infohash;
   l.payload = request.payload;
   listings_.push_back(std::move(l));
-  users_[request.username].publish_times.push_back(now);
+  // After any later history (record_history), so the times stay ascending.
+  auto& times = users_[request.username].publish_times;
+  times.insert(std::upper_bound(times.begin(), times.end(), now), now);
   return id;
 }
 
-void Portal::record_historical_publish(std::string_view username, SimTime when) {
-  auto& state = users_[std::string(username)];
-  auto& v = state.publish_times;
-  v.insert(std::upper_bound(v.begin(), v.end(), when), when);
+void Portal::record_history(std::string_view username,
+                            std::span<const SimTime> times) {
+  if (!std::is_sorted(times.begin(), times.end())) {
+    throw std::invalid_argument("Portal::record_history: times not ascending");
+  }
+  auto& v = users_[std::string(username)].publish_times;
+  const std::size_t old_size = v.size();
+  v.insert(v.end(), times.begin(), times.end());
+  std::inplace_merge(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(old_size),
+                     v.end());
 }
 
 std::vector<RssItem> Portal::rss_since(TorrentId last_seen, SimTime now,
@@ -104,10 +112,9 @@ UserPage Portal::user_page(std::string_view username, SimTime now) const {
   page.username = std::string(username);
   const auto it = users_.find(page.username);
   if (it != users_.end()) {
-    for (const SimTime t : it->second.publish_times) {
-      if (t <= now) page.publish_times.push_back(t);
-    }
-    std::sort(page.publish_times.begin(), page.publish_times.end());
+    const std::vector<SimTime>& times = it->second.publish_times;  // ascending
+    page.publish_times.assign(times.begin(),
+                              std::upper_bound(times.begin(), times.end(), now));
     page.banned = it->second.banned_at >= 0 && now >= it->second.banned_at;
   }
   return page;

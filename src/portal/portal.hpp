@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -100,9 +101,11 @@ class Portal {
   /// Ids are dense and increase with publication time.
   TorrentId publish(PublishRequest request, SimTime now);
 
-  /// Back-fills a publication timestamp that happened before the simulated
+  /// Back-fills publication timestamps that happened before the simulated
   /// window (longitudinal history only; no content page is created).
-  void record_historical_publish(std::string_view username, SimTime when);
+  /// `times` must be ascending (else std::invalid_argument); they merge into
+  /// the user's history, which stays ascending.
+  void record_history(std::string_view username, std::span<const SimTime> times);
 
   /// RSS read at time `now`: items with id > last_seen already published
   /// and not yet removed at `now`, oldest first, at most `limit`.
@@ -146,7 +149,7 @@ class Portal {
     SimTime removed_at = -1;  // -1 = never removed
   };
   struct UserState {
-    std::vector<SimTime> publish_times;
+    std::vector<SimTime> publish_times;  // ascending
     SimTime banned_at = -1;  // -1 = never banned
   };
 

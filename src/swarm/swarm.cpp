@@ -4,18 +4,24 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace btpub {
 
 namespace {
 
-std::size_t count_distinct_downloader_ips(std::span<const PeerSession> sessions) {
-  std::unordered_set<IpAddress> ips;
-  for (const PeerSession& s : sessions) {
-    if (!s.is_publisher && !s.spoofed) ips.insert(s.endpoint.ip);
+/// Distinct IPs among real downloaders (neither the publisher nor spoofed),
+/// read off `index`, which orders sessions by endpoint and so by IP first.
+std::size_t count_distinct_downloader_ips(std::span<const PeerSession> sessions,
+                                          std::span<const std::uint32_t> index) {
+  std::size_t distinct = 0;
+  const IpAddress* last = nullptr;
+  for (const std::uint32_t i : index) {
+    const PeerSession& s = sessions[i];
+    if (s.is_publisher || s.spoofed) continue;
+    if (last == nullptr || *last != s.endpoint.ip) ++distinct;
+    last = &s.endpoint.ip;
   }
-  return ips.size();
+  return distinct;
 }
 
 }  // namespace
@@ -76,7 +82,8 @@ void Swarm::finalize() {
   });
   endpoint_index_ = {index, n};
 
-  distinct_downloader_ips_ = count_distinct_downloader_ips(sessions_);
+  distinct_downloader_ips_ =
+      count_distinct_downloader_ips(sessions_, endpoint_index_);
   rebuild_sweep();
 }
 
@@ -215,8 +222,10 @@ Bitfield Swarm::bitfield_at(const PeerSession& session, SimTime t) const {
 }
 
 std::size_t Swarm::distinct_downloader_ips() const {
-  if (finalized_) return distinct_downloader_ips_;
-  return count_distinct_downloader_ips(sessions());
+  if (!finalized_) {
+    throw std::logic_error("Swarm: distinct_downloader_ips before finalize");
+  }
+  return distinct_downloader_ips_;
 }
 
 }  // namespace btpub

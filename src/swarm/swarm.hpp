@@ -117,8 +117,8 @@ class Swarm {
   SimTime last_departure() const noexcept { return last_departure_; }
 
   /// Ground truth: number of distinct downloader IPs (excludes publisher
-  /// and spoofed sessions — neither is a real downloader). Cached at finalize() — validation benches call this once
-  /// per torrent and must not rebuild an IP set every time.
+  /// and spoofed sessions — neither is a real downloader). Counted once at
+  /// finalize(), off the endpoint index; throws std::logic_error before.
   std::size_t distinct_downloader_ips() const;
 
  private:

@@ -17,8 +17,8 @@ constexpr std::int64_t kMinPieceLength = 256 * 1024;
 constexpr std::int64_t kMaxPieceLength = 16 * 1024 * 1024;
 constexpr std::int64_t kTargetPieces = 2048;
 
-/// Blob bytes make() hashes per Sha1::update; a multiple of 8, so every
-/// chunk but the last ends on a word boundary.
+/// Blob bytes per chunk that make() hashes and bytes() appends; a multiple
+/// of 8, so every chunk but the last ends on a word boundary.
 constexpr std::size_t kPiecesChunk = 4096;
 
 std::uint64_t load_le(const Sha1Digest& d, std::size_t at, std::size_t n) {
@@ -48,19 +48,35 @@ std::uint64_t pieces_seed(std::string_view name, std::string_view salt,
 
 /// Writes the next `n` blob bytes of the stream at `state`: each word
 /// little-endian, and a trailing partial word low byte first. Any chunk
-/// but the last must be a multiple of 8 bytes.
+/// but the last must be a multiple of 8 bytes. Each word is computed from
+/// its index (see mix64), so no word waits on the one before it.
 void fill_pieces(std::uint64_t& state, char* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t word = splitmix64(state);
+  const std::size_t words = n / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t word = mix64(state + i * kSplitMix64Gamma);
     if constexpr (std::endian::native == std::endian::big) {
       word = __builtin_bswap64(word);
     }
-    std::memcpy(out + i, &word, 8);
+    std::memcpy(out + 8 * i, &word, 8);
   }
-  if (i < n) {
+  state += words * kSplitMix64Gamma;
+  if (n % 8 != 0) {
     std::uint64_t word = splitmix64(state);
-    for (; i < n; ++i, word >>= 8) out[i] = static_cast<char>(word & 0xff);
+    for (std::size_t i = 8 * words; i < n; ++i, word >>= 8) {
+      out[i] = static_cast<char>(word & 0xff);
+    }
+  }
+}
+
+/// Hands the `size`-byte blob of the stream at `seed` to `sink` as
+/// std::string_views of at most kPiecesChunk bytes, in order.
+template <typename Sink>
+void stream_pieces(std::uint64_t seed, std::size_t size, Sink&& sink) {
+  char chunk[kPiecesChunk];
+  for (std::size_t done = 0; done < size; done += kPiecesChunk) {
+    const std::size_t n = std::min(kPiecesChunk, size - done);
+    fill_pieces(seed, chunk, n);
+    sink(std::string_view(chunk, n));
   }
 }
 
@@ -158,9 +174,8 @@ std::string TorrentFile::bytes() const {
   std::string out;
   out.reserve(head.size() + pieces_size + tail.size());
   out += head;
-  out.resize(head.size() + pieces_size);
-  std::uint64_t state = pieces_seed;
-  fill_pieces(state, out.data() + head.size(), pieces_size);
+  stream_pieces(pieces_seed, pieces_size,
+                [&out](std::string_view chunk) { out += chunk; });
   out += tail;
   return out;
 }
@@ -246,13 +261,8 @@ Metainfo Metainfo::make(std::string announce_url, std::string name,
 
   Sha1 infohash;
   infohash.update(std::string_view(out).substr(info_begin));
-  std::uint64_t state = file.pieces_seed;
-  char chunk[kPiecesChunk];
-  for (std::size_t done = 0; done < file.pieces_size; done += kPiecesChunk) {
-    const std::size_t n = std::min(kPiecesChunk, file.pieces_size - done);
-    fill_pieces(state, chunk, n);
-    infohash.update(std::string_view(chunk, n));
-  }
+  stream_pieces(file.pieces_seed, file.pieces_size,
+                [&infohash](std::string_view chunk) { infohash.update(chunk); });
   bencode::Writer tail(file.tail);
   tail.end();  // info
   infohash.update(file.tail);

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/rng.hpp"
+
 namespace btpub {
 namespace {
 
@@ -54,11 +56,7 @@ std::array<std::uint8_t, 20> Handshake::make_peer_id(std::uint64_t seed) {
   // Fill the remaining 12 bytes from a SplitMix-style expansion of the seed.
   std::uint64_t x = seed;
   for (std::size_t i = prefix.size(); i < id.size(); ++i) {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    id[i] = static_cast<std::uint8_t>((z ^ (z >> 31)) & 0xff);
+    id[i] = static_cast<std::uint8_t>(splitmix64(x) & 0xff);
   }
   return id;
 }

@@ -50,17 +50,20 @@ void Tracker::announce_into(const AnnounceRequest& request, AnnounceReply& reply
     return;
   }
 
-  const ClientKey key{client_ip, request.infohash};
-  const auto last = last_query_.find(key);
-  if (last != last_query_.end() && request.now - last->second < enforced_gap_) {
-    ++stats_.rejected_rate;
-    if (++violations_[client_ip] >= kBlacklistAfter) {
-      blacklist_.insert(client_ip);
+  // One probe: a first query inserts its time, a later one finds the last.
+  const auto [last, first] =
+      last_query_.try_emplace(ClientKey{client_ip, request.infohash}, request.now);
+  if (!first) {
+    if (request.now - last->second < enforced_gap_) {
+      ++stats_.rejected_rate;
+      if (++violations_[client_ip] >= kBlacklistAfter) {
+        blacklist_.insert(client_ip);
+      }
+      reply.failure_reason = "slow down";
+      return;
     }
-    reply.failure_reason = "slow down";
-    return;
+    last->second = request.now;
   }
-  last_query_[key] = request.now;
 
   Swarm* const found = swarms_.find(request.infohash);
   if (found == nullptr) {

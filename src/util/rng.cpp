@@ -6,11 +6,9 @@
 namespace btpub {
 
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  const std::uint64_t state = x;
+  x += kSplitMix64Gamma;
+  return mix64(state);
 }
 
 namespace {

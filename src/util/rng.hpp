@@ -14,6 +14,21 @@
 
 namespace btpub {
 
+/// SplitMix64's increment: the golden ratio in 64 bits.
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ULL;
+
+/// The SplitMix64 output for state `x`: one increment, then the
+/// full-avalanche finalizer. Also the 64-bit hash of the sketches' bucketing.
+/// The k-th output (k = 0, 1, ...) of a stream at `state` is
+/// mix64(state + k * kSplitMix64Gamma), so a stream can be written from a
+/// counter with no carried dependency.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// One SplitMix64 step: advances `state` and returns the next output. The
 /// cheap PRF behind derive_seed, Rng seeding and synthetic piece hashes.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;

@@ -876,13 +876,14 @@ TEST(FrontierTest, FewerThanKLiveAndAllQueried) {
   EXPECT_EQ(frontier.size(), 1u);
 }
 
-TEST(FrontierTest, EndpointSetDedupsAcrossGrowthAndClears) {
-  EndpointSet set;
+TEST(FrontierTest, EndpointKeysDedupAcrossGrowthAndClears) {
+  KeySet set;
   for (std::uint32_t round = 0; round < 3; ++round) {
     for (std::uint32_t i = 0; i < 1000; ++i) {
-      EXPECT_TRUE(set.insert({IpAddress(0x0A000000u + i), 6881}));
-      EXPECT_FALSE(set.insert({IpAddress(0x0A000000u + i), 6881}));
-      EXPECT_TRUE(set.insert({IpAddress(0x0A000000u + i), 6882}));  // port counts
+      const IpAddress ip(0x0A000000u + i);
+      EXPECT_TRUE(set.insert(endpoint_key({ip, 6881})));
+      EXPECT_FALSE(set.insert(endpoint_key({ip, 6881})));
+      EXPECT_TRUE(set.insert(endpoint_key({ip, 6882})));  // port counts
     }
     EXPECT_EQ(set.size(), 2000u);
     set.clear();

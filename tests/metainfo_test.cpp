@@ -31,6 +31,11 @@ Metainfo sample_odd() {
                         "205 pieces");
 }
 
+Metainfo sample_chunks() {
+  return Metainfo::make("http://tr.example/announce", "chunks.bin",
+                        {{"chunks.bin", 1024 * 16384}}, 16384, "salt3");
+}
+
 TEST(Metainfo, SingleFileRoundTrip) {
   const Metainfo original = sample_single();
   const Metainfo parsed = Metainfo::parse(original.encode());
@@ -190,8 +195,9 @@ TEST(Metainfo, GoldenInfohash) {
 TEST(Metainfo, GoldenBytes) {
   // Pins the whole written-out document, blob included, for blobs of a
   // whole number of words (single), of a partial last word past many
-  // hash chunks (multi, 2,801 pieces) and of a lone partial word after a
-  // 4 KiB chunk (odd, 205 pieces: 4,100 bytes).
+  // hash chunks (multi, 2,801 pieces), of a lone partial word after a
+  // 4 KiB chunk (odd, 205 pieces: 4,100 bytes) and of exactly five 4 KiB
+  // chunks (chunks, 1,024 pieces: 20,480 bytes).
   EXPECT_EQ(Sha1::hash(sample_single().encode()).hex(),
             "26e59cd2ee092e6ad75ce473b9f43393ea5b0c98");
   EXPECT_EQ(Sha1::hash(sample_multi().encode()).hex(),
@@ -200,12 +206,17 @@ TEST(Metainfo, GoldenBytes) {
   ASSERT_EQ(odd.piece_count() * 20 % 8, 4u);
   EXPECT_EQ(Sha1::hash(odd.encode()).hex(),
             "302bc31217ba4bf67b22ab92d00a0cfbfe700c93");
+  const Metainfo chunks = sample_chunks();
+  ASSERT_EQ(chunks.piece_count() * 20, 5u * 4096);
+  EXPECT_EQ(Sha1::hash(chunks.encode()).hex(),
+            "9d0dfea91555fe52405eafb9470d8e771c5f29c7");
 }
 
 TEST(Metainfo, MakeHashesTheInfoBytesItWrites) {
   // make() hashes the blob as it streams; the infohash must be the SHA-1
   // of the info span of the bytes written out afterwards.
-  for (const Metainfo& m : {sample_single(), sample_multi(), sample_odd()}) {
+  for (const Metainfo& m :
+       {sample_single(), sample_multi(), sample_odd(), sample_chunks()}) {
     const std::string bytes = m.encode();
     const std::size_t info = bytes.find("4:infod");
     ASSERT_NE(info, std::string::npos);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "counting_allocator.hpp"
 #include "torrent/metainfo.hpp"
 
@@ -146,14 +149,39 @@ TEST(Portal, RssHonoursLimit) {
 
 TEST(Portal, UserPageAccumulatesHistory) {
   Portal portal("test");
-  portal.record_historical_publish("vet", -5000);
-  portal.record_historical_publish("vet", -100);
+  const std::vector<SimTime> history{-5000, -100};
+  portal.record_history("vet", history);
   portal.publish(make_request("vet", "New"), 200);
   const UserPage page = portal.user_page("vet", 300);
   ASSERT_EQ(page.publish_times.size(), 3u);
   EXPECT_EQ(page.publish_times.front(), -5000);
   EXPECT_EQ(page.publish_times.back(), 200);
   EXPECT_FALSE(page.banned);
+}
+
+TEST(Portal, HistoryBatchesMergeLikeOneInsertPerEvent) {
+  // A second batch with duplicates of the first and runs of equal times
+  // lands where inserting each time after its equals would put it.
+  const std::vector<SimTime> first{-9000, -700, -700, -50};
+  const std::vector<SimTime> second{-9500, -9000, -700, -700, -300, -50, -50, -10};
+  std::vector<SimTime> expected;
+  for (const std::vector<SimTime>* batch : {&first, &second}) {
+    for (const SimTime t : *batch) {
+      expected.insert(std::upper_bound(expected.begin(), expected.end(), t), t);
+    }
+  }
+  expected.push_back(200);
+
+  Portal portal("test");
+  portal.record_history("vet", first);
+  portal.record_history("vet", second);
+  portal.record_history("vet", {});
+  portal.publish(make_request("vet", "New"), 200);
+  EXPECT_EQ(portal.user_page("vet", 300).publish_times, expected);
+  // A batch out of order is refused and leaves the history as it was.
+  const std::vector<SimTime> unsorted{-5, -6};
+  EXPECT_THROW(portal.record_history("vet", unsorted), std::invalid_argument);
+  EXPECT_EQ(portal.user_page("vet", 300).publish_times, expected);
 }
 
 TEST(Portal, UserPageIsTimeFiltered) {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "net/ip.hpp"
@@ -13,6 +15,8 @@
 
 namespace btpub {
 namespace {
+
+constexpr std::uint64_t kSalt = 0x5eed;
 
 TEST(HyperLogLog, EmptyEstimatesZero) {
   HyperLogLog hll(12);
@@ -87,6 +91,164 @@ TEST(HyperLogLog, SaltChangesHashingNotAccuracy) {
 TEST(HyperLogLog, PrecisionClamped) {
   EXPECT_EQ(HyperLogLog(1).register_count(), 16u);
   EXPECT_EQ(HyperLogLog(30).register_count(), std::size_t{1} << 18);
+}
+
+/// The estimator's reference: the registers rebuilt here from the public
+/// mix64, the salt and the precision, and the estimate summed in register
+/// order with the same bias constants and small-range correction.
+struct HllOracle {
+  int precision;
+  std::uint64_t salt;
+  std::vector<std::uint8_t> registers;
+
+  HllOracle(int p, std::uint64_t s)
+      : precision(p), salt(s), registers(std::size_t{1} << p, 0) {}
+
+  void add(std::uint64_t key) {
+    const std::uint64_t h = mix64(key ^ salt);
+    const std::uint64_t rest = h << precision;
+    const int rank = rest == 0 ? 64 - precision + 1 : std::countl_zero(rest) + 1;
+    std::uint8_t& reg = registers[h >> (64 - precision)];
+    reg = std::max(reg, static_cast<std::uint8_t>(rank));
+  }
+
+  void merge(const HllOracle& other) {
+    for (std::size_t i = 0; i < registers.size(); ++i) {
+      registers[i] = std::max(registers[i], other.registers[i]);
+    }
+  }
+
+  double inverse_sum() const {
+    double sum = 0.0;
+    for (const std::uint8_t reg : registers) sum += std::ldexp(1.0, -reg);
+    return sum;
+  }
+
+  double estimate() const {
+    const double m = static_cast<double>(registers.size());
+    const double alpha = registers.size() == 16   ? 0.673
+                         : registers.size() == 32 ? 0.697
+                         : registers.size() == 64 ? 0.709
+                                                  : 0.7213 / (1.0 + 1.079 / m);
+    const auto zeros = static_cast<std::size_t>(
+        std::count(registers.begin(), registers.end(), std::uint8_t{0}));
+    const double raw = alpha * m * m / inverse_sum();
+    if (raw <= 2.5 * m && zeros > 0) {
+      return m * std::log(m / static_cast<double>(zeros));
+    }
+    return raw;
+  }
+};
+
+/// Inverse of x ^ (x >> shift).
+std::uint64_t unxorshift(std::uint64_t y, int shift) {
+  std::uint64_t x = y;
+  for (int covered = shift; covered < 64; covered += shift) x = y ^ (x >> shift);
+  return x;
+}
+
+/// The multiplicative inverse of an odd `c` modulo 2^64 (Newton's method).
+std::uint64_t inverse_odd(std::uint64_t c) {
+  std::uint64_t inv = c;  // right in the low 3 bits; each step doubles that
+  for (int i = 0; i < 5; ++i) inv *= 2 - c * inv;
+  return inv;
+}
+
+/// The key whose mix64 is `h`: mix64 is a bijection, so a test can place a
+/// key in any register at any rank.
+std::uint64_t unmix64(std::uint64_t h) {
+  std::uint64_t x = unxorshift(h, 31);
+  x = unxorshift(x * inverse_odd(0x94D049BB133111EBULL), 27);
+  x = unxorshift(x * inverse_odd(0xBF58476D1CE4E5B9ULL), 30);
+  return x - 0x9E3779B97F4A7C15ULL;
+}
+
+/// A key that lands in register `index` at rank `rank` (1 .. 65 - p).
+std::uint64_t key_for(int precision, std::uint64_t salt, std::uint64_t index,
+                      int rank) {
+  std::uint64_t h = index << (64 - precision);
+  if (rank <= 64 - precision) h |= std::uint64_t{1} << (64 - precision - rank);
+  return unmix64(h) ^ salt;
+}
+
+TEST(HyperLogLog, EstimateEqualsRegisterOrderOracle) {
+  // Streams of every size the classifier meets, and then some: the
+  // estimate must be == the register-order sum, not merely close to it.
+  for (const int precision : {4, 12, 18}) {
+    for (const std::uint64_t n :
+         {0ull, 1ull, 10ull, 1000ull, 100000ull, 1000000ull}) {
+      HyperLogLog hll(precision, kSalt);
+      HllOracle oracle(precision, kSalt);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t key = i * 0x9E3779B97F4A7C15ULL + 11;
+        hll.add(key);
+        oracle.add(key);
+      }
+      EXPECT_EQ(hll.estimate(), oracle.estimate()) << "p" << precision << " n" << n;
+    }
+  }
+}
+
+TEST(HyperLogLog, MergeEqualsRegisterWiseMaxOracle) {
+  for (const int precision : {4, 12, 18}) {
+    HyperLogLog a(precision, kSalt), b(precision, kSalt), empty(precision, kSalt);
+    HllOracle oa(precision, kSalt), ob(precision, kSalt);
+    for (std::uint64_t i = 0; i < 30000; ++i) {
+      a.add(i);
+      oa.add(i);
+      b.add(i * 7 + 100000);
+      ob.add(i * 7 + 100000);
+    }
+    // Empty into non-empty changes nothing; non-empty into empty copies.
+    a.merge(empty);
+    EXPECT_EQ(a.estimate(), oa.estimate());
+    empty.merge(b);
+    EXPECT_EQ(empty.estimate(), ob.estimate());
+    a.merge(b);
+    oa.merge(ob);
+    EXPECT_EQ(a.estimate(), oa.estimate()) << "p" << precision;
+    a.merge(a);  // with itself: no change
+    EXPECT_EQ(a.estimate(), oa.estimate());
+  }
+}
+
+TEST(HyperLogLog, RanksTooDeepForAnExactSumKeepRegisterOrder) {
+  // p = 4: register 0 at rank 1 and the other 15 at rank 55. In register
+  // order each 2^-55 rounds away against 0.5; summed in four lanes they
+  // add up to three units in the last place. The estimate must take the
+  // register-order value.
+  constexpr int kPrecision = 4;
+  HyperLogLog hll(kPrecision, kSalt);
+  HllOracle oracle(kPrecision, kSalt);
+  for (std::uint64_t index = 0; index < 16; ++index) {
+    const std::uint64_t key = key_for(kPrecision, kSalt, index, index == 0 ? 1 : 55);
+    hll.add(key);
+    oracle.add(key);
+  }
+  ASSERT_EQ(oracle.registers[0], 1);
+  ASSERT_EQ(oracle.registers[15], 55);
+  double lanes[4] = {};
+  for (std::size_t i = 0; i < 16; ++i) {
+    lanes[i % 4] += std::ldexp(1.0, -oracle.registers[i]);
+  }
+  ASSERT_NE((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]), oracle.inverse_sum());
+  EXPECT_EQ(hll.estimate(), oracle.estimate());
+
+  // Up to the deepest rank that still sums exactly (precision + rank = 53),
+  // and one past it, a rank-crafted register among a dense stream agrees.
+  for (const int rank : {40, 41, 42}) {
+    HyperLogLog deep(12, kSalt);
+    HllOracle deep_oracle(12, kSalt);
+    for (std::uint64_t i = 0; i < 50000; ++i) {
+      deep.add(i);
+      deep_oracle.add(i);
+    }
+    const std::uint64_t key = key_for(12, kSalt, 7, rank);
+    deep.add(key);
+    deep_oracle.add(key);
+    ASSERT_EQ(deep_oracle.registers[7], rank);
+    EXPECT_EQ(deep.estimate(), deep_oracle.estimate()) << "rank " << rank;
+  }
 }
 
 TEST(HyperLogLog, EstimatesPinnedBitForBit) {

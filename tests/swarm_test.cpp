@@ -135,6 +135,23 @@ TEST(SwarmTest, LastDepartureAndDistinctIps) {
   EXPECT_EQ(swarm.distinct_downloader_ips(), 3u);
 }
 
+TEST(SwarmTest, DistinctIpsCountEachDownloaderAddressOnce) {
+  Swarm swarm(Sha1::hash("ips"), 10, 0);
+  PeerSession other_port = leecher(5, 0, 10);
+  other_port.endpoint.port = 7000;
+  PeerSession spoofed = leecher(6, 0, 10);
+  spoofed.spoofed = true;
+  swarm.add_session(leecher(9, 0, 10));
+  swarm.add_session(other_port);             // IP 5 twice, on two ports
+  swarm.add_session(leecher(5, 20, 30));
+  swarm.add_session(spoofed);                // decoy only: not a downloader
+  swarm.add_session(seeder_from_start(7, 0, 10));
+  swarm.add_session(leecher(7, 20, 30));     // the publisher's IP, as a leecher
+  EXPECT_THROW(swarm.distinct_downloader_ips(), std::logic_error);
+  swarm.finalize();
+  EXPECT_EQ(swarm.distinct_downloader_ips(), 3u);  // 5, 7 and 9
+}
+
 TEST(SwarmTest, DegenerateSessionsDropped) {
   Swarm swarm(Sha1::hash("d"), 10, 0);
   swarm.add_session(leecher(1, 100, 100));  // zero length
